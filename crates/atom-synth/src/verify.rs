@@ -73,6 +73,11 @@ pub fn verify(spec: &CodeletSpec, config: &StatefulConfig) -> Result<(), Counter
         Ok(())
     };
 
+    // One scratch packet for every vector below: each loop overwrites
+    // every field, so nothing carries over, and the per-field key
+    // allocations happen once instead of once per vector.
+    let mut pkt = Packet::new();
+
     // Diagonal corner sweep: every interesting value in every slot while
     // others cycle through the list too (bounded work, hits boundaries).
     for (k, &v) in interesting.iter().enumerate() {
@@ -80,7 +85,6 @@ pub fn verify(spec: &CodeletSpec, config: &StatefulConfig) -> Result<(), Counter
             let mut olds: Vec<i32> = (0..n_vars)
                 .map(|i| interesting[(k + i) % interesting.len()])
                 .collect();
-            let mut pkt = Packet::new();
             for (j, f) in fields.iter().enumerate() {
                 pkt.set(f, interesting[(k + n_vars + j) % interesting.len()]);
             }
@@ -110,19 +114,16 @@ pub fn verify(spec: &CodeletSpec, config: &StatefulConfig) -> Result<(), Counter
                 vals.push(small[(idx % small.len() as u64) as usize]);
                 idx /= small.len() as u64;
             }
-            let olds = vals[..n_vars].to_vec();
-            let mut pkt = Packet::new();
             for (f, v) in fields.iter().zip(&vals[n_vars..]) {
                 pkt.set(f, *v);
             }
-            check(&olds, &pkt)?;
+            check(&vals[..n_vars], &pkt)?;
         }
     } else {
         for _ in 0..4096 {
             let olds: Vec<i32> = (0..n_vars)
                 .map(|_| small[rng.gen_range(0..small.len())])
                 .collect();
-            let mut pkt = Packet::new();
             for f in &fields {
                 pkt.set(f, small[rng.gen_range(0..small.len())]);
             }
@@ -133,7 +134,6 @@ pub fn verify(spec: &CodeletSpec, config: &StatefulConfig) -> Result<(), Counter
     // Random vectors.
     for _ in 0..RANDOM_VECTORS {
         let olds: Vec<i32> = (0..n_vars).map(|_| rng.gen()).collect();
-        let mut pkt = Packet::new();
         for f in &fields {
             pkt.set(f, rng.gen());
         }
@@ -141,7 +141,6 @@ pub fn verify(spec: &CodeletSpec, config: &StatefulConfig) -> Result<(), Counter
         // Also small-magnitude vectors, where most algorithm behaviour
         // (thresholds, counters) lives.
         let olds: Vec<i32> = (0..n_vars).map(|_| rng.gen_range(-64..64)).collect();
-        let mut pkt = Packet::new();
         for f in &fields {
             pkt.set(f, rng.gen_range(-64..64));
         }

@@ -19,7 +19,8 @@ use crate::error::SwitchError;
 use crate::machine::AtomPipeline;
 use crate::switch::PipelineEngine;
 use domino_ir::layout::mix64;
-use domino_ir::{Packet, StateStore};
+use domino_ir::{FieldTable, FlatPacket, StateStore};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Marker string carried by every injected panic payload, so supervisors
@@ -189,7 +190,7 @@ pub fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 ///
 /// Built through the ordinary [`PipelineEngine::build`] hook it carries
 /// **no** faults (so supervisor rebuilds are clean); faults are attached
-/// only via [`FaultyEngine::with_faults`] / [`FaultyEngine::attach`].
+/// only via [`FaultyEngine::with_faults`].
 #[derive(Debug, Clone)]
 pub struct FaultyEngine<E: PipelineEngine> {
     inner: E,
@@ -198,26 +199,27 @@ pub struct FaultyEngine<E: PipelineEngine> {
 }
 
 impl<E: PipelineEngine> FaultyEngine<E> {
-    /// Builds the inner engine for `pipeline` and attaches a fault
-    /// schedule to it.
+    /// Builds the inner engine for `pipeline` on `table` and attaches a
+    /// fault schedule to it — the `make` a fault-injecting factory hands
+    /// [`Switch::build_with`](crate::Switch::build_with). Every field a
+    /// [`FaultKind::BitFlip`] names is interned into the table too, so a
+    /// flip lands on a slot even when the pipeline never mentions the
+    /// field.
     pub fn with_faults(
         pipeline: &AtomPipeline,
         faults: Vec<FaultSpec>,
+        table: &mut FieldTable,
     ) -> Result<FaultyEngine<E>, SwitchError> {
+        for f in &faults {
+            if let FaultKind::BitFlip { field, .. } = &f.kind {
+                table.intern(field);
+            }
+        }
         Ok(FaultyEngine {
-            inner: E::build(pipeline)?,
+            inner: E::build(pipeline, table)?,
             faults,
             processed: 0,
         })
-    }
-
-    /// Wraps an already-built engine with a fault schedule.
-    pub fn attach(inner: E, faults: Vec<FaultSpec>) -> FaultyEngine<E> {
-        FaultyEngine {
-            inner,
-            faults,
-            processed: 0,
-        }
     }
 
     /// Packets this instance has processed (the clock faults fire on).
@@ -236,15 +238,18 @@ impl<E: PipelineEngine> PipelineEngine for FaultyEngine<E> {
     /// schedule. The sharded supervisor rebuilds dead shards through this
     /// path, so a replacement engine never re-fires its predecessor's
     /// fault.
-    fn build(pipeline: &AtomPipeline) -> Result<FaultyEngine<E>, SwitchError> {
-        Ok(FaultyEngine {
-            inner: E::build(pipeline)?,
-            faults: Vec::new(),
-            processed: 0,
-        })
+    fn build(
+        pipeline: &AtomPipeline,
+        table: &mut FieldTable,
+    ) -> Result<FaultyEngine<E>, SwitchError> {
+        FaultyEngine::with_faults(pipeline, Vec::new(), table)
     }
 
-    fn process(&mut self, mut pkt: Packet) -> Packet {
+    fn bind(&mut self, table: &Arc<FieldTable>) {
+        self.inner.bind(table);
+    }
+
+    fn process(&mut self, pkt: &mut FlatPacket) {
         let n = self.processed;
         // Non-panic faults apply in schedule order; a panic ends the
         // packet (and, under supervision, the worker).
@@ -255,8 +260,11 @@ impl<E: PipelineEngine> PipelineEngine for FaultyEngine<E> {
             match &f.kind {
                 FaultKind::Stall { ms } => std::thread::sleep(Duration::from_millis(*ms)),
                 FaultKind::BitFlip { field, bit } => {
-                    let old = pkt.get_or_zero(field);
-                    pkt.set(field, old ^ (1i32 << (bit % 32)));
+                    let slot = pkt
+                        .table()
+                        .lookup(field)
+                        .expect("with_faults interned every flipped field");
+                    pkt.set(slot, pkt.get_or_zero(slot) ^ (1i32 << (bit % 32)));
                 }
                 FaultKind::Panic => {
                     panic!("{INJECTED_PANIC_MARKER}: scheduled panic at engine packet {n}")
@@ -264,7 +272,7 @@ impl<E: PipelineEngine> PipelineEngine for FaultyEngine<E> {
             }
         }
         self.processed = n + 1;
-        self.inner.process(pkt)
+        self.inner.process(pkt);
     }
 
     fn export_state(&self) -> StateStore {
@@ -280,25 +288,45 @@ impl<E: PipelineEngine> PipelineEngine for FaultyEngine<E> {
 mod tests {
     use super::*;
     use crate::machine::Machine;
+    use domino_ir::Packet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn passthrough() -> AtomPipeline {
         AtomPipeline::passthrough("p")
     }
 
+    /// A standalone engine armed with `faults`, on a table of its own.
+    fn armed(faults: Vec<FaultSpec>) -> (FaultyEngine<Machine>, Arc<FieldTable>) {
+        let mut table = FieldTable::new();
+        let mut eng = FaultyEngine::with_faults(&passthrough(), faults, &mut table).unwrap();
+        let table = Arc::new(table);
+        eng.bind(&table);
+        (eng, table)
+    }
+
+    /// One packet through the engine the way a switch drives it.
+    fn process(eng: &mut FaultyEngine<Machine>, table: &Arc<FieldTable>, pkt: Packet) -> Packet {
+        let (mut flat, residual) = FlatPacket::admit(&pkt, table);
+        eng.process(&mut flat);
+        flat.emit(&table.by_name(), &residual)
+    }
+
     #[test]
     fn build_hook_is_fault_free() {
-        let eng: FaultyEngine<Machine> = FaultyEngine::build(&passthrough()).unwrap();
+        let eng: FaultyEngine<Machine> =
+            FaultyEngine::build(&passthrough(), &mut FieldTable::new()).unwrap();
         assert!(eng.faults().is_empty());
     }
 
     #[test]
     fn panic_fires_at_exact_packet_count_with_marker() {
-        let mut eng: FaultyEngine<Machine> =
-            FaultyEngine::with_faults(&passthrough(), vec![FaultSpec::panic_at(2)]).unwrap();
-        eng.process(Packet::new());
-        eng.process(Packet::new());
-        let err = catch_unwind(AssertUnwindSafe(|| eng.process(Packet::new()))).unwrap_err();
+        let (mut eng, table) = armed(vec![FaultSpec::panic_at(2)]);
+        process(&mut eng, &table, Packet::new());
+        process(&mut eng, &table, Packet::new());
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            process(&mut eng, &table, Packet::new())
+        }))
+        .unwrap_err();
         let payload = err
             .downcast_ref::<String>()
             .cloned()
@@ -309,12 +337,12 @@ mod tests {
 
     #[test]
     fn bit_flip_corrupts_exactly_one_packet() {
-        let mut eng: FaultyEngine<Machine> =
-            FaultyEngine::with_faults(&passthrough(), vec![FaultSpec::bit_flip_at(1, "x", 3)])
-                .unwrap();
-        let a = eng.process(Packet::new().with("x", 0));
-        let b = eng.process(Packet::new().with("x", 0));
-        let c = eng.process(Packet::new().with("x", 0));
+        // `x` is a field the (pass-through) pipeline never names: the
+        // schedule itself puts it on the table.
+        let (mut eng, table) = armed(vec![FaultSpec::bit_flip_at(1, "x", 3)]);
+        let a = process(&mut eng, &table, Packet::new().with("x", 0));
+        let b = process(&mut eng, &table, Packet::new().with("x", 0));
+        let c = process(&mut eng, &table, Packet::new().with("x", 0));
         assert_eq!(a.get("x"), Some(0));
         assert_eq!(b.get("x"), Some(8)); // bit 3 flipped
         assert_eq!(c.get("x"), Some(0));
@@ -322,9 +350,8 @@ mod tests {
 
     #[test]
     fn stall_delays_but_preserves_output() {
-        let mut eng: FaultyEngine<Machine> =
-            FaultyEngine::with_faults(&passthrough(), vec![FaultSpec::stall_at(0, 1)]).unwrap();
-        let out = eng.process(Packet::new().with("x", 7));
+        let (mut eng, table) = armed(vec![FaultSpec::stall_at(0, 1)]);
+        let out = process(&mut eng, &table, Packet::new().with("x", 7));
         assert_eq!(out.get("x"), Some(7));
         assert_eq!(eng.processed(), 1);
     }

@@ -19,12 +19,15 @@
 //! paper's core guarantee and is asserted by tests and property tests.
 
 use crate::atom::StatefulConfig;
+use crate::error::SwitchError;
 use crate::kind::AtomKind;
+use crate::switch::PipelineEngine;
 use domino_ast::StateVar;
 use domino_ir::interp::exec_tac_stmt;
-use domino_ir::{Codelet, Packet, StateStore};
+use domino_ir::{Codelet, FieldTable, FlatPacket, Packet, StateStore};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// How an atom was realized on the target.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,6 +236,30 @@ impl Machine {
         &self.pipeline
     }
 
+    /// The reference machine on a switch table: it executes by field
+    /// name, so the table needs the pipeline's names only — no lowering,
+    /// nothing that can fail.
+    pub(crate) fn on_table(pipeline: AtomPipeline, table: &mut FieldTable) -> Machine {
+        for f in &pipeline.declared_fields {
+            table.intern(f);
+        }
+        for stmt in pipeline
+            .stages
+            .iter()
+            .flatten()
+            .flat_map(|a| &a.codelet.stmts)
+        {
+            for f in stmt.field_written().into_iter().chain(stmt.fields_read()) {
+                table.intern(f);
+            }
+        }
+        for (declared, internal) in &pipeline.output_map {
+            table.intern(declared);
+            table.intern(internal);
+        }
+        Machine::new(pipeline)
+    }
+
     /// Runs one packet through every stage (transactional view).
     pub fn process(&mut self, mut pkt: Packet) -> Packet {
         for stage in &self.pipeline.stages {
@@ -306,6 +333,36 @@ impl Machine {
             }
         }
         out
+    }
+}
+
+/// The flat ↔ map shim that lets the map-based oracle sit in the flat
+/// interior: the only place a map [`Packet`] exists between a switch's
+/// admission and emission edges.
+impl PipelineEngine for Machine {
+    fn build(pipeline: &AtomPipeline, table: &mut FieldTable) -> Result<Machine, SwitchError> {
+        Ok(Machine::on_table(pipeline.clone(), table))
+    }
+
+    fn bind(&mut self, _table: &Arc<FieldTable>) {}
+
+    fn process(&mut self, pkt: &mut FlatPacket) {
+        let out = Machine::process(self, pkt.to_packet());
+        let table = Arc::clone(pkt.table());
+        for (name, value) in out.iter() {
+            let slot = table
+                .lookup(name)
+                .expect("on_table interned every field the pipeline can write");
+            pkt.set(slot, value);
+        }
+    }
+
+    fn export_state(&self) -> StateStore {
+        self.state().clone()
+    }
+
+    fn import_state(&mut self, snapshot: &StateStore) {
+        Machine::import_state(self, snapshot)
     }
 }
 

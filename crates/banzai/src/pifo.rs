@@ -31,7 +31,7 @@
 //! stable-sort oracle across random rank streams × capacities × tie
 //! patterns).
 
-use domino_ir::Packet;
+use domino_ir::{FieldId, FlatPacket, Packet};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
@@ -424,6 +424,18 @@ impl SchedSpec {
         }
     }
 
+    /// Resolves the key fields to slots once, through `slot_of` (the
+    /// switch's table), so the per-packet read is [`KeySlots::key_of`].
+    pub(crate) fn resolve(&self, mut slot_of: impl FnMut(&str) -> FieldId) -> KeySlots {
+        match self {
+            SchedSpec::Fifo => KeySlots::Fifo,
+            SchedSpec::Pifo { rank } | SchedSpec::Shaping { rank } => KeySlots::Rank(slot_of(rank)),
+            SchedSpec::Priority { class, rank } => {
+                KeySlots::ClassRank(slot_of(class), slot_of(rank))
+            }
+        }
+    }
+
     /// Builds the queue this policy runs, bounded at `capacity`.
     pub fn build_queue<T>(&self, capacity: usize) -> SchedQueue<T> {
         match self {
@@ -456,6 +468,31 @@ impl SchedSpec {
     /// Whether this is the default FIFO policy.
     pub fn is_fifo(&self) -> bool {
         matches!(self, SchedSpec::Fifo)
+    }
+}
+
+/// A [`SchedSpec`]'s key fields as slots of one switch's field table
+/// ([`SchedSpec::resolve`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum KeySlots {
+    Fifo,
+    Rank(FieldId),
+    ClassRank(FieldId, FieldId),
+}
+
+impl KeySlots {
+    /// [`SchedSpec::key_of`] over slots: the same key, no name lookups
+    /// (absent slots hold 0, matching the by-name read).
+    #[inline]
+    pub(crate) fn key_of(self, pkt: &FlatPacket) -> SchedKey {
+        match self {
+            KeySlots::Fifo => SchedKey::rank(0),
+            KeySlots::Rank(rank) => SchedKey::rank(pkt.get_or_zero(rank) as i64),
+            KeySlots::ClassRank(class, rank) => SchedKey {
+                class: pkt.get_or_zero(class) as i64,
+                rank: pkt.get_or_zero(rank) as i64,
+            },
+        }
     }
 }
 

@@ -26,7 +26,7 @@
 //!   diagnostic** when the state survives neither analysis (`rcp.domino`'s
 //!   global registers) — see [`ShardTier`];
 //! * [`ShardedSwitch`] — spawns one worker thread per shard
-//!   ([`ShardedSwitch::run_trace`]), feeds each through a bounded ring of
+//!   ([`ShardedRun::collect`]), feeds each through a bounded ring of
 //!   packet batches, runs an independent [`Switch`] per shard (stamped
 //!   with global arrival cycles, so queue metadata is bit-identical to
 //!   the serial switch), and merges transmitted packets by **seeded
@@ -46,15 +46,15 @@
 //!   read sketch state mid-trace trade bit-identity for the sketch's own
 //!   (ε, δ) approximation contract.
 //!
-//! The sequential twins ([`ShardedSwitch::run_trace_partitioned`],
-//! [`ShardedSwitch::run_trace_instrumented`]) run the same plan on the
+//! The sequential twins ([`ShardedRun::partitioned`],
+//! [`ShardedRun::instrumented`]) run the same plan on the
 //! caller's thread, which is what the E10 harness times: per-shard busy
 //! time measured without scheduler interference gives the critical-path
 //! throughput the shards would sustain on real cores.
 //!
 //! # Supervision
 //!
-//! The threaded path ([`ShardedSwitch::run_trace`]) is **supervised**: a
+//! The threaded path ([`ShardedRun::collect`]) is **supervised**: a
 //! worker that panics, stalls past the [`ShardConfig::watchdog_ms`]
 //! watchdog, or dies silently never takes the run down with it. Each
 //! worker wraps every batch in `catch_unwind`; the feeder detects dead
@@ -78,9 +78,7 @@ use crate::slot::SlotMachine;
 use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
-use crate::switch::{
-    DropCounters, DropReason, PipelineEngine, SchedDeparture, Switch, QUEUE_METADATA_FIELDS,
-};
+use crate::switch::{DropCounters, DropReason, PipelineEngine, SchedDeparture, Switch};
 use crate::wire::{self, WireConfig};
 use domino_ast::{StateKind, StateVar};
 use domino_ir::layout::{mix64, FlowKeySpec, Partitionability, ReplicaSpec, StateLayout};
@@ -122,7 +120,7 @@ pub struct ShardConfig {
     /// worker stalled and abandoning it.
     pub watchdog_ms: u64,
     /// The scheduling policy every shard's queue runs (default: drop-tail
-    /// FIFO — see [`SchedSpec`] and [`ShardedSwitch::run_sched_trace`]).
+    /// FIFO — see [`SchedSpec`] and [`ShardedRun::scheduled`]).
     pub sched: SchedSpec,
 }
 
@@ -369,7 +367,7 @@ impl ShardPlan {
     /// when both carry keyed state the two keys must agree, and an
     /// egress-derived key must not depend on fields the ingress pipeline
     /// (or the queue's metadata stamps, under their default names —
-    /// [`QUEUE_METADATA_FIELDS`];
+    /// [`QUEUE_METADATA_FIELDS`](crate::switch::QUEUE_METADATA_FIELDS);
     /// renamed metadata is outside this model) rewrites — the dispatcher
     /// evaluates the key on the *input* packet. Any violation produces a
     /// single-shard plan carrying the diagnostic.
@@ -678,7 +676,7 @@ impl ShardTimings {
 /// One instrumented sharded run: merged output plus the timing breakdown.
 ///
 /// (For the un-merged per-shard view — the observable differential tests
-/// compare — use [`ShardedSwitch::run_trace_partitioned`]; keeping both
+/// compare — use [`ShardedRun::partitioned`]; keeping both
 /// alive would double the run's memory footprint, which matters at
 /// millions of packets.)
 #[derive(Debug, Clone)]
@@ -735,13 +733,13 @@ pub struct ShardedSwitch<E: PipelineEngine = SlotMachine> {
     watchdog_ms: u64,
     /// The scheduling policy every shard runs (and the merge obeys).
     sched: SchedSpec,
-    /// The dedicated serial egress engine of the scheduling path: after a
+    /// The dedicated serial egress switch of the scheduling path: after a
     /// PIFO the output link is a single serialized stream, so the
-    /// post-merge egress pass runs here — its state evolves over exactly
-    /// the serial departure sequence, bit-identical to a serial switch's
-    /// egress engine. Built lazily on the first
-    /// [`ShardedSwitch::run_sched_trace`].
-    sched_egress: Option<E>,
+    /// post-merge egress pass runs here ([`Switch::egress_process`]; its
+    /// ingress engine idles) — its egress state evolves over exactly the
+    /// serial departure sequence, bit-identical to a serial switch's
+    /// egress engine. Built lazily on the first scheduling run.
+    sched_egress: Option<Switch<E>>,
     /// Counters salvaged from shards that have since been rebuilt, plus
     /// feeder-side backpressure sheds and post-merge scheduling
     /// departures — folded into [`Self::transmitted`] /
@@ -775,11 +773,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         config: ShardConfig,
     ) -> Result<ShardedSwitch<E>, SwitchError> {
         ShardedSwitch::new_with(ingress, egress, config, |_, ing, eg, capacity| {
-            Ok(Switch::from_engines(
-                E::build(ing)?,
-                E::build(eg)?,
-                capacity,
-            ))
+            Switch::build_with(ing, eg, capacity, E::build)
         })
     }
 
@@ -827,6 +821,19 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             extra_transmitted: 0,
             extra_drops: DropCounters::new(),
         })
+    }
+
+    /// A pristine switch over the kept pipelines — what replaces a shard
+    /// lost to a fault, through the plain [`PipelineEngine::build`] hook
+    /// (never the factory: no inherited fault schedule).
+    fn fresh_switch(&self) -> Result<Switch<E>, SwitchError> {
+        let sw = Switch::build_with(
+            &self.ingress_pipeline,
+            &self.egress_pipeline,
+            self.capacity,
+            E::build,
+        )?;
+        Ok(sw.with_scheduler(self.sched.clone()))
     }
 
     /// The resolved sharding decision.
@@ -923,51 +930,10 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         out
     }
 
-    /// Runs the trace across all shards on **supervised worker threads**:
-    /// the caller thread steers packets into per-shard bounded batch
-    /// rings, each worker drains its ring through its own switch inside
-    /// `catch_unwind`, and the outputs merge deterministically.
-    ///
-    /// # Failure model
-    ///
-    /// * A **panicking** worker is isolated: its panic is caught, the
-    ///   remaining shards drain cleanly, and the run returns
-    ///   [`SwitchError::Fault`] with a [`FaultReport`] naming the shard,
-    ///   the global index of the packet that triggered the fault, the
-    ///   panic payload, every surviving shard's complete output and state
-    ///   snapshot, the failed shard's completed-batch output prefix, and
-    ///   [`Accounting`] that balances exactly
-    ///   (`offered == transmitted + dropped + lost_in_fault`).
-    /// * A **full ring** degrades per the configured [`Backpressure`]
-    ///   policy: `Block` waits up to [`ShardConfig::watchdog_ms`] then
-    ///   declares the worker stalled; `Shed` drops the batch under the
-    ///   [`DropReason::Backpressure`] counter and keeps going.
-    /// * A **stalled or silently dead** worker is detected by the
-    ///   feeder/collector watchdog and abandoned — this method never
-    ///   hangs on a wedged worker and never joins one.
-    ///
-    /// After a fault, failed shards are **rebuilt** with fresh engines
-    /// (surviving shards keep their state), so the switch remains usable;
-    /// warm-start a rebuilt shard from the salvaged snapshots via
-    /// [`ShardedSwitch::import_state`] if desired. In the practically
-    /// unreachable case that rebuilding itself fails, that `Build` error
-    /// is returned and the switch must be reconstructed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).collect()`"
-    )]
-    pub fn run_trace(&mut self, trace: &[Packet]) -> Result<Vec<Packet>, SwitchError>
-    where
-        E: Send + 'static,
-    {
-        self.run(trace).collect()
-    }
-
     /// Opens a streaming run session: anything convertible to a
     /// [`PacketSource`] drives the sharded switch through the returned
-    /// [`ShardedRun`] builder — the single entry point the old
-    /// `run_trace` / `run_sched_trace` / `run_trace_partitioned` /
-    /// `run_trace_instrumented` family collapsed into.
+    /// [`ShardedRun`] builder — the single entry point of every sharded
+    /// packet run.
     ///
     /// The supervised terminal ([`ShardedRun::collect`]) pulls from the
     /// source on the dispatcher thread and feeds the bounded batch rings,
@@ -1012,11 +978,10 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     }
 
     /// The supervised streaming core behind [`ShardedRun::collect`]: the
-    /// historical threaded `run_trace`, generalized to pull from a
-    /// [`PacketSource`]. A source that errors mid-stream stops the
-    /// feeder; every worker still drains its ring and reports, so the
-    /// returned [`FaultReport`] carries a [`SourceFault`] alongside
-    /// complete per-shard salvage and closed books.
+    /// threaded run, pulling from a [`PacketSource`]. A source that errors
+    /// mid-stream stops the feeder; every worker still drains its ring and
+    /// reports, so the returned [`FaultReport`] carries a [`SourceFault`]
+    /// alongside complete per-shard salvage and closed books.
     fn run_source_threaded<S: PacketSource>(
         &mut self,
         source: &mut S,
@@ -1102,28 +1067,17 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                         state: None,
                     });
                 }
-                Collected::Stalled => {
-                    failures.push(ShardError {
-                        shard: s,
-                        packet: None,
-                        cause: FaultCause::Stall {
+                silent @ (Collected::Stalled | Collected::Vanished) => {
+                    let cause = match silent {
+                        Collected::Stalled => FaultCause::Stall {
                             watchdog_ms: self.watchdog_ms,
                         },
-                    });
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: Vec::new(),
-                        drops: shard_drops,
-                        state: None,
-                    });
-                }
-                Collected::Vanished => {
+                        _ => FaultCause::Disconnected,
+                    };
                     failures.push(ShardError {
                         shard: s,
                         packet: None,
-                        cause: FaultCause::Disconnected,
+                        cause,
                     });
                     salvage.push(ShardSalvage {
                         shard: s,
@@ -1143,12 +1097,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         for slot in restored {
             shards.push(match slot {
                 Some(sw) => sw,
-                None => Switch::from_engines(
-                    E::build(&self.ingress_pipeline)?,
-                    E::build(&self.egress_pipeline)?,
-                    self.capacity,
-                )
-                .with_scheduler(self.sched.clone()),
+                None => self.fresh_switch()?,
             });
         }
         self.shards = shards;
@@ -1309,43 +1258,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         }
     }
 
-    /// Runs a **scheduling experiment** across all shards on supervised
-    /// worker threads — the sharded twin of
-    /// [`Switch::run_sched_trace`], bit-identical to it on
-    /// [`ShardTier::Exact`] plans.
-    ///
-    /// Each worker ingress-processes its steered packets and pushes them
-    /// into a **shard-local PIFO** under the configured [`SchedSpec`];
-    /// at collect time the per-shard streams (each already in pop order)
-    /// merge by `(class, rank, global arrival cycle)` — exactly the
-    /// serial PIFO's pop order, because the serial tie-break *is* arrival
-    /// order — and a dedicated serial egress engine assigns departure
-    /// cycles with the same recurrence as the serial switch. Admission is
-    /// the serial burst rule applied per worker: during the arrival phase
-    /// the queue only grows, so the serial switch admits exactly the
-    /// first `capacity` arrivals — a globally computable rule, which is
-    /// what keeps sharded `SchedFull` drops bit-identical to serial even
-    /// under overload.
-    ///
-    /// # Failure model
-    ///
-    /// Supervision is identical to [`ShardedSwitch::run_trace`] (same
-    /// feeder, rings, watchdog, and collector). A faulted run returns
-    /// [`SwitchError::Fault`]; the failed shard's salvage is its PIFO
-    /// contents **popped in rank order** (the queue lives outside the
-    /// per-batch `catch_unwind`, so a mid-batch panic cannot corrupt or
-    /// lose it), and [`Accounting`] closes the books exactly.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).scheduled().collect()`"
-    )]
-    pub fn run_sched_trace(&mut self, trace: &[Packet]) -> Result<Vec<SchedDeparture>, SwitchError>
-    where
-        E: Send + 'static,
-    {
-        self.run(trace).scheduled().collect()
-    }
-
     /// The supervised scheduling core behind [`ShardedSchedRun::collect`],
     /// generalized to pull from a [`PacketSource`]. A source error lands
     /// like a worker fault: the feeder stops, every shard-local PIFO
@@ -1396,23 +1308,20 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             // Serial egress pass over the merged departure sequence, on
             // the dedicated engine (see the field docs).
             if self.sched_egress.is_none() {
-                self.sched_egress = Some(E::build(&self.egress_pipeline)?);
+                self.sched_egress = Some(self.fresh_switch()?);
             }
             let egress = self.sched_egress.as_mut().expect("just built");
             let total = entries.len();
             let shaping = self.sched.is_shaping();
             let mut next_free = pulled as i64;
             let mut out = Vec::with_capacity(total);
-            for (k, (key, arrival, mut pkt)) in entries.into_iter().enumerate() {
+            for (k, (key, arrival, pkt)) in entries.into_iter().enumerate() {
                 let departure = if shaping {
                     next_free.max(key.rank)
                 } else {
                     next_free
                 };
-                pkt.set(QUEUE_METADATA_FIELDS[0], arrival as i32);
-                pkt.set(QUEUE_METADATA_FIELDS[1], departure as i32);
-                pkt.set(QUEUE_METADATA_FIELDS[2], (total - k - 1) as i32);
-                let egressed = egress.process(pkt);
+                let egressed = egress.egress_process(arrival, departure, total - k - 1, &pkt);
                 self.extra_transmitted += 1;
                 out.push(SchedDeparture {
                     arrival,
@@ -1476,28 +1385,17 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                         state: None,
                     });
                 }
-                Collected::Stalled => {
-                    failures.push(ShardError {
-                        shard: s,
-                        packet: None,
-                        cause: FaultCause::Stall {
+                silent @ (Collected::Stalled | Collected::Vanished) => {
+                    let cause = match silent {
+                        Collected::Stalled => FaultCause::Stall {
                             watchdog_ms: self.watchdog_ms,
                         },
-                    });
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: Vec::new(),
-                        drops: shard_drops,
-                        state: None,
-                    });
-                }
-                Collected::Vanished => {
+                        _ => FaultCause::Disconnected,
+                    };
                     failures.push(ShardError {
                         shard: s,
                         packet: None,
-                        cause: FaultCause::Disconnected,
+                        cause,
                     });
                     salvage.push(ShardSalvage {
                         shard: s,
@@ -1517,12 +1415,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         for slot in restored {
             shards.push(match slot {
                 Some(sw) => sw,
-                None => Switch::from_engines(
-                    E::build(&self.ingress_pipeline)?,
-                    E::build(&self.egress_pipeline)?,
-                    self.capacity,
-                )
-                .with_scheduler(self.sched.clone()),
+                None => self.fresh_switch()?,
             });
         }
         self.shards = shards;
@@ -1549,29 +1442,11 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     }
 
     /// Snapshot of the dedicated scheduling-path egress engine's state
-    /// (`None` until the first [`ShardedSwitch::run_sched_trace`]).
+    /// (`None` until the first scheduling run).
     /// Bit-identical to a serial switch's egress state over the same
     /// departures, because the post-merge egress pass *is* serial.
     pub fn export_sched_egress_state(&self) -> Option<StateStore> {
-        self.sched_egress.as_ref().map(PipelineEngine::export_state)
-    }
-
-    /// Runs the trace shard-by-shard on the calling thread and returns
-    /// each shard's output subsequence (un-merged) — the observable the
-    /// differential suites compare against serial execution.
-    ///
-    /// This sequential twin is **unsupervised** (no threads, no rings):
-    /// engine errors propagate as `Result`s, engine panics propagate as
-    /// panics. Supervision lives on [`ShardedRun::collect`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).partitioned()`"
-    )]
-    pub fn run_trace_partitioned(
-        &mut self,
-        trace: &[Packet],
-    ) -> Result<Vec<Vec<Packet>>, SwitchError> {
-        self.run(trace).partitioned()
+        self.sched_egress.as_ref().map(Switch::export_egress_state)
     }
 
     /// The sequential per-shard core behind [`ShardedRun::partitioned`].
@@ -1741,18 +1616,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         })))
     }
 
-    /// Like [`ShardedRun::partitioned`], but instrumented: times the
-    /// steer, each shard's busy run, and the merge. Used by the E10
-    /// scaling harness (on a single-core host, per-shard busy times are
-    /// the honest scaling observable — see [`ShardTimings`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).instrumented()`"
-    )]
-    pub fn run_trace_instrumented(&mut self, trace: &[Packet]) -> Result<ShardRun, SwitchError> {
-        self.run(trace).instrumented()
-    }
-
     /// The timed sequential core behind [`ShardedRun::instrumented`].
     fn run_source_instrumented<S: PacketSource>(
         &mut self,
@@ -1823,31 +1686,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                 merge_ns,
             },
         })
-    }
-
-    /// Steers a **byte-level** trace and runs each shard's frame stream
-    /// on the calling thread ([`Switch::run_wire_trace`]), returning the
-    /// per-shard output frames (un-merged).
-    ///
-    /// The dispatcher runs the same parser the shards run
-    /// ([`wire::parse`]) and steers by the parsed packet and frame
-    /// index, so a frame lands on exactly the shard its packet-born twin
-    /// would (under replica mode both paths deal by index). Malformed
-    /// frames carry no fields to steer by; they are dealt round-robin by
-    /// frame index, so exactly one shard's parser re-rejects each one and
-    /// counts the typed drop — frame conservation holds shard by shard.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run_frames(frames, cfg).partitioned()`"
-    )]
-    pub fn run_wire_trace_partitioned<F: AsRef<[u8]>>(
-        &mut self,
-        frames: &[F],
-        cfg: &WireConfig,
-    ) -> Vec<Vec<Vec<u8>>> {
-        self.run_frames(frames, cfg)
-            .partitioned()
-            .expect("slice-backed sources cannot fail mid-stream")
     }
 
     /// The byte-level sequential core behind
@@ -2278,7 +2116,7 @@ struct Scatter<O> {
 }
 
 /// What a scheduling-run worker reports back (see
-/// [`ShardedSwitch::run_sched_trace`]).
+/// [`ShardedSchedRun::collect`]).
 enum SchedOutcome<E: PipelineEngine> {
     /// Ring drained; the switch comes back with the shard-local PIFO's
     /// full contents popped in order: `(key, global arrival cycle,
@@ -2316,7 +2154,7 @@ fn sched_worker_loop<E: PipelineEngine>(
         let before = pifo.len() as u64 + sw.drops();
         let res = catch_unwind(AssertUnwindSafe(|| {
             for (t, pkt) in &batch {
-                let processed = sw.ingress_process(pkt.clone());
+                let processed = sw.ingress_process(pkt);
                 // The serial burst admission: during the arrival phase
                 // the queue only grows, so the serial switch admits
                 // exactly the arrivals with global cycle < capacity.

@@ -23,7 +23,9 @@
 //! reference; differential tests (and the `throughput` harness) assert the
 //! two paths are bit-identical, packet-for-packet and state-for-state.
 
+use crate::error::SwitchError;
 use crate::machine::AtomPipeline;
+use crate::switch::PipelineEngine;
 use domino_ast::{intrinsics, BinOp, UnOp};
 use domino_ir::layout::{FieldId, FieldTable, FlatPacket, FlatState, StateLayout};
 use domino_ir::{Operand, Packet, StateRef, StateStore, TacRhs, TacStmt};
@@ -241,6 +243,17 @@ impl SlotPipeline {
     /// guaranteed slot-executable.
     pub fn lower(pipeline: &AtomPipeline) -> Result<SlotPipeline, String> {
         let mut table = FieldTable::new();
+        let mut program = SlotPipeline::lower_onto(pipeline, &mut table)?;
+        program.bind(&Arc::new(table));
+        Ok(program)
+    }
+
+    /// Lowers `pipeline` onto a table other pipelines share (a
+    /// [`Switch`](crate::Switch) lowers its ingress and egress onto one):
+    /// fields `table` already names keep their slots, new ones are
+    /// appended. The program is not executable until [`Self::bind`] hands
+    /// it the finished table.
+    fn lower_onto(pipeline: &AtomPipeline, table: &mut FieldTable) -> Result<SlotPipeline, String> {
         // Declared fields first: their slots are stable for observers.
         for f in &pipeline.declared_fields {
             table.intern(f);
@@ -253,7 +266,7 @@ impl SlotPipeline {
             let mut ops = Vec::new();
             for atom in stage {
                 for stmt in &atom.codelet.stmts {
-                    let op = lower_stmt(stmt, &mut table, &state_layout)?;
+                    let op = lower_stmt(stmt, table, &state_layout)?;
                     if let SlotOp::ReadState { dst, .. } | SlotOp::Assign { dst, .. } = op {
                         written.push(dst);
                     }
@@ -272,23 +285,30 @@ impl SlotPipeline {
                 written.push(d);
             }
         }
-
-        let mut written_mask = vec![0u64; table.len().div_ceil(64)].into_boxed_slice();
         written.sort_unstable();
         written.dedup();
-        for id in &written {
-            written_mask[id.index() / 64] |= 1 << (id.index() % 64);
-        }
 
         Ok(SlotPipeline {
             name: pipeline.name.clone(),
-            table: Arc::new(table),
+            table: Arc::default(),
             state_layout,
             stages,
             deparse,
-            written_mask,
+            written_mask: Box::default(),
             written_slots: written,
         })
+    }
+
+    /// Adopts `table` — the one this program was lowered onto, possibly
+    /// grown since (slots are append-only, so every [`FieldId`] still
+    /// holds) — and sizes the written-slot mask to it.
+    fn bind(&mut self, table: &Arc<FieldTable>) {
+        let mut mask = vec![0u64; table.len().div_ceil(64)].into_boxed_slice();
+        for id in &self.written_slots {
+            mask[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+        self.written_mask = mask;
+        self.table = Arc::clone(table);
     }
 
     /// Transaction name this pipeline implements.
@@ -606,6 +626,30 @@ impl SlotMachine {
         for id in &self.program.written_slots {
             out.set(self.program.table.name(*id), vals[id.index()]);
         }
+    }
+}
+
+impl PipelineEngine for SlotMachine {
+    fn build(pipeline: &AtomPipeline, table: &mut FieldTable) -> Result<SlotMachine, SwitchError> {
+        SlotPipeline::lower_onto(pipeline, table)
+            .map(SlotMachine::from_program)
+            .map_err(SwitchError::build)
+    }
+
+    fn bind(&mut self, table: &Arc<FieldTable>) {
+        self.program.bind(table);
+    }
+
+    fn process(&mut self, pkt: &mut FlatPacket) {
+        self.process_flat(pkt);
+    }
+
+    fn export_state(&self) -> StateStore {
+        SlotMachine::export_state(self)
+    }
+
+    fn import_state(&mut self, snapshot: &StateStore) {
+        SlotMachine::import_state(self, snapshot)
     }
 }
 

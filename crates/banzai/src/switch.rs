@@ -10,39 +10,61 @@
 //! as packet metadata — exactly the metadata real switch schedulers
 //! provide.
 //!
-//! The switch is generic over its [`PipelineEngine`]: the map-based
-//! reference [`Machine`] (the default) or the slot-compiled
-//! [`SlotMachine`] fast path — the two are observably identical, which the
+//! The switch is generic over its [`PipelineEngine`]: the slot-compiled
+//! [`SlotMachine`] fast path, or the map-based reference [`Machine`] (the
+//! default, and the oracle) — the two are observably identical, which the
 //! differential throughput harness asserts.
+//!
+//! # One packet currency inside
+//!
+//! Like Banzai's machine model (parse once into a header vector, run
+//! every stage on it, deparse once), a switch crosses map ↔ flat exactly
+//! twice per packet. Each [`Switch`] owns **one** [`FieldTable`]: both
+//! pipelines are lowered onto it, and the queue metadata names and the
+//! [`SchedSpec`]'s fields are resolved to [`FieldId`]s when the switch is
+//! built or reconfigured. A packet is flattened when the source hands it
+//! over (**admission**); ingress, the [`SchedKey`] read, the queue, the
+//! metadata stamps and egress all work on that slab; one map [`Packet`]
+//! is materialised for the sink (**emission**). Input fields the table
+//! does not name ride beside the slab as a (normally empty) residual.
 
 use crate::error::{Accounting, FaultReport, ShardSalvage, SourceFault, SwitchError};
 use crate::machine::{AtomPipeline, Machine};
-use crate::pifo::{SchedKey, SchedQueue, SchedSpec, Scheduler};
+use crate::pifo::{KeySlots, SchedKey, SchedQueue, SchedSpec, Scheduler};
 use crate::slot::SlotMachine;
 use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::wire::{self, ParseVerdict, WireConfig, WireLayout};
-use domino_ir::{Packet, StateStore};
+use domino_ir::{FieldId, FieldTable, FlatPacket, Packet, Residual, StateStore};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// An execution engine a [`Switch`] can drive a pipeline with.
 ///
-/// Implemented by the map-based reference [`Machine`] and by the
-/// slot-compiled [`SlotMachine`]; both process one packet per clock and
-/// expose their persistent state for inspection. `build` and
-/// `import_state` are the hooks the sharded switch (`crate::shard`) uses
-/// to instantiate one independent engine per partition and warm-start it
-/// from a serial checkpoint.
+/// Implemented by the slot-compiled [`SlotMachine`] and, behind a
+/// flat ↔ map shim, by the reference [`Machine`]; both process one packet
+/// per clock **in place on the switch's flat layout** and expose their
+/// persistent state for inspection. `build`/`bind` are how a switch (and,
+/// per partition, the sharded switch in `crate::shard`) puts two engines
+/// on one table; `import_state` warm-starts an engine from a serial
+/// checkpoint.
 pub trait PipelineEngine {
-    /// Instantiates an engine (with fresh state) for a compiled pipeline.
-    fn build(pipeline: &AtomPipeline) -> Result<Self, SwitchError>
+    /// Instantiates an engine (with fresh state) for a compiled pipeline,
+    /// laid out on `table`: every packet field the pipeline names is
+    /// interned there (existing slots kept, new ones appended).
+    fn build(pipeline: &AtomPipeline, table: &mut FieldTable) -> Result<Self, SwitchError>
     where
         Self: Sized;
 
-    /// Runs one packet through every stage (transactional view).
-    fn process(&mut self, pkt: Packet) -> Packet;
+    /// Hands the engine the finished table — the one it was built on,
+    /// possibly grown since. Called before the first packet and again
+    /// whenever the switch's table grows.
+    fn bind(&mut self, table: &Arc<FieldTable>);
+
+    /// Runs one packet through every stage, in place (transactional view).
+    fn process(&mut self, pkt: &mut FlatPacket);
 
     /// Snapshot of the engine's persistent state, in map form.
     fn export_state(&self) -> StateStore;
@@ -50,42 +72,6 @@ pub trait PipelineEngine {
     /// Overwrites the engine's persistent state from a snapshot (the
     /// inverse of [`PipelineEngine::export_state`]; shapes must match).
     fn import_state(&mut self, snapshot: &StateStore);
-}
-
-impl PipelineEngine for Machine {
-    fn build(pipeline: &AtomPipeline) -> Result<Machine, SwitchError> {
-        Ok(Machine::new(pipeline.clone()))
-    }
-
-    fn process(&mut self, pkt: Packet) -> Packet {
-        Machine::process(self, pkt)
-    }
-
-    fn export_state(&self) -> StateStore {
-        self.state().clone()
-    }
-
-    fn import_state(&mut self, snapshot: &StateStore) {
-        Machine::import_state(self, snapshot)
-    }
-}
-
-impl PipelineEngine for SlotMachine {
-    fn build(pipeline: &AtomPipeline) -> Result<SlotMachine, SwitchError> {
-        SlotMachine::compile(pipeline).map_err(SwitchError::build)
-    }
-
-    fn process(&mut self, pkt: Packet) -> Packet {
-        SlotMachine::process(self, pkt)
-    }
-
-    fn export_state(&self) -> StateStore {
-        SlotMachine::export_state(self)
-    }
-
-    fn import_state(&mut self, snapshot: &StateStore) {
-        SlotMachine::import_state(self, snapshot)
-    }
 }
 
 /// Why a switch dropped a packet — the observability split between
@@ -248,7 +234,7 @@ impl DropCounters {
 }
 
 /// One transmitted packet of a scheduling run
-/// ([`Switch::run_sched_trace`]): the packet after egress, plus the
+/// (`switch.run(..).scheduled()`): the packet after egress, plus the
 /// scheduling observables the invariant suites assert on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedDeparture {
@@ -270,16 +256,23 @@ pub struct SchedDeparture {
 /// the shard planner's model.
 pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 
+/// A packet in flight between admission and emission: the slab on the
+/// switch's table, plus the input fields the table does not name.
+#[derive(Debug, Clone)]
+struct InFlight {
+    flat: FlatPacket,
+    residual: Residual,
+}
+
 /// A switch: ingress pipeline, a bounded FIFO queue, egress pipeline.
 ///
 /// # Panic freedom
 ///
-/// The run entry points ([`Switch::run`], [`Switch::run_frames`], and
-/// the deprecated slice adapters over them) never panic on any input
-/// trace: malformed frames become typed [`DropReason::Parse`] counters,
-/// overfull queues become [`DropReason::QueueFull`] counters, and
-/// unsupported configurations are rejected up front as typed
-/// [`SwitchError`]s. A
+/// The run entry points ([`Switch::run`], [`Switch::run_frames`]) never
+/// panic on any input trace: malformed frames become typed
+/// [`DropReason::Parse`] counters, overfull queues become
+/// [`DropReason::QueueFull`] counters, and unsupported configurations are
+/// rejected up front as typed [`SwitchError`]s. A
 /// panic can only originate inside a custom [`PipelineEngine`] (e.g. a
 /// deliberately faulty one — see [`crate::fault`]); the sharded switch
 /// supervises even those (see [`crate::shard`]).
@@ -287,15 +280,22 @@ pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 pub struct Switch<E: PipelineEngine = Machine> {
     ingress: E,
     egress: E,
+    /// The one layout both engines run on and every queued slab is keyed
+    /// by (see the module docs). Append-only: reconfiguration may grow
+    /// it, which re-binds the engines.
+    table: Arc<FieldTable>,
+    /// `table`'s slots in name order — the emission order.
+    by_name: Vec<FieldId>,
     /// `(enqueue_cycle, packet)` queue between the pipelines, running the
     /// discipline `sched` selected (drop-tail FIFO by default). Byte-born
-    /// packets ([`Switch::run_wire_trace`]) ride a run-local FIFO that
+    /// packets ([`Switch::run_frames`]) ride a run-local FIFO that
     /// additionally carries each packet's [`WireLayout`]; both queues
     /// share `capacity` and the drop accounting.
-    queue: SchedQueue<(i64, Packet)>,
+    queue: SchedQueue<(i64, InFlight)>,
     /// The scheduling policy `queue` was built from (see
-    /// [`Switch::with_scheduler`]).
+    /// [`Switch::with_scheduler`]), and its key fields as slots.
     sched: SchedSpec,
+    key: KeySlots,
     capacity: usize,
     /// Cycles taken to transmit one packet from the queue (≥1): values
     /// above 1 create standing queues under load, which is what egress
@@ -304,16 +304,19 @@ pub struct Switch<E: PipelineEngine = Machine> {
     now: i64,
     drops: DropCounters,
     transmitted: u64,
-    /// Metadata field names written for egress programs.
-    enqueue_ts_field: String,
-    depth_field: String,
+    /// Slots of the metadata stamped for egress programs, in
+    /// [`QUEUE_METADATA_FIELDS`] order (enqueue timestamp, now, depth).
+    meta: [FieldId; 3],
 }
 
 impl Switch<Machine> {
     /// Builds a switch from two compiled pipelines and a queue capacity,
     /// running both on the map-based reference engine.
     pub fn new(ingress: AtomPipeline, egress: AtomPipeline, capacity: usize) -> Switch {
-        Switch::from_engines(Machine::new(ingress), Machine::new(egress), capacity)
+        let mut table = FieldTable::new();
+        let ingress = Machine::on_table(ingress, &mut table);
+        let egress = Machine::on_table(egress, &mut table);
+        Switch::assemble(ingress, egress, table, capacity)
     }
 
     /// The ingress machine's state (for inspection).
@@ -336,30 +339,70 @@ impl Switch<SlotMachine> {
         egress: &AtomPipeline,
         capacity: usize,
     ) -> Result<Switch<SlotMachine>, SwitchError> {
-        Ok(Switch::from_engines(
-            SlotMachine::compile(ingress).map_err(SwitchError::build)?,
-            SlotMachine::compile(egress).map_err(SwitchError::build)?,
-            capacity,
-        ))
+        Switch::build_with(ingress, egress, capacity, SlotMachine::build)
     }
 }
 
 impl<E: PipelineEngine> Switch<E> {
-    /// Builds a switch from two already-instantiated engines.
-    pub fn from_engines(ingress: E, egress: E, capacity: usize) -> Switch<E> {
+    /// Builds a switch whose engines come from `make`, called for the
+    /// ingress pipeline and then the egress pipeline against the switch's
+    /// one field table ([`PipelineEngine::build`] is the plain `make`; a
+    /// fault-injecting factory passes its own).
+    pub fn build_with(
+        ingress: &AtomPipeline,
+        egress: &AtomPipeline,
+        capacity: usize,
+        mut make: impl FnMut(&AtomPipeline, &mut FieldTable) -> Result<E, SwitchError>,
+    ) -> Result<Switch<E>, SwitchError> {
+        let mut table = FieldTable::new();
+        let ingress = make(ingress, &mut table)?;
+        let egress = make(egress, &mut table)?;
+        Ok(Switch::assemble(ingress, egress, table, capacity))
+    }
+
+    /// Finishes a switch around two engines built on `table`.
+    fn assemble(
+        mut ingress: E,
+        mut egress: E,
+        mut table: FieldTable,
+        capacity: usize,
+    ) -> Switch<E> {
+        let meta = QUEUE_METADATA_FIELDS.map(|f| table.intern(f));
+        let table = Arc::new(table);
+        ingress.bind(&table);
+        egress.bind(&table);
         Switch {
             ingress,
             egress,
+            by_name: table.by_name(),
+            table,
             queue: SchedSpec::Fifo.build_queue(capacity),
             sched: SchedSpec::Fifo,
+            key: KeySlots::Fifo,
             capacity,
             drain_period: 1,
             now: 0,
             drops: DropCounters::new(),
             transmitted: 0,
-            enqueue_ts_field: QUEUE_METADATA_FIELDS[0].to_string(),
-            depth_field: QUEUE_METADATA_FIELDS[2].to_string(),
+            meta,
         }
+    }
+
+    /// The slot of `name`, growing the table (and re-binding both
+    /// engines) if the switch has not met the field yet. Growth happens
+    /// only between runs, when the queue holds no slab of the old size.
+    fn slot_of(&mut self, name: &str) -> FieldId {
+        if let Some(id) = self.table.lookup(name) {
+            return id;
+        }
+        debug_assert!(self.queue.is_empty(), "the table grows only between runs");
+        let mut table = FieldTable::clone(&self.table);
+        let id = table.intern(name);
+        self.table = Arc::new(table);
+        self.by_name = self.table.by_name();
+        self.ingress.bind(&self.table);
+        self.egress.bind(&self.table);
+        id
     }
 
     /// Sets how many cycles the output link needs per packet (default 1;
@@ -405,6 +448,7 @@ impl<E: PipelineEngine> Switch<E> {
     /// any queued packets.
     pub fn set_scheduler(&mut self, spec: SchedSpec) {
         self.queue = spec.build_queue(self.capacity);
+        self.key = spec.resolve(|field| self.slot_of(field));
         self.sched = spec;
     }
 
@@ -415,8 +459,8 @@ impl<E: PipelineEngine> Switch<E> {
 
     /// Renames the metadata fields exposed to egress programs.
     pub fn with_metadata_fields(mut self, enqueue_ts: &str, depth: &str) -> Switch<E> {
-        self.enqueue_ts_field = enqueue_ts.to_string();
-        self.depth_field = depth.to_string();
+        self.meta[0] = self.slot_of(enqueue_ts);
+        self.meta[2] = self.slot_of(depth);
         self
     }
 
@@ -545,10 +589,53 @@ impl<E: PipelineEngine> Switch<E> {
         self.egress.import_state(snapshot);
     }
 
+    /// **Admission**: flattens the packet onto the switch table — the one
+    /// map → flat crossing of its life — runs ingress on the slab, and
+    /// reads the scheduling key off slots.
+    fn admit(&mut self, pkt: &Packet) -> (SchedKey, InFlight) {
+        let mut p = self.flatten(pkt);
+        self.ingress.process(&mut p.flat);
+        (self.key.key_of(&p.flat), p)
+    }
+
+    /// `pkt` on the switch table, fields the table does not name beside it.
+    fn flatten(&self, pkt: &Packet) -> InFlight {
+        let (flat, residual) = FlatPacket::admit(pkt, &self.table);
+        InFlight { flat, residual }
+    }
+
+    /// Admits `pkt` and queues it as having arrived at cycle `t`; a full
+    /// queue books the drop under the discipline's reason instead.
+    fn enqueue(&mut self, t: i64, pkt: &Packet) {
+        let (key, p) = self.admit(pkt);
+        if self.queue.push(key, (t, p)).is_err() {
+            self.drops.bump(self.sched.full_drop_reason());
+        }
+    }
+
+    /// **Emission**: the one flat → map crossing, handing the sink (or
+    /// the deparser) a map packet with every field in name order.
+    fn emit(&self, p: &InFlight) -> Packet {
+        p.flat.emit(&self.by_name, &p.residual)
+    }
+
+    /// A departure: stamps the queue metadata by slot, runs egress on
+    /// the slab in place, and materialises the transmitted packet.
+    fn depart(&mut self, enq_ts: i64, now: i64, depth: usize, mut p: InFlight) -> Packet {
+        let [enq_ts_slot, now_slot, depth_slot] = self.meta;
+        p.flat.set(enq_ts_slot, enq_ts as i32);
+        p.flat.set(now_slot, now as i32);
+        p.flat.set(depth_slot, depth as i32);
+        self.egress.process(&mut p.flat);
+        self.transmitted += 1;
+        self.emit(&p)
+    }
+
     /// Runs a batch of `(arrival_cycle, packet)` pairs through the whole
-    /// switch at line rate — the sharded entry point.
+    /// switch at line rate — the stamped-batch core behind the sharded
+    /// workers.
     ///
-    /// Semantically this is [`Switch::run_trace`] with the packet clock
+    /// Semantically this is [`Switch::run`] with the packet clock
     /// supplied by the caller instead of counted locally: a shard of a
     /// partitioned switch sees only *its* packets, but must stamp the
     /// `enq_ts`/`now` metadata with the **global** arrival cycle so its
@@ -566,24 +653,9 @@ impl<E: PipelineEngine> Switch<E> {
     /// Returns [`SwitchError::Unsupported`] if `drain_period != 1` (an
     /// oversubscribed egress link couples shards through the shared queue
     /// and cannot be partitioned). Never panics.
-    #[deprecated(
-        since = "0.2.0",
-        note = "stamped batches are an internal sharding detail; drive the switch \
-                through the unified `Switch::run` builder instead"
-    )]
-    pub fn run_stamped<P: std::borrow::Borrow<Packet>>(
+    pub(crate) fn run_stamped_batch(
         &mut self,
-        batch: &[(i64, P)],
-    ) -> Result<Vec<Packet>, SwitchError> {
-        self.run_stamped_batch(batch)
-    }
-
-    /// The stamped-batch core behind the sharded workers (see
-    /// [`Switch::run_stamped`] for the semantics and the line-rate
-    /// restriction).
-    pub(crate) fn run_stamped_batch<P: std::borrow::Borrow<Packet>>(
-        &mut self,
-        batch: &[(i64, P)],
+        batch: &[(i64, Packet)],
     ) -> Result<Vec<Packet>, SwitchError> {
         if self.drain_period != 1 {
             return Err(SwitchError::Unsupported(format!(
@@ -600,54 +672,32 @@ impl<E: PipelineEngine> Switch<E> {
                 "stamped arrival cycles must be strictly increasing (got {t} after {last_t:?})"
             );
             last_t = Some(*t);
-            let processed = self.ingress.process(pkt.borrow().clone());
-            let key = self.sched.key_of(&processed);
-            if self.queue.push(key, (*t, processed)).is_err() {
-                self.drops.bump(self.sched.full_drop_reason());
-                continue;
-            }
-            // At line rate the packet just pushed drains immediately (the
-            // if-let always matches; no unwrap on the hot path). With at
-            // most one occupant any discipline pops it, so stamped runs
-            // stay shard-composable under every [`SchedSpec`].
-            if let Some((_, (enq_ts, mut p))) = self.queue.pop() {
-                p.set(&self.enqueue_ts_field, enq_ts as i32);
-                p.set("now", (*t + 1) as i32);
-                p.set(&self.depth_field, self.queue.len() as i32);
-                out.push(self.egress.process(p));
-                self.transmitted += 1;
+            self.enqueue(*t, pkt);
+            // At line rate the packet just pushed drains immediately, so
+            // the queue is empty again before the next push (the if-let
+            // misses only when a zero-capacity queue refused the push; no
+            // unwrap on the hot path). With at most one occupant any
+            // discipline pops it, so stamped runs stay shard-composable
+            // under every [`SchedSpec`].
+            if let Some((_, (enq_ts, p))) = self.queue.pop() {
+                let depth = self.queue.len();
+                out.push(self.depart(enq_ts, *t + 1, depth, p));
                 self.now = *t + 1;
             }
         }
         Ok(out)
     }
 
-    /// Runs a trace through the whole switch: each input packet is
-    /// processed by ingress and enqueued (or dropped if the queue is
-    /// full); the queue drains one packet every `drain_period` cycles
-    /// through egress. Returns transmitted packets in order.
-    ///
-    /// One input packet arrives per cycle (the line-rate assumption);
-    /// `enq_ts`/`qdepth` metadata (or the configured names) are stamped at
-    /// enqueue, and `now` is refreshed at dequeue so egress programs can
-    /// compute sojourn times.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).collect()`"
-    )]
-    pub fn run_trace(&mut self, trace: &[Packet]) -> Vec<Packet> {
-        self.run(trace)
-            .collect()
-            .expect("slice-backed sources cannot fail mid-stream")
-    }
-
     /// The streaming line-rate core: pulls packets from `source` one per
     /// cycle, drains through egress on the configured period, and hands
     /// each transmitted packet to `emit` the cycle it departs — memory
-    /// stays O(queue capacity) regardless of trace length. Bit-identical
-    /// to the historical slice loop: admission order, drain gating, and
-    /// metadata stamps are unchanged; only where the next packet comes
-    /// from differs.
+    /// stays O(queue capacity) regardless of trace length.
+    ///
+    /// One input packet arrives per cycle (the line-rate assumption); each
+    /// is admitted, processed by ingress and enqueued (or dropped if the
+    /// queue is full). On drain cycles the head departs: `enq_ts`/`qdepth`
+    /// (or the configured names) and `now` are stamped so egress programs
+    /// can compute sojourn times.
     ///
     /// On a mid-stream source error the switch stops admitting, drains
     /// everything already queued (so the books close with
@@ -672,12 +722,9 @@ impl<E: PipelineEngine> Switch<E> {
                 let gated = self.sched.is_shaping()
                     && self.queue.peek_key().is_some_and(|k| k.rank > self.now);
                 if !gated {
-                    if let Some((_, (enq_ts, mut pkt))) = self.queue.pop() {
-                        pkt.set(&self.enqueue_ts_field, enq_ts as i32);
-                        pkt.set("now", self.now as i32);
-                        pkt.set(&self.depth_field, self.queue.len() as i32);
-                        emit(self.egress.process(pkt));
-                        self.transmitted += 1;
+                    if let Some((_, (enq_ts, p))) = self.queue.pop() {
+                        let depth = self.queue.len();
+                        emit(self.depart(enq_ts, self.now, depth, p));
                         transmitted += 1;
                     }
                 }
@@ -688,11 +735,7 @@ impl<E: PipelineEngine> Switch<E> {
                 match source.next_packet() {
                     Ok(Some(p)) => {
                         offered += 1;
-                        let processed = self.ingress.process(p);
-                        let key = self.sched.key_of(&processed);
-                        if self.queue.push(key, (self.now, processed)).is_err() {
-                            self.drops.bump(self.sched.full_drop_reason());
-                        }
+                        self.enqueue(self.now, &p);
                     }
                     Ok(None) => ended = true,
                     Err(e) => {
@@ -752,49 +795,13 @@ impl<E: PipelineEngine> Switch<E> {
         })
     }
 
-    /// Runs a **scheduling experiment**: the whole trace arrives as a
-    /// back-to-back burst (one packet per cycle, cycles `0..n`), then the
-    /// queue drains at one packet per cycle from cycle `n` in whatever
-    /// order the configured [`SchedSpec`] dictates. Returns one
-    /// [`SchedDeparture`] per transmitted packet, in departure order.
-    ///
-    /// This is the regime where a scheduler is observable at all: under
-    /// [`Switch::run_trace`]'s line-rate admission the queue never holds
-    /// more than one packet, so every discipline degenerates to FIFO. The
-    /// burst builds a standing queue of up to `capacity` packets
-    /// (arrivals beyond that drop under the policy's reason —
-    /// [`DropReason::SchedFull`] for rank schedulers), and the drain
-    /// exposes the discipline's order. `drain_period` is ignored: the
-    /// drain *is* the one-packet-per-cycle output link.
-    ///
-    /// Under a [`SchedSpec::Shaping`] policy a packet's rank is its
-    /// earliest-departure cycle: the link idles until the head's rank, so
-    /// departure times (not just order) are programmed.
-    ///
-    /// Egress metadata is stamped per departure (`enq_ts` = arrival
-    /// cycle, `now` = departure cycle, `qdepth` = packets still queued),
-    /// so sojourn-aware egress programs (CoDel) observe the scheduler's
-    /// actual queueing delays. The arrival clock is run-local (restarts
-    /// at 0 each call); engine state and the drop/transmit counters
-    /// accumulate across calls as usual.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run(trace).scheduled().collect()` \
-                (or `.sched(spec)` to set the discipline in the same chain)"
-    )]
-    pub fn run_sched_trace(&mut self, trace: &[Packet]) -> Vec<SchedDeparture> {
-        self.run(trace)
-            .scheduled()
-            .collect()
-            .expect("slice-backed sources cannot fail mid-stream")
-    }
-
-    /// The scheduling-experiment core behind
-    /// [`SchedRun`](crate::switch::SchedRun): burst arrival from a
-    /// source, then a rank-ordered drain (see [`Switch::run_sched_trace`]
-    /// for the regime's semantics). A mid-stream source error ends the
-    /// arrival phase early; the drain still runs, so everything admitted
-    /// departs and the books close.
+    /// The scheduling-experiment core behind [`SchedRun::collect`] (see
+    /// [`SchedRun`] for the regime): burst arrival from the source, then a
+    /// rank-ordered drain. The arrival clock is run-local (restarts at 0
+    /// each call); engine state and the drop/transmit counters accumulate
+    /// across calls as usual. A mid-stream source error ends the arrival
+    /// phase early; the drain still runs, so everything admitted departs
+    /// and the books close.
     pub(crate) fn run_sched_source_core<S: PacketSource>(
         &mut self,
         source: &mut S,
@@ -808,11 +815,7 @@ impl<E: PipelineEngine> Switch<E> {
         loop {
             match source.next_packet() {
                 Ok(Some(p)) => {
-                    let processed = self.ingress.process(p);
-                    let key = self.sched.key_of(&processed);
-                    if self.queue.push(key, (arrivals, processed)).is_err() {
-                        self.drops.bump(self.sched.full_drop_reason());
-                    }
+                    self.enqueue(arrivals, &p);
                     arrivals += 1;
                 }
                 Ok(None) => break,
@@ -831,20 +834,16 @@ impl<E: PipelineEngine> Switch<E> {
             } else {
                 next_free
             };
-            let (key, (arrival, mut pkt)) = self
+            let (key, (arrival, p)) = self
                 .queue
                 .pop()
                 .expect("peek_key said the queue is non-empty");
-            pkt.set(&self.enqueue_ts_field, arrival as i32);
-            pkt.set("now", departure as i32);
-            pkt.set(&self.depth_field, self.queue.len() as i32);
-            let egressed = self.egress.process(pkt);
-            self.transmitted += 1;
+            let depth = self.queue.len();
             out.push(SchedDeparture {
                 arrival,
                 key,
                 departure,
-                pkt: egressed,
+                pkt: self.depart(arrival, departure, depth, p),
             });
             next_free = departure + 1;
         }
@@ -867,9 +866,25 @@ impl<E: PipelineEngine> Switch<E> {
 
     /// Runs one packet through the ingress pipeline alone — the sharded
     /// scheduling path's per-worker step (rank computation happens at
-    /// ingress; the PIFO and the egress pass live outside the worker).
-    pub(crate) fn ingress_process(&mut self, pkt: Packet) -> Packet {
-        self.ingress.process(pkt)
+    /// ingress; the PIFO and the egress pass live outside the worker, so
+    /// the packet leaves this switch here, as a map packet).
+    pub(crate) fn ingress_process(&mut self, pkt: &Packet) -> Packet {
+        let (_, p) = self.admit(pkt);
+        self.emit(&p)
+    }
+
+    /// Stamps and runs one packet through the egress pipeline alone — the
+    /// sharded scheduling path's post-merge step, on a dedicated serial
+    /// switch the ingress-processed packets are handed over to.
+    pub(crate) fn egress_process(
+        &mut self,
+        enq_ts: i64,
+        now: i64,
+        depth: usize,
+        pkt: &Packet,
+    ) -> Packet {
+        let p = self.flatten(pkt);
+        self.depart(enq_ts, now, depth, p)
     }
 
     /// Bumps a drop counter directly (sharded scheduling admission).
@@ -877,11 +892,12 @@ impl<E: PipelineEngine> Switch<E> {
         self.drops.bump(reason);
     }
 
-    /// Runs a trace of **raw byte frames** through the whole switch:
-    /// parse → ingress → queue → egress → deparse, returning the
-    /// transmitted frames as bytes.
+    /// The streaming byte-frame core behind
+    /// [`FrameRun`](crate::switch::FrameRun): pull a frame per cycle from
+    /// the source, parse → ingress → queue → egress → deparse, hand each
+    /// transmitted frame to `emit`.
     ///
-    /// This is [`Switch::run_trace`] with the wire front-end
+    /// This is [`Switch::run_source_core`] with the wire front-end
     /// ([`crate::wire`]) bolted onto both ends. Each arrival cycle admits
     /// one frame; a frame that fails to parse is dropped on its arrival
     /// cycle under the matching [`DropReason::Parse`] counter (malformed
@@ -889,29 +905,10 @@ impl<E: PipelineEngine> Switch<E> {
     /// never reaches ingress). Accepted frames carry their
     /// [`WireLayout`] through the queue, so egress re-serializes every
     /// pipeline-modified field back into its wire position and all
-    /// unparsed bytes (options, payloads) survive verbatim.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the unified run builder: `switch.run_frames(frames, &cfg).collect()`"
-    )]
-    pub fn run_wire_trace<F: AsRef<[u8]>>(
-        &mut self,
-        frames: &[F],
-        cfg: &WireConfig,
-    ) -> Vec<Vec<u8>> {
-        self.run_frames(frames, cfg)
-            .collect()
-            .expect("slice-backed sources cannot fail mid-stream")
-    }
-
-    /// The streaming byte-frame core behind
-    /// [`FrameRun`](crate::switch::FrameRun): pull a frame per cycle from
-    /// the source, parse → ingress → queue → egress → deparse, hand each
-    /// transmitted frame to `emit`. Malformed frames become
-    /// [`DropReason::Parse`] counters on their arrival cycle exactly as
-    /// in the slice path; a mid-stream source error (e.g. a capture file
-    /// torn mid-record) stops admission, drains the queue, and closes
-    /// the books in a [`FaultReport`].
+    /// unparsed bytes (options, payloads) survive verbatim. A mid-stream
+    /// source error (e.g. a capture file torn mid-record) stops
+    /// admission, drains the queue, and closes the books in a
+    /// [`FaultReport`].
     pub(crate) fn run_wire_source_core<S: FrameSource>(
         &mut self,
         source: &mut S,
@@ -920,23 +917,19 @@ impl<E: PipelineEngine> Switch<E> {
     ) -> Result<RunStats, Box<FaultReport>> {
         // Byte-born packets carry their wire layout alongside the FIFO
         // entry so egress can deparse; the queue is run-local (the shared
-        // map-packet FIFO is always drained between runs) but shares
-        // `capacity` and the drop/transmit accounting.
+        // FIFO is always drained between runs) but shares `capacity` and
+        // the drop/transmit accounting.
         let drops_before = self.drops.clone();
-        let mut queue: VecDeque<(i64, Packet, WireLayout)> = VecDeque::new();
+        let mut queue: VecDeque<(i64, InFlight, WireLayout)> = VecDeque::new();
         let mut offered: u64 = 0;
         let mut transmitted: u64 = 0;
         let mut ended = false;
         let mut src_err: Option<SourceError> = None;
         loop {
             if (self.now as u64).is_multiple_of(self.drain_period) {
-                if let Some((enq_ts, mut pkt, layout)) = queue.pop_front() {
-                    pkt.set(&self.enqueue_ts_field, enq_ts as i32);
-                    pkt.set("now", self.now as i32);
-                    pkt.set(&self.depth_field, queue.len() as i32);
-                    let egressed = self.egress.process(pkt);
+                if let Some((enq_ts, p, layout)) = queue.pop_front() {
+                    let egressed = self.depart(enq_ts, self.now, queue.len(), p);
                     emit(wire::deparse(&egressed, &layout));
-                    self.transmitted += 1;
                     transmitted += 1;
                 }
             }
@@ -961,11 +954,11 @@ impl<E: PipelineEngine> Switch<E> {
                 };
                 match parsed {
                     Some(Ok(wp)) => {
-                        let processed = self.ingress.process(wp.pkt);
+                        let (_, p) = self.admit(&wp.pkt);
                         if queue.len() >= self.capacity {
                             self.drops.bump(DropReason::QueueFull);
                         } else {
-                            queue.push_back((self.now, processed, wp.layout));
+                            queue.push_back((self.now, p, wp.layout));
                         }
                     }
                     Some(Err(verdict)) => self.drops.bump(DropReason::Parse(verdict)),
@@ -994,8 +987,8 @@ impl<E: PipelineEngine> Switch<E> {
     /// Opens a streaming run session: anything convertible to a
     /// [`PacketSource`] (a `&[Packet]` slice, a `&Vec<Packet>`, a
     /// generator, a pcap-backed source) drives the switch through the
-    /// returned [`Run`] builder. This is the single entry point the old
-    /// `run_trace`/`run_sched_trace` family collapsed into.
+    /// returned [`Run`] builder — the single entry point of every packet
+    /// run.
     ///
     /// ```
     /// use banzai::stream::GenSource;
@@ -1119,9 +1112,29 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     }
 }
 
-/// A run session in the scheduling regime (see
-/// [`Switch::run_sched_trace`]'s historical docs for the burst-then-drain
-/// semantics) — built by [`Run::sched`] or [`Run::scheduled`].
+/// A run session in the **scheduling regime** — built by [`Run::sched`] or
+/// [`Run::scheduled`]. The whole source arrives as a back-to-back burst
+/// (one packet per cycle, cycles `0..n`), then the queue drains at one
+/// packet per cycle from cycle `n` in whatever order the configured
+/// [`SchedSpec`] dictates.
+///
+/// This is the regime where a scheduler is observable at all: under
+/// [`Switch::run`]'s line-rate admission the queue never holds more than
+/// one packet, so every discipline degenerates to FIFO. The burst builds
+/// a standing queue of up to `capacity` packets (arrivals beyond that
+/// drop under the policy's reason — [`DropReason::SchedFull`] for rank
+/// schedulers), and the drain exposes the discipline's order.
+/// `drain_period` is ignored: the drain *is* the one-packet-per-cycle
+/// output link.
+///
+/// Under a [`SchedSpec::Shaping`] policy a packet's rank is its
+/// earliest-departure cycle: the link idles until the head's rank, so
+/// departure times (not just order) are programmed.
+///
+/// Egress metadata is stamped per departure (`enq_ts` = arrival cycle,
+/// `now` = departure cycle, `qdepth` = packets still queued), so
+/// sojourn-aware egress programs (CoDel) observe the scheduler's actual
+/// queueing delays.
 #[must_use = "a run session does nothing until `collect` runs it"]
 pub struct SchedRun<'s, E: PipelineEngine, S: PacketSource> {
     switch: &'s mut Switch<E>,
@@ -1281,7 +1294,7 @@ mod tests {
     #[test]
     fn stamped_rejects_oversubscribed_links() {
         let mut sw = Switch::new(passthrough("in"), passthrough("out"), 8).with_drain_period(2);
-        let err = sw.run_stamped_batch::<Packet>(&[]).unwrap_err();
+        let err = sw.run_stamped_batch(&[]).unwrap_err();
         assert!(
             matches!(&err, SwitchError::Unsupported(msg) if msg.contains("line-rate egress link")),
             "{err}"
@@ -1529,37 +1542,5 @@ mod tests {
         assert_eq!(report.accounting.transmitted, 10, "admitted burst drains");
         assert!(report.accounting.conserved());
         assert_eq!(report.merged.len(), 10);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_adapters_match_the_builder() {
-        use crate::pifo::SchedSpec;
-        use crate::wire::{encode, FrameSpec, WireConfig};
-
-        let trace: Vec<Packet> = (0..30).map(|i| Packet::new().with("seq", i)).collect();
-        let mut old = Switch::new(passthrough("in"), passthrough("out"), 8).with_drain_period(2);
-        let mut new = Switch::new(passthrough("in"), passthrough("out"), 8).with_drain_period(2);
-        assert_eq!(old.run_trace(&trace), new.run(&trace).collect().unwrap());
-
-        let mut old = Switch::new(passthrough("in"), passthrough("out"), 8)
-            .with_scheduler(SchedSpec::Pifo { rank: "seq".into() });
-        let mut new = Switch::new(passthrough("in"), passthrough("out"), 8)
-            .with_scheduler(SchedSpec::Pifo { rank: "seq".into() });
-        assert_eq!(
-            old.run_sched_trace(&trace),
-            new.run(&trace).scheduled().collect().unwrap()
-        );
-
-        let cfg = WireConfig::new();
-        let frames: Vec<Vec<u8>> = (0..5)
-            .map(|_| encode(&Packet::new(), &cfg, &FrameSpec::default()))
-            .collect();
-        let mut old = Switch::new(passthrough("in"), passthrough("out"), 8);
-        let mut new = Switch::new(passthrough("in"), passthrough("out"), 8);
-        assert_eq!(
-            old.run_wire_trace(&frames, &cfg),
-            new.run_frames(&frames, &cfg).collect().unwrap()
-        );
     }
 }

@@ -750,9 +750,11 @@ fn armed_sharded(
     faults: &FaultPlan,
 ) -> ShardedSwitch<FaultyEngine<SlotMachine>> {
     ShardedSwitch::new_with(ingress, egress, cfg, |s, ing, eg, cap| {
-        let i = FaultyEngine::with_faults(ing, faults.faults_for(s).to_vec())?;
-        let e = <FaultyEngine<SlotMachine> as banzai::PipelineEngine>::build(eg)?;
-        Ok(Switch::from_engines(i, e, cap))
+        // Ingress (built first) takes the schedule; egress runs clean.
+        let mut schedule = faults.faults_for(s).to_vec();
+        Switch::build_with(ing, eg, cap, |pipeline, table| {
+            FaultyEngine::with_faults(pipeline, std::mem::take(&mut schedule), table)
+        })
     })
     .expect("compiled pipelines are slot-executable")
 }

@@ -63,11 +63,13 @@ impl fmt::Display for FieldId {
 /// Slots are assigned in first-intern order, so a table built by walking a
 /// pipeline deterministically is itself deterministic. The table keeps the
 /// reverse mapping (`id → name`) so fast-path diagnostics can still name
-/// the field — matching [`Packet::expect`]'s contract.
+/// the field — matching [`Packet::expect`]'s contract. Names are interned
+/// `Arc<str>`s, shared with every map packet materialised off the table
+/// ([`FlatPacket::emit`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FieldTable {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
 }
 
 impl FieldTable {
@@ -82,8 +84,9 @@ impl FieldTable {
             return FieldId(id);
         }
         let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.index.insert(name, id);
         FieldId(id)
     }
 
@@ -116,7 +119,16 @@ impl FieldTable {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (FieldId(i as u32), n.as_str()))
+            .map(|(i, n)| (FieldId(i as u32), &**n))
+    }
+
+    /// Every slot in **name order** — the order a map [`Packet`] iterates
+    /// in. Computed once per table so that [`FlatPacket::emit`] can hand
+    /// the map its fields already sorted.
+    pub fn by_name(&self) -> Vec<FieldId> {
+        let mut ids: Vec<FieldId> = (0..self.names.len() as u32).map(FieldId).collect();
+        ids.sort_unstable_by(|a, b| self.names[a.index()].cmp(&self.names[b.index()]));
+        ids
     }
 }
 
@@ -128,6 +140,10 @@ impl fmt::Display for FieldTable {
         Ok(())
     }
 }
+
+/// The fields of an admitted packet its table does not name, in name order
+/// (see [`FlatPacket::admit`]). Normally empty.
+pub type Residual = Vec<(Arc<str>, i32)>;
 
 /// Number of 64-bit words needed for a presence bitmask over `slots` slots.
 fn mask_words(slots: usize) -> usize {
@@ -164,7 +180,8 @@ impl FlatPacket {
     ///
     /// Fields of `pkt` not present in the table are *not* representable and
     /// are skipped; callers that must preserve pass-through fields keep the
-    /// original packet and merge written slots back (see the slot engine).
+    /// original packet and merge written slots back (see the slot engine),
+    /// or flatten with [`FlatPacket::admit`], which hands them back.
     pub fn from_packet(pkt: &Packet, table: &Arc<FieldTable>) -> Self {
         let mut flat = FlatPacket::new(Arc::clone(table));
         for (name, value) in pkt.iter() {
@@ -173,6 +190,47 @@ impl FlatPacket {
             }
         }
         flat
+    }
+
+    /// Flattens a map packet **without losing anything**: fields `table`
+    /// names land in their slots, the rest come back as the [`Residual`]
+    /// (name-sorted, sharing the packet's interned names) for
+    /// [`FlatPacket::emit`] to put back.
+    pub fn admit(pkt: &Packet, table: &Arc<FieldTable>) -> (FlatPacket, Residual) {
+        let mut flat = FlatPacket::new(Arc::clone(table));
+        let mut residual = Residual::new();
+        for (name, value) in pkt.entries() {
+            match table.lookup(name) {
+                Some(id) => flat.set(id, value),
+                None => residual.push((Arc::clone(name), value)),
+            }
+        }
+        (flat, residual)
+    }
+
+    /// Materialises the map packet: every present slot plus `residual`.
+    ///
+    /// `by_name` must be this table's [`FieldTable::by_name`] and
+    /// `residual` name-sorted (as [`FlatPacket::admit`] returns it); the
+    /// two are merged into one sorted run, so the map is bulk-built around
+    /// the table's interned names — no tree search and no key allocation
+    /// per field.
+    pub fn emit(&self, by_name: &[FieldId], residual: &[(Arc<str>, i32)]) -> Packet {
+        debug_assert_eq!(by_name.len(), self.vals.len());
+        let mut fields = Vec::with_capacity(by_name.len() + residual.len());
+        let mut rest = residual.iter().peekable();
+        for &id in by_name {
+            if !self.has(id) {
+                continue;
+            }
+            let name = &self.table.names[id.index()];
+            while let Some((r, v)) = rest.next_if(|(r, _)| r < name) {
+                fields.push((Arc::clone(r), *v));
+            }
+            fields.push((Arc::clone(name), self.vals[id.index()]));
+        }
+        fields.extend(rest.map(|(r, v)| (Arc::clone(r), *v)));
+        fields.into_iter().collect()
     }
 
     /// The layout this packet is keyed by.
@@ -267,7 +325,10 @@ impl FlatPacket {
         self.table
             .iter()
             .filter(|(id, _)| self.has(*id))
-            .map(|(id, n)| (n.to_string(), self.vals[id.index()]))
+            .map(|(id, _)| {
+                let name = Arc::clone(&self.table.names[id.index()]);
+                (name, self.vals[id.index()])
+            })
             .collect()
     }
 }
@@ -1420,6 +1481,33 @@ mod tests {
         assert_eq!(flat.get(table.lookup("b").unwrap()), None);
         assert_eq!(flat.get_or_zero(table.lookup("b").unwrap()), 0);
         assert_eq!(flat.to_packet(), pkt);
+    }
+
+    #[test]
+    fn admit_then_emit_loses_nothing_and_keeps_name_order() {
+        // Slot order (c, a) differs from name order, and the residual
+        // straddles the table's names on both sides and in the middle.
+        let mut t = FieldTable::new();
+        t.intern("c");
+        t.intern("a");
+        t.intern("unset");
+        let table = Arc::new(t);
+        let pkt = Packet::new()
+            .with("0early", 1)
+            .with("a", 2)
+            .with("b", 3)
+            .with("c", 4)
+            .with("z", 5);
+        let (mut flat, residual) = FlatPacket::admit(&pkt, &table);
+        let names: Vec<&str> = residual.iter().map(|(n, _)| &**n).collect();
+        assert_eq!(names, ["0early", "b", "z"]);
+        assert_eq!(flat.emit(&table.by_name(), &residual), pkt);
+        // A slot written in flight shows up in its sorted position; an
+        // absent one stays out.
+        flat.set(table.lookup("a").unwrap(), 9);
+        let out = flat.emit(&table.by_name(), &residual);
+        assert_eq!(out.to_string(), "{0early: 1, a: 9, b: 3, c: 4, z: 5}");
+        assert!(!out.has("unset"));
     }
 
     #[test]

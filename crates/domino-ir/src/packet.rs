@@ -7,14 +7,19 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed packet: named 32-bit fields.
 ///
 /// A `BTreeMap` keeps iteration deterministic, which matters for
-/// reproducible simulation output and golden tests.
+/// reproducible simulation output and golden tests. Names are interned
+/// `Arc<str>`s: cloning a packet, or materialising one from a flat packet
+/// (`FlatPacket::emit`), shares the keys instead of allocating one string
+/// per field. Two packets are equal iff they carry the same names and
+/// values, whichever allocation each name lives in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Packet {
-    fields: BTreeMap<String, i32>,
+    fields: BTreeMap<Arc<str>, i32>,
 }
 
 impl Packet {
@@ -38,11 +43,11 @@ impl Packet {
     /// Sets a field (creating it if absent).
     pub fn set(&mut self, field: &str, value: i32) {
         // Overwrites are the common case in the execution hot path; avoid
-        // allocating a fresh key String for them.
+        // allocating a fresh key for them.
         if let Some(slot) = self.fields.get_mut(field) {
             *slot = value;
         } else {
-            self.fields.insert(field.to_string(), value);
+            self.fields.insert(Arc::from(field), value);
         }
     }
 
@@ -82,12 +87,18 @@ impl Packet {
 
     /// Iterates field names in deterministic (sorted) order.
     pub fn field_names(&self) -> impl Iterator<Item = &str> {
-        self.fields.keys().map(|s| s.as_str())
+        self.fields.keys().map(|s| &**s)
     }
 
     /// Iterates `(name, value)` pairs in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, i32)> {
-        self.fields.iter().map(|(k, v)| (k.as_str(), *v))
+        self.fields.iter().map(|(k, v)| (&**k, *v))
+    }
+
+    /// `(name, value)` pairs with the interned names themselves, for the
+    /// layout module's admission edge.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&Arc<str>, i32)> {
+        self.fields.iter().map(|(k, v)| (k, *v))
     }
 
     /// Number of fields.
@@ -129,6 +140,15 @@ impl fmt::Display for Packet {
 
 impl FromIterator<(String, i32)> for Packet {
     fn from_iter<T: IntoIterator<Item = (String, i32)>>(iter: T) -> Self {
+        iter.into_iter().map(|(k, v)| (Arc::from(k), v)).collect()
+    }
+}
+
+impl FromIterator<(Arc<str>, i32)> for Packet {
+    /// Builds a packet around already-interned names. An iterator that is
+    /// sorted by name (as the flat packet's emission is) takes the map's
+    /// bulk-build path: no per-field tree search.
+    fn from_iter<T: IntoIterator<Item = (Arc<str>, i32)>>(iter: T) -> Self {
         Packet {
             fields: iter.into_iter().collect(),
         }
@@ -174,6 +194,16 @@ mod tests {
     fn display_is_deterministic() {
         let p = Packet::new().with("z", 3).with("a", 1);
         assert_eq!(p.to_string(), "{a: 1, z: 3}");
+    }
+
+    #[test]
+    fn equality_ignores_which_allocation_a_name_lives_in() {
+        let shared: Arc<str> = Arc::from("a");
+        let p: Packet = [(Arc::clone(&shared), 1)].into_iter().collect();
+        let q: Packet = [(shared, 1)].into_iter().collect();
+        assert_eq!(p, Packet::new().with("a", 1));
+        assert_eq!(p, q);
+        assert_ne!(p, Packet::new().with("a", 2));
     }
 
     #[test]

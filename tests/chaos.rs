@@ -18,7 +18,7 @@
 use banzai::fault::INJECTED_PANIC_MARKER;
 use banzai::{
     AtomKind, AtomPipeline, Backpressure, FaultCause, FaultPlan, FaultSpec, FaultyEngine,
-    PipelineEngine, ShardConfig, ShardedSwitch, SlotMachine, Switch, SwitchError, Target,
+    ShardConfig, ShardedSwitch, SlotMachine, Switch, SwitchError, Target,
 };
 use domino_ir::Packet;
 
@@ -51,9 +51,12 @@ fn armed(
     faults: &FaultPlan,
 ) -> ShardedSwitch<FaultyEngine<SlotMachine>> {
     ShardedSwitch::new_with(ingress, egress, cfg, |s, ing, eg, cap| {
-        let ingress_eng = FaultyEngine::with_faults(ing, faults.faults_for(s).to_vec())?;
-        let egress_eng = <FaultyEngine<SlotMachine>>::build(eg)?;
-        Ok(Switch::from_engines(ingress_eng, egress_eng, cap))
+        // `build_with` makes the ingress engine first: it takes the
+        // shard's schedule, the egress engine runs clean.
+        let mut schedule = faults.faults_for(s).to_vec();
+        Switch::build_with(ing, eg, cap, |pipeline, table| {
+            FaultyEngine::with_faults(pipeline, std::mem::take(&mut schedule), table)
+        })
     })
     .unwrap()
 }

@@ -16,8 +16,8 @@
 
 use banzai::wire::{self, FrameSpec, WireConfig};
 use banzai::{
-    AtomKind, AtomPipeline, Backpressure, FaultPlan, FaultyEngine, PipelineEngine, ShardConfig,
-    ShardedSwitch, SlotMachine, Switch, SwitchError, Target,
+    AtomKind, AtomPipeline, Backpressure, FaultPlan, FaultyEngine, ShardConfig, ShardedSwitch,
+    SlotMachine, Switch, SwitchError, Target,
 };
 use domino_ir::Packet;
 use proptest::prelude::*;
@@ -105,12 +105,15 @@ proptest! {
         let trace = to_trace(&flows);
         let faults = FaultPlan::seeded(seed, shards, trace.len() as u64);
         let cfg = ShardConfig::new(shards).with_batch(batch);
-        let mut sw = ShardedSwitch::new_with(&ingress, &egress, cfg, |s, ing, eg, cap| {
-            let i = FaultyEngine::with_faults(ing, faults.faults_for(s).to_vec())?;
-            let e = <FaultyEngine<SlotMachine>>::build(eg)?;
-            Ok(Switch::from_engines(i, e, cap))
-        })
-        .unwrap();
+        let mut sw: ShardedSwitch<FaultyEngine<SlotMachine>> =
+            ShardedSwitch::new_with(&ingress, &egress, cfg, |s, ing, eg, cap| {
+                // Ingress (built first) takes the schedule; egress runs clean.
+                let mut schedule = faults.faults_for(s).to_vec();
+                Switch::build_with(ing, eg, cap, |pipeline, table| {
+                    FaultyEngine::with_faults(pipeline, std::mem::take(&mut schedule), table)
+                })
+            })
+            .unwrap();
 
         match sw.run(&trace).collect() {
             Ok(out) => {
