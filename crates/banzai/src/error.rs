@@ -221,6 +221,40 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
+    /// The one place a report is assembled — every faulted run, serial or
+    /// sharded, threaded or sequential, closes its books here, so the
+    /// [`Accounting`] is always *derived* from the salvage rather than
+    /// tallied beside it: `transmitted` is every salvaged output plus
+    /// whatever was `streamed` to a sink instead of being kept,
+    /// `dropped` is every salvaged counter, and `lost_in_fault` is what
+    /// remains of `offered` (0 when only the source failed — everything
+    /// pulled was drained). A `source` error is recorded as having
+    /// struck after `offered` items.
+    pub(crate) fn assemble(
+        offered: u64,
+        streamed: u64,
+        source: Option<SourceError>,
+        failures: Vec<ShardError>,
+        salvage: Vec<ShardSalvage>,
+        merged: Vec<Packet>,
+    ) -> SwitchError {
+        let kept: u64 = salvage.iter().map(|s| s.output.len() as u64).sum();
+        let transmitted = streamed + kept;
+        let dropped = salvage.iter().map(|s| s.drops.total()).sum();
+        SwitchError::Fault(Box::new(FaultReport {
+            failures,
+            source: source.map(|error| SourceFault { at: offered, error }),
+            salvage,
+            merged,
+            accounting: Accounting {
+                offered,
+                transmitted,
+                dropped,
+                lost_in_fault: offered.saturating_sub(transmitted + dropped),
+            },
+        }))
+    }
+
     /// The salvage entry for one shard.
     pub fn shard(&self, shard: usize) -> Option<&ShardSalvage> {
         self.salvage.iter().find(|s| s.shard == shard)

@@ -47,10 +47,20 @@
 //!   (ε, δ) approximation contract.
 //!
 //! The sequential twins ([`ShardedRun::partitioned`],
-//! [`ShardedRun::instrumented`]) run the same plan on the
-//! caller's thread, which is what the E10 harness times: per-shard busy
-//! time measured without scheduler interference gives the critical-path
-//! throughput the shards would sustain on real cores.
+//! [`ShardedRun::instrumented`], [`ShardedRun::for_each`] and
+//! [`ShardedFrameRun::partitioned`]) run the same plan on the caller's
+//! thread — one core, stepping the shards round by round — which is what
+//! the E10 harness times: per-shard busy time measured without scheduler
+//! interference gives the critical-path throughput the shards would
+//! sustain on real cores.
+//!
+//! Each thing exists once. Every shard's [`Switch`] runs its one cycle
+//! loop (stamped arrivals, line rate); the threaded runs share one
+//! scatter/gather skeleton and one worker, generic over its *lane* (the
+//! per-batch step: forward, or ingress + shard-local PIFO push); the
+//! sequential twins share one core; and every faulted run, whichever
+//! way it ran, closes its books in the one
+//! `FaultReport` constructor in [`crate::error`].
 //!
 //! # Supervision
 //!
@@ -69,9 +79,7 @@
 //! accounting. Failed shards are rebuilt with fresh engines, so the
 //! switch stays usable after a fault.
 
-use crate::error::{
-    Accounting, FaultCause, FaultReport, ShardError, ShardSalvage, SourceFault, SwitchError,
-};
+use crate::error::{FaultCause, FaultReport, ShardError, ShardSalvage, SwitchError};
 use crate::machine::AtomPipeline;
 use crate::pifo::{SchedKey, SchedQueue, SchedSpec, Scheduler};
 use crate::slot::SlotMachine;
@@ -638,9 +646,11 @@ impl fmt::Display for ShardPlan {
 
 /// Wall-clock breakdown of one instrumented sharded run.
 ///
-/// `shard_ns` is measured with the shards executed one after another on
-/// the calling thread, so each number is that shard's *busy* time free of
-/// scheduler interference — on an N-core machine the shards run
+/// `shard_ns` is measured with the shards stepped one after another on
+/// the calling thread, in interleaved rounds of about a batch each, so
+/// each number is that shard's *busy* time free of scheduler
+/// interference, and host noise lands on every lane evenly — on an
+/// N-core machine the shards run
 /// concurrently and the run completes in [`ShardTimings::critical_ns`]
 /// (dispatcher and workers are pipelined, so the slower of the two lanes
 /// bounds the run).
@@ -875,31 +885,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         self.shards.iter().map(|s| s.transmitted()).sum::<u64>() + self.extra_transmitted
     }
 
-    /// Drains the source into per-shard `(global_cycle, packet)` streams.
-    /// Returns the streams, the number of packets pulled, and the
-    /// source's error if it failed rather than ended (the streams then
-    /// hold everything pulled *before* the failure).
-    #[allow(clippy::type_complexity)]
-    fn partition_source<S: PacketSource>(
-        &self,
-        source: &mut S,
-    ) -> (Vec<Vec<(i64, Packet)>>, u64, Option<SourceError>) {
-        let mut streams: Vec<Vec<(i64, Packet)>> = vec![Vec::new(); self.shards.len()];
-        let mut pulled: u64 = 0;
-        let error = loop {
-            match source.next_packet() {
-                Ok(Some(pkt)) => {
-                    let i = pulled as usize;
-                    pulled += 1;
-                    streams[self.plan.steer(i, &pkt)].push((i as i64, pkt));
-                }
-                Ok(None) => break None,
-                Err(e) => break Some(e),
-            }
-        };
-        (streams, pulled, error)
-    }
-
     /// Merges per-shard output streams by seeded round-robin: starting at
     /// a seed-derived shard, take one packet from each non-exhausted
     /// shard in cyclic order. Per-flow order is preserved for flows as
@@ -977,154 +962,21 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         }
     }
 
-    /// The supervised streaming core behind [`ShardedRun::collect`]: the
-    /// threaded run, pulling from a [`PacketSource`]. A source that errors
-    /// mid-stream stops the feeder; every worker still drains its ring and
-    /// reports, so the returned [`FaultReport`] carries a [`SourceFault`]
-    /// alongside complete per-shard salvage and closed books.
-    fn run_source_threaded<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<Vec<Packet>, SwitchError>
-    where
-        E: Send + 'static,
-    {
-        let n = self.shards.len();
-        // Move the switches into their workers; survivors come back
-        // through the outcome channels, failed shards are rebuilt below.
-        let switches = std::mem::take(&mut self.shards);
-        let Scatter {
-            offered,
-            sheds,
-            collected,
-            pulled,
-            source_error,
-        } = self.supervised_scatter(switches, source, worker_loop);
-
-        // Account for dispatcher sheds whether or not anything faulted.
-        for &shed in &sheds {
-            self.extra_drops.bump_by(DropReason::Backpressure, shed);
-        }
-
-        let faulted = source_error.is_some()
-            || collected
-                .iter()
-                .any(|c| !matches!(c, Collected::Reported(WorkerOutcome::Done(..))));
-        if !faulted {
-            let mut parts: Vec<Vec<Packet>> = Vec::with_capacity(n);
-            for c in collected {
-                if let Collected::Reported(WorkerOutcome::Done(sw, out)) = c {
-                    self.shards.push(*sw);
-                    parts.push(out);
-                }
-            }
-            return Ok(self.merge(parts));
-        }
-
-        // At least one worker (or the source itself) faulted: salvage
-        // everything reachable and assemble the report.
-        let mut failures: Vec<ShardError> = Vec::new();
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(n);
-        let mut parts: Vec<Vec<Packet>> = vec![Vec::new(); n];
-        let mut restored: Vec<Option<Switch<E>>> = (0..n).map(|_| None).collect();
-        for (s, c) in collected.into_iter().enumerate() {
-            let mut shard_drops = DropCounters::new();
-            shard_drops.bump_by(DropReason::Backpressure, sheds[s]);
-            match c {
-                Collected::Reported(WorkerOutcome::Done(sw, out)) => {
-                    shard_drops.merge(sw.drop_counters());
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: false,
-                        offered: offered[s],
-                        output: out.clone(),
-                        drops: shard_drops,
-                        state: Some((sw.export_ingress_state(), sw.export_egress_state())),
-                    });
-                    parts[s] = out;
-                    restored[s] = Some(*sw);
-                }
-                Collected::Reported(WorkerOutcome::Fault {
-                    out,
-                    packet,
-                    cause,
-                    drops,
-                }) => {
-                    shard_drops.merge(&drops);
-                    failures.push(ShardError {
-                        shard: s,
-                        packet,
-                        cause,
-                    });
-                    self.extra_transmitted += out.len() as u64;
-                    self.extra_drops.merge(&drops);
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: out,
-                        drops: shard_drops,
-                        state: None,
-                    });
-                }
-                silent @ (Collected::Stalled | Collected::Vanished) => {
-                    let cause = match silent {
-                        Collected::Stalled => FaultCause::Stall {
-                            watchdog_ms: self.watchdog_ms,
-                        },
-                        _ => FaultCause::Disconnected,
-                    };
-                    failures.push(ShardError {
-                        shard: s,
-                        packet: None,
-                        cause,
-                    });
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: Vec::new(),
-                        drops: shard_drops,
-                        state: None,
-                    });
-                }
-            }
-        }
-
-        // Rebuild dead shards with fresh engines so the switch stays
-        // usable (through the plain build hook: no inherited faults).
-        let mut shards = Vec::with_capacity(n);
-        for slot in restored {
-            shards.push(match slot {
-                Some(sw) => sw,
-                None => self.fresh_switch()?,
-            });
-        }
-        self.shards = shards;
-
-        let accounting = Accounting {
-            offered: pulled,
-            transmitted: salvage.iter().map(|s| s.output.len() as u64).sum(),
-            dropped: salvage.iter().map(|s| s.drops.total()).sum(),
-            lost_in_fault: salvage.iter().map(ShardSalvage::lost).sum(),
-        };
-        let merged = self.merge(parts);
-        Err(SwitchError::Fault(Box::new(FaultReport {
-            failures,
-            source: source_error.map(|error| SourceFault { at: pulled, error }),
-            salvage,
-            merged,
-            accounting,
-        })))
+    /// Whether this switch's shards compose back into the serial run (see
+    /// [`Switch::check_line_rate`]) — the precondition of every
+    /// forwarding terminal, checked before a packet is pulled.
+    fn check_line_rate(&self) -> Result<(), SwitchError> {
+        self.shards.iter().try_for_each(Switch::check_line_rate)
     }
 
-    /// The shared supervision skeleton of the threaded forwarding and
-    /// scheduling cores: spawn one worker per shard, pull packets off the
+    /// The supervision skeleton of every threaded run: move the shards
+    /// into one [`worker`] thread each, pull packets off the
     /// [`PacketSource`] one at a time and steer them into bounded batch
     /// rings under the configured [`Backpressure`] policy, and collect
     /// each worker's outcome bounded by the watchdog. Generic over the
-    /// worker body and its outcome type, so forwarding runs and
-    /// scheduling runs get the identical failure model.
+    /// worker's [`Lane`], so forwarding runs and scheduling runs get the
+    /// identical failure model; [`ShardedSwitch::gather`] puts the shards
+    /// back.
     ///
     /// Input memory is O(batch × shards): at most one pending batch per
     /// shard on the dispatcher plus `ring` batches in each channel —
@@ -1132,52 +984,44 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// rings are then closed normally, so every live worker drains what
     /// it was fed and reports, and the error rides back in
     /// [`Scatter::source_error`].
-    fn supervised_scatter<O, W, S>(
-        &self,
-        switches: Vec<Switch<E>>,
+    fn supervised_scatter<L: Lane<E>, S: PacketSource>(
+        &mut self,
         source: &mut S,
-        worker: W,
-    ) -> Scatter<O>
+        lane: impl Fn() -> L,
+    ) -> Scatter<WorkerOutcome<E, L::Out>>
     where
         E: Send + 'static,
-        O: Send + 'static,
-        S: PacketSource,
-        W: Fn(Switch<E>, mpsc::Receiver<StampedBatch>) -> O + Send + Clone + 'static,
     {
+        // Survivors come back through the outcome channels; failed
+        // shards are rebuilt by `gather`.
+        let switches = std::mem::take(&mut self.shards);
         let n = switches.len();
         let batch_size = self.batch;
         let watchdog = Duration::from_millis(self.watchdog_ms);
         let policy = self.backpressure;
 
         let mut txs: Vec<BatchSender> = Vec::with_capacity(n);
-        let mut dones = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
+        let mut workers = Vec::with_capacity(n);
         for sw in switches {
             let (tx, rx) = mpsc::sync_channel::<StampedBatch>(self.ring);
-            let (done_tx, done_rx) = mpsc::channel::<O>();
-            let work = worker.clone();
-            handles.push(std::thread::spawn(move || {
-                let outcome = work(sw, rx);
-                let _ = done_tx.send(outcome);
-            }));
+            let (done_tx, done_rx) = mpsc::channel();
+            let lane = lane();
+            let handle = std::thread::spawn(move || {
+                let _ = done_tx.send(worker(sw, rx, lane));
+            });
             txs.push(Some(tx));
-            dones.push(done_rx);
+            workers.push((done_rx, handle));
         }
 
-        // Feed. A shard marked dead/stalled keeps accumulating `offered`
-        // (for the books) but receives nothing further.
+        // Feed. A shard cut off as dead or stalled (its sender is gone)
+        // keeps accumulating `offered` (for the books) but receives
+        // nothing further.
         let mut offered = vec![0u64; n];
         let mut sheds = vec![0u64; n];
         let mut stalled = vec![false; n];
-        let mut dead = vec![false; n];
         let mut pending: Vec<StampedBatch> =
             (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
-        let flush = |s: usize,
-                     batch: StampedBatch,
-                     txs: &mut [BatchSender],
-                     sheds: &mut [u64],
-                     stalled: &mut [bool],
-                     dead: &mut [bool]| {
+        let mut flush = |s: usize, batch: StampedBatch, txs: &mut [BatchSender]| {
             let len = batch.len() as u64;
             let Some(tx) = txs[s].as_ref() else { return };
             match feed_batch(tx, batch, policy, watchdog) {
@@ -1187,10 +1031,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                     stalled[s] = true;
                     txs[s] = None;
                 }
-                FeedResult::Dead => {
-                    dead[s] = true;
-                    txs[s] = None;
-                }
+                FeedResult::Dead => txs[s] = None,
             }
         };
         let mut pulled: u64 = 0;
@@ -1208,18 +1049,18 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             pulled += 1;
             let s = self.plan.steer(i, &pkt);
             offered[s] += 1;
-            if dead[s] || stalled[s] {
+            if txs[s].is_none() {
                 continue;
             }
             pending[s].push((i as i64, pkt));
             if pending[s].len() == batch_size {
                 let full = std::mem::replace(&mut pending[s], Vec::with_capacity(batch_size));
-                flush(s, full, &mut txs, &mut sheds, &mut stalled, &mut dead);
+                flush(s, full, &mut txs);
             }
         }
         for (s, rest) in pending.into_iter().enumerate() {
-            if !rest.is_empty() && !dead[s] && !stalled[s] {
-                flush(s, rest, &mut txs, &mut sheds, &mut stalled, &mut dead);
+            if !rest.is_empty() {
+                flush(s, rest, &mut txs);
             }
         }
         drop(txs); // close every ring: drained workers exit their loops
@@ -1227,8 +1068,8 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         // Collect, bounded by the watchdog per shard. A worker that never
         // reports is abandoned (its thread handle is dropped, detaching
         // it) — never joined, so a wedged engine cannot hang the caller.
-        let mut collected: Vec<Collected<O>> = Vec::with_capacity(n);
-        for (s, (done_rx, handle)) in dones.into_iter().zip(handles).enumerate() {
+        let mut collected = Vec::with_capacity(n);
+        for (s, (done_rx, handle)) in workers.into_iter().enumerate() {
             if stalled[s] {
                 collected.push(Collected::Stalled);
                 drop(handle);
@@ -1258,182 +1099,101 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         }
     }
 
-    /// The supervised scheduling core behind [`ShardedSchedRun::collect`],
-    /// generalized to pull from a [`PacketSource`]. A source error lands
-    /// like a worker fault: the feeder stops, every shard-local PIFO
-    /// drains in rank order into salvage, and the report carries a
-    /// [`SourceFault`] with closed books.
-    fn run_sched_source<S: PacketSource>(
+    /// The other half of [`ShardedSwitch::supervised_scatter`], shared by
+    /// the forwarding and scheduling terminals: puts the shards back and
+    /// hands over each one's output stream — or, if any worker or the
+    /// source faulted, salvages everything reachable, rebuilds the dead
+    /// shards with fresh engines (through the plain build hook: no
+    /// inherited faults) so the switch stays usable, and returns the
+    /// report with its books closed.
+    ///
+    /// A survivor's salvaged output is booked here unless its own
+    /// transmit counter already saw it ([`Lane::COUNTED`]); a failed
+    /// shard's counters are gone with it, so its salvage always is.
+    fn gather<L: Lane<E>>(
         &mut self,
-        source: &mut S,
-    ) -> Result<Vec<SchedDeparture>, SwitchError>
-    where
-        E: Send + 'static,
-    {
-        let n = self.shards.len();
-        let capacity = self.capacity;
-        let switches = std::mem::take(&mut self.shards);
-        let Scatter {
-            offered,
-            sheds,
-            collected,
-            pulled,
-            source_error,
-        } = self.supervised_scatter(switches, source, move |sw, rx| {
-            sched_worker_loop(sw, rx, capacity)
-        });
+        scatter: Scatter<WorkerOutcome<E, L::Out>>,
+    ) -> Result<Vec<Vec<L::Out>>, SwitchError> {
+        // Account for dispatcher sheds whether or not anything faulted.
+        self.extra_drops
+            .bump_by(DropReason::Backpressure, scatter.sheds.iter().sum());
 
-        for &shed in &sheds {
-            self.extra_drops.bump_by(DropReason::Backpressure, shed);
-        }
-
-        let faulted = source_error.is_some()
-            || collected
-                .iter()
-                .any(|c| !matches!(c, Collected::Reported(SchedOutcome::Done(..))));
-        if !faulted {
-            let mut entries: Vec<(SchedKey, i64, Packet)> = Vec::new();
-            for c in collected {
-                if let Collected::Reported(SchedOutcome::Done(sw, stream)) = c {
-                    self.shards.push(*sw);
-                    entries.extend(stream);
-                }
-            }
-            // Each per-shard stream is sorted by (key, shard-local
-            // arrival); the global arrival cycle is unique, so sorting
-            // the union by (key, arrival) *is* the deterministic k-way
-            // merge — and equals the serial pop order.
-            entries.sort_by_key(|&(key, arrival, _)| (key, arrival));
-
-            // Serial egress pass over the merged departure sequence, on
-            // the dedicated engine (see the field docs).
-            if self.sched_egress.is_none() {
-                self.sched_egress = Some(self.fresh_switch()?);
-            }
-            let egress = self.sched_egress.as_mut().expect("just built");
-            let total = entries.len();
-            let shaping = self.sched.is_shaping();
-            let mut next_free = pulled as i64;
-            let mut out = Vec::with_capacity(total);
-            for (k, (key, arrival, pkt)) in entries.into_iter().enumerate() {
-                let departure = if shaping {
-                    next_free.max(key.rank)
-                } else {
-                    next_free
-                };
-                let egressed = egress.egress_process(arrival, departure, total - k - 1, &pkt);
-                self.extra_transmitted += 1;
-                out.push(SchedDeparture {
-                    arrival,
-                    key,
-                    departure,
-                    pkt: egressed,
-                });
-                next_free = departure + 1;
-            }
-            return Ok(out);
-        }
-
-        // At least one worker faulted: salvage everything reachable and
-        // assemble the report. Nothing reached egress (the run faults
-        // before the merge), so every salvaged stream — survivor and
-        // failed alike — is booked through `extra_transmitted`; no
-        // shard's own transmit counter saw these packets.
-        let mut failures: Vec<ShardError> = Vec::new();
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(n);
-        let mut parts: Vec<Vec<Packet>> = vec![Vec::new(); n];
-        let mut restored: Vec<Option<Switch<E>>> = (0..n).map(|_| None).collect();
-        for (s, c) in collected.into_iter().enumerate() {
-            let mut shard_drops = DropCounters::new();
-            shard_drops.bump_by(DropReason::Backpressure, sheds[s]);
-            match c {
-                Collected::Reported(SchedOutcome::Done(sw, stream)) => {
-                    shard_drops.merge(sw.drop_counters());
-                    let out: Vec<Packet> = stream.into_iter().map(|(_, _, p)| p).collect();
-                    self.extra_transmitted += out.len() as u64;
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: false,
-                        offered: offered[s],
-                        output: out.clone(),
-                        drops: shard_drops,
-                        state: Some((sw.export_ingress_state(), sw.export_egress_state())),
-                    });
-                    parts[s] = out;
-                    restored[s] = Some(*sw);
-                }
-                Collected::Reported(SchedOutcome::Fault {
+        let silent = |cause| (Err((None, cause, DropCounters::new())), Vec::new());
+        let mut reports = Vec::with_capacity(scatter.collected.len());
+        for c in scatter.collected {
+            reports.push(match c {
+                Collected::Reported(WorkerOutcome::Done(sw, out)) => (Ok(*sw), out),
+                Collected::Reported(WorkerOutcome::Fault {
                     out,
                     packet,
                     cause,
                     drops,
-                }) => {
-                    shard_drops.merge(&drops);
+                }) => (Err((packet, cause, drops)), out),
+                Collected::Stalled => silent(FaultCause::Stall {
+                    watchdog_ms: self.watchdog_ms,
+                }),
+                Collected::Vanished => silent(FaultCause::Disconnected),
+            });
+        }
+        if scatter.source_error.is_none() && reports.iter().all(|(shard, _)| shard.is_ok()) {
+            let mut streams = Vec::with_capacity(reports.len());
+            for (shard, out) in reports {
+                self.shards.extend(shard.ok());
+                streams.push(out);
+            }
+            return Ok(streams);
+        }
+
+        let mut failures: Vec<ShardError> = Vec::new();
+        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(reports.len());
+        let mut parts: Vec<Vec<Packet>> = Vec::with_capacity(reports.len());
+        let mut shards = Vec::with_capacity(reports.len());
+        for (s, (shard, out)) in reports.into_iter().enumerate() {
+            let output: Vec<Packet> = out.into_iter().map(L::packet).collect();
+            let mut drops = DropCounters::new();
+            drops.bump_by(DropReason::Backpressure, scatter.sheds[s]);
+            match shard {
+                Ok(sw) => {
+                    if !L::COUNTED {
+                        self.extra_transmitted += output.len() as u64;
+                    }
+                    drops.merge(sw.drop_counters());
+                    salvage.push(sw.salvage(s, scatter.offered[s], output.clone(), drops));
+                    parts.push(output);
+                    shards.push(sw);
+                }
+                Err((packet, cause, worker_drops)) => {
+                    self.extra_transmitted += output.len() as u64;
+                    self.extra_drops.merge(&worker_drops);
+                    drops.merge(&worker_drops);
                     failures.push(ShardError {
                         shard: s,
                         packet,
                         cause,
                     });
-                    self.extra_transmitted += out.len() as u64;
-                    self.extra_drops.merge(&drops);
                     salvage.push(ShardSalvage {
                         shard: s,
                         failed: true,
-                        offered: offered[s],
-                        output: out,
-                        drops: shard_drops,
+                        offered: scatter.offered[s],
+                        output,
+                        drops,
                         state: None,
                     });
-                }
-                silent @ (Collected::Stalled | Collected::Vanished) => {
-                    let cause = match silent {
-                        Collected::Stalled => FaultCause::Stall {
-                            watchdog_ms: self.watchdog_ms,
-                        },
-                        _ => FaultCause::Disconnected,
-                    };
-                    failures.push(ShardError {
-                        shard: s,
-                        packet: None,
-                        cause,
-                    });
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: offered[s],
-                        output: Vec::new(),
-                        drops: shard_drops,
-                        state: None,
-                    });
+                    parts.push(Vec::new());
+                    shards.push(self.fresh_switch()?);
                 }
             }
         }
-
-        // Rebuild dead shards with fresh engines so the switch stays
-        // usable (through the plain build hook: no inherited faults).
-        let mut shards = Vec::with_capacity(n);
-        for slot in restored {
-            shards.push(match slot {
-                Some(sw) => sw,
-                None => self.fresh_switch()?,
-            });
-        }
         self.shards = shards;
-
-        let accounting = Accounting {
-            offered: pulled,
-            transmitted: salvage.iter().map(|s| s.output.len() as u64).sum(),
-            dropped: salvage.iter().map(|s| s.drops.total()).sum(),
-            lost_in_fault: salvage.iter().map(ShardSalvage::lost).sum(),
-        };
         let merged = self.merge(parts);
-        Err(SwitchError::Fault(Box::new(FaultReport {
+        Err(FaultReport::assemble(
+            scatter.pulled,
+            0,
+            scatter.source_error,
             failures,
-            source: source_error.map(|error| SourceFault { at: pulled, error }),
             salvage,
             merged,
-            accounting,
-        })))
+        ))
     }
 
     /// The scheduling policy every shard runs.
@@ -1449,324 +1209,138 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         self.sched_egress.as_ref().map(Switch::export_egress_state)
     }
 
-    /// The sequential per-shard core behind [`ShardedRun::partitioned`].
-    /// A source error still runs every stream gathered before the
-    /// failure, then reports a [`SourceFault`] with complete per-shard
-    /// salvage (outputs, per-run drop deltas, state snapshots).
-    fn run_source_partitioned<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<Vec<Vec<Packet>>, SwitchError> {
-        let (streams, pulled, source_error) = self.partition_source(source);
-        let drops_before: Vec<DropCounters> = self
-            .shards
-            .iter()
-            .map(|s| s.drop_counters().clone())
-            .collect();
-        let mut parts: Vec<Vec<Packet>> = Vec::with_capacity(self.shards.len());
-        for (sw, stream) in self.shards.iter_mut().zip(&streams) {
-            parts.push(sw.run_stamped_batch(stream)?);
-        }
-        match source_error {
-            None => Ok(parts),
-            Some(error) => {
-                let lens: Vec<usize> = streams.iter().map(Vec::len).collect();
-                Err(self.partitioned_source_fault(pulled, error, &lens, parts, &drops_before))
-            }
-        }
-    }
-
-    /// Assembles the [`SourceFault`] report of an unsupervised
-    /// (partitioned / instrumented) run whose source failed mid-stream:
-    /// every shard ran its pre-failure stream to completion, so salvage
-    /// is complete — outputs, per-run drop deltas, and state snapshots —
-    /// and the books close with `lost_in_fault == 0`.
-    fn partitioned_source_fault(
-        &mut self,
-        pulled: u64,
-        error: SourceError,
-        stream_lens: &[usize],
-        parts: Vec<Vec<Packet>>,
-        drops_before: &[DropCounters],
-    ) -> SwitchError {
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(parts.len());
-        for (s, (sw, out)) in self.shards.iter().zip(&parts).enumerate() {
-            salvage.push(ShardSalvage {
-                shard: s,
-                failed: false,
-                offered: stream_lens[s] as u64,
-                output: out.clone(),
-                drops: sw.drop_counters().since(&drops_before[s]),
-                state: Some((sw.export_ingress_state(), sw.export_egress_state())),
-            });
-        }
-        let accounting = Accounting {
-            offered: pulled,
-            transmitted: salvage.iter().map(|s| s.output.len() as u64).sum(),
-            dropped: salvage.iter().map(|s| s.drops.total()).sum(),
-            lost_in_fault: salvage.iter().map(ShardSalvage::lost).sum(),
-        };
-        let merged = self.merge(parts);
-        SwitchError::Fault(Box::new(FaultReport {
-            failures: Vec::new(),
-            source: Some(SourceFault { at: pulled, error }),
-            salvage,
-            merged,
-            accounting,
-        }))
-    }
-
-    /// The single-threaded streaming core behind [`ShardedRun::for_each`]:
-    /// pull one packet, run it through its steered shard, buffer the
-    /// shard's output, and emit buffered packets to the sink in exactly
-    /// the seeded round-robin order [`ShardedSwitch::merge`] produces —
-    /// one packet per cursor visit, waiting on a shard whose next output
-    /// has not materialized yet and skipping it only once the stream has
-    /// ended (when an empty buffer is provably final). Output is
-    /// bit-identical to [`ShardedRun::collect`].
+    /// **The one sequential core** behind [`ShardedRun::partitioned`],
+    /// [`ShardedRun::instrumented`], [`ShardedRun::for_each`] and
+    /// [`ShardedFrameRun::partitioned`]: the plan run on the caller's
+    /// thread, unsupervised, in rounds of about one batch per shard —
+    /// `pull` the next item and the shard it steers to, then `step` each
+    /// shard over its share of the round and hand the outputs to `sink`.
+    /// At line rate consecutive steps of one switch compose (its queue is
+    /// empty between them), so the round size never shows in the output;
+    /// it only bounds the memory (O(batch × shards) of input) and spreads
+    /// host interference — which arrives in epochs longer than a round —
+    /// evenly over the timed lanes, which is what the E10 model needs:
+    /// honest *relative* lane balance.
     ///
-    /// Memory is bounded by the *output skew*: per-shard buffers hold
-    /// only packets the round-robin cursor has not reached, so balanced
-    /// steering keeps them O(1); a pathologically imbalanced trace (every
-    /// packet on one shard) degrades to buffering that shard's output.
-    fn run_source_streamed<S: PacketSource>(
+    /// A source error ends the pulling; what was gathered before it still
+    /// runs, and the error rides back in the [`Lanes`] for
+    /// [`ShardedSwitch::source_fault`] to report.
+    fn run_sequential<T, O>(
         &mut self,
-        source: &mut S,
-        sink: &mut dyn FnMut(Packet),
-    ) -> Result<RunStats, SwitchError> {
+        mut pull: impl FnMut(&ShardPlan, usize) -> Result<Option<(usize, T)>, SourceError>,
+        mut step: impl FnMut(&mut Switch<E>, &[T]) -> Result<Vec<O>, SwitchError>,
+        mut sink: impl FnMut(usize, Vec<O>),
+    ) -> Result<Lanes, SwitchError> {
+        self.check_line_rate()?;
         let n = self.shards.len();
-        let drops_before: Vec<DropCounters> = self
-            .shards
-            .iter()
-            .map(|s| s.drop_counters().clone())
-            .collect();
-        let mut offered = vec![0u64; n];
-        let mut buffers: Vec<VecDeque<Packet>> = (0..n).map(|_| VecDeque::new()).collect();
-        let mut cursor = (mix64(self.seed) % n as u64) as usize;
-        let mut pulled: u64 = 0;
-        let mut emitted: u64 = 0;
-        let mut source_error: Option<SourceError> = None;
+        let mut lanes = Lanes {
+            offered: vec![0; n],
+            pulled: 0,
+            source_error: None,
+            drops_before: self
+                .shards
+                .iter()
+                .map(|s| s.drop_counters().clone())
+                .collect(),
+            timings: ShardTimings {
+                steer_ns: 0,
+                shard_ns: vec![0; n],
+                merge_ns: 0,
+            },
+        };
+        let mut round: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
         let mut ended = false;
         while !ended {
-            match source.next_packet() {
-                Ok(Some(pkt)) => {
-                    let i = pulled as usize;
-                    pulled += 1;
-                    let s = self.plan.steer(i, &pkt);
-                    offered[s] += 1;
-                    let out = self.shards[s].run_stamped_batch(&[(i as i64, pkt)])?;
-                    buffers[s].extend(out);
-                }
-                Ok(None) => ended = true,
-                Err(e) => {
-                    source_error = Some(e);
-                    ended = true;
-                }
-            }
-            loop {
-                if let Some(pkt) = buffers[cursor].pop_front() {
-                    emitted += 1;
-                    sink(pkt);
-                    cursor = (cursor + 1) % n;
-                } else if ended {
-                    if buffers.iter().all(VecDeque::is_empty) {
+            let t = Instant::now();
+            for _ in 0..self.batch.saturating_mul(n) {
+                match pull(&self.plan, lanes.pulled as usize) {
+                    Ok(Some((s, item))) => {
+                        lanes.pulled += 1;
+                        lanes.offered[s] += 1;
+                        round[s].push(item);
+                    }
+                    end => {
+                        lanes.source_error = end.err();
+                        ended = true;
                         break;
                     }
-                    cursor = (cursor + 1) % n;
-                } else {
-                    break;
                 }
             }
-        }
-        let stats = RunStats {
-            offered: pulled,
-            transmitted: emitted,
-        };
-        let Some(error) = source_error else {
-            return Ok(stats);
-        };
-        // Outputs already streamed to the sink, so salvage carries the
-        // books and state snapshots but no packet payloads.
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(n);
-        let mut dropped = 0u64;
-        for (s, sw) in self.shards.iter().enumerate() {
-            let delta = sw.drop_counters().since(&drops_before[s]);
-            dropped += delta.total();
-            salvage.push(ShardSalvage {
-                shard: s,
-                failed: false,
-                offered: offered[s],
-                output: Vec::new(),
-                drops: delta,
-                state: Some((sw.export_ingress_state(), sw.export_egress_state())),
-            });
-        }
-        let accounting = Accounting {
-            offered: pulled,
-            transmitted: emitted,
-            dropped,
-            lost_in_fault: pulled.saturating_sub(emitted + dropped),
-        };
-        Err(SwitchError::Fault(Box::new(FaultReport {
-            failures: Vec::new(),
-            source: Some(SourceFault { at: pulled, error }),
-            salvage,
-            merged: Vec::new(),
-            accounting,
-        })))
-    }
-
-    /// The timed sequential core behind [`ShardedRun::instrumented`].
-    fn run_source_instrumented<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<ShardRun, SwitchError> {
-        let t = Instant::now();
-        let (streams, pulled, source_error) = self.partition_source(source);
-        let steer_ns = t.elapsed().as_nanos();
-        let stream_lens: Vec<usize> = streams.iter().map(Vec::len).collect();
-        let drops_before: Vec<DropCounters> = self
-            .shards
-            .iter()
-            .map(|s| s.drop_counters().clone())
-            .collect();
-
-        // Lane times accumulate over *interleaved slices* rather than one
-        // contiguous run per lane. Host interference (virtualization
-        // steal, frequency excursions) arrives in epochs lasting seconds —
-        // longer than a lane — so contiguous timing charges a whole epoch
-        // to whichever lane it lands on and skews the critical path.
-        // Round-robin slicing spreads any epoch across all lanes evenly,
-        // which is exactly what the model needs: honest *relative* lane
-        // balance. Each slice is a contiguous stamped subsequence, and at
-        // line rate the queue drains per packet, so concatenated slice
-        // outputs equal the one-shot run bit for bit.
-        const LANE_SLICES: usize = 64;
-        let n = self.shards.len();
-        let mut partitioned: Vec<Vec<Packet>> = streams
-            .iter()
-            .map(|s| Vec::with_capacity(s.len()))
-            .collect();
-        let mut shard_ns = vec![0u128; n];
-        for k in 0..LANE_SLICES {
-            for (s, (sw, stream)) in self.shards.iter_mut().zip(&streams).enumerate() {
-                let len = stream.len();
-                let (lo, hi) = (len * k / LANE_SLICES, len * (k + 1) / LANE_SLICES);
-                if lo == hi {
+            lanes.timings.steer_ns += t.elapsed().as_nanos();
+            for (s, (sw, items)) in self.shards.iter_mut().zip(&mut round).enumerate() {
+                if items.is_empty() {
                     continue;
                 }
                 let t = Instant::now();
-                let out = sw.run_stamped_batch(&stream[lo..hi])?;
-                shard_ns[s] += t.elapsed().as_nanos();
-                partitioned[s].extend(out);
+                let out = step(sw, items)?;
+                lanes.timings.shard_ns[s] += t.elapsed().as_nanos();
+                items.clear();
+                sink(s, out);
             }
         }
-        drop(streams);
-
-        if let Some(error) = source_error {
-            return Err(self.partitioned_source_fault(
-                pulled,
-                error,
-                &stream_lens,
-                partitioned,
-                &drops_before,
-            ));
-        }
-
-        // Time the merge the production path performs: a move, no clones.
-        let t = Instant::now();
-        let merged = self.merge(partitioned);
-        let merge_ns = t.elapsed().as_nanos();
-
-        Ok(ShardRun {
-            merged,
-            timings: ShardTimings {
-                steer_ns,
-                shard_ns,
-                merge_ns,
-            },
-        })
+        Ok(lanes)
     }
 
-    /// The byte-level sequential core behind
-    /// [`ShardedFrameRun::partitioned`]: pull frames, steer each by its
-    /// parsed packet (malformed frames dealt round-robin by index), run
-    /// every shard's stream, and return the per-shard output frames. A
-    /// source error reports a [`SourceFault`] whose salvage carries the
-    /// per-shard books and state snapshots (output frames are bytes, not
-    /// packets, so the salvage `output` vectors stay empty — the typed
-    /// parse-drop counters still close the accounting exactly).
-    fn run_frames_partitioned<S: FrameSource>(
+    /// The sequential core over a [`PacketSource`]: stamped arrivals,
+    /// each shard stepping through [`Switch::run_stamped_batch`].
+    fn run_sequential_packets<S: PacketSource>(
         &mut self,
         source: &mut S,
-        cfg: &WireConfig,
-    ) -> Result<Vec<Vec<Vec<u8>>>, SwitchError> {
-        let shards = self.shards.len();
-        let mut streams: Vec<Vec<Vec<u8>>> = vec![Vec::new(); shards];
-        let mut pulled: u64 = 0;
-        let mut source_error: Option<SourceError> = None;
-        loop {
-            match source.next_frame() {
-                Ok(Some(frame)) => {
-                    let i = pulled as usize;
-                    pulled += 1;
-                    let shard = match wire::parse(frame, cfg) {
-                        Ok(wp) => self.plan.steer(i, &wp.pkt),
-                        Err(_) => i % shards,
-                    };
-                    streams[shard].push(frame.to_vec());
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    source_error = Some(e);
-                    break;
-                }
-            }
-        }
-        let drops_before: Vec<DropCounters> = self
-            .shards
-            .iter()
-            .map(|s| s.drop_counters().clone())
+        sink: impl FnMut(usize, Vec<Packet>),
+    ) -> Result<Lanes, SwitchError> {
+        self.run_sequential(
+            |plan, i| {
+                Ok(source
+                    .next_packet()?
+                    .map(|pkt| (plan.steer(i, &pkt), (i as i64, pkt))))
+            },
+            Switch::run_stamped_batch,
+            sink,
+        )
+    }
+
+    /// The report of a sequential run whose source failed mid-stream:
+    /// every shard ran its pre-failure stream to completion, so salvage
+    /// is complete — per-run drop deltas, state snapshots, and the
+    /// `outputs` the terminal kept (`streamed` counts what it handed to a
+    /// sink or returned as bytes instead) — and the books close with
+    /// `lost_in_fault == 0`.
+    fn source_fault(
+        &self,
+        lanes: Lanes,
+        error: SourceError,
+        outputs: Vec<Vec<Packet>>,
+        streamed: u64,
+    ) -> SwitchError {
+        let salvage = (self.shards.iter().zip(&outputs).enumerate())
+            .map(|(s, (sw, out))| {
+                let drops = sw.drop_counters().since(&lanes.drops_before[s]);
+                sw.salvage(s, lanes.offered[s], out.clone(), drops)
+            })
             .collect();
-        let mut parts: Vec<Vec<Vec<u8>>> = Vec::with_capacity(shards);
-        for (sw, stream) in self.shards.iter_mut().zip(&streams) {
-            parts.push(
-                sw.run_frames(stream, cfg)
-                    .collect()
-                    .expect("slice-backed sources cannot fail mid-stream"),
-            );
-        }
-        let Some(error) = source_error else {
-            return Ok(parts);
-        };
-        let transmitted: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(shards);
-        let mut dropped = 0u64;
-        for (s, sw) in self.shards.iter().enumerate() {
-            let delta = sw.drop_counters().since(&drops_before[s]);
-            dropped += delta.total();
-            salvage.push(ShardSalvage {
-                shard: s,
-                failed: false,
-                offered: streams[s].len() as u64,
-                output: Vec::new(),
-                drops: delta,
-                state: Some((sw.export_ingress_state(), sw.export_egress_state())),
-            });
-        }
-        let accounting = Accounting {
-            offered: pulled,
-            transmitted,
-            dropped,
-            lost_in_fault: pulled.saturating_sub(transmitted + dropped),
-        };
-        Err(SwitchError::Fault(Box::new(FaultReport {
-            failures: Vec::new(),
-            source: Some(SourceFault { at: pulled, error }),
+        let merged = self.merge(outputs);
+        FaultReport::assemble(
+            lanes.pulled,
+            streamed,
+            Some(error),
+            Vec::new(),
             salvage,
-            merged: Vec::new(),
-            accounting,
-        })))
+            merged,
+        )
+    }
+
+    /// [`ShardedRun::partitioned`]: the sequential core, outputs kept
+    /// per shard.
+    fn run_source_partitioned<S: PacketSource>(
+        &mut self,
+        source: &mut S,
+    ) -> Result<(Vec<Vec<Packet>>, ShardTimings), SwitchError> {
+        let mut parts = vec![Vec::new(); self.shards.len()];
+        let mut lanes = self.run_sequential_packets(source, |s, out| parts[s].extend(out))?;
+        match lanes.source_error.take() {
+            None => Ok((parts, lanes.timings)),
+            Some(error) => Err(self.source_fault(lanes, error, parts, 0)),
+        }
     }
 
     /// Each shard's `(ingress, egress)` state snapshot.
@@ -1905,11 +1479,12 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     ///   the global index of the packet that triggered the fault, the
     ///   panic payload, every surviving shard's complete output and state
     ///   snapshot, the failed shard's completed-batch output prefix, and
-    ///   [`Accounting`] that balances exactly
+    ///   [`Accounting`](crate::error::Accounting) that balances exactly
     ///   (`offered == transmitted + dropped + lost_in_fault`).
     /// * A **source error** mid-stream stops the feeder; every worker
     ///   still drains what it was fed, and the report carries the
-    ///   [`SourceFault`] alongside complete per-shard salvage.
+    ///   [`SourceFault`](crate::error::SourceFault) alongside complete
+    ///   per-shard salvage.
     /// * A **full ring** degrades per the configured [`Backpressure`]
     ///   policy: `Block` waits up to [`ShardConfig::watchdog_ms`] then
     ///   declares the worker stalled; `Shed` drops the batch under the
@@ -1926,7 +1501,11 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     where
         E: Send + 'static,
     {
-        self.switch.run_source_threaded(&mut self.source)
+        let sw = self.switch;
+        sw.check_line_rate()?;
+        let scatter = sw.supervised_scatter(&mut self.source, || Forward(Vec::new()));
+        let parts = sw.gather::<Forward>(scatter)?;
+        Ok(sw.merge(parts))
     }
 
     /// Streams every merged output packet to `sink` instead of
@@ -1934,8 +1513,45 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     /// [`ShardedRun::collect`] would return — bit-identical output with
     /// memory bounded by the steering balance rather than the trace
     /// length. Returns the run's [`RunStats`].
+    ///
+    /// Each shard's output is buffered and emitted in the seeded
+    /// round-robin order [`ShardedSwitch::merge`] produces — one packet
+    /// per cursor visit, waiting on a shard whose next output has not
+    /// materialized yet and skipping it only once the stream has ended
+    /// (when an empty buffer is provably final). The buffers hold only
+    /// packets the cursor has not reached, so balanced steering keeps
+    /// them small; a pathologically imbalanced trace (every packet on one
+    /// shard) degrades to buffering that shard's output.
     pub fn for_each<F: FnMut(Packet)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
-        self.switch.run_source_streamed(&mut self.source, &mut sink)
+        let sw = self.switch;
+        let n = sw.shards.len();
+        let mut buffers = vec![VecDeque::new(); n];
+        let mut cursor = (mix64(sw.seed) % n as u64) as usize;
+        let mut emitted: u64 = 0;
+        let mut lanes = sw.run_sequential_packets(&mut self.source, |s, out| {
+            buffers[s].extend(out);
+            while let Some(pkt) = buffers[cursor].pop_front() {
+                emitted += 1;
+                sink(pkt);
+                cursor = (cursor + 1) % n;
+            }
+        })?;
+        while buffers.iter().any(|b| !b.is_empty()) {
+            if let Some(pkt) = buffers[cursor].pop_front() {
+                emitted += 1;
+                sink(pkt);
+            }
+            cursor = (cursor + 1) % n;
+        }
+        match lanes.source_error.take() {
+            None => Ok(RunStats {
+                offered: lanes.pulled,
+                transmitted: emitted,
+            }),
+            // Outputs already streamed to the sink, so salvage carries the
+            // books and state snapshots but no packet payloads.
+            Some(error) => Err(sw.source_fault(lanes, error, vec![Vec::new(); n], emitted)),
+        }
     }
 
     /// Runs shard-by-shard on the calling thread and returns each shard's
@@ -1943,13 +1559,19 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     /// suites compare against serial execution. Unsupervised: engine
     /// errors propagate as `Result`s, engine panics as panics.
     pub fn partitioned(mut self) -> Result<Vec<Vec<Packet>>, SwitchError> {
-        self.switch.run_source_partitioned(&mut self.source)
+        let (parts, _) = self.switch.run_source_partitioned(&mut self.source)?;
+        Ok(parts)
     }
 
     /// Like [`ShardedRun::partitioned`], but timed (steer, per-shard busy
     /// runs, merge) and merged — see [`ShardTimings`].
     pub fn instrumented(mut self) -> Result<ShardRun, SwitchError> {
-        self.switch.run_source_instrumented(&mut self.source)
+        let (parts, mut timings) = self.switch.run_source_partitioned(&mut self.source)?;
+        // Time the merge the production path performs: a move, no clones.
+        let t = Instant::now();
+        let merged = self.switch.merge(parts);
+        timings.merge_ns = t.elapsed().as_nanos();
+        Ok(ShardRun { merged, timings })
     }
 }
 
@@ -1986,12 +1608,62 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     /// [`SwitchError::Fault`]; the failed shard's salvage is its PIFO
     /// contents **popped in rank order** (the queue lives outside the
     /// per-batch `catch_unwind`, so a mid-batch panic cannot corrupt or
-    /// lose it), and [`Accounting`] closes the books exactly.
+    /// lose it), and [`Accounting`](crate::error::Accounting) closes the
+    /// books exactly. A source error lands like a worker fault: the
+    /// feeder stops, every shard-local PIFO drains in rank order into
+    /// salvage, and the report carries a
+    /// [`SourceFault`](crate::error::SourceFault) with closed books.
     pub fn collect(mut self) -> Result<Vec<SchedDeparture>, SwitchError>
     where
         E: Send + 'static,
     {
-        self.switch.run_sched_source(&mut self.source)
+        let sw = self.switch;
+        let (spec, capacity) = (sw.sched.clone(), sw.capacity);
+        let scatter = sw.supervised_scatter(&mut self.source, || Schedule {
+            // Unbounded: the serial admission rule bounds total occupancy
+            // across *all* shards at `capacity`, so no per-shard bound
+            // applies.
+            pifo: spec.build_queue(usize::MAX),
+            spec: spec.clone(),
+            capacity,
+        });
+        let pulled = scatter.pulled;
+        let streams = sw.gather::<Schedule>(scatter)?;
+        // Each per-shard stream is sorted by (key, shard-local arrival);
+        // the global arrival cycle is unique, so sorting the union by
+        // (key, arrival) *is* the deterministic k-way merge — and equals
+        // the serial pop order.
+        let mut entries: Vec<(SchedKey, i64, Packet)> = streams.into_iter().flatten().collect();
+        entries.sort_by_key(|&(key, arrival, _)| (key, arrival));
+
+        // Serial egress pass over the merged departure sequence, on the
+        // dedicated engine (see the field docs), with the serial burst
+        // drain's departure recurrence.
+        let mut egress = match sw.sched_egress.take() {
+            Some(sw) => sw,
+            None => sw.fresh_switch()?,
+        };
+        let total = entries.len();
+        let shaping = sw.sched.is_shaping();
+        let mut next_free = pulled as i64;
+        let mut out = Vec::with_capacity(total);
+        for (k, (key, arrival, pkt)) in entries.into_iter().enumerate() {
+            let departure = if shaping {
+                next_free.max(key.rank)
+            } else {
+                next_free
+            };
+            out.push(SchedDeparture {
+                arrival,
+                key,
+                departure,
+                pkt: egress.egress_process(arrival, departure, total - k - 1, &pkt),
+            });
+            next_free = departure + 1;
+        }
+        sw.extra_transmitted += total as u64;
+        sw.sched_egress = Some(egress);
+        Ok(out)
     }
 }
 
@@ -2016,66 +1688,189 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
     /// frames carry no fields to steer by; they are dealt round-robin by
     /// frame index, so exactly one shard's parser re-rejects each one and
     /// counts the typed drop — frame conservation holds shard by shard.
+    ///
+    /// A source error reports a
+    /// [`SourceFault`](crate::error::SourceFault) whose salvage carries
+    /// the per-shard books and state snapshots (output frames are bytes,
+    /// not packets, so the salvage `output` vectors stay empty — the
+    /// typed parse-drop counters still close the accounting exactly).
     pub fn partitioned(mut self) -> Result<Vec<Vec<Vec<u8>>>, SwitchError> {
-        self.switch
-            .run_frames_partitioned(&mut self.source, self.cfg)
+        let (sw, cfg) = (self.switch, self.cfg);
+        let n = sw.shards.len();
+        let mut parts = vec![Vec::new(); n];
+        let mut lanes = sw.run_sequential(
+            |plan, i| {
+                Ok(self.source.next_frame()?.map(|frame| {
+                    let shard = match wire::parse(frame, cfg) {
+                        Ok(wp) => plan.steer(i, &wp.pkt),
+                        Err(_) => i % n,
+                    };
+                    (shard, frame.to_vec())
+                }))
+            },
+            |sw, frames| sw.run_frames(frames, cfg).collect(),
+            |s, out| parts[s].extend(out),
+        )?;
+        match lanes.source_error.take() {
+            None => Ok(parts),
+            Some(error) => {
+                let transmitted = parts.iter().map(|p| p.len() as u64).sum();
+                Err(sw.source_fault(lanes, error, vec![Vec::new(); n], transmitted))
+            }
+        }
     }
 }
 
-/// What a shard worker reports back on its outcome channel.
-enum WorkerOutcome<E: PipelineEngine> {
-    /// Ring drained, switch handed back with its complete output stream.
-    Done(Box<Switch<E>>, Vec<Packet>),
+/// What a shard worker reports back on its outcome channel; `D` is its
+/// [`Lane`]'s output item.
+enum WorkerOutcome<E: PipelineEngine, D> {
+    /// Ring drained, switch handed back with the lane's complete output.
+    Done(Box<Switch<E>>, Vec<D>),
     /// The engine faulted mid-batch. The switch is discarded (its state
     /// is suspect after an unwind), but its drop counters — plain
-    /// integers, safe to read — ride along, as does the output prefix of
-    /// every *completed* batch and the global index of the packet whose
-    /// processing faulted.
+    /// integers, safe to read — ride along, as does what the lane held
+    /// at the instant of the fault and the global index of the packet
+    /// whose processing faulted.
     Fault {
-        out: Vec<Packet>,
+        out: Vec<D>,
         packet: Option<u64>,
         cause: FaultCause,
         drops: DropCounters,
     },
 }
 
-/// One shard worker: drain the ring batch by batch, each batch inside
-/// `catch_unwind` so an engine panic is contained to this shard.
-fn worker_loop<E: PipelineEngine>(
-    mut sw: Switch<E>,
-    rx: mpsc::Receiver<Vec<(i64, Packet)>>,
-) -> WorkerOutcome<E> {
-    let mut out: Vec<Packet> = Vec::new();
-    while let Ok(batch) = rx.recv() {
-        // `transmitted + drops` advances by exactly one per fully handled
-        // packet, so the delta across the failing batch pinpoints the
-        // packet whose processing faulted.
-        let before = sw.transmitted() + sw.drops();
-        match catch_unwind(AssertUnwindSafe(|| sw.run_stamped_batch(&batch))) {
-            Ok(Ok(mut produced)) => out.append(&mut produced),
-            Ok(Err(err)) => {
-                return WorkerOutcome::Fault {
-                    packet: batch.first().map(|(t, _)| *t as u64),
-                    cause: FaultCause::Error(err.to_string()),
-                    drops: sw.drop_counters().clone(),
-                    out,
-                };
-            }
-            Err(payload) => {
-                let handled = (sw.transmitted() + sw.drops() - before) as usize;
-                return WorkerOutcome::Fault {
-                    packet: batch.get(handled).map(|(t, _)| *t as u64),
-                    // `payload.as_ref()`, not `&payload`: the latter
-                    // unsizes the Box itself into `dyn Any` and every
-                    // downcast misses.
-                    cause: FaultCause::Panic(panic_payload_string(payload.as_ref())),
-                    drops: sw.drop_counters().clone(),
-                    out,
-                };
+/// A worker's per-batch step, and what it accumulates **outside** the
+/// unwind scope: a panicking engine loses at most the batch in flight,
+/// never what the lane already holds — which is what makes salvage
+/// possible.
+trait Lane<E: PipelineEngine>: Send + 'static {
+    /// What the lane hands back per packet it holds.
+    type Out: Send + 'static;
+
+    /// Whether the switch's own transmit counter sees the lane's output.
+    const COUNTED: bool;
+
+    /// The packet one output item contributes to a fault report.
+    fn packet(out: Self::Out) -> Packet;
+
+    /// Packets fully handled so far. Advances by exactly one per packet,
+    /// so the delta across a failing batch pinpoints the packet whose
+    /// processing faulted.
+    fn handled(&self, sw: &Switch<E>) -> u64;
+
+    /// Runs one stamped batch (inside the worker's `catch_unwind`).
+    fn step(&mut self, sw: &mut Switch<E>, batch: &[(i64, Packet)]) -> Result<(), SwitchError>;
+
+    /// Everything the lane holds, in its order: the complete stream of a
+    /// drained ring, or the salvage of a faulted one.
+    fn drain(self) -> Vec<Self::Out>;
+}
+
+/// The forwarding lane ([`ShardedRun::collect`]): each batch runs through
+/// the switch's loop as stamped arrivals; the lane holds the output of
+/// every *completed* batch.
+struct Forward(Vec<Packet>);
+
+impl<E: PipelineEngine> Lane<E> for Forward {
+    type Out = Packet;
+    const COUNTED: bool = true;
+
+    fn packet(out: Packet) -> Packet {
+        out
+    }
+
+    fn handled(&self, sw: &Switch<E>) -> u64 {
+        sw.transmitted() + sw.drops()
+    }
+
+    fn step(&mut self, sw: &mut Switch<E>, batch: &[(i64, Packet)]) -> Result<(), SwitchError> {
+        self.0.append(&mut sw.run_stamped_batch(batch)?);
+        Ok(())
+    }
+
+    fn drain(self) -> Vec<Packet> {
+        self.0
+    }
+}
+
+/// The scheduling lane ([`ShardedSchedRun::collect`]): ingress-process
+/// each steered packet and admit it into the shard-local PIFO (or count
+/// the configured full-drop reason). The lane holds the PIFO, so a
+/// faulted shard's salvage is its contents **popped in rank order** —
+/// finer than batch granularity.
+struct Schedule {
+    pifo: SchedQueue<(i64, Packet)>,
+    spec: SchedSpec,
+    capacity: usize,
+}
+
+impl<E: PipelineEngine> Lane<E> for Schedule {
+    /// `(key, global arrival cycle, ingress-processed packet)`.
+    type Out = (SchedKey, i64, Packet);
+    /// A faulted scheduling run never reaches egress.
+    const COUNTED: bool = false;
+
+    fn packet((_, _, pkt): Self::Out) -> Packet {
+        pkt
+    }
+
+    fn handled(&self, sw: &Switch<E>) -> u64 {
+        self.pifo.len() as u64 + sw.drops()
+    }
+
+    fn step(&mut self, sw: &mut Switch<E>, batch: &[(i64, Packet)]) -> Result<(), SwitchError> {
+        for (t, pkt) in batch {
+            let processed = sw.ingress_process(pkt);
+            // The serial burst admission: during the arrival phase the
+            // queue only grows, so the serial switch admits exactly the
+            // arrivals with global cycle < capacity.
+            if (*t as usize) < self.capacity {
+                let key = self.spec.key_of(&processed);
+                let _ = self.pifo.push(key, (*t, processed));
+            } else {
+                sw.record_drop(self.spec.full_drop_reason());
             }
         }
+        Ok(())
     }
-    WorkerOutcome::Done(Box::new(sw), out)
+
+    fn drain(mut self) -> Vec<Self::Out> {
+        let mut stream = Vec::with_capacity(self.pifo.len());
+        while let Some((key, (t, pkt))) = self.pifo.pop() {
+            stream.push((key, t, pkt));
+        }
+        stream
+    }
+}
+
+/// The one shard worker: drain the ring batch by batch through the
+/// lane's step, each batch inside `catch_unwind` so an engine panic is
+/// contained to this shard.
+fn worker<E: PipelineEngine, L: Lane<E>>(
+    mut sw: Switch<E>,
+    rx: mpsc::Receiver<StampedBatch>,
+    mut lane: L,
+) -> WorkerOutcome<E, L::Out> {
+    while let Ok(batch) = rx.recv() {
+        let before = lane.handled(&sw);
+        let (at, cause) = match catch_unwind(AssertUnwindSafe(|| lane.step(&mut sw, &batch))) {
+            Ok(Ok(())) => continue,
+            Ok(Err(err)) => (0, FaultCause::Error(err.to_string())),
+            // `payload.as_ref()`, not `&payload`: the latter unsizes the
+            // Box itself into `dyn Any` and every downcast misses.
+            Err(payload) => (
+                (lane.handled(&sw) - before) as usize,
+                FaultCause::Panic(panic_payload_string(payload.as_ref())),
+            ),
+        };
+        return WorkerOutcome::Fault {
+            packet: batch.get(at).map(|(t, _)| *t as u64),
+            cause,
+            drops: sw.drop_counters().clone(),
+            out: lane.drain(),
+        };
+    }
+    WorkerOutcome::Done(Box::new(sw), lane.drain())
 }
 
 /// Renders a caught panic payload (`String` and `&str` payloads verbatim,
@@ -2088,9 +1883,8 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-/// What the collector observed for one shard (generic over the worker's
-/// outcome type: [`WorkerOutcome`] for forwarding runs, [`SchedOutcome`]
-/// for scheduling runs).
+/// What the collector observed for one shard (`O` is the
+/// [`WorkerOutcome`] of the run's [`Lane`]).
 enum Collected<O> {
     /// The worker reported an outcome within the watchdog window.
     Reported(O),
@@ -2115,76 +1909,20 @@ struct Scatter<O> {
     source_error: Option<SourceError>,
 }
 
-/// What a scheduling-run worker reports back (see
-/// [`ShardedSchedRun::collect`]).
-enum SchedOutcome<E: PipelineEngine> {
-    /// Ring drained; the switch comes back with the shard-local PIFO's
-    /// full contents popped in order: `(key, global arrival cycle,
-    /// ingress-processed packet)`.
-    Done(Box<Switch<E>>, Vec<(SchedKey, i64, Packet)>),
-    /// The engine faulted mid-batch. `out` is the shard's PIFO contents
-    /// at the instant of the fault, salvaged in rank order.
-    Fault {
-        out: Vec<Packet>,
-        packet: Option<u64>,
-        cause: FaultCause,
-        drops: DropCounters,
-    },
-}
-
-/// One scheduling-run worker: ingress-process each steered packet,
-/// admit it into the shard-local PIFO (or count the configured full-drop
-/// reason), each batch inside `catch_unwind`. The PIFO itself lives
-/// *outside* the unwind scope: a panicking engine loses at most the
-/// in-flight packet, never the queue — which is what makes rank-ordered
-/// salvage possible.
-fn sched_worker_loop<E: PipelineEngine>(
-    mut sw: Switch<E>,
-    rx: mpsc::Receiver<StampedBatch>,
-    capacity: usize,
-) -> SchedOutcome<E> {
-    let spec = sw.scheduler().clone();
-    let reason = spec.full_drop_reason();
-    // Unbounded: the serial admission rule below bounds total occupancy
-    // across *all* shards at `capacity`, so no per-shard bound applies.
-    let mut pifo: SchedQueue<(i64, Packet)> = spec.build_queue(usize::MAX);
-    while let Ok(batch) = rx.recv() {
-        // `pifo.len() + drops` advances by one per fully handled packet,
-        // so the delta across a failing batch pinpoints the fault.
-        let before = pifo.len() as u64 + sw.drops();
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            for (t, pkt) in &batch {
-                let processed = sw.ingress_process(pkt);
-                // The serial burst admission: during the arrival phase
-                // the queue only grows, so the serial switch admits
-                // exactly the arrivals with global cycle < capacity.
-                if (*t as usize) < capacity {
-                    let key = spec.key_of(&processed);
-                    let _ = pifo.push(key, (*t, processed));
-                } else {
-                    sw.record_drop(reason);
-                }
-            }
-        }));
-        if let Err(payload) = res {
-            let handled = (pifo.len() as u64 + sw.drops() - before) as usize;
-            let mut salvaged = Vec::with_capacity(pifo.len());
-            while let Some((_, (_, pkt))) = pifo.pop() {
-                salvaged.push(pkt);
-            }
-            return SchedOutcome::Fault {
-                packet: batch.get(handled).map(|(t, _)| *t as u64),
-                cause: FaultCause::Panic(panic_payload_string(payload.as_ref())),
-                drops: sw.drop_counters().clone(),
-                out: salvaged,
-            };
-        }
-    }
-    let mut stream = Vec::with_capacity(pifo.len());
-    while let Some((key, (t, pkt))) = pifo.pop() {
-        stream.push((key, t, pkt));
-    }
-    SchedOutcome::Done(Box::new(sw), stream)
+/// What one run of the sequential core observed.
+struct Lanes {
+    /// Items steered to each shard.
+    offered: Vec<u64>,
+    /// Total items pulled from the source before it ended or failed.
+    pulled: u64,
+    /// The source's mid-stream error, if it failed rather than ended.
+    source_error: Option<SourceError>,
+    /// Each shard's drop counters as the run began (reports carry the
+    /// run's delta).
+    drops_before: Vec<DropCounters>,
+    /// Time spent pulling and steering (the RX lane) and each shard's
+    /// busy time inside its steps; the merge is the terminal's to time.
+    timings: ShardTimings,
 }
 
 /// Outcome of pushing one batch into a shard's ring.
@@ -2202,11 +1940,10 @@ enum FeedResult {
 /// `watchdog`.
 fn feed_batch(
     tx: &mpsc::SyncSender<Vec<(i64, Packet)>>,
-    batch: Vec<(i64, Packet)>,
+    mut batch: Vec<(i64, Packet)>,
     policy: Backpressure,
     watchdog: Duration,
 ) -> FeedResult {
-    let mut batch = batch;
     let start = Instant::now();
     loop {
         match tx.try_send(batch) {

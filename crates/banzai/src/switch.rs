@@ -27,8 +27,29 @@
 //! metadata stamps and egress all work on that slab; one map [`Packet`]
 //! is materialised for the sink (**emission**). Input fields the table
 //! does not name ride beside the slab as a (normally empty) residual.
+//!
+//! # One run loop
+//!
+//! The machine has one shape, so the switch has one cycle loop
+//! (`Switch::cycle`): pull an arrival, admit it through ingress into the
+//! queue, tick the clock, and let the link drain the queue's head through
+//! egress. Every public terminal is that loop fed three pieces of data:
+//!
+//! | terminal | arrivals | regime | sink keeps |
+//! |---|---|---|---|
+//! | [`Run::collect`] / [`Run::for_each`] | packet source | line rate | the packet |
+//! | [`SchedRun::collect`] | packet source | burst | the whole [`SchedDeparture`] |
+//! | [`FrameRun::collect`] / [`FrameRun::for_each`] | frame source + [`wire::parse`] | line rate | [`wire::deparse`]d bytes |
+//! | sharded workers (`crate::shard`) | stamped `(cycle, packet)` pairs | line rate | the packet |
+//!
+//! An arrival is a packet (with its [`WireLayout`] if it was born as
+//! bytes) or the [`ParseVerdict`] that rejected its frame; stamped
+//! arrivals also set the clock. The
+//! regime says when the link serves the queue — see [`Run`] and
+//! [`SchedRun`]. Whatever the combination, the queue is the switch's own
+//! [`SchedQueue`] under the configured [`SchedSpec`].
 
-use crate::error::{Accounting, FaultReport, ShardSalvage, SourceFault, SwitchError};
+use crate::error::{FaultReport, ShardSalvage, SwitchError};
 use crate::machine::{AtomPipeline, Machine};
 use crate::pifo::{KeySlots, SchedKey, SchedQueue, SchedSpec, Scheduler};
 use crate::slot::SlotMachine;
@@ -37,7 +58,7 @@ use crate::stream::{
 };
 use crate::wire::{self, ParseVerdict, WireConfig, WireLayout};
 use domino_ir::{FieldId, FieldTable, FlatPacket, Packet, Residual, StateStore};
-use std::collections::VecDeque;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -262,6 +283,54 @@ pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 struct InFlight {
     flat: FlatPacket,
     residual: Residual,
+    /// A byte-born packet's wire layout, carried through the queue to the
+    /// deparsing sink. Boxed: a queued packet-born slab pays one pointer.
+    layout: Option<Box<WireLayout>>,
+}
+
+impl InFlight {
+    /// **Admission**: flattens `pkt` onto `table` — the one map → flat
+    /// crossing of its life — keeping the fields the table does not name.
+    fn admit(pkt: &Packet, table: &Arc<FieldTable>, layout: Option<Box<WireLayout>>) -> InFlight {
+        let (flat, residual) = FlatPacket::admit(pkt, table);
+        InFlight {
+            flat,
+            residual,
+            layout,
+        }
+    }
+}
+
+/// When the link serves the queue — the one thing that differs between
+/// a line-rate run and a scheduling run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Regime {
+    /// The clock continues from the previous run; the drain slot opens
+    /// every `drain_period` cycles, *before* the cycle's arrival, so a
+    /// packet admitted at cycle `t` leaves at `t + 1` at the earliest.
+    LineRate,
+    /// The clock is run-local (from 0); the link is held until the source
+    /// has ended, then serves one packet per cycle starting on the very
+    /// cycle the burst ended, jumping to a gated head's rank rather than
+    /// idling up to it.
+    Burst,
+}
+
+/// What one arrival slot yields: a packet (with its wire layout, if it
+/// was born as bytes), or the verdict that rejected its frame — the slot
+/// is consumed either way.
+struct Arrival<'a> {
+    /// The cycle this arrival sets the clock to (stamped arrivals only).
+    stamp: Option<i64>,
+    pkt: Result<(Cow<'a, Packet>, Option<Box<WireLayout>>), ParseVerdict>,
+}
+
+/// How a run through the one loop ended: its totals, the drops it added,
+/// and the source's error if it failed rather than ended.
+struct Ended {
+    stats: RunStats,
+    drops: DropCounters,
+    error: Option<SourceError>,
 }
 
 /// A switch: ingress pipeline, a bounded FIFO queue, egress pipeline.
@@ -287,10 +356,8 @@ pub struct Switch<E: PipelineEngine = Machine> {
     /// `table`'s slots in name order — the emission order.
     by_name: Vec<FieldId>,
     /// `(enqueue_cycle, packet)` queue between the pipelines, running the
-    /// discipline `sched` selected (drop-tail FIFO by default). Byte-born
-    /// packets ([`Switch::run_frames`]) ride a run-local FIFO that
-    /// additionally carries each packet's [`WireLayout`]; both queues
-    /// share `capacity` and the drop accounting.
+    /// discipline `sched` selected (drop-tail FIFO by default) for every
+    /// run, packet-born or byte-born. Empty between runs.
     queue: SchedQueue<(i64, InFlight)>,
     /// The scheduling policy `queue` was built from (see
     /// [`Switch::with_scheduler`]), and its key fields as slots.
@@ -589,30 +656,6 @@ impl<E: PipelineEngine> Switch<E> {
         self.egress.import_state(snapshot);
     }
 
-    /// **Admission**: flattens the packet onto the switch table — the one
-    /// map → flat crossing of its life — runs ingress on the slab, and
-    /// reads the scheduling key off slots.
-    fn admit(&mut self, pkt: &Packet) -> (SchedKey, InFlight) {
-        let mut p = self.flatten(pkt);
-        self.ingress.process(&mut p.flat);
-        (self.key.key_of(&p.flat), p)
-    }
-
-    /// `pkt` on the switch table, fields the table does not name beside it.
-    fn flatten(&self, pkt: &Packet) -> InFlight {
-        let (flat, residual) = FlatPacket::admit(pkt, &self.table);
-        InFlight { flat, residual }
-    }
-
-    /// Admits `pkt` and queues it as having arrived at cycle `t`; a full
-    /// queue books the drop under the discipline's reason instead.
-    fn enqueue(&mut self, t: i64, pkt: &Packet) {
-        let (key, p) = self.admit(pkt);
-        if self.queue.push(key, (t, p)).is_err() {
-            self.drops.bump(self.sched.full_drop_reason());
-        }
-    }
-
     /// **Emission**: the one flat → map crossing, handing the sink (or
     /// the deparser) a map packet with every field in name order.
     fn emit(&self, p: &InFlight) -> Packet {
@@ -621,18 +664,181 @@ impl<E: PipelineEngine> Switch<E> {
 
     /// A departure: stamps the queue metadata by slot, runs egress on
     /// the slab in place, and materialises the transmitted packet.
-    fn depart(&mut self, enq_ts: i64, now: i64, depth: usize, mut p: InFlight) -> Packet {
+    fn depart(&mut self, enq_ts: i64, now: i64, depth: usize, p: &mut InFlight) -> Packet {
         let [enq_ts_slot, now_slot, depth_slot] = self.meta;
         p.flat.set(enq_ts_slot, enq_ts as i32);
         p.flat.set(now_slot, now as i32);
         p.flat.set(depth_slot, depth as i32);
         self.egress.process(&mut p.flat);
         self.transmitted += 1;
-        self.emit(&p)
+        self.emit(p)
     }
 
-    /// Runs a batch of `(arrival_cycle, packet)` pairs through the whole
-    /// switch at line rate — the stamped-batch core behind the sharded
+    /// **The one run loop** every terminal of this switch — and, through
+    /// [`Switch::run_stamped_batch`], every shard worker — is an instance
+    /// of (see the module docs for the table). One iteration is one
+    /// cycle:
+    ///
+    /// 1. **arrival slot** — `pull` yields the next [`Arrival`]: the
+    ///    packet is admitted onto the switch table, ingress runs on the
+    ///    slab, the [`SchedKey`] is read off slots, and the slab joins the
+    ///    queue as having arrived at this cycle — or the drop is booked
+    ///    under the discipline's reason, or under the verdict that
+    ///    rejected its frame. A failed or ended source is never pulled
+    ///    again;
+    /// 2. the run is over once the source has ended and the queue is
+    ///    empty — so everything admitted departs and the books close
+    ///    (`lost_in_fault == 0`) even when the source failed mid-stream;
+    /// 3. **drain slot** — if the [`Regime`]'s gate is open and, under a
+    ///    shaping discipline, the head's rank is due, the head departs:
+    ///    `enq_ts`/`now`/`qdepth` (or the configured names) are stamped,
+    ///    egress runs, and `sink` receives the [`SchedDeparture`] (plus
+    ///    the wire layout of a byte-born packet) the cycle it leaves —
+    ///    memory stays O(queue capacity) however long the source.
+    ///
+    /// Engine state and the drop/transmit counters accumulate across
+    /// calls; the queue is empty on entry and on return.
+    fn cycle<'a>(
+        &mut self,
+        regime: Regime,
+        mut pull: impl FnMut() -> Result<Option<Arrival<'a>>, SourceError>,
+        mut sink: impl FnMut(SchedDeparture, Option<Box<WireLayout>>),
+    ) -> Ended {
+        let burst = regime == Regime::Burst;
+        let shaping = self.sched.is_shaping();
+        let drops_before = self.drops.clone();
+        let mut stats = RunStats::default();
+        let mut now = if burst { 0 } else { self.now };
+        let mut ended = false;
+        let mut error = None;
+        loop {
+            if !ended {
+                match pull() {
+                    Ok(Some(arrival)) => {
+                        stats.offered += 1;
+                        now = arrival.stamp.unwrap_or(now);
+                        match arrival.pkt {
+                            // `pkt` is freed at the end of this arm, after
+                            // the slab is queued — not right after admission:
+                            // the earlier free changes malloc's chunk reuse
+                            // enough to pin 50 MiB in the E15 sharded ledger.
+                            Ok((pkt, layout)) => {
+                                let mut p = InFlight::admit(&pkt, &self.table, layout);
+                                self.ingress.process(&mut p.flat);
+                                let key = self.key.key_of(&p.flat);
+                                if self.queue.push(key, (now, p)).is_err() {
+                                    self.drops.bump(self.sched.full_drop_reason());
+                                }
+                            }
+                            Err(verdict) => self.drops.bump(DropReason::Parse(verdict)),
+                        }
+                    }
+                    Ok(None) => ended = true,
+                    Err(e) => {
+                        ended = true;
+                        error = Some(e);
+                    }
+                }
+            }
+            if ended && self.queue.is_empty() {
+                break;
+            }
+            // The regimes differ in when the drain slot is open, and in
+            // which side of it the clock ticks on.
+            let open = match regime {
+                Regime::Burst => ended,
+                Regime::LineRate => {
+                    now += 1;
+                    (now as u64).is_multiple_of(self.drain_period)
+                }
+            };
+            if open {
+                // A shaper's head is not due before the cycle its rank
+                // names: a burst idles the link until then (the clock
+                // jumps), a line-rate run leaves the slot unused.
+                let due = match self.queue.peek_key() {
+                    Some(head) if shaping => head.rank,
+                    _ => now,
+                };
+                if burst {
+                    now = now.max(due);
+                }
+                if due <= now {
+                    if let Some((key, (arrival, mut p))) = self.queue.pop() {
+                        let pkt = self.depart(arrival, now, self.queue.len(), &mut p);
+                        stats.transmitted += 1;
+                        let departure = SchedDeparture {
+                            arrival,
+                            key,
+                            departure: now,
+                            pkt,
+                        };
+                        sink(departure, p.layout);
+                    }
+                }
+            }
+            if burst {
+                now += 1;
+            }
+        }
+        self.now = now;
+        Ended {
+            stats,
+            drops: self.drops.since(&drops_before),
+            error,
+        }
+    }
+
+    /// The loop over a [`PacketSource`] — the arrival adapter of
+    /// [`Run`] and [`SchedRun`].
+    fn run_packets<S: PacketSource>(
+        &mut self,
+        source: &mut S,
+        regime: Regime,
+        sink: impl FnMut(SchedDeparture, Option<Box<WireLayout>>),
+    ) -> Ended {
+        let pull = || {
+            Ok(source.next_packet()?.map(|pkt| Arrival {
+                stamp: None,
+                pkt: Ok((Cow::Owned(pkt), None)),
+            }))
+        };
+        self.cycle(regime, pull, sink)
+    }
+
+    /// Whether per-shard runs of this switch compose back into the serial
+    /// run: only at line rate, where the queue never holds more than one
+    /// packet — every packet admitted at cycle `t` leaves at `t + 1` with
+    /// queue depth 0, independent of what other shards carry. With at
+    /// most one occupant any *ungated* discipline pops it, so FIFO, PIFO
+    /// and strict priority all compose.
+    ///
+    /// # Errors
+    ///
+    /// [`SwitchError::Unsupported`] if `drain_period != 1` or the
+    /// discipline is [`SchedSpec::Shaping`]: an oversubscribed link and a
+    /// gated head both hold a standing queue, which couples shards
+    /// through the clock and cannot be partitioned.
+    pub(crate) fn check_line_rate(&self) -> Result<(), SwitchError> {
+        if self.drain_period != 1 {
+            return Err(SwitchError::Unsupported(format!(
+                "stamped (sharded) execution requires a line-rate egress link \
+                 (drain_period 1, got {}); a standing queue couples shards",
+                self.drain_period
+            )));
+        }
+        if self.sched.is_shaping() {
+            return Err(SwitchError::Unsupported(
+                "stamped (sharded) execution cannot run a shaping discipline at line rate: \
+                 a gated standing queue couples shards (use `.scheduled()`, which models shaping)"
+                    .to_string(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Runs a batch of `(arrival_cycle, packet)` pairs through the loop
+    /// at line rate — the stamped arrival adapter behind the sharded
     /// workers.
     ///
     /// Semantically this is [`Switch::run`] with the packet clock
@@ -642,226 +848,73 @@ impl<E: PipelineEngine> Switch<E> {
     /// outputs are bit-identical to the serial switch's. Arrival cycles
     /// must be strictly increasing.
     ///
-    /// Only the line-rate configuration is supported: with
-    /// `drain_period == 1` the queue never holds more than one packet, so
-    /// every packet admitted at cycle `t` leaves at `t + 1` with queue
-    /// depth 0 — independent of what other shards carry, which is exactly
-    /// why the per-shard runs compose back into the serial behaviour.
-    ///
     /// # Errors
     ///
-    /// Returns [`SwitchError::Unsupported`] if `drain_period != 1` (an
-    /// oversubscribed egress link couples shards through the shared queue
-    /// and cannot be partitioned). Never panics.
+    /// Whatever [`Switch::check_line_rate`] rejects. Never panics.
     pub(crate) fn run_stamped_batch(
         &mut self,
         batch: &[(i64, Packet)],
     ) -> Result<Vec<Packet>, SwitchError> {
-        if self.drain_period != 1 {
-            return Err(SwitchError::Unsupported(format!(
-                "stamped (sharded) execution requires a line-rate egress link \
-                 (drain_period 1, got {}); a standing queue couples shards",
-                self.drain_period
-            )));
-        }
+        self.check_line_rate()?;
+        debug_assert!(
+            batch.windows(2).all(|w| w[0].0 < w[1].0),
+            "stamped arrival cycles must be strictly increasing"
+        );
         let mut out = Vec::with_capacity(batch.len());
-        let mut last_t: Option<i64> = None;
-        for (t, pkt) in batch {
-            debug_assert!(
-                last_t.is_none_or(|prev| *t > prev),
-                "stamped arrival cycles must be strictly increasing (got {t} after {last_t:?})"
-            );
-            last_t = Some(*t);
-            self.enqueue(*t, pkt);
-            // At line rate the packet just pushed drains immediately, so
-            // the queue is empty again before the next push (the if-let
-            // misses only when a zero-capacity queue refused the push; no
-            // unwrap on the hot path). With at most one occupant any
-            // discipline pops it, so stamped runs stay shard-composable
-            // under every [`SchedSpec`].
-            if let Some((_, (enq_ts, p))) = self.queue.pop() {
-                let depth = self.queue.len();
-                out.push(self.depart(enq_ts, *t + 1, depth, p));
-                self.now = *t + 1;
-            }
-        }
+        let mut arrivals = batch.iter();
+        let pull = || {
+            Ok(arrivals.next().map(|(t, pkt)| Arrival {
+                stamp: Some(*t),
+                pkt: Ok((Cow::Borrowed(pkt), None)),
+            }))
+        };
+        self.cycle(Regime::LineRate, pull, |d, _| out.push(d.pkt));
         Ok(out)
     }
 
-    /// The streaming line-rate core: pulls packets from `source` one per
-    /// cycle, drains through egress on the configured period, and hands
-    /// each transmitted packet to `emit` the cycle it departs — memory
-    /// stays O(queue capacity) regardless of trace length.
-    ///
-    /// One input packet arrives per cycle (the line-rate assumption); each
-    /// is admitted, processed by ingress and enqueued (or dropped if the
-    /// queue is full). On drain cycles the head departs: `enq_ts`/`qdepth`
-    /// (or the configured names) and `now` are stamped so egress programs
-    /// can compute sojourn times.
-    ///
-    /// On a mid-stream source error the switch stops admitting, drains
-    /// everything already queued (so the books close with
-    /// `lost_in_fault == 0`), and returns a [`FaultReport`] whose
-    /// `merged`/salvage output the caller fills in from its sink.
-    pub(crate) fn run_source_core<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-        emit: &mut dyn FnMut(Packet),
-    ) -> Result<RunStats, Box<FaultReport>> {
-        let drops_before = self.drops.clone();
-        let mut offered: u64 = 0;
-        let mut transmitted: u64 = 0;
-        let mut ended = false;
-        let mut src_err: Option<SourceError> = None;
-        loop {
-            // Dequeue + egress on drain cycles: whatever packet the
-            // configured discipline says departs next (arrival order on
-            // the default FIFO; rank order on a PIFO). A shaper
-            // additionally gates the head until the cycle its rank names.
-            if (self.now as u64).is_multiple_of(self.drain_period) {
-                let gated = self.sched.is_shaping()
-                    && self.queue.peek_key().is_some_and(|k| k.rank > self.now);
-                if !gated {
-                    if let Some((_, (enq_ts, p))) = self.queue.pop() {
-                        let depth = self.queue.len();
-                        emit(self.depart(enq_ts, self.now, depth, p));
-                        transmitted += 1;
-                    }
-                }
-            }
-            // Admit one packet per cycle, until the source ends (or
-            // fails — a failed source is never pulled again).
-            if !ended {
-                match source.next_packet() {
-                    Ok(Some(p)) => {
-                        offered += 1;
-                        self.enqueue(self.now, &p);
-                    }
-                    Ok(None) => ended = true,
-                    Err(e) => {
-                        ended = true;
-                        src_err = Some(e);
-                    }
-                }
-            }
-            if ended && self.queue.is_empty() {
-                break;
-            }
-            self.now += 1;
-        }
-        match src_err {
-            None => Ok(RunStats {
-                offered,
-                transmitted,
-            }),
-            Some(error) => Err(self.source_fault_report(
-                offered,
-                transmitted,
-                self.drops.since(&drops_before),
-                error,
-            )),
-        }
-    }
-
-    /// Assembles the [`FaultReport`] for a run cut short by its source:
-    /// one salvage entry (this switch is "shard 0" of itself), closed
-    /// books, and the caller's collected output patched in afterwards.
-    fn source_fault_report(
+    /// This switch's entry in a [`FaultReport`] as a surviving shard
+    /// (a serial switch is "shard 0" of itself): what it was offered,
+    /// the output kept for the report, the run's drops, and its state.
+    pub(crate) fn salvage(
         &self,
+        shard: usize,
         offered: u64,
-        transmitted: u64,
+        output: Vec<Packet>,
         drops: DropCounters,
-        error: SourceError,
-    ) -> Box<FaultReport> {
-        let dropped = drops.total();
-        Box::new(FaultReport {
-            failures: Vec::new(),
-            source: Some(SourceFault { at: offered, error }),
-            salvage: vec![ShardSalvage {
-                shard: 0,
-                failed: false,
-                offered,
-                output: Vec::new(),
-                drops,
-                state: Some((self.ingress.export_state(), self.egress.export_state())),
-            }],
-            merged: Vec::new(),
-            accounting: Accounting {
-                offered,
-                transmitted,
-                dropped,
-                lost_in_fault: offered.saturating_sub(transmitted + dropped),
-            },
-        })
+    ) -> ShardSalvage {
+        ShardSalvage {
+            shard,
+            failed: false,
+            offered,
+            output,
+            drops,
+            state: Some((self.ingress.export_state(), self.egress.export_state())),
+        }
     }
 
-    /// The scheduling-experiment core behind [`SchedRun::collect`] (see
-    /// [`SchedRun`] for the regime): burst arrival from the source, then a
-    /// rank-ordered drain. The arrival clock is run-local (restarts at 0
-    /// each call); engine state and the drop/transmit counters accumulate
-    /// across calls as usual. A mid-stream source error ends the arrival
-    /// phase early; the drain still runs, so everything admitted departs
-    /// and the books close.
-    pub(crate) fn run_sched_source_core<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<Vec<SchedDeparture>, Box<FaultReport>> {
-        let drops_before = self.drops.clone();
-        let mut src_err: Option<SourceError> = None;
-        // Arrival phase: ingress + admission, one packet per cycle. No
-        // pops happen here, so occupancy is monotone and admission is
-        // by-occupancy exactly as in the line-rate core.
-        let mut arrivals: i64 = 0;
-        loop {
-            match source.next_packet() {
-                Ok(Some(p)) => {
-                    self.enqueue(arrivals, &p);
-                    arrivals += 1;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    src_err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Drain phase: one departure per cycle, rank-gated under shaping.
-        let mut next_free = arrivals;
-        let mut out = Vec::with_capacity(self.queue.len());
-        while let Some(head) = self.queue.peek_key() {
-            let departure = if self.sched.is_shaping() {
-                next_free.max(head.rank)
-            } else {
-                next_free
-            };
-            let (key, (arrival, p)) = self
-                .queue
-                .pop()
-                .expect("peek_key said the queue is non-empty");
-            let depth = self.queue.len();
-            out.push(SchedDeparture {
-                arrival,
-                key,
-                departure,
-                pkt: self.depart(arrival, departure, depth, p),
-            });
-            next_free = departure + 1;
-        }
-        self.now = next_free;
-        match src_err {
-            None => Ok(out),
-            Some(error) => {
-                let mut report = self.source_fault_report(
-                    arrivals as u64,
-                    out.len() as u64,
-                    self.drops.since(&drops_before),
-                    error,
-                );
-                report.merged = out.iter().map(|d| d.pkt.clone()).collect();
-                report.salvage[0].output = report.merged.clone();
-                Err(report)
-            }
-        }
+    /// Turns how a run [`Ended`] into the terminal's result: its totals,
+    /// or — if the source failed mid-stream — the typed fault whose report
+    /// carries the output the terminal `kept` (nothing, when it streamed
+    /// to a sink) and closed books.
+    fn close(
+        &self,
+        end: Ended,
+        kept: impl FnOnce() -> Vec<Packet>,
+    ) -> Result<RunStats, SwitchError> {
+        let Some(error) = end.error else {
+            return Ok(end.stats);
+        };
+        let kept = kept();
+        let streamed = end.stats.transmitted.saturating_sub(kept.len() as u64);
+        let salvage = self.salvage(0, end.stats.offered, kept.clone(), end.drops);
+        Err(FaultReport::assemble(
+            end.stats.offered,
+            streamed,
+            Some(error),
+            Vec::new(),
+            vec![salvage],
+            kept,
+        ))
     }
 
     /// Runs one packet through the ingress pipeline alone — the sharded
@@ -869,7 +922,8 @@ impl<E: PipelineEngine> Switch<E> {
     /// ingress; the PIFO and the egress pass live outside the worker, so
     /// the packet leaves this switch here, as a map packet).
     pub(crate) fn ingress_process(&mut self, pkt: &Packet) -> Packet {
-        let (_, p) = self.admit(pkt);
+        let mut p = InFlight::admit(pkt, &self.table, None);
+        self.ingress.process(&mut p.flat);
         self.emit(&p)
     }
 
@@ -883,105 +937,13 @@ impl<E: PipelineEngine> Switch<E> {
         depth: usize,
         pkt: &Packet,
     ) -> Packet {
-        let p = self.flatten(pkt);
-        self.depart(enq_ts, now, depth, p)
+        let mut p = InFlight::admit(pkt, &self.table, None);
+        self.depart(enq_ts, now, depth, &mut p)
     }
 
     /// Bumps a drop counter directly (sharded scheduling admission).
     pub(crate) fn record_drop(&mut self, reason: DropReason) {
         self.drops.bump(reason);
-    }
-
-    /// The streaming byte-frame core behind
-    /// [`FrameRun`](crate::switch::FrameRun): pull a frame per cycle from
-    /// the source, parse → ingress → queue → egress → deparse, hand each
-    /// transmitted frame to `emit`.
-    ///
-    /// This is [`Switch::run_source_core`] with the wire front-end
-    /// ([`crate::wire`]) bolted onto both ends. Each arrival cycle admits
-    /// one frame; a frame that fails to parse is dropped on its arrival
-    /// cycle under the matching [`DropReason::Parse`] counter (malformed
-    /// traffic still consumes arrival slots, as on a real wire — it just
-    /// never reaches ingress). Accepted frames carry their
-    /// [`WireLayout`] through the queue, so egress re-serializes every
-    /// pipeline-modified field back into its wire position and all
-    /// unparsed bytes (options, payloads) survive verbatim. A mid-stream
-    /// source error (e.g. a capture file torn mid-record) stops
-    /// admission, drains the queue, and closes the books in a
-    /// [`FaultReport`].
-    pub(crate) fn run_wire_source_core<S: FrameSource>(
-        &mut self,
-        source: &mut S,
-        cfg: &WireConfig,
-        emit: &mut dyn FnMut(Vec<u8>),
-    ) -> Result<RunStats, Box<FaultReport>> {
-        // Byte-born packets carry their wire layout alongside the FIFO
-        // entry so egress can deparse; the queue is run-local (the shared
-        // FIFO is always drained between runs) but shares `capacity` and
-        // the drop/transmit accounting.
-        let drops_before = self.drops.clone();
-        let mut queue: VecDeque<(i64, InFlight, WireLayout)> = VecDeque::new();
-        let mut offered: u64 = 0;
-        let mut transmitted: u64 = 0;
-        let mut ended = false;
-        let mut src_err: Option<SourceError> = None;
-        loop {
-            if (self.now as u64).is_multiple_of(self.drain_period) {
-                if let Some((enq_ts, p, layout)) = queue.pop_front() {
-                    let egressed = self.depart(enq_ts, self.now, queue.len(), p);
-                    emit(wire::deparse(&egressed, &layout));
-                    transmitted += 1;
-                }
-            }
-            if !ended {
-                // The borrowed frame is parsed to owned form before the
-                // match arm ends, so the source can be pulled again next
-                // cycle.
-                let parsed = match source.next_frame() {
-                    Ok(Some(frame)) => {
-                        offered += 1;
-                        Some(wire::parse(frame, cfg))
-                    }
-                    Ok(None) => {
-                        ended = true;
-                        None
-                    }
-                    Err(e) => {
-                        ended = true;
-                        src_err = Some(e);
-                        None
-                    }
-                };
-                match parsed {
-                    Some(Ok(wp)) => {
-                        let (_, p) = self.admit(&wp.pkt);
-                        if queue.len() >= self.capacity {
-                            self.drops.bump(DropReason::QueueFull);
-                        } else {
-                            queue.push_back((self.now, p, wp.layout));
-                        }
-                    }
-                    Some(Err(verdict)) => self.drops.bump(DropReason::Parse(verdict)),
-                    None => {}
-                }
-            }
-            if ended && queue.is_empty() {
-                break;
-            }
-            self.now += 1;
-        }
-        match src_err {
-            None => Ok(RunStats {
-                offered,
-                transmitted,
-            }),
-            Some(error) => Err(self.source_fault_report(
-                offered,
-                transmitted,
-                self.drops.since(&drops_before),
-                error,
-            )),
-        }
     }
 
     /// Opens a streaming run session: anything convertible to a
@@ -1044,6 +1006,15 @@ impl<E: PipelineEngine> Switch<E> {
 /// [`Run::for_each`] streams them to a sink (O(queue) memory), and
 /// [`Run::sched`]/[`Run::scheduled`] switch to the burst-then-drain
 /// scheduling regime first.
+///
+/// The **line-rate regime**: one input packet arrives per cycle on a
+/// clock that continues from the switch's previous run; each is processed
+/// by ingress and enqueued (or dropped if the queue is full). Every
+/// `drain_period` cycles the head departs — whatever packet the
+/// configured discipline says is next (arrival order on the default FIFO,
+/// rank order on a PIFO; a shaper additionally holds its head until the
+/// cycle its rank names) — with `enq_ts`/`qdepth` (or the configured
+/// names) and `now` stamped so egress programs can compute sojourn times.
 #[must_use = "a run session does nothing until a terminal method (`collect`, `for_each`) runs it"]
 pub struct Run<'s, E: PipelineEngine, S: PacketSource> {
     switch: &'s mut Switch<E>,
@@ -1057,10 +1028,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     /// drain that makes the discipline observable.
     pub fn sched(self, spec: SchedSpec) -> SchedRun<'s, E, S> {
         self.switch.set_scheduler(spec);
-        SchedRun {
-            switch: self.switch,
-            source: self.source,
-        }
+        self.scheduled()
     }
 
     /// Switches this session to the scheduling regime under the queue's
@@ -1083,17 +1051,11 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     pub fn collect(mut self) -> Result<Vec<Packet>, SwitchError> {
         let (lo, hi) = self.source.size_hint();
         let mut out = Vec::with_capacity(hi.unwrap_or(lo).min(1 << 20));
-        match self
+        let end = self
             .switch
-            .run_source_core(&mut self.source, &mut |p| out.push(p))
-        {
-            Ok(_) => Ok(out),
-            Err(mut report) => {
-                report.merged.clone_from(&out);
-                report.salvage[0].output = out;
-                Err(SwitchError::Fault(report))
-            }
-        }
+            .run_packets(&mut self.source, Regime::LineRate, |d, _| out.push(d.pkt));
+        self.switch.close(end, || out.clone())?;
+        Ok(out)
     }
 
     /// Runs the session, streaming each transmitted packet to `sink` the
@@ -1106,23 +1068,26 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     /// already handed to `sink` are not replayed in the report's salvage;
     /// the sink saw them the moment they departed).
     pub fn for_each<F: FnMut(Packet)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
-        self.switch
-            .run_source_core(&mut self.source, &mut sink)
-            .map_err(SwitchError::Fault)
+        let end = self
+            .switch
+            .run_packets(&mut self.source, Regime::LineRate, |d, _| sink(d.pkt));
+        self.switch.close(end, Vec::new)
     }
 }
 
 /// A run session in the **scheduling regime** — built by [`Run::sched`] or
 /// [`Run::scheduled`]. The whole source arrives as a back-to-back burst
-/// (one packet per cycle, cycles `0..n`), then the queue drains at one
-/// packet per cycle from cycle `n` in whatever order the configured
-/// [`SchedSpec`] dictates.
+/// (one packet per cycle, cycles `0..n` of a run-local clock), then the
+/// queue drains at one packet per cycle from cycle `n` in whatever order
+/// the configured [`SchedSpec`] dictates. It is the same loop as a
+/// line-rate run with the link held until the source has ended.
 ///
 /// This is the regime where a scheduler is observable at all: under
 /// [`Switch::run`]'s line-rate admission the queue never holds more than
 /// one packet, so every discipline degenerates to FIFO. The burst builds
-/// a standing queue of up to `capacity` packets (arrivals beyond that
-/// drop under the policy's reason — [`DropReason::SchedFull`] for rank
+/// a standing queue of up to `capacity` packets (no pops happen while it
+/// arrives, so admission is by occupancy; arrivals beyond capacity drop
+/// under the policy's reason — [`DropReason::SchedFull`] for rank
 /// schedulers), and the drain exposes the discipline's order.
 /// `drain_period` is ignored: the drain *is* the one-packet-per-cycle
 /// output link.
@@ -1150,14 +1115,30 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
     /// [`SwitchError::Fault`] if the source fails mid-burst; everything
     /// admitted still drains and is reported, with closed books.
     pub fn collect(mut self) -> Result<Vec<SchedDeparture>, SwitchError> {
+        let (lo, hi) = self.source.size_hint();
+        let mut out = Vec::with_capacity(hi.unwrap_or(lo).min(self.switch.capacity));
+        let end = self
+            .switch
+            .run_packets(&mut self.source, Regime::Burst, |d, _| out.push(d));
         self.switch
-            .run_sched_source_core(&mut self.source)
-            .map_err(SwitchError::Fault)
+            .close(end, || out.iter().map(|d| d.pkt.clone()).collect())?;
+        Ok(out)
     }
 }
 
 /// A streaming byte-frame run session (parse → pipeline → deparse) — the
-/// builder [`Switch::run_frames`] returns.
+/// builder [`Switch::run_frames`] returns: a line-rate [`Run`] with the
+/// wire front-end ([`crate::wire`]) on both ends.
+///
+/// Each arrival slot takes one frame: a frame the parse graph rejects is
+/// dropped on its arrival cycle under the matching [`DropReason::Parse`]
+/// counter (malformed traffic still consumes arrival slots, as on a real
+/// wire — it just never reaches ingress). Accepted frames carry their
+/// [`WireLayout`] through the switch's queue — the configured discipline,
+/// capacity and drop reason apply exactly as to packet-born traffic — so
+/// the sink re-serializes every pipeline-modified field back into its
+/// wire position and all unparsed bytes (options, payloads) survive
+/// verbatim.
 #[must_use = "a run session does nothing until a terminal method (`collect`, `for_each`) runs it"]
 pub struct FrameRun<'s, 'c, E: PipelineEngine, S: FrameSource> {
     switch: &'s mut Switch<E>,
@@ -1174,15 +1155,10 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
     /// capture file); frames transmitted before the failure are in the
     /// report's accounting, and malformed-but-complete frames are *not*
     /// errors — they are [`DropReason::Parse`] drops as always.
-    pub fn collect(mut self) -> Result<Vec<Vec<u8>>, SwitchError> {
+    pub fn collect(self) -> Result<Vec<Vec<u8>>, SwitchError> {
         let mut out = Vec::new();
-        match self
-            .switch
-            .run_wire_source_core(&mut self.source, self.cfg, &mut |f| out.push(f))
-        {
-            Ok(_) => Ok(out),
-            Err(report) => Err(SwitchError::Fault(report)),
-        }
+        self.for_each(|frame| out.push(frame))?;
+        Ok(out)
     }
 
     /// Runs the session, streaming each transmitted frame to `sink` —
@@ -1192,9 +1168,21 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
     ///
     /// [`SwitchError::Fault`] if the source fails mid-stream.
     pub fn for_each<F: FnMut(Vec<u8>)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
-        self.switch
-            .run_wire_source_core(&mut self.source, self.cfg, &mut sink)
-            .map_err(SwitchError::Fault)
+        // The borrowed frame is parsed to owned form inside the pull, so
+        // the source can be pulled again next cycle.
+        let pull = || {
+            Ok(self.source.next_frame()?.map(|frame| Arrival {
+                stamp: None,
+                pkt: wire::parse(frame, self.cfg)
+                    .map(|wp| (Cow::Owned(wp.pkt), Some(Box::new(wp.layout)))),
+            }))
+        };
+        let end = self.switch.cycle(Regime::LineRate, pull, |d, layout| {
+            if let Some(layout) = layout {
+                sink(wire::deparse(&d.pkt, &layout));
+            }
+        });
+        self.switch.close(end, Vec::new)
     }
 }
 

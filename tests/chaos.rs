@@ -638,3 +638,113 @@ fn serial_source_error_is_typed_and_conserved() {
     assert_eq!(report.accounting.offered, 33);
     assert!(report.accounting.conserved(), "{}", report.accounting);
 }
+
+/// Every terminal closes its books through the one report constructor
+/// when its source fails at packet *k*: the fault names *k*, no worker
+/// is blamed, everything pulled before the failure was drained and
+/// accounted (`lost_in_fault == 0`), and there is one salvage entry per
+/// shard — a serial switch being shard 0 of itself — each a survivor
+/// carrying its state snapshot.
+#[test]
+fn every_terminal_closes_the_books_when_its_source_fails_at_packet_k() {
+    use banzai::wire::{self, FrameSpec, WireConfig};
+    use banzai::{FailAfter, FrameGenSource, GenSource};
+    const SHARDS: usize = 4;
+    const K: u64 = 150;
+
+    let (ingress, egress) = counter_pipelines();
+    let pkt = |i: u64| Packet::new().with("flow", (i % 48) as i32).with("c", 0);
+    let packets = || FailAfter::new(GenSource::new(|i| Some(pkt(i))), K, "torn");
+    let wire_cfg = WireConfig::with_meta_fields(["flow", "c"]).unwrap();
+    let frames = || {
+        let frame = |i| wire::encode(&pkt(i), &wire_cfg, &FrameSpec::default());
+        FailAfter::new(FrameGenSource::new(move |i| Some(frame(i))), K, "torn")
+    };
+    let serial = || Switch::new_slot(&ingress, &egress, CAPACITY).unwrap();
+    let sharded = || {
+        let cfg = ShardConfig::new(SHARDS)
+            .with_capacity(CAPACITY)
+            .with_batch(16);
+        ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap()
+    };
+    fn fault<T>(name: &'static str, shards: usize, res: Result<T, SwitchError>) -> Row {
+        (name, shards, expect_fault(res, name))
+    }
+    type Row = (&'static str, usize, banzai::FaultReport);
+
+    let table: Vec<Row> = vec![
+        fault("serial collect", 1, serial().run(packets()).collect()),
+        fault(
+            "serial for_each",
+            1,
+            serial().run(packets()).for_each(|_| {}),
+        ),
+        fault(
+            "serial scheduled",
+            1,
+            serial().run(packets()).scheduled().collect(),
+        ),
+        fault(
+            "serial frames collect",
+            1,
+            serial().run_frames(frames(), &wire_cfg).collect(),
+        ),
+        fault(
+            "serial frames for_each",
+            1,
+            serial().run_frames(frames(), &wire_cfg).for_each(|_| {}),
+        ),
+        fault(
+            "sharded collect",
+            SHARDS,
+            sharded().run(packets()).collect(),
+        ),
+        fault(
+            "sharded for_each",
+            SHARDS,
+            sharded().run(packets()).for_each(|_| {}),
+        ),
+        fault(
+            "sharded partitioned",
+            SHARDS,
+            sharded().run(packets()).partitioned(),
+        ),
+        fault(
+            "sharded instrumented",
+            SHARDS,
+            sharded().run(packets()).instrumented(),
+        ),
+        fault(
+            "sharded scheduled",
+            SHARDS,
+            sharded().run(packets()).scheduled().collect(),
+        ),
+        fault(
+            "sharded frames partitioned",
+            SHARDS,
+            sharded().run_frames(frames(), &wire_cfg).partitioned(),
+        ),
+    ];
+
+    for (name, shards, report) in table {
+        let src = report.source.as_ref().expect(name);
+        assert_eq!(src.at, K, "{name}");
+        assert!(src.error.message().contains("torn"), "{name}: {src}");
+        assert!(report.failures.is_empty(), "{name}: no worker failed");
+
+        let acc = report.accounting;
+        assert_eq!(acc.offered, K, "{name}");
+        assert!(acc.conserved(), "{name}: {acc}");
+        assert_eq!(acc.lost_in_fault, 0, "{name}: {acc}");
+        assert_eq!(acc.dropped, 0, "{name}: line rate, roomy queue");
+
+        assert_eq!(report.salvage.len(), shards, "{name}");
+        assert_eq!(report.survivors().len(), shards, "{name}");
+        for (s, salvage) in report.salvage.iter().enumerate() {
+            assert_eq!(salvage.shard, s, "{name}");
+            assert!(salvage.state.is_some(), "{name}: shard {s} carries state");
+        }
+        let steered: u64 = report.salvage.iter().map(|s| s.offered).sum();
+        assert_eq!(steered, K, "{name}: every pulled packet was steered");
+    }
+}

@@ -349,3 +349,110 @@ fn facade_sharded_switch_runs_flowlet_end_to_end() {
     assert_eq!(out.len(), 500);
     assert_eq!(sw.transmitted(), 500);
 }
+
+/// Line-rate sharding composes only while no shard holds a standing
+/// queue. A shaping discipline gates its head on the clock, so it holds
+/// one exactly as an oversubscribed link does — the serial switch below
+/// stamps `now = 20..27`, where independent per-shard queues (which a
+/// 1-shard `ShardedSwitch` used to run, stamping `1..8`) cannot know to
+/// wait. Every forwarding terminal rejects it with a typed error before
+/// pulling a packet; `.scheduled()`, which models shaping, is untouched;
+/// and the ungated disciplines still equal serial shard by shard.
+#[test]
+fn line_rate_sharding_rejects_shaping_and_equals_serial_otherwise() {
+    use banzai::pifo::SchedSpec;
+    use banzai::wire::{self, FrameSpec, WireConfig};
+    use banzai::SwitchError;
+
+    let (ingress, egress) = (
+        AtomPipeline::passthrough("in"),
+        AtomPipeline::passthrough("out"),
+    );
+    let trace: Vec<Packet> = (0..8)
+        .map(|i| {
+            Packet::new()
+                .with("seq", i)
+                .with("class", i % 2)
+                .with("edt", 20)
+        })
+        .collect();
+    let shaping = SchedSpec::Shaping { rank: "edt".into() };
+    let serial = |spec: &SchedSpec| {
+        Switch::new_slot(&ingress, &egress, CAPACITY)
+            .unwrap()
+            .with_scheduler(spec.clone())
+    };
+    let sharded = |spec: &SchedSpec, shards: usize| {
+        let cfg = ShardConfig::new(shards).with_scheduler(spec.clone());
+        ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap()
+    };
+
+    let gated = serial(&shaping).run(&trace).collect().unwrap();
+    let nows: Vec<i32> = gated.iter().map(|p| p.get("now").unwrap()).collect();
+    assert_eq!(
+        nows,
+        (20..28).collect::<Vec<i32>>(),
+        "serial waits for the EDT"
+    );
+
+    let wire_cfg = WireConfig::new();
+    let frames = vec![wire::encode(&Packet::new(), &wire_cfg, &FrameSpec::default()); 8];
+    for shards in [1usize, 4] {
+        let rejected = |what: &str, err: SwitchError| {
+            assert!(
+                matches!(&err, SwitchError::Unsupported(msg) if msg.contains("shaping")),
+                "{what}@{shards}: {err}"
+            );
+        };
+        let mut sw = sharded(&shaping, shards);
+        rejected("collect", sw.run(&trace).collect().unwrap_err());
+        rejected("for_each", sw.run(&trace).for_each(|_| {}).unwrap_err());
+        rejected("partitioned", sw.run(&trace).partitioned().unwrap_err());
+        rejected("instrumented", sw.run(&trace).instrumented().unwrap_err());
+        rejected(
+            "run_frames.partitioned",
+            sw.run_frames(&frames, &wire_cfg).partitioned().unwrap_err(),
+        );
+        assert_eq!(
+            sw.transmitted() + sw.drops(),
+            0,
+            "rejected before any packet"
+        );
+
+        let deps = sw.run(&trace).scheduled().collect().unwrap();
+        assert_eq!(
+            deps,
+            serial(&shaping).run(&trace).scheduled().collect().unwrap(),
+            "scheduled@{shards}"
+        );
+    }
+
+    for spec in [
+        SchedSpec::Fifo,
+        SchedSpec::Pifo { rank: "edt".into() },
+        SchedSpec::Priority {
+            class: "class".into(),
+            rank: "edt".into(),
+        },
+    ] {
+        let serial_out = serial(&spec).run(&trace).collect().unwrap();
+        for shards in [1usize, 4] {
+            let mut sw = sharded(&spec, shards);
+            let parts = sw.run(&trace).partitioned().unwrap();
+            for (s, part) in parts.iter().enumerate() {
+                let expected: Vec<Packet> = (trace.iter().zip(&serial_out))
+                    .enumerate()
+                    .filter(|(i, (p, _))| sw.plan().steer(*i, p) == s)
+                    .map(|(_, (_, out))| out.clone())
+                    .collect();
+                assert_eq!(part, &expected, "{spec:?}@{shards}: shard {s}");
+            }
+            let merged = sw.merge(parts);
+            assert_eq!(
+                sw.run(&trace).collect().unwrap(),
+                merged,
+                "{spec:?}@{shards}"
+            );
+        }
+    }
+}
