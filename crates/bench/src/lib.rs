@@ -11,11 +11,11 @@
 //! * `table5` — programmability vs. performance (E3),
 //! * `table6` — circuit structure and minimum delays (E4),
 //! * `figure3` — the flowlet pipeline (E5),
-//! * `throughput` — the differential map-vs-slot execution-engine
-//!   comparison (E9) plus the shard-scaling sweep of the flow-steered
-//!   `ShardedSwitch` (E10), emitting `BENCH_throughput.json`; with
-//!   `--check <baseline> --tolerance <f>` it doubles as the CI
-//!   perf-regression gate (see [`throughput`]).
+//! * `throughput` — the differential harness for E9–E14 (engine
+//!   comparison, shard scaling, wire roundtrip, fault injection,
+//!   programmable scheduling, bounded-memory streaming), every run
+//!   emitting `BENCH_throughput.json`; with `--check <baseline>` it
+//!   doubles as the CI perf-regression gate (see [`throughput`]).
 //!
 //! Criterion benchmarks (`cargo bench -p bench`) cover compilation time
 //! (E8) and simulated pipeline throughput.
