@@ -86,6 +86,6 @@ pub use switch::{
 };
 pub use target::Target;
 pub use wire::{
-    deparse, encode, parse, BoundParser, FlatWireLayout, FrameSpec, ParseVerdict, WireConfig,
-    WireLayout, WirePacket,
+    deparse, encode, parse, BoundParser, FrameSpec, ParseVerdict, WireConfig, WireLayout,
+    WirePacket,
 };

@@ -1681,8 +1681,10 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
     /// thread ([`Switch::run_frames`]), returning the per-shard output
     /// frames (un-merged).
     ///
-    /// The dispatcher runs the same parser the shards run
-    /// ([`wire::parse`]) and steers by the parsed packet and frame
+    /// The dispatcher parses on the reference tier ([`wire::parse`] —
+    /// the same parse graph, so the same verdicts, as the bound tier the
+    /// shards run; steering on slots is ROADMAP item 2's other half) and
+    /// steers by the parsed packet and frame
     /// index, so a frame lands on exactly the shard its packet-born twin
     /// would (under replica mode both paths deal by index). Malformed
     /// frames carry no fields to steer by; they are dealt round-robin by

@@ -18,15 +18,20 @@
 //! # One packet currency inside
 //!
 //! Like Banzai's machine model (parse once into a header vector, run
-//! every stage on it, deparse once), a switch crosses map ↔ flat exactly
-//! twice per packet. Each [`Switch`] owns **one** [`FieldTable`]: both
-//! pipelines are lowered onto it, and the queue metadata names and the
-//! [`SchedSpec`]'s fields are resolved to [`FieldId`]s when the switch is
-//! built or reconfigured. A packet is flattened when the source hands it
-//! over (**admission**); ingress, the [`SchedKey`] read, the queue, the
-//! metadata stamps and egress all work on that slab; one map [`Packet`]
-//! is materialised for the sink (**emission**). Input fields the table
-//! does not name ride beside the slab as a (normally empty) residual.
+//! every stage on it, deparse once), a packet enters the switch's layout
+//! once and leaves it once. Each [`Switch`] owns **one** [`FieldTable`]:
+//! both pipelines are lowered onto it, and the queue metadata names and
+//! the [`SchedSpec`]'s fields are resolved to [`FieldId`]s when the switch
+//! is built or reconfigured. A map packet is flattened when the source
+//! hands it over (**admission**); ingress, the [`SchedKey`] read, the
+//! queue, the metadata stamps and egress all work on that slab; the sink
+//! materialises one map [`Packet`] from it (**emission**). Input fields
+//! the table does not name ride beside the slab as a (normally empty)
+//! residual. A **byte-born** packet crosses bytes ↔ slab instead and is
+//! never a map: a [`BoundParser`] on the switch's table lays the frame's
+//! table-known fields straight onto the slab, the frame itself rides
+//! beside it (every field without a slot is still in its bytes), and the
+//! sink deparses straight off the slab.
 //!
 //! # One run loop
 //!
@@ -39,15 +44,16 @@
 //! |---|---|---|---|
 //! | [`Run::collect`] / [`Run::for_each`] | packet source | line rate | the packet |
 //! | [`SchedRun::collect`] | packet source | burst | the whole [`SchedDeparture`] |
-//! | [`FrameRun::collect`] / [`FrameRun::for_each`] | frame source + [`wire::parse`] | line rate | [`wire::deparse`]d bytes |
+//! | [`FrameRun::collect`] / [`FrameRun::for_each`] | frame source + [`BoundParser::parse_flat`] | line rate | [`BoundParser::deparse_flat`]'s bytes |
 //! | sharded workers (`crate::shard`) | stamped `(cycle, packet)` pairs | line rate | the packet |
 //!
-//! An arrival is a packet (with its [`WireLayout`] if it was born as
-//! bytes) or the [`ParseVerdict`] that rejected its frame; stamped
-//! arrivals also set the clock. The
-//! regime says when the link serves the queue — see [`Run`] and
-//! [`SchedRun`]. Whatever the combination, the queue is the switch's own
-//! [`SchedQueue`] under the configured [`SchedSpec`].
+//! An arrival is a map packet, a slab already parsed off a frame (its
+//! [`WireLayout`] beside it), or the [`ParseVerdict`] that rejected the
+//! frame; stamped arrivals also set the clock. The regime says when the
+//! link serves the queue — see [`Run`] and [`SchedRun`]. The sink receives
+//! each departing slab and turns it into its terminal's currency. Whatever
+//! the combination, the queue is the switch's own [`SchedQueue`] under the
+//! configured [`SchedSpec`].
 
 use crate::error::{FaultReport, ShardSalvage, SwitchError};
 use crate::machine::{AtomPipeline, Machine};
@@ -56,7 +62,7 @@ use crate::slot::SlotMachine;
 use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
-use crate::wire::{self, ParseVerdict, WireConfig, WireLayout};
+use crate::wire::{BoundParser, ParseVerdict, WireConfig, WireLayout};
 use domino_ir::{FieldId, FieldTable, FlatPacket, Packet, Residual, StateStore};
 use std::borrow::Cow;
 use std::fmt;
@@ -277,28 +283,53 @@ pub struct SchedDeparture {
 /// the shard planner's model.
 pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 
-/// A packet in flight between admission and emission: the slab on the
-/// switch's table, plus the input fields the table does not name.
+/// A packet in flight between its arrival and its sink: the slab on the
+/// switch's table, plus whatever of the input the table does not name.
 #[derive(Debug, Clone)]
 struct InFlight {
     flat: FlatPacket,
-    residual: Residual,
-    /// A byte-born packet's wire layout, carried through the queue to the
-    /// deparsing sink. Boxed: a queued packet-born slab pays one pointer.
-    layout: Option<Box<WireLayout>>,
+    rest: Rest,
+}
+
+/// What rides beside a slab, by how the packet was born.
+#[derive(Debug, Clone)]
+enum Rest {
+    /// Packet-born: the input fields the table does not name.
+    Fields(Residual),
+    /// Byte-born: the frame, where every field without a slot still sits.
+    /// Boxed, so a queued slab pays one pointer either way.
+    Frame(Box<WireLayout>),
 }
 
 impl InFlight {
     /// **Admission**: flattens `pkt` onto `table` — the one map → flat
     /// crossing of its life — keeping the fields the table does not name.
-    fn admit(pkt: &Packet, table: &Arc<FieldTable>, layout: Option<Box<WireLayout>>) -> InFlight {
+    fn admit(pkt: &Packet, table: &Arc<FieldTable>) -> InFlight {
         let (flat, residual) = FlatPacket::admit(pkt, table);
         InFlight {
             flat,
-            residual,
-            layout,
+            rest: Rest::Fields(residual),
         }
     }
+
+    /// **Emission**: the one flat → map crossing of a packet-born slab,
+    /// every field in name order. (A byte-born slab leaves through the
+    /// deparser instead; asked anyway, it has no unnamed fields to add.)
+    fn emit(&self, by_name: &[FieldId]) -> Packet {
+        match &self.rest {
+            Rest::Fields(residual) => self.flat.emit(by_name, residual),
+            Rest::Frame(_) => self.flat.emit(by_name, &[]),
+        }
+    }
+}
+
+/// A slab leaving the switch, after egress: what the one loop hands its
+/// sink, which turns it into the terminal's currency.
+struct Departed {
+    arrival: i64,
+    key: SchedKey,
+    departure: i64,
+    p: InFlight,
 }
 
 /// When the link serves the queue — the one thing that differs between
@@ -316,13 +347,20 @@ enum Regime {
     Burst,
 }
 
-/// What one arrival slot yields: a packet (with its wire layout, if it
-/// was born as bytes), or the verdict that rejected its frame — the slot
-/// is consumed either way.
+/// What one arrival slot yields: a packet, or the verdict that rejected
+/// its frame — the slot is consumed either way.
 struct Arrival<'a> {
     /// The cycle this arrival sets the clock to (stamped arrivals only).
     stamp: Option<i64>,
-    pkt: Result<(Cow<'a, Packet>, Option<Box<WireLayout>>), ParseVerdict>,
+    pkt: Result<Born<'a>, ParseVerdict>,
+}
+
+/// An arriving packet, in the form its source produces.
+enum Born<'a> {
+    /// A map packet, for the loop to admit.
+    Packet(Cow<'a, Packet>),
+    /// A frame the bound parser already laid out on the switch's table.
+    Bytes(InFlight),
 }
 
 /// How a run through the one loop ended: its totals, the drops it added,
@@ -353,8 +391,9 @@ pub struct Switch<E: PipelineEngine = Machine> {
     /// by (see the module docs). Append-only: reconfiguration may grow
     /// it, which re-binds the engines.
     table: Arc<FieldTable>,
-    /// `table`'s slots in name order — the emission order.
-    by_name: Vec<FieldId>,
+    /// `table`'s slots in name order — the emission order. Shared, so a
+    /// run's sink can emit while the loop holds the switch.
+    by_name: Arc<[FieldId]>,
     /// `(enqueue_cycle, packet)` queue between the pipelines, running the
     /// discipline `sched` selected (drop-tail FIFO by default) for every
     /// run, packet-born or byte-born. Empty between runs.
@@ -441,7 +480,7 @@ impl<E: PipelineEngine> Switch<E> {
         Switch {
             ingress,
             egress,
-            by_name: table.by_name(),
+            by_name: table.by_name().into(),
             table,
             queue: SchedSpec::Fifo.build_queue(capacity),
             sched: SchedSpec::Fifo,
@@ -466,7 +505,7 @@ impl<E: PipelineEngine> Switch<E> {
         let mut table = FieldTable::clone(&self.table);
         let id = table.intern(name);
         self.table = Arc::new(table);
-        self.by_name = self.table.by_name();
+        self.by_name = self.table.by_name().into();
         self.ingress.bind(&self.table);
         self.egress.bind(&self.table);
         id
@@ -656,22 +695,15 @@ impl<E: PipelineEngine> Switch<E> {
         self.egress.import_state(snapshot);
     }
 
-    /// **Emission**: the one flat → map crossing, handing the sink (or
-    /// the deparser) a map packet with every field in name order.
-    fn emit(&self, p: &InFlight) -> Packet {
-        p.flat.emit(&self.by_name, &p.residual)
-    }
-
-    /// A departure: stamps the queue metadata by slot, runs egress on
-    /// the slab in place, and materialises the transmitted packet.
-    fn depart(&mut self, enq_ts: i64, now: i64, depth: usize, p: &mut InFlight) -> Packet {
+    /// A departure: stamps the queue metadata by slot and runs egress on
+    /// the slab in place.
+    fn depart(&mut self, enq_ts: i64, now: i64, depth: usize, p: &mut InFlight) {
         let [enq_ts_slot, now_slot, depth_slot] = self.meta;
         p.flat.set(enq_ts_slot, enq_ts as i32);
         p.flat.set(now_slot, now as i32);
         p.flat.set(depth_slot, depth as i32);
         self.egress.process(&mut p.flat);
         self.transmitted += 1;
-        self.emit(p)
     }
 
     /// **The one run loop** every terminal of this switch — and, through
@@ -679,22 +711,22 @@ impl<E: PipelineEngine> Switch<E> {
     /// of (see the module docs for the table). One iteration is one
     /// cycle:
     ///
-    /// 1. **arrival slot** — `pull` yields the next [`Arrival`]: the
-    ///    packet is admitted onto the switch table, ingress runs on the
-    ///    slab, the [`SchedKey`] is read off slots, and the slab joins the
-    ///    queue as having arrived at this cycle — or the drop is booked
-    ///    under the discipline's reason, or under the verdict that
-    ///    rejected its frame. A failed or ended source is never pulled
-    ///    again;
+    /// 1. **arrival slot** — `pull` yields the next [`Arrival`]: a map
+    ///    packet is admitted onto the switch table (a frame arrives on it
+    ///    already), ingress runs on the slab, the [`SchedKey`] is read off
+    ///    slots, and the slab joins the queue as having arrived at this
+    ///    cycle — or the drop is booked under the discipline's reason, or
+    ///    under the verdict that rejected its frame. A failed or ended
+    ///    source is never pulled again;
     /// 2. the run is over once the source has ended and the queue is
     ///    empty — so everything admitted departs and the books close
     ///    (`lost_in_fault == 0`) even when the source failed mid-stream;
     /// 3. **drain slot** — if the [`Regime`]'s gate is open and, under a
     ///    shaping discipline, the head's rank is due, the head departs:
     ///    `enq_ts`/`now`/`qdepth` (or the configured names) are stamped,
-    ///    egress runs, and `sink` receives the [`SchedDeparture`] (plus
-    ///    the wire layout of a byte-born packet) the cycle it leaves —
-    ///    memory stays O(queue capacity) however long the source.
+    ///    egress runs, and `sink` receives the slab the cycle it leaves,
+    ///    to emit or deparse — memory stays O(queue capacity) however
+    ///    long the source.
     ///
     /// Engine state and the drop/transmit counters accumulate across
     /// calls; the queue is empty on entry and on return.
@@ -702,7 +734,7 @@ impl<E: PipelineEngine> Switch<E> {
         &mut self,
         regime: Regime,
         mut pull: impl FnMut() -> Result<Option<Arrival<'a>>, SourceError>,
-        mut sink: impl FnMut(SchedDeparture, Option<Box<WireLayout>>),
+        mut sink: impl FnMut(Departed),
     ) -> Ended {
         let burst = regime == Regime::Burst;
         let shaping = self.sched.is_shaping();
@@ -718,12 +750,18 @@ impl<E: PipelineEngine> Switch<E> {
                         stats.offered += 1;
                         now = arrival.stamp.unwrap_or(now);
                         match arrival.pkt {
-                            // `pkt` is freed at the end of this arm, after
-                            // the slab is queued — not right after admission:
-                            // the earlier free changes malloc's chunk reuse
-                            // enough to pin 50 MiB in the E15 sharded ledger.
-                            Ok((pkt, layout)) => {
-                                let mut p = InFlight::admit(&pkt, &self.table, layout);
+                            // A map `pkt` is freed at the end of this arm,
+                            // after the slab is queued — not right after
+                            // admission: the earlier free changes malloc's
+                            // chunk reuse enough to pin 50 MiB in the E15
+                            // sharded ledger.
+                            Ok(born) => {
+                                let (mut p, _pkt) = match born {
+                                    Born::Packet(pkt) => {
+                                        (InFlight::admit(&pkt, &self.table), Some(pkt))
+                                    }
+                                    Born::Bytes(p) => (p, None),
+                                };
                                 self.ingress.process(&mut p.flat);
                                 let key = self.key.key_of(&p.flat);
                                 if self.queue.push(key, (now, p)).is_err() {
@@ -765,15 +803,14 @@ impl<E: PipelineEngine> Switch<E> {
                 }
                 if due <= now {
                     if let Some((key, (arrival, mut p))) = self.queue.pop() {
-                        let pkt = self.depart(arrival, now, self.queue.len(), &mut p);
+                        self.depart(arrival, now, self.queue.len(), &mut p);
                         stats.transmitted += 1;
-                        let departure = SchedDeparture {
+                        sink(Departed {
                             arrival,
                             key,
                             departure: now,
-                            pkt,
-                        };
-                        sink(departure, p.layout);
+                            p,
+                        });
                     }
                 }
             }
@@ -789,21 +826,29 @@ impl<E: PipelineEngine> Switch<E> {
         }
     }
 
-    /// The loop over a [`PacketSource`] — the arrival adapter of
-    /// [`Run`] and [`SchedRun`].
+    /// The loop over a [`PacketSource`], emitting every departure — the
+    /// arrival adapter and sink of [`Run`] and [`SchedRun`].
     fn run_packets<S: PacketSource>(
         &mut self,
         source: &mut S,
         regime: Regime,
-        sink: impl FnMut(SchedDeparture, Option<Box<WireLayout>>),
+        mut sink: impl FnMut(SchedDeparture),
     ) -> Ended {
         let pull = || {
             Ok(source.next_packet()?.map(|pkt| Arrival {
                 stamp: None,
-                pkt: Ok((Cow::Owned(pkt), None)),
+                pkt: Ok(Born::Packet(Cow::Owned(pkt))),
             }))
         };
-        self.cycle(regime, pull, sink)
+        let by_name = Arc::clone(&self.by_name);
+        self.cycle(regime, pull, |d| {
+            sink(SchedDeparture {
+                arrival: d.arrival,
+                key: d.key,
+                departure: d.departure,
+                pkt: d.p.emit(&by_name),
+            })
+        })
     }
 
     /// Whether per-shard runs of this switch compose back into the serial
@@ -865,10 +910,11 @@ impl<E: PipelineEngine> Switch<E> {
         let pull = || {
             Ok(arrivals.next().map(|(t, pkt)| Arrival {
                 stamp: Some(*t),
-                pkt: Ok((Cow::Borrowed(pkt), None)),
+                pkt: Ok(Born::Packet(Cow::Borrowed(pkt))),
             }))
         };
-        self.cycle(Regime::LineRate, pull, |d, _| out.push(d.pkt));
+        let by_name = Arc::clone(&self.by_name);
+        self.cycle(Regime::LineRate, pull, |d| out.push(d.p.emit(&by_name)));
         Ok(out)
     }
 
@@ -922,9 +968,9 @@ impl<E: PipelineEngine> Switch<E> {
     /// ingress; the PIFO and the egress pass live outside the worker, so
     /// the packet leaves this switch here, as a map packet).
     pub(crate) fn ingress_process(&mut self, pkt: &Packet) -> Packet {
-        let mut p = InFlight::admit(pkt, &self.table, None);
+        let mut p = InFlight::admit(pkt, &self.table);
         self.ingress.process(&mut p.flat);
-        self.emit(&p)
+        p.emit(&self.by_name)
     }
 
     /// Stamps and runs one packet through the egress pipeline alone — the
@@ -937,8 +983,9 @@ impl<E: PipelineEngine> Switch<E> {
         depth: usize,
         pkt: &Packet,
     ) -> Packet {
-        let mut p = InFlight::admit(pkt, &self.table, None);
-        self.depart(enq_ts, now, depth, &mut p)
+        let mut p = InFlight::admit(pkt, &self.table);
+        self.depart(enq_ts, now, depth, &mut p);
+        p.emit(&self.by_name)
     }
 
     /// Bumps a drop counter directly (sharded scheduling admission).
@@ -1053,7 +1100,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
         let mut out = Vec::with_capacity(hi.unwrap_or(lo).min(1 << 20));
         let end = self
             .switch
-            .run_packets(&mut self.source, Regime::LineRate, |d, _| out.push(d.pkt));
+            .run_packets(&mut self.source, Regime::LineRate, |d| out.push(d.pkt));
         self.switch.close(end, || out.clone())?;
         Ok(out)
     }
@@ -1070,7 +1117,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     pub fn for_each<F: FnMut(Packet)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
         let end = self
             .switch
-            .run_packets(&mut self.source, Regime::LineRate, |d, _| sink(d.pkt));
+            .run_packets(&mut self.source, Regime::LineRate, |d| sink(d.pkt));
         self.switch.close(end, Vec::new)
     }
 }
@@ -1119,7 +1166,7 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
         let mut out = Vec::with_capacity(hi.unwrap_or(lo).min(self.switch.capacity));
         let end = self
             .switch
-            .run_packets(&mut self.source, Regime::Burst, |d, _| out.push(d));
+            .run_packets(&mut self.source, Regime::Burst, |d| out.push(d));
         self.switch
             .close(end, || out.iter().map(|d| d.pkt.clone()).collect())?;
         Ok(out)
@@ -1133,12 +1180,15 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
 /// Each arrival slot takes one frame: a frame the parse graph rejects is
 /// dropped on its arrival cycle under the matching [`DropReason::Parse`]
 /// counter (malformed traffic still consumes arrival slots, as on a real
-/// wire — it just never reaches ingress). Accepted frames carry their
-/// [`WireLayout`] through the switch's queue — the configured discipline,
-/// capacity and drop reason apply exactly as to packet-born traffic — so
-/// the sink re-serializes every pipeline-modified field back into its
-/// wire position and all unparsed bytes (options, payloads) survive
-/// verbatim.
+/// wire — it just never reaches ingress). An accepted frame is parsed
+/// straight onto the switch's slab by a [`BoundParser`] bound to the
+/// switch's table, and its [`WireLayout`] rides the switch's queue beside
+/// the slab — the configured discipline, capacity and drop reason apply
+/// exactly as to packet-born traffic — so the sink re-serializes every
+/// pipeline-modified field from its slot back into its wire position and
+/// all unparsed bytes (options, payloads) survive verbatim. The output is
+/// byte-identical to parsing, [`Switch::run`]ning and deparsing on the
+/// map tier of [`crate::wire`], the reference.
 #[must_use = "a run session does nothing until a terminal method (`collect`, `for_each`) runs it"]
 pub struct FrameRun<'s, 'c, E: PipelineEngine, S: FrameSource> {
     switch: &'s mut Switch<E>,
@@ -1168,18 +1218,24 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
     ///
     /// [`SwitchError::Fault`] if the source fails mid-stream.
     pub fn for_each<F: FnMut(Vec<u8>)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
-        // The borrowed frame is parsed to owned form inside the pull, so
-        // the source can be pulled again next cycle.
+        // Bound per run: reconfiguration between runs may have grown the
+        // table. The borrowed frame is parsed to owned form inside the
+        // pull, so the source can be pulled again next cycle.
+        let parser = BoundParser::bind(self.cfg.clone(), Arc::clone(&self.switch.table));
         let pull = || {
             Ok(self.source.next_frame()?.map(|frame| Arrival {
                 stamp: None,
-                pkt: wire::parse(frame, self.cfg)
-                    .map(|wp| (Cow::Owned(wp.pkt), Some(Box::new(wp.layout)))),
+                pkt: parser.parse_flat(frame).map(|(flat, layout)| {
+                    Born::Bytes(InFlight {
+                        flat,
+                        rest: Rest::Frame(Box::new(layout)),
+                    })
+                }),
             }))
         };
-        let end = self.switch.cycle(Regime::LineRate, pull, |d, layout| {
-            if let Some(layout) = layout {
-                sink(wire::deparse(&d.pkt, &layout));
+        let end = self.switch.cycle(Regime::LineRate, pull, |d| {
+            if let Rest::Frame(layout) = &d.p.rest {
+                sink(parser.deparse_flat(&d.p.flat, layout));
             }
         });
         self.switch.close(end, Vec::new)

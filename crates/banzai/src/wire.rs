@@ -23,11 +23,30 @@
 //! telemetry idiom, which is what lets the Table 4 programs run from real
 //! frames even though their inputs are not all IP headers.
 //!
+//! ## One frame record, two tiers
+//!
+//! Walking the parse graph produces the one record of a parsed frame, the
+//! [`WireLayout`]: the original bytes verbatim plus the few offsets the
+//! walk fixed (tag or no tag, where L4 starts, which L4, where the payload
+//! starts). Every decoded field's region — its *dense wire index*
+//! (position in [`HEADER_FIELDS`], then position in the trailer schema),
+//! frame offset and width — follows from those, so nothing is stored or
+//! allocated per field. Two thin routers read and write the regions:
+//!
+//! * the **bound tier** — [`BoundParser::parse_flat`] /
+//!   [`BoundParser::deparse_flat`] — is **production**: it routes a wire
+//!   index to the slot a field table gave it at bind time, filling and
+//!   reading a [`FlatPacket`] slab. It is what `Switch::run_frames` runs;
+//!   fields the table does not name simply stay in the frame bytes;
+//! * the **map tier** — [`parse`] / [`deparse`] — is the **reference**:
+//!   it routes a wire index to its name, building and reading a map
+//!   [`Packet`]. The differential suites (and the sharded dispatcher's
+//!   steering, until it steers on slots) compare against it.
+//!
 //! ## Deparsing: original bytes + patches
 //!
-//! Parsing records a [`WireLayout`]: the original frame verbatim plus one
-//! [`Patch`] (offset, width) per decoded field. Deparsing clones the
-//! original bytes and re-writes every patched region from the packet's
+//! Deparsing clones the layout's original bytes and re-writes every
+//! decoded region ([`WireLayout::patches`] lists them) from the packet's
 //! current field values, so:
 //!
 //! * an **unmodified** packet deparses to the *identical* byte frame —
@@ -51,6 +70,7 @@
 use domino_ir::wire::{fields as wf, HEADER_FIELDS};
 use domino_ir::{FieldId, FieldTable, FlatPacket, Packet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// EtherType for IPv4.
@@ -115,10 +135,7 @@ impl ParseVerdict {
 
     /// Dense index of this verdict in [`ParseVerdict::ALL`].
     pub fn index(self) -> usize {
-        ParseVerdict::ALL
-            .iter()
-            .position(|v| *v == self)
-            .expect("ALL is exhaustive")
+        self as usize
     }
 
     /// Stable snake_case label (used in counters and bench JSON).
@@ -152,7 +169,8 @@ impl fmt::Display for ParseVerdict {
 /// parser must agree on the schema, exactly like any P4 header type.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireConfig {
-    meta: Vec<String>,
+    /// Shared with the [`WireLayout`] of every frame parsed under it.
+    meta: Arc<[String]>,
 }
 
 impl WireConfig {
@@ -184,7 +202,7 @@ impl WireConfig {
             }
             meta.push(f);
         }
-        Ok(WireConfig { meta })
+        Ok(WireConfig { meta: meta.into() })
     }
 
     /// The trailer schema, in wire order.
@@ -219,14 +237,69 @@ pub struct Patch {
     pub width: u8,
 }
 
-/// The structural record of a parsed frame: the original bytes verbatim
-/// plus the patch list the deparser re-writes from field values.
+/// Where every [`HEADER_FIELDS`] entry sits inside its header, as
+/// `(byte offset, width)` in `HEADER_FIELDS` order — so a field's position
+/// in either array is its **dense wire index**, the key every decoded
+/// region is routed by (to a name by the map tier, to a slot by the bound
+/// tier).
+const REGIONS: [(usize, u8); HEADER_FIELDS.len()] = [
+    // Ethernet addresses, from frame byte 0: dst hi/lo, src hi/lo.
+    (0, 2),
+    (2, 4),
+    (6, 2),
+    (8, 4),
+    // The four bytes before L3: `eth_type`, and on a tagged frame
+    // `vlan_tci` ahead of it.
+    (2, 2),
+    (0, 2),
+    // IPv4: tos, len, id, frag, ttl, proto, csum, src, dst.
+    (1, 1),
+    (2, 2),
+    (4, 2),
+    (6, 2),
+    (8, 1),
+    (9, 1),
+    (10, 2),
+    (12, 4),
+    (16, 4),
+    // L4 ports, shared by TCP and UDP.
+    (0, 2),
+    (2, 2),
+    // TCP past the ports: seq, ack, flags, win, csum, urg.
+    (4, 4),
+    (8, 4),
+    (13, 1),
+    (14, 2),
+    (16, 2),
+    (18, 2),
+    // UDP past the ports: len, csum.
+    (4, 2),
+    (6, 2),
+];
+
+// The wire-index range each header owns in `REGIONS`.
+const ETH_ADDRS: Range<usize> = 0..4;
+const ETH_TYPE: usize = 4;
+const VLAN_TCI: usize = 5;
+const IPV4: Range<usize> = 6..15;
+const PORTS: Range<usize> = 15..17;
+const TCP_REST: Range<usize> = 17..23;
+const UDP_REST: Range<usize> = 23..25;
+
+/// The one record of a parsed frame, shared by both tiers: the original
+/// bytes verbatim plus the few offsets the parse graph's walk fixed.
+/// Every decoded field's region follows from those and `REGIONS`, so
+/// nothing is stored — or allocated — per field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireLayout {
     bytes: Vec<u8>,
-    patches: Vec<Patch>,
+    /// The trailer schema the frame was parsed under (shared with the
+    /// [`WireConfig`]): trailer word `i` has wire index
+    /// `HEADER_FIELDS.len() + i` and ends the headers, before the payload.
+    meta: Arc<[String]>,
     has_vlan: bool,
     l4: L4,
+    l4_off: usize,
     payload_off: usize,
 }
 
@@ -251,9 +324,124 @@ impl WireLayout {
         &self.bytes[self.payload_off..]
     }
 
-    /// The decoded-field patch list, in parse order.
-    pub fn patches(&self) -> &[Patch] {
-        &self.patches
+    /// The decoded-field patch list, in wire-index order (built on
+    /// demand; neither tier's parse or deparse goes through it).
+    pub fn patches(&self) -> impl Iterator<Item = Patch> + '_ {
+        self.regions().map(|(field, offset, width)| Patch {
+            field: self.name(field).to_string(),
+            offset,
+            width,
+        })
+    }
+
+    /// Every decoded field as `(dense wire index, frame offset, width)`.
+    /// All regions end at or before `payload_off`, which the walk checked
+    /// against the frame's length.
+    fn regions(&self) -> impl Iterator<Item = (usize, usize, u8)> + '_ {
+        let l3_off = if self.has_vlan { 18 } else { 14 };
+        let l4_rest = match self.l4 {
+            L4::Tcp => TCP_REST,
+            L4::Udp => UDP_REST,
+        };
+        let headers = [
+            (ETH_ADDRS, 0),
+            (ETH_TYPE..VLAN_TCI + usize::from(self.has_vlan), l3_off - 4), // TCI only if tagged
+            (IPV4, l3_off),
+            (PORTS, self.l4_off),
+            (l4_rest, self.l4_off),
+        ];
+        let meta_off = self.payload_off - 4 * self.meta.len();
+        let trailer = (0..self.meta.len()).map(move |i| (REGIONS.len() + i, meta_off + 4 * i, 4));
+        headers
+            .into_iter()
+            .flat_map(|(fields, base)| fields.map(move |f| (f, base + REGIONS[f].0, REGIONS[f].1)))
+            .chain(trailer)
+    }
+
+    /// The field name behind a dense wire index [`WireLayout::regions`]
+    /// yielded.
+    fn name(&self, field: usize) -> &str {
+        match HEADER_FIELDS.get(field) {
+            Some(name) => name,
+            None => &self.meta[field - HEADER_FIELDS.len()],
+        }
+    }
+
+    /// Walks the parse graph over `frame`. First failure (in parse order)
+    /// is the verdict; the walk itself can never panic on any byte input.
+    fn walk(frame: &[u8], cfg: &WireConfig) -> Result<WireLayout, ParseVerdict> {
+        let n = frame.len();
+
+        // --- Ethernet, 802.1Q VLAN --------------------------------------
+        if n < 14 {
+            return Err(ParseVerdict::TruncatedEthernet);
+        }
+        let has_vlan = be16(frame, 12) == ETHERTYPE_VLAN;
+        let l3_off = if has_vlan { 18 } else { 14 };
+        // Only a tag puts L3 past the 14 bytes already checked.
+        if n < l3_off {
+            return Err(ParseVerdict::TruncatedVlan);
+        }
+        if be16(frame, l3_off - 2) != ETHERTYPE_IPV4 {
+            return Err(ParseVerdict::UnsupportedEthertype);
+        }
+
+        // --- IPv4 -------------------------------------------------------
+        if n < l3_off + 1 {
+            return Err(ParseVerdict::TruncatedIpv4);
+        }
+        let vihl = frame[l3_off];
+        if vihl >> 4 != 4 {
+            return Err(ParseVerdict::BadIpVersion);
+        }
+        let ihl = (vihl & 0x0f) as usize;
+        if ihl < 5 {
+            return Err(ParseVerdict::BadIhl);
+        }
+        // IPv4 options (ihl > 5) are carried verbatim, never decoded.
+        let l4_off = l3_off + ihl * 4;
+        if n < l4_off {
+            return Err(ParseVerdict::TruncatedIpv4);
+        }
+
+        // --- L4 ---------------------------------------------------------
+        let (l4, l4_len) = match frame[l3_off + 9] {
+            IPPROTO_TCP => {
+                if n < l4_off + 20 {
+                    return Err(ParseVerdict::TruncatedTcp);
+                }
+                let doff = (frame[l4_off + 12] >> 4) as usize;
+                if doff < 5 {
+                    return Err(ParseVerdict::BadTcpOffset);
+                }
+                // TCP options are carried verbatim, never decoded.
+                if n < l4_off + doff * 4 {
+                    return Err(ParseVerdict::TruncatedTcp);
+                }
+                (L4::Tcp, doff * 4)
+            }
+            IPPROTO_UDP => {
+                if n < l4_off + 8 {
+                    return Err(ParseVerdict::TruncatedUdp);
+                }
+                (L4::Udp, 8)
+            }
+            _ => return Err(ParseVerdict::UnsupportedIpProto),
+        };
+
+        // --- metadata trailer -------------------------------------------
+        let payload_off = l4_off + l4_len + cfg.meta_len();
+        if n < payload_off {
+            return Err(ParseVerdict::TruncatedMetadata);
+        }
+        Ok(WireLayout {
+            bytes: frame.to_vec(),
+            meta: Arc::clone(&cfg.meta),
+            has_vlan,
+            l4,
+            l4_off,
+            payload_off,
+        })
     }
 }
 
@@ -267,62 +455,20 @@ pub struct WirePacket {
     pub layout: WireLayout,
 }
 
-// ---------------------------------------------------------------------------
-// Core parse (shared by the map-level and flat front-ends)
-// ---------------------------------------------------------------------------
-
-// Dense indices into `domino_ir::wire::HEADER_FIELDS`, so the hot path
-// never hashes a field name.
-const W_ETH_DST_HI: usize = 0;
-const W_ETH_DST_LO: usize = 1;
-const W_ETH_SRC_HI: usize = 2;
-const W_ETH_SRC_LO: usize = 3;
-const W_ETH_TYPE: usize = 4;
-const W_VLAN_TCI: usize = 5;
-const W_IP_TOS: usize = 6;
-const W_IP_LEN: usize = 7;
-const W_IP_ID: usize = 8;
-const W_IP_FRAG: usize = 9;
-const W_IP_TTL: usize = 10;
-const W_IP_PROTO: usize = 11;
-const W_IP_CSUM: usize = 12;
-const W_IP_SRC: usize = 13;
-const W_IP_DST: usize = 14;
-const W_SPORT: usize = 15;
-const W_DPORT: usize = 16;
-const W_TCP_SEQ: usize = 17;
-const W_TCP_ACK: usize = 18;
-const W_TCP_FLAGS: usize = 19;
-const W_TCP_WIN: usize = 20;
-const W_TCP_CSUM: usize = 21;
-const W_TCP_URG: usize = 22;
-const W_UDP_LEN: usize = 23;
-const W_UDP_CSUM: usize = 24;
-
-/// A decoded field before it is routed to a map packet or a flat slot:
-/// (dense wire index, value, frame offset, width).
-type RawField = (usize, i32, usize, u8);
-
-/// The allocation-light result of walking the parse graph.
-struct RawFrame {
-    fields: Vec<RawField>,
-    /// Metadata-trailer values in schema order; entry `i` sits at
-    /// `meta_off + 4 * i`.
-    meta: Vec<i32>,
-    meta_off: usize,
-    has_vlan: bool,
-    l4: L4,
-    payload_off: usize,
-}
-
 #[inline]
 fn be16(b: &[u8], off: usize) -> u16 {
     u16::from_be_bytes([b[off], b[off + 1]])
 }
 
+/// Reads the big-endian `width`-byte region at `offset` as a host-order
+/// slot value (zero-extended below 32 bits).
 #[inline]
-fn be32(b: &[u8], off: usize) -> u32 {
-    u32::from_be_bytes([b[off], b[off + 1], b[off + 2], b[off + 3]])
+fn read_be(b: &[u8], offset: usize, width: u8) -> i32 {
+    match width {
+        1 => b[offset] as i32,
+        2 => be16(b, offset) as i32,
+        _ => u32::from_be_bytes([b[offset], b[offset + 1], b[offset + 2], b[offset + 3]]) as i32,
+    }
 }
 
 /// Writes `value` big-endian into `out[offset..offset + width]`, masked to
@@ -337,126 +483,8 @@ fn patch_be(out: &mut [u8], offset: usize, width: u8, value: i32) {
     }
 }
 
-/// Walks the parse graph over `frame`. First failure (in parse order) is
-/// the verdict; the walk itself can never panic on any byte input.
-fn parse_raw(frame: &[u8], cfg: &WireConfig) -> Result<RawFrame, ParseVerdict> {
-    let n = frame.len();
-    let mut fields: Vec<RawField> = Vec::with_capacity(24 + cfg.meta.len());
-
-    // --- Ethernet -------------------------------------------------------
-    if n < 14 {
-        return Err(ParseVerdict::TruncatedEthernet);
-    }
-    fields.push((W_ETH_DST_HI, be16(frame, 0) as i32, 0, 2));
-    fields.push((W_ETH_DST_LO, be32(frame, 2) as i32, 2, 4));
-    fields.push((W_ETH_SRC_HI, be16(frame, 6) as i32, 6, 2));
-    fields.push((W_ETH_SRC_LO, be32(frame, 8) as i32, 8, 4));
-
-    let mut ethertype = be16(frame, 12);
-    let has_vlan = ethertype == ETHERTYPE_VLAN;
-    let l3_off = if has_vlan {
-        // --- 802.1Q VLAN ------------------------------------------------
-        if n < 18 {
-            return Err(ParseVerdict::TruncatedVlan);
-        }
-        fields.push((W_VLAN_TCI, be16(frame, 14) as i32, 14, 2));
-        ethertype = be16(frame, 16);
-        fields.push((W_ETH_TYPE, ethertype as i32, 16, 2));
-        18
-    } else {
-        fields.push((W_ETH_TYPE, ethertype as i32, 12, 2));
-        14
-    };
-    if ethertype != ETHERTYPE_IPV4 {
-        return Err(ParseVerdict::UnsupportedEthertype);
-    }
-
-    // --- IPv4 -----------------------------------------------------------
-    if n < l3_off + 1 {
-        return Err(ParseVerdict::TruncatedIpv4);
-    }
-    let vihl = frame[l3_off];
-    if vihl >> 4 != 4 {
-        return Err(ParseVerdict::BadIpVersion);
-    }
-    let ihl = (vihl & 0x0f) as usize;
-    if ihl < 5 {
-        return Err(ParseVerdict::BadIhl);
-    }
-    if n < l3_off + ihl * 4 {
-        return Err(ParseVerdict::TruncatedIpv4);
-    }
-    fields.push((W_IP_TOS, frame[l3_off + 1] as i32, l3_off + 1, 1));
-    fields.push((W_IP_LEN, be16(frame, l3_off + 2) as i32, l3_off + 2, 2));
-    fields.push((W_IP_ID, be16(frame, l3_off + 4) as i32, l3_off + 4, 2));
-    fields.push((W_IP_FRAG, be16(frame, l3_off + 6) as i32, l3_off + 6, 2));
-    fields.push((W_IP_TTL, frame[l3_off + 8] as i32, l3_off + 8, 1));
-    let proto = frame[l3_off + 9];
-    fields.push((W_IP_PROTO, proto as i32, l3_off + 9, 1));
-    fields.push((W_IP_CSUM, be16(frame, l3_off + 10) as i32, l3_off + 10, 2));
-    fields.push((W_IP_SRC, be32(frame, l3_off + 12) as i32, l3_off + 12, 4));
-    fields.push((W_IP_DST, be32(frame, l3_off + 16) as i32, l3_off + 16, 4));
-    // IPv4 options (ihl > 5) are carried verbatim, never decoded.
-    let l4_off = l3_off + ihl * 4;
-
-    // --- L4 -------------------------------------------------------------
-    let (l4, l4_len) = match proto {
-        IPPROTO_TCP => {
-            if n < l4_off + 20 {
-                return Err(ParseVerdict::TruncatedTcp);
-            }
-            let doff = (frame[l4_off + 12] >> 4) as usize;
-            if doff < 5 {
-                return Err(ParseVerdict::BadTcpOffset);
-            }
-            if n < l4_off + doff * 4 {
-                return Err(ParseVerdict::TruncatedTcp);
-            }
-            fields.push((W_SPORT, be16(frame, l4_off) as i32, l4_off, 2));
-            fields.push((W_DPORT, be16(frame, l4_off + 2) as i32, l4_off + 2, 2));
-            fields.push((W_TCP_SEQ, be32(frame, l4_off + 4) as i32, l4_off + 4, 4));
-            fields.push((W_TCP_ACK, be32(frame, l4_off + 8) as i32, l4_off + 8, 4));
-            fields.push((W_TCP_FLAGS, frame[l4_off + 13] as i32, l4_off + 13, 1));
-            fields.push((W_TCP_WIN, be16(frame, l4_off + 14) as i32, l4_off + 14, 2));
-            fields.push((W_TCP_CSUM, be16(frame, l4_off + 16) as i32, l4_off + 16, 2));
-            fields.push((W_TCP_URG, be16(frame, l4_off + 18) as i32, l4_off + 18, 2));
-            // TCP options are carried verbatim, never decoded.
-            (L4::Tcp, doff * 4)
-        }
-        IPPROTO_UDP => {
-            if n < l4_off + 8 {
-                return Err(ParseVerdict::TruncatedUdp);
-            }
-            fields.push((W_SPORT, be16(frame, l4_off) as i32, l4_off, 2));
-            fields.push((W_DPORT, be16(frame, l4_off + 2) as i32, l4_off + 2, 2));
-            fields.push((W_UDP_LEN, be16(frame, l4_off + 4) as i32, l4_off + 4, 2));
-            fields.push((W_UDP_CSUM, be16(frame, l4_off + 6) as i32, l4_off + 6, 2));
-            (L4::Udp, 8)
-        }
-        _ => return Err(ParseVerdict::UnsupportedIpProto),
-    };
-
-    // --- metadata trailer ----------------------------------------------
-    let meta_off = l4_off + l4_len;
-    if n < meta_off + cfg.meta_len() {
-        return Err(ParseVerdict::TruncatedMetadata);
-    }
-    let meta: Vec<i32> = (0..cfg.meta.len())
-        .map(|i| be32(frame, meta_off + 4 * i) as i32)
-        .collect();
-
-    Ok(RawFrame {
-        fields,
-        meta,
-        meta_off,
-        has_vlan,
-        l4,
-        payload_off: meta_off + cfg.meta_len(),
-    })
-}
-
 // ---------------------------------------------------------------------------
-// Map-level front-end (the reference path)
+// The map tier (the reference: names in, names out)
 // ---------------------------------------------------------------------------
 
 /// Parses a byte frame into a [`WirePacket`] (map-packet view plus
@@ -464,36 +492,12 @@ fn parse_raw(frame: &[u8], cfg: &WireConfig) -> Result<RawFrame, ParseVerdict> {
 ///
 /// Never panics: malformed input is a typed [`ParseVerdict`].
 pub fn parse(frame: &[u8], cfg: &WireConfig) -> Result<WirePacket, ParseVerdict> {
-    let raw = parse_raw(frame, cfg)?;
+    let layout = WireLayout::walk(frame, cfg)?;
     let mut pkt = Packet::new();
-    let mut patches = Vec::with_capacity(raw.fields.len() + raw.meta.len());
-    for &(idx, value, offset, width) in &raw.fields {
-        let name = HEADER_FIELDS[idx];
-        pkt.set(name, value);
-        patches.push(Patch {
-            field: name.to_string(),
-            offset,
-            width,
-        });
+    for (field, offset, width) in layout.regions() {
+        pkt.set(layout.name(field), read_be(frame, offset, width));
     }
-    for (i, (&value, name)) in raw.meta.iter().zip(&cfg.meta).enumerate() {
-        pkt.set(name, value);
-        patches.push(Patch {
-            field: name.clone(),
-            offset: raw.meta_off + 4 * i,
-            width: 4,
-        });
-    }
-    Ok(WirePacket {
-        pkt,
-        layout: WireLayout {
-            bytes: frame.to_vec(),
-            patches,
-            has_vlan: raw.has_vlan,
-            l4: raw.l4,
-            payload_off: raw.payload_off,
-        },
-    })
+    Ok(WirePacket { pkt, layout })
 }
 
 /// Re-serializes a (possibly pipeline-modified) packet over its parse
@@ -505,32 +509,17 @@ pub fn parse(frame: &[u8], cfg: &WireConfig) -> Result<WirePacket, ParseVerdict>
 /// pipeline, which only writes) keep their original bytes.
 pub fn deparse(pkt: &Packet, layout: &WireLayout) -> Vec<u8> {
     let mut out = layout.bytes.clone();
-    for p in &layout.patches {
-        if let Some(v) = pkt.get(&p.field) {
-            patch_be(&mut out, p.offset, p.width, v);
+    for (field, offset, width) in layout.regions() {
+        if let Some(v) = pkt.get(layout.name(field)) {
+            patch_be(&mut out, offset, width, v);
         }
     }
     out
 }
 
 // ---------------------------------------------------------------------------
-// Flat front-end (the slot-engine fast path)
+// The bound tier (production: slots in, slots out)
 // ---------------------------------------------------------------------------
-
-/// The deparse layout of the flat fast path: original bytes plus patches
-/// pre-resolved to [`FieldId`]s (no name lookups per packet).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatWireLayout {
-    bytes: Vec<u8>,
-    patches: Vec<(FieldId, u32, u8)>,
-}
-
-impl FlatWireLayout {
-    /// The original frame, verbatim.
-    pub fn frame(&self) -> &[u8] {
-        &self.bytes
-    }
-}
 
 /// A wire parser bound to a pipeline's field layout: every canonical
 /// header name and metadata field is resolved to its [`FieldId`] (or
@@ -539,31 +528,27 @@ impl FlatWireLayout {
 ///
 /// Fields the pipeline's table does not intern are *not* lost: they keep
 /// their original bytes in the layout and re-appear verbatim on deparse.
-/// Only fields the pipeline can actually read or write get slots and
-/// patches.
+/// Only fields the pipeline can actually read or write get slots, and
+/// only those are patched.
 #[derive(Debug, Clone)]
 pub struct BoundParser {
     cfg: WireConfig,
     table: Arc<FieldTable>,
-    wire_slots: [Option<FieldId>; HEADER_FIELDS.len()],
-    meta_slots: Vec<Option<FieldId>>,
+    /// The slot of each dense wire index: the header fields, then the
+    /// config's trailer words.
+    slots: Vec<Option<FieldId>>,
 }
 
 impl BoundParser {
     /// Binds a config to a field table (typically
     /// `SlotMachine::field_table`).
     pub fn bind(cfg: WireConfig, table: Arc<FieldTable>) -> BoundParser {
-        let mut wire_slots = [None; HEADER_FIELDS.len()];
-        for (i, name) in HEADER_FIELDS.iter().enumerate() {
-            wire_slots[i] = table.lookup(name);
-        }
-        let meta_slots = cfg.meta.iter().map(|f| table.lookup(f)).collect();
-        BoundParser {
-            cfg,
-            table,
-            wire_slots,
-            meta_slots,
-        }
+        let names = HEADER_FIELDS.iter().copied();
+        let slots = names
+            .chain(cfg.meta.iter().map(String::as_str))
+            .map(|name| table.lookup(name))
+            .collect();
+        BoundParser { cfg, table, slots }
     }
 
     /// The schema this parser was bound with.
@@ -578,38 +563,29 @@ impl BoundParser {
 
     /// Parses a frame straight onto the bound layout: a [`FlatPacket`]
     /// with every table-known field filled (big-endian decoded, marked
-    /// present) plus the flat deparse layout.
-    pub fn parse_flat(&self, frame: &[u8]) -> Result<(FlatPacket, FlatWireLayout), ParseVerdict> {
-        let raw = parse_raw(frame, &self.cfg)?;
+    /// present) plus the deparse layout.
+    pub fn parse_flat(&self, frame: &[u8]) -> Result<(FlatPacket, WireLayout), ParseVerdict> {
+        let layout = WireLayout::walk(frame, &self.cfg)?;
         let mut flat = FlatPacket::new(Arc::clone(&self.table));
-        let mut patches = Vec::with_capacity(raw.fields.len() + raw.meta.len());
-        for &(idx, value, offset, width) in &raw.fields {
-            if let Some(id) = self.wire_slots[idx] {
-                flat.set(id, value);
-                patches.push((id, offset as u32, width));
+        for (field, offset, width) in layout.regions() {
+            if let Some(id) = self.slots[field] {
+                flat.set(id, read_be(frame, offset, width));
             }
         }
-        for (i, &value) in raw.meta.iter().enumerate() {
-            if let Some(id) = self.meta_slots[i] {
-                flat.set(id, value);
-                patches.push((id, (raw.meta_off + 4 * i) as u32, 4));
-            }
-        }
-        Ok((
-            flat,
-            FlatWireLayout {
-                bytes: frame.to_vec(),
-                patches,
-            },
-        ))
+        Ok((flat, layout))
     }
 
-    /// Re-serializes a flat packet over its flat layout (the fast-path
-    /// mirror of [`deparse`]).
-    pub fn deparse_flat(&self, flat: &FlatPacket, layout: &FlatWireLayout) -> Vec<u8> {
+    /// Re-serializes a flat packet over its layout (the slot-keyed mirror
+    /// of [`deparse`]): every decoded field the table names is patched
+    /// back from its slot.
+    pub fn deparse_flat(&self, flat: &FlatPacket, layout: &WireLayout) -> Vec<u8> {
         let mut out = layout.bytes.clone();
-        for &(id, offset, width) in &layout.patches {
-            patch_be(&mut out, offset as usize, width, flat.get_or_zero(id));
+        for (field, offset, width) in layout.regions() {
+            // `get`: a layout parsed under a longer trailer schema than
+            // this parser's has words this parser has no slot for.
+            if let Some(id) = self.slots.get(field).copied().flatten() {
+                patch_be(&mut out, offset, width, flat.get_or_zero(id));
+            }
         }
         out
     }
@@ -757,7 +733,7 @@ pub fn encode(pkt: &Packet, cfg: &WireConfig, spec: &FrameSpec) -> Vec<u8> {
     }
 
     // Metadata trailer + payload.
-    for name in &cfg.meta {
+    for name in cfg.meta.iter() {
         out.extend_from_slice(&pkt.get_or_zero(name).to_be_bytes());
     }
     out.extend_from_slice(&spec.payload);
@@ -837,6 +813,29 @@ mod tests {
         assert_eq!(wire.pkt.get(wf::UDP_LEN), Some(10)); // 8 + payload 2
         assert_eq!(wire.layout.payload(), &[0xAA, 0xBB]);
         assert_eq!(deparse(&wire.pkt, &wire.layout), frame);
+    }
+
+    #[test]
+    fn every_header_field_decodes_from_its_own_bytes() {
+        // The encoder places fields by name, `REGIONS` by wire index: a
+        // distinct value per field pins the two orders to each other.
+        for (proto, decoded) in [(IPPROTO_TCP, 23), (IPPROTO_UDP, 19)] {
+            let mut pkt = Packet::new();
+            for (i, name) in HEADER_FIELDS.iter().enumerate() {
+                pkt.set(name, 0x11 + i as i32);
+            }
+            pkt.set(wf::ETH_TYPE, ETHERTYPE_IPV4 as i32);
+            pkt.set(wf::IP_PROTO, proto as i32);
+            let frame = encode(&pkt, &WireConfig::new(), &FrameSpec::default());
+            let wire = parse(&frame, &WireConfig::new()).unwrap();
+            assert_eq!(wire.pkt.len(), decoded);
+            for (name, v) in wire.pkt.iter() {
+                assert_eq!(Some(v), pkt.get(name), "field `{name}`");
+            }
+            let mut patched: Vec<String> = wire.layout.patches().map(|p| p.field).collect();
+            patched.sort();
+            assert_eq!(patched, wire.pkt.iter().map(|(n, _)| n).collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -975,6 +974,7 @@ mod tests {
     fn verdict_indices_are_dense_and_stable() {
         for (i, v) in ParseVerdict::ALL.iter().enumerate() {
             assert_eq!(v.index(), i);
+            assert_eq!(*v as usize, i, "the enum is declared in `ALL` order");
         }
         assert_eq!(ParseVerdict::COUNT, 11);
         assert_eq!(

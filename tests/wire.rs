@@ -8,15 +8,27 @@
 //! **both** engines, and must agree with the map-born run field-for-field
 //! and state-for-state — plus byte-for-byte between the engines.
 //!
-//! The second half is the malformed-traffic golden suite: a canonical
-//! frame truncated at *every* byte boundary must produce the pinned
+//! The second part is the **switch-level tier differential**:
+//! [`Switch::run_frames`] (the bound tier on the switch's slab) against the
+//! composition it replaced — `wire::parse` → `run(&packets)` →
+//! `wire::deparse` on the map tier — bytes, counters and state.
+//!
+//! The last part is the malformed-traffic suite: a canonical frame
+//! truncated at *every* byte boundary must produce the pinned
 //! [`ParseVerdict`] for that region and bump exactly the matching
-//! per-reason drop counter on the switch.
+//! per-reason drop counter on the switch; and the parse graph's whole
+//! decision space, enumerated, must match an independent verdict model on
+//! both tiers and on the switch.
 
-use banzai::wire::{self, BoundParser, FrameSpec, ParseVerdict, WireConfig};
-use banzai::{AtomPipeline, DropReason, Machine, SlotMachine, Switch, Target};
-use bench::wiregen::{self, GenOptions};
-use domino_ir::Packet;
+use banzai::pifo::SchedSpec;
+use banzai::wire::{self, BoundParser, FrameSpec, ParseVerdict, WireConfig, WireLayout};
+use banzai::{
+    AtomKind, AtomPipeline, DropReason, Machine, PipelineEngine, SlotMachine, Switch, Target,
+};
+use bench::wiregen::{self, GenOptions, WireTrace};
+use domino_ir::{FieldTable, Packet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 const TRACE_LEN: usize = 600;
 const SEED: u64 = 0x000D_0771_2016;
@@ -160,6 +172,180 @@ wire_differential_test!(stfq);
 wire_differential_test!(dns_ttl_change);
 wire_differential_test!(conga);
 wire_differential_test!(codel_lut);
+
+// ---------------------------------------------------------------------------
+// The switch-level tier differential: run_frames ≡ parse → run → deparse
+// ---------------------------------------------------------------------------
+
+/// Gives frame `i` of a well-formed `wiregen` trace what the generator
+/// never emits — TCP options on every fifth frame, IPv4 options on every
+/// third, a payload on most — and a per-frame unique `ip_id`, the tag the
+/// reference composition matches a departure to its layout by.
+fn decorate(frame: &mut Vec<u8>, i: usize) {
+    let l3 = if frame[12..14] == [0x81, 0x00] {
+        18
+    } else {
+        14
+    };
+    frame[l3 + 4..l3 + 6].copy_from_slice(&(i as u16).to_be_bytes());
+    if frame[l3 + 9] == wire::IPPROTO_TCP && i.is_multiple_of(5) {
+        frame[l3 + 32] = 0x70; // data offset 7: two words of options
+        frame.splice(l3 + 40..l3 + 40, [1; 8]);
+    }
+    if i.is_multiple_of(3) {
+        frame[l3] = 0x46; // IHL 6: one word of options
+        frame.splice(l3 + 20..l3 + 20, [1; 4]);
+    }
+    frame.extend((0..i % 7 * 13).map(|b| b as u8));
+}
+
+/// `run_frames` as the composition of public calls it stands for, on the
+/// map tier: parse every frame, run the packets, deparse each departure
+/// over the layout of the frame it was born from.
+fn parse_run_deparse<E: PipelineEngine>(sw: &mut Switch<E>, wt: &WireTrace) -> Vec<Vec<u8>> {
+    let ip_id = |p: &Packet| p.get("ip_id").expect("ip_id is a wire field");
+    let parsed: Vec<wire::WirePacket> = wt
+        .frames
+        .iter()
+        .map(|f| wire::parse(f, &wt.cfg).expect("decorated frames are well-formed"))
+        .collect();
+    let layouts: HashMap<i32, &WireLayout> = parsed
+        .iter()
+        .map(|wp| (ip_id(&wp.pkt), &wp.layout))
+        .collect();
+    assert_eq!(
+        layouts.len(),
+        parsed.len(),
+        "ip_id must be unique per frame"
+    );
+    let packets: Vec<Packet> = parsed.iter().map(|wp| wp.pkt.clone()).collect();
+    let out = sw.run(&packets).collect().expect("slices cannot fail");
+    out.iter()
+        .map(|p| wire::deparse(p, layouts[&ip_id(p)]))
+        .collect()
+}
+
+/// One switch configuration, both ways, on one engine: transmitted bytes,
+/// per-reason drop counters and both exported states must be equal.
+fn assert_tiers_agree<E: PipelineEngine>(what: &str, mk: impl Fn() -> Switch<E>, wt: &WireTrace) {
+    let mut by_frame = mk();
+    let got = by_frame
+        .run_frames(&wt.frames, &wt.cfg)
+        .collect()
+        .expect("slices cannot fail");
+    let mut by_packet = mk();
+    let want = parse_run_deparse(&mut by_packet, wt);
+    assert_eq!(got.len(), want.len(), "{what}: departure count");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "{what}: bytes of departure {i}");
+    }
+    assert_eq!(
+        by_frame.drop_counters(),
+        by_packet.drop_counters(),
+        "{what}"
+    );
+    assert_eq!(by_frame.transmitted(), by_packet.transmitted(), "{what}");
+    assert_eq!(
+        by_frame.export_ingress_state(),
+        by_packet.export_ingress_state(),
+        "{what}: ingress state"
+    );
+    assert_eq!(
+        by_frame.export_egress_state(),
+        by_packet.export_egress_state(),
+        "{what}: egress state"
+    );
+    let lossless = by_frame.capacity() >= wt.frames.len();
+    assert_eq!(by_frame.drops() == 0, lossless, "{what}: drops");
+}
+
+/// The differential for one ingress program over `codel_lut` at egress
+/// (so the queue-metadata stamps are read, and — riding the trailer —
+/// compared): lossless at line rate, then oversubscribed 3:1 into a small
+/// queue, on both engines.
+fn tier_differential(
+    name: &str,
+    ingress: &AtomPipeline,
+    spec: &SchedSpec,
+    trace: &[Packet],
+    outputs: &[&str],
+) {
+    let egress = pipeline_for(&algorithms::CODEL_LUT);
+    let opts = GenOptions {
+        extra_meta: outputs
+            .iter()
+            .chain(&banzai::switch::QUEUE_METADATA_FIELDS)
+            .chain(algorithms::CODEL_LUT.output_fields)
+            .map(|f| f.to_string())
+            .collect(),
+        ..GenOptions::default()
+    };
+    let mut wt = wiregen::wire_trace(trace, SEED, &opts);
+    for (i, frame) in wt.frames.iter_mut().enumerate() {
+        decorate(frame, i);
+    }
+    fn tuned<E: PipelineEngine>(sw: Switch<E>, spec: &SchedSpec, drain_period: u64) -> Switch<E> {
+        sw.with_scheduler(spec.clone())
+            .with_drain_period(drain_period)
+    }
+    for (capacity, drain_period) in [(trace.len(), 1), (8, 3)] {
+        let what = format!("{name}, capacity {capacity}, drain {drain_period}");
+        assert_tiers_agree(
+            &format!("{what}, map engine"),
+            || {
+                let sw = Switch::new(ingress.clone(), egress.clone(), capacity);
+                tuned(sw, spec, drain_period)
+            },
+            &wt,
+        );
+        assert_tiers_agree(
+            &format!("{what}, slot engine"),
+            || {
+                let sw = Switch::new_slot(ingress, &egress, capacity).expect("slot-lowerable");
+                tuned(sw, spec, drain_period)
+            },
+            &wt,
+        );
+    }
+}
+
+#[test]
+fn run_frames_equals_parse_run_deparse_for_every_algorithm() {
+    let mappable = algorithms::TABLE4
+        .iter()
+        .chain([&algorithms::CODEL_LUT])
+        .filter(|a| a.paper.least_atom.is_some());
+    for a in mappable {
+        tier_differential(
+            a.name,
+            &pipeline_for(a),
+            &SchedSpec::Fifo,
+            &a.trace(TRACE_LEN, SEED),
+            a.output_fields,
+        );
+    }
+}
+
+/// The two things a slab can hold that a frame cannot: a header field the
+/// frame has no bytes for (`tcp_win` written on UDP frames must vanish at
+/// deparse, on TCP frames land in the header), and a rank field that is
+/// in neither the headers nor the trailer (the PIFO reads it off the slab).
+#[test]
+fn tiers_agree_on_fields_the_frame_does_not_carry() {
+    let source = "struct Packet { int sport; int tcp_win; int prio; };\n\
+                  void mark(struct Packet pkt) {\n\
+                    pkt.tcp_win = pkt.sport + 1;\n\
+                    pkt.prio = 70000 - pkt.sport;\n\
+                  }";
+    let ingress = domino_compiler::compile(source, &Target::banzai(AtomKind::Write)).unwrap();
+    let by_prio = SchedSpec::Pifo {
+        rank: "prio".into(),
+    };
+    let trace = algorithms::by_name("flowlet")
+        .unwrap()
+        .trace(TRACE_LEN, SEED);
+    tier_differential("mark", &ingress, &by_prio, &trace, &[]);
+}
 
 // ---------------------------------------------------------------------------
 // Malformed-frame goldens: truncation at every boundary
@@ -316,6 +502,199 @@ fn garbage_ethertype_bad_ihl_and_bad_offset_goldens() {
             "counter for `{verdict}`"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Parser totality, by enumeration
+// ---------------------------------------------------------------------------
+
+/// Every byte the parse graph branches on, and the trailer it is asked
+/// for: one point of its (finite) decision space.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    outer: u16,
+    inner: u16,
+    version: u8,
+    ihl: u8,
+    proto: u8,
+    doff: u8,
+    words: usize,
+}
+
+impl Shape {
+    fn tagged(&self) -> bool {
+        self.outer == wire::ETHERTYPE_VLAN
+    }
+
+    /// A frame of this shape, complete by its own length fields (a header
+    /// too short to be legal still gets its minimum), three payload bytes
+    /// behind it, every other byte filler.
+    fn frame(&self) -> Vec<u8> {
+        let l3 = if self.tagged() { 18 } else { 14 };
+        let l4 = l3 + 4 * self.ihl.max(5) as usize;
+        let l4_len = match self.proto {
+            wire::IPPROTO_TCP => 4 * self.doff.max(5) as usize,
+            _ => 8,
+        };
+        let mut f: Vec<u8> = (0..l4 + l4_len + 4 * self.words + 3)
+            .map(|i| 0xA0 | i as u8 & 0x0f)
+            .collect();
+        f[12..14].copy_from_slice(&self.outer.to_be_bytes());
+        if self.tagged() {
+            f[16..18].copy_from_slice(&self.inner.to_be_bytes());
+        }
+        f[l3] = self.version << 4 | self.ihl;
+        f[l3 + 9] = self.proto;
+        if self.proto == wire::IPPROTO_TCP {
+            f[l4 + 12] = self.doff << 4 | 0x0a;
+        }
+        f
+    }
+
+    /// The verdict model, independent of the parser's control flow: the
+    /// graph is a fixed sequence of steps, each needing the frame to reach
+    /// some length or a field to hold a legal value, and the verdict is
+    /// the first step the `len`-byte truncation fails.
+    fn verdict(&self, len: usize) -> Option<ParseVerdict> {
+        use ParseVerdict::*;
+        let tcp = self.proto == wire::IPPROTO_TCP;
+        let l3 = if self.tagged() { 18 } else { 14 };
+        let l4 = l3 + 4 * self.ihl as usize;
+        let ethertype = if self.tagged() {
+            self.inner
+        } else {
+            self.outer
+        };
+        let l4_min = if tcp { 20 } else { 8 };
+        let l4_len = if tcp { 4 * self.doff as usize } else { 8 };
+        let steps = [
+            (len >= 14, TruncatedEthernet),
+            (len >= l3, TruncatedVlan),
+            (ethertype == wire::ETHERTYPE_IPV4, UnsupportedEthertype),
+            (len > l3, TruncatedIpv4),
+            (self.version == 4, BadIpVersion),
+            (self.ihl >= 5, BadIhl),
+            (len >= l4, TruncatedIpv4),
+            (tcp || self.proto == wire::IPPROTO_UDP, UnsupportedIpProto),
+            (
+                len >= l4 + l4_min,
+                if tcp { TruncatedTcp } else { TruncatedUdp },
+            ),
+            (!tcp || self.doff >= 5, BadTcpOffset),
+            (len >= l4 + l4_len, TruncatedTcp),
+            (len >= l4 + l4_len + 4 * self.words, TruncatedMetadata),
+        ];
+        steps.iter().find(|(ok, _)| !ok).map(|&(_, v)| v)
+    }
+}
+
+/// The parse graph's whole decision space — both ethertypes, the version
+/// nibble, every IHL, the protocol, every TCP data offset, with and
+/// without a trailer — at **every** truncation length: the map tier, the
+/// bound tier and the switch's per-reason counters must all give the
+/// model's verdict, and every accepted frame must deparse to itself.
+#[test]
+fn every_shape_at_every_truncation_gets_the_models_verdict() {
+    const GRE: u8 = 47;
+    let ethertypes = [wire::ETHERTYPE_IPV4, wire::ETHERTYPE_VLAN, 0x86dd];
+    let mut shapes = Vec::new();
+    for outer in ethertypes {
+        // An inner ethertype exists only behind a tag, a data offset only
+        // in a TCP header.
+        let inners = if outer == wire::ETHERTYPE_VLAN { 3 } else { 1 };
+        for &inner in &ethertypes[..inners] {
+            for version in [4, 6] {
+                for ihl in 0..16 {
+                    for proto in [wire::IPPROTO_TCP, wire::IPPROTO_UDP, GRE] {
+                        let tcp = proto == wire::IPPROTO_TCP;
+                        for doff in if tcp { 0..16 } else { 5..6 } {
+                            for words in [0, 2] {
+                                shapes.push(Shape {
+                                    outer,
+                                    inner,
+                                    version,
+                                    ihl,
+                                    proto,
+                                    doff,
+                                    words,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(shapes.len(), 5 * 2 * 16 * 18 * 2);
+
+    // The fullest bound layout: every header field and the trailer.
+    let parsers = [vec![], vec!["arrival", "next_hop"]].map(|meta| {
+        let mut table = FieldTable::new();
+        domino_ir::wire::intern_header_fields(&mut table);
+        for f in &meta {
+            table.intern(f);
+        }
+        BoundParser::bind(WireConfig::with_meta_fields(meta).unwrap(), Arc::new(table))
+    });
+    let mut sw = Switch::new(
+        AtomPipeline::passthrough("in"),
+        AtomPipeline::passthrough("out"),
+        4,
+    );
+    let mut rejected = [0u64; ParseVerdict::COUNT];
+    for shape in shapes {
+        let frame = shape.frame();
+        let parser = &parsers[shape.words / 2];
+        let cfg = parser.config();
+        let cuts: Vec<&[u8]> = (0..=frame.len()).map(|len| &frame[..len]).collect();
+        let mut accepted: Vec<&[u8]> = Vec::new();
+        for &cut in &cuts {
+            let want = shape.verdict(cut.len());
+            let what = format!("{shape:?} cut to {} of {} bytes", cut.len(), frame.len());
+            let map = wire::parse(cut, cfg);
+            let bound = parser.parse_flat(cut);
+            assert_eq!(map.as_ref().err(), want.as_ref(), "map tier, {what}");
+            assert_eq!(bound.as_ref().err(), want.as_ref(), "bound tier, {what}");
+            match want {
+                Some(v) => rejected[v.index()] += 1,
+                None => accepted.push(cut),
+            }
+            if let (Ok(wp), Ok((flat, layout))) = (map, bound) {
+                assert_eq!(wire::deparse(&wp.pkt, &wp.layout), cut, "map tier, {what}");
+                assert_eq!(
+                    parser.deparse_flat(&flat, &layout),
+                    cut,
+                    "bound tier, {what}"
+                );
+            }
+        }
+        // Only the payload may be cut from a frame that still parses.
+        assert_eq!(
+            accepted.len(),
+            if shape.verdict(frame.len()).is_none() {
+                4
+            } else {
+                0
+            }
+        );
+        let out = sw
+            .run_frames(&cuts, cfg)
+            .collect()
+            .expect("slices cannot fail");
+        assert_eq!(
+            out, accepted,
+            "{shape:?}: the switch transmits the accepted cuts, unchanged"
+        );
+        for v in ParseVerdict::ALL {
+            let got = sw.drop_counters().get(DropReason::Parse(v));
+            assert_eq!(got, rejected[v.index()], "{shape:?}: counter for `{v}`");
+        }
+    }
+    assert!(
+        rejected.iter().all(|&n| n > 0),
+        "every verdict is reachable"
+    );
+    assert_eq!(sw.drop_counters().parse_total(), sw.drops());
 }
 
 /// A wire switch driven by the map engine and one driven by the slot
