@@ -46,9 +46,6 @@ pub enum FaultCause {
     /// The worker's channels disconnected without an outcome report —
     /// the thread died without panicking through the supervised path.
     Disconnected,
-    /// The worker's engine returned a typed error mid-run (rendered to a
-    /// string) rather than panicking.
-    Error(String),
 }
 
 impl fmt::Display for FaultCause {
@@ -59,7 +56,6 @@ impl fmt::Display for FaultCause {
                 write!(f, "stalled (no progress within {watchdog_ms}ms watchdog)")
             }
             FaultCause::Disconnected => write!(f, "disconnected without an outcome report"),
-            FaultCause::Error(msg) => write!(f, "failed: {msg}"),
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::error::SwitchError;
 use crate::machine::AtomPipeline;
 use crate::switch::PipelineEngine;
 use domino_ir::layout::mix64;
-use domino_ir::{FieldTable, FlatPacket, StateStore};
+use domino_ir::{FieldId, FieldTable, FlatPacket, StateStore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -195,29 +195,34 @@ pub fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 pub struct FaultyEngine<E: PipelineEngine> {
     inner: E,
     faults: Vec<FaultSpec>,
+    /// Per fault, the slot a [`FaultKind::BitFlip`] lands on.
+    flips: Vec<Option<FieldId>>,
     processed: u64,
 }
 
 impl<E: PipelineEngine> FaultyEngine<E> {
     /// Builds the inner engine for `pipeline` on `table` and attaches a
     /// fault schedule to it — the `make` a fault-injecting factory hands
-    /// [`Switch::build_with`](crate::Switch::build_with). Every field a
-    /// [`FaultKind::BitFlip`] names is interned into the table too, so a
-    /// flip lands on a slot even when the pipeline never mentions the
-    /// field.
+    /// [`Switch::build_with`](crate::Switch::build_with) or
+    /// [`ShardedSwitch::new_with`](crate::shard::ShardedSwitch::new_with).
+    /// Every field a [`FaultKind::BitFlip`] names is interned into the
+    /// table here and flipped by that slot (tables are append-only, so
+    /// the id is final), even when the pipeline never mentions the field.
     pub fn with_faults(
         pipeline: &AtomPipeline,
         faults: Vec<FaultSpec>,
         table: &mut FieldTable,
     ) -> Result<FaultyEngine<E>, SwitchError> {
-        for f in &faults {
-            if let FaultKind::BitFlip { field, .. } = &f.kind {
-                table.intern(field);
-            }
-        }
+        let flips = (faults.iter())
+            .map(|f| match &f.kind {
+                FaultKind::BitFlip { field, .. } => Some(table.intern(field)),
+                _ => None,
+            })
+            .collect();
         Ok(FaultyEngine {
             inner: E::build(pipeline, table)?,
             faults,
+            flips,
             processed: 0,
         })
     }
@@ -253,18 +258,16 @@ impl<E: PipelineEngine> PipelineEngine for FaultyEngine<E> {
         let n = self.processed;
         // Non-panic faults apply in schedule order; a panic ends the
         // packet (and, under supervision, the worker).
-        for f in &self.faults {
+        for (f, flip) in self.faults.iter().zip(&self.flips) {
             if f.at_packet != n {
                 continue;
             }
             match &f.kind {
                 FaultKind::Stall { ms } => std::thread::sleep(Duration::from_millis(*ms)),
-                FaultKind::BitFlip { field, bit } => {
-                    let slot = pkt
-                        .table()
-                        .lookup(field)
-                        .expect("with_faults interned every flipped field");
-                    pkt.set(slot, pkt.get_or_zero(slot) ^ (1i32 << (bit % 32)));
+                FaultKind::BitFlip { bit, .. } => {
+                    if let Some(slot) = *flip {
+                        pkt.set(slot, pkt.get_or_zero(slot) ^ (1i32 << (bit % 32)));
+                    }
                 }
                 FaultKind::Panic => {
                     panic!("{INJECTED_PANIC_MARKER}: scheduled panic at engine packet {n}")

@@ -349,6 +349,12 @@ impl PipelineEngine for Machine {
     fn process(&mut self, pkt: &mut FlatPacket) {
         let out = Machine::process(self, pkt.to_packet());
         let table = Arc::clone(pkt.table());
+        // `out` carries the slab's own fields (table names) plus what the
+        // pipeline wrote, which `on_table` interned while the table was
+        // open. A table only ever grows until it is closed behind its
+        // `Arc` — in `Switch::build_with`/`Switch::slot_of`, or once per
+        // sharded switch in `ShardedSwitch::new_with` — and `pkt` lies on
+        // that closed table, so the lookup cannot miss.
         for (name, value) in out.iter() {
             let slot = table
                 .lookup(name)

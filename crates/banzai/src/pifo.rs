@@ -409,8 +409,10 @@ pub enum SchedSpec {
 }
 
 impl SchedSpec {
-    /// Reads this policy's [`SchedKey`] off an (ingress-processed) packet.
-    /// Missing fields read as 0, matching the engines' semantics.
+    /// Reads this policy's [`SchedKey`] off an (ingress-processed) packet
+    /// by name — the reference; every switch run, sharded ones included,
+    /// reads it off the slab's slots (`KeySlots::key_of`). Missing fields
+    /// read as 0, matching the engines' semantics.
     pub fn key_of(&self, pkt: &Packet) -> SchedKey {
         match self {
             SchedSpec::Fifo => SchedKey::rank(0),
@@ -472,7 +474,8 @@ impl SchedSpec {
 }
 
 /// A [`SchedSpec`]'s key fields as slots of one switch's field table
-/// ([`SchedSpec::resolve`]).
+/// ([`SchedSpec::resolve`]) — for a sharded switch, the one table its
+/// shards share.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum KeySlots {
     Fifo,

@@ -1,5 +1,5 @@
-//! The sharded switch: N independent slot-compiled switches behind an
-//! RSS-style flow-steering dispatcher.
+//! The sharded switch: N slot-compiled switches on **one field table**
+//! behind an RSS-style flow-steering dispatcher.
 //!
 //! The paper's Banzai machine reaches line rate by pipelining atoms in
 //! hardware; a software simulator reaches for cores instead. The key
@@ -27,9 +27,9 @@
 //!   global registers) — see [`ShardTier`];
 //! * [`ShardedSwitch`] — spawns one worker thread per shard
 //!   ([`ShardedRun::collect`]), feeds each through a bounded ring of
-//!   packet batches, runs an independent [`Switch`] per shard (stamped
-//!   with global arrival cycles, so queue metadata is bit-identical to
-//!   the serial switch), and merges transmitted packets by **seeded
+//!   slab batches, runs a [`Switch`] of its own per shard (stamped with
+//!   global arrival cycles, so queue metadata is bit-identical to the
+//!   serial switch), and merges transmitted packets by **seeded
 //!   round-robin** — per-flow order is preserved exactly (a flow, as
 //!   defined by the steering key, lives on one shard; under stateless
 //!   whole-packet steering that means identical packets — steer with
@@ -53,6 +53,34 @@
 //! the E10 harness times: per-shard busy time measured without scheduler
 //! interference gives the critical-path throughput the shards would
 //! sustain on real cores.
+//!
+//! # One table, one packet format
+//!
+//! The P4 abstract machine parses a packet once into one header vector
+//! that every pipeline of a multi-pipeline target works on; so does this
+//! switch. A `ShardedSwitch` owns **one** [`FieldTable`], open only
+//! while [`ShardedSwitch::new_with`] builds it: every shard's two
+//! engines, the scheduling path's egress engine and the steering rule
+//! are lowered onto it, and the queue metadata, the [`SchedSpec`]'s
+//! rank/class fields, [`SteerMode::Fields`]' names and any
+//! fault-injected fields are interned, before it is closed behind an
+//! `Arc` that every shard — and every shard rebuilt after a fault —
+//! binds to. So one format crosses every boundary:
+//!
+//! * the **dispatcher admits once** — a map packet is flattened onto the
+//!   table, a frame is parsed onto it by one [`BoundParser`] — and
+//!   evaluates the steering rule over the slab's **slots**
+//!   (`SlotSteer`: the flow key's slice lowered like an engine's
+//!   program, field lists by slot, whole-packet hashing in name order);
+//!   [`ShardPlan::steer`] is the same rule by name, the reference the
+//!   suites hold the dispatcher to;
+//! * **slabs ride the rings** and the sequential rounds, stamped with
+//!   their arrival cycle; a worker's switch runs its one loop on them;
+//! * a scheduling run's shard-local PIFOs hold slabs, keyed off their
+//!   slots, and the post-merge serial egress pass is a departure on the
+//!   same slab;
+//! * each packet is **emitted (or deparsed) once**: in the worker's sink
+//!   on a forwarding run, after the egress pass on a scheduling run.
 //!
 //! Each thing exists once. Every shard's [`Switch`] runs its one cycle
 //! loop (stamped arrivals, line rate); the threaded runs share one
@@ -82,24 +110,27 @@
 use crate::error::{FaultCause, FaultReport, ShardError, ShardSalvage, SwitchError};
 use crate::machine::AtomPipeline;
 use crate::pifo::{SchedKey, SchedQueue, SchedSpec, Scheduler};
-use crate::slot::SlotMachine;
+use crate::slot::{KeySlice, SlotMachine};
 use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
-use crate::switch::{DropCounters, DropReason, PipelineEngine, SchedDeparture, Switch};
-use crate::wire::{self, WireConfig};
+use crate::switch::{
+    DropCounters, DropReason, InFlight, PipelineEngine, Rest, SchedDeparture, Stamped, Switch,
+    QUEUE_METADATA_FIELDS,
+};
+use crate::wire::{BoundParser, ParseVerdict, WireConfig};
 use domino_ast::{StateKind, StateVar};
 use domino_ir::layout::{mix64, FlowKeySpec, Partitionability, ReplicaSpec, StateLayout};
-use domino_ir::{Packet, StateStore, TacStmt};
+use domino_ir::{FieldId, FieldTable, Packet, StateStore, TacStmt};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// A batch of packets stamped with their global arrival cycles, in flight
-/// to a shard worker.
-type StampedBatch = Vec<(i64, Packet)>;
+/// A batch of slabs on the switch's one table, stamped with their global
+/// arrival cycles, in flight to a shard worker.
+type StampedBatch = Vec<(i64, InFlight)>;
 
 /// The feeder's handle to one shard's batch ring (`None` once the shard
 /// has been declared dead or stalled and cut off).
@@ -307,11 +338,71 @@ impl fmt::Display for ShardTier {
     }
 }
 
-/// FNV-1a over a string, folded into a running hash (steering must be
-/// deterministic across runs and platforms, so no `RandomState`).
-fn hash_str(h: u64, s: &str) -> u64 {
-    s.bytes()
-        .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+/// Where every field-hashing steering rule starts (the FNV-1a offset
+/// basis).
+const HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one `(name, value)` field into a steering hash: FNV-1a over the
+/// name, then the value mixed in (steering must be deterministic across
+/// runs and platforms, so no `RandomState`).
+fn hash_field(h: u64, name: &str, value: i32) -> u64 {
+    let h = (name.bytes()).fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
+    mix64(h ^ value as u32 as u64)
+}
+
+/// [`hash_field`] over every field of a slab the pipelines have not run
+/// on yet, in name order — the order its map twin iterates in.
+fn hash_every_field(p: &InFlight, by_name: &[FieldId]) -> u64 {
+    let mut h = HASH_SEED;
+    match &p.rest {
+        Rest::Fields(residual) => {
+            (p.flat).for_each_field(by_name, residual, |name, v| h = hash_field(h, name, v));
+        }
+        // Slotted or not, every field of a frame is still in its bytes.
+        Rest::Frame(layout) => {
+            let mut fields: Vec<(&str, i32)> = layout.fields().collect();
+            fields.sort_unstable_by_key(|&(name, _)| name);
+            h = (fields.into_iter()).fold(h, |h, (name, v)| hash_field(h, name, v));
+        }
+    }
+    h
+}
+
+/// A plan's steering rule resolved onto the sharded switch's table
+/// ([`ShardPlan::lower`]): what the dispatcher evaluates, per admitted
+/// slab, in place of the by-name reference [`ShardPlan::steer`].
+#[derive(Debug)]
+enum SlotSteer {
+    /// By arrival index alone: replica mode's deal, and the single shard.
+    Index,
+    /// The flow key's slice, lowered like an engine's program.
+    Keyed(KeySlice),
+    /// The listed fields' slots, hashed with their names.
+    Fields(Vec<FieldId>),
+    /// Every field the packet carries.
+    WholePacket,
+}
+
+impl SlotSteer {
+    /// The shard of `n` the `idx`-th arrival steers to: exactly
+    /// `plan.steer(idx, &pkt)` for the map packet `p` was admitted from
+    /// (or, byte-born, for [`wire::parse`](crate::wire::parse)'s packet).
+    fn shard_of(&mut self, idx: usize, p: &InFlight, by_name: &[FieldId], n: usize) -> usize {
+        if n <= 1 {
+            return 0;
+        }
+        match self {
+            SlotSteer::Index => idx % n,
+            SlotSteer::Keyed(slice) => FlowKeySpec::shard_of_class(slice.key_of(&p.flat), n),
+            SlotSteer::Fields(slots) => {
+                let h = slots.iter().fold(HASH_SEED, |h, &id| {
+                    hash_field(h, p.flat.table().name(id), p.flat.get_or_zero(id))
+                });
+                (h % n as u64) as usize
+            }
+            SlotSteer::WholePacket => (hash_every_field(p, by_name) % n as u64) as usize,
+        }
+    }
 }
 
 /// The resolved sharding decision for an ingress/egress pipeline pair.
@@ -375,7 +466,7 @@ impl ShardPlan {
     /// when both carry keyed state the two keys must agree, and an
     /// egress-derived key must not depend on fields the ingress pipeline
     /// (or the queue's metadata stamps, under their default names —
-    /// [`QUEUE_METADATA_FIELDS`](crate::switch::QUEUE_METADATA_FIELDS);
+    /// [`QUEUE_METADATA_FIELDS`];
     /// renamed metadata is outside this model) rewrites — the dispatcher
     /// evaluates the key on the *input* packet. Any violation produces a
     /// single-shard plan carrying the diagnostic.
@@ -414,42 +505,32 @@ impl ShardPlan {
             }
             Ok(())
         };
-        // Replica steering hashes the union of both sides' index roots —
-        // steering never affects replica merge correctness (updates
-        // commute), only which flows share a shard for output ordering.
-        let replica_roots = |specs: &[&ReplicaSpec]| -> Vec<String> {
-            let union: BTreeSet<String> = specs
-                .iter()
-                .flat_map(|s| s.steer_roots().iter().cloned())
-                .collect();
-            union.into_iter().collect()
-        };
-
+        // Each side's state merges back by its own tier, and the steering
+        // is what the most demanding side needs. An exactly-keyed side
+        // dictates it (its partition demands it; two keyed sides must
+        // agree, and an egress key has to be computable on the input
+        // packet). A replicable side is state-safe under any deterministic
+        // steering, so it adapts: to the other side's key, or dealt by
+        // index. Stateless pipelines hash the whole packet.
         use Partitionability::{Keyed, Replicable, Stateless};
-        type Resolution = (ResolvedSteer, MergePlan, MergePlan);
-        let resolved: Result<Resolution, String> = match (part_in, part_eg) {
-            (Err(e), _) => Err(format!("ingress `{}`: {e}", ingress.name)),
-            (_, Err(e)) => Err(format!("egress `{}`: {e}", egress.name)),
-            (Ok(Stateless), Ok(Stateless)) => Ok((
-                ResolvedSteer::WholePacket,
-                MergePlan::Trivial,
-                MergePlan::Trivial,
-            )),
-            (Ok(Keyed(k)), Ok(Stateless)) => Ok((
-                ResolvedSteer::Keyed(k.clone()),
-                MergePlan::Owned(k),
-                MergePlan::Trivial,
-            )),
-            (Ok(Stateless), Ok(Keyed(k))) => egress_key_ok(&k).map(|()| {
-                (
-                    ResolvedSteer::Keyed(k.clone()),
-                    MergePlan::Trivial,
-                    MergePlan::Owned(k),
-                )
-            }),
-            (Ok(Keyed(a)), Ok(Keyed(b))) => {
-                if a != b {
-                    Err(format!(
+        // A side's flow key, its replicas' index roots, its merge plan.
+        let side = |part| match part {
+            Stateless => (None, None, MergePlan::Trivial),
+            Keyed(k) => (Some(FlowKeySpec::clone(&k)), None, MergePlan::Owned(k)),
+            Replicable(r) => (
+                None,
+                Some(r.steer_roots().to_vec()),
+                MergePlan::Replicated(r),
+            ),
+        };
+        let resolve = || -> Result<(ResolvedSteer, MergePlan, MergePlan), String> {
+            let (key_in, roots_in, merge_in) =
+                side(part_in.map_err(|e| format!("ingress `{}`: {e}", ingress.name))?);
+            let (key_eg, roots_eg, merge_eg) =
+                side(part_eg.map_err(|e| format!("egress `{}`: {e}", egress.name))?);
+            let steer = match (key_in, key_eg) {
+                (Some(a), Some(b)) if a != b => {
+                    return Err(format!(
                         "ingress `{}` and egress `{}` partition their state by \
                          different flow keys (`{}` mod {} vs `{}` mod {})",
                         ingress.name,
@@ -458,53 +539,29 @@ impl ShardPlan {
                         a.modulus(),
                         b.key_field(),
                         b.modulus()
-                    ))
-                } else {
-                    egress_key_ok(&b).map(|()| {
-                        (
-                            ResolvedSteer::Keyed(a.clone()),
-                            MergePlan::Owned(a),
-                            MergePlan::Owned(b),
-                        )
-                    })
+                    ));
                 }
-            }
-            // Replica tiers: a replicable side is state-safe under any
-            // deterministic steering, so it adapts to whatever the other
-            // side needs.
-            (Ok(Replicable(r)), Ok(Stateless)) => Ok((
-                ResolvedSteer::Replica(replica_roots(&[&r])),
-                MergePlan::Replicated(r),
-                MergePlan::Trivial,
-            )),
-            (Ok(Stateless), Ok(Replicable(r))) => Ok((
-                ResolvedSteer::Replica(replica_roots(&[&r])),
-                MergePlan::Trivial,
-                MergePlan::Replicated(r),
-            )),
-            (Ok(Replicable(a)), Ok(Replicable(b))) => Ok((
-                ResolvedSteer::Replica(replica_roots(&[&a, &b])),
-                MergePlan::Replicated(a),
-                MergePlan::Replicated(b),
-            )),
-            // An exactly-keyed side dictates the steering (its partition
-            // demands it); the replicated side tolerates it. The egress
-            // key still has to be computable on the input packet.
-            (Ok(Keyed(k)), Ok(Replicable(r))) => Ok((
-                ResolvedSteer::Keyed(k.clone()),
-                MergePlan::Owned(k),
-                MergePlan::Replicated(r),
-            )),
-            (Ok(Replicable(r)), Ok(Keyed(k))) => egress_key_ok(&k).map(|()| {
-                (
-                    ResolvedSteer::Keyed(k.clone()),
-                    MergePlan::Replicated(r),
-                    MergePlan::Owned(k),
-                )
-            }),
+                (_, Some(k)) => {
+                    egress_key_ok(&k)?;
+                    ResolvedSteer::Keyed(k)
+                }
+                (Some(k), None) => ResolvedSteer::Keyed(k),
+                (None, None) if roots_in.is_none() && roots_eg.is_none() => {
+                    ResolvedSteer::WholePacket
+                }
+                // The union of both sides' index roots, carried for
+                // diagnostics: steering never affects replica merge
+                // correctness (updates commute).
+                (None, None) => {
+                    let union: BTreeSet<String> =
+                        roots_in.into_iter().chain(roots_eg).flatten().collect();
+                    ResolvedSteer::Replica(union.into_iter().collect())
+                }
+            };
+            Ok((steer, merge_in, merge_eg))
         };
 
-        match resolved {
+        match resolve() {
             Ok((steer, merge_ingress, merge_egress)) => ShardPlan {
                 requested,
                 effective: requested,
@@ -576,7 +633,10 @@ impl ShardPlan {
         }
     }
 
-    /// The shard the `idx`-th input packet steers to.
+    /// The shard the `idx`-th input packet steers to — the by-name
+    /// reference; the dispatcher evaluates the same rule over the slots
+    /// of the slab it admitted, and the two agree on every packet
+    /// (`tests/sharding.rs` holds them together).
     ///
     /// Keyed, field, and whole-packet modes are pure functions of the
     /// packet content (`idx` is ignored); replica mode deals packets
@@ -593,22 +653,30 @@ impl ShardPlan {
             ResolvedSteer::Keyed(spec) => spec.shard_of(pkt, n),
             ResolvedSteer::Replica(_) => idx % n,
             ResolvedSteer::Fields(fields) if !fields.is_empty() => {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                for f in fields {
-                    h = hash_str(h, f);
-                    h = mix64(h ^ pkt.get_or_zero(f) as u32 as u64);
-                }
+                let h =
+                    (fields.iter()).fold(HASH_SEED, |h, f| hash_field(h, f, pkt.get_or_zero(f)));
                 (h % n as u64) as usize
             }
             ResolvedSteer::Fields(_) | ResolvedSteer::WholePacket => {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                for (name, value) in pkt.iter() {
-                    h = hash_str(h, name);
-                    h = mix64(h ^ value as u32 as u64);
-                }
+                let h = (pkt.iter()).fold(HASH_SEED, |h, (name, v)| hash_field(h, name, v));
                 (h % n as u64) as usize
             }
         }
+    }
+
+    /// Resolves the steering rule onto `table`, interning every field it
+    /// reads, so the dispatcher steers slabs ([`SlotSteer::shard_of`]).
+    fn lower(&self, table: &mut FieldTable) -> Result<SlotSteer, SwitchError> {
+        Ok(match &self.steer {
+            ResolvedSteer::Single | ResolvedSteer::Replica(_) => SlotSteer::Index,
+            ResolvedSteer::Keyed(spec) => {
+                SlotSteer::Keyed(KeySlice::lower(spec, table).map_err(SwitchError::build)?)
+            }
+            ResolvedSteer::Fields(fields) if !fields.is_empty() => {
+                SlotSteer::Fields(fields.iter().map(|f| table.intern(f)).collect())
+            }
+            ResolvedSteer::Fields(_) | ResolvedSteer::WholePacket => SlotSteer::WholePacket,
+        })
     }
 }
 
@@ -697,9 +765,10 @@ pub struct ShardRun {
     pub timings: ShardTimings,
 }
 
-/// A switch sharded across N workers by flow steering: one independent
-/// [`Switch`] (slot-compiled by default) per shard, fed with batched
-/// packets, merged back deterministically.
+/// A switch sharded across N workers by flow steering: one [`Switch`]
+/// (slot-compiled by default) per shard, all on one field table, fed
+/// with batches of slabs the dispatcher admitted, merged back
+/// deterministically.
 ///
 /// # Panic freedom
 ///
@@ -729,27 +798,34 @@ pub struct ShardRun {
 pub struct ShardedSwitch<E: PipelineEngine = SlotMachine> {
     plan: ShardPlan,
     shards: Vec<Switch<E>>,
+    /// **The one field table** (see the module docs): every shard's two
+    /// engines, `sched_egress` and `steer` are lowered onto it, and every
+    /// name the queue or the scheduler stamps or reads is on it, before
+    /// [`ShardedSwitch::new_with`] closes it — so a slab the dispatcher
+    /// admits is the slab every shard, and the scheduling path's egress
+    /// pass, runs on. `by_name` is its emission order, `meta` its
+    /// [`QUEUE_METADATA_FIELDS`] slots.
+    table: Arc<FieldTable>,
+    by_name: Arc<[FieldId]>,
+    meta: [FieldId; 3],
+    /// The plan's steering rule over `table`'s slots.
+    steer: SlotSteer,
     /// The compiled pipelines, kept for rebuilding a failed shard's
     /// engines after a fault (through the plain [`PipelineEngine::build`]
     /// hook, so replacements are pristine — a [`crate::fault::FaultyEngine`]
     /// shard is rebuilt *without* its fault schedule).
     ingress_pipeline: AtomPipeline,
     egress_pipeline: AtomPipeline,
-    capacity: usize,
-    batch: usize,
-    ring: usize,
-    seed: u64,
-    backpressure: Backpressure,
-    watchdog_ms: u64,
-    /// The scheduling policy every shard runs (and the merge obeys).
-    sched: SchedSpec,
-    /// The dedicated serial egress switch of the scheduling path: after a
+    /// The configuration as built (`batch`, `ring` and `watchdog_ms`
+    /// floored at 1); `sched` is the policy every shard runs and the
+    /// scheduling merge obeys.
+    config: ShardConfig,
+    /// The dedicated serial egress engine of the scheduling path: after a
     /// PIFO the output link is a single serialized stream, so the
-    /// post-merge egress pass runs here ([`Switch::egress_process`]; its
-    /// ingress engine idles) — its egress state evolves over exactly the
-    /// serial departure sequence, bit-identical to a serial switch's
-    /// egress engine. Built lazily on the first scheduling run.
-    sched_egress: Option<Switch<E>>,
+    /// post-merge egress pass runs here ([`Switch::depart`] on the merged
+    /// slabs) — its state evolves over exactly the serial departure
+    /// sequence, bit-identical to a serial switch's egress engine.
+    sched_egress: E,
     /// Counters salvaged from shards that have since been rebuilt, plus
     /// feeder-side backpressure sheds and post-merge scheduling
     /// departures — folded into [`Self::transmitted`] /
@@ -782,68 +858,89 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         egress: &AtomPipeline,
         config: ShardConfig,
     ) -> Result<ShardedSwitch<E>, SwitchError> {
-        ShardedSwitch::new_with(ingress, egress, config, |_, ing, eg, capacity| {
-            Switch::build_with(ing, eg, capacity, E::build)
+        ShardedSwitch::new_with(ingress, egress, config, |_, pipeline, table| {
+            E::build(pipeline, table)
         })
     }
 
-    /// Builds a sharded switch with a caller-supplied per-shard factory —
+    /// Builds a sharded switch with a caller-supplied engine factory —
     /// the constructor-driven injection point the chaos suite uses to arm
     /// individual shards with [`crate::fault::FaultyEngine`] schedules.
     ///
-    /// The factory is called once per shard with `(shard index, ingress
-    /// pipeline, egress pipeline, queue capacity)`. Shards **rebuilt
-    /// after a fault** do *not* go through the factory; they use the
-    /// plain [`PipelineEngine::build`] hook, so a replacement engine
-    /// never inherits its predecessor's fault schedule.
+    /// `make` has [`Switch::build_with`]'s shape plus the shard index: it
+    /// is called with `(shard, pipeline, table)` for each shard's ingress
+    /// engine and then its egress engine, all against the switch's one
+    /// field table ([`PipelineEngine::build`] is the plain `make`). The
+    /// scheduling path's egress engine and shards **rebuilt after a
+    /// fault** do *not* go through it; they use the plain build hook, so
+    /// a replacement engine never inherits its predecessor's fault
+    /// schedule.
     pub fn new_with<F>(
         ingress: &AtomPipeline,
         egress: &AtomPipeline,
-        config: ShardConfig,
-        mut factory: F,
+        mut config: ShardConfig,
+        mut make: F,
     ) -> Result<ShardedSwitch<E>, SwitchError>
     where
-        F: FnMut(usize, &AtomPipeline, &AtomPipeline, usize) -> Result<Switch<E>, SwitchError>,
+        F: FnMut(usize, &AtomPipeline, &mut FieldTable) -> Result<E, SwitchError>,
     {
+        (config.batch, config.ring) = (config.batch.max(1), config.ring.max(1));
+        config.watchdog_ms = config.watchdog_ms.max(1);
         let plan = ShardPlan::plan(ingress, egress, config.shards, &config.steer);
-        let mut shards = Vec::with_capacity(plan.effective());
+        // The table is open here and nowhere else: engines first (slot
+        // order is the serial switch's), then every name the queue, the
+        // scheduler and the dispatcher resolve.
+        let mut table = FieldTable::new();
+        let mut engines = Vec::with_capacity(plan.effective());
         for s in 0..plan.effective() {
-            // The factory builds the engines; the configured scheduling
-            // policy is applied uniformly on top (so injected-fault
-            // factories compose with programmed schedulers).
-            shards.push(
-                factory(s, ingress, egress, config.capacity)?.with_scheduler(config.sched.clone()),
-            );
+            let ingress = make(s, ingress, &mut table)?;
+            engines.push((ingress, make(s, egress, &mut table)?));
         }
+        let mut sched_egress = E::build(egress, &mut table)?;
+        let meta = QUEUE_METADATA_FIELDS.map(|f| table.intern(f));
+        config.sched.resolve(|f| table.intern(f));
+        let steer = plan.lower(&mut table)?;
+        let table = Arc::new(table);
+        sched_egress.bind(&table);
+        // The configured scheduling policy is applied uniformly on top of
+        // whatever `make` built (so injected-fault factories compose with
+        // programmed schedulers); its fields already have their slots.
+        let shards = (engines.into_iter())
+            .map(|(ingress, egress)| {
+                Switch::assemble(ingress, egress, &table, meta, config.capacity)
+                    .with_scheduler(config.sched.clone())
+            })
+            .collect();
         Ok(ShardedSwitch {
             plan,
             shards,
+            by_name: table.by_name().into(),
+            table,
+            meta,
+            steer,
+            sched_egress,
             ingress_pipeline: ingress.clone(),
             egress_pipeline: egress.clone(),
-            capacity: config.capacity,
-            batch: config.batch.max(1),
-            ring: config.ring.max(1),
-            seed: config.seed,
-            backpressure: config.backpressure,
-            watchdog_ms: config.watchdog_ms.max(1),
-            sched: config.sched,
-            sched_egress: None,
+            config,
             extra_transmitted: 0,
             extra_drops: DropCounters::new(),
         })
     }
 
-    /// A pristine switch over the kept pipelines — what replaces a shard
-    /// lost to a fault, through the plain [`PipelineEngine::build`] hook
-    /// (never the factory: no inherited fault schedule).
-    fn fresh_switch(&self) -> Result<Switch<E>, SwitchError> {
-        let sw = Switch::build_with(
-            &self.ingress_pipeline,
-            &self.egress_pipeline,
-            self.capacity,
-            E::build,
-        )?;
-        Ok(sw.with_scheduler(self.sched.clone()))
+    /// A pristine shard over the kept pipelines — what replaces one lost
+    /// to a fault, through the plain [`PipelineEngine::build`] hook (never
+    /// the factory: no inherited fault schedule), on the same table.
+    fn fresh_shard(&self) -> Result<Switch<E>, SwitchError> {
+        // The table is closed; re-lowering pipelines it already holds
+        // names nothing new, so the engines are built against a scratch
+        // copy and bound to the original.
+        let (table, config) = (&self.table, &self.config);
+        let mut names = FieldTable::clone(table);
+        let ingress = E::build(&self.ingress_pipeline, &mut names)?;
+        let egress = E::build(&self.egress_pipeline, &mut names)?;
+        debug_assert_eq!(names.len(), table.len());
+        let sw = Switch::assemble(ingress, egress, table, self.meta, config.capacity);
+        Ok(sw.with_scheduler(config.sched.clone()))
     }
 
     /// The resolved sharding decision.
@@ -858,7 +955,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
 
     /// The configured overload policy.
     pub fn backpressure(&self) -> Backpressure {
-        self.backpressure
+        self.config.backpressure
     }
 
     /// Packets dropped across all shards for any reason, dispatcher
@@ -901,7 +998,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             return parts.into_iter().next().unwrap_or_default();
         }
         let total: usize = parts.iter().map(|p| p.len()).sum();
-        let start = (mix64(self.seed) % n as u64) as usize;
+        let start = (mix64(self.config.seed) % n as u64) as usize;
         let mut iters: Vec<std::vec::IntoIter<Packet>> =
             parts.into_iter().map(|p| p.into_iter()).collect();
         let mut out = Vec::with_capacity(total);
@@ -962,17 +1059,35 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         }
     }
 
-    /// Whether this switch's shards compose back into the serial run (see
-    /// [`Switch::check_line_rate`]) — the precondition of every
-    /// forwarding terminal, checked before a packet is pulled.
+    /// Whether this switch's shards compose back into the serial run —
+    /// the precondition of every forwarding terminal, checked before a
+    /// packet is pulled. A shard's link drains every cycle, so its queue
+    /// never holds more than one packet: every packet admitted at cycle
+    /// `t` leaves at `t + 1` with queue depth 0, independent of what
+    /// other shards carry, and with at most one occupant any *ungated*
+    /// discipline pops it — FIFO, PIFO and strict priority all compose.
+    ///
+    /// # Errors
+    ///
+    /// [`SwitchError::Unsupported`] under [`SchedSpec::Shaping`]: a gated
+    /// head holds a standing queue, which couples shards through the
+    /// clock and cannot be partitioned.
     fn check_line_rate(&self) -> Result<(), SwitchError> {
-        self.shards.iter().try_for_each(Switch::check_line_rate)
+        if self.config.sched.is_shaping() {
+            return Err(SwitchError::Unsupported(
+                "stamped (sharded) execution cannot run a shaping discipline at line rate: \
+                 a gated standing queue couples shards (use `.scheduled()`, which models shaping)"
+                    .to_string(),
+            ));
+        }
+        Ok(())
     }
 
     /// The supervision skeleton of every threaded run: move the shards
     /// into one [`worker`] thread each, pull packets off the
-    /// [`PacketSource`] one at a time and steer them into bounded batch
-    /// rings under the configured [`Backpressure`] policy, and collect
+    /// [`PacketSource`] one at a time, admit each onto the table — its one
+    /// map → slab crossing — and steer the slab into bounded batch rings
+    /// under the configured [`Backpressure`] policy, and collect
     /// each worker's outcome bounded by the watchdog. Generic over the
     /// worker's [`Lane`], so forwarding runs and scheduling runs get the
     /// identical failure model; [`ShardedSwitch::gather`] puts the shards
@@ -988,7 +1103,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         &mut self,
         source: &mut S,
         lane: impl Fn() -> L,
-    ) -> Scatter<WorkerOutcome<E, L::Out>>
+    ) -> Scatter<Outcome<E, L::Out>>
     where
         E: Send + 'static,
     {
@@ -996,14 +1111,14 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         // shards are rebuilt by `gather`.
         let switches = std::mem::take(&mut self.shards);
         let n = switches.len();
-        let batch_size = self.batch;
-        let watchdog = Duration::from_millis(self.watchdog_ms);
-        let policy = self.backpressure;
+        let batch_size = self.config.batch;
+        let watchdog = Duration::from_millis(self.config.watchdog_ms);
+        let policy = self.config.backpressure;
 
         let mut txs: Vec<BatchSender> = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for sw in switches {
-            let (tx, rx) = mpsc::sync_channel::<StampedBatch>(self.ring);
+            let (tx, rx) = mpsc::sync_channel::<StampedBatch>(self.config.ring);
             let (done_tx, done_rx) = mpsc::channel();
             let lane = lane();
             let handle = std::thread::spawn(move || {
@@ -1035,29 +1150,34 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             }
         };
         let mut pulled: u64 = 0;
-        let mut source_error: Option<SourceError> = None;
-        loop {
+        // The pulled map packets, once admitted, are freed a batch at a
+        // time rather than one by one: freed singly, each parks in this
+        // thread's malloc cache, which is enough to keep glibc from
+        // trimming the heap afterwards (44 MiB in the E15 sharded ledger).
+        let mut admitted: Vec<Packet> = Vec::with_capacity(batch_size);
+        let source_error = loop {
             let pkt = match source.next_packet() {
                 Ok(Some(pkt)) => pkt,
-                Ok(None) => break,
-                Err(e) => {
-                    source_error = Some(e);
-                    break;
-                }
+                end => break end.err(),
             };
             let i = pulled as usize;
             pulled += 1;
-            let s = self.plan.steer(i, &pkt);
+            let p = InFlight::admit(&pkt, &self.table);
+            admitted.push(pkt);
+            if admitted.len() == batch_size {
+                admitted.clear();
+            }
+            let s = self.steer.shard_of(i, &p, &self.by_name, n);
             offered[s] += 1;
             if txs[s].is_none() {
                 continue;
             }
-            pending[s].push((i as i64, pkt));
+            pending[s].push((i as i64, p));
             if pending[s].len() == batch_size {
                 let full = std::mem::replace(&mut pending[s], Vec::with_capacity(batch_size));
                 flush(s, full, &mut txs);
             }
-        }
+        };
         for (s, rest) in pending.into_iter().enumerate() {
             if !rest.is_empty() {
                 flush(s, rest, &mut txs);
@@ -1068,27 +1188,30 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         // Collect, bounded by the watchdog per shard. A worker that never
         // reports is abandoned (its thread handle is dropped, detaching
         // it) — never joined, so a wedged engine cannot hang the caller.
+        let silent = |cause| (Err((None, cause, DropCounters::new())), Vec::new());
+        let watchdog_ms = self.config.watchdog_ms;
         let mut collected = Vec::with_capacity(n);
         for (s, (done_rx, handle)) in workers.into_iter().enumerate() {
-            if stalled[s] {
-                collected.push(Collected::Stalled);
-                drop(handle);
-                continue;
-            }
-            match done_rx.recv_timeout(watchdog) {
+            let reported = if stalled[s] {
+                Err(mpsc::RecvTimeoutError::Timeout)
+            } else {
+                done_rx.recv_timeout(watchdog)
+            };
+            collected.push(match reported {
                 Ok(outcome) => {
                     let _ = handle.join();
-                    collected.push(Collected::Reported(outcome));
+                    outcome
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    collected.push(Collected::Stalled);
                     drop(handle);
+                    silent(FaultCause::Stall { watchdog_ms })
                 }
+                // The thread died outside the supervised path.
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     let _ = handle.join();
-                    collected.push(Collected::Vanished);
+                    silent(FaultCause::Disconnected)
                 }
-            }
+            });
         }
         Scatter {
             offered,
@@ -1112,29 +1235,13 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// shard's counters are gone with it, so its salvage always is.
     fn gather<L: Lane<E>>(
         &mut self,
-        scatter: Scatter<WorkerOutcome<E, L::Out>>,
+        scatter: Scatter<Outcome<E, L::Out>>,
     ) -> Result<Vec<Vec<L::Out>>, SwitchError> {
         // Account for dispatcher sheds whether or not anything faulted.
         self.extra_drops
             .bump_by(DropReason::Backpressure, scatter.sheds.iter().sum());
 
-        let silent = |cause| (Err((None, cause, DropCounters::new())), Vec::new());
-        let mut reports = Vec::with_capacity(scatter.collected.len());
-        for c in scatter.collected {
-            reports.push(match c {
-                Collected::Reported(WorkerOutcome::Done(sw, out)) => (Ok(*sw), out),
-                Collected::Reported(WorkerOutcome::Fault {
-                    out,
-                    packet,
-                    cause,
-                    drops,
-                }) => (Err((packet, cause, drops)), out),
-                Collected::Stalled => silent(FaultCause::Stall {
-                    watchdog_ms: self.watchdog_ms,
-                }),
-                Collected::Vanished => silent(FaultCause::Disconnected),
-            });
-        }
+        let reports = scatter.collected;
         if scatter.source_error.is_none() && reports.iter().all(|(shard, _)| shard.is_ok()) {
             let mut streams = Vec::with_capacity(reports.len());
             for (shard, out) in reports {
@@ -1149,7 +1256,9 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let mut parts: Vec<Vec<Packet>> = Vec::with_capacity(reports.len());
         let mut shards = Vec::with_capacity(reports.len());
         for (s, (shard, out)) in reports.into_iter().enumerate() {
-            let output: Vec<Packet> = out.into_iter().map(L::packet).collect();
+            let output: Vec<Packet> = (out.into_iter())
+                .map(|o| L::packet(o, &self.by_name))
+                .collect();
             let mut drops = DropCounters::new();
             drops.bump_by(DropReason::Backpressure, scatter.sheds[s]);
             match shard {
@@ -1180,7 +1289,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                         state: None,
                     });
                     parts.push(Vec::new());
-                    shards.push(self.fresh_switch()?);
+                    shards.push(self.fresh_shard()?);
                 }
             }
         }
@@ -1198,23 +1307,31 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
 
     /// The scheduling policy every shard runs.
     pub fn scheduler(&self) -> &SchedSpec {
-        &self.sched
+        &self.config.sched
     }
 
-    /// Snapshot of the dedicated scheduling-path egress engine's state
-    /// (`None` until the first scheduling run).
+    /// Snapshot of the dedicated scheduling-path egress engine's state.
     /// Bit-identical to a serial switch's egress state over the same
-    /// departures, because the post-merge egress pass *is* serial.
+    /// departures, because the post-merge egress pass *is* serial. (The
+    /// engine is built with the switch, so this is always `Some`.)
     pub fn export_sched_egress_state(&self) -> Option<StateStore> {
-        self.sched_egress.as_ref().map(Switch::export_egress_state)
+        Some(self.sched_egress.export_state())
+    }
+
+    /// The bound tier of the wire front-end on this switch's table — the
+    /// one parser of a byte-frame run ([`ShardedFrameRun::partitioned`]).
+    fn parser(&self, cfg: &WireConfig) -> BoundParser {
+        BoundParser::bind(cfg.clone(), Arc::clone(&self.table))
     }
 
     /// **The one sequential core** behind [`ShardedRun::partitioned`],
     /// [`ShardedRun::instrumented`], [`ShardedRun::for_each`] and
     /// [`ShardedFrameRun::partitioned`]: the plan run on the caller's
     /// thread, unsupervised, in rounds of about one batch per shard —
-    /// `pull` the next item and the shard it steers to, then `step` each
-    /// shard over its share of the round and hand the outputs to `sink`.
+    /// `pull` the next arrival already admitted onto the table (or the
+    /// verdict that rejected its frame), steer it, then step each shard
+    /// over its share of the round ([`Switch::run_stamped`]) and hand what
+    /// `leave` makes of each departing slab to `sink`.
     /// At line rate consecutive steps of one switch compose (its queue is
     /// empty between them), so the round size never shows in the output;
     /// it only bounds the memory (O(batch × shards) of input) and spreads
@@ -1224,11 +1341,11 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     ///
     /// A source error ends the pulling; what was gathered before it still
     /// runs, and the error rides back in the [`Lanes`] for
-    /// [`ShardedSwitch::source_fault`] to report.
-    fn run_sequential<T, O>(
+    /// [`ShardedSwitch::close`] to report.
+    fn run_sequential<O>(
         &mut self,
-        mut pull: impl FnMut(&ShardPlan, usize) -> Result<Option<(usize, T)>, SourceError>,
-        mut step: impl FnMut(&mut Switch<E>, &[T]) -> Result<Vec<O>, SwitchError>,
+        mut pull: impl FnMut() -> Result<Option<Result<InFlight, ParseVerdict>>, SourceError>,
+        leave: impl Fn(&InFlight) -> Option<O>,
         mut sink: impl FnMut(usize, Vec<O>),
     ) -> Result<Lanes, SwitchError> {
         self.check_line_rate()?;
@@ -1248,16 +1365,23 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                 merge_ns: 0,
             },
         };
-        let mut round: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
+        let mut round: Vec<Vec<Stamped>> = (0..n).map(|_| Vec::new()).collect();
         let mut ended = false;
         while !ended {
             let t = Instant::now();
-            for _ in 0..self.batch.saturating_mul(n) {
-                match pull(&self.plan, lanes.pulled as usize) {
-                    Ok(Some((s, item))) => {
+            for _ in 0..self.config.batch.saturating_mul(n) {
+                match pull() {
+                    Ok(Some(arrival)) => {
+                        let i = lanes.pulled as usize;
+                        // A rejected frame carries no fields to steer by:
+                        // dealt by index, so one shard books its verdict.
+                        let s = match &arrival {
+                            Ok(p) => self.steer.shard_of(i, p, &self.by_name, n),
+                            Err(_) => i % n,
+                        };
                         lanes.pulled += 1;
                         lanes.offered[s] += 1;
-                        round[s].push(item);
+                        round[s].push((i as i64, arrival));
                     }
                     end => {
                         lanes.source_error = end.err();
@@ -1272,46 +1396,46 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                     continue;
                 }
                 let t = Instant::now();
-                let out = step(sw, items)?;
+                let mut out = Vec::with_capacity(items.len());
+                sw.run_stamped(items.drain(..), |p| out.extend(leave(&p)));
                 lanes.timings.shard_ns[s] += t.elapsed().as_nanos();
-                items.clear();
                 sink(s, out);
             }
         }
         Ok(lanes)
     }
 
-    /// The sequential core over a [`PacketSource`]: stamped arrivals,
-    /// each shard stepping through [`Switch::run_stamped_batch`].
+    /// The sequential core over a [`PacketSource`]: each packet admitted
+    /// as it is pulled, each departing slab emitted.
     fn run_sequential_packets<S: PacketSource>(
         &mut self,
         source: &mut S,
         sink: impl FnMut(usize, Vec<Packet>),
     ) -> Result<Lanes, SwitchError> {
+        let (table, by_name) = (Arc::clone(&self.table), Arc::clone(&self.by_name));
         self.run_sequential(
-            |plan, i| {
-                Ok(source
-                    .next_packet()?
-                    .map(|pkt| (plan.steer(i, &pkt), (i as i64, pkt))))
-            },
-            Switch::run_stamped_batch,
+            || Ok((source.next_packet()?).map(|pkt| Ok(InFlight::admit(&pkt, &table)))),
+            |p| Some(p.emit(&by_name)),
             sink,
         )
     }
 
-    /// The report of a sequential run whose source failed mid-stream:
-    /// every shard ran its pre-failure stream to completion, so salvage
-    /// is complete — per-run drop deltas, state snapshots, and the
-    /// `outputs` the terminal kept (`streamed` counts what it handed to a
-    /// sink or returned as bytes instead) — and the books close with
-    /// `lost_in_fault == 0`.
-    fn source_fault(
+    /// Turns what a sequential run observed into its terminal's result:
+    /// the `outputs` it kept and the lane timings — or, if the source
+    /// failed mid-stream, the typed fault. Every shard ran its
+    /// pre-failure stream to completion, so salvage is complete — per-run
+    /// drop deltas, state snapshots, and `outputs` (`streamed` counts
+    /// what the terminal handed to a sink or returned as bytes instead) —
+    /// and the books close with `lost_in_fault == 0`.
+    fn close(
         &self,
-        lanes: Lanes,
-        error: SourceError,
+        mut lanes: Lanes,
         outputs: Vec<Vec<Packet>>,
         streamed: u64,
-    ) -> SwitchError {
+    ) -> Result<(Vec<Vec<Packet>>, ShardTimings), SwitchError> {
+        let Some(error) = lanes.source_error.take() else {
+            return Ok((outputs, lanes.timings));
+        };
         let salvage = (self.shards.iter().zip(&outputs).enumerate())
             .map(|(s, (sw, out))| {
                 let drops = sw.drop_counters().since(&lanes.drops_before[s]);
@@ -1319,14 +1443,14 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             })
             .collect();
         let merged = self.merge(outputs);
-        FaultReport::assemble(
+        Err(FaultReport::assemble(
             lanes.pulled,
             streamed,
             Some(error),
             Vec::new(),
             salvage,
             merged,
-        )
+        ))
     }
 
     /// [`ShardedRun::partitioned`]: the sequential core, outputs kept
@@ -1336,11 +1460,8 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         source: &mut S,
     ) -> Result<(Vec<Vec<Packet>>, ShardTimings), SwitchError> {
         let mut parts = vec![Vec::new(); self.shards.len()];
-        let mut lanes = self.run_sequential_packets(source, |s, out| parts[s].extend(out))?;
-        match lanes.source_error.take() {
-            None => Ok((parts, lanes.timings)),
-            Some(error) => Err(self.source_fault(lanes, error, parts, 0)),
-        }
+        let lanes = self.run_sequential_packets(source, |s, out| parts[s].extend(out))?;
+        self.close(lanes, parts, 0)
     }
 
     /// Each shard's `(ingress, egress)` state snapshot.
@@ -1428,11 +1549,15 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// of the per-partition state hooks. Each shard only ever touches its
     /// own key classes, so handing every shard the full snapshot
     /// reproduces exactly the partition a merged export would select.
+    /// The scheduling path's serial egress engine takes the egress
+    /// snapshot too, so a warm-started `.scheduled()` run continues the
+    /// serial switch's.
     pub fn import_state(&mut self, ingress: &StateStore, egress: &StateStore) {
         for sw in &mut self.shards {
             sw.import_ingress_state(ingress);
             sw.import_egress_state(egress);
         }
+        self.sched_egress.import_state(egress);
     }
 }
 
@@ -1466,9 +1591,10 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     }
 
     /// Runs the source across all shards on **supervised worker
-    /// threads** — the caller thread pulls packets and steers them into
-    /// per-shard bounded batch rings, each worker drains its ring through
-    /// its own switch inside `catch_unwind`, and the outputs merge
+    /// threads** — the caller thread pulls packets, admits each onto the
+    /// switch's table and steers the slab into per-shard bounded batch
+    /// rings, each worker drains its ring through its own switch inside
+    /// `catch_unwind` and emits what departs, and the outputs merge
     /// deterministically. Input memory is O(batch × ring × shards).
     ///
     /// # Failure model
@@ -1503,7 +1629,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     {
         let sw = self.switch;
         sw.check_line_rate()?;
-        let scatter = sw.supervised_scatter(&mut self.source, || Forward(Vec::new()));
+        let scatter = sw.supervised_scatter(&mut self.source, Forward::default);
         let parts = sw.gather::<Forward>(scatter)?;
         Ok(sw.merge(parts))
     }
@@ -1526,9 +1652,9 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
         let sw = self.switch;
         let n = sw.shards.len();
         let mut buffers = vec![VecDeque::new(); n];
-        let mut cursor = (mix64(sw.seed) % n as u64) as usize;
+        let mut cursor = (mix64(sw.config.seed) % n as u64) as usize;
         let mut emitted: u64 = 0;
-        let mut lanes = sw.run_sequential_packets(&mut self.source, |s, out| {
+        let lanes = sw.run_sequential_packets(&mut self.source, |s, out| {
             buffers[s].extend(out);
             while let Some(pkt) = buffers[cursor].pop_front() {
                 emitted += 1;
@@ -1543,15 +1669,14 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
             }
             cursor = (cursor + 1) % n;
         }
-        match lanes.source_error.take() {
-            None => Ok(RunStats {
-                offered: lanes.pulled,
-                transmitted: emitted,
-            }),
-            // Outputs already streamed to the sink, so salvage carries the
-            // books and state snapshots but no packet payloads.
-            Some(error) => Err(sw.source_fault(lanes, error, vec![Vec::new(); n], emitted)),
-        }
+        let offered = lanes.pulled;
+        // Outputs already streamed to the sink, so a fault's salvage
+        // carries the books and state snapshots but no packet payloads.
+        sw.close(lanes, vec![Vec::new(); n], emitted)?;
+        Ok(RunStats {
+            offered,
+            transmitted: emitted,
+        })
     }
 
     /// Runs shard-by-shard on the calling thread and returns each shard's
@@ -1588,13 +1713,14 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     /// `run(..).scheduled().collect()`, bit-identical to it on
     /// [`ShardTier::Exact`] plans.
     ///
-    /// Each worker ingress-processes its steered packets and pushes them
-    /// into a **shard-local PIFO** under the configured [`SchedSpec`];
-    /// at collect time the per-shard streams (each already in pop order)
+    /// Each worker runs ingress on its steered slabs and pushes them into
+    /// a **shard-local PIFO** under the configured [`SchedSpec`]; at
+    /// collect time the per-shard streams (each already in pop order)
     /// merge by `(class, rank, global arrival cycle)` — exactly the
     /// serial PIFO's pop order, because the serial tie-break *is* arrival
-    /// order — and a dedicated serial egress engine assigns departure
-    /// cycles with the same recurrence as the serial switch. Admission is
+    /// order — and a dedicated serial egress engine runs each slab's
+    /// departure, assigning cycles with the same recurrence as the serial
+    /// switch, before the packet is emitted — once, here. Admission is
     /// the serial burst rule applied per worker: during the arrival phase
     /// the queue only grows, so the serial switch admits exactly the
     /// first `capacity` arrivals — a globally computable rule, which is
@@ -1618,13 +1744,12 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
         E: Send + 'static,
     {
         let sw = self.switch;
-        let (spec, capacity) = (sw.sched.clone(), sw.capacity);
+        let (spec, capacity) = (sw.config.sched.clone(), sw.config.capacity);
         let scatter = sw.supervised_scatter(&mut self.source, || Schedule {
             // Unbounded: the serial admission rule bounds total occupancy
             // across *all* shards at `capacity`, so no per-shard bound
             // applies.
             pifo: spec.build_queue(usize::MAX),
-            spec: spec.clone(),
             capacity,
         });
         let pulled = scatter.pulled;
@@ -1633,36 +1758,33 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
         // the global arrival cycle is unique, so sorting the union by
         // (key, arrival) *is* the deterministic k-way merge — and equals
         // the serial pop order.
-        let mut entries: Vec<(SchedKey, i64, Packet)> = streams.into_iter().flatten().collect();
+        let mut entries: Vec<_> = streams.into_iter().flatten().collect();
         entries.sort_by_key(|&(key, arrival, _)| (key, arrival));
 
         // Serial egress pass over the merged departure sequence, on the
         // dedicated engine (see the field docs), with the serial burst
         // drain's departure recurrence.
-        let mut egress = match sw.sched_egress.take() {
-            Some(sw) => sw,
-            None => sw.fresh_switch()?,
-        };
         let total = entries.len();
-        let shaping = sw.sched.is_shaping();
+        let shaping = sw.config.sched.is_shaping();
+        let (egress, meta) = (&mut sw.sched_egress, sw.meta);
         let mut next_free = pulled as i64;
         let mut out = Vec::with_capacity(total);
-        for (k, (key, arrival, pkt)) in entries.into_iter().enumerate() {
+        for (k, (key, arrival, mut p)) in entries.into_iter().enumerate() {
             let departure = if shaping {
                 next_free.max(key.rank)
             } else {
                 next_free
             };
+            Switch::depart(egress, meta, arrival, departure, total - k - 1, &mut p);
             out.push(SchedDeparture {
                 arrival,
                 key,
                 departure,
-                pkt: egress.egress_process(arrival, departure, total - k - 1, &pkt),
+                pkt: p.emit(&sw.by_name),
             });
             next_free = departure + 1;
         }
         sw.extra_transmitted += total as u64;
-        sw.sched_egress = Some(egress);
         Ok(out)
     }
 }
@@ -1677,19 +1799,22 @@ pub struct ShardedFrameRun<'s, 'c, E: PipelineEngine, S: FrameSource> {
 }
 
 impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
-    /// Steers the frame stream and runs each shard's slice on the calling
-    /// thread ([`Switch::run_frames`]), returning the per-shard output
-    /// frames (un-merged).
+    /// Parses, steers and runs the frame stream on the calling thread,
+    /// returning the per-shard output frames (un-merged).
     ///
-    /// The dispatcher parses on the reference tier ([`wire::parse`] —
-    /// the same parse graph, so the same verdicts, as the bound tier the
-    /// shards run; steering on slots is ROADMAP item 2's other half) and
-    /// steers by the parsed packet and frame
-    /// index, so a frame lands on exactly the shard its packet-born twin
-    /// would (under replica mode both paths deal by index). Malformed
-    /// frames carry no fields to steer by; they are dealt round-robin by
-    /// frame index, so exactly one shard's parser re-rejects each one and
-    /// counts the typed drop — frame conservation holds shard by shard.
+    /// The dispatcher parses each frame **once**, on the bound tier
+    /// ([`BoundParser::parse_flat`] on the switch's one table), steers
+    /// the slab by its slots and frame index, and hands it — its
+    /// [`WireLayout`](crate::wire::WireLayout) beside it, stamped with the
+    /// frame index as its arrival cycle — to the shard, which deparses it
+    /// as it departs. A frame lands on exactly the shard its packet-born
+    /// twin would: per-shard output equals the serial
+    /// [`Switch::run_frames`] output split by
+    /// `plan.steer(i, &wire::parse(frame).pkt)`. A malformed frame
+    /// carries no fields to steer by; it is dealt round-robin by frame
+    /// index (shard `i % n`) and booked there under the
+    /// [`DropReason::Parse`] of the dispatcher's verdict, still consuming
+    /// its arrival cycle — frame conservation holds shard by shard.
     ///
     /// A source error reports a
     /// [`SourceFault`](crate::error::SourceFault) whose salvage carries
@@ -1697,49 +1822,33 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
     /// not packets, so the salvage `output` vectors stay empty — the
     /// typed parse-drop counters still close the accounting exactly).
     pub fn partitioned(mut self) -> Result<Vec<Vec<Vec<u8>>>, SwitchError> {
-        let (sw, cfg) = (self.switch, self.cfg);
+        let sw = self.switch;
         let n = sw.shards.len();
+        let parser = sw.parser(self.cfg);
         let mut parts = vec![Vec::new(); n];
-        let mut lanes = sw.run_sequential(
-            |plan, i| {
-                Ok(self.source.next_frame()?.map(|frame| {
-                    let shard = match wire::parse(frame, cfg) {
-                        Ok(wp) => plan.steer(i, &wp.pkt),
-                        Err(_) => i % n,
-                    };
-                    (shard, frame.to_vec())
-                }))
-            },
-            |sw, frames| sw.run_frames(frames, cfg).collect(),
+        let lanes = sw.run_sequential(
+            || Ok((self.source.next_frame()?).map(|f| parser.parse_flat(f).map(InFlight::from))),
+            |p| p.deparse(&parser),
             |s, out| parts[s].extend(out),
         )?;
-        match lanes.source_error.take() {
-            None => Ok(parts),
-            Some(error) => {
-                let transmitted = parts.iter().map(|p| p.len() as u64).sum();
-                Err(sw.source_fault(lanes, error, vec![Vec::new(); n], transmitted))
-            }
-        }
+        let transmitted = parts.iter().map(|p| p.len() as u64).sum();
+        sw.close(lanes, vec![Vec::new(); n], transmitted)?;
+        Ok(parts)
     }
 }
 
-/// What a shard worker reports back on its outcome channel; `D` is its
-/// [`Lane`]'s output item.
-enum WorkerOutcome<E: PipelineEngine, D> {
-    /// Ring drained, switch handed back with the lane's complete output.
-    Done(Box<Switch<E>>, Vec<D>),
-    /// The engine faulted mid-batch. The switch is discarded (its state
-    /// is suspect after an unwind), but its drop counters — plain
-    /// integers, safe to read — ride along, as does what the lane held
-    /// at the instant of the fault and the global index of the packet
-    /// whose processing faulted.
-    Fault {
-        out: Vec<D>,
-        packet: Option<u64>,
-        cause: FaultCause,
-        drops: DropCounters,
-    },
-}
+/// How one shard's worker ended, as the collector has it (`D` is its
+/// [`Lane`]'s output item): the switch handed back with the lane's
+/// complete output — or, with the switch gone (its state is suspect after
+/// an unwind, and a stalled or vanished worker never returns it), the
+/// global index of the packet whose processing faulted if the worker
+/// lived to name it, the cause, and the drop counters it had booked
+/// (plain integers, safe to read), beside what the lane held at that
+/// instant.
+type Outcome<E, D> = (
+    Result<Switch<E>, (Option<u64>, FaultCause, DropCounters)>,
+    Vec<D>,
+);
 
 /// A worker's per-batch step, and what it accumulates **outside** the
 /// unwind scope: a panicking engine loses at most the batch in flight,
@@ -1753,15 +1862,10 @@ trait Lane<E: PipelineEngine>: Send + 'static {
     const COUNTED: bool;
 
     /// The packet one output item contributes to a fault report.
-    fn packet(out: Self::Out) -> Packet;
-
-    /// Packets fully handled so far. Advances by exactly one per packet,
-    /// so the delta across a failing batch pinpoints the packet whose
-    /// processing faulted.
-    fn handled(&self, sw: &Switch<E>) -> u64;
+    fn packet(out: Self::Out, by_name: &[FieldId]) -> Packet;
 
     /// Runs one stamped batch (inside the worker's `catch_unwind`).
-    fn step(&mut self, sw: &mut Switch<E>, batch: &[(i64, Packet)]) -> Result<(), SwitchError>;
+    fn step(&mut self, sw: &mut Switch<E>, batch: StampedBatch);
 
     /// Everything the lane holds, in its order: the complete stream of a
     /// drained ring, or the salvage of a faulted one.
@@ -1769,25 +1873,25 @@ trait Lane<E: PipelineEngine>: Send + 'static {
 }
 
 /// The forwarding lane ([`ShardedRun::collect`]): each batch runs through
-/// the switch's loop as stamped arrivals; the lane holds the output of
-/// every *completed* batch.
+/// the switch's loop as stamped arrivals and is emitted as it departs;
+/// the lane holds the output of every *completed* batch.
+#[derive(Default)]
 struct Forward(Vec<Packet>);
 
 impl<E: PipelineEngine> Lane<E> for Forward {
     type Out = Packet;
     const COUNTED: bool = true;
 
-    fn packet(out: Packet) -> Packet {
+    fn packet(out: Packet, _: &[FieldId]) -> Packet {
         out
     }
 
-    fn handled(&self, sw: &Switch<E>) -> u64 {
-        sw.transmitted() + sw.drops()
-    }
-
-    fn step(&mut self, sw: &mut Switch<E>, batch: &[(i64, Packet)]) -> Result<(), SwitchError> {
-        self.0.append(&mut sw.run_stamped_batch(batch)?);
-        Ok(())
+    fn step(&mut self, sw: &mut Switch<E>, batch: StampedBatch) {
+        let by_name = Arc::clone(&sw.by_name);
+        let mut done = Vec::with_capacity(batch.len());
+        let arrivals = batch.into_iter().map(|(t, p)| (t, Ok(p)));
+        sw.run_stamped(arrivals, |p| done.push(p.emit(&by_name)));
+        self.0.append(&mut done);
     }
 
     fn drain(self) -> Vec<Packet> {
@@ -1795,51 +1899,44 @@ impl<E: PipelineEngine> Lane<E> for Forward {
     }
 }
 
-/// The scheduling lane ([`ShardedSchedRun::collect`]): ingress-process
-/// each steered packet and admit it into the shard-local PIFO (or count
-/// the configured full-drop reason). The lane holds the PIFO, so a
-/// faulted shard's salvage is its contents **popped in rank order** —
-/// finer than batch granularity.
+/// The scheduling lane ([`ShardedSchedRun::collect`]): run ingress on
+/// each steered slab and admit it into the shard-local PIFO (or count the
+/// configured full-drop reason). The lane holds the PIFO, so a faulted
+/// shard's salvage is its contents **popped in rank order** — finer than
+/// batch granularity.
 struct Schedule {
-    pifo: SchedQueue<(i64, Packet)>,
-    spec: SchedSpec,
+    pifo: SchedQueue<(i64, InFlight)>,
     capacity: usize,
 }
 
 impl<E: PipelineEngine> Lane<E> for Schedule {
-    /// `(key, global arrival cycle, ingress-processed packet)`.
-    type Out = (SchedKey, i64, Packet);
+    /// `(key, global arrival cycle, ingress-processed slab)`.
+    type Out = (SchedKey, i64, InFlight);
     /// A faulted scheduling run never reaches egress.
     const COUNTED: bool = false;
 
-    fn packet((_, _, pkt): Self::Out) -> Packet {
-        pkt
+    fn packet((_, _, p): Self::Out, by_name: &[FieldId]) -> Packet {
+        p.emit(by_name)
     }
 
-    fn handled(&self, sw: &Switch<E>) -> u64 {
-        self.pifo.len() as u64 + sw.drops()
-    }
-
-    fn step(&mut self, sw: &mut Switch<E>, batch: &[(i64, Packet)]) -> Result<(), SwitchError> {
-        for (t, pkt) in batch {
-            let processed = sw.ingress_process(pkt);
+    fn step(&mut self, sw: &mut Switch<E>, batch: StampedBatch) {
+        for (t, mut p) in batch {
+            let key = sw.arrive(t, &mut p);
             // The serial burst admission: during the arrival phase the
             // queue only grows, so the serial switch admits exactly the
             // arrivals with global cycle < capacity.
-            if (*t as usize) < self.capacity {
-                let key = self.spec.key_of(&processed);
-                let _ = self.pifo.push(key, (*t, processed));
+            if (t as usize) < self.capacity {
+                let _ = self.pifo.push(key, (t, p));
             } else {
-                sw.record_drop(self.spec.full_drop_reason());
+                sw.refuse();
             }
         }
-        Ok(())
     }
 
     fn drain(mut self) -> Vec<Self::Out> {
         let mut stream = Vec::with_capacity(self.pifo.len());
-        while let Some((key, (t, pkt))) = self.pifo.pop() {
-            stream.push((key, t, pkt));
+        while let Some((key, (t, p))) = self.pifo.pop() {
+            stream.push((key, t, p));
         }
         stream
     }
@@ -1852,27 +1949,17 @@ fn worker<E: PipelineEngine, L: Lane<E>>(
     mut sw: Switch<E>,
     rx: mpsc::Receiver<StampedBatch>,
     mut lane: L,
-) -> WorkerOutcome<E, L::Out> {
+) -> Outcome<E, L::Out> {
     while let Ok(batch) = rx.recv() {
-        let before = lane.handled(&sw);
-        let (at, cause) = match catch_unwind(AssertUnwindSafe(|| lane.step(&mut sw, &batch))) {
-            Ok(Ok(())) => continue,
-            Ok(Err(err)) => (0, FaultCause::Error(err.to_string())),
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| lane.step(&mut sw, batch))) {
             // `payload.as_ref()`, not `&payload`: the latter unsizes the
             // Box itself into `dyn Any` and every downcast misses.
-            Err(payload) => (
-                (lane.handled(&sw) - before) as usize,
-                FaultCause::Panic(panic_payload_string(payload.as_ref())),
-            ),
-        };
-        return WorkerOutcome::Fault {
-            packet: batch.get(at).map(|(t, _)| *t as u64),
-            cause,
-            drops: sw.drop_counters().clone(),
-            out: lane.drain(),
-        };
+            let cause = FaultCause::Panic(panic_payload_string(payload.as_ref()));
+            let gone = (Some(sw.now as u64), cause, sw.drop_counters().clone());
+            return (Err(gone), lane.drain());
+        }
     }
-    WorkerOutcome::Done(Box::new(sw), lane.drain())
+    (Ok(sw), lane.drain())
 }
 
 /// Renders a caught panic payload (`String` and `&str` payloads verbatim,
@@ -1885,26 +1972,14 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-/// What the collector observed for one shard (`O` is the
-/// [`WorkerOutcome`] of the run's [`Lane`]).
-enum Collected<O> {
-    /// The worker reported an outcome within the watchdog window.
-    Reported(O),
-    /// No outcome within the window — the worker was abandoned.
-    Stalled,
-    /// The outcome channel disconnected with no report: the thread died
-    /// outside the supervised path.
-    Vanished,
-}
-
 /// Everything the dispatcher observed during one supervised scatter.
 struct Scatter<O> {
     /// Packets steered to each shard (fed or not — the books).
     offered: Vec<u64>,
     /// Packets shed per shard under [`Backpressure::Shed`].
     sheds: Vec<u64>,
-    /// Each worker's collected outcome.
-    collected: Vec<Collected<O>>,
+    /// Each worker's [`Outcome`].
+    collected: Vec<O>,
     /// Total packets pulled from the source before it ended or failed.
     pulled: u64,
     /// The source's mid-stream error, if it failed rather than ended.
@@ -1941,8 +2016,8 @@ enum FeedResult {
 /// Pushes a batch with the configured overload policy. Never blocks past
 /// `watchdog`.
 fn feed_batch(
-    tx: &mpsc::SyncSender<Vec<(i64, Packet)>>,
-    mut batch: Vec<(i64, Packet)>,
+    tx: &mpsc::SyncSender<StampedBatch>,
+    mut batch: StampedBatch,
     policy: Backpressure,
     watchdog: Duration,
 ) -> FeedResult {
@@ -2355,5 +2430,97 @@ mod tests {
             Err(SwitchError::StatePartition(_))
         ));
         assert_eq!(sharded.export_shard_states().len(), 2);
+    }
+
+    #[test]
+    fn one_table_is_held_by_every_shard_engine_and_parser_even_after_a_rebuild() {
+        use crate::fault::{FaultSpec, FaultyEngine};
+
+        let ingress = array_counter("count", "counts", 64);
+        let egress = passthrough("out");
+        let cfg = ShardConfig::new(3)
+            .with_batch(8)
+            .with_scheduler(SchedSpec::Priority {
+                class: "prio".into(),
+                rank: "c".into(),
+            });
+        let sw = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
+        for shard in &sw.shards {
+            assert!(Arc::ptr_eq(&shard.table, &sw.table));
+        }
+        assert!(Arc::ptr_eq(sw.sched_egress.field_table(), &sw.table));
+        assert!(Arc::ptr_eq(
+            sw.parser(&WireConfig::new()).table(),
+            &sw.table
+        ));
+        // Every name anything resolves later was interned before the
+        // table closed: metadata, the scheduler's fields, the flow key.
+        for field in ["enq_ts", "now", "qdepth", "prio", "c", "flow"] {
+            assert!(sw.table.lookup(field).is_some(), "{field}");
+        }
+
+        // Kill shard 1 at its fourth packet; it is rebuilt on the table
+        // its predecessor ran on, and the switch runs again.
+        let mut armed: ShardedSwitch<FaultyEngine<SlotMachine>> =
+            ShardedSwitch::new_with(&ingress, &egress, cfg, |s, pipeline, table| {
+                let kill = matches!((s, pipeline.name.as_str()), (1, "count"));
+                let faults = if kill {
+                    vec![FaultSpec::panic_at(3)]
+                } else {
+                    Vec::new()
+                };
+                FaultyEngine::with_faults(pipeline, faults, table)
+            })
+            .unwrap();
+        let table = Arc::clone(&armed.table);
+        let err = armed.run(&flow_trace(300)).collect().unwrap_err();
+        let report = err.fault().expect("the armed shard faults");
+        assert_eq!(report.failures.len(), 1);
+        assert_eq!(report.failures[0].shard, 1);
+        assert!(Arc::ptr_eq(&armed.table, &table));
+        for shard in &armed.shards {
+            assert!(Arc::ptr_eq(&shard.table, &table));
+        }
+        assert_eq!(armed.run(&flow_trace(50)).collect().unwrap().len(), 50);
+        assert_eq!(
+            armed
+                .run(&flow_trace(20))
+                .scheduled()
+                .collect()
+                .unwrap()
+                .len(),
+            20
+        );
+    }
+
+    #[test]
+    fn malformed_frames_are_dealt_by_index_and_booked_on_that_shard() {
+        use crate::wire::{encode, parse, FrameSpec};
+
+        let cfg = WireConfig::new();
+        let good = encode(&Packet::new(), &cfg, &FrameSpec::default());
+        let frames: Vec<Vec<u8>> = (0..12)
+            .map(|i| match i % 4 {
+                1 => good[..9].to_vec(),  // runt Ethernet
+                3 => good[..20].to_vec(), // cut inside IPv4
+                _ => good.clone(),
+            })
+            .collect();
+        let mut sw =
+            ShardedSwitch::new_slot(&passthrough("in"), &passthrough("out"), ShardConfig::new(3))
+                .unwrap();
+        let parts = sw.run_frames(&frames, &cfg).partitioned().unwrap();
+        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 6);
+
+        let mut expected = vec![DropCounters::new(); 3];
+        for (i, frame) in frames.iter().enumerate() {
+            if let Err(verdict) = parse(frame, &cfg) {
+                expected[i % 3].bump(DropReason::Parse(verdict));
+            }
+        }
+        for (s, shard) in sw.shards.iter().enumerate() {
+            assert_eq!(shard.drop_counters(), &expected[s], "shard {s}");
+        }
+        assert_eq!(sw.drop_counters().parse_total(), 6);
     }
 }

@@ -27,7 +27,7 @@ use crate::error::SwitchError;
 use crate::machine::AtomPipeline;
 use crate::switch::PipelineEngine;
 use domino_ast::{intrinsics, BinOp, UnOp};
-use domino_ir::layout::{FieldId, FieldTable, FlatPacket, FlatState, StateLayout};
+use domino_ir::layout::{FieldId, FieldTable, FlatPacket, FlatState, FlowKeySpec, StateLayout};
 use domino_ir::{Operand, Packet, StateRef, StateStore, TacRhs, TacStmt};
 use std::fmt;
 use std::sync::Arc;
@@ -448,6 +448,51 @@ fn lower_rhs(rhs: &TacRhs, table: &mut FieldTable) -> Result<SlotRhs, String> {
             }
         }
     })
+}
+
+/// A [`FlowKeySpec`]'s stateless slice lowered onto a field table:
+/// [`FlowKeySpec::key_of`] — the by-name reference — over slots, for a
+/// dispatcher that steers slabs (`crate::shard`).
+#[derive(Debug, Clone)]
+pub(crate) struct KeySlice {
+    ops: Vec<SlotOp>,
+    key: FieldId,
+    modulus: i64,
+    /// The slice runs on scratch, never on the packet it steers; a
+    /// stateless slice never touches the (empty) register file.
+    scratch: Vec<i32>,
+    no_state: FlatState,
+}
+
+impl KeySlice {
+    /// Lowers the slice with the engine's own [`lower_stmt`], interning
+    /// every field it names on `table`.
+    pub(crate) fn lower(spec: &FlowKeySpec, table: &mut FieldTable) -> Result<KeySlice, String> {
+        let no_state = StateLayout::from_decls(&[]);
+        let ops = (spec.stmts().iter())
+            .map(|stmt| lower_stmt(stmt, table, &no_state))
+            .collect::<Result<_, _>>()?;
+        Ok(KeySlice {
+            ops,
+            key: table.intern(spec.key_field()),
+            modulus: spec.modulus() as i64,
+            scratch: Vec::new(),
+            no_state: FlatState::new(no_state),
+        })
+    }
+
+    /// The key class of the packet on `flat`. The reference copies only
+    /// the slice's roots into a fresh packet; copying the whole slab
+    /// agrees with it on every input, because every operand of the slice
+    /// is a root or a field the slice assigned earlier.
+    pub(crate) fn key_of(&mut self, flat: &FlatPacket) -> u32 {
+        self.scratch.clear();
+        self.scratch.extend_from_slice(flat.slots());
+        for op in &self.ops {
+            op.exec(&mut self.no_state, &mut self.scratch);
+        }
+        (self.scratch[self.key.index()] as i64).rem_euclid(self.modulus) as u32
+    }
 }
 
 /// A machine instance running the slot-compiled fast path: a lowered

@@ -19,7 +19,9 @@
 //!
 //! Like Banzai's machine model (parse once into a header vector, run
 //! every stage on it, deparse once), a packet enters the switch's layout
-//! once and leaves it once. Each [`Switch`] owns **one** [`FieldTable`]:
+//! once and leaves it once. Each [`Switch`] runs on **one** [`FieldTable`]
+//! (its own — or, as a shard, the one its sharded switch built for every
+//! shard, see `crate::shard`):
 //! both pipelines are lowered onto it, and the queue metadata names and
 //! the [`SchedSpec`]'s fields are resolved to [`FieldId`]s when the switch
 //! is built or reconfigured. A map packet is flattened when the source
@@ -45,11 +47,12 @@
 //! | [`Run::collect`] / [`Run::for_each`] | packet source | line rate | the packet |
 //! | [`SchedRun::collect`] | packet source | burst | the whole [`SchedDeparture`] |
 //! | [`FrameRun::collect`] / [`FrameRun::for_each`] | frame source + [`BoundParser::parse_flat`] | line rate | [`BoundParser::deparse_flat`]'s bytes |
-//! | sharded workers (`crate::shard`) | stamped `(cycle, packet)` pairs | line rate | the packet |
+//! | sharded workers (`crate::shard`) | stamped `(cycle, slab)` pairs, admitted by the dispatcher | line rate | the packet (or [`BoundParser::deparse_flat`]'s bytes) |
 //!
-//! An arrival is a map packet, a slab already parsed off a frame (its
-//! [`WireLayout`] beside it), or the [`ParseVerdict`] that rejected the
-//! frame; stamped arrivals also set the clock. The regime says when the
+//! An arrival is a map packet for the loop to admit, a slab already on the
+//! switch's table (parsed off a frame, its [`WireLayout`] beside it, or
+//! admitted by a sharded switch's dispatcher), or the [`ParseVerdict`]
+//! that rejected the frame; stamped arrivals also set the clock. The regime says when the
 //! link serves the queue — see [`Run`] and [`SchedRun`]. The sink receives
 //! each departing slab and turns it into its terminal's currency. Whatever
 //! the combination, the queue is the switch's own [`SchedQueue`] under the
@@ -64,7 +67,6 @@ use crate::stream::{
 };
 use crate::wire::{BoundParser, ParseVerdict, WireConfig, WireLayout};
 use domino_ir::{FieldId, FieldTable, FlatPacket, Packet, Residual, StateStore};
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -73,8 +75,8 @@ use std::sync::Arc;
 /// Implemented by the slot-compiled [`SlotMachine`] and, behind a
 /// flat ↔ map shim, by the reference [`Machine`]; both process one packet
 /// per clock **in place on the switch's flat layout** and expose their
-/// persistent state for inspection. `build`/`bind` are how a switch (and,
-/// per partition, the sharded switch in `crate::shard`) puts two engines
+/// persistent state for inspection. `build`/`bind` are how a switch puts
+/// two engines — and the sharded switch in `crate::shard` every shard's —
 /// on one table; `import_state` warm-starts an engine from a serial
 /// checkpoint.
 pub trait PipelineEngine {
@@ -285,15 +287,17 @@ pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 
 /// A packet in flight between its arrival and its sink: the slab on the
 /// switch's table, plus whatever of the input the table does not name.
+/// It is also what crosses a shard boundary (`crate::shard`): every shard
+/// of a sharded switch runs on the one table its dispatcher admits onto.
 #[derive(Debug, Clone)]
-struct InFlight {
-    flat: FlatPacket,
-    rest: Rest,
+pub(crate) struct InFlight {
+    pub(crate) flat: FlatPacket,
+    pub(crate) rest: Rest,
 }
 
 /// What rides beside a slab, by how the packet was born.
 #[derive(Debug, Clone)]
-enum Rest {
+pub(crate) enum Rest {
     /// Packet-born: the input fields the table does not name.
     Fields(Residual),
     /// Byte-born: the frame, where every field without a slot still sits.
@@ -304,7 +308,7 @@ enum Rest {
 impl InFlight {
     /// **Admission**: flattens `pkt` onto `table` — the one map → flat
     /// crossing of its life — keeping the fields the table does not name.
-    fn admit(pkt: &Packet, table: &Arc<FieldTable>) -> InFlight {
+    pub(crate) fn admit(pkt: &Packet, table: &Arc<FieldTable>) -> InFlight {
         let (flat, residual) = FlatPacket::admit(pkt, table);
         InFlight {
             flat,
@@ -315,22 +319,38 @@ impl InFlight {
     /// **Emission**: the one flat → map crossing of a packet-born slab,
     /// every field in name order. (A byte-born slab leaves through the
     /// deparser instead; asked anyway, it has no unnamed fields to add.)
-    fn emit(&self, by_name: &[FieldId]) -> Packet {
+    pub(crate) fn emit(&self, by_name: &[FieldId]) -> Packet {
         match &self.rest {
             Rest::Fields(residual) => self.flat.emit(by_name, residual),
             Rest::Frame(_) => self.flat.emit(by_name, &[]),
         }
     }
+
+    /// The way out of a byte-born slab: its frame with every slotted
+    /// field patched back (`None` for a packet-born slab, which has no
+    /// frame to leave in).
+    pub(crate) fn deparse(&self, parser: &BoundParser) -> Option<Vec<u8>> {
+        match &self.rest {
+            Rest::Frame(layout) => Some(parser.deparse_flat(&self.flat, layout)),
+            Rest::Fields(_) => None,
+        }
+    }
 }
 
-/// A slab leaving the switch, after egress: what the one loop hands its
-/// sink, which turns it into the terminal's currency.
-struct Departed {
-    arrival: i64,
-    key: SchedKey,
-    departure: i64,
-    p: InFlight,
+/// What [`BoundParser::parse_flat`] accepts, as the byte-born arrival.
+impl From<(FlatPacket, WireLayout)> for InFlight {
+    fn from((flat, layout): (FlatPacket, WireLayout)) -> InFlight {
+        InFlight {
+            flat,
+            rest: Rest::Frame(Box::new(layout)),
+        }
+    }
 }
+
+/// A stamped arrival — what a sharded switch's dispatcher hands a shard:
+/// the global arrival cycle, and the slab it admitted onto the shared
+/// table (or the verdict that rejected the frame).
+pub(crate) type Stamped = (i64, Result<InFlight, ParseVerdict>);
 
 /// When the link serves the queue — the one thing that differs between
 /// a line-rate run and a scheduling run.
@@ -349,18 +369,19 @@ enum Regime {
 
 /// What one arrival slot yields: a packet, or the verdict that rejected
 /// its frame — the slot is consumed either way.
-struct Arrival<'a> {
+struct Arrival {
     /// The cycle this arrival sets the clock to (stamped arrivals only).
     stamp: Option<i64>,
-    pkt: Result<Born<'a>, ParseVerdict>,
+    pkt: Result<Born, ParseVerdict>,
 }
 
 /// An arriving packet, in the form its source produces.
-enum Born<'a> {
+enum Born {
     /// A map packet, for the loop to admit.
-    Packet(Cow<'a, Packet>),
-    /// A frame the bound parser already laid out on the switch's table.
-    Bytes(InFlight),
+    Packet(Packet),
+    /// A slab already on the switch's table: a frame the bound parser
+    /// laid out, or a packet a sharded switch's dispatcher admitted.
+    Slab(InFlight),
 }
 
 /// How a run through the one loop ended: its totals, the drops it added,
@@ -390,10 +411,10 @@ pub struct Switch<E: PipelineEngine = Machine> {
     /// The one layout both engines run on and every queued slab is keyed
     /// by (see the module docs). Append-only: reconfiguration may grow
     /// it, which re-binds the engines.
-    table: Arc<FieldTable>,
+    pub(crate) table: Arc<FieldTable>,
     /// `table`'s slots in name order — the emission order. Shared, so a
     /// run's sink can emit while the loop holds the switch.
-    by_name: Arc<[FieldId]>,
+    pub(crate) by_name: Arc<[FieldId]>,
     /// `(enqueue_cycle, packet)` queue between the pipelines, running the
     /// discipline `sched` selected (drop-tail FIFO by default) for every
     /// run, packet-born or byte-born. Empty between runs.
@@ -407,7 +428,11 @@ pub struct Switch<E: PipelineEngine = Machine> {
     /// above 1 create standing queues under load, which is what egress
     /// AQM algorithms exist to observe.
     drain_period: u64,
-    now: i64,
+    /// The cycle of the arrival taken last (between runs: where the
+    /// line-rate clock resumes). At line rate a packet is through both
+    /// engines before the next arrives, so when an engine unwinds
+    /// mid-run, this names the packet it was processing.
+    pub(crate) now: i64,
     drops: DropCounters,
     transmitted: u64,
     /// Slots of the metadata stamped for egress programs, in
@@ -422,7 +447,8 @@ impl Switch<Machine> {
         let mut table = FieldTable::new();
         let ingress = Machine::on_table(ingress, &mut table);
         let egress = Machine::on_table(egress, &mut table);
-        Switch::assemble(ingress, egress, table, capacity)
+        let meta = QUEUE_METADATA_FIELDS.map(|f| table.intern(f));
+        Switch::assemble(ingress, egress, &Arc::new(table), meta, capacity)
     }
 
     /// The ingress machine's state (for inspection).
@@ -463,25 +489,28 @@ impl<E: PipelineEngine> Switch<E> {
         let mut table = FieldTable::new();
         let ingress = make(ingress, &mut table)?;
         let egress = make(egress, &mut table)?;
-        Ok(Switch::assemble(ingress, egress, table, capacity))
-    }
-
-    /// Finishes a switch around two engines built on `table`.
-    fn assemble(
-        mut ingress: E,
-        mut egress: E,
-        mut table: FieldTable,
-        capacity: usize,
-    ) -> Switch<E> {
         let meta = QUEUE_METADATA_FIELDS.map(|f| table.intern(f));
         let table = Arc::new(table);
-        ingress.bind(&table);
-        egress.bind(&table);
+        Ok(Switch::assemble(ingress, egress, &table, meta, capacity))
+    }
+
+    /// Finishes a switch around two engines built on `table` — its own,
+    /// or the one every shard of a sharded switch shares — where `meta`
+    /// are the slots of [`QUEUE_METADATA_FIELDS`].
+    pub(crate) fn assemble(
+        mut ingress: E,
+        mut egress: E,
+        table: &Arc<FieldTable>,
+        meta: [FieldId; 3],
+        capacity: usize,
+    ) -> Switch<E> {
+        ingress.bind(table);
+        egress.bind(table);
         Switch {
             ingress,
             egress,
             by_name: table.by_name().into(),
-            table,
+            table: Arc::clone(table),
             queue: SchedSpec::Fifo.build_queue(capacity),
             sched: SchedSpec::Fifo,
             key: KeySlots::Fifo,
@@ -695,19 +724,42 @@ impl<E: PipelineEngine> Switch<E> {
         self.egress.import_state(snapshot);
     }
 
-    /// A departure: stamps the queue metadata by slot and runs egress on
-    /// the slab in place.
-    fn depart(&mut self, enq_ts: i64, now: i64, depth: usize, p: &mut InFlight) {
-        let [enq_ts_slot, now_slot, depth_slot] = self.meta;
+    /// The arrival half of a cycle: notes the arrival's cycle, runs
+    /// ingress on the slab in place and reads the key the configured
+    /// discipline orders it by off its slots.
+    pub(crate) fn arrive(&mut self, now: i64, p: &mut InFlight) -> SchedKey {
+        self.now = now;
+        self.ingress.process(&mut p.flat);
+        self.key.key_of(&p.flat)
+    }
+
+    /// Books an arrival the queue had no room for, under the configured
+    /// discipline's drop reason.
+    pub(crate) fn refuse(&mut self) {
+        self.drops.bump(self.sched.full_drop_reason());
+    }
+
+    /// A departure: stamps the queue metadata (`meta`, in
+    /// [`QUEUE_METADATA_FIELDS`] order) by slot and runs `egress` on the
+    /// slab in place. Free of the switch, so a sharded scheduling run's
+    /// serial egress pass is this same step on its own engine.
+    pub(crate) fn depart(
+        egress: &mut E,
+        meta: [FieldId; 3],
+        enq_ts: i64,
+        now: i64,
+        depth: usize,
+        p: &mut InFlight,
+    ) {
+        let [enq_ts_slot, now_slot, depth_slot] = meta;
         p.flat.set(enq_ts_slot, enq_ts as i32);
         p.flat.set(now_slot, now as i32);
         p.flat.set(depth_slot, depth as i32);
-        self.egress.process(&mut p.flat);
-        self.transmitted += 1;
+        egress.process(&mut p.flat);
     }
 
     /// **The one run loop** every terminal of this switch — and, through
-    /// [`Switch::run_stamped_batch`], every shard worker — is an instance
+    /// [`Switch::run_stamped`], every shard worker — is an instance
     /// of (see the module docs for the table). One iteration is one
     /// cycle:
     ///
@@ -730,11 +782,11 @@ impl<E: PipelineEngine> Switch<E> {
     ///
     /// Engine state and the drop/transmit counters accumulate across
     /// calls; the queue is empty on entry and on return.
-    fn cycle<'a>(
+    fn cycle(
         &mut self,
         regime: Regime,
-        mut pull: impl FnMut() -> Result<Option<Arrival<'a>>, SourceError>,
-        mut sink: impl FnMut(Departed),
+        mut pull: impl FnMut() -> Result<Option<Arrival>, SourceError>,
+        mut sink: impl FnMut(i64, SchedKey, i64, InFlight),
     ) -> Ended {
         let burst = regime == Regime::Burst;
         let shaping = self.sched.is_shaping();
@@ -760,12 +812,11 @@ impl<E: PipelineEngine> Switch<E> {
                                     Born::Packet(pkt) => {
                                         (InFlight::admit(&pkt, &self.table), Some(pkt))
                                     }
-                                    Born::Bytes(p) => (p, None),
+                                    Born::Slab(p) => (p, None),
                                 };
-                                self.ingress.process(&mut p.flat);
-                                let key = self.key.key_of(&p.flat);
+                                let key = self.arrive(now, &mut p);
                                 if self.queue.push(key, (now, p)).is_err() {
-                                    self.drops.bump(self.sched.full_drop_reason());
+                                    self.refuse();
                                 }
                             }
                             Err(verdict) => self.drops.bump(DropReason::Parse(verdict)),
@@ -803,14 +854,11 @@ impl<E: PipelineEngine> Switch<E> {
                 }
                 if due <= now {
                     if let Some((key, (arrival, mut p))) = self.queue.pop() {
-                        self.depart(arrival, now, self.queue.len(), &mut p);
+                        let depth = self.queue.len();
+                        Switch::depart(&mut self.egress, self.meta, arrival, now, depth, &mut p);
+                        self.transmitted += 1;
                         stats.transmitted += 1;
-                        sink(Departed {
-                            arrival,
-                            key,
-                            departure: now,
-                            p,
-                        });
+                        sink(arrival, key, now, p);
                     }
                 }
             }
@@ -837,85 +885,53 @@ impl<E: PipelineEngine> Switch<E> {
         let pull = || {
             Ok(source.next_packet()?.map(|pkt| Arrival {
                 stamp: None,
-                pkt: Ok(Born::Packet(Cow::Owned(pkt))),
+                pkt: Ok(Born::Packet(pkt)),
             }))
         };
         let by_name = Arc::clone(&self.by_name);
-        self.cycle(regime, pull, |d| {
+        self.cycle(regime, pull, |arrival, key, departure, p| {
             sink(SchedDeparture {
-                arrival: d.arrival,
-                key: d.key,
-                departure: d.departure,
-                pkt: d.p.emit(&by_name),
+                arrival,
+                key,
+                departure,
+                pkt: p.emit(&by_name),
             })
         })
     }
 
-    /// Whether per-shard runs of this switch compose back into the serial
-    /// run: only at line rate, where the queue never holds more than one
-    /// packet — every packet admitted at cycle `t` leaves at `t + 1` with
-    /// queue depth 0, independent of what other shards carry. With at
-    /// most one occupant any *ungated* discipline pops it, so FIFO, PIFO
-    /// and strict priority all compose.
-    ///
-    /// # Errors
-    ///
-    /// [`SwitchError::Unsupported`] if `drain_period != 1` or the
-    /// discipline is [`SchedSpec::Shaping`]: an oversubscribed link and a
-    /// gated head both hold a standing queue, which couples shards
-    /// through the clock and cannot be partitioned.
-    pub(crate) fn check_line_rate(&self) -> Result<(), SwitchError> {
-        if self.drain_period != 1 {
-            return Err(SwitchError::Unsupported(format!(
-                "stamped (sharded) execution requires a line-rate egress link \
-                 (drain_period 1, got {}); a standing queue couples shards",
-                self.drain_period
-            )));
-        }
-        if self.sched.is_shaping() {
-            return Err(SwitchError::Unsupported(
-                "stamped (sharded) execution cannot run a shaping discipline at line rate: \
-                 a gated standing queue couples shards (use `.scheduled()`, which models shaping)"
-                    .to_string(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Runs a batch of `(arrival_cycle, packet)` pairs through the loop
-    /// at line rate — the stamped arrival adapter behind the sharded
-    /// workers.
+    /// Runs [`Stamped`] arrivals through the loop at line rate, handing
+    /// `sink` each slab as it departs — the arrival adapter behind the
+    /// sharded workers.
     ///
     /// Semantically this is [`Switch::run`] with the packet clock
     /// supplied by the caller instead of counted locally: a shard of a
     /// partitioned switch sees only *its* packets, but must stamp the
     /// `enq_ts`/`now` metadata with the **global** arrival cycle so its
     /// outputs are bit-identical to the serial switch's. Arrival cycles
-    /// must be strictly increasing.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`Switch::check_line_rate`] rejects. Never panics.
-    pub(crate) fn run_stamped_batch(
+    /// must be strictly increasing, the slabs on this switch's table, and
+    /// the configured discipline ungated (the sharded switch checks).
+    pub(crate) fn run_stamped(
         &mut self,
-        batch: &[(i64, Packet)],
-    ) -> Result<Vec<Packet>, SwitchError> {
-        self.check_line_rate()?;
-        debug_assert!(
-            batch.windows(2).all(|w| w[0].0 < w[1].0),
-            "stamped arrival cycles must be strictly increasing"
-        );
-        let mut out = Vec::with_capacity(batch.len());
-        let mut arrivals = batch.iter();
+        arrivals: impl IntoIterator<Item = Stamped>,
+        mut sink: impl FnMut(InFlight),
+    ) {
+        debug_assert_eq!(self.drain_period, 1, "a shard's link drains every cycle");
+        let mut arrivals = arrivals.into_iter();
+        let mut last = i64::MIN;
         let pull = || {
-            Ok(arrivals.next().map(|(t, pkt)| Arrival {
-                stamp: Some(*t),
-                pkt: Ok(Born::Packet(Cow::Borrowed(pkt))),
+            Ok(arrivals.next().map(|(t, pkt)| {
+                debug_assert!(
+                    last < t,
+                    "stamped arrival cycles must be strictly increasing"
+                );
+                last = t;
+                Arrival {
+                    stamp: Some(t),
+                    pkt: pkt.map(Born::Slab),
+                }
             }))
         };
-        let by_name = Arc::clone(&self.by_name);
-        self.cycle(Regime::LineRate, pull, |d| out.push(d.p.emit(&by_name)));
-        Ok(out)
+        self.cycle(Regime::LineRate, pull, |_, _, _, p| sink(p));
     }
 
     /// This switch's entry in a [`FaultReport`] as a surviving shard
@@ -961,36 +977,6 @@ impl<E: PipelineEngine> Switch<E> {
             vec![salvage],
             kept,
         ))
-    }
-
-    /// Runs one packet through the ingress pipeline alone — the sharded
-    /// scheduling path's per-worker step (rank computation happens at
-    /// ingress; the PIFO and the egress pass live outside the worker, so
-    /// the packet leaves this switch here, as a map packet).
-    pub(crate) fn ingress_process(&mut self, pkt: &Packet) -> Packet {
-        let mut p = InFlight::admit(pkt, &self.table);
-        self.ingress.process(&mut p.flat);
-        p.emit(&self.by_name)
-    }
-
-    /// Stamps and runs one packet through the egress pipeline alone — the
-    /// sharded scheduling path's post-merge step, on a dedicated serial
-    /// switch the ingress-processed packets are handed over to.
-    pub(crate) fn egress_process(
-        &mut self,
-        enq_ts: i64,
-        now: i64,
-        depth: usize,
-        pkt: &Packet,
-    ) -> Packet {
-        let mut p = InFlight::admit(pkt, &self.table);
-        self.depart(enq_ts, now, depth, &mut p);
-        p.emit(&self.by_name)
-    }
-
-    /// Bumps a drop counter directly (sharded scheduling admission).
-    pub(crate) fn record_drop(&mut self, reason: DropReason) {
-        self.drops.bump(reason);
     }
 
     /// Opens a streaming run session: anything convertible to a
@@ -1225,17 +1211,12 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
         let pull = || {
             Ok(self.source.next_frame()?.map(|frame| Arrival {
                 stamp: None,
-                pkt: parser.parse_flat(frame).map(|(flat, layout)| {
-                    Born::Bytes(InFlight {
-                        flat,
-                        rest: Rest::Frame(Box::new(layout)),
-                    })
-                }),
+                pkt: parser.parse_flat(frame).map(|born| Born::Slab(born.into())),
             }))
         };
-        let end = self.switch.cycle(Regime::LineRate, pull, |d| {
-            if let Rest::Frame(layout) = &d.p.rest {
-                sink(parser.deparse_flat(&d.p.flat, layout));
+        let end = self.switch.cycle(Regime::LineRate, pull, |_, _, _, p| {
+            if let Some(frame) = p.deparse(&parser) {
+                sink(frame);
             }
         });
         self.switch.close(end, Vec::new)
@@ -1251,6 +1232,19 @@ mod tests {
     // tests live in the workspace integration suite.
     fn passthrough(name: &str) -> AtomPipeline {
         AtomPipeline::passthrough(name)
+    }
+
+    /// `(cycle, packet)` pairs through [`Switch::run_stamped`] the way a
+    /// sharded dispatcher and worker do it: admit, run, emit.
+    fn run_stamped<'a>(
+        sw: &mut Switch,
+        arrivals: impl Iterator<Item = (usize, &'a Packet)>,
+    ) -> Vec<Packet> {
+        let (table, by_name) = (Arc::clone(&sw.table), Arc::clone(&sw.by_name));
+        let slabs = arrivals.map(|(i, p)| (i as i64, Ok(InFlight::admit(p, &table))));
+        let mut out = Vec::new();
+        sw.run_stamped(slabs, |p| out.push(p.emit(&by_name)));
+        out
     }
 
     #[test]
@@ -1297,12 +1291,7 @@ mod tests {
         let mut serial = Switch::new(passthrough("in"), passthrough("out"), 8);
         let serial_out = serial.run(&trace).collect().unwrap();
         let mut stamped = Switch::new(passthrough("in"), passthrough("out"), 8);
-        let batch: Vec<(i64, Packet)> = trace
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as i64, p.clone()))
-            .collect();
-        let stamped_out = stamped.run_stamped_batch(&batch).unwrap();
+        let stamped_out = run_stamped(&mut stamped, trace.iter().enumerate());
         assert_eq!(serial_out, stamped_out);
         assert_eq!(serial.transmitted(), stamped.transmitted());
         assert_eq!(serial.drops(), stamped.drops());
@@ -1318,13 +1307,8 @@ mod tests {
         let serial_out = serial.run(&trace).collect().unwrap();
         for parity in 0..2usize {
             let mut shard = Switch::new(passthrough("in"), passthrough("out"), 8);
-            let batch: Vec<(i64, Packet)> = trace
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % 2 == parity)
-                .map(|(i, p)| (i as i64, p.clone()))
-                .collect();
-            let out = shard.run_stamped_batch(&batch).unwrap();
+            let mine = trace.iter().enumerate().filter(|(i, _)| i % 2 == parity);
+            let out = run_stamped(&mut shard, mine);
             let expected: Vec<Packet> = serial_out
                 .iter()
                 .enumerate()
@@ -1333,16 +1317,6 @@ mod tests {
                 .collect();
             assert_eq!(out, expected);
         }
-    }
-
-    #[test]
-    fn stamped_rejects_oversubscribed_links() {
-        let mut sw = Switch::new(passthrough("in"), passthrough("out"), 8).with_drain_period(2);
-        let err = sw.run_stamped_batch(&[]).unwrap_err();
-        assert!(
-            matches!(&err, SwitchError::Unsupported(msg) if msg.contains("line-rate egress link")),
-            "{err}"
-        );
     }
 
     #[test]

@@ -36,12 +36,13 @@
 //! * the **bound tier** — [`BoundParser::parse_flat`] /
 //!   [`BoundParser::deparse_flat`] — is **production**: it routes a wire
 //!   index to the slot a field table gave it at bind time, filling and
-//!   reading a [`FlatPacket`] slab. It is what `Switch::run_frames` runs;
-//!   fields the table does not name simply stay in the frame bytes;
+//!   reading a [`FlatPacket`] slab. It is what `Switch::run_frames` and
+//!   the sharded dispatcher run; fields the table does not name simply
+//!   stay in the frame bytes;
 //! * the **map tier** — [`parse`] / [`deparse`] — is the **reference**:
 //!   it routes a wire index to its name, building and reading a map
-//!   [`Packet`]. The differential suites (and the sharded dispatcher's
-//!   steering, until it steers on slots) compare against it.
+//!   [`Packet`]. Nothing in the crate runs on it; the differential suites
+//!   compare against it.
 //!
 //! ## Deparsing: original bytes + patches
 //!
@@ -358,6 +359,13 @@ impl WireLayout {
             .chain(trailer)
     }
 
+    /// Every decoded field as `(name, wire value)`, in wire-index order —
+    /// the map tier's view of the frame, without the map.
+    pub(crate) fn fields(&self) -> impl Iterator<Item = (&str, i32)> + '_ {
+        self.regions()
+            .map(|(field, offset, width)| (self.name(field), read_be(&self.bytes, offset, width)))
+    }
+
     /// The field name behind a dense wire index [`WireLayout::regions`]
     /// yielded.
     fn name(&self, field: usize) -> &str {
@@ -494,8 +502,8 @@ fn patch_be(out: &mut [u8], offset: usize, width: u8, value: i32) {
 pub fn parse(frame: &[u8], cfg: &WireConfig) -> Result<WirePacket, ParseVerdict> {
     let layout = WireLayout::walk(frame, cfg)?;
     let mut pkt = Packet::new();
-    for (field, offset, width) in layout.regions() {
-        pkt.set(layout.name(field), read_be(frame, offset, width));
+    for (name, value) in layout.fields() {
+        pkt.set(name, value);
     }
     Ok(WirePacket { pkt, layout })
 }

@@ -1113,12 +1113,12 @@ fn armed_sharded(
     cfg: ShardConfig,
     faults: &FaultPlan,
 ) -> ShardedSwitch<FaultyEngine<SlotMachine>> {
-    ShardedSwitch::new_with(ingress, egress, cfg, |s, ing, eg, cap| {
-        // Ingress (built first) takes the schedule; egress runs clean.
-        let mut schedule = faults.faults_for(s).to_vec();
-        Switch::build_with(ing, eg, cap, |pipeline, table| {
-            FaultyEngine::with_faults(pipeline, std::mem::take(&mut schedule), table)
-        })
+    // Ingress (built first) takes the schedule; egress runs clean.
+    let mut schedules: Vec<_> = (0..cfg.shards)
+        .map(|s| faults.faults_for(s).to_vec())
+        .collect();
+    ShardedSwitch::new_with(ingress, egress, cfg, |s, pipeline, table| {
+        FaultyEngine::with_faults(pipeline, std::mem::take(&mut schedules[s]), table)
     })
     .expect("compiled pipelines are slot-executable")
 }

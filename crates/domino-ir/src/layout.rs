@@ -208,16 +208,19 @@ impl FlatPacket {
         (flat, residual)
     }
 
-    /// Materialises the map packet: every present slot plus `residual`.
+    /// Visits every field — each present slot and `residual` — in **name
+    /// order**, the order a map [`Packet`] iterates in.
     ///
     /// `by_name` must be this table's [`FieldTable::by_name`] and
     /// `residual` name-sorted (as [`FlatPacket::admit`] returns it); the
-    /// two are merged into one sorted run, so the map is bulk-built around
-    /// the table's interned names — no tree search and no key allocation
-    /// per field.
-    pub fn emit(&self, by_name: &[FieldId], residual: &[(Arc<str>, i32)]) -> Packet {
+    /// two are merged into one sorted run.
+    pub fn for_each_field(
+        &self,
+        by_name: &[FieldId],
+        residual: &[(Arc<str>, i32)],
+        mut visit: impl FnMut(&Arc<str>, i32),
+    ) {
         debug_assert_eq!(by_name.len(), self.vals.len());
-        let mut fields = Vec::with_capacity(by_name.len() + residual.len());
         let mut rest = residual.iter().peekable();
         for &id in by_name {
             if !self.has(id) {
@@ -225,11 +228,24 @@ impl FlatPacket {
             }
             let name = &self.table.names[id.index()];
             while let Some((r, v)) = rest.next_if(|(r, _)| r < name) {
-                fields.push((Arc::clone(r), *v));
+                visit(r, *v);
             }
-            fields.push((Arc::clone(name), self.vals[id.index()]));
+            visit(name, self.vals[id.index()]);
         }
-        fields.extend(rest.map(|(r, v)| (Arc::clone(r), *v)));
+        for (r, v) in rest {
+            visit(r, *v);
+        }
+    }
+
+    /// Materialises the map packet: every present slot plus `residual`
+    /// ([`FlatPacket::for_each_field`]'s run), so the map is bulk-built
+    /// around the table's interned names — no tree search and no key
+    /// allocation per field.
+    pub fn emit(&self, by_name: &[FieldId], residual: &[(Arc<str>, i32)]) -> Packet {
+        let mut fields = Vec::with_capacity(by_name.len() + residual.len());
+        self.for_each_field(by_name, residual, |name, v| {
+            fields.push((Arc::clone(name), v));
+        });
         fields.into_iter().collect()
     }
 
@@ -628,11 +644,12 @@ impl FlowKeySpec {
     /// Evaluates the key of an input packet by running the stateless slice
     /// and reducing the key field modulo [`FlowKeySpec::modulus`].
     ///
-    /// Only the root fields are copied into the evaluation scratch — this
-    /// runs once per packet on the dispatcher's hot path. (The scratch is
-    /// still a fresh map packet per call; when the steering lane becomes
-    /// the critical path at high shard counts, the next step is lowering
-    /// the slice onto a slot layout like the execution engine does.)
+    /// This is the **by-name reference**: only the root fields are copied
+    /// into a fresh scratch map packet, and the slice is interpreted on
+    /// it. `banzai`'s sharded dispatcher does not call it per packet — it
+    /// lowers the slice onto its switch's slot layout, like an execution
+    /// engine's program, and evaluates it on the admitted slab — and the
+    /// sharding suites hold the two to the same key on every packet.
     pub fn key_of(&self, pkt: &Packet) -> u32 {
         let mut scratch = Packet::new();
         for root in &self.roots {

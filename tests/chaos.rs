@@ -50,13 +50,13 @@ fn armed(
     cfg: ShardConfig,
     faults: &FaultPlan,
 ) -> ShardedSwitch<FaultyEngine<SlotMachine>> {
-    ShardedSwitch::new_with(ingress, egress, cfg, |s, ing, eg, cap| {
-        // `build_with` makes the ingress engine first: it takes the
-        // shard's schedule, the egress engine runs clean.
-        let mut schedule = faults.faults_for(s).to_vec();
-        Switch::build_with(ing, eg, cap, |pipeline, table| {
-            FaultyEngine::with_faults(pipeline, std::mem::take(&mut schedule), table)
-        })
+    // `new_with` makes a shard's ingress engine first: it takes the
+    // shard's schedule, the egress engine runs clean.
+    let mut schedules: Vec<_> = (0..cfg.shards)
+        .map(|s| faults.faults_for(s).to_vec())
+        .collect();
+    ShardedSwitch::new_with(ingress, egress, cfg, |s, pipeline, table| {
+        FaultyEngine::with_faults(pipeline, std::mem::take(&mut schedules[s]), table)
     })
     .unwrap()
 }

@@ -105,13 +105,11 @@ proptest! {
         let trace = to_trace(&flows);
         let faults = FaultPlan::seeded(seed, shards, trace.len() as u64);
         let cfg = ShardConfig::new(shards).with_batch(batch);
+        // Ingress (built first) takes the schedule; egress runs clean.
+        let mut schedules: Vec<_> = (0..shards).map(|s| faults.faults_for(s).to_vec()).collect();
         let mut sw: ShardedSwitch<FaultyEngine<SlotMachine>> =
-            ShardedSwitch::new_with(&ingress, &egress, cfg, |s, ing, eg, cap| {
-                // Ingress (built first) takes the schedule; egress runs clean.
-                let mut schedule = faults.faults_for(s).to_vec();
-                Switch::build_with(ing, eg, cap, |pipeline, table| {
-                    FaultyEngine::with_faults(pipeline, std::mem::take(&mut schedule), table)
-                })
+            ShardedSwitch::new_with(&ingress, &egress, cfg, |s, pipeline, table| {
+                FaultyEngine::with_faults(pipeline, std::mem::take(&mut schedules[s]), table)
             })
             .unwrap();
 

@@ -305,3 +305,52 @@ fn hierarchical_pifo_matches_flat_composite_sort_with_sched_full_overflow() {
     assert_eq!(serial.drop_counters().sched_full(), (N - CAPACITY) as u64);
     assert_eq!(serial.drop_counters().queue_full(), 0);
 }
+
+/// A warm-started scheduling run continues the serial switch's: the
+/// snapshot `import_state` broadcasts reaches the scheduling path's own
+/// serial egress engine as well as every shard (it once reached only the
+/// shards, so the post-merge egress pass restarted from the declared
+/// initializers and `sum` diverged from the first departure on).
+#[test]
+fn warm_started_scheduling_run_is_bit_identical_to_serial() {
+    let (ingress, egress) = (stfq_pipeline(), sojourn_egress());
+    let spec = SchedSpec::Pifo {
+        rank: "start".into(),
+    };
+    let warmup = sched::backlogged_burst(4, 10, SEED);
+    let trace = sched::backlogged_burst(4, 25, SEED ^ 1);
+    let serial = || {
+        Switch::new_slot(&ingress, &egress, trace.len())
+            .unwrap()
+            .with_scheduler(spec.clone())
+    };
+
+    let mut warm = serial();
+    warm.run(&warmup).scheduled().collect().unwrap();
+    let (warm_in, warm_eg) = (warm.export_ingress_state(), warm.export_egress_state());
+    assert_ne!(
+        warm_eg,
+        serial().export_egress_state(),
+        "warm-up left state"
+    );
+
+    let mut continued = serial();
+    continued.import_ingress_state(&warm_in);
+    continued.import_egress_state(&warm_eg);
+    let serial_out = continued.run(&trace).scheduled().collect().unwrap();
+
+    for shards in [1, 4] {
+        let cfg = ShardConfig::new(shards)
+            .with_capacity(trace.len())
+            .with_scheduler(spec.clone());
+        let mut sharded = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+        sharded.import_state(&warm_in, &warm_eg);
+        let sharded_out = sharded.run(&trace).scheduled().collect().unwrap();
+        assert_eq!(sharded_out, serial_out, "{shards} shards: departures");
+        assert_eq!(
+            sharded.export_sched_egress_state().expect("sched ran"),
+            continued.export_egress_state(),
+            "{shards} shards: egress state"
+        );
+    }
+}

@@ -456,3 +456,179 @@ fn line_rate_sharding_rejects_shaping_and_equals_serial_otherwise() {
         }
     }
 }
+
+/// Slot steering ≡ map steering. The dispatcher admits every packet onto
+/// the switch's one field table and evaluates the steering rule over the
+/// slab's **slots**; [`banzai::ShardPlan::steer`] evaluates the same
+/// rule **by name** on the map packet — the reference. The two must pick
+/// the same shard for every packet: under every rule the planner
+/// resolves for a Table 4 program (keyed, replica, single-shard), under
+/// whole-packet hashing, and under explicit field lists naming a field
+/// the packets carry, one they omit, and one no pipeline mentions — over
+/// traces whose packets carry fields off the table (a residual either
+/// side of the table's names) and omit declared ones, at 1–8 shards.
+///
+/// A packet's shard is read off the run itself: the residual `zz_tag`
+/// rides every packet through its shard untouched.
+#[test]
+fn slot_steering_equals_map_steering_for_every_rule() {
+    let passthrough = AtomPipeline::passthrough("in");
+    let fields = |names: &[&str]| SteerMode::Fields(names.iter().map(|f| f.to_string()).collect());
+    let flowlet = algorithms::by_name("flowlet").unwrap();
+    let mut cases: Vec<(String, AtomPipeline, SteerMode, Vec<Packet>)> = algorithms::TABLE4
+        .iter()
+        .filter(|a| a.paper.least_atom.is_some())
+        .map(|a| {
+            let trace = a.trace(160, SEED);
+            (a.name.to_string(), compile_least(a), SteerMode::Auto, trace)
+        })
+        .collect();
+    for (what, ingress, mode) in [
+        ("whole packet", passthrough.clone(), SteerMode::Auto),
+        ("fields: none listed", passthrough.clone(), fields(&[])),
+        (
+            "fields: present",
+            compile_least(&flowlet),
+            fields(&["sport"]),
+        ),
+        (
+            "fields: absent",
+            compile_least(&flowlet),
+            fields(&["dport", "new_hop"]),
+        ),
+        (
+            "fields: off the table",
+            passthrough,
+            fields(&["aa_extra", "zz_tag"]),
+        ),
+    ] {
+        cases.push((what.to_string(), ingress, mode, flowlet.trace(160, SEED)));
+    }
+
+    let mut rules = std::collections::BTreeSet::new();
+    for (what, ingress, mode, trace) in cases {
+        // Residual fields sorting before and after every table name, a
+        // unique tag, and every fifth packet short of its first field.
+        let trace: Vec<Packet> = (trace.iter().enumerate())
+            .map(|(i, p)| {
+                let kept = p.iter().skip(usize::from(i % 5 == 0));
+                let mut p: Packet = kept.map(|(f, v)| (f.to_string(), v)).collect();
+                p.set("aa_extra", (i % 3) as i32);
+                p.set("zz_tag", i as i32);
+                p
+            })
+            .collect();
+        let egress = AtomPipeline::passthrough("egress");
+        for shards in 1..=8 {
+            let cfg = ShardConfig::new(shards).with_steer(mode.clone());
+            let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+            rules.insert(
+                sw.plan()
+                    .to_string()
+                    .split(", ")
+                    .nth(1)
+                    .map(|r| r.split([' ', ':']).next().unwrap().to_string()),
+            );
+            let parts = sw.run(&trace).partitioned().unwrap();
+            for (s, part) in parts.iter().enumerate() {
+                let got: Vec<i32> = part.iter().map(|p| p.expect("zz_tag")).collect();
+                let want: Vec<i32> = (0..trace.len())
+                    .filter(|&i| sw.plan().steer(i, &trace[i]) == s)
+                    .map(|i| i as i32)
+                    .collect();
+                assert_eq!(got, want, "{what} @ {shards} shards: shard {s}");
+            }
+        }
+    }
+    // Every steering rule was exercised: keyed, replicated (dealt),
+    // single-shard fallback, whole-packet and explicit-field hashing.
+    let rules: Vec<String> = rules.into_iter().flatten().collect();
+    assert_eq!(
+        rules,
+        [
+            "hashing",
+            "keyed",
+            "replicated",
+            "single-shard",
+            "stateless"
+        ]
+    );
+}
+
+/// The sharded byte path's contract: `run_frames(..).partitioned()` is
+/// the serial `run_frames` output split by the plan's by-name steering of
+/// each frame's reference-tier parse — the dispatcher parses once on the
+/// bound tier and steers by slots, and must land every frame where its
+/// packet-born twin would go — with every malformed frame booked under
+/// its parse verdict; for a keyed, a whole-packet and a replica plan,
+/// over frames with VLAN tags, IPv4 options and payloads.
+#[test]
+fn sharded_frame_run_is_the_serial_frame_run_split_by_the_plan() {
+    use banzai::wire;
+    use bench::wiregen::{self, GenOptions};
+
+    let flowlet = compile_least(&algorithms::by_name("flowlet").unwrap());
+    let sketch = compile_least(&algorithms::by_name("heavy_hitters").unwrap());
+    for (what, ingress, workload, tier) in [
+        ("keyed", flowlet, "flowlet", ShardTier::Exact),
+        (
+            "whole packet",
+            AtomPipeline::passthrough("in"),
+            "flowlet",
+            ShardTier::Exact,
+        ),
+        ("replica", sketch, "heavy_hitters", ShardTier::Replicable),
+    ] {
+        let opts = GenOptions {
+            malform_rate: 0.1,
+            // Flowlet's outputs get a wire slot, so they are compared too.
+            extra_meta: vec!["next_hop".into(), "new_hop".into()],
+            ..GenOptions::default()
+        };
+        let mut wt = wiregen::wire_trace_for(workload, 240, SEED, &opts);
+        for (i, frame) in wt.frames.iter_mut().enumerate() {
+            let l3 = if frame.get(12..14) == Some(&[0x81, 0x00]) {
+                18
+            } else {
+                14
+            };
+            if i % 3 == 0 && frame.len() > l3 + 20 && frame[l3] == 0x45 {
+                frame[l3] = 0x46; // IHL 6: one word of IPv4 options
+                frame.splice(l3 + 20..l3 + 20, [1; 4]);
+            }
+            frame.extend((0..i % 7 * 13).map(|b| b as u8)); // payload
+        }
+        let (accepted, _) = wiregen::expected_verdicts(&wt.frames, &wt.cfg);
+        assert!(accepted > 150 && accepted < 240, "{what}: {accepted}");
+        assert!(wt
+            .frames
+            .iter()
+            .any(|f| f.get(12..14) == Some(&[0x81, 0x00])));
+
+        let egress = AtomPipeline::passthrough("egress");
+        let mut serial = Switch::new_slot(&ingress, &egress, CAPACITY).unwrap();
+        let serial_out = serial.run_frames(&wt.frames, &wt.cfg).collect().unwrap();
+        assert_eq!(serial_out.len() as u64, accepted);
+
+        for shards in [1, 2, 3, 8] {
+            let mut sw =
+                ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(shards)).unwrap();
+            assert_eq!(sw.plan().tier(), tier, "{what}");
+            let parts = sw.run_frames(&wt.frames, &wt.cfg).partitioned().unwrap();
+            let mut want = vec![Vec::new(); shards];
+            let mut departures = serial_out.iter();
+            for (i, frame) in wt.frames.iter().enumerate() {
+                if let Ok(parsed) = wire::parse(frame, &wt.cfg) {
+                    want[sw.plan().steer(i, &parsed.pkt)].push(departures.next().unwrap().clone());
+                }
+            }
+            assert_eq!(parts, want, "{what} @ {shards} shards");
+            assert_eq!(
+                sw.drop_counters(),
+                *serial.drop_counters(),
+                "{what} @ {shards}"
+            );
+            assert_eq!(sw.transmitted(), accepted, "{what} @ {shards}");
+        }
+    }
+}
