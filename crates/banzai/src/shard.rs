@@ -121,7 +121,7 @@ use crate::switch::{
 use crate::wire::{BoundParser, ParseVerdict, WireConfig};
 use domino_ast::{StateKind, StateVar};
 use domino_ir::layout::{mix64, FlowKeySpec, Partitionability, ReplicaSpec, StateLayout};
-use domino_ir::{FieldId, FieldTable, Packet, StateStore, TacStmt};
+use domino_ir::{FieldId, FieldTable, Packet, PacketEdges, StateStore, TacStmt};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -803,12 +803,13 @@ pub struct ShardedSwitch<E: PipelineEngine = SlotMachine> {
     /// name the queue or the scheduler stamps or reads is on it, before
     /// [`ShardedSwitch::new_with`] closes it — so a slab the dispatcher
     /// admits is the slab every shard, and the scheduling path's egress
-    /// pass, runs on. `by_name` is its emission order, `meta` its
+    /// pass, runs on. It is held as its map edges, the ones the
+    /// dispatcher thread uses (admission, salvage, the scheduling egress
+    /// pass; each shard emits through its own); `meta` are its
     /// [`QUEUE_METADATA_FIELDS`] slots.
-    table: Arc<FieldTable>,
-    by_name: Arc<[FieldId]>,
+    edges: PacketEdges,
     meta: [FieldId; 3],
-    /// The plan's steering rule over `table`'s slots.
+    /// The plan's steering rule over the table's slots.
     steer: SlotSteer,
     /// The compiled pipelines, kept for rebuilding a failed shard's
     /// engines after a fault (through the plain [`PipelineEngine::build`]
@@ -914,8 +915,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         Ok(ShardedSwitch {
             plan,
             shards,
-            by_name: table.by_name().into(),
-            table,
+            edges: PacketEdges::new(&table),
             meta,
             steer,
             sched_egress,
@@ -934,7 +934,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         // The table is closed; re-lowering pipelines it already holds
         // names nothing new, so the engines are built against a scratch
         // copy and bound to the original.
-        let (table, config) = (&self.table, &self.config);
+        let (table, config) = (self.edges.table(), &self.config);
         let mut names = FieldTable::clone(table);
         let ingress = E::build(&self.ingress_pipeline, &mut names)?;
         let egress = E::build(&self.egress_pipeline, &mut names)?;
@@ -1150,24 +1150,14 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             }
         };
         let mut pulled: u64 = 0;
-        // The pulled map packets, once admitted, are freed a batch at a
-        // time rather than one by one: freed singly, each parks in this
-        // thread's malloc cache, which is enough to keep glibc from
-        // trimming the heap afterwards (44 MiB in the E15 sharded ledger).
-        let mut admitted: Vec<Packet> = Vec::with_capacity(batch_size);
         let source_error = loop {
-            let pkt = match source.next_packet() {
-                Ok(Some(pkt)) => pkt,
+            let p = match source.next_packet() {
+                Ok(Some(pkt)) => InFlight::admit(&pkt, &mut self.edges),
                 end => break end.err(),
             };
             let i = pulled as usize;
             pulled += 1;
-            let p = InFlight::admit(&pkt, &self.table);
-            admitted.push(pkt);
-            if admitted.len() == batch_size {
-                admitted.clear();
-            }
-            let s = self.steer.shard_of(i, &p, &self.by_name, n);
+            let s = self.steer.shard_of(i, &p, self.edges.by_name(), n);
             offered[s] += 1;
             if txs[s].is_none() {
                 continue;
@@ -1257,7 +1247,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let mut shards = Vec::with_capacity(reports.len());
         for (s, (shard, out)) in reports.into_iter().enumerate() {
             let output: Vec<Packet> = (out.into_iter())
-                .map(|o| L::packet(o, &self.by_name))
+                .map(|o| L::packet(o, &mut self.edges))
                 .collect();
             let mut drops = DropCounters::new();
             drops.bump_by(DropReason::Backpressure, scatter.sheds[s]);
@@ -1321,7 +1311,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// The bound tier of the wire front-end on this switch's table — the
     /// one parser of a byte-frame run ([`ShardedFrameRun::partitioned`]).
     fn parser(&self, cfg: &WireConfig) -> BoundParser {
-        BoundParser::bind(cfg.clone(), Arc::clone(&self.table))
+        BoundParser::bind(cfg.clone(), Arc::clone(self.edges.table()))
     }
 
     /// **The one sequential core** behind [`ShardedRun::partitioned`],
@@ -1344,8 +1334,10 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// [`ShardedSwitch::close`] to report.
     fn run_sequential<O>(
         &mut self,
-        mut pull: impl FnMut() -> Result<Option<Result<InFlight, ParseVerdict>>, SourceError>,
-        leave: impl Fn(&InFlight) -> Option<O>,
+        mut pull: impl FnMut(
+            &mut PacketEdges,
+        ) -> Result<Option<Result<InFlight, ParseVerdict>>, SourceError>,
+        leave: impl Fn(&mut PacketEdges, &InFlight) -> Option<O>,
         mut sink: impl FnMut(usize, Vec<O>),
     ) -> Result<Lanes, SwitchError> {
         self.check_line_rate()?;
@@ -1370,13 +1362,13 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         while !ended {
             let t = Instant::now();
             for _ in 0..self.config.batch.saturating_mul(n) {
-                match pull() {
+                match pull(&mut self.edges) {
                     Ok(Some(arrival)) => {
                         let i = lanes.pulled as usize;
                         // A rejected frame carries no fields to steer by:
                         // dealt by index, so one shard books its verdict.
                         let s = match &arrival {
-                            Ok(p) => self.steer.shard_of(i, p, &self.by_name, n),
+                            Ok(p) => self.steer.shard_of(i, p, self.edges.by_name(), n),
                             Err(_) => i % n,
                         };
                         lanes.pulled += 1;
@@ -1397,7 +1389,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                 }
                 let t = Instant::now();
                 let mut out = Vec::with_capacity(items.len());
-                sw.run_stamped(items.drain(..), |p| out.extend(leave(&p)));
+                sw.run_stamped(items.drain(..), |edges, p| out.extend(leave(edges, &p)));
                 lanes.timings.shard_ns[s] += t.elapsed().as_nanos();
                 sink(s, out);
             }
@@ -1412,10 +1404,9 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         source: &mut S,
         sink: impl FnMut(usize, Vec<Packet>),
     ) -> Result<Lanes, SwitchError> {
-        let (table, by_name) = (Arc::clone(&self.table), Arc::clone(&self.by_name));
         self.run_sequential(
-            || Ok((source.next_packet()?).map(|pkt| Ok(InFlight::admit(&pkt, &table)))),
-            |p| Some(p.emit(&by_name)),
+            |edges| Ok((source.next_packet()?).map(|pkt| Ok(InFlight::admit(&pkt, edges)))),
+            |edges, p| Some(p.emit(edges)),
             sink,
         )
     }
@@ -1780,7 +1771,7 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
                 arrival,
                 key,
                 departure,
-                pkt: p.emit(&sw.by_name),
+                pkt: p.emit(&mut sw.edges),
             });
             next_free = departure + 1;
         }
@@ -1827,8 +1818,8 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
         let parser = sw.parser(self.cfg);
         let mut parts = vec![Vec::new(); n];
         let lanes = sw.run_sequential(
-            || Ok((self.source.next_frame()?).map(|f| parser.parse_flat(f).map(InFlight::from))),
-            |p| p.deparse(&parser),
+            |_| Ok((self.source.next_frame()?).map(|f| parser.parse_flat(f).map(InFlight::from))),
+            |_, p| p.deparse(&parser),
             |s, out| parts[s].extend(out),
         )?;
         let transmitted = parts.iter().map(|p| p.len() as u64).sum();
@@ -1862,7 +1853,7 @@ trait Lane<E: PipelineEngine>: Send + 'static {
     const COUNTED: bool;
 
     /// The packet one output item contributes to a fault report.
-    fn packet(out: Self::Out, by_name: &[FieldId]) -> Packet;
+    fn packet(out: Self::Out, edges: &mut PacketEdges) -> Packet;
 
     /// Runs one stamped batch (inside the worker's `catch_unwind`).
     fn step(&mut self, sw: &mut Switch<E>, batch: StampedBatch);
@@ -1882,15 +1873,14 @@ impl<E: PipelineEngine> Lane<E> for Forward {
     type Out = Packet;
     const COUNTED: bool = true;
 
-    fn packet(out: Packet, _: &[FieldId]) -> Packet {
+    fn packet(out: Packet, _: &mut PacketEdges) -> Packet {
         out
     }
 
     fn step(&mut self, sw: &mut Switch<E>, batch: StampedBatch) {
-        let by_name = Arc::clone(&sw.by_name);
         let mut done = Vec::with_capacity(batch.len());
         let arrivals = batch.into_iter().map(|(t, p)| (t, Ok(p)));
-        sw.run_stamped(arrivals, |p| done.push(p.emit(&by_name)));
+        sw.run_stamped(arrivals, |edges, p| done.push(p.emit(edges)));
         self.0.append(&mut done);
     }
 
@@ -1915,8 +1905,8 @@ impl<E: PipelineEngine> Lane<E> for Schedule {
     /// A faulted scheduling run never reaches egress.
     const COUNTED: bool = false;
 
-    fn packet((_, _, p): Self::Out, by_name: &[FieldId]) -> Packet {
-        p.emit(by_name)
+    fn packet((_, _, p): Self::Out, edges: &mut PacketEdges) -> Packet {
+        p.emit(edges)
     }
 
     fn step(&mut self, sw: &mut Switch<E>, batch: StampedBatch) {
@@ -2446,17 +2436,17 @@ mod tests {
             });
         let sw = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
         for shard in &sw.shards {
-            assert!(Arc::ptr_eq(&shard.table, &sw.table));
+            assert!(Arc::ptr_eq(shard.edges.table(), sw.edges.table()));
         }
-        assert!(Arc::ptr_eq(sw.sched_egress.field_table(), &sw.table));
+        assert!(Arc::ptr_eq(sw.sched_egress.field_table(), sw.edges.table()));
         assert!(Arc::ptr_eq(
             sw.parser(&WireConfig::new()).table(),
-            &sw.table
+            sw.edges.table()
         ));
         // Every name anything resolves later was interned before the
         // table closed: metadata, the scheduler's fields, the flow key.
         for field in ["enq_ts", "now", "qdepth", "prio", "c", "flow"] {
-            assert!(sw.table.lookup(field).is_some(), "{field}");
+            assert!(sw.edges.table().lookup(field).is_some(), "{field}");
         }
 
         // Kill shard 1 at its fourth packet; it is rebuilt on the table
@@ -2472,14 +2462,14 @@ mod tests {
                 FaultyEngine::with_faults(pipeline, faults, table)
             })
             .unwrap();
-        let table = Arc::clone(&armed.table);
+        let table = Arc::clone(armed.edges.table());
         let err = armed.run(&flow_trace(300)).collect().unwrap_err();
         let report = err.fault().expect("the armed shard faults");
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].shard, 1);
-        assert!(Arc::ptr_eq(&armed.table, &table));
+        assert!(Arc::ptr_eq(armed.edges.table(), &table));
         for shard in &armed.shards {
-            assert!(Arc::ptr_eq(&shard.table, &table));
+            assert!(Arc::ptr_eq(shard.edges.table(), &table));
         }
         assert_eq!(armed.run(&flow_trace(50)).collect().unwrap().len(), 50);
         assert_eq!(

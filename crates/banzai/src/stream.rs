@@ -135,7 +135,8 @@ pub trait Rewind {
 
 /// A [`PacketSource`] over a borrowed slice: rewindable, exact size
 /// hint, clones one packet per pull (exactly what the slice-based entry
-/// points always did).
+/// points always did) — one allocation, the value row; the names stay
+/// shared with the slice's packet.
 #[derive(Debug, Clone)]
 pub struct SliceSource<'a> {
     items: &'a [Packet],

@@ -66,7 +66,7 @@ use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::wire::{BoundParser, ParseVerdict, WireConfig, WireLayout};
-use domino_ir::{FieldId, FieldTable, FlatPacket, Packet, Residual, StateStore};
+use domino_ir::{FieldId, FieldTable, FlatPacket, Packet, PacketEdges, Residual, StateStore};
 use std::fmt;
 use std::sync::Arc;
 
@@ -306,10 +306,11 @@ pub(crate) enum Rest {
 }
 
 impl InFlight {
-    /// **Admission**: flattens `pkt` onto `table` — the one map → flat
-    /// crossing of its life — keeping the fields the table does not name.
-    pub(crate) fn admit(pkt: &Packet, table: &Arc<FieldTable>) -> InFlight {
-        let (flat, residual) = FlatPacket::admit(pkt, table);
+    /// **Admission**: lands `pkt` on the table `edges` belong to — the
+    /// one map → flat crossing of its life — keeping the fields the table
+    /// does not name.
+    pub(crate) fn admit(pkt: &Packet, edges: &mut PacketEdges) -> InFlight {
+        let (flat, residual) = edges.admit(pkt);
         InFlight {
             flat,
             rest: Rest::Fields(residual),
@@ -319,10 +320,10 @@ impl InFlight {
     /// **Emission**: the one flat → map crossing of a packet-born slab,
     /// every field in name order. (A byte-born slab leaves through the
     /// deparser instead; asked anyway, it has no unnamed fields to add.)
-    pub(crate) fn emit(&self, by_name: &[FieldId]) -> Packet {
+    pub(crate) fn emit(&self, edges: &mut PacketEdges) -> Packet {
         match &self.rest {
-            Rest::Fields(residual) => self.flat.emit(by_name, residual),
-            Rest::Frame(_) => self.flat.emit(by_name, &[]),
+            Rest::Fields(residual) => edges.emit(&self.flat, residual),
+            Rest::Frame(_) => edges.emit(&self.flat, &[]),
         }
     }
 
@@ -409,12 +410,12 @@ pub struct Switch<E: PipelineEngine = Machine> {
     ingress: E,
     egress: E,
     /// The one layout both engines run on and every queued slab is keyed
-    /// by (see the module docs). Append-only: reconfiguration may grow
-    /// it, which re-binds the engines.
-    pub(crate) table: Arc<FieldTable>,
-    /// `table`'s slots in name order — the emission order. Shared, so a
-    /// run's sink can emit while the loop holds the switch.
-    pub(crate) by_name: Arc<[FieldId]>,
+    /// by (see the module docs), as its two map edges hold it: where a
+    /// run's packets are admitted and emitted, with what the edges have
+    /// memoised of the traffic so far. The loop lends them to its sink.
+    /// The table is append-only: reconfiguration may grow it, which
+    /// re-makes the edges and re-binds the engines.
+    pub(crate) edges: PacketEdges,
     /// `(enqueue_cycle, packet)` queue between the pipelines, running the
     /// discipline `sched` selected (drop-tail FIFO by default) for every
     /// run, packet-born or byte-born. Empty between runs.
@@ -509,8 +510,7 @@ impl<E: PipelineEngine> Switch<E> {
         Switch {
             ingress,
             egress,
-            by_name: table.by_name().into(),
-            table: Arc::clone(table),
+            edges: PacketEdges::new(table),
             queue: SchedSpec::Fifo.build_queue(capacity),
             sched: SchedSpec::Fifo,
             key: KeySlots::Fifo,
@@ -527,16 +527,16 @@ impl<E: PipelineEngine> Switch<E> {
     /// engines) if the switch has not met the field yet. Growth happens
     /// only between runs, when the queue holds no slab of the old size.
     fn slot_of(&mut self, name: &str) -> FieldId {
-        if let Some(id) = self.table.lookup(name) {
+        if let Some(id) = self.edges.table().lookup(name) {
             return id;
         }
         debug_assert!(self.queue.is_empty(), "the table grows only between runs");
-        let mut table = FieldTable::clone(&self.table);
+        let mut table = FieldTable::clone(self.edges.table());
         let id = table.intern(name);
-        self.table = Arc::new(table);
-        self.by_name = self.table.by_name().into();
-        self.ingress.bind(&self.table);
-        self.egress.bind(&self.table);
+        let table = Arc::new(table);
+        self.edges = PacketEdges::new(&table);
+        self.ingress.bind(&table);
+        self.egress.bind(&table);
         id
     }
 
@@ -786,7 +786,7 @@ impl<E: PipelineEngine> Switch<E> {
         &mut self,
         regime: Regime,
         mut pull: impl FnMut() -> Result<Option<Arrival>, SourceError>,
-        mut sink: impl FnMut(i64, SchedKey, i64, InFlight),
+        mut sink: impl FnMut(&mut PacketEdges, i64, SchedKey, i64, InFlight),
     ) -> Ended {
         let burst = regime == Regime::Burst;
         let shaping = self.sched.is_shaping();
@@ -802,17 +802,10 @@ impl<E: PipelineEngine> Switch<E> {
                         stats.offered += 1;
                         now = arrival.stamp.unwrap_or(now);
                         match arrival.pkt {
-                            // A map `pkt` is freed at the end of this arm,
-                            // after the slab is queued — not right after
-                            // admission: the earlier free changes malloc's
-                            // chunk reuse enough to pin 50 MiB in the E15
-                            // sharded ledger.
                             Ok(born) => {
-                                let (mut p, _pkt) = match born {
-                                    Born::Packet(pkt) => {
-                                        (InFlight::admit(&pkt, &self.table), Some(pkt))
-                                    }
-                                    Born::Slab(p) => (p, None),
+                                let mut p = match born {
+                                    Born::Packet(pkt) => InFlight::admit(&pkt, &mut self.edges),
+                                    Born::Slab(p) => p,
                                 };
                                 let key = self.arrive(now, &mut p);
                                 if self.queue.push(key, (now, p)).is_err() {
@@ -858,7 +851,7 @@ impl<E: PipelineEngine> Switch<E> {
                         Switch::depart(&mut self.egress, self.meta, arrival, now, depth, &mut p);
                         self.transmitted += 1;
                         stats.transmitted += 1;
-                        sink(arrival, key, now, p);
+                        sink(&mut self.edges, arrival, key, now, p);
                     }
                 }
             }
@@ -888,13 +881,12 @@ impl<E: PipelineEngine> Switch<E> {
                 pkt: Ok(Born::Packet(pkt)),
             }))
         };
-        let by_name = Arc::clone(&self.by_name);
-        self.cycle(regime, pull, |arrival, key, departure, p| {
+        self.cycle(regime, pull, |edges, arrival, key, departure, p| {
             sink(SchedDeparture {
                 arrival,
                 key,
                 departure,
-                pkt: p.emit(&by_name),
+                pkt: p.emit(edges),
             })
         })
     }
@@ -913,7 +905,7 @@ impl<E: PipelineEngine> Switch<E> {
     pub(crate) fn run_stamped(
         &mut self,
         arrivals: impl IntoIterator<Item = Stamped>,
-        mut sink: impl FnMut(InFlight),
+        mut sink: impl FnMut(&mut PacketEdges, InFlight),
     ) {
         debug_assert_eq!(self.drain_period, 1, "a shard's link drains every cycle");
         let mut arrivals = arrivals.into_iter();
@@ -931,7 +923,7 @@ impl<E: PipelineEngine> Switch<E> {
                 }
             }))
         };
-        self.cycle(Regime::LineRate, pull, |_, _, _, p| sink(p));
+        self.cycle(Regime::LineRate, pull, |edges, _, _, _, p| sink(edges, p));
     }
 
     /// This switch's entry in a [`FaultReport`] as a surviving shard
@@ -1207,14 +1199,14 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
         // Bound per run: reconfiguration between runs may have grown the
         // table. The borrowed frame is parsed to owned form inside the
         // pull, so the source can be pulled again next cycle.
-        let parser = BoundParser::bind(self.cfg.clone(), Arc::clone(&self.switch.table));
+        let parser = BoundParser::bind(self.cfg.clone(), Arc::clone(self.switch.edges.table()));
         let pull = || {
             Ok(self.source.next_frame()?.map(|frame| Arrival {
                 stamp: None,
                 pkt: parser.parse_flat(frame).map(|born| Born::Slab(born.into())),
             }))
         };
-        let end = self.switch.cycle(Regime::LineRate, pull, |_, _, _, p| {
+        let end = self.switch.cycle(Regime::LineRate, pull, |_, _, _, _, p| {
             if let Some(frame) = p.deparse(&parser) {
                 sink(frame);
             }
@@ -1240,10 +1232,10 @@ mod tests {
         sw: &mut Switch,
         arrivals: impl Iterator<Item = (usize, &'a Packet)>,
     ) -> Vec<Packet> {
-        let (table, by_name) = (Arc::clone(&sw.table), Arc::clone(&sw.by_name));
-        let slabs = arrivals.map(|(i, p)| (i as i64, Ok(InFlight::admit(p, &table))));
+        let mut dispatcher = sw.edges.clone();
+        let slabs = arrivals.map(|(i, p)| (i as i64, Ok(InFlight::admit(p, &mut dispatcher))));
         let mut out = Vec::new();
-        sw.run_stamped(slabs, |p| out.push(p.emit(&by_name)));
+        sw.run_stamped(slabs, |edges, p| out.push(p.emit(edges)));
         out
     }
 

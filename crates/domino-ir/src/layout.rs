@@ -1,8 +1,8 @@
 //! Compile-time field layout: interned fields, flat packets, flat state.
 //!
-//! The map-based [`Packet`] is the *semantic reference*: a
-//! `BTreeMap` from field name to value, convenient and order-deterministic
-//! but string-keyed on every access. Real switch pipelines resolve header
+//! The map-based [`Packet`] is the *semantic reference*: an ordered map
+//! from field name to value, convenient and order-deterministic but
+//! string-keyed on every access. Real switch pipelines resolve header
 //! layouts at compile time — a PHV container is a fixed offset, not a
 //! dictionary lookup. This module provides that layout-resolution step:
 //!
@@ -10,6 +10,8 @@
 //!   [`FieldId`] (its PHV slot), keeping reverse names for diagnostics;
 //! * [`FlatPacket`] — a fixed `i32` slab keyed by [`FieldId`], with a
 //!   presence bitmask replicating the map packet's has/absent semantics;
+//! * [`PacketEdges`] — the two crossings between those packet forms on
+//!   one table, each memoised on the shape of the traffic it has seen;
 //! * [`StateLayout`] / [`FlatState`] — every state variable resolved to a
 //!   base offset into one flat register file (scalars take one slot,
 //!   arrays `size` slots).
@@ -25,7 +27,7 @@
 //! a [`FlowKeySpec`] — the RSS-style steering rule under which per-shard
 //! execution is bit-identical to serial execution (see `banzai::shard`).
 
-use crate::packet::Packet;
+use crate::packet::{Packet, Shape};
 use crate::state::{StateStore, StateValue};
 use crate::tac::{Operand, StateRef, TacRhs, TacStmt};
 use domino_ast::{StateKind, StateVar};
@@ -64,8 +66,8 @@ impl fmt::Display for FieldId {
 /// pipeline deterministically is itself deterministic. The table keeps the
 /// reverse mapping (`id → name`) so fast-path diagnostics can still name
 /// the field — matching [`Packet::expect`]'s contract. Names are interned
-/// `Arc<str>`s, shared with every map packet materialised off the table
-/// ([`FlatPacket::emit`]).
+/// `Arc<str>`s, shared with the shape of every map packet materialised off
+/// the table ([`PacketEdges::emit`], [`FlatPacket::emit`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FieldTable {
     names: Vec<Arc<str>>,
@@ -123,8 +125,8 @@ impl FieldTable {
     }
 
     /// Every slot in **name order** — the order a map [`Packet`] iterates
-    /// in. Computed once per table so that [`FlatPacket::emit`] can hand
-    /// the map its fields already sorted.
+    /// in. Computed once per table ([`PacketEdges`] keeps it) so that
+    /// emission walks the fields already sorted.
     pub fn by_name(&self) -> Vec<FieldId> {
         let mut ids: Vec<FieldId> = (0..self.names.len() as u32).map(FieldId).collect();
         ids.sort_unstable_by(|a, b| self.names[a.index()].cmp(&self.names[b.index()]));
@@ -195,7 +197,8 @@ impl FlatPacket {
     /// Flattens a map packet **without losing anything**: fields `table`
     /// names land in their slots, the rest come back as the [`Residual`]
     /// (name-sorted, sharing the packet's interned names) for
-    /// [`FlatPacket::emit`] to put back.
+    /// [`FlatPacket::emit`] to put back. One [`FieldTable::lookup`] per
+    /// field: the by-name reference of [`PacketEdges::admit`].
     pub fn admit(pkt: &Packet, table: &Arc<FieldTable>) -> (FlatPacket, Residual) {
         let mut flat = FlatPacket::new(Arc::clone(table));
         let mut residual = Residual::new();
@@ -238,9 +241,9 @@ impl FlatPacket {
     }
 
     /// Materialises the map packet: every present slot plus `residual`
-    /// ([`FlatPacket::for_each_field`]'s run), so the map is bulk-built
-    /// around the table's interned names — no tree search and no key
-    /// allocation per field.
+    /// ([`FlatPacket::for_each_field`]'s run), a fresh shape around the
+    /// table's interned names — the by-name reference of
+    /// [`PacketEdges::emit`], and the way out of a slab with a residual.
     pub fn emit(&self, by_name: &[FieldId], residual: &[(Arc<str>, i32)]) -> Packet {
         let mut fields = Vec::with_capacity(by_name.len() + residual.len());
         self.for_each_field(by_name, residual, |name, v| {
@@ -361,6 +364,120 @@ impl PartialEq for FlatPacket {
 }
 
 impl Eq for FlatPacket {}
+
+/// One memoised crossing between the two packet forms: map packets of
+/// `shape` ↔ slabs whose presence mask is `present`, the row's `i`-th value
+/// living in slot `slots[i]`.
+#[derive(Debug, Clone)]
+struct Crossing {
+    shape: Shape,
+    slots: Vec<FieldId>,
+    present: Box<[u64]>,
+}
+
+/// Both map ↔ slab edges of one field table: **admission** (a map
+/// [`Packet`] lands on a slab) and **emission** (a slab leaves as a map
+/// packet), each remembering the last crossing it made.
+///
+/// A program fixes its packets' layout, so the traffic of one switch has
+/// — as a rule — one input name set and one departure presence mask. The
+/// by-name merges ([`FlatPacket::admit`], [`FlatPacket::emit`]) re-derive
+/// the same slot list from the names of every packet; the edges derive it
+/// once. Admission keeps `shape → (slots, presence)` and scatters the
+/// value row of any packet whose names match (the same allocation, or
+/// equal content) with no [`FieldTable::lookup`] per field; emission
+/// keeps `presence → (shape, slots)` and gathers a row behind the shared
+/// shape. What a memo cannot describe takes the by-name path, which is
+/// also the reference the memo is tested against: a packet naming a field
+/// off the table, a slab with a residual. Which path runs is decided by
+/// the packet in hand alone.
+#[derive(Debug, Clone)]
+pub struct PacketEdges {
+    table: Arc<FieldTable>,
+    by_name: Vec<FieldId>,
+    admitted: Option<Crossing>,
+    emitted: Option<Crossing>,
+}
+
+impl PacketEdges {
+    /// The edges of `table`, nothing remembered yet. A table that grows
+    /// needs new edges: slabs, masks and slot lists are sized by it.
+    pub fn new(table: &Arc<FieldTable>) -> Self {
+        PacketEdges {
+            table: Arc::clone(table),
+            by_name: table.by_name(),
+            admitted: None,
+            emitted: None,
+        }
+    }
+
+    /// The table whose edges these are.
+    pub fn table(&self) -> &Arc<FieldTable> {
+        &self.table
+    }
+
+    /// [`FieldTable::by_name`], computed once.
+    pub fn by_name(&self) -> &[FieldId] {
+        &self.by_name
+    }
+
+    /// **Admission** — [`FlatPacket::admit`]'s result, by the remembered
+    /// scatter whenever every name of `pkt` is on the table.
+    pub fn admit(&mut self, pkt: &Packet) -> (FlatPacket, Residual) {
+        let memo = match &mut self.admitted {
+            Some(memo) if memo.shape == *pkt.shape() => memo,
+            miss => {
+                let table = &self.table;
+                let slots: Option<Vec<FieldId>> =
+                    pkt.field_names().map(|name| table.lookup(name)).collect();
+                let Some(slots) = slots else {
+                    return FlatPacket::admit(pkt, table);
+                };
+                let mut marked = FlatPacket::new(Arc::clone(table));
+                slots.iter().for_each(|id| marked.set(*id, 0));
+                miss.insert(Crossing {
+                    shape: Arc::clone(pkt.shape()),
+                    slots,
+                    present: marked.present,
+                })
+            }
+        };
+        let mut vals = vec![0; self.table.len()].into_boxed_slice();
+        for (id, value) in memo.slots.iter().zip(pkt.vals()) {
+            vals[id.index()] = *value;
+        }
+        let flat = FlatPacket {
+            table: Arc::clone(&self.table),
+            vals,
+            present: memo.present.clone(),
+        };
+        (flat, Residual::new())
+    }
+
+    /// **Emission** — [`FlatPacket::emit`]'s result, by the remembered
+    /// gather whenever `residual` is empty. `flat` lies on this table.
+    pub fn emit(&mut self, flat: &FlatPacket, residual: &[(Arc<str>, i32)]) -> Packet {
+        debug_assert_eq!(flat.vals.len(), self.by_name.len());
+        if !residual.is_empty() {
+            return flat.emit(&self.by_name, residual);
+        }
+        let memo = match &mut self.emitted {
+            Some(memo) if memo.present == flat.present => memo,
+            miss => {
+                let present = |id: &FieldId| flat.has(*id);
+                let slots: Vec<FieldId> = self.by_name.iter().copied().filter(present).collect();
+                let names = slots.iter().map(|id| &self.table.names[id.index()]);
+                miss.insert(Crossing {
+                    shape: Arc::new(names.cloned().collect()),
+                    slots,
+                    present: flat.present.clone(),
+                })
+            }
+        };
+        let vals = memo.slots.iter().map(|id| flat.vals[id.index()]);
+        Packet::from_shape(Arc::clone(&memo.shape), vals.collect())
+    }
+}
 
 /// Where one state variable lives in the flat register file.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -30,8 +30,8 @@ pub mod wire;
 pub use codelet::{Codelet, PvsmPipeline};
 pub use interp::{run_ast, run_tac, step_ast, step_tac};
 pub use layout::{
-    FieldId, FieldTable, FlatPacket, FlatState, FlowKeySpec, MergeOp, Partitionability,
-    ReplicaArray, ReplicaSpec, Residual, StateLayout,
+    FieldId, FieldTable, FlatPacket, FlatState, FlowKeySpec, MergeOp, PacketEdges,
+    Partitionability, ReplicaArray, ReplicaSpec, Residual, StateLayout,
 };
 pub use packet::Packet;
 pub use state::{StateStore, StateValue};

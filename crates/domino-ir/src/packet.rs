@@ -1,31 +1,87 @@
 //! Packets as seen by the data plane: a bag of named 32-bit fields.
 //!
-//! Banzai does not model parsing (§2.2) — packets arrive already parsed, so
-//! a packet here is simply a map from field name to value. Fields cover
+//! Banzai does not model parsing (§2.2) — packets arrive already parsed,
+//! as a header vector whose layout the *program* fixed. So the field names
+//! belong to the program, not to the packet: a packet here is a **shape**
+//! — its names, sorted, behind an `Arc` shared by every packet with the
+//! same fields — plus a **row** of values in shape order. Fields cover
 //! both real headers (`sport`, `dport`) and per-packet metadata/temporaries
 //! introduced by the programmer (`id`) or by the compiler (SSA temps).
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The byte-wise sorted, duplicate-free names of a packet's fields, shared
+/// between packets.
+pub(crate) type Shape = Arc<Vec<Arc<str>>>;
 
 /// A parsed packet: named 32-bit fields.
 ///
-/// A `BTreeMap` keeps iteration deterministic, which matters for
-/// reproducible simulation output and golden tests. Names are interned
-/// `Arc<str>`s: cloning a packet, or materialising one from a flat packet
-/// (`FlatPacket::emit`), shares the keys instead of allocating one string
-/// per field. Two packets are equal iff they carry the same names and
-/// values, whichever allocation each name lives in.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Observably an ordered map from name to value. Iteration is in
+/// byte-wise name order — the shape is kept sorted — which keeps
+/// simulation output and golden tests reproducible, and two packets are
+/// equal iff they carry the same names and values, whichever allocation a
+/// name or a shape lives in (shapes compare by pointer first, then by
+/// content). What the representation buys is that names are stored once
+/// per *shape*, not once per packet: cloning a packet, or materialising
+/// one off a switch's layout (`PacketEdges::emit`), is one reference-count
+/// bump plus one copy of the value row. Setting a field the packet does
+/// not carry yet copies a shared shape first and grows an unshared one in
+/// place.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
-    fields: BTreeMap<Arc<str>, i32>,
+    names: Shape,
+    /// One value per name, in shape order.
+    vals: Vec<i32>,
+}
+
+impl Default for Packet {
+    /// An empty packet. Every one shares the process's one empty shape, so
+    /// none after the first allocates.
+    fn default() -> Self {
+        static EMPTY: OnceLock<Shape> = OnceLock::new();
+        Packet {
+            names: Arc::clone(EMPTY.get_or_init(Shape::default)),
+            vals: Vec::new(),
+        }
+    }
 }
 
 impl Packet {
     /// An empty packet.
     pub fn new() -> Self {
         Packet::default()
+    }
+
+    /// A packet of `vals` over an existing shape — the layout module's
+    /// emission edge.
+    pub(crate) fn from_shape(names: Shape, vals: Vec<i32>) -> Self {
+        debug_assert_eq!(names.len(), vals.len());
+        debug_assert!(names.is_sorted_by(|a, b| a < b));
+        Packet { names, vals }
+    }
+
+    /// The shape, for the layout module's admission edge to recognise.
+    pub(crate) fn shape(&self) -> &Shape {
+        &self.names
+    }
+
+    /// The value row, in shape order.
+    pub(crate) fn vals(&self) -> &[i32] {
+        &self.vals
+    }
+
+    /// Where `field` sits in the shape — or, if the packet does not carry
+    /// it, where it would have to be inserted.
+    ///
+    /// An equality scan (length first, then bytes), not a binary search:
+    /// the atom synthesiser's inner loops read and write 1–3-field packets
+    /// by name, where a binary search doubled `codel_lut`'s compile time,
+    /// and on the widest packets here (its 61 fields on the map engine)
+    /// the scan still beat both the search and the tree this type once was.
+    fn find(&self, field: &str) -> Result<usize, usize> {
+        let found = self.names.iter().position(|name| **name == *field);
+        found.ok_or_else(|| self.names.partition_point(|name| **name < *field))
     }
 
     /// Builder-style field setter.
@@ -42,18 +98,20 @@ impl Packet {
 
     /// Sets a field (creating it if absent).
     pub fn set(&mut self, field: &str, value: i32) {
-        // Overwrites are the common case in the execution hot path; avoid
-        // allocating a fresh key for them.
-        if let Some(slot) = self.fields.get_mut(field) {
-            *slot = value;
-        } else {
-            self.fields.insert(Arc::from(field), value);
+        // Overwrites are the common case in the execution hot path; they
+        // touch neither the shape nor the allocator.
+        match self.find(field) {
+            Ok(at) => self.vals[at] = value,
+            Err(at) => {
+                Arc::make_mut(&mut self.names).insert(at, Arc::from(field));
+                self.vals.insert(at, value);
+            }
         }
     }
 
     /// Reads a field, `None` if the packet does not carry it.
     pub fn get(&self, field: &str) -> Option<i32> {
-        self.fields.get(field).copied()
+        self.find(field).ok().map(|at| self.vals[at])
     }
 
     /// Reads a field that the execution model guarantees to exist.
@@ -82,33 +140,33 @@ impl Packet {
 
     /// True if the packet carries `field`.
     pub fn has(&self, field: &str) -> bool {
-        self.fields.contains_key(field)
+        self.find(field).is_ok()
     }
 
     /// Iterates field names in deterministic (sorted) order.
     pub fn field_names(&self) -> impl Iterator<Item = &str> {
-        self.fields.keys().map(|s| &**s)
+        self.names.iter().map(|s| &**s)
     }
 
     /// Iterates `(name, value)` pairs in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, i32)> {
-        self.fields.iter().map(|(k, v)| (&**k, *v))
+        self.field_names().zip(self.vals.iter().copied())
     }
 
     /// `(name, value)` pairs with the interned names themselves, for the
-    /// layout module's admission edge.
+    /// layout module's by-name admission.
     pub(crate) fn entries(&self) -> impl Iterator<Item = (&Arc<str>, i32)> {
-        self.fields.iter().map(|(k, v)| (k, *v))
+        self.names.iter().zip(self.vals.iter().copied())
     }
 
     /// Number of fields.
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.vals.len()
     }
 
     /// True if the packet has no fields.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.vals.is_empty()
     }
 
     /// Restricts the packet to the given fields (missing ones read as 0).
@@ -145,12 +203,27 @@ impl FromIterator<(String, i32)> for Packet {
 }
 
 impl FromIterator<(Arc<str>, i32)> for Packet {
-    /// Builds a packet around already-interned names. An iterator that is
-    /// sorted by name (as the flat packet's emission is) takes the map's
-    /// bulk-build path: no per-field tree search.
+    /// Builds a packet around already-interned names, in any order; the
+    /// last value given for a name wins. An iterator that is sorted by
+    /// name (as the flat packet's emission is) is taken as it comes.
     fn from_iter<T: IntoIterator<Item = (Arc<str>, i32)>>(iter: T) -> Self {
+        let mut fields: Vec<(Arc<str>, i32)> = iter.into_iter().collect();
+        if !fields.is_sorted_by(|a, b| a.0 < b.0) {
+            // Stable, so equal names stay in input order; of each run the
+            // later entry is swapped into the kept place before it goes.
+            fields.sort_by(|a, b| a.0.cmp(&b.0));
+            fields.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+        }
+        let (names, vals) = fields.into_iter().unzip();
         Packet {
-            fields: iter.into_iter().collect(),
+            names: Arc::new(names),
+            vals,
         }
     }
 }

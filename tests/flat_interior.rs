@@ -14,7 +14,8 @@ use banzai::{
     AtomKind, AtomPipeline, Machine, PipelineEngine, SchedDeparture, SchedQueue, SchedSpec,
     Scheduler, SlotMachine, Switch, Target,
 };
-use domino_ir::{Packet, StateStore};
+use domino_ir::{FieldTable, FlatPacket, Packet, PacketEdges, StateStore};
+use std::sync::Arc;
 
 /// The pre-flat switch loop: pull → `Machine::process` → queue → by-name
 /// stamps → `Machine::process`, on map packets throughout.
@@ -183,6 +184,29 @@ fn check<E: PipelineEngine>(mut sw: Switch<E>, mut model: MapModel, trace: &[Pac
     assert_books(&sw, &model, ctx);
 }
 
+/// [`check`] on the slot engine and on the reference engine, under one
+/// drain period and discipline.
+fn check_both(
+    ingress: &AtomPipeline,
+    egress: &AtomPipeline,
+    drain: u64,
+    spec: &SchedSpec,
+    trace: &[Packet],
+) {
+    let ctx = format!("{} → {} drain {drain} {spec:?}", ingress.name, egress.name);
+    let model = || {
+        let mut m = MapModel::new(ingress, egress, 24);
+        (m.spec, m.drain_period) = (spec.clone(), drain as i64);
+        m
+    };
+    let slot = Switch::new_slot(ingress, egress, 24).unwrap();
+    let slot = slot.with_drain_period(drain).with_scheduler(spec.clone());
+    check(slot, model(), trace, &format!("slot: {ctx}"));
+    let map = Switch::new(ingress.clone(), egress.clone(), 24);
+    let map = map.with_drain_period(drain).with_scheduler(spec.clone());
+    check(map, model(), trace, &format!("map: {ctx}"));
+}
+
 #[test]
 fn every_table4_pairing_matches_the_map_model_on_both_engines() {
     let egresses = [AtomPipeline::passthrough("out"), compile("codel_lut")];
@@ -195,18 +219,7 @@ fn every_table4_pairing_matches_the_map_model_on_both_engines() {
         for egress in &egresses {
             for drain in [1u64, 3] {
                 for spec in specs(a, &ingress) {
-                    let ctx = format!("{} → {} drain {drain} {spec:?}", a.name, egress.name);
-                    let model = || {
-                        let mut m = MapModel::new(&ingress, egress, 24);
-                        (m.spec, m.drain_period) = (spec.clone(), drain as i64);
-                        m
-                    };
-                    let slot = Switch::new_slot(&ingress, egress, 24).unwrap();
-                    let slot = slot.with_drain_period(drain).with_scheduler(spec.clone());
-                    check(slot, model(), &trace, &format!("slot: {ctx}"));
-                    let map = Switch::new(ingress.clone(), egress.clone(), 24);
-                    let map = map.with_drain_period(drain).with_scheduler(spec.clone());
-                    check(map, model(), &trace, &format!("map: {ctx}"));
+                    check_both(&ingress, egress, drain, &spec, &trace);
                 }
             }
         }
@@ -388,4 +401,119 @@ fn emitted_packets_are_ordinary_packets() {
     );
     assert!(out[0].iter().eq(by_hand.iter()));
     assert_ne!(out[0], by_hand.with("z", 4));
+}
+
+/// Flowlet's own workload with the packet *shape* changing every four
+/// packets, so the switch's memoised edges meet every way a packet can
+/// differ from the one before it: the same names in an allocation per
+/// packet (A, as the generator builds it) and in one shared allocation
+/// (A again, clones of a template); a declared field omitted (B); A's
+/// length with one name swapped for another the table holds (C); a field
+/// off the table (D — the residual path, and back off it); and the
+/// metadata names already present (E). A recurs between the others.
+fn shapeshifting_trace(n: usize) -> Vec<Packet> {
+    let template = Packet::new()
+        .with("arrival", 0)
+        .with("dport", 0)
+        .with("id", 0)
+        .with("new_hop", 0)
+        .with("next_hop", 0)
+        .with("sport", 0);
+    let without = |p: &Packet, gone: &str| -> Packet {
+        let kept = p.iter().filter(|(name, _)| *name != gone);
+        kept.map(|(name, v)| (name.to_string(), v)).collect()
+    };
+    let trace = algorithms::by_name("flowlet").unwrap().trace(n, 0x5AA9E);
+    let reshape = |(i, p): (usize, Packet)| match (i / 4) % 8 {
+        1 => p
+            .iter()
+            .fold(template.clone(), |t, (name, v)| t.with(name, v)),
+        2 => without(&p, "sport"),
+        4 => without(&p, "dport").with("drop", i as i32 % 2),
+        5 => p.with("mystery", i as i32),
+        6 => p.with("now", -5).with("enq_ts", 1 << 20).with("qdepth", 99),
+        _ => p,
+    };
+    trace.into_iter().enumerate().map(reshape).collect()
+}
+
+#[test]
+fn traffic_that_changes_shape_mid_run_matches_the_map_model_on_both_engines() {
+    let ingress = compile("flowlet");
+    let trace = shapeshifting_trace(160);
+    // Ranks and classes are fields the pipelines name, so no packet but
+    // the `mystery` ones carries a residual.
+    let specs = [
+        SchedSpec::Fifo,
+        SchedSpec::Pifo {
+            rank: "next_hop".into(),
+        },
+        SchedSpec::Shaping {
+            rank: "arrival".into(),
+        },
+        SchedSpec::Priority {
+            class: "dport".into(),
+            rank: "next_hop".into(),
+        },
+    ];
+    for egress in [AtomPipeline::passthrough("out"), compile("codel_lut")] {
+        for drain in [1u64, 3] {
+            for spec in &specs {
+                check_both(&ingress, &egress, drain, spec, &trace);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_table_that_grows_between_runs_remakes_the_edges() {
+    // The first run memoises both edges on the table as built; naming a
+    // field no pipeline knows then grows the table, and the second run
+    // must admit and emit on the new layout — the new field in a slot.
+    fn grows<E: PipelineEngine>(mut sw: Switch<E>, mut model: MapModel, trace: &[Packet]) {
+        assert_eq!(sw.run(trace).collect().unwrap(), model.run(trace));
+        let spec = SchedSpec::Pifo {
+            rank: "late_rank".into(),
+        };
+        model.spec = spec.clone();
+        let ranked: Vec<Packet> = (trace.iter().enumerate())
+            .map(|(i, p)| p.clone().with("late_rank", (i as i32 * 5) % 13))
+            .collect();
+        check(sw.with_scheduler(spec), model, &ranked, "grown table");
+    }
+    let (ingress, egress) = (compile("flowlet"), compile("codel_lut"));
+    let trace = shapeshifting_trace(96);
+    let (slot, map) = both(&ingress, &egress, 24);
+    grows(slot, MapModel::new(&ingress, &egress, 24), &trace);
+    grows(map, MapModel::new(&ingress, &egress, 24), &trace);
+}
+
+#[test]
+fn memoised_edges_equal_the_by_name_merges_through_every_shape_change() {
+    // Slot order differs from name order, and `unset` stays absent.
+    let mut table = FieldTable::new();
+    for field in [
+        "next_hop", "sport", "unset", "qdepth", "dport", "arrival", "now", "new_hop", "id",
+        "enq_ts", "drop",
+    ] {
+        table.intern(field);
+    }
+    let table = Arc::new(table);
+    let stamped = ["enq_ts", "next_hop", "now"].map(|f| table.lookup(f).unwrap());
+    let mut edges = PacketEdges::new(&table);
+    for (i, pkt) in shapeshifting_trace(200).iter().enumerate() {
+        let (mut flat, residual) = edges.admit(pkt);
+        let reference = FlatPacket::admit(pkt, &table);
+        assert_eq!((&flat, &residual), (&reference.0, &reference.1), "{i}");
+        assert_eq!(residual.is_empty(), !pkt.has("mystery"), "packet {i}");
+        // What a switch does in between: stamps and engine writes.
+        for id in stamped {
+            flat.set(id, i as i32);
+        }
+        let out = edges.emit(&flat, &residual);
+        let want = flat.emit(&table.by_name(), &residual);
+        assert_eq!(out, want, "packet {i}: emission");
+        assert!(out.iter().eq(want.iter()), "packet {i}: iteration order");
+        assert!(!out.has("unset"));
+    }
 }

@@ -1,0 +1,198 @@
+//! `Packet` against a map model.
+//!
+//! A [`Packet`] is a shared, sorted shape plus a row of values, but what
+//! callers may rely on is an ordered map from name to value: byte-wise
+//! name order, last write wins, equality by content. The properties here
+//! drive random operation sequences through a packet and through a
+//! `BTreeMap<String, i32>` and compare everything observable after every
+//! step — with names that sort before, between and after the ones already
+//! there, the empty name, and non-ASCII names. The shape sharing itself is
+//! observed the only way the public API shows it: by counting allocations.
+
+use domino_ir::Packet;
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+thread_local! {
+    /// Heap allocations made by this thread (the tests of one binary run
+    /// on parallel threads; a `Cell<u64>` needs neither lazy set-up nor a
+    /// destructor, so the allocator may touch it at any time).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread.
+struct Counting;
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a plain thread-local integer.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Byte order is not alphabetical order: upper case sorts before lower,
+/// `~` after every letter, and any non-ASCII name after all of ASCII.
+const NAMES: [&str; 16] = [
+    "", "0", "A", "Zz", "_", "a", "aa", "ab", "b", "m", "z", "zz", "~", "ß", "é", "日本",
+];
+
+fn render(model: &BTreeMap<String, i32>) -> String {
+    let fields: Vec<String> = model.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// Everything a caller can observe of `pkt`, against `model`.
+fn assert_same(pkt: &Packet, model: &BTreeMap<String, i32>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(pkt.len(), model.len());
+    prop_assert_eq!(pkt.is_empty(), model.is_empty());
+    let fields: Vec<(&str, i32)> = pkt.iter().collect();
+    let want: Vec<(&str, i32)> = model.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    prop_assert_eq!(&fields, &want);
+    let names: Vec<&str> = pkt.field_names().collect();
+    prop_assert_eq!(names, model.keys().map(String::as_str).collect::<Vec<_>>());
+    prop_assert_eq!(pkt.to_string(), render(model));
+    for name in NAMES {
+        prop_assert_eq!(pkt.get(name), model.get(name).copied(), "get `{}`", name);
+        prop_assert_eq!(pkt.has(name), model.contains_key(name), "has `{}`", name);
+        let or_zero = model.get(name).copied().unwrap_or(0);
+        prop_assert_eq!(pkt.get_or_zero(name), or_zero, "get_or_zero `{}`", name);
+    }
+    // Equality is by content: a packet built another way, in another
+    // order, around other allocations, is the same packet.
+    let rebuilt: Packet = model.iter().rev().map(|(k, v)| (k.clone(), *v)).collect();
+    prop_assert_eq!(pkt, &rebuilt);
+    if let Some((name, v)) = model.iter().next() {
+        prop_assert_ne!(pkt, &rebuilt.with(name, v.wrapping_add(1)));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn any_operation_sequence_matches_the_map_model(
+        ops in proptest::collection::vec((0u8..6, 0usize..NAMES.len(), -4i32..5), 0..48),
+    ) {
+        let mut pkt = Packet::new();
+        let mut model: BTreeMap<String, i32> = BTreeMap::new();
+        for (op, at, v) in ops {
+            let name = NAMES[at];
+            match op {
+                0 | 1 => {
+                    pkt.set(name, v);
+                    model.insert(name.to_string(), v);
+                }
+                2 => {
+                    pkt = pkt.with(name, v);
+                    model.insert(name.to_string(), v);
+                }
+                // A clone that then diverges leaves the original alone —
+                // whether the name is new (the shared shape is copied) or
+                // not (only the clone's row changes).
+                3 => {
+                    let mut other = pkt.clone();
+                    other.set(name, v.wrapping_mul(7));
+                    let mut other_model = model.clone();
+                    other_model.insert(name.to_string(), v.wrapping_mul(7));
+                    assert_same(&other, &other_model)?;
+                }
+                4 => {
+                    let wanted: Vec<String> =
+                        (0..=at).step_by(3).map(|i| NAMES[i].to_string()).collect();
+                    let projected: BTreeMap<String, i32> = wanted
+                        .iter()
+                        .map(|f| (f.clone(), model.get(f).copied().unwrap_or(0)))
+                        .collect();
+                    assert_same(&pkt.project(&wanted), &projected)?;
+                }
+                _ => {
+                    let expected = model.get(name).copied();
+                    prop_assert_eq!(pkt.get(name), expected);
+                    if let Some(v) = expected {
+                        prop_assert_eq!(pkt.expect(name), v);
+                    }
+                }
+            }
+            assert_same(&pkt, &model)?;
+        }
+    }
+
+    #[test]
+    fn from_iterator_sorts_and_keeps_the_last_write(
+        pairs in proptest::collection::vec((0usize..NAMES.len(), any::<i32>()), 0..32),
+    ) {
+        let model: BTreeMap<String, i32> =
+            pairs.iter().map(|&(at, v)| (NAMES[at].to_string(), v)).collect();
+        let owned: Packet = pairs.iter().map(|&(at, v)| (NAMES[at].to_string(), v)).collect();
+        assert_same(&owned, &model)?;
+        let interned: Packet =
+            pairs.iter().map(|&(at, v)| (Arc::<str>::from(NAMES[at]), v)).collect();
+        assert_same(&interned, &model)?;
+        prop_assert_eq!(owned, interned);
+    }
+}
+
+#[test]
+fn a_diverging_clone_copies_the_shape_and_the_original_keeps_sharing_it() {
+    let p = Packet::new().with("b", 2).with("d", 4);
+    let mut q = p.clone();
+    q.set("c", 3);
+    assert_eq!(p.to_string(), "{b: 2, d: 4}");
+    assert_eq!(q.to_string(), "{b: 2, c: 3, d: 4}");
+    // A third clone still shares `p`'s shape: it allocates its value row
+    // and nothing else, and overwriting a field it has allocates nothing.
+    let (cloning, mut r) = allocations(|| p.clone());
+    assert_eq!(cloning, 1, "a clone copies the row, not the names");
+    let (overwriting, ()) = allocations(|| r.set("d", 40));
+    assert_eq!(overwriting, 0);
+    assert_eq!(
+        (p.get("d"), q.get("d"), r.get("d")),
+        (Some(4), Some(4), Some(40))
+    );
+    assert_eq!(p, Packet::new().with("d", 4).with("b", 2));
+}
+
+#[test]
+fn an_empty_packet_allocates_nothing_after_the_first() {
+    drop(Packet::new());
+    let (n, (a, b)) = allocations(|| (Packet::new(), Packet::default()));
+    assert_eq!(n, 0);
+    assert_eq!(a, b);
+    assert!(a.is_empty() && a.iter().next().is_none() && a.to_string() == "{}");
+    // Cloning one allocates nothing either.
+    assert_eq!(allocations(|| a.clone()).0, 0);
+}
+
+#[test]
+#[should_panic(expected = "packet field `ghost` read before any write; fields present: [A, é]")]
+fn expect_names_the_missing_field_and_the_present_ones_in_order() {
+    Packet::new().with("é", 1).with("A", 2).expect("ghost");
+}

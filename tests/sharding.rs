@@ -632,3 +632,34 @@ fn sharded_frame_run_is_the_serial_frame_run_split_by_the_plan() {
         }
     }
 }
+
+/// The dispatcher admits through its switch's memoised edges and every
+/// worker emits through its own, so packet *shape* must not show in the
+/// result: a trace alternating between the generator's shape, one that
+/// omits a key root, and one naming a field off the table runs threaded
+/// == `partitioned` == serial.
+#[test]
+fn alternating_packet_shapes_shard_like_serial() {
+    let a = algorithms::by_name("flowlet").unwrap();
+    let ingress = compile_least(&a);
+    let egress = AtomPipeline::passthrough("egress");
+    let reshape = |(i, p): (usize, Packet)| match (i / 3) % 4 {
+        1 => (p.iter().filter(|(name, _)| *name != "dport"))
+            .map(|(name, v)| (name.to_string(), v))
+            .collect(),
+        3 => p.with("vlan_tag", i as i32 % 5),
+        _ => p,
+    };
+    let trace: Vec<Packet> = (a.trace(TRACE_LEN, SEED).into_iter().enumerate())
+        .map(reshape)
+        .collect();
+    for shards in [2, 4] {
+        sharded_pair_differential("alternating shapes", &ingress, &egress, &trace, shards);
+        let cfg = ShardConfig::new(shards).with_batch(16);
+        let mut threaded = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
+        let merged = threaded.run(&trace).collect().unwrap();
+        let mut sequential = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+        let parts = sequential.run(&trace).partitioned().unwrap();
+        assert_eq!(merged, sequential.merge(parts), "{shards} shards");
+    }
+}
