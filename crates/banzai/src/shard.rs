@@ -360,7 +360,8 @@ fn hash_every_field(p: &InFlight, by_name: &[FieldId]) -> u64 {
         }
         // Slotted or not, every field of a frame is still in its bytes.
         Rest::Frame(layout) => {
-            let mut fields: Vec<(&str, i32)> = layout.fields().collect();
+            let mut fields: Vec<(&str, i32)> = Vec::new();
+            layout.for_each_field(|name, v| fields.push((name, v)));
             fields.sort_unstable_by_key(|&(name, _)| name);
             h = (fields.into_iter()).fold(h, |h, (name, v)| hash_field(h, name, v));
         }
@@ -1152,7 +1153,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let mut pulled: u64 = 0;
         let source_error = loop {
             let p = match source.next_packet() {
-                Ok(Some(pkt)) => InFlight::admit(&pkt, &mut self.edges),
+                Ok(Some(pkt)) => InFlight::admit(&pkt, &mut self.edges, None),
                 end => break end.err(),
             };
             let i = pulled as usize;
@@ -1337,7 +1338,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         mut pull: impl FnMut(
             &mut PacketEdges,
         ) -> Result<Option<Result<InFlight, ParseVerdict>>, SourceError>,
-        leave: impl Fn(&mut PacketEdges, &InFlight) -> Option<O>,
+        leave: impl Fn(&mut PacketEdges, &mut InFlight) -> Option<O>,
         mut sink: impl FnMut(usize, Vec<O>),
     ) -> Result<Lanes, SwitchError> {
         self.check_line_rate()?;
@@ -1389,7 +1390,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                 }
                 let t = Instant::now();
                 let mut out = Vec::with_capacity(items.len());
-                sw.run_stamped(items.drain(..), |edges, p| out.extend(leave(edges, &p)));
+                sw.run_stamped(items.drain(..), |edges, p| out.extend(leave(edges, p)));
                 lanes.timings.shard_ns[s] += t.elapsed().as_nanos();
                 sink(s, out);
             }
@@ -1405,7 +1406,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         sink: impl FnMut(usize, Vec<Packet>),
     ) -> Result<Lanes, SwitchError> {
         self.run_sequential(
-            |edges| Ok((source.next_packet()?).map(|pkt| Ok(InFlight::admit(&pkt, edges)))),
+            |edges| Ok((source.next_packet()?).map(|pkt| Ok(InFlight::admit(&pkt, edges, None)))),
             |edges, p| Some(p.emit(edges)),
             sink,
         )
@@ -1793,13 +1794,15 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
     /// Parses, steers and runs the frame stream on the calling thread,
     /// returning the per-shard output frames (un-merged).
     ///
-    /// The dispatcher parses each frame **once**, on the bound tier
-    /// ([`BoundParser::parse_flat`] on the switch's one table), steers
+    /// The dispatcher parses each frame **once**, on the bound tier (a
+    /// [`BoundParser`] on the switch's one table) and into a fresh record
+    /// — it keeps no pool, its records leave for the shards — steers
     /// the slab by its slots and frame index, and hands it — its
     /// [`WireLayout`](crate::wire::WireLayout) beside it, stamped with the
-    /// frame index as its arrival cycle — to the shard, which deparses it
-    /// as it departs. A frame lands on exactly the shard its packet-born
-    /// twin would: per-shard output equals the serial
+    /// frame index as its arrival cycle — to the shard, which patches the
+    /// record's bytes in place as it departs; the buffer is moved out of
+    /// the record, not copied. A frame lands on exactly the shard its
+    /// packet-born twin would: per-shard output equals the serial
     /// [`Switch::run_frames`] output split by
     /// `plan.steer(i, &wire::parse(frame).pkt)`. A malformed frame
     /// carries no fields to steer by; it is dealt round-robin by frame
@@ -1818,8 +1821,8 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
         let parser = sw.parser(self.cfg);
         let mut parts = vec![Vec::new(); n];
         let lanes = sw.run_sequential(
-            |_| Ok((self.source.next_frame()?).map(|f| parser.parse_flat(f).map(InFlight::from))),
-            |_, p| p.deparse(&parser),
+            |_| Ok((self.source.next_frame()?).map(|f| InFlight::parse(f, &parser, || None))),
+            |_, p| p.deparse(&parser).map(std::mem::take),
             |s, out| parts[s].extend(out),
         )?;
         let transmitted = parts.iter().map(|p| p.len() as u64).sum();

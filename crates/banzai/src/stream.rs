@@ -12,7 +12,8 @@
 //!
 //! The layering:
 //!
-//! * [`PacketSource`] / [`FrameSource`] — the pull traits. `next_*`
+//! * [`PacketSource`] / [`FrameSource`] — the pull traits (a packet is
+//!   handed over, a frame is lent: see [`FrameSource`]). `next_*`
 //!   returns `Ok(Some(..))` per item, `Ok(None)` at end of stream, and
 //!   `Err(SourceError)` when ingestion itself fails (a torn capture
 //!   file, a dead NIC ring). A source failure is a first-class fault:
@@ -107,9 +108,15 @@ pub trait PacketSource {
 /// A pull-based source of raw byte frames — the wire-path twin of
 /// [`PacketSource`], feeding `parse → pipeline → deparse` runs.
 ///
-/// `next_frame` returns a borrow of the source's internal buffer, so a
-/// file reader (the pcap replay in `bench::pcap`) re-uses one buffer for
-/// the whole run instead of allocating per frame.
+/// Frames are **lent in**: `next_frame` returns a borrow of the source's
+/// internal buffer, so a file reader (the pcap replay in `bench::pcap`)
+/// re-uses one buffer for the whole run instead of allocating per frame;
+/// the switch copies the frame once, into the record it queues. They are
+/// **lent out** the same way:
+/// [`FrameRun::for_each`](crate::switch::FrameRun::for_each) hands its
+/// sink a borrow of that record's buffer, valid until the sink returns —
+/// a sink that keeps a frame copies it, as
+/// [`FrameRun::collect`](crate::switch::FrameRun::collect) does.
 pub trait FrameSource {
     /// Pulls the next frame, `Ok(None)` at end of stream. The returned
     /// slice is valid until the next call.

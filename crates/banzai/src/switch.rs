@@ -32,8 +32,9 @@
 //! residual. A **byte-born** packet crosses bytes ↔ slab instead and is
 //! never a map: a [`BoundParser`] on the switch's table lays the frame's
 //! table-known fields straight onto the slab, the frame itself rides
-//! beside it (every field without a slot is still in its bytes), and the
-//! sink deparses straight off the slab.
+//! beside it in the record's own buffer (every field without a slot is
+//! still in its bytes), and the sink patches the slots back into those
+//! bytes and lends them out.
 //!
 //! # One run loop
 //!
@@ -44,19 +45,48 @@
 //!
 //! | terminal | arrivals | regime | sink keeps |
 //! |---|---|---|---|
-//! | [`Run::collect`] / [`Run::for_each`] | packet source | line rate | the packet |
+//! | [`Run::collect`] / [`Run::for_each`] | packet source | line rate | the emitted packet, which it owns |
 //! | [`SchedRun::collect`] | packet source | burst | the whole [`SchedDeparture`] |
-//! | [`FrameRun::collect`] / [`FrameRun::for_each`] | frame source + [`BoundParser::parse_flat`] | line rate | [`BoundParser::deparse_flat`]'s bytes |
-//! | sharded workers (`crate::shard`) | stamped `(cycle, slab)` pairs, admitted by the dispatcher | line rate | the packet (or [`BoundParser::deparse_flat`]'s bytes) |
+//! | [`FrameRun::for_each`] | frame source + [`BoundParser`] | line rate | nothing: it is lent the record's bytes, patched in place |
+//! | [`FrameRun::collect`] | frame source + [`BoundParser`] | line rate | a copy of each lent frame |
+//! | sharded workers (`crate::shard`) | stamped `(cycle, slab)` pairs, admitted by the dispatcher | line rate | the emitted packet, or the patched buffer moved out of the record |
 //!
-//! An arrival is a map packet for the loop to admit, a slab already on the
-//! switch's table (parsed off a frame, its [`WireLayout`] beside it, or
-//! admitted by a sharded switch's dispatcher), or the [`ParseVerdict`]
-//! that rejected the frame; stamped arrivals also set the clock. The regime says when the
-//! link serves the queue — see [`Run`] and [`SchedRun`]. The sink receives
-//! each departing slab and turns it into its terminal's currency. Whatever
-//! the combination, the queue is the switch's own [`SchedQueue`] under the
+//! An arrival is a map packet for the loop to admit, a record already on
+//! the switch's table (a frame the bound parser laid out, its
+//! [`WireLayout`] beside it, or a packet a sharded switch's dispatcher
+//! admitted), or the [`ParseVerdict`] that rejected the frame; stamped
+//! arrivals also set the clock. The regime says when the link serves the
+//! queue — see [`Run`] and [`SchedRun`]. The sink is lent each departing
+//! record and turns it into its terminal's currency. Whatever the
+//! combination, the queue is the switch's own [`SchedQueue`] under the
 //! configured [`SchedSpec`].
+//!
+//! # Recycling
+//!
+//! A Banzai pipeline holds one header vector per stage and its queue a
+//! fixed set of buffer cells; nothing is allocated per packet. The loop
+//! does the same with the in-flight record (slab, presence mask, and the
+//! residual or the frame's layout and buffer): once a packet is gone —
+//! its sink has returned, or the full queue refused it — its record goes
+//! into a pool the loop owns, and the next arrival overwrites a pooled
+//! record instead of making one: the loop admits a map packet into it, the
+//! frame adapter — lent the pool — parses into it (a frame the parse graph
+//! rejects never takes one). So a run makes about as many records as it
+//! ever has in flight at once, however long the source. What is pooled is
+//! decided by what the loop and its adapter can see, not by a setting:
+//!
+//! * only **while the source is live** — once it has ended nobody can ask
+//!   for a record, so a draining queue frees as it goes (a burst, which
+//!   arrives whole before anything departs, recycles nothing and holds
+//!   nothing back while its output grows);
+//! * only where **this loop's arrivals are made** — a shard worker's come
+//!   stamped, in records the dispatcher made on another thread, which
+//!   never takes one back, so the worker's adapter empties the pool it is
+//!   lent instead of drawing on it (pooling them would only put off their
+//!   free);
+//! * the pool **dies with the run** — between runs the table may grow
+//!   (see [`Switch::with_scheduler`]), and a record is sized by its table.
+//!   An engine that unwinds mid-run drops the pool with everything else.
 
 use crate::error::{FaultReport, ShardSalvage, SwitchError};
 use crate::machine::{AtomPipeline, Machine};
@@ -308,13 +338,46 @@ pub(crate) enum Rest {
 impl InFlight {
     /// **Admission**: lands `pkt` on the table `edges` belong to — the
     /// one map → flat crossing of its life — keeping the fields the table
-    /// does not name.
-    pub(crate) fn admit(pkt: &Packet, edges: &mut PacketEdges) -> InFlight {
+    /// does not name. A `spent` record is overwritten where it lies, a new
+    /// one made if there is none.
+    pub(crate) fn admit(
+        pkt: &Packet,
+        edges: &mut PacketEdges,
+        spent: Option<InFlight>,
+    ) -> InFlight {
+        if let Some(mut spent) = spent {
+            if let Rest::Fields(residual) = &mut spent.rest {
+                edges.admit_into(pkt, &mut spent.flat, residual);
+                return spent;
+            }
+        }
         let (flat, residual) = edges.admit(pkt);
         InFlight {
             flat,
             rest: Rest::Fields(residual),
         }
+    }
+
+    /// The byte-born arrival: `parser` walks the parse graph over `frame`
+    /// and lands it — slab cleared and filled, bytes copied into the
+    /// record's own buffer — on the record `spent` supplies, a new one if
+    /// it has none. A rejected frame asks for no record.
+    pub(crate) fn parse(
+        frame: &[u8],
+        parser: &BoundParser,
+        spent: impl FnOnce() -> Option<InFlight>,
+    ) -> Result<InFlight, ParseVerdict> {
+        let spent = || {
+            spent().and_then(|spent| match spent.rest {
+                Rest::Frame(layout) => Some((spent.flat, layout)),
+                Rest::Fields(_) => None,
+            })
+        };
+        let (flat, layout) = parser.parse_into(frame, spent)?;
+        Ok(InFlight {
+            flat,
+            rest: Rest::Frame(layout),
+        })
     }
 
     /// **Emission**: the one flat → map crossing of a packet-born slab,
@@ -327,23 +390,14 @@ impl InFlight {
         }
     }
 
-    /// The way out of a byte-born slab: its frame with every slotted
-    /// field patched back (`None` for a packet-born slab, which has no
-    /// frame to leave in).
-    pub(crate) fn deparse(&self, parser: &BoundParser) -> Option<Vec<u8>> {
-        match &self.rest {
-            Rest::Frame(layout) => Some(parser.deparse_flat(&self.flat, layout)),
+    /// The way out of a byte-born slab: its own frame with every slotted
+    /// field patched back in place, lent (`None` for a packet-born slab,
+    /// which has no frame to leave in). Whoever keeps the frame copies it
+    /// or takes the buffer; the record is spent either way.
+    pub(crate) fn deparse(&mut self, parser: &BoundParser) -> Option<&mut Vec<u8>> {
+        match &mut self.rest {
+            Rest::Frame(layout) => Some(parser.deparse_in_place(&self.flat, layout)),
             Rest::Fields(_) => None,
-        }
-    }
-}
-
-/// What [`BoundParser::parse_flat`] accepts, as the byte-born arrival.
-impl From<(FlatPacket, WireLayout)> for InFlight {
-    fn from((flat, layout): (FlatPacket, WireLayout)) -> InFlight {
-        InFlight {
-            flat,
-            rest: Rest::Frame(Box::new(layout)),
         }
     }
 }
@@ -378,10 +432,12 @@ struct Arrival {
 
 /// An arriving packet, in the form its source produces.
 enum Born {
-    /// A map packet, for the loop to admit.
+    /// A map packet, for the loop to admit — into a spent record of its
+    /// pool, if it has one.
     Packet(Packet),
-    /// A slab already on the switch's table: a frame the bound parser
-    /// laid out, or a packet a sharded switch's dispatcher admitted.
+    /// A record already on the switch's table: a frame the bound parser
+    /// laid out (in a spent record, if the pool had one), or a packet a
+    /// sharded switch's dispatcher admitted.
     Slab(InFlight),
 }
 
@@ -764,29 +820,34 @@ impl<E: PipelineEngine> Switch<E> {
     /// cycle:
     ///
     /// 1. **arrival slot** — `pull` yields the next [`Arrival`]: a map
-    ///    packet is admitted onto the switch table (a frame arrives on it
-    ///    already), ingress runs on the slab, the [`SchedKey`] is read off
-    ///    slots, and the slab joins the queue as having arrived at this
-    ///    cycle — or the drop is booked under the discipline's reason, or
-    ///    under the verdict that rejected its frame. A failed or ended
-    ///    source is never pulled again;
+    ///    packet is admitted onto the switch table, into a spent record of
+    ///    the pool if there is one (a frame arrives on the table already:
+    ///    `pull` is lent the pool and parsed it into one), ingress runs on
+    ///    the slab, the [`SchedKey`] is read off slots, and the record joins
+    ///    the queue as having arrived at this cycle — or the drop is booked
+    ///    under the discipline's reason, or under the verdict that rejected
+    ///    its frame. A failed or ended source is never pulled again;
     /// 2. the run is over once the source has ended and the queue is
     ///    empty — so everything admitted departs and the books close
     ///    (`lost_in_fault == 0`) even when the source failed mid-stream;
     /// 3. **drain slot** — if the [`Regime`]'s gate is open and, under a
     ///    shaping discipline, the head's rank is due, the head departs:
     ///    `enq_ts`/`now`/`qdepth` (or the configured names) are stamped,
-    ///    egress runs, and `sink` receives the slab the cycle it leaves,
+    ///    egress runs, and `sink` is lent the record the cycle it leaves,
     ///    to emit or deparse — memory stays O(queue capacity) however
     ///    long the source.
+    ///
+    /// A record whose packet is gone — departed, or refused by the full
+    /// queue — goes to the pool, while the source is live (the module
+    /// docs' *Recycling*).
     ///
     /// Engine state and the drop/transmit counters accumulate across
     /// calls; the queue is empty on entry and on return.
     fn cycle(
         &mut self,
         regime: Regime,
-        mut pull: impl FnMut() -> Result<Option<Arrival>, SourceError>,
-        mut sink: impl FnMut(&mut PacketEdges, i64, SchedKey, i64, InFlight),
+        mut pull: impl FnMut(&mut Vec<InFlight>) -> Result<Option<Arrival>, SourceError>,
+        mut sink: impl FnMut(&mut PacketEdges, i64, SchedKey, i64, &mut InFlight),
     ) -> Ended {
         let burst = regime == Regime::Burst;
         let shaping = self.sched.is_shaping();
@@ -795,21 +856,27 @@ impl<E: PipelineEngine> Switch<E> {
         let mut now = if burst { 0 } else { self.now };
         let mut ended = false;
         let mut error = None;
+        // Spent records: a map packet is admitted into one, `pull` is lent
+        // the rest (to parse a frame into, or — stamped arrivals — to free).
+        let mut pool = Vec::new();
         loop {
             if !ended {
-                match pull() {
+                match pull(&mut pool) {
                     Ok(Some(arrival)) => {
                         stats.offered += 1;
                         now = arrival.stamp.unwrap_or(now);
                         match arrival.pkt {
                             Ok(born) => {
                                 let mut p = match born {
-                                    Born::Packet(pkt) => InFlight::admit(&pkt, &mut self.edges),
+                                    Born::Packet(pkt) => {
+                                        InFlight::admit(&pkt, &mut self.edges, pool.pop())
+                                    }
                                     Born::Slab(p) => p,
                                 };
                                 let key = self.arrive(now, &mut p);
-                                if self.queue.push(key, (now, p)).is_err() {
+                                if let Err((_, p)) = self.queue.push(key, (now, p)) {
                                     self.refuse();
+                                    pool.push(p);
                                 }
                             }
                             Err(verdict) => self.drops.bump(DropReason::Parse(verdict)),
@@ -851,7 +918,10 @@ impl<E: PipelineEngine> Switch<E> {
                         Switch::depart(&mut self.egress, self.meta, arrival, now, depth, &mut p);
                         self.transmitted += 1;
                         stats.transmitted += 1;
-                        sink(&mut self.edges, arrival, key, now, p);
+                        sink(&mut self.edges, arrival, key, now, &mut p);
+                        if !ended {
+                            pool.push(p);
+                        }
                     }
                 }
             }
@@ -875,7 +945,7 @@ impl<E: PipelineEngine> Switch<E> {
         regime: Regime,
         mut sink: impl FnMut(SchedDeparture),
     ) -> Ended {
-        let pull = || {
+        let pull = |_: &mut Vec<InFlight>| {
             Ok(source.next_packet()?.map(|pkt| Arrival {
                 stamp: None,
                 pkt: Ok(Born::Packet(pkt)),
@@ -905,12 +975,15 @@ impl<E: PipelineEngine> Switch<E> {
     pub(crate) fn run_stamped(
         &mut self,
         arrivals: impl IntoIterator<Item = Stamped>,
-        mut sink: impl FnMut(&mut PacketEdges, InFlight),
+        mut sink: impl FnMut(&mut PacketEdges, &mut InFlight),
     ) {
         debug_assert_eq!(self.drain_period, 1, "a shard's link drains every cycle");
         let mut arrivals = arrivals.into_iter();
         let mut last = i64::MIN;
-        let pull = || {
+        let pull = |spent: &mut Vec<InFlight>| {
+            // A dispatcher made these records, on a thread that takes none
+            // back: a pool of them would only put off their free.
+            spent.clear();
             Ok(arrivals.next().map(|(t, pkt)| {
                 debug_assert!(
                     last < t,
@@ -1160,12 +1233,15 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
 /// counter (malformed traffic still consumes arrival slots, as on a real
 /// wire — it just never reaches ingress). An accepted frame is parsed
 /// straight onto the switch's slab by a [`BoundParser`] bound to the
-/// switch's table, and its [`WireLayout`] rides the switch's queue beside
-/// the slab — the configured discipline, capacity and drop reason apply
-/// exactly as to packet-born traffic — so the sink re-serializes every
-/// pipeline-modified field from its slot back into its wire position and
-/// all unparsed bytes (options, payloads) survive verbatim. The output is
-/// byte-identical to parsing, [`Switch::run`]ning and deparsing on the
+/// switch's table and copied — its one copy — into the record's buffer;
+/// its [`WireLayout`] rides the switch's queue beside the slab — the
+/// configured discipline, capacity and drop reason apply exactly as to
+/// packet-born traffic — and on departure every pipeline-modified field is
+/// patched from its slot back into its wire position in that buffer, so
+/// all unparsed bytes (options, payloads) survive verbatim. Frames are
+/// lent in by the [`FrameSource`] and lent out to the sink; the record
+/// between them is a recycled one (module docs, *Recycling*). The output
+/// is byte-identical to parsing, [`Switch::run`]ning and deparsing on the
 /// map tier of [`crate::wire`], the reference.
 #[must_use = "a run session does nothing until a terminal method (`collect`, `for_each`) runs it"]
 pub struct FrameRun<'s, 'c, E: PipelineEngine, S: FrameSource> {
@@ -1184,26 +1260,30 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
     /// report's accounting, and malformed-but-complete frames are *not*
     /// errors — they are [`DropReason::Parse`] drops as always.
     pub fn collect(self) -> Result<Vec<Vec<u8>>, SwitchError> {
-        let mut out = Vec::new();
-        self.for_each(|frame| out.push(frame))?;
+        let (lo, hi) = self.source.size_hint();
+        let mut out = Vec::with_capacity(hi.unwrap_or(lo).min(1 << 20));
+        self.for_each(|frame| out.push(frame.to_vec()))?;
         Ok(out)
     }
 
-    /// Runs the session, streaming each transmitted frame to `sink` —
-    /// the bounded-memory terminal. Returns offered/transmitted totals.
+    /// Runs the session, lending each transmitted frame to `sink` — the
+    /// bounded-memory terminal. The slice is the departing record's own
+    /// buffer, patched in place and overwritten by a later arrival: a
+    /// sink that keeps a frame copies it ([`FrameRun::collect`] is that
+    /// sink). Returns offered/transmitted totals.
     ///
     /// # Errors
     ///
     /// [`SwitchError::Fault`] if the source fails mid-stream.
-    pub fn for_each<F: FnMut(Vec<u8>)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
+    pub fn for_each<F: FnMut(&[u8])>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
         // Bound per run: reconfiguration between runs may have grown the
-        // table. The borrowed frame is parsed to owned form inside the
+        // table. The borrowed frame is copied into its record inside the
         // pull, so the source can be pulled again next cycle.
         let parser = BoundParser::bind(self.cfg.clone(), Arc::clone(self.switch.edges.table()));
-        let pull = || {
+        let pull = |pool: &mut Vec<InFlight>| {
             Ok(self.source.next_frame()?.map(|frame| Arrival {
                 stamp: None,
-                pkt: parser.parse_flat(frame).map(|born| Born::Slab(born.into())),
+                pkt: InFlight::parse(frame, &parser, || pool.pop()).map(Born::Slab),
             }))
         };
         let end = self.switch.cycle(Regime::LineRate, pull, |_, _, _, _, p| {
@@ -1233,7 +1313,8 @@ mod tests {
         arrivals: impl Iterator<Item = (usize, &'a Packet)>,
     ) -> Vec<Packet> {
         let mut dispatcher = sw.edges.clone();
-        let slabs = arrivals.map(|(i, p)| (i as i64, Ok(InFlight::admit(p, &mut dispatcher))));
+        let slabs =
+            arrivals.map(|(i, p)| (i as i64, Ok(InFlight::admit(p, &mut dispatcher, None))));
         let mut out = Vec::new();
         sw.run_stamped(slabs, |edges, p| out.push(p.emit(edges)));
         out

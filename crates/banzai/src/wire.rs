@@ -25,36 +25,51 @@
 //!
 //! ## One frame record, two tiers
 //!
-//! Walking the parse graph produces the one record of a parsed frame, the
-//! [`WireLayout`]: the original bytes verbatim plus the few offsets the
-//! walk fixed (tag or no tag, where L4 starts, which L4, where the payload
-//! starts). Every decoded field's region — its *dense wire index*
-//! (position in [`HEADER_FIELDS`], then position in the trailer schema),
-//! frame offset and width — follows from those, so nothing is stored or
-//! allocated per field. Two thin routers read and write the regions:
+//! Walking the parse graph fixes the few things that differ from frame to
+//! frame (tag or no tag, where L4 starts, which L4, where the trailer and
+//! the payload start); the one record of a parsed frame, the
+//! [`WireLayout`], is those plus the frame's bytes in a buffer of its own.
+//! Every decoded field's region — its *dense wire index* (position in
+//! [`HEADER_FIELDS`], then position in the trailer schema), frame offset
+//! and width — follows from them, so nothing is stored or allocated per
+//! field: one internal-iteration walk visits the regions, a constant index
+//! range per header, and two thin routers on each tier read and write
+//! them:
 //!
-//! * the **bound tier** — [`BoundParser::parse_flat`] /
-//!   [`BoundParser::deparse_flat`] — is **production**: it routes a wire
-//!   index to the slot a field table gave it at bind time, filling and
-//!   reading a [`FlatPacket`] slab. It is what `Switch::run_frames` and
-//!   the sharded dispatcher run; fields the table does not name simply
-//!   stay in the frame bytes;
+//! * the **bound tier** — [`BoundParser`] — is **production**: it routes
+//!   a wire index to the slot a field table gave it at bind time, filling
+//!   and reading a [`FlatPacket`] slab. It is what `Switch::run_frames`
+//!   (on records it recycles, see below) and the sharded dispatcher run;
+//!   fields the table does not name simply stay in the frame bytes.
+//!   [`BoundParser::parse_flat`] / [`BoundParser::deparse_flat`] are the
+//!   same routers for a caller that keeps what it parses: a new record
+//!   per frame in, a new frame out;
 //! * the **map tier** — [`parse`] / [`deparse`] — is the **reference**:
 //!   it routes a wire index to its name, building and reading a map
 //!   [`Packet`]. Nothing in the crate runs on it; the differential suites
 //!   compare against it.
 //!
-//! ## Deparsing: original bytes + patches
+//! ## Deparsing: the frame's bytes + patches
 //!
-//! Deparsing clones the layout's original bytes and re-writes every
-//! decoded region ([`WireLayout::patches`] lists them) from the packet's
-//! current field values, so:
+//! Deparsing re-writes every decoded region ([`WireLayout::patches`]
+//! lists them) of the frame's bytes from the packet's current field
+//! values, so:
 //!
 //! * an **unmodified** packet deparses to the *identical* byte frame —
 //!   IPv4 options, TCP options, payloads, and unparsed bits survive
 //!   untouched (the fuzz suite pins this);
 //! * a **modified** field (a pipeline writing `pkt.sport` or a trailer
 //!   field) lands back in its wire position, masked to its width.
+//!
+//! Inside the switch a frame is copied **once** — into its record's
+//! buffer at parse, the packet-buffer write any queueing switch owes —
+//! and deparsed **in place**: the bound tier patches the record's own
+//! bytes and the sink is lent them, after which the record (slab, layout,
+//! buffer) goes to the next arrival, which overwrites all of it. Hardware
+//! does not allocate per packet and in the steady state neither does this
+//! path. [`deparse`] and [`BoundParser::deparse_flat`] patch a *copy*
+//! instead and leave the layout as parsed: what the owned API, the
+//! suites' oracles and the benchmark's per-tier timings call.
 //!
 //! Checksums are carried opaque: the parser exposes `ip_csum`/`tcp_csum`
 //! as ordinary fields and the deparser writes them back verbatim, so a
@@ -70,6 +85,7 @@
 
 use domino_ir::wire::{fields as wf, HEADER_FIELDS};
 use domino_ir::{FieldId, FieldTable, FlatPacket, Packet};
+use std::borrow::BorrowMut;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -287,97 +303,25 @@ const PORTS: Range<usize> = 15..17;
 const TCP_REST: Range<usize> = 17..23;
 const UDP_REST: Range<usize> = 23..25;
 
-/// The one record of a parsed frame, shared by both tiers: the original
-/// bytes verbatim plus the few offsets the parse graph's walk fixed.
-/// Every decoded field's region follows from those and `REGIONS`, so
-/// nothing is stored — or allocated — per field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireLayout {
-    bytes: Vec<u8>,
-    /// The trailer schema the frame was parsed under (shared with the
-    /// [`WireConfig`]): trailer word `i` has wire index
-    /// `HEADER_FIELDS.len() + i` and ends the headers, before the payload.
-    meta: Arc<[String]>,
+/// What the parse graph's walk fixed about a frame: tag or no tag, which
+/// L4 and where it starts, where the trailer and the payload start. Every
+/// decoded field's region follows from these and `REGIONS`, so nothing is
+/// stored — or allocated — per field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Walk {
     has_vlan: bool,
     l4: L4,
     l4_off: usize,
+    /// Trailer word `i` sits at `meta_off + 4 * i`, has wire index
+    /// `HEADER_FIELDS.len() + i` and ends the headers, before the payload.
+    meta_off: usize,
     payload_off: usize,
 }
 
-impl WireLayout {
-    /// True if the frame carried an 802.1Q tag.
-    pub fn has_vlan(&self) -> bool {
-        self.has_vlan
-    }
-
-    /// Which L4 header the frame carried.
-    pub fn l4(&self) -> L4 {
-        self.l4
-    }
-
-    /// The original frame, verbatim.
-    pub fn frame(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Bytes after every parsed header (and the metadata trailer).
-    pub fn payload(&self) -> &[u8] {
-        &self.bytes[self.payload_off..]
-    }
-
-    /// The decoded-field patch list, in wire-index order (built on
-    /// demand; neither tier's parse or deparse goes through it).
-    pub fn patches(&self) -> impl Iterator<Item = Patch> + '_ {
-        self.regions().map(|(field, offset, width)| Patch {
-            field: self.name(field).to_string(),
-            offset,
-            width,
-        })
-    }
-
-    /// Every decoded field as `(dense wire index, frame offset, width)`.
-    /// All regions end at or before `payload_off`, which the walk checked
-    /// against the frame's length.
-    fn regions(&self) -> impl Iterator<Item = (usize, usize, u8)> + '_ {
-        let l3_off = if self.has_vlan { 18 } else { 14 };
-        let l4_rest = match self.l4 {
-            L4::Tcp => TCP_REST,
-            L4::Udp => UDP_REST,
-        };
-        let headers = [
-            (ETH_ADDRS, 0),
-            (ETH_TYPE..VLAN_TCI + usize::from(self.has_vlan), l3_off - 4), // TCI only if tagged
-            (IPV4, l3_off),
-            (PORTS, self.l4_off),
-            (l4_rest, self.l4_off),
-        ];
-        let meta_off = self.payload_off - 4 * self.meta.len();
-        let trailer = (0..self.meta.len()).map(move |i| (REGIONS.len() + i, meta_off + 4 * i, 4));
-        headers
-            .into_iter()
-            .flat_map(|(fields, base)| fields.map(move |f| (f, base + REGIONS[f].0, REGIONS[f].1)))
-            .chain(trailer)
-    }
-
-    /// Every decoded field as `(name, wire value)`, in wire-index order —
-    /// the map tier's view of the frame, without the map.
-    pub(crate) fn fields(&self) -> impl Iterator<Item = (&str, i32)> + '_ {
-        self.regions()
-            .map(|(field, offset, width)| (self.name(field), read_be(&self.bytes, offset, width)))
-    }
-
-    /// The field name behind a dense wire index [`WireLayout::regions`]
-    /// yielded.
-    fn name(&self, field: usize) -> &str {
-        match HEADER_FIELDS.get(field) {
-            Some(name) => name,
-            None => &self.meta[field - HEADER_FIELDS.len()],
-        }
-    }
-
+impl Walk {
     /// Walks the parse graph over `frame`. First failure (in parse order)
     /// is the verdict; the walk itself can never panic on any byte input.
-    fn walk(frame: &[u8], cfg: &WireConfig) -> Result<WireLayout, ParseVerdict> {
+    fn of(frame: &[u8], cfg: &WireConfig) -> Result<Walk, ParseVerdict> {
         let n = frame.len();
 
         // --- Ethernet, 802.1Q VLAN --------------------------------------
@@ -438,18 +382,115 @@ impl WireLayout {
         };
 
         // --- metadata trailer -------------------------------------------
-        let payload_off = l4_off + l4_len + cfg.meta_len();
+        let meta_off = l4_off + l4_len;
+        let payload_off = meta_off + cfg.meta_len();
         if n < payload_off {
             return Err(ParseVerdict::TruncatedMetadata);
         }
-        Ok(WireLayout {
-            bytes: frame.to_vec(),
-            meta: Arc::clone(&cfg.meta),
+        Ok(Walk {
             has_vlan,
             l4,
             l4_off,
+            meta_off,
             payload_off,
         })
+    }
+
+    /// **The one region walk**: visits every decoded field as `(dense wire
+    /// index, frame offset, width)`, in wire-index order — what all four
+    /// routers, [`WireLayout::patches`] and the field view iterate. Each
+    /// header is a constant index range, so its loop unrolls with offsets
+    /// and widths folded in. All regions end at or before `payload_off`,
+    /// which the walk checked against the frame's length.
+    #[inline]
+    fn for_each_region(self, mut visit: impl FnMut(usize, usize, u8)) {
+        let mut header = |fields: Range<usize>, base: usize| {
+            fields.for_each(|f| visit(f, base + REGIONS[f].0, REGIONS[f].1));
+        };
+        let l3_off = if self.has_vlan { 18 } else { 14 };
+        header(ETH_ADDRS, 0);
+        header(ETH_TYPE..VLAN_TCI + usize::from(self.has_vlan), l3_off - 4); // TCI only if tagged
+        header(IPV4, l3_off);
+        header(PORTS, self.l4_off);
+        match self.l4 {
+            L4::Tcp => header(TCP_REST, self.l4_off),
+            L4::Udp => header(UDP_REST, self.l4_off),
+        }
+        for (i, offset) in (self.meta_off..self.payload_off).step_by(4).enumerate() {
+            visit(REGIONS.len() + i, offset, 4);
+        }
+    }
+}
+
+/// The one record of a parsed frame, shared by both tiers: the frame's
+/// bytes in a buffer of its own, what the parse graph's walk fixed
+/// about them, and the trailer schema they were parsed under.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireLayout {
+    bytes: Vec<u8>,
+    /// Shared with the [`WireConfig`]; names the trailer words.
+    meta: Arc<[String]>,
+    walk: Walk,
+}
+
+impl WireLayout {
+    /// True if the frame carried an 802.1Q tag.
+    pub fn has_vlan(&self) -> bool {
+        self.walk.has_vlan
+    }
+
+    /// Which L4 header the frame carried.
+    pub fn l4(&self) -> L4 {
+        self.walk.l4
+    }
+
+    /// The frame: verbatim as parsed, until the switch's sink patches the
+    /// pipeline's writes into it on the way out.
+    pub fn frame(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Bytes after every parsed header (and the metadata trailer).
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[self.walk.payload_off..]
+    }
+
+    /// The decoded-field patch list, in wire-index order (built on
+    /// demand; neither tier's parse or deparse goes through it).
+    pub fn patches(&self) -> impl Iterator<Item = Patch> + '_ {
+        let mut regions = Vec::new();
+        (self.walk).for_each_region(|field, offset, width| regions.push((field, offset, width)));
+        regions.into_iter().map(|(field, offset, width)| Patch {
+            field: self.name(field).to_string(),
+            offset,
+            width,
+        })
+    }
+
+    /// Visits every decoded field as `(name, wire value)`, in wire-index
+    /// order — the map tier's view of the frame, without the map.
+    pub(crate) fn for_each_field<'a>(&'a self, mut visit: impl FnMut(&'a str, i32)) {
+        self.walk.for_each_region(|field, offset, width| {
+            visit(self.name(field), read_be(&self.bytes, offset, width));
+        });
+    }
+
+    /// The field name behind a dense wire index the region walk yielded.
+    fn name(&self, field: usize) -> &str {
+        match HEADER_FIELDS.get(field) {
+            Some(name) => name,
+            None => &self.meta[field - HEADER_FIELDS.len()],
+        }
+    }
+
+    /// The record of a frame walked under `cfg`, its buffer still empty:
+    /// the one place a layout is built, before the frame's one copy.
+    fn new(walk: Walk, cfg: &WireConfig) -> WireLayout {
+        WireLayout {
+            bytes: Vec::new(),
+            meta: Arc::clone(&cfg.meta),
+            walk,
+        }
     }
 }
 
@@ -500,28 +541,27 @@ fn patch_be(out: &mut [u8], offset: usize, width: u8, value: i32) {
 ///
 /// Never panics: malformed input is a typed [`ParseVerdict`].
 pub fn parse(frame: &[u8], cfg: &WireConfig) -> Result<WirePacket, ParseVerdict> {
-    let layout = WireLayout::walk(frame, cfg)?;
+    let mut layout = WireLayout::new(Walk::of(frame, cfg)?, cfg);
+    layout.bytes.extend_from_slice(frame);
     let mut pkt = Packet::new();
-    for (name, value) in layout.fields() {
-        pkt.set(name, value);
-    }
+    layout.for_each_field(|name, value| pkt.set(name, value));
     Ok(WirePacket { pkt, layout })
 }
 
 /// Re-serializes a (possibly pipeline-modified) packet over its parse
-/// layout: the original bytes with every decoded field patched back from
-/// the packet's current value, masked to its wire width.
+/// layout: a copy of the layout's bytes with every decoded field patched
+/// back from the packet's current value, masked to its wire width.
 ///
 /// A packet whose patched fields are unmodified deparses to the identical
 /// frame. Fields the packet no longer carries (impossible through the
 /// pipeline, which only writes) keep their original bytes.
 pub fn deparse(pkt: &Packet, layout: &WireLayout) -> Vec<u8> {
     let mut out = layout.bytes.clone();
-    for (field, offset, width) in layout.regions() {
+    layout.walk.for_each_region(|field, offset, width| {
         if let Some(v) = pkt.get(layout.name(field)) {
             patch_be(&mut out, offset, width, v);
         }
-    }
+    });
     out
 }
 
@@ -571,31 +611,68 @@ impl BoundParser {
 
     /// Parses a frame straight onto the bound layout: a [`FlatPacket`]
     /// with every table-known field filled (big-endian decoded, marked
-    /// present) plus the deparse layout.
+    /// present) plus the deparse layout — the switch's own parse, with a
+    /// new record per frame, for callers that keep what they parse.
     pub fn parse_flat(&self, frame: &[u8]) -> Result<(FlatPacket, WireLayout), ParseVerdict> {
-        let layout = WireLayout::walk(frame, &self.cfg)?;
-        let mut flat = FlatPacket::new(Arc::clone(&self.table));
-        for (field, offset, width) in layout.regions() {
+        self.parse_into(frame, || None)
+    }
+
+    /// Walks the parse graph over `frame` and lands an accepted frame on
+    /// the record `spent` supplies — asked only then, so a rejected frame
+    /// costs no record — or, given none, on a new one. Whatever a spent
+    /// record (one this parser made) held is overwritten: the slab is
+    /// cleared and every table-known field filled from its region, the
+    /// layout's own buffer takes the frame's bytes — the one copy of a
+    /// frame's life in the switch, its packet-buffer write. `L` is how the
+    /// caller holds a layout: by value, or boxed beside a queued slab.
+    pub(crate) fn parse_into<L: From<WireLayout> + BorrowMut<WireLayout>>(
+        &self,
+        frame: &[u8],
+        spent: impl FnOnce() -> Option<(FlatPacket, L)>,
+    ) -> Result<(FlatPacket, L), ParseVerdict> {
+        let walk = Walk::of(frame, &self.cfg)?;
+        let (mut flat, mut held) = spent().unwrap_or_else(|| {
+            let flat = FlatPacket::new(Arc::clone(&self.table));
+            (flat, WireLayout::new(walk, &self.cfg).into())
+        });
+        let layout: &mut WireLayout = held.borrow_mut();
+        debug_assert!(Arc::ptr_eq(flat.table(), &self.table));
+        debug_assert!(Arc::ptr_eq(&layout.meta, &self.cfg.meta));
+        flat.clear();
+        frame.clone_into(&mut layout.bytes);
+        layout.walk = walk;
+        walk.for_each_region(|field, offset, width| {
             if let Some(id) = self.slots[field] {
                 flat.set(id, read_be(frame, offset, width));
             }
-        }
-        Ok((flat, layout))
+        });
+        Ok((flat, held))
     }
 
     /// Re-serializes a flat packet over its layout (the slot-keyed mirror
-    /// of [`deparse`]): every decoded field the table names is patched
-    /// back from its slot.
+    /// of [`deparse`]) into a frame of its own, leaving the layout as it
+    /// was: the switch's in-place patch, on a copy. For callers that keep
+    /// both; the switch patches the record it is about to recycle.
     pub fn deparse_flat(&self, flat: &FlatPacket, layout: &WireLayout) -> Vec<u8> {
-        let mut out = layout.bytes.clone();
-        for (field, offset, width) in layout.regions() {
+        std::mem::take(self.deparse_in_place(flat, &mut layout.clone()))
+    }
+
+    /// Patches every decoded field the table names back from its slot
+    /// into the layout's own bytes and lends them: no copy, and the
+    /// layout now holds the departing frame, not the arriving one.
+    pub(crate) fn deparse_in_place<'l>(
+        &self,
+        flat: &FlatPacket,
+        layout: &'l mut WireLayout,
+    ) -> &'l mut Vec<u8> {
+        layout.walk.for_each_region(|field, offset, width| {
             // `get`: a layout parsed under a longer trailer schema than
             // this parser's has words this parser has no slot for.
             if let Some(id) = self.slots.get(field).copied().flatten() {
-                patch_be(&mut out, offset, width, flat.get_or_zero(id));
+                patch_be(&mut layout.bytes, offset, width, flat.get_or_zero(id));
             }
-        }
-        out
+        });
+        &mut layout.bytes
     }
 }
 

@@ -200,15 +200,29 @@ impl FlatPacket {
     /// [`FlatPacket::emit`] to put back. One [`FieldTable::lookup`] per
     /// field: the by-name reference of [`PacketEdges::admit`].
     pub fn admit(pkt: &Packet, table: &Arc<FieldTable>) -> (FlatPacket, Residual) {
-        let mut flat = FlatPacket::new(Arc::clone(table));
-        let mut residual = Residual::new();
+        let mut admitted = (FlatPacket::new(Arc::clone(table)), Residual::new());
+        admitted.0.refill(pkt, &mut admitted.1);
+        admitted
+    }
+
+    /// [`FlatPacket::admit`] into this packet and `residual`, whatever they
+    /// held before.
+    fn refill(&mut self, pkt: &Packet, residual: &mut Residual) {
+        self.clear();
+        residual.clear();
         for (name, value) in pkt.entries() {
-            match table.lookup(name) {
-                Some(id) => flat.set(id, value),
+            match self.table.lookup(name) {
+                Some(id) => self.set(id, value),
                 None => residual.push((Arc::clone(name), value)),
             }
         }
-        (flat, residual)
+    }
+
+    /// Empties the packet so its allocation can carry another: every slot
+    /// absent and — the invariant — zero.
+    pub fn clear(&mut self) {
+        self.vals.fill(0);
+        self.present.fill(0);
     }
 
     /// Visits every field — each present slot and `residual` — in **name
@@ -421,37 +435,61 @@ impl PacketEdges {
         &self.by_name
     }
 
-    /// **Admission** — [`FlatPacket::admit`]'s result, by the remembered
-    /// scatter whenever every name of `pkt` is on the table.
-    pub fn admit(&mut self, pkt: &Packet) -> (FlatPacket, Residual) {
-        let memo = match &mut self.admitted {
-            Some(memo) if memo.shape == *pkt.shape() => memo,
+    /// The remembered crossing for packets of `pkt`'s shape, re-derived if
+    /// the last packet had another; `None` if `pkt` names a field off the
+    /// table, which no memo describes.
+    fn admitting(&mut self, pkt: &Packet) -> Option<&Crossing> {
+        match &mut self.admitted {
+            Some(memo) if memo.shape == *pkt.shape() => {}
             miss => {
                 let table = &self.table;
-                let slots: Option<Vec<FieldId>> =
-                    pkt.field_names().map(|name| table.lookup(name)).collect();
-                let Some(slots) = slots else {
-                    return FlatPacket::admit(pkt, table);
-                };
+                let slots = pkt.field_names().map(|name| table.lookup(name));
+                let slots = slots.collect::<Option<Vec<FieldId>>>()?;
                 let mut marked = FlatPacket::new(Arc::clone(table));
                 slots.iter().for_each(|id| marked.set(*id, 0));
-                miss.insert(Crossing {
+                *miss = Some(Crossing {
                     shape: Arc::clone(pkt.shape()),
                     slots,
                     present: marked.present,
-                })
+                });
             }
+        }
+        self.admitted.as_ref()
+    }
+
+    /// **Admission** — [`FlatPacket::admit`]'s result, by the remembered
+    /// scatter whenever every name of `pkt` is on the table.
+    pub fn admit(&mut self, pkt: &Packet) -> (FlatPacket, Residual) {
+        let table = Arc::clone(&self.table);
+        let Some(memo) = self.admitting(pkt) else {
+            return FlatPacket::admit(pkt, &table);
         };
-        let mut vals = vec![0; self.table.len()].into_boxed_slice();
+        let mut vals = vec![0; table.len()].into_boxed_slice();
         for (id, value) in memo.slots.iter().zip(pkt.vals()) {
             vals[id.index()] = *value;
         }
         let flat = FlatPacket {
-            table: Arc::clone(&self.table),
+            table,
             vals,
             present: memo.present.clone(),
         };
         (flat, Residual::new())
+    }
+
+    /// [`PacketEdges::admit`] **into** a spent record of this table:
+    /// `flat` and `residual` are overwritten where they lie, whatever they
+    /// held and whichever path runs, and keep their allocations.
+    pub fn admit_into(&mut self, pkt: &Packet, flat: &mut FlatPacket, residual: &mut Residual) {
+        debug_assert_eq!(flat.vals.len(), self.by_name.len());
+        let Some(memo) = self.admitting(pkt) else {
+            return flat.refill(pkt, residual);
+        };
+        flat.vals.fill(0);
+        for (id, value) in memo.slots.iter().zip(pkt.vals()) {
+            flat.vals[id.index()] = *value;
+        }
+        flat.present.copy_from_slice(&memo.present);
+        residual.clear();
     }
 
     /// **Emission** — [`FlatPacket::emit`]'s result, by the remembered

@@ -1,26 +1,33 @@
-//! An allocation budget for the packet-born paths, counted — not timed.
+//! An allocation budget for the switch's run paths, packet-born and
+//! byte-born, counted — not timed.
 //!
 //! ROADMAP item 4 wants a steady state that does not allocate; this is the
-//! ledger it starts from. A counting `#[global_allocator]` reads how many
+//! ledger it is held to. A counting `#[global_allocator]` reads how many
 //! heap allocations, and how many bytes, one *offered* packet costs on the
-//! three packet-born shapes the cost ledger (`benchmark/`) times: a
-//! lossless `run(&trace).for_each`, a congested `run(GenSource).for_each`,
-//! and a scheduled `collect()`. The counts are exact and repeat from run to
-//! run, which a timing on a shared host never does.
+//! shapes the cost ledger (`benchmark/`) times: a lossless
+//! `run(&trace).for_each`, a congested `run(GenSource).for_each`, a
+//! scheduled `collect()`, and `run_frames(&frames)` under both terminals.
+//! It also reads the bytes live before and after every run: the switch
+//! recycles its in-flight records in a pool that must die with the run.
+//! The counts are exact and repeat from run to run, which a timing on a
+//! shared host never does.
 //!
 //! One `#[test]`, one process-wide counter: nothing else may run beside it,
 //! so nothing else lives in this binary.
 
 use banzai::stream::GenSource;
+use banzai::wire::{encode, FrameSpec, WireConfig};
 use banzai::{AtomKind, AtomPipeline, SchedSpec, Switch, Target};
 use domino_ir::Packet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Allocation calls (`alloc` and `realloc`) and the bytes they asked for.
+/// Allocation calls (`alloc` and `realloc`), the bytes they asked for, and
+/// the bytes asked for and not yet given back (`dealloc` counted too).
 /// `Relaxed`: plain statistics, read while no other thread runs.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 /// The system allocator, counting.
 struct Counting;
@@ -31,11 +38,13 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -43,6 +52,8 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -54,13 +65,18 @@ static GLOBAL: Counting = Counting;
 /// Packets offered per measured run.
 const N: u64 = 6_144;
 
-/// `(allocations, bytes)` made while `run` runs.
-fn count(run: &mut impl FnMut()) -> (u64, u64) {
+/// `(allocations, bytes)` made while `run` runs — which must give back
+/// every byte it takes: `run` drops its outputs, so whatever stays live
+/// is something the switch kept (a pool that outlived its run).
+fn count(what: &str, run: &mut impl FnMut()) -> (u64, u64) {
     let before = (
         ALLOCS.load(Ordering::Relaxed),
         BYTES.load(Ordering::Relaxed),
+        LIVE.load(Ordering::Relaxed),
     );
     run();
+    let live = LIVE.load(Ordering::Relaxed);
+    assert_eq!(live, before.2, "{what}: live bytes after the run");
     (
         ALLOCS.load(Ordering::Relaxed) - before.0,
         BYTES.load(Ordering::Relaxed) - before.1,
@@ -73,11 +89,11 @@ fn count(run: &mut impl FnMut()) -> (u64, u64) {
 /// bytes per offered packet.
 fn budget(what: &str, allocs_x100: u64, bytes: u64, mut run: impl FnMut()) {
     run();
-    let counted = count(&mut run);
-    assert_eq!(counted, count(&mut run), "{what}: the count repeats");
+    let counted = count(what, &mut run);
+    assert_eq!(counted, count(what, &mut run), "{what}: the count repeats");
     let (allocs, total) = counted;
     println!(
-        "{what}: {:.2} allocations, {:.0} B per offered packet",
+        "{what}: {:.2} allocations, {:.0} B per offered packet ({allocs} and {total} in all)",
         allocs as f64 / N as f64,
         total as f64 / N as f64
     );
@@ -115,24 +131,26 @@ fn steady_state_allocations_per_offered_packet() {
         .trace(N as usize, 0xA110C);
     let mut folded = 0i64;
 
-    // `serial_flowlet`: every packet is cloned off the slice (its row),
-    // admitted (slab and presence mask) and emitted (its row). The tree
-    // `Packet` this replaced read 11.00 allocations and 3,788 B here.
+    // `serial_flowlet`: every packet is cloned off the slice (its row) and
+    // emitted (its row); the record it crosses the switch in is a recycled
+    // one. With a slab made per packet this read 4.00 allocations and
+    // 544 B, on the tree `Packet` before that 11.00 and 3,788 B.
     let mut sw = Switch::new_slot(&flowlet, &codel_lut, 512).unwrap();
-    budget("run(&trace).for_each", 400, 600, || {
+    budget("run(&trace).for_each", 201, 300, || {
         let sink = |p: Packet| folded += p.get_or_zero("next_hop") as i64;
         let stats = sw.run(&trace).for_each(sink).unwrap();
         assert_eq!((stats.offered, stats.transmitted), (N, N));
     });
 
     // `stream_congested`: the generator builds each packet field by field
-    // (names and all — 11 of the allocations below, 7 on the tree), two
-    // thirds are refused at the full queue. Recorded as measured; the tree
-    // read 12.33 allocations and 2,018 B.
+    // (names and all — 11 of the allocations below), two thirds are refused
+    // at the full queue and hand their record to the next arrival.
+    // Recorded as measured; a slab per packet read 13.42 allocations and
+    // 802 B, the tree 12.33 and 2,018 B.
     let mut sw = Switch::new_slot(&flowlet, &codel_lut, 512)
         .unwrap()
         .with_drain_period(3);
-    budget("run(GenSource).for_each, drain 3", 1342, 802, || {
+    budget("run(GenSource).for_each, drain 3", 1159, 550, || {
         let source = GenSource::with_len(N, |i| {
             let fields = trace[i as usize].iter();
             Some(fields.fold(Packet::new(), |p, (name, v)| p.with(name, v)))
@@ -142,8 +160,9 @@ fn steady_state_allocations_per_offered_packet() {
         assert_eq!(stats.offered, N);
     });
 
-    // `sched_wfq`: the whole burst queued, every departure kept. Recorded
-    // as measured; the tree read 8.00 allocations and 2,300 B.
+    // `sched_wfq`: the whole burst queued, every departure kept — nothing
+    // departs while the source is live, so there is nothing to recycle.
+    // Recorded as measured; the tree read 8.00 allocations and 2,300 B.
     let sojourn = domino_compiler::compile(SOJOURN, &Target::banzai(AtomKind::Raw)).unwrap();
     let burst = algorithms::by_name("stfq")
         .unwrap()
@@ -157,6 +176,37 @@ fn steady_state_allocations_per_offered_packet() {
         let departures = sw.run(&burst).scheduled().collect().unwrap();
         assert_eq!(departures.len() as u64, N);
         folded += departures[0].departure;
+    });
+
+    // `wire_flowlet`: the flowlet load as frames, a quarter tagged, half
+    // carrying a 1,200-B payload. A frame is copied into a recycled
+    // record, patched there and lent to the sink: what is left is per run
+    // (the bound parser, the first records, the pool), not per frame. With
+    // a record, a layout and an output frame made per frame this read 5.00
+    // allocations and 1,682 B.
+    let cfg = WireConfig::with_meta_fields(["arrival", "id", "new_hop", "next_hop"]).unwrap();
+    let payload = vec![0x5a; 1200];
+    let frame = |(i, pkt): (usize, &Packet)| {
+        let spec = FrameSpec {
+            vlan_tci: (i % 4 == 0).then_some(0x2000 | i as u16 & 0x0fff),
+            payload: payload[..(i / 4 % 2) * 1200].to_vec(),
+            ..FrameSpec::default()
+        };
+        encode(pkt, &cfg, &spec)
+    };
+    let frames: Vec<Vec<u8>> = trace.iter().enumerate().map(frame).collect();
+    let mut sw = Switch::new_slot(&flowlet, &codel_lut, 512).unwrap();
+    budget("run_frames(&frames).for_each", 1, 1, || {
+        let sink = |f: &[u8]| folded += f.len() as i64;
+        let stats = sw.run_frames(&frames, &cfg).for_each(sink).unwrap();
+        assert_eq!((stats.offered, stats.transmitted), (N, N));
+    });
+    // `collect()` is the sink that keeps every frame: one `Vec<u8>` each
+    // (the outer `Vec` is sized once, from the source's hint).
+    budget("run_frames(&frames).collect()", 101, 720, || {
+        let out = sw.run_frames(&frames, &cfg).collect().unwrap();
+        assert_eq!(out.len() as u64, N);
+        folded += out[0].len() as i64;
     });
     assert_ne!(folded, 0);
 }

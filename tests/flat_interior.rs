@@ -462,6 +462,18 @@ fn traffic_that_changes_shape_mid_run_matches_the_map_model_on_both_engines() {
                 check_both(&ingress, &egress, drain, spec, &trace);
             }
         }
+        // A queue of 8 behind a link three times too slow refuses two
+        // arrivals in three, so nearly every packet lands in a record
+        // another just left — of another shape every fourth packet, with
+        // a residual (`mystery`) it must take on and then lose again.
+        let (slot, map) = both(&ingress, &egress, 8);
+        let model = || {
+            let mut m = MapModel::new(&ingress, &egress, 8);
+            m.drain_period = 3;
+            m
+        };
+        check(slot.with_drain_period(3), model(), &trace, "slot: tight");
+        check(map.with_drain_period(3), model(), &trace, "map: tight");
     }
 }
 
@@ -483,6 +495,9 @@ fn a_table_that_grows_between_runs_remakes_the_edges() {
     }
     let (ingress, egress) = (compile("flowlet"), compile("codel_lut"));
     let trace = shapeshifting_trace(96);
+    // At line rate every departure's record is the next arrival's, so the
+    // first run's records are recycled ones — and none may reach the
+    // second run: they are a slot short of the grown table.
     let (slot, map) = both(&ingress, &egress, 24);
     grows(slot, MapModel::new(&ingress, &egress, 24), &trace);
     grows(map, MapModel::new(&ingress, &egress, 24), &trace);
@@ -501,10 +516,16 @@ fn memoised_edges_equal_the_by_name_merges_through_every_shape_change() {
     let table = Arc::new(table);
     let stamped = ["enq_ts", "next_hop", "now"].map(|f| table.lookup(f).unwrap());
     let mut edges = PacketEdges::new(&table);
+    // One record recycled through the whole trace, as the switch does:
+    // every admission into it overwrites the last packet's slots, stamps
+    // and residual, and must equal the admission that makes a new record.
+    let mut spent = (FlatPacket::new(Arc::clone(&table)), Vec::new());
     for (i, pkt) in shapeshifting_trace(200).iter().enumerate() {
         let (mut flat, residual) = edges.admit(pkt);
         let reference = FlatPacket::admit(pkt, &table);
         assert_eq!((&flat, &residual), (&reference.0, &reference.1), "{i}");
+        edges.admit_into(pkt, &mut spent.0, &mut spent.1);
+        assert_eq!(spent, reference, "packet {i}: into a spent record");
         assert_eq!(residual.is_empty(), !pkt.has("mystery"), "packet {i}");
         // What a switch does in between: stamps and engine writes.
         for id in stamped {
@@ -515,5 +536,9 @@ fn memoised_edges_equal_the_by_name_merges_through_every_shape_change() {
         assert_eq!(out, want, "packet {i}: emission");
         assert!(out.iter().eq(want.iter()), "packet {i}: iteration order");
         assert!(!out.has("unset"));
+        // Leave the stamps behind for the next admission to clear.
+        for id in stamped {
+            spent.0.set(id, -1);
+        }
     }
 }

@@ -267,7 +267,7 @@ proptest! {
         let mut got = Vec::new();
         let stats = streamed
             .run_frames(src, &cfg)
-            .for_each(|f| got.push(f))
+            .for_each(|f| got.push(f.to_vec()))
             .expect("generator source cannot fail");
 
         prop_assert_eq!(got, expect, "streamed egress frames diverged");

@@ -199,64 +199,142 @@ fn decorate(frame: &mut Vec<u8>, i: usize) {
     frame.extend((0..i % 7 * 13).map(|b| b as u8));
 }
 
+/// Turns a well-formed (decorated) frame into one the parse graph
+/// rejects, by the `k`-th of its eleven verdicts' mutators; one that does
+/// not apply to the frame's shape — a tag cut on an untagged frame, a TCP
+/// fault on UDP — falls back to the runt.
+fn spoil(frame: &mut Vec<u8>, k: usize) {
+    use ParseVerdict::*;
+    let tagged = frame[12..14] == [0x81, 0x00];
+    let l3 = if tagged { 18 } else { 14 };
+    let l4 = l3 + 4 * (frame[l3] & 0x0f) as usize;
+    let tcp = frame[l3 + 9] == wire::IPPROTO_TCP;
+    let l4_len = if tcp { 4 * (frame[l4 + 12] >> 4) } else { 8 } as usize;
+    match ParseVerdict::ALL[k % ParseVerdict::COUNT] {
+        TruncatedVlan if tagged => frame.truncate(16),
+        UnsupportedEthertype => frame[l3 - 2..l3].copy_from_slice(&[0x86, 0xdd]),
+        BadIpVersion => frame[l3] = 0x60 | frame[l3] & 0x0f,
+        BadIhl => frame[l3] = 0x43,
+        TruncatedIpv4 => frame.truncate(l3 + 11),
+        UnsupportedIpProto => frame[l3 + 9] = 47,
+        BadTcpOffset if tcp => frame[l4 + 12] = 0x20,
+        TruncatedTcp if tcp => frame.truncate(l4 + 13),
+        TruncatedUdp if !tcp => frame.truncate(l4 + 5),
+        TruncatedMetadata => frame.truncate(l4 + l4_len + 1),
+        _ => frame.truncate(9),
+    }
+}
+
 /// `run_frames` as the composition of public calls it stands for, on the
 /// map tier: parse every frame, run the packets, deparse each departure
-/// over the layout of the frame it was born from.
+/// over the layout of the frame it was born from. A frame the map tier
+/// rejects still takes its arrival cycle and its drop counter, which no
+/// packet source can spend: the packets before it run first, then the
+/// frame alone goes to the switch (a rejected frame meets no record and
+/// no queue). Runs compose at line rate, where the queue is empty at
+/// every run's end — the only regime the callers put rejects in.
 fn parse_run_deparse<E: PipelineEngine>(sw: &mut Switch<E>, wt: &WireTrace) -> Vec<Vec<u8>> {
     let ip_id = |p: &Packet| p.get("ip_id").expect("ip_id is a wire field");
-    let parsed: Vec<wire::WirePacket> = wt
+    let parsed: Vec<Result<wire::WirePacket, &Vec<u8>>> = wt
         .frames
         .iter()
-        .map(|f| wire::parse(f, &wt.cfg).expect("decorated frames are well-formed"))
+        .map(|f| wire::parse(f, &wt.cfg).map_err(|_| f))
         .collect();
     let layouts: HashMap<i32, &WireLayout> = parsed
         .iter()
+        .flatten()
         .map(|wp| (ip_id(&wp.pkt), &wp.layout))
         .collect();
     assert_eq!(
         layouts.len(),
-        parsed.len(),
+        parsed.iter().flatten().count(),
         "ip_id must be unique per frame"
     );
-    let packets: Vec<Packet> = parsed.iter().map(|wp| wp.pkt.clone()).collect();
-    let out = sw.run(&packets).collect().expect("slices cannot fail");
+    let mut out = Vec::new();
+    for segment in parsed.split_inclusive(Result::is_err) {
+        let packets: Vec<Packet> = segment.iter().flatten().map(|wp| wp.pkt.clone()).collect();
+        out.extend(sw.run(&packets).collect().expect("slices cannot fail"));
+        if let Some(Err(rejected)) = segment.last() {
+            let none = sw.run_frames(std::slice::from_ref(*rejected), &wt.cfg);
+            assert!(none.collect().expect("slices cannot fail").is_empty());
+        }
+    }
     out.iter()
         .map(|p| wire::deparse(p, layouts[&ip_id(p)]))
         .collect()
 }
 
-/// One switch configuration, both ways, on one engine: transmitted bytes,
-/// per-reason drop counters and both exported states must be equal.
-fn assert_tiers_agree<E: PipelineEngine>(what: &str, mk: impl Fn() -> Switch<E>, wt: &WireTrace) {
-    let mut by_frame = mk();
-    let got = by_frame
-        .run_frames(&wt.frames, &wt.cfg)
-        .collect()
-        .expect("slices cannot fail");
-    let mut by_packet = mk();
-    let want = parse_run_deparse(&mut by_packet, wt);
-    assert_eq!(got.len(), want.len(), "{what}: departure count");
-    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert_eq!(g, w, "{what}: bytes of departure {i}");
+/// One switch configuration, both ways, on one engine, over `runs` back
+/// to back on the same switches (state, clock and counters carry over;
+/// the schema may change between runs): transmitted bytes, per-reason
+/// drop counters and both exported states must be equal after each — and
+/// the frames `for_each` lends its sink must be the ones `collect` keeps.
+fn assert_tiers_agree<E: PipelineEngine>(
+    what: &str,
+    mk: impl Fn() -> Switch<E>,
+    runs: &[&WireTrace],
+) {
+    let (mut by_frame, mut lent, mut by_packet) = (mk(), mk(), mk());
+    for (run, wt) in runs.iter().enumerate() {
+        let what = format!("{what}, run {run}");
+        let got = by_frame
+            .run_frames(&wt.frames, &wt.cfg)
+            .collect()
+            .expect("slices cannot fail");
+        let mut copied = Vec::new();
+        lent.run_frames(&wt.frames, &wt.cfg)
+            .for_each(|f| copied.push(f.to_vec()))
+            .expect("slices cannot fail");
+        assert_eq!(copied, got, "{what}: for_each ≡ collect");
+        let want = parse_run_deparse(&mut by_packet, wt);
+        assert_eq!(got.len(), want.len(), "{what}: departure count");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "{what}: bytes of departure {i}");
+        }
+        assert_eq!(
+            by_frame.drop_counters(),
+            by_packet.drop_counters(),
+            "{what}"
+        );
+        assert_eq!(by_frame.transmitted(), by_packet.transmitted(), "{what}");
+        assert_eq!(
+            by_frame.export_ingress_state(),
+            by_packet.export_ingress_state(),
+            "{what}: ingress state"
+        );
+        assert_eq!(
+            by_frame.export_egress_state(),
+            by_packet.export_egress_state(),
+            "{what}: egress state"
+        );
     }
-    assert_eq!(
-        by_frame.drop_counters(),
-        by_packet.drop_counters(),
-        "{what}"
-    );
-    assert_eq!(by_frame.transmitted(), by_packet.transmitted(), "{what}");
-    assert_eq!(
-        by_frame.export_ingress_state(),
-        by_packet.export_ingress_state(),
-        "{what}: ingress state"
-    );
-    assert_eq!(
-        by_frame.export_egress_state(),
-        by_packet.export_egress_state(),
-        "{what}: egress state"
-    );
-    let lossless = by_frame.capacity() >= wt.frames.len();
+    let roomy = runs.iter().all(|wt| by_frame.capacity() >= wt.frames.len());
+    let lossless = roomy && by_frame.drop_counters().parse_total() == 0;
     assert_eq!(by_frame.drops() == 0, lossless, "{what}: drops");
+}
+
+/// `trace` encoded under `cfg`'s schema plus one more trailer word, as
+/// the worst neighbours a recycled record can meet: a long tagged TCP
+/// frame (1,200-B payload) then a short untagged UDP one, alternating —
+/// a slot, a presence bit, a `vlan_tci`/`tcp_*` region or a tail byte
+/// left over from the frame before would show in the one after.
+fn zebra(trace: &[Packet], cfg: &WireConfig) -> WireTrace {
+    let schema = cfg.meta_fields().iter().map(String::as_str);
+    let cfg = WireConfig::with_meta_fields(schema.chain(["zebra_spare"])).unwrap();
+    let encode = |(i, pkt): (usize, &Packet)| {
+        let long = i % 2 == 0;
+        let spec = FrameSpec {
+            vlan_tci: long.then_some(0x2000 | i as u16 & 0x0fff),
+            ip_proto: [wire::IPPROTO_UDP, wire::IPPROTO_TCP][long as usize],
+            payload: vec![0x5a; if long { 1200 } else { 0 }],
+            ..FrameSpec::default()
+        };
+        let mut frame = wire::encode(pkt, &cfg, &spec);
+        decorate(&mut frame, i);
+        frame
+    };
+    let frames = trace.iter().enumerate().map(encode).collect();
+    WireTrace { cfg, frames }
 }
 
 /// The differential for one ingress program over `codel_lut` at egress
@@ -288,15 +366,28 @@ fn tier_differential(
         sw.with_scheduler(spec.clone())
             .with_drain_period(drain_period)
     }
+    // What a recycled record must not carry over. Every switch runs the
+    // trace, then — same switch, a longer trailer — its zebra; at line
+    // rate, where a departure's record is the next arrival's, a third run
+    // has every seventh frame spoiled, so rejects fall between good frames.
+    // The tight queue's refusals hand records back too.
+    let zebra = zebra(trace, &wt.cfg);
+    let mut spoiled = wt.clone();
+    for (i, frame) in spoiled.frames.iter_mut().enumerate().skip(6).step_by(7) {
+        spoil(frame, i / 7);
+        assert!(wire::parse(frame, &wt.cfg).is_err(), "{name}: frame {i}");
+    }
     for (capacity, drain_period) in [(trace.len(), 1), (8, 3)] {
         let what = format!("{name}, capacity {capacity}, drain {drain_period}");
+        let runs = [&wt, &zebra, &spoiled];
+        let runs = &runs[..if drain_period == 1 { 3 } else { 2 }];
         assert_tiers_agree(
             &format!("{what}, map engine"),
             || {
                 let sw = Switch::new(ingress.clone(), egress.clone(), capacity);
                 tuned(sw, spec, drain_period)
             },
-            &wt,
+            runs,
         );
         assert_tiers_agree(
             &format!("{what}, slot engine"),
@@ -304,7 +395,7 @@ fn tier_differential(
                 let sw = Switch::new_slot(ingress, &egress, capacity).expect("slot-lowerable");
                 tuned(sw, spec, drain_period)
             },
-            &wt,
+            runs,
         );
     }
 }
@@ -328,8 +419,9 @@ fn run_frames_equals_parse_run_deparse_for_every_algorithm() {
 
 /// The two things a slab can hold that a frame cannot: a header field the
 /// frame has no bytes for (`tcp_win` written on UDP frames must vanish at
-/// deparse, on TCP frames land in the header), and a rank field that is
-/// in neither the headers nor the trailer (the PIFO reads it off the slab).
+/// deparse, on TCP frames land in the header; read, it is 0), and a rank
+/// field that is in neither the headers nor the trailer (the PIFO reads it
+/// off the slab).
 #[test]
 fn tiers_agree_on_fields_the_frame_does_not_carry() {
     let source = "struct Packet { int sport; int tcp_win; int prio; };\n\
@@ -345,6 +437,14 @@ fn tiers_agree_on_fields_the_frame_does_not_carry() {
         .unwrap()
         .trace(TRACE_LEN, SEED);
     tier_differential("mark", &ingress, &by_prio, &trace, &[]);
+    // And the other way round: headers a frame does not carry read 0, not
+    // what the record's last frame — tagged, or the other L4 — left there.
+    let source = "struct Packet { int tcp_win; int vlan_tci; int udp_len; int seen; };\n\
+                  void probe(struct Packet pkt) {\n\
+                    pkt.seen = pkt.tcp_win + pkt.vlan_tci + pkt.udp_len;\n\
+                  }";
+    let ingress = domino_compiler::compile(source, &Target::banzai(AtomKind::Write)).unwrap();
+    tier_differential("probe", &ingress, &SchedSpec::Fifo, &trace, &["seen"]);
 }
 
 // ---------------------------------------------------------------------------
