@@ -1,20 +1,32 @@
 //! The slot-compiled execution engine: atom pipelines lowered onto fixed
-//! field/state layouts and executed with pure integer indexing.
+//! field/state layouts and executed as one dense instruction stream.
 //!
 //! [`Machine`](crate::Machine) interprets TAC with string-keyed map
 //! lookups on every operand — fine as a semantic reference, orders of
 //! magnitude off the paper's "run at the line rate of the switching
-//! fabric" story. This module is the fast path:
+//! fabric" story. This module is the fast path, split the way the paper's
+//! machine is: everything that can be decided when the pipeline is
+//! *configured* is, and a packet only *clocks* the result.
 //!
-//! 1. [`SlotPipeline::lower`] resolves, once per pipeline, every packet
-//!    field to a [`FieldId`] slot (via a [`FieldTable`] built in
-//!    deterministic first-mention order), every state variable to a base
-//!    offset in a flat register file ([`StateLayout`]), and every
-//!    intrinsic to a direct entry point — producing slot-indexed atom
-//!    programs ([`SlotOp`]).
-//! 2. [`SlotMachine`] executes those programs over [`FlatPacket`]s and a
-//!    [`FlatState`] register file: no per-packet string hashing, no tree
-//!    walks, no allocation in the per-statement loop.
+//! 1. [`SlotPipeline::lower`] turns every TAC statement into one `Inst` —
+//!    a small `Copy` record: an opcode (the [`BinOp`]/[`UnOp`] included),
+//!    a destination, three raw operands and one bit per operand saying
+//!    whether it is a slot of the packet's slab or an immediate. Packet
+//!    fields are resolved to [`FieldId`] slots (via a [`FieldTable`] built
+//!    in deterministic first-mention order), state variables to windows
+//!    of a flat register file ([`StateLayout`]), intrinsics to opcodes
+//!    (their arity checked here, once), and `x % CONST` — written out or
+//!    an intrinsic's `% N` — to a precomputed multiply (`ModC`), so no
+//!    packet pays a divide for a modulus the program fixed. All stages,
+//!    then the deparser's copies, sit in **one** `Vec<Inst>`; the stage
+//!    boundaries are offsets into it.
+//! 2. [`SlotMachine`] runs that stream over [`FlatPacket`]s and a
+//!    [`FlatState`] register file with one loop (`exec`): the
+//!    transactional `process_flat` runs the whole stream, the
+//!    cycle-accurate replay runs a stage's slice of it per clock, and the
+//!    shard dispatcher's key slice is a stream of its own — there is no
+//!    second executable form. No string hashing, no tree walk, no
+//!    allocation per statement.
 //!
 //! Because TAC is straight-line, the set of slots a pipeline writes is a
 //! compile-time constant; the engine writes raw slots in the hot loop and
@@ -27,206 +39,237 @@ use crate::error::SwitchError;
 use crate::machine::AtomPipeline;
 use crate::switch::PipelineEngine;
 use domino_ast::{intrinsics, BinOp, UnOp};
-use domino_ir::layout::{FieldId, FieldTable, FlatPacket, FlatState, FlowKeySpec, StateLayout};
+use domino_ir::layout::{
+    FieldId, FieldTable, FlatPacket, FlatState, FlowKeySpec, StateLayout, StateSlot,
+};
 use domino_ir::{Operand, Packet, StateRef, StateStore, TacRhs, TacStmt};
 use std::fmt;
 use std::sync::Arc;
 
-/// An operand with its field pre-resolved to a slot.
+/// `x % modulus` for a modulus fixed at lowering (Lemire's fastmod): the
+/// remainder of `|x|` by `|modulus|` is the high half of two multiplies
+/// by `magic` = ⌈2⁶⁴ / |modulus|⌉, and the sign follows the dividend as
+/// `wrapping_rem`'s does. Exact for every `i32` dividend and every
+/// modulus: ±1 wraps the magic to 0 and every remainder with it,
+/// `i32::MIN` is 2³¹ unsigned, and modulus 0 gets magic 0 — the defined 0
+/// of [`BinOp::Mod`] without a branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotOperand {
-    /// A packet-field slot.
-    Slot(FieldId),
-    /// An immediate constant.
-    Const(i32),
+struct ModC {
+    magic: u64,
+    abs: u32,
 }
 
-impl SlotOperand {
+impl ModC {
+    fn new(modulus: i32) -> ModC {
+        let abs = modulus.unsigned_abs();
+        let magic = (u64::MAX.checked_div(abs as u64)).map_or(0, |q| q.wrapping_add(1));
+        ModC { magic, abs }
+    }
+
     #[inline]
-    fn eval(self, vals: &[i32]) -> i32 {
-        match self {
-            SlotOperand::Slot(id) => vals[id.index()],
-            SlotOperand::Const(c) => c,
+    fn rem(self, x: i32) -> i32 {
+        let low = self.magic.wrapping_mul(x.unsigned_abs() as u64);
+        // Below `abs` ≤ 2³¹, so it fits and its negation cannot overflow.
+        let r = ((low as u128 * self.abs as u128) >> 64) as i32;
+        if x < 0 {
+            -r
+        } else {
+            r
         }
     }
 }
 
-/// An intrinsic pre-resolved to its accelerator entry point (no per-packet
-/// string dispatch).
+/// What an [`Inst`] does, over its operands `a`, `b`, `c` = `args[0..3]`.
+/// Every opcode but the two stores writes the packet slot `dst`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // variants are the intrinsic names
-pub enum IntrinsicFn {
+enum Opcode {
+    /// `dst ← a`.
+    Copy,
+    /// `dst ← op a`.
+    Un(UnOp),
+    /// `dst ← a op b`.
+    Bin(BinOp),
+    /// `dst ← a % CONST`, by the instruction's [`ModC`].
+    ModC,
+    /// `dst ← a ? b : c`.
+    Sel,
+    /// The intrinsics over `a`, `b`, `c`, reduced by the instruction's
+    /// [`ModC`] when the `MODC` bit is set.
     Hash2,
     Hash3,
     Isqrt,
     CodelGap,
+    /// `dst ← state[a]` (`a` a raw register-file offset).
+    Load,
+    /// `dst ← state[a + wrap(b, c)]` (`c` the raw window length).
+    LoadArr,
+    /// `state[dst] ← a` (`dst` a register-file offset, not a packet slot).
+    Store,
+    /// `state[dst + wrap(b, c)] ← a`.
+    StoreArr,
 }
 
-impl IntrinsicFn {
-    /// Resolves an intrinsic by name.
-    pub fn from_name(name: &str) -> Option<IntrinsicFn> {
-        match name {
-            "hash2" => Some(IntrinsicFn::Hash2),
-            "hash3" => Some(IntrinsicFn::Hash3),
-            "isqrt" => Some(IntrinsicFn::Isqrt),
-            "codel_gap" => Some(IntrinsicFn::CodelGap),
-            _ => None,
+/// Bit of [`Inst::imm`] saying `m` is wired: the result is reduced by it.
+const MODC: u8 = 1 << 3;
+
+/// One instruction of the stream (the lowered form of a [`TacStmt`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Inst {
+    op: Opcode,
+    /// Bit `i` set: `args[i]` is an immediate, not a slot to fetch.
+    imm: u8,
+    dst: u32,
+    args: [i32; 3],
+    m: ModC,
+}
+
+impl Inst {
+    fn new(op: Opcode, dst: u32) -> Inst {
+        Inst {
+            op,
+            imm: 0,
+            dst,
+            args: [0; 3],
+            m: ModC::new(0),
         }
     }
 
-    /// The argument count this intrinsic requires (enforced at lowering).
-    pub fn arity(self) -> usize {
-        match self {
-            IntrinsicFn::Hash2 | IntrinsicFn::CodelGap => 2,
-            IntrinsicFn::Hash3 => 3,
-            IntrinsicFn::Isqrt => 1,
+    /// Operand `i` wired to a program operand: its slot, or the constant.
+    fn arg(mut self, i: usize, operand: &Operand, table: &mut FieldTable) -> Inst {
+        self.args[i] = match operand {
+            Operand::Field(f) => table.intern(f).raw() as i32,
+            Operand::Const(c) => {
+                self.imm |= 1 << i;
+                *c
+            }
+        };
+        self
+    }
+
+    /// Operand `i` as a number lowering resolved itself: a slot, a
+    /// register-file offset or a window length.
+    fn raw(mut self, i: usize, value: u32) -> Inst {
+        self.args[i] = value as i32;
+        self
+    }
+
+    fn modc(mut self, modulus: i32) -> Inst {
+        self.imm |= MODC;
+        self.m = ModC::new(modulus);
+        self
+    }
+
+    /// The operand fetch: two-way, slot or immediate.
+    #[inline]
+    fn get(&self, vals: &[i32], i: usize) -> i32 {
+        if self.imm >> i & 1 != 0 {
+            self.args[i]
+        } else {
+            vals[self.args[i] as usize]
         }
     }
 
     #[inline]
-    fn eval(self, args: &[i32]) -> i32 {
-        match (self, args) {
-            (IntrinsicFn::Hash2, [a, b]) => intrinsics::hash2(*a, *b),
-            (IntrinsicFn::Hash3, [a, b, c]) => intrinsics::hash3(*a, *b, *c),
-            (IntrinsicFn::Isqrt, [a]) => intrinsics::isqrt(*a),
-            (IntrinsicFn::CodelGap, [count, interval]) => intrinsics::codel_gap(*count, *interval),
-            _ => unreachable!("arity checked at lowering time"),
-        }
-    }
-}
-
-/// A state reference with the variable pre-resolved to its register-file
-/// window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SlotStateRef {
-    /// A scalar at a fixed offset.
-    Scalar(u32),
-    /// An array window `[base, base+len)` indexed by an operand.
-    Array {
-        /// First register-file slot of the array.
-        base: u32,
-        /// Array length (indices wrap modulo this, like the map path).
-        len: u32,
-        /// The index operand.
-        index: SlotOperand,
-    },
-}
-
-impl SlotStateRef {
-    #[inline]
-    fn read(&self, state: &FlatState, vals: &[i32]) -> i32 {
-        match self {
-            SlotStateRef::Scalar(base) => state.read(*base),
-            SlotStateRef::Array { base, len, index } => {
-                state.read_array(*base, *len, index.eval(vals))
-            }
+    fn reduce(&self, raw: i32) -> i32 {
+        if self.imm & MODC != 0 {
+            self.m.rem(raw)
+        } else {
+            raw
         }
     }
 
-    #[inline]
-    fn write(&self, value: i32, state: &mut FlatState, vals: &[i32]) {
-        match self {
-            SlotStateRef::Scalar(base) => state.write(*base, value),
-            SlotStateRef::Array { base, len, index } => {
-                state.write_array(*base, *len, index.eval(vals), value)
-            }
-        }
+    fn writes_packet(&self) -> bool {
+        !matches!(self.op, Opcode::Store | Opcode::StoreArr)
     }
 }
 
-/// A right-hand side with all operands slot-resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[allow(missing_docs)] // mirrors `TacRhs`, variant for variant
-pub enum SlotRhs {
-    Copy(SlotOperand),
-    Unary(UnOp, SlotOperand),
-    Binary(BinOp, SlotOperand, SlotOperand),
-    Ternary(SlotOperand, SlotOperand, SlotOperand),
-    Intrinsic {
-        func: IntrinsicFn,
-        args: Vec<SlotOperand>,
-        modulo: Option<i32>,
-    },
-}
-
-impl SlotRhs {
-    #[inline]
-    fn eval(&self, vals: &[i32]) -> i32 {
-        match self {
-            SlotRhs::Copy(o) => o.eval(vals),
-            SlotRhs::Unary(op, o) => op.eval(o.eval(vals)),
-            SlotRhs::Binary(op, a, b) => op.eval(a.eval(vals), b.eval(vals)),
-            SlotRhs::Ternary(c, a, b) => {
-                if c.eval(vals) != 0 {
-                    a.eval(vals)
-                } else {
-                    b.eval(vals)
-                }
+/// The one executor: every run path of this module is this loop over a
+/// slice of a stream.
+#[inline]
+fn exec(insts: &[Inst], state: &mut FlatState, vals: &mut [i32]) {
+    for i in insts {
+        let value = match i.op {
+            Opcode::Copy => i.get(vals, 0),
+            Opcode::Un(op) => op.eval(i.get(vals, 0)),
+            Opcode::Bin(op) => op.eval(i.get(vals, 0), i.get(vals, 1)),
+            Opcode::ModC => i.m.rem(i.get(vals, 0)),
+            Opcode::Sel => match i.get(vals, 0) {
+                0 => i.get(vals, 2),
+                _ => i.get(vals, 1),
+            },
+            Opcode::Hash2 => i.reduce(intrinsics::hash2(i.get(vals, 0), i.get(vals, 1))),
+            Opcode::Hash3 => i.reduce(intrinsics::hash3(
+                i.get(vals, 0),
+                i.get(vals, 1),
+                i.get(vals, 2),
+            )),
+            Opcode::Isqrt => i.reduce(intrinsics::isqrt(i.get(vals, 0))),
+            Opcode::CodelGap => i.reduce(intrinsics::codel_gap(i.get(vals, 0), i.get(vals, 1))),
+            Opcode::Load => state.read(i.args[0] as u32),
+            Opcode::LoadArr => state.read_array(i.args[0] as u32, i.args[2] as u32, i.get(vals, 1)),
+            Opcode::Store => {
+                state.write(i.dst, i.get(vals, 0));
+                continue;
             }
-            SlotRhs::Intrinsic { func, args, modulo } => {
-                let mut buf = [0i32; 3];
-                for (slot, a) in buf.iter_mut().zip(args) {
-                    *slot = a.eval(vals);
-                }
-                let raw = func.eval(&buf[..args.len()]);
-                match modulo {
-                    Some(m) => BinOp::Mod.eval(raw, *m),
-                    None => raw,
-                }
+            Opcode::StoreArr => {
+                state.write_array(i.dst, i.args[2] as u32, i.get(vals, 1), i.get(vals, 0));
+                continue;
             }
-        }
+        };
+        vals[i.dst as usize] = value;
     }
 }
 
-/// One slot-indexed statement (the lowered form of [`TacStmt`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[allow(missing_docs)] // mirrors `TacStmt`, variant for variant
-pub enum SlotOp {
-    ReadState {
-        dst: FieldId,
-        state: SlotStateRef,
-    },
-    WriteState {
-        state: SlotStateRef,
-        src: SlotOperand,
-    },
-    Assign {
-        dst: FieldId,
-        rhs: SlotRhs,
-    },
-}
-
-impl SlotOp {
-    #[inline]
-    fn exec(&self, state: &mut FlatState, vals: &mut [i32]) {
-        match self {
-            SlotOp::ReadState { dst, state: sref } => {
-                vals[dst.index()] = sref.read(state, vals);
-            }
-            SlotOp::WriteState { state: sref, src } => {
-                sref.write(src.eval(vals), state, vals);
-            }
-            SlotOp::Assign { dst, rhs } => {
-                vals[dst.index()] = rhs.eval(vals);
-            }
+impl fmt::Display for Inst {
+    /// `opcode  destination <- operands`, slots as `s3`, immediates as
+    /// `#7`, a wired modulus as `mod N`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let arg = |i: usize| match self.imm >> i & 1 {
+            0 => format!("s{}", self.args[i]),
+            _ => format!("#{}", self.args[i]),
+        };
+        let args = |n: usize| (0..n).map(arg).collect::<Vec<_>>().join(", ");
+        let window = |base: u32| format!("state[{base} + {} wrap {}]", arg(1), self.args[2]);
+        let (name, dst, operands) = match self.op {
+            Opcode::Copy => ("copy", None, arg(0)),
+            Opcode::Un(op) => (op.symbol(), None, arg(0)),
+            Opcode::Bin(op) => (op.symbol(), None, args(2)),
+            Opcode::ModC => ("modc", None, arg(0)),
+            Opcode::Sel => ("sel", None, args(3)),
+            Opcode::Hash2 => ("hash2", None, args(2)),
+            Opcode::Hash3 => ("hash3", None, args(3)),
+            Opcode::Isqrt => ("isqrt", None, arg(0)),
+            Opcode::CodelGap => ("codel_gap", None, args(2)),
+            Opcode::Load => ("load", None, format!("state[{}]", self.args[0])),
+            Opcode::LoadArr => ("load[]", None, window(self.args[0] as u32)),
+            Opcode::Store => ("store", Some(format!("state[{}]", self.dst)), arg(0)),
+            Opcode::StoreArr => ("store[]", Some(window(self.dst)), arg(0)),
+        };
+        let dst = dst.unwrap_or_else(|| format!("s{}", self.dst));
+        write!(f, "{name:<9} {dst} <- {operands}")?;
+        if self.imm & MODC != 0 {
+            write!(f, " mod {}", self.m.abs)?;
         }
+        Ok(())
     }
 }
 
-/// An [`AtomPipeline`] compiled down to slot-indexed programs: one op list
-/// per stage (atoms concatenated in execution order), a deparse copy list,
-/// and the static written-slot presence mask.
+/// An [`AtomPipeline`] compiled down to one instruction stream — every
+/// stage's statements in execution order, then the deparser's copies —
+/// with the stage boundaries as offsets and the static written-slot
+/// presence mask.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotPipeline {
     name: String,
     table: Arc<FieldTable>,
     state_layout: StateLayout,
-    stages: Vec<Vec<SlotOp>>,
-    /// Deparser view as `(declared, internal)` slot pairs (only pairs with
-    /// distinct names, matching the map path).
-    deparse: Vec<(FieldId, FieldId)>,
-    /// Presence bitmask of every slot any statement (or the deparser)
-    /// writes — constant because TAC is straight-line.
+    insts: Vec<Inst>,
+    /// Stage `s` is `insts[bounds[s]..bounds[s + 1]]`; the deparser view
+    /// (one `Copy` per output whose declared and internal names differ,
+    /// matching the map path) is everything from the last bound on.
+    bounds: Vec<usize>,
+    /// Presence bitmask of every slot the stream writes — constant
+    /// because TAC is straight-line.
     written_mask: Box<[u64]>,
     /// The same set as a slot list, for merging results back into map
     /// packets at the edges.
@@ -260,53 +303,42 @@ impl SlotPipeline {
         }
         let state_layout = StateLayout::from_decls(&pipeline.state_decls);
 
-        let mut written: Vec<FieldId> = Vec::new();
-        let mut stages = Vec::with_capacity(pipeline.stages.len());
+        let mut insts = Vec::new();
+        let mut bounds = vec![0];
         for stage in &pipeline.stages {
-            let mut ops = Vec::new();
-            for atom in stage {
-                for stmt in &atom.codelet.stmts {
-                    let op = lower_stmt(stmt, table, &state_layout)?;
-                    if let SlotOp::ReadState { dst, .. } | SlotOp::Assign { dst, .. } = op {
-                        written.push(dst);
-                    }
-                    ops.push(op);
-                }
+            for stmt in stage.iter().flat_map(|atom| &atom.codelet.stmts) {
+                insts.push(lower_stmt(stmt, table, &state_layout)?);
             }
-            stages.push(ops);
+            bounds.push(insts.len());
         }
-
-        let mut deparse = Vec::new();
         for (declared, internal) in &pipeline.output_map {
             if declared != internal {
-                let d = table.intern(declared);
-                let i = table.intern(internal);
-                deparse.push((d, i));
-                written.push(d);
+                let copy = Inst::new(Opcode::Copy, table.intern(declared).raw());
+                insts.push(copy.raw(0, table.intern(internal).raw()));
             }
         }
-        written.sort_unstable();
-        written.dedup();
 
         Ok(SlotPipeline {
             name: pipeline.name.clone(),
             table: Arc::default(),
             state_layout,
-            stages,
-            deparse,
+            insts,
+            bounds,
             written_mask: Box::default(),
-            written_slots: written,
+            written_slots: Vec::new(),
         })
     }
 
     /// Adopts `table` — the one this program was lowered onto, possibly
-    /// grown since (slots are append-only, so every [`FieldId`] still
+    /// grown since (slots are append-only, so every slot number still
     /// holds) — and sizes the written-slot mask to it.
     fn bind(&mut self, table: &Arc<FieldTable>) {
         let mut mask = vec![0u64; table.len().div_ceil(64)].into_boxed_slice();
-        for id in &self.written_slots {
-            mask[id.index() / 64] |= 1 << (id.index() % 64);
+        for inst in self.insts.iter().filter(|i| i.writes_packet()) {
+            mask[inst.dst as usize / 64] |= 1 << (inst.dst % 64);
         }
+        let written = |id: &FieldId| mask[id.index() / 64] >> (id.index() % 64) & 1 != 0;
+        self.written_slots = table.iter().map(|(id, _)| id).filter(written).collect();
         self.written_mask = mask;
         self.table = Arc::clone(table);
     }
@@ -328,18 +360,29 @@ impl SlotPipeline {
 
     /// Pipeline depth (number of stages).
     pub fn depth(&self) -> usize {
-        self.stages.len()
+        self.bounds.len() - 1
     }
 
     /// Total slot-indexed operations across all stages.
     pub fn op_count(&self) -> usize {
-        self.stages.iter().map(|s| s.len()).sum()
+        self.bounds[self.depth()]
+    }
+
+    /// The slice of the stream stage `s` clocks.
+    fn stage(&self, s: usize) -> &[Inst] {
+        &self.insts[self.bounds[s]..self.bounds[s + 1]]
+    }
+
+    /// The deparser's copies: the tail of the stream.
+    fn deparse(&self) -> &[Inst] {
+        &self.insts[self.op_count()..]
     }
 }
 
 impl fmt::Display for SlotPipeline {
-    /// Renders the layout: field slots, state offsets, per-stage op counts
-    /// (the `domc --emit layout` view).
+    /// Renders the layout — field slots, state offsets — and the
+    /// instruction stream the engine executes, stage by stage (the
+    /// `domc --emit layout` view).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -352,49 +395,36 @@ impl fmt::Display for SlotPipeline {
         )?;
         write!(f, "{}", self.table)?;
         write!(f, "{}", self.state_layout)?;
-        for (i, stage) in self.stages.iter().enumerate() {
-            writeln!(f, "stage {}: {} ops", i + 1, stage.len())?;
+        for s in 0..self.depth() {
+            writeln!(f, "stage {}: {} ops", s + 1, self.stage(s).len())?;
+            self.stage(s)
+                .iter()
+                .try_for_each(|i| writeln!(f, "  {i}"))?;
+        }
+        if !self.deparse().is_empty() {
+            writeln!(f, "deparse: {} copies", self.deparse().len())?;
+            self.deparse()
+                .iter()
+                .try_for_each(|i| writeln!(f, "  {i}"))?;
         }
         Ok(())
     }
 }
 
-fn lower_operand(op: &Operand, table: &mut FieldTable) -> SlotOperand {
-    match op {
-        Operand::Field(f) => SlotOperand::Slot(table.intern(f)),
-        Operand::Const(c) => SlotOperand::Const(*c),
-    }
-}
-
-fn lower_state_ref(
-    sref: &StateRef,
-    table: &mut FieldTable,
-    layout: &StateLayout,
-) -> Result<SlotStateRef, String> {
+/// Resolves a state reference to its register-file window, refusing a
+/// variable that is undeclared or of the other kind.
+fn lower_state_ref<'a>(sref: &StateRef, layout: &'a StateLayout) -> Result<&'a StateSlot, String> {
     let entry = layout
         .slot(sref.name())
         .ok_or_else(|| format!("state variable `{}` is not declared", sref.name()))?;
     match sref {
-        StateRef::Scalar(name) => {
-            if entry.is_array {
-                return Err(format!(
-                    "state variable `{name}` is an array, used as scalar"
-                ));
-            }
-            Ok(SlotStateRef::Scalar(entry.base))
-        }
-        StateRef::Array { name, index } => {
-            if !entry.is_array {
-                return Err(format!(
-                    "state variable `{name}` is a scalar, used as array"
-                ));
-            }
-            Ok(SlotStateRef::Array {
-                base: entry.base,
-                len: entry.len,
-                index: lower_operand(index, table),
-            })
-        }
+        StateRef::Scalar(name) if entry.is_array => Err(format!(
+            "state variable `{name}` is an array, used as scalar"
+        )),
+        StateRef::Array { name, .. } if !entry.is_array => Err(format!(
+            "state variable `{name}` is a scalar, used as array"
+        )),
+        _ => Ok(entry),
     }
 }
 
@@ -402,50 +432,66 @@ fn lower_stmt(
     stmt: &TacStmt,
     table: &mut FieldTable,
     layout: &StateLayout,
-) -> Result<SlotOp, String> {
+) -> Result<Inst, String> {
     Ok(match stmt {
-        TacStmt::ReadState { dst, state } => SlotOp::ReadState {
-            dst: table.intern(dst),
-            state: lower_state_ref(state, table, layout)?,
-        },
-        TacStmt::WriteState { state, src } => SlotOp::WriteState {
-            state: lower_state_ref(state, table, layout)?,
-            src: lower_operand(src, table),
-        },
-        TacStmt::Assign { dst, rhs } => SlotOp::Assign {
-            dst: table.intern(dst),
-            rhs: lower_rhs(rhs, table)?,
-        },
+        TacStmt::ReadState { dst, state } => {
+            let (dst, window) = (table.intern(dst).raw(), lower_state_ref(state, layout)?);
+            match state {
+                StateRef::Scalar(_) => Inst::new(Opcode::Load, dst).raw(0, window.base),
+                StateRef::Array { index, .. } => (Inst::new(Opcode::LoadArr, dst))
+                    .raw(0, window.base)
+                    .arg(1, index, table)
+                    .raw(2, window.len),
+            }
+        }
+        TacStmt::WriteState { state, src } => {
+            let window = lower_state_ref(state, layout)?;
+            match state {
+                StateRef::Scalar(_) => Inst::new(Opcode::Store, window.base).arg(0, src, table),
+                StateRef::Array { index, .. } => (Inst::new(Opcode::StoreArr, window.base))
+                    .arg(0, src, table)
+                    .arg(1, index, table)
+                    .raw(2, window.len),
+            }
+        }
+        TacStmt::Assign { dst, rhs } => lower_rhs(table.intern(dst).raw(), rhs, table)?,
     })
 }
 
-fn lower_rhs(rhs: &TacRhs, table: &mut FieldTable) -> Result<SlotRhs, String> {
+fn lower_rhs(dst: u32, rhs: &TacRhs, table: &mut FieldTable) -> Result<Inst, String> {
     Ok(match rhs {
-        TacRhs::Copy(o) => SlotRhs::Copy(lower_operand(o, table)),
-        TacRhs::Unary(op, o) => SlotRhs::Unary(*op, lower_operand(o, table)),
-        TacRhs::Binary(op, a, b) => {
-            SlotRhs::Binary(*op, lower_operand(a, table), lower_operand(b, table))
+        TacRhs::Copy(o) => Inst::new(Opcode::Copy, dst).arg(0, o, table),
+        TacRhs::Unary(op, o) => Inst::new(Opcode::Un(*op), dst).arg(0, o, table),
+        TacRhs::Binary(BinOp::Mod, a, Operand::Const(m)) => {
+            Inst::new(Opcode::ModC, dst).arg(0, a, table).modc(*m)
         }
-        TacRhs::Ternary(c, a, b) => SlotRhs::Ternary(
-            lower_operand(c, table),
-            lower_operand(a, table),
-            lower_operand(b, table),
-        ),
+        TacRhs::Binary(op, a, b) => {
+            (Inst::new(Opcode::Bin(*op), dst).arg(0, a, table)).arg(1, b, table)
+        }
+        TacRhs::Ternary(c, a, b) => (Inst::new(Opcode::Sel, dst).arg(0, c, table))
+            .arg(1, a, table)
+            .arg(2, b, table),
         TacRhs::Intrinsic { name, args, modulo } => {
-            let func = IntrinsicFn::from_name(name)
-                .ok_or_else(|| format!("no execution-engine entry point for intrinsic `{name}`"))?;
-            if args.len() != func.arity() {
+            let (op, arity) = match name.as_str() {
+                "hash2" => (Opcode::Hash2, 2),
+                "hash3" => (Opcode::Hash3, 3),
+                "isqrt" => (Opcode::Isqrt, 1),
+                "codel_gap" => (Opcode::CodelGap, 2),
+                _ => {
+                    return Err(format!(
+                        "no execution-engine entry point for intrinsic `{name}`"
+                    ))
+                }
+            };
+            if args.len() != arity {
                 return Err(format!(
-                    "intrinsic `{name}` takes {} argument(s), got {}",
-                    func.arity(),
+                    "intrinsic `{name}` takes {arity} argument(s), got {}",
                     args.len()
                 ));
             }
-            SlotRhs::Intrinsic {
-                func,
-                args: args.iter().map(|a| lower_operand(a, table)).collect(),
-                modulo: *modulo,
-            }
+            let inst = (args.iter().enumerate())
+                .fold(Inst::new(op, dst), |inst, (i, a)| inst.arg(i, a, table));
+            modulo.map_or(inst, |m| inst.modc(m))
         }
     })
 }
@@ -455,7 +501,7 @@ fn lower_rhs(rhs: &TacRhs, table: &mut FieldTable) -> Result<SlotRhs, String> {
 /// dispatcher that steers slabs (`crate::shard`).
 #[derive(Debug, Clone)]
 pub(crate) struct KeySlice {
-    ops: Vec<SlotOp>,
+    insts: Vec<Inst>,
     key: FieldId,
     modulus: i64,
     /// The slice runs on scratch, never on the packet it steers; a
@@ -469,11 +515,11 @@ impl KeySlice {
     /// every field it names on `table`.
     pub(crate) fn lower(spec: &FlowKeySpec, table: &mut FieldTable) -> Result<KeySlice, String> {
         let no_state = StateLayout::from_decls(&[]);
-        let ops = (spec.stmts().iter())
+        let insts = (spec.stmts().iter())
             .map(|stmt| lower_stmt(stmt, table, &no_state))
             .collect::<Result<_, _>>()?;
         Ok(KeySlice {
-            ops,
+            insts,
             key: table.intern(spec.key_field()),
             modulus: spec.modulus() as i64,
             scratch: Vec::new(),
@@ -488,9 +534,7 @@ impl KeySlice {
     pub(crate) fn key_of(&mut self, flat: &FlatPacket) -> u32 {
         self.scratch.clear();
         self.scratch.extend_from_slice(flat.slots());
-        for op in &self.ops {
-            op.exec(&mut self.no_state, &mut self.scratch);
-        }
+        exec(&self.insts, &mut self.no_state, &mut self.scratch);
         (self.scratch[self.key.index()] as i64).rem_euclid(self.modulus) as u32
     }
 }
@@ -554,15 +598,7 @@ impl SlotMachine {
     /// Runs one flat packet through every stage in place (transactional
     /// view) — the allocation-free hot path.
     pub fn process_flat(&mut self, pkt: &mut FlatPacket) {
-        let vals = pkt.slots_mut();
-        for stage in &self.program.stages {
-            for op in stage {
-                op.exec(&mut self.state, vals);
-            }
-        }
-        for (declared, internal) in &self.program.deparse {
-            vals[declared.index()] = vals[internal.index()];
-        }
+        exec(&self.program.insts, &mut self.state, pkt.slots_mut());
         pkt.mark_present(&self.program.written_mask);
     }
 
@@ -589,14 +625,9 @@ impl SlotMachine {
         loop {
             for s in (0..depth).rev() {
                 if let Some(mut pkt) = slots[s].take() {
-                    for op in &self.program.stages[s] {
-                        op.exec(&mut self.state, pkt.slots_mut());
-                    }
+                    exec(self.program.stage(s), &mut self.state, pkt.slots_mut());
                     if s + 1 == depth {
-                        let vals = pkt.slots_mut();
-                        for (declared, internal) in &self.program.deparse {
-                            vals[declared.index()] = vals[internal.index()];
-                        }
+                        exec(self.program.deparse(), &mut self.state, pkt.slots_mut());
                         pkt.mark_present(&self.program.written_mask);
                         out.push(pkt);
                     } else {
@@ -703,6 +734,7 @@ mod tests {
     use super::*;
     use crate::machine::{AtomRole, CompiledAtom, Machine};
     use domino_ast::{StateKind, StateVar};
+    use domino_ir::layout::mix64;
     use domino_ir::Codelet;
 
     // banzai cannot depend on domino-compiler (it is upstream), so unit
@@ -843,5 +875,91 @@ mod tests {
         assert!(text.contains("field slots"), "{text}");
         assert!(text.contains("pkt.count"), "{text}");
         assert!(text.contains("state[0] = c"), "{text}");
+        // The stream itself, stage by stage: count = slot 0, flag = 1, old = 2.
+        let stream = "stage 1: 3 ops\n  \
+            load      s2 <- state[0]\n  \
+            +         s0 <- s2, #1\n  \
+            store     state[0] <- s0\n\
+            stage 2: 1 ops\n  \
+            >         s1 <- s0, #2\n";
+        assert!(text.ends_with(stream), "{text}");
+    }
+
+    #[test]
+    fn display_shows_wired_moduli_windows_and_deparse_copies() {
+        use domino_ir::{TacRhs, TacStmt};
+        let field = |f: &str| Operand::Field(f.into());
+        let arr = |index| StateRef::Array {
+            name: "c".into(),
+            index,
+        };
+        let mut pipeline = counter_pipeline();
+        pipeline.state_decls[0].kind = StateKind::Array { size: 8 };
+        pipeline.stages[0][0].codelet = Codelet::new(vec![
+            TacStmt::Assign {
+                dst: "count".into(),
+                rhs: TacRhs::Binary(BinOp::Mod, field("count"), Operand::Const(-7)),
+            },
+            TacStmt::ReadState {
+                dst: "old".into(),
+                state: arr(field("count")),
+            },
+            TacStmt::WriteState {
+                state: arr(Operand::Const(9)),
+                src: field("old"),
+            },
+        ]);
+        pipeline.stages[1][0].codelet = Codelet::new(vec![TacStmt::Assign {
+            dst: "flag".into(),
+            rhs: TacRhs::Intrinsic {
+                name: "hash2".into(),
+                args: vec![field("flag"), Operand::Const(3)],
+                modulo: Some(10),
+            },
+        }]);
+        pipeline.output_map = vec![("count".into(), "old".into())];
+        let text = SlotPipeline::lower(&pipeline).unwrap().to_string();
+        let stream = "stage 1: 3 ops\n  \
+            modc      s0 <- s0 mod 7\n  \
+            load[]    s2 <- state[0 + s0 wrap 8]\n  \
+            store[]   state[0 + #9 wrap 8] <- s2\n\
+            stage 2: 1 ops\n  \
+            hash2     s1 <- s1, #3 mod 10\n\
+            deparse: 1 copies\n  \
+            copy      s0 <- s2\n";
+        assert!(text.ends_with(stream), "{text}");
+    }
+
+    #[test]
+    fn modc_equals_wrapping_rem_on_the_corner_grid_and_at_random() {
+        const CORNERS: [i32; 9] = [
+            i32::MIN,
+            i32::MIN + 1,
+            -2,
+            -1,
+            0,
+            1,
+            2,
+            i32::MAX - 1,
+            i32::MAX,
+        ];
+        let check = |x: i32, m: i32| {
+            assert_eq!(ModC::new(m).rem(x), BinOp::Mod.eval(x, m), "{x} % {m}");
+        };
+        for x in CORNERS {
+            for m in [1, 2, 3, 10, 8000, 1 << 16] {
+                check(x, m);
+                check(x, -m);
+            }
+            for m in [0, 1 << 30, i32::MAX, i32::MIN] {
+                check(x, m);
+            }
+            CORNERS.iter().for_each(|&m| check(x, m));
+        }
+        // Seeded pairs of every magnitude: both sides shifted by a drawn amount.
+        for seed in 0..100_000u64 {
+            let (a, b) = (mix64(seed), mix64(!seed));
+            check(a as i32 >> (b & 31), (b >> 32) as i32 >> (b >> 5 & 31));
+        }
     }
 }

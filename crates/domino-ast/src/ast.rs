@@ -72,6 +72,7 @@ impl BinOp {
     /// Division/modulo by zero are defined to yield 0 (the simulator must be
     /// total); shifts use only the low 5 bits of the shift amount, matching
     /// common hardware behaviour.
+    #[inline]
     pub fn eval(self, a: i32, b: i32) -> i32 {
         match self {
             BinOp::Add => a.wrapping_add(b),
@@ -130,6 +131,7 @@ impl UnOp {
     }
 
     /// Evaluates with wrapping semantics.
+    #[inline]
     pub fn eval(self, a: i32) -> i32 {
         match self {
             UnOp::Neg => a.wrapping_neg(),

@@ -75,23 +75,27 @@ pub fn eval(name: &str, args: &[i32]) -> i32 {
 
 /// The `hash2` accelerator (named entry point, so execution engines can
 /// pre-resolve the intrinsic instead of string-dispatching per packet).
+#[inline]
 pub fn hash2(a: i32, b: i32) -> i32 {
     mix2(a, b, 0x9e37_79b9)
 }
 
 /// The `hash3` accelerator (see [`hash2`]).
+#[inline]
 pub fn hash3(a: i32, b: i32, c: i32) -> i32 {
     let h = mix2(a, b, 0x85eb_ca6b);
     mix2(h, c, 0xc2b2_ae35)
 }
 
 /// The LUT unit's `codel_gap(count, interval)` = `interval / max(1, √count)`.
+#[inline]
 pub fn codel_gap(count: i32, interval: i32) -> i32 {
     let s = isqrt(count).max(1);
     interval.wrapping_div(s)
 }
 
 /// SplitMix-style 2-input mixer producing a non-negative i32.
+#[inline]
 fn mix2(a: i32, b: i32, salt: u32) -> i32 {
     let mut z = ((a as u32 as u64) << 32 | (b as u32 as u64)).wrapping_add(salt as u64);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -101,32 +105,41 @@ fn mix2(a: i32, b: i32, salt: u32) -> i32 {
     (z as u32 & 0x7fff_ffff) as i32
 }
 
-/// Integer square root (floor), 0 for negative inputs.
+/// Integer square root (floor), 0 for negative inputs: one `f64` square
+/// root, exact because every `i32` is an exact `f64` and `k² − 1` is
+/// further below `k²` than a correctly rounded root can err (the tests
+/// hold it to the bit-by-bit routine at every perfect square ± 1).
+#[inline]
 pub fn isqrt(v: i32) -> i32 {
-    if v <= 0 {
-        return 0;
-    }
-    let mut x = v as u32;
-    let mut res: u32 = 0;
-    let mut bit: u32 = 1 << 30;
-    while bit > x {
-        bit >>= 2;
-    }
-    while bit != 0 {
-        if x >= res + bit {
-            x -= res + bit;
-            res = (res >> 1) + bit;
-        } else {
-            res >>= 1;
-        }
-        bit >>= 2;
-    }
-    res as i32
+    (v.max(0) as f64).sqrt() as i32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-by-bit integer square root `isqrt` replaced: the oracle.
+    fn isqrt_bitwise(v: i32) -> i32 {
+        if v <= 0 {
+            return 0;
+        }
+        let mut x = v as u32;
+        let mut res: u32 = 0;
+        let mut bit: u32 = 1 << 30;
+        while bit > x {
+            bit >>= 2;
+        }
+        while bit != 0 {
+            if x >= res + bit {
+                x -= res + bit;
+                res = (res >> 1) + bit;
+            } else {
+                res >>= 1;
+            }
+            bit >>= 2;
+        }
+        res as i32
+    }
 
     #[test]
     fn lookup_known_and_unknown() {
@@ -187,6 +200,31 @@ mod tests {
         for v in 0..10_000i32 {
             let r = isqrt(v);
             assert!(r * r <= v && (r + 1) * (r + 1) > v, "isqrt({v}) = {r}");
+        }
+    }
+
+    #[test]
+    fn isqrt_equals_the_bitwise_oracle_at_every_square_boundary() {
+        // Where a rounded root could land on the wrong side: k² − 1, k²,
+        // k² + 1 for every k whose square fits, then everything small and
+        // the ends of the range.
+        for k in 0..=46_340i32 {
+            for v in [k * k - 1, k * k, k * k + 1] {
+                assert_eq!(isqrt(v), isqrt_bitwise(v), "isqrt({v})");
+            }
+            assert_eq!(isqrt(k * k), k);
+        }
+        for v in (-1..1 << 16).chain([i32::MAX, i32::MIN]) {
+            assert_eq!(isqrt(v), isqrt_bitwise(v), "isqrt({v})");
+        }
+    }
+
+    #[test]
+    fn codel_gap_is_total_at_the_ends_of_count() {
+        for interval in [i32::MIN, -100, 0, 100, i32::MAX] {
+            for (count, root) in [(i32::MIN, 1), (-1, 1), (0, 1), (1, 1), (i32::MAX, 46_340)] {
+                assert_eq!(codel_gap(count, interval), interval.wrapping_div(root));
+            }
         }
     }
 }

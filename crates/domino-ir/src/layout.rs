@@ -652,9 +652,15 @@ impl FlatState {
         self.slots[base as usize + Self::wrap(index, len)] = value;
     }
 
+    /// An index already inside the window — every index a program reduced
+    /// with `% N` itself — is taken without dividing.
     #[inline]
     fn wrap(index: i32, len: u32) -> usize {
-        (index as i64).rem_euclid(len as i64) as usize
+        if index >= 0 && (index as u32) < len {
+            index as usize
+        } else {
+            (index as i64).rem_euclid(len as i64) as usize
+        }
     }
 
     /// Imports variables from a map snapshot — the inverse of
@@ -1762,6 +1768,51 @@ mod tests {
             store.write_array("arr", idx, 10 + idx);
         }
         assert_eq!(flat.export(), store);
+    }
+
+    #[test]
+    fn wrap_equals_rem_euclid_on_the_corner_grid_and_at_random() {
+        const CORNERS: [i32; 9] = [
+            i32::MIN,
+            i32::MIN + 1,
+            -2,
+            -1,
+            0,
+            1,
+            2,
+            i32::MAX - 1,
+            i32::MAX,
+        ];
+        const LENS: [u32; 9] = [
+            1,
+            2,
+            3,
+            10,
+            8000,
+            1 << 16,
+            1 << 30,
+            i32::MAX as u32,
+            1 << 31,
+        ];
+        let check = |index: i32, len: u32| {
+            let want = (index as i64).rem_euclid(len as i64) as usize;
+            assert_eq!(FlatState::wrap(index, len), want, "wrap({index}, {len})");
+        };
+        for index in CORNERS {
+            for len in LENS {
+                check(index, len);
+                check(len as i32, len); // one past the window, and 2³¹ as i32::MIN
+                check((len - 1) as i32, len);
+            }
+        }
+        // Seeded pairs of every magnitude: both sides shifted by a drawn amount.
+        for seed in 0..100_000u64 {
+            let (a, b) = (mix64(seed), mix64(!seed));
+            check(
+                a as i32 >> (b & 31),
+                ((b >> 32) as u32 >> (b >> 5 & 31)).max(1),
+            );
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! 3. the sequential AST interpreter (the defining semantics),
 //! 4. an independently written Rust reference implementation.
 
-use banzai::{Machine, SlotMachine, Target};
-use domino_ir::{run_ast, StateStore, StateValue};
+use banzai::{AtomPipeline, AtomRole, CompiledAtom, Machine, SlotMachine, Target};
+use domino_ir::{run_ast, Packet, StateStore, StateValue};
 
 const TRACE_LEN: usize = 800;
 const SEED: u64 = 0x000D_0771_2016;
@@ -60,6 +60,19 @@ fn differential(a: &algorithms::Algorithm) {
         "{}: slot fast path state diverges from map engine",
         a.name
     );
+    // What the engine executes is readable (`domc --emit layout`): one
+    // listed stage per pipeline stage, every wired modulus by its value.
+    let listing = slot.program().to_string();
+    let stages = listing.lines().filter(|l| l.starts_with("stage ")).count();
+    assert_eq!(stages, machine.pipeline().depth(), "{listing}");
+    match a.name {
+        "flowlet" => assert!(
+            listing.contains(" mod 10\n") && listing.contains(" mod 8000\n"),
+            "{listing}"
+        ),
+        "codel_lut" => assert_eq!(stages, 19, "{listing}"),
+        _ => {}
+    }
 
     // 2. Sequential AST interpreter (the defining semantics).
     let checked = domino_ast::parse_and_check(a.source).unwrap();
@@ -209,7 +222,133 @@ fn pipelined_equals_serial_for_all_algorithms() {
             "{}: slot pipelined state diverged",
             a.name
         );
+        flat_paths_agree(m1.pipeline(), &trace);
     }
+}
+
+/// The slot engine's stage offsets are load-bearing: the cycle-accurate
+/// flat replay (a stage's slice of the stream per clock) must equal the
+/// transactional flat run (the whole stream per packet), slab for slab
+/// and presence bit for presence bit, and both the map engine.
+fn flat_paths_agree(pipeline: &AtomPipeline, trace: &[Packet]) {
+    let name = &pipeline.name;
+    let mut map = Machine::new(pipeline.clone());
+    let mut serial = SlotMachine::compile(pipeline).unwrap();
+    let mut pipelined = SlotMachine::compile(pipeline).unwrap();
+    let flat = serial.flatten_trace(trace);
+    let serial_out = serial.run_trace_flat(&flat);
+    let pipelined_out = pipelined.run_trace_pipelined_flat(&flat);
+    assert_eq!(serial_out, pipelined_out, "{name}: flat replay vs flat run");
+    for ((input, want), got) in trace.iter().zip(map.run_trace(trace)).zip(&serial_out) {
+        let mut merged = input.clone();
+        serial.merge_back(got, &mut merged);
+        assert_eq!(merged, want, "{name}: flat run vs map engine on {input}");
+    }
+    assert_eq!(
+        *map.state(),
+        serial.export_state(),
+        "{name}: flat run state"
+    );
+    assert_eq!(
+        *map.state(),
+        pipelined.export_state(),
+        "{name}: flat replay state"
+    );
+}
+
+/// The corners lowering strength-reduces, on a pipeline no compiler
+/// emitted: `% 0` (defined 0), a negative modulus, constant array indices
+/// outside the window (both signs), an intrinsic that overwrites one of
+/// its own arguments, and a deparser copy — three stages, so the replay
+/// has packets in flight between them.
+#[test]
+fn hand_built_corner_pipeline_agrees_on_every_path() {
+    use domino_ast::{BinOp, StateKind, StateVar};
+    use domino_ir::{Codelet, Operand, StateRef, TacRhs, TacStmt};
+    let field = |f: &str| Operand::Field(f.into());
+    let assign = |dst: &str, rhs| TacStmt::Assign {
+        dst: dst.into(),
+        rhs,
+    };
+    let arr = |index| StateRef::Array {
+        name: "arr".into(),
+        index,
+    };
+    let atom = |stmts| {
+        vec![CompiledAtom {
+            codelet: Codelet::new(stmts),
+            role: AtomRole::Stateless, // role is irrelevant to execution
+        }]
+    };
+    let pipeline = AtomPipeline {
+        name: "corners".into(),
+        target_name: "test".into(),
+        stages: vec![
+            atom(vec![
+                assign(
+                    "zero",
+                    TacRhs::Binary(BinOp::Mod, field("x"), Operand::Const(0)),
+                ),
+                assign(
+                    "neg",
+                    TacRhs::Binary(BinOp::Mod, field("x"), Operand::Const(-7)),
+                ),
+                assign("var", TacRhs::Binary(BinOp::Mod, field("x"), field("y"))),
+            ]),
+            atom(vec![
+                TacStmt::ReadState {
+                    dst: "old".into(),
+                    state: arr(Operand::Const(9)),
+                },
+                TacStmt::WriteState {
+                    state: arr(Operand::Const(-3)),
+                    src: field("neg"),
+                },
+                TacStmt::WriteState {
+                    state: arr(field("x")),
+                    src: field("old"),
+                },
+            ]),
+            atom(vec![
+                assign(
+                    "h",
+                    TacRhs::Intrinsic {
+                        name: "hash2".into(),
+                        args: vec![field("h"), field("x")],
+                        modulo: Some(-5),
+                    },
+                ),
+                assign(
+                    "x",
+                    TacRhs::Intrinsic {
+                        name: "isqrt".into(),
+                        args: vec![field("x")],
+                        modulo: Some(0),
+                    },
+                ),
+                assign(
+                    "y",
+                    TacRhs::Intrinsic {
+                        name: "codel_gap".into(),
+                        args: vec![field("y"), Operand::Const(i32::MIN)],
+                        modulo: None,
+                    },
+                ),
+            ]),
+        ],
+        state_decls: vec![StateVar {
+            name: "arr".into(),
+            kind: StateKind::Array { size: 4 },
+            init: 0,
+        }],
+        declared_fields: vec!["x".into(), "y".into(), "out".into()],
+        output_map: vec![("out".into(), "h".into())],
+    };
+    let corners = [i32::MIN, -8, -1, 0, 1, 6, 7, 1 << 16, i32::MAX];
+    let trace: Vec<Packet> = (corners.iter())
+        .flat_map(|&x| corners.map(|y| Packet::new().with("x", x).with("y", y).with("h", x ^ y)))
+        .collect();
+    flat_paths_agree(&pipeline, &trace);
 }
 
 /// Every mapping algorithm compiles on the Pairs target (hierarchy
