@@ -269,28 +269,23 @@ impl<T> Scheduler<T> for HierPifo<T> {
             return Err(item);
         }
         let leaf = self.leaves.entry(key.class).or_insert_with(Pifo::unbounded);
-        leaf.push(SchedKey::rank(key.rank), item)
-            .unwrap_or_else(|_| unreachable!("leaf PIFOs are unbounded"));
-        self.root
-            .push(
-                SchedKey {
-                    class: key.class,
-                    rank: key.class,
-                },
-                (),
-            )
-            .unwrap_or_else(|()| unreachable!("root PIFO is unbounded"));
+        // Leaf PIFOs are unbounded: this never hands the item back.
+        leaf.push(SchedKey::rank(key.rank), item)?;
+        let token = SchedKey {
+            class: key.class,
+            rank: key.class,
+        };
+        // Nor does the unbounded root refuse the item's token.
+        let _ = self.root.push(token, ());
         self.len += 1;
         Ok(())
     }
 
     fn pop(&mut self) -> Option<(SchedKey, T)> {
         let (token, ()) = self.root.pop()?;
-        let leaf = self
-            .leaves
-            .get_mut(&token.class)
-            .expect("root token for an empty class");
-        let (leaf_key, item) = leaf.pop().expect("leaf empty despite root token");
+        // One root token per queued item: its class has a leaf, and the
+        // leaf an item.
+        let (leaf_key, item) = self.leaves.get_mut(&token.class)?.pop()?;
         self.len -= 1;
         Some((
             SchedKey {

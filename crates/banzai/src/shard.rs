@@ -48,11 +48,11 @@
 //!
 //! The sequential twins ([`ShardedRun::partitioned`],
 //! [`ShardedRun::instrumented`], [`ShardedRun::for_each`] and
-//! [`ShardedFrameRun::partitioned`]) run the same plan on the caller's
-//! thread — one core, stepping the shards round by round — which is what
-//! the E10 harness times: per-shard busy time measured without scheduler
-//! interference gives the critical-path throughput the shards would
-//! sustain on real cores.
+//! [`ShardedFrameRun::partitioned`]) run the same dispatcher and the same
+//! lanes on the caller's thread — one core, each shard's lane stepped the
+//! moment its batch fills — which is what the E10 harness times:
+//! per-shard busy time measured without scheduler interference gives the
+//! critical-path throughput the shards would sustain on real cores.
 //!
 //! # One table, one packet format
 //!
@@ -74,8 +74,10 @@
 //!   program, field lists by slot, whole-packet hashing in name order);
 //!   [`ShardPlan::steer`] is the same rule by name, the reference the
 //!   suites hold the dispatcher to;
-//! * **slabs ride the rings** and the sequential rounds, stamped with
-//!   their arrival cycle; a worker's switch runs its one loop on them;
+//! * **slabs ride the rings**, or are handed straight to the lane,
+//!   stamped with their arrival cycle (a rejected frame rides as its
+//!   verdict, dealt by index); the shard's switch runs its one loop on
+//!   them;
 //! * a scheduling run's shard-local PIFOs hold slabs, keyed off their
 //!   slots, and the post-merge serial egress pass is a departure on the
 //!   same slab;
@@ -83,12 +85,16 @@
 //!   on a forwarding run, after the egress pass on a scheduling run.
 //!
 //! Each thing exists once. Every shard's [`Switch`] runs its one cycle
-//! loop (stamped arrivals, line rate); the threaded runs share one
-//! scatter/gather skeleton and one worker, generic over its *lane* (the
-//! per-batch step: forward, or ingress + shard-local PIFO push); the
-//! sequential twins share one core; and every faulted run, whichever
-//! way it ran, closes its books in the one
-//! `FaultReport` constructor in [`crate::error`].
+//! loop (stamped arrivals, line rate). Every run, threaded or
+//! sequential, is **one dispatcher** (`scatter`: the only pull → admit →
+//! steer → batch loop) feeding each shard's *lane* (the per-batch step:
+//! forward and emit, forward and deparse, or ingress + shard-local PIFO
+//! push) and **one close-out** (`gather`: shards put back, streams handed
+//! over — or salvage, rebuild and the one `FaultReport` constructor in
+//! [`crate::error`], the books closed over this run's counters). What
+//! differs between the two ways of running is only *where a lane is
+//! stepped*: by the one worker behind its ring under `catch_unwind`
+//! (`threaded`), or on the spot on the caller's thread (`inline`).
 //!
 //! # Supervision
 //!
@@ -128,13 +134,18 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// A batch of slabs on the switch's one table, stamped with their global
-/// arrival cycles, in flight to a shard worker.
-type StampedBatch = Vec<(i64, InFlight)>;
+/// A batch of stamped arrivals on the switch's one table, bound for one
+/// shard's lane — over its ring, or stepped inline.
+type Batch = Vec<Stamped>;
 
 /// The feeder's handle to one shard's batch ring (`None` once the shard
 /// has been declared dead or stalled and cut off).
-type BatchSender = Option<mpsc::SyncSender<StampedBatch>>;
+type BatchSender = Option<mpsc::SyncSender<Batch>>;
+
+/// What a dispatcher's `pull` yields: the next arrival, already on the
+/// table (or the verdict that rejected its frame), `None` at the end of
+/// the stream, or the source's error.
+type Pulled = Result<Option<Result<InFlight, ParseVerdict>>, SourceError>;
 
 /// Configuration for a [`ShardedSwitch`].
 #[derive(Debug, Clone)]
@@ -715,14 +726,13 @@ impl fmt::Display for ShardPlan {
 
 /// Wall-clock breakdown of one instrumented sharded run.
 ///
-/// `shard_ns` is measured with the shards stepped one after another on
-/// the calling thread, in interleaved rounds of about a batch each, so
-/// each number is that shard's *busy* time free of scheduler
-/// interference, and host noise lands on every lane evenly — on an
-/// N-core machine the shards run
-/// concurrently and the run completes in [`ShardTimings::critical_ns`]
-/// (dispatcher and workers are pipelined, so the slower of the two lanes
-/// bounds the run).
+/// `shard_ns` is measured with every shard's lane stepped on the calling
+/// thread, a batch at a time as the dispatcher fills it, so each number
+/// is that shard's *busy* time free of scheduler interference, and host
+/// noise lands on every lane evenly — on an N-core machine the shards
+/// run concurrently and the run completes in
+/// [`ShardTimings::critical_ns`] (dispatcher and workers are pipelined,
+/// so the slower of the two lanes bounds the run).
 #[derive(Debug, Clone)]
 pub struct ShardTimings {
     /// Time to steer the trace into per-shard batched streams.
@@ -1084,42 +1094,122 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         Ok(())
     }
 
-    /// The supervision skeleton of every threaded run: move the shards
-    /// into one [`worker`] thread each, pull packets off the
-    /// [`PacketSource`] one at a time, admit each onto the table — its one
-    /// map → slab crossing — and steer the slab into bounded batch rings
-    /// under the configured [`Backpressure`] policy, and collect
-    /// each worker's outcome bounded by the watchdog. Generic over the
-    /// worker's [`Lane`], so forwarding runs and scheduling runs get the
-    /// identical failure model; [`ShardedSwitch::gather`] puts the shards
-    /// back.
+    /// Takes the shards for a run, noting each one's books — drop
+    /// counters and transmit count — as it goes: [`ShardedSwitch::gather`]
+    /// puts the shards back and closes the run's books over the
+    /// difference, so a report never carries an earlier run's drops.
+    fn take_shards(&mut self) -> (Vec<Switch<E>>, Vec<(DropCounters, u64)>) {
+        let shards = std::mem::take(&mut self.shards);
+        let before = (shards.iter())
+            .map(|s| (s.drop_counters().clone(), s.transmitted()))
+            .collect();
+        (shards, before)
+    }
+
+    /// **The one dispatcher** of every sharded run, threaded or inline:
+    /// `pull` the next arrival already on the table (a map packet
+    /// admitted — its one map → slab crossing — or a frame parsed, or
+    /// the verdict that rejected it), stamp it with its arrival index,
+    /// steer it, and `feed` each shard its arrivals a batch at a time —
+    /// `feed` is lent the full batch, leaves it empty (taken for a ring,
+    /// or drained where it lies, its buffer kept for the next) and
+    /// answers with how many of it were shed. What happens to a fed batch
+    /// is the executor's business
+    /// ([`ShardedSwitch::threaded`], [`ShardedSwitch::inline`]); what the
+    /// dispatcher saw comes back as the [`Scatter`].
     ///
-    /// Input memory is O(batch × shards): at most one pending batch per
-    /// shard on the dispatcher plus `ring` batches in each channel —
-    /// never the whole trace. A source error stops the pull loop; the
-    /// rings are then closed normally, so every live worker drains what
-    /// it was fed and reports, and the error rides back in
+    /// Input memory is O(batch × shards) here: at most one pending batch
+    /// per shard, never the whole trace. A source error stops the pull
+    /// loop; what was pulled before it is still fed, so every lane runs
+    /// its share to completion, and the error rides back in
     /// [`Scatter::source_error`].
-    fn supervised_scatter<L: Lane<E>, S: PacketSource>(
+    fn scatter(
         &mut self,
-        source: &mut S,
+        before: Vec<(DropCounters, u64)>,
+        mut pull: impl FnMut(&mut PacketEdges) -> Pulled,
+        mut feed: impl FnMut(usize, &mut Batch) -> u64,
+    ) -> Scatter {
+        let (n, batch) = (before.len(), self.config.batch);
+        let mut run = Scatter {
+            before,
+            offered: vec![0; n],
+            sheds: vec![0; n],
+            pulled: 0,
+            source_error: None,
+            timings: ShardTimings {
+                steer_ns: 0,
+                shard_ns: vec![0; n],
+                merge_ns: 0,
+            },
+        };
+        let start = Instant::now();
+        let mut timed_feed = |s: usize, full: &mut Batch, run: &mut Scatter| {
+            let t = Instant::now();
+            run.sheds[s] += feed(s, full);
+            run.timings.shard_ns[s] += t.elapsed().as_nanos();
+        };
+        let mut pending: Vec<Batch> = (0..n).map(|_| Vec::with_capacity(batch)).collect();
+        run.source_error = loop {
+            let arrival = match pull(&mut self.edges) {
+                Ok(Some(arrival)) => arrival,
+                end => break end.err(),
+            };
+            let i = run.pulled as usize;
+            // A rejected frame carries no fields to steer by: dealt by
+            // index, so one shard books its verdict.
+            let s = match &arrival {
+                Ok(p) => self.steer.shard_of(i, p, self.edges.by_name(), n),
+                Err(_) => i % n,
+            };
+            run.pulled += 1;
+            run.offered[s] += 1;
+            pending[s].push((i as i64, arrival));
+            if pending[s].len() == batch {
+                timed_feed(s, &mut pending[s], &mut run);
+            }
+        };
+        for (s, rest) in pending.iter_mut().enumerate() {
+            if !rest.is_empty() {
+                timed_feed(s, rest, &mut run);
+            }
+        }
+        let fed: u128 = run.timings.shard_ns.iter().sum();
+        run.timings.steer_ns = start.elapsed().as_nanos() - fed;
+        run
+    }
+
+    /// The **supervised** executor: each shard moves into one [`worker`]
+    /// thread behind a bounded ring, `feed` pushes a batch into the ring
+    /// under the configured [`Backpressure`] policy, and each worker's
+    /// outcome is collected bounded by the watchdog. Generic over the
+    /// worker's [`Lane`], so forwarding runs and scheduling runs get the
+    /// identical failure model.
+    ///
+    /// The rings add `ring` batches per shard to the dispatcher's input
+    /// memory. A shard cut off as dead or stalled (its sender is gone)
+    /// keeps accumulating `offered` (for the books) but receives nothing
+    /// further; after a source error the rings are closed normally, so
+    /// every live worker drains what it was fed and reports.
+    fn threaded<L: Lane<E> + Send + 'static>(
+        &mut self,
+        pull: impl FnMut(&mut PacketEdges) -> Pulled,
         lane: impl Fn() -> L,
-    ) -> Scatter<Outcome<E, L::Out>>
+    ) -> Result<Gathered<L::Out>, SwitchError>
     where
         E: Send + 'static,
+        L::Out: Send + 'static,
     {
         // Survivors come back through the outcome channels; failed
         // shards are rebuilt by `gather`.
-        let switches = std::mem::take(&mut self.shards);
+        let (switches, before) = self.take_shards();
         let n = switches.len();
-        let batch_size = self.config.batch;
         let watchdog = Duration::from_millis(self.config.watchdog_ms);
         let policy = self.config.backpressure;
 
         let mut txs: Vec<BatchSender> = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for sw in switches {
-            let (tx, rx) = mpsc::sync_channel::<StampedBatch>(self.config.ring);
+            let (tx, rx) = mpsc::sync_channel::<Batch>(self.config.ring);
             let (done_tx, done_rx) = mpsc::channel();
             let lane = lane();
             let handle = std::thread::spawn(move || {
@@ -1129,57 +1219,31 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             workers.push((done_rx, handle));
         }
 
-        // Feed. A shard cut off as dead or stalled (its sender is gone)
-        // keeps accumulating `offered` (for the books) but receives
-        // nothing further.
-        let mut offered = vec![0u64; n];
-        let mut sheds = vec![0u64; n];
         let mut stalled = vec![false; n];
-        let mut pending: Vec<StampedBatch> =
-            (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
-        let mut flush = |s: usize, batch: StampedBatch, txs: &mut [BatchSender]| {
-            let len = batch.len() as u64;
-            let Some(tx) = txs[s].as_ref() else { return };
-            match feed_batch(tx, batch, policy, watchdog) {
-                FeedResult::Sent => {}
-                FeedResult::Shed => sheds[s] += len,
-                FeedResult::Stalled => {
-                    stalled[s] = true;
-                    txs[s] = None;
-                }
-                FeedResult::Dead => txs[s] = None,
-            }
-        };
-        let mut pulled: u64 = 0;
-        let source_error = loop {
-            let p = match source.next_packet() {
-                Ok(Some(pkt)) => InFlight::admit(&pkt, &mut self.edges, None),
-                end => break end.err(),
+        let run = self.scatter(before, pull, |s, batch| {
+            let Some(tx) = txs[s].as_ref() else {
+                batch.clear();
+                return 0;
             };
-            let i = pulled as usize;
-            pulled += 1;
-            let s = self.steer.shard_of(i, &p, self.edges.by_name(), n);
-            offered[s] += 1;
-            if txs[s].is_none() {
-                continue;
+            let full = std::mem::replace(batch, Vec::with_capacity(batch.capacity()));
+            let len = full.len() as u64;
+            match feed_batch(tx, full, policy, watchdog) {
+                FeedResult::Sent => 0,
+                FeedResult::Shed => len,
+                cut => {
+                    stalled[s] = matches!(cut, FeedResult::Stalled);
+                    txs[s] = None;
+                    0
+                }
             }
-            pending[s].push((i as i64, p));
-            if pending[s].len() == batch_size {
-                let full = std::mem::replace(&mut pending[s], Vec::with_capacity(batch_size));
-                flush(s, full, &mut txs);
-            }
-        };
-        for (s, rest) in pending.into_iter().enumerate() {
-            if !rest.is_empty() {
-                flush(s, rest, &mut txs);
-            }
-        }
+        });
         drop(txs); // close every ring: drained workers exit their loops
 
         // Collect, bounded by the watchdog per shard. A worker that never
         // reports is abandoned (its thread handle is dropped, detaching
-        // it) — never joined, so a wedged engine cannot hang the caller.
-        let silent = |cause| (Err((None, cause, DropCounters::new())), Vec::new());
+        // it) — never joined, so a wedged engine cannot hang the caller —
+        // and taken to have booked nothing since the run began.
+        let silent = |s: usize, cause| (Err((None, cause, run.before[s].0.clone())), Vec::new());
         let watchdog_ms = self.config.watchdog_ms;
         let mut collected = Vec::with_capacity(n);
         for (s, (done_rx, handle)) in workers.into_iter().enumerate() {
@@ -1195,77 +1259,118 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     drop(handle);
-                    silent(FaultCause::Stall { watchdog_ms })
+                    silent(s, FaultCause::Stall { watchdog_ms })
                 }
                 // The thread died outside the supervised path.
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     let _ = handle.join();
-                    silent(FaultCause::Disconnected)
+                    silent(s, FaultCause::Disconnected)
                 }
             });
         }
-        Scatter {
-            offered,
-            sheds,
-            collected,
-            pulled,
-            source_error,
-        }
+        self.gather::<L>(run, collected)
     }
 
-    /// The other half of [`ShardedSwitch::supervised_scatter`], shared by
-    /// the forwarding and scheduling terminals: puts the shards back and
-    /// hands over each one's output stream — or, if any worker or the
+    /// The **inline** executor behind the sequential twins
+    /// ([`ShardedRun::partitioned`], [`ShardedRun::instrumented`],
+    /// [`ShardedRun::for_each`], [`ShardedFrameRun::partitioned`]): the
+    /// same dispatcher, the same lanes, no ring and no thread — `feed`
+    /// steps the shard's lane the moment its batch fills, on the
+    /// caller's thread (so the dispatcher's per-shard feed time *is* the
+    /// shard's busy time, free of scheduler interference), then lends the
+    /// lane to `tap`, which may take what it holds. Unsupervised: an
+    /// engine panic propagates.
+    ///
+    /// At line rate consecutive steps of one switch compose (its queue is
+    /// empty between them), so the batch size never shows in the output;
+    /// it only bounds the memory and interleaves the timed lanes, which
+    /// spreads host interference — it arrives in epochs longer than a
+    /// batch — evenly over them: honest *relative* lane balance, which is
+    /// what the E10 model needs.
+    fn inline<L: Lane<E>>(
+        &mut self,
+        pull: impl FnMut(&mut PacketEdges) -> Pulled,
+        lane: impl Fn() -> L,
+        mut tap: impl FnMut(usize, &mut L),
+    ) -> Result<Gathered<L::Out>, SwitchError> {
+        self.check_line_rate()?;
+        let (switches, before) = self.take_shards();
+        let mut lanes: Vec<(Switch<E>, L)> = switches.into_iter().map(|sw| (sw, lane())).collect();
+        let run = self.scatter(before, pull, |s, batch| {
+            let (sw, lane) = &mut lanes[s];
+            lane.step(sw, batch);
+            tap(s, lane);
+            0
+        });
+        let collected = (lanes.into_iter())
+            .map(|(sw, lane)| (Ok(sw), lane.drain()))
+            .collect();
+        self.gather::<L>(run, collected)
+    }
+
+    /// **The one close-out** of every sharded run: puts the shards back
+    /// and hands over each lane's stream — or, if any worker or the
     /// source faulted, salvages everything reachable, rebuilds the dead
     /// shards with fresh engines (through the plain build hook: no
     /// inherited faults) so the switch stays usable, and returns the
-    /// report with its books closed.
+    /// report with its books closed over **this run**: a survivor's drops
+    /// are its counters' growth since [`ShardedSwitch::take_shards`], and
+    /// what it transmitted beyond what its lane still holds left through
+    /// a sink (or as bytes) and is counted, not carried.
     ///
-    /// A survivor's salvaged output is booked here unless its own
-    /// transmit counter already saw it ([`Lane::COUNTED`]); a failed
-    /// shard's counters are gone with it, so its salvage always is.
+    /// A survivor's salvaged output is booked here only where its own
+    /// transmit counter never saw it (a scheduling run stops short of
+    /// egress); a failed shard's counters are gone with it, so its
+    /// lifetime books move to the switch's own and its salvage always is.
     fn gather<L: Lane<E>>(
         &mut self,
-        scatter: Scatter<Outcome<E, L::Out>>,
-    ) -> Result<Vec<Vec<L::Out>>, SwitchError> {
+        run: Scatter,
+        collected: Vec<Outcome<E, L::Out>>,
+    ) -> Result<Gathered<L::Out>, SwitchError> {
         // Account for dispatcher sheds whether or not anything faulted.
         self.extra_drops
-            .bump_by(DropReason::Backpressure, scatter.sheds.iter().sum());
+            .bump_by(DropReason::Backpressure, run.sheds.iter().sum());
 
-        let reports = scatter.collected;
-        if scatter.source_error.is_none() && reports.iter().all(|(shard, _)| shard.is_ok()) {
-            let mut streams = Vec::with_capacity(reports.len());
-            for (shard, out) in reports {
+        if run.source_error.is_none() && collected.iter().all(|(shard, _)| shard.is_ok()) {
+            let mut streams = Vec::with_capacity(collected.len());
+            for (shard, out) in collected {
                 self.shards.extend(shard.ok());
                 streams.push(out);
             }
-            return Ok(streams);
+            return Ok(Gathered {
+                pulled: run.pulled,
+                timings: run.timings,
+                streams,
+            });
         }
 
         let mut failures: Vec<ShardError> = Vec::new();
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(reports.len());
-        let mut parts: Vec<Vec<Packet>> = Vec::with_capacity(reports.len());
-        let mut shards = Vec::with_capacity(reports.len());
-        for (s, (shard, out)) in reports.into_iter().enumerate() {
+        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(collected.len());
+        let mut parts: Vec<Vec<Packet>> = Vec::with_capacity(collected.len());
+        let mut shards = Vec::with_capacity(collected.len());
+        let mut streamed = 0;
+        for (s, (shard, out)) in collected.into_iter().enumerate() {
             let output: Vec<Packet> = (out.into_iter())
-                .map(|o| L::packet(o, &mut self.edges))
+                .filter_map(|o| L::packet(o, &mut self.edges))
                 .collect();
+            let kept = output.len() as u64;
+            let (drops_before, sent_before) = &run.before[s];
             let mut drops = DropCounters::new();
-            drops.bump_by(DropReason::Backpressure, scatter.sheds[s]);
+            drops.bump_by(DropReason::Backpressure, run.sheds[s]);
             match shard {
                 Ok(sw) => {
-                    if !L::COUNTED {
-                        self.extra_transmitted += output.len() as u64;
-                    }
-                    drops.merge(sw.drop_counters());
-                    salvage.push(sw.salvage(s, scatter.offered[s], output.clone(), drops));
+                    let sent = sw.transmitted() - sent_before;
+                    streamed += sent.saturating_sub(kept);
+                    self.extra_transmitted += kept.saturating_sub(sent);
+                    drops.merge(&sw.drop_counters().since(drops_before));
+                    salvage.push(sw.salvage(s, run.offered[s], output.clone(), drops));
                     parts.push(output);
                     shards.push(sw);
                 }
-                Err((packet, cause, worker_drops)) => {
-                    self.extra_transmitted += output.len() as u64;
-                    self.extra_drops.merge(&worker_drops);
-                    drops.merge(&worker_drops);
+                Err((packet, cause, booked)) => {
+                    self.extra_transmitted += sent_before + kept;
+                    self.extra_drops.merge(&booked);
+                    drops.merge(&booked.since(drops_before));
                     failures.push(ShardError {
                         shard: s,
                         packet,
@@ -1274,7 +1379,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                     salvage.push(ShardSalvage {
                         shard: s,
                         failed: true,
-                        offered: scatter.offered[s],
+                        offered: run.offered[s],
                         output,
                         drops,
                         state: None,
@@ -1287,9 +1392,9 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         self.shards = shards;
         let merged = self.merge(parts);
         Err(FaultReport::assemble(
-            scatter.pulled,
-            0,
-            scatter.source_error,
+            run.pulled,
+            streamed,
+            run.source_error,
             failures,
             salvage,
             merged,
@@ -1313,147 +1418,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// one parser of a byte-frame run ([`ShardedFrameRun::partitioned`]).
     fn parser(&self, cfg: &WireConfig) -> BoundParser {
         BoundParser::bind(cfg.clone(), Arc::clone(self.edges.table()))
-    }
-
-    /// **The one sequential core** behind [`ShardedRun::partitioned`],
-    /// [`ShardedRun::instrumented`], [`ShardedRun::for_each`] and
-    /// [`ShardedFrameRun::partitioned`]: the plan run on the caller's
-    /// thread, unsupervised, in rounds of about one batch per shard —
-    /// `pull` the next arrival already admitted onto the table (or the
-    /// verdict that rejected its frame), steer it, then step each shard
-    /// over its share of the round ([`Switch::run_stamped`]) and hand what
-    /// `leave` makes of each departing slab to `sink`.
-    /// At line rate consecutive steps of one switch compose (its queue is
-    /// empty between them), so the round size never shows in the output;
-    /// it only bounds the memory (O(batch × shards) of input) and spreads
-    /// host interference — which arrives in epochs longer than a round —
-    /// evenly over the timed lanes, which is what the E10 model needs:
-    /// honest *relative* lane balance.
-    ///
-    /// A source error ends the pulling; what was gathered before it still
-    /// runs, and the error rides back in the [`Lanes`] for
-    /// [`ShardedSwitch::close`] to report.
-    fn run_sequential<O>(
-        &mut self,
-        mut pull: impl FnMut(
-            &mut PacketEdges,
-        ) -> Result<Option<Result<InFlight, ParseVerdict>>, SourceError>,
-        leave: impl Fn(&mut PacketEdges, &mut InFlight) -> Option<O>,
-        mut sink: impl FnMut(usize, Vec<O>),
-    ) -> Result<Lanes, SwitchError> {
-        self.check_line_rate()?;
-        let n = self.shards.len();
-        let mut lanes = Lanes {
-            offered: vec![0; n],
-            pulled: 0,
-            source_error: None,
-            drops_before: self
-                .shards
-                .iter()
-                .map(|s| s.drop_counters().clone())
-                .collect(),
-            timings: ShardTimings {
-                steer_ns: 0,
-                shard_ns: vec![0; n],
-                merge_ns: 0,
-            },
-        };
-        let mut round: Vec<Vec<Stamped>> = (0..n).map(|_| Vec::new()).collect();
-        let mut ended = false;
-        while !ended {
-            let t = Instant::now();
-            for _ in 0..self.config.batch.saturating_mul(n) {
-                match pull(&mut self.edges) {
-                    Ok(Some(arrival)) => {
-                        let i = lanes.pulled as usize;
-                        // A rejected frame carries no fields to steer by:
-                        // dealt by index, so one shard books its verdict.
-                        let s = match &arrival {
-                            Ok(p) => self.steer.shard_of(i, p, self.edges.by_name(), n),
-                            Err(_) => i % n,
-                        };
-                        lanes.pulled += 1;
-                        lanes.offered[s] += 1;
-                        round[s].push((i as i64, arrival));
-                    }
-                    end => {
-                        lanes.source_error = end.err();
-                        ended = true;
-                        break;
-                    }
-                }
-            }
-            lanes.timings.steer_ns += t.elapsed().as_nanos();
-            for (s, (sw, items)) in self.shards.iter_mut().zip(&mut round).enumerate() {
-                if items.is_empty() {
-                    continue;
-                }
-                let t = Instant::now();
-                let mut out = Vec::with_capacity(items.len());
-                sw.run_stamped(items.drain(..), |edges, p| out.extend(leave(edges, p)));
-                lanes.timings.shard_ns[s] += t.elapsed().as_nanos();
-                sink(s, out);
-            }
-        }
-        Ok(lanes)
-    }
-
-    /// The sequential core over a [`PacketSource`]: each packet admitted
-    /// as it is pulled, each departing slab emitted.
-    fn run_sequential_packets<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-        sink: impl FnMut(usize, Vec<Packet>),
-    ) -> Result<Lanes, SwitchError> {
-        self.run_sequential(
-            |edges| Ok((source.next_packet()?).map(|pkt| Ok(InFlight::admit(&pkt, edges, None)))),
-            |edges, p| Some(p.emit(edges)),
-            sink,
-        )
-    }
-
-    /// Turns what a sequential run observed into its terminal's result:
-    /// the `outputs` it kept and the lane timings — or, if the source
-    /// failed mid-stream, the typed fault. Every shard ran its
-    /// pre-failure stream to completion, so salvage is complete — per-run
-    /// drop deltas, state snapshots, and `outputs` (`streamed` counts
-    /// what the terminal handed to a sink or returned as bytes instead) —
-    /// and the books close with `lost_in_fault == 0`.
-    fn close(
-        &self,
-        mut lanes: Lanes,
-        outputs: Vec<Vec<Packet>>,
-        streamed: u64,
-    ) -> Result<(Vec<Vec<Packet>>, ShardTimings), SwitchError> {
-        let Some(error) = lanes.source_error.take() else {
-            return Ok((outputs, lanes.timings));
-        };
-        let salvage = (self.shards.iter().zip(&outputs).enumerate())
-            .map(|(s, (sw, out))| {
-                let drops = sw.drop_counters().since(&lanes.drops_before[s]);
-                sw.salvage(s, lanes.offered[s], out.clone(), drops)
-            })
-            .collect();
-        let merged = self.merge(outputs);
-        Err(FaultReport::assemble(
-            lanes.pulled,
-            streamed,
-            Some(error),
-            Vec::new(),
-            salvage,
-            merged,
-        ))
-    }
-
-    /// [`ShardedRun::partitioned`]: the sequential core, outputs kept
-    /// per shard.
-    fn run_source_partitioned<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<(Vec<Vec<Packet>>, ShardTimings), SwitchError> {
-        let mut parts = vec![Vec::new(); self.shards.len()];
-        let lanes = self.run_sequential_packets(source, |s, out| parts[s].extend(out))?;
-        self.close(lanes, parts, 0)
     }
 
     /// Each shard's `(ingress, egress)` state snapshot.
@@ -1621,9 +1585,8 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     {
         let sw = self.switch;
         sw.check_line_rate()?;
-        let scatter = sw.supervised_scatter(&mut self.source, Forward::default);
-        let parts = sw.gather::<Forward>(scatter)?;
-        Ok(sw.merge(parts))
+        let run = sw.threaded(admitting(&mut self.source), Forward::default)?;
+        Ok(sw.merge(run.streams))
     }
 
     /// Streams every merged output packet to `sink` instead of
@@ -1646,14 +1609,21 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
         let mut buffers = vec![VecDeque::new(); n];
         let mut cursor = (mix64(sw.config.seed) % n as u64) as usize;
         let mut emitted: u64 = 0;
-        let lanes = sw.run_sequential_packets(&mut self.source, |s, out| {
-            buffers[s].extend(out);
-            while let Some(pkt) = buffers[cursor].pop_front() {
-                emitted += 1;
-                sink(pkt);
-                cursor = (cursor + 1) % n;
-            }
-        })?;
+        // The tap empties the lane after every step, so a fault's salvage
+        // carries the books and state snapshots but no packet payloads.
+        let end = sw.inline(
+            admitting(&mut self.source),
+            Forward::default,
+            |s, lane: &mut Forward| {
+                buffers[s].extend(lane.0.drain(..));
+                while let Some(pkt) = buffers[cursor].pop_front() {
+                    emitted += 1;
+                    sink(pkt);
+                    cursor = (cursor + 1) % n;
+                }
+            },
+        );
+        // Faulted or not, everything transmitted reaches the sink first.
         while buffers.iter().any(|b| !b.is_empty()) {
             if let Some(pkt) = buffers[cursor].pop_front() {
                 emitted += 1;
@@ -1661,12 +1631,8 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
             }
             cursor = (cursor + 1) % n;
         }
-        let offered = lanes.pulled;
-        // Outputs already streamed to the sink, so a fault's salvage
-        // carries the books and state snapshots but no packet payloads.
-        sw.close(lanes, vec![Vec::new(); n], emitted)?;
         Ok(RunStats {
-            offered,
+            offered: end?.pulled,
             transmitted: emitted,
         })
     }
@@ -1676,18 +1642,25 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     /// suites compare against serial execution. Unsupervised: engine
     /// errors propagate as `Result`s, engine panics as panics.
     pub fn partitioned(mut self) -> Result<Vec<Vec<Packet>>, SwitchError> {
-        let (parts, _) = self.switch.run_source_partitioned(&mut self.source)?;
-        Ok(parts)
+        let pull = admitting(&mut self.source);
+        Ok(self
+            .switch
+            .inline(pull, Forward::default, |_, _| {})?
+            .streams)
     }
 
     /// Like [`ShardedRun::partitioned`], but timed (steer, per-shard busy
     /// runs, merge) and merged — see [`ShardTimings`].
     pub fn instrumented(mut self) -> Result<ShardRun, SwitchError> {
-        let (parts, mut timings) = self.switch.run_source_partitioned(&mut self.source)?;
+        let pull = admitting(&mut self.source);
+        let run = self.switch.inline(pull, Forward::default, |_, _| {})?;
         // Time the merge the production path performs: a move, no clones.
         let t = Instant::now();
-        let merged = self.switch.merge(parts);
-        timings.merge_ns = t.elapsed().as_nanos();
+        let merged = self.switch.merge(run.streams);
+        let timings = ShardTimings {
+            merge_ns: t.elapsed().as_nanos(),
+            ..run.timings
+        };
         Ok(ShardRun { merged, timings })
     }
 }
@@ -1737,20 +1710,18 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     {
         let sw = self.switch;
         let (spec, capacity) = (sw.config.sched.clone(), sw.config.capacity);
-        let scatter = sw.supervised_scatter(&mut self.source, || Schedule {
+        let run = sw.threaded(admitting(&mut self.source), || Schedule {
             // Unbounded: the serial admission rule bounds total occupancy
             // across *all* shards at `capacity`, so no per-shard bound
             // applies.
             pifo: spec.build_queue(usize::MAX),
             capacity,
-        });
-        let pulled = scatter.pulled;
-        let streams = sw.gather::<Schedule>(scatter)?;
+        })?;
         // Each per-shard stream is sorted by (key, shard-local arrival);
         // the global arrival cycle is unique, so sorting the union by
         // (key, arrival) *is* the deterministic k-way merge — and equals
         // the serial pop order.
-        let mut entries: Vec<_> = streams.into_iter().flatten().collect();
+        let mut entries: Vec<_> = run.streams.into_iter().flatten().collect();
         entries.sort_by_key(|&(key, arrival, _)| (key, arrival));
 
         // Serial egress pass over the merged departure sequence, on the
@@ -1759,7 +1730,7 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
         let total = entries.len();
         let shaping = sw.config.sched.is_shaping();
         let (egress, meta) = (&mut sw.sched_egress, sw.meta);
-        let mut next_free = pulled as i64;
+        let mut next_free = run.pulled as i64;
         let mut out = Vec::with_capacity(total);
         for (k, (key, arrival, mut p)) in entries.into_iter().enumerate() {
             let departure = if shaping {
@@ -1816,79 +1787,96 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
     /// not packets, so the salvage `output` vectors stay empty — the
     /// typed parse-drop counters still close the accounting exactly).
     pub fn partitioned(mut self) -> Result<Vec<Vec<Vec<u8>>>, SwitchError> {
-        let sw = self.switch;
-        let n = sw.shards.len();
-        let parser = sw.parser(self.cfg);
-        let mut parts = vec![Vec::new(); n];
-        let lanes = sw.run_sequential(
-            |_| Ok((self.source.next_frame()?).map(|f| InFlight::parse(f, &parser, || None))),
-            |_, p| p.deparse(&parser).map(std::mem::take),
-            |s, out| parts[s].extend(out),
-        )?;
-        let transmitted = parts.iter().map(|p| p.len() as u64).sum();
-        sw.close(lanes, vec![Vec::new(); n], transmitted)?;
-        Ok(parts)
+        let parser = self.switch.parser(self.cfg);
+        let pull = |_: &mut PacketEdges| {
+            Ok((self.source.next_frame()?).map(|f| InFlight::parse(f, &parser, || None)))
+        };
+        let lane = || Frames(&parser, Vec::new());
+        Ok(self.switch.inline(pull, lane, |_, _| {})?.streams)
     }
 }
 
-/// How one shard's worker ended, as the collector has it (`D` is its
+/// How one shard's lane ended, as the close-out has it (`D` is the
 /// [`Lane`]'s output item): the switch handed back with the lane's
 /// complete output — or, with the switch gone (its state is suspect after
 /// an unwind, and a stalled or vanished worker never returns it), the
 /// global index of the packet whose processing faulted if the worker
-/// lived to name it, the cause, and the drop counters it had booked
-/// (plain integers, safe to read), beside what the lane held at that
-/// instant.
+/// lived to name it, the cause, and its drop counters as they stood
+/// (plain integers, safe to read; a worker that never reported: as the
+/// run began), beside what the lane held at that instant.
 type Outcome<E, D> = (
     Result<Switch<E>, (Option<u64>, FaultCause, DropCounters)>,
     Vec<D>,
 );
 
-/// A worker's per-batch step, and what it accumulates **outside** the
-/// unwind scope: a panicking engine loses at most the batch in flight,
-/// never what the lane already holds — which is what makes salvage
-/// possible.
-trait Lane<E: PipelineEngine>: Send + 'static {
+/// A shard's per-batch step — the one both executors call — and what it
+/// accumulates **outside** a worker's unwind scope: a panicking engine
+/// loses at most the batch in flight, never what the lane already holds —
+/// which is what makes salvage possible.
+trait Lane<E: PipelineEngine> {
     /// What the lane hands back per packet it holds.
-    type Out: Send + 'static;
+    type Out;
 
-    /// Whether the switch's own transmit counter sees the lane's output.
-    const COUNTED: bool;
+    /// The packet one output item contributes to a fault report (`None`
+    /// where it is no packet: a frame is reported by count alone).
+    fn packet(out: Self::Out, edges: &mut PacketEdges) -> Option<Packet>;
 
-    /// The packet one output item contributes to a fault report.
-    fn packet(out: Self::Out, edges: &mut PacketEdges) -> Packet;
-
-    /// Runs one stamped batch (inside the worker's `catch_unwind`).
-    fn step(&mut self, sw: &mut Switch<E>, batch: StampedBatch);
+    /// Runs one batch of stamped arrivals — inside the worker's
+    /// `catch_unwind`, or inline on the caller's thread — and leaves it
+    /// empty.
+    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch);
 
     /// Everything the lane holds, in its order: the complete stream of a
     /// drained ring, or the salvage of a faulted one.
     fn drain(self) -> Vec<Self::Out>;
 }
 
-/// The forwarding lane ([`ShardedRun::collect`]): each batch runs through
-/// the switch's loop as stamped arrivals and is emitted as it departs;
-/// the lane holds the output of every *completed* batch.
+/// The forwarding lane of every packet-born forwarding terminal: each
+/// batch runs through the switch's loop as stamped arrivals and is
+/// emitted as it departs; the lane holds the output of every *completed*
+/// batch.
 #[derive(Default)]
 struct Forward(Vec<Packet>);
 
 impl<E: PipelineEngine> Lane<E> for Forward {
     type Out = Packet;
-    const COUNTED: bool = true;
 
-    fn packet(out: Packet, _: &mut PacketEdges) -> Packet {
-        out
+    fn packet(out: Packet, _: &mut PacketEdges) -> Option<Packet> {
+        Some(out)
     }
 
-    fn step(&mut self, sw: &mut Switch<E>, batch: StampedBatch) {
+    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch) {
         let mut done = Vec::with_capacity(batch.len());
-        let arrivals = batch.into_iter().map(|(t, p)| (t, Ok(p)));
-        sw.run_stamped(arrivals, |edges, p| done.push(p.emit(edges)));
+        sw.run_stamped(batch.drain(..), |edges, p| done.push(p.emit(edges)));
         self.0.append(&mut done);
     }
 
     fn drain(self) -> Vec<Packet> {
         self.0
+    }
+}
+
+/// The byte-born forwarding lane ([`ShardedFrameRun::partitioned`]): the
+/// run's one parser patches each departing record's bytes in place and
+/// the lane keeps the buffer, moved out of the record.
+struct Frames<'p>(&'p BoundParser, Vec<Vec<u8>>);
+
+impl<E: PipelineEngine> Lane<E> for Frames<'_> {
+    type Out = Vec<u8>;
+
+    fn packet(_: Vec<u8>, _: &mut PacketEdges) -> Option<Packet> {
+        None
+    }
+
+    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch) {
+        let Frames(parser, out) = self;
+        sw.run_stamped(batch.drain(..), |_, p| {
+            out.extend(p.deparse(parser).map(std::mem::take))
+        });
+    }
+
+    fn drain(self) -> Vec<Vec<u8>> {
+        self.1
     }
 }
 
@@ -1905,15 +1893,21 @@ struct Schedule {
 impl<E: PipelineEngine> Lane<E> for Schedule {
     /// `(key, global arrival cycle, ingress-processed slab)`.
     type Out = (SchedKey, i64, InFlight);
-    /// A faulted scheduling run never reaches egress.
-    const COUNTED: bool = false;
 
-    fn packet((_, _, p): Self::Out, edges: &mut PacketEdges) -> Packet {
-        p.emit(edges)
+    /// A faulted scheduling run never reaches egress.
+    fn packet((_, _, p): Self::Out, edges: &mut PacketEdges) -> Option<Packet> {
+        Some(p.emit(edges))
     }
 
-    fn step(&mut self, sw: &mut Switch<E>, batch: StampedBatch) {
-        for (t, mut p) in batch {
+    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch) {
+        for (t, arrival) in batch.drain(..) {
+            let mut p = match arrival {
+                Ok(p) => p,
+                Err(verdict) => {
+                    sw.reject(verdict);
+                    continue;
+                }
+            };
             let key = sw.arrive(t, &mut p);
             // The serial burst admission: during the arrival phase the
             // queue only grows, so the serial switch admits exactly the
@@ -1940,11 +1934,12 @@ impl<E: PipelineEngine> Lane<E> for Schedule {
 /// contained to this shard.
 fn worker<E: PipelineEngine, L: Lane<E>>(
     mut sw: Switch<E>,
-    rx: mpsc::Receiver<StampedBatch>,
+    rx: mpsc::Receiver<Batch>,
     mut lane: L,
 ) -> Outcome<E, L::Out> {
-    while let Ok(batch) = rx.recv() {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| lane.step(&mut sw, batch))) {
+    while let Ok(mut batch) = rx.recv() {
+        let step = AssertUnwindSafe(|| lane.step(&mut sw, &mut batch));
+        if let Err(payload) = catch_unwind(step) {
             // `payload.as_ref()`, not `&payload`: the latter unsizes the
             // Box itself into `dyn Any` and every downcast misses.
             let cause = FaultCause::Panic(panic_payload_string(payload.as_ref()));
@@ -1965,34 +1960,43 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-/// Everything the dispatcher observed during one supervised scatter.
-struct Scatter<O> {
-    /// Packets steered to each shard (fed or not — the books).
+/// The packet-born `pull`: each packet admitted onto the table — its one
+/// map → slab crossing — as it comes off the source.
+fn admitting<S: PacketSource>(source: &mut S) -> impl FnMut(&mut PacketEdges) -> Pulled + '_ {
+    |edges| Ok((source.next_packet()?).map(|pkt| Ok(InFlight::admit(&pkt, edges, None))))
+}
+
+/// Everything the one dispatcher observed during a run
+/// ([`ShardedSwitch::scatter`]) — what the one close-out
+/// ([`ShardedSwitch::gather`]) closes the books over.
+struct Scatter {
+    /// Each shard's drop counters and transmit count as it was taken for
+    /// the run (reports carry the run's delta).
+    before: Vec<(DropCounters, u64)>,
+    /// Arrivals steered to each shard (fed or not — the books).
     offered: Vec<u64>,
     /// Packets shed per shard under [`Backpressure::Shed`].
     sheds: Vec<u64>,
-    /// Each worker's [`Outcome`].
-    collected: Vec<O>,
-    /// Total packets pulled from the source before it ended or failed.
+    /// Total arrivals pulled from the source before it ended or failed.
     pulled: u64,
     /// The source's mid-stream error, if it failed rather than ended.
     source_error: Option<SourceError>,
+    /// The dispatcher's own clock: its time inside `feed`, per shard
+    /// (inline, the shard's busy time) and everything else — pulling,
+    /// admitting, steering (the RX lane). The merge is the terminal's to
+    /// time.
+    timings: ShardTimings,
 }
 
-/// What one run of the sequential core observed.
-struct Lanes {
-    /// Items steered to each shard.
-    offered: Vec<u64>,
-    /// Total items pulled from the source before it ended or failed.
+/// A run that ended clean, as [`ShardedSwitch::gather`] hands it to its
+/// terminal.
+struct Gathered<O> {
+    /// Total arrivals pulled from the source.
     pulled: u64,
-    /// The source's mid-stream error, if it failed rather than ended.
-    source_error: Option<SourceError>,
-    /// Each shard's drop counters as the run began (reports carry the
-    /// run's delta).
-    drops_before: Vec<DropCounters>,
-    /// Time spent pulling and steering (the RX lane) and each shard's
-    /// busy time inside its steps; the merge is the terminal's to time.
+    /// The dispatcher's lane timings (see [`Scatter::timings`]).
     timings: ShardTimings,
+    /// Each lane's complete stream, in shard order.
+    streams: Vec<Vec<O>>,
 }
 
 /// Outcome of pushing one batch into a shard's ring.
@@ -2009,8 +2013,8 @@ enum FeedResult {
 /// Pushes a batch with the configured overload policy. Never blocks past
 /// `watchdog`.
 fn feed_batch(
-    tx: &mpsc::SyncSender<StampedBatch>,
-    mut batch: StampedBatch,
+    tx: &mpsc::SyncSender<Batch>,
+    mut batch: Batch,
     policy: Backpressure,
     watchdog: Duration,
 ) -> FeedResult {
@@ -2483,6 +2487,55 @@ mod tests {
                 .unwrap()
                 .len(),
             20
+        );
+    }
+
+    /// The scheduling lane is executor-agnostic: stepped inline it is the
+    /// sequential oracle of the threaded run — same per-shard pop streams,
+    /// same refusals, same ingress state.
+    #[test]
+    fn schedule_lane_stepped_inline_equals_the_threaded_run() {
+        let ingress = array_counter("count", "counts", 64);
+        let egress = passthrough("out");
+        let spec = SchedSpec::Priority {
+            class: "flow".into(),
+            rank: "c".into(),
+        };
+        let cfg = ShardConfig::new(4)
+            .with_batch(16)
+            .with_capacity(200)
+            .with_scheduler(spec.clone());
+        let trace = flow_trace(300);
+        let lane = || Schedule {
+            pifo: spec.build_queue(usize::MAX),
+            capacity: 200,
+        };
+        let keys = |run: Gathered<(SchedKey, i64, InFlight)>| -> Vec<Vec<(SchedKey, i64)>> {
+            assert_eq!(run.pulled, 300);
+            (run.streams.into_iter())
+                .map(|stream| stream.into_iter().map(|(key, t, _)| (key, t)).collect())
+                .collect()
+        };
+
+        let mut a = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
+        assert_eq!(a.plan().tier(), ShardTier::Exact);
+        let mut source = trace.as_slice().into_packet_source();
+        let threaded = keys(a.threaded(admitting(&mut source), lane).unwrap());
+
+        let mut b = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+        let mut source = trace.as_slice().into_packet_source();
+        let inline = keys(b.inline(admitting(&mut source), lane, |_, _| {}).unwrap());
+
+        assert_eq!(inline, threaded);
+        assert_eq!(inline.iter().map(Vec::len).sum::<usize>(), 200);
+        for stream in &inline {
+            assert!(stream.is_sorted(), "a lane drains in pop order");
+        }
+        assert_eq!(b.drop_counters(), a.drop_counters());
+        assert_eq!(b.drop_counters().sched_full(), 100);
+        assert_eq!(
+            b.export_merged_ingress_state().unwrap(),
+            a.export_merged_ingress_state().unwrap()
         );
     }
 

@@ -795,6 +795,12 @@ impl<E: PipelineEngine> Switch<E> {
         self.drops.bump(self.sched.full_drop_reason());
     }
 
+    /// Books an arrival slot whose frame the parser rejected, under its
+    /// verdict.
+    pub(crate) fn reject(&mut self, verdict: ParseVerdict) {
+        self.drops.bump(DropReason::Parse(verdict));
+    }
+
     /// A departure: stamps the queue metadata (`meta`, in
     /// [`QUEUE_METADATA_FIELDS`] order) by slot and runs `egress` on the
     /// slab in place. Free of the switch, so a sharded scheduling run's
@@ -879,7 +885,7 @@ impl<E: PipelineEngine> Switch<E> {
                                     pool.push(p);
                                 }
                             }
-                            Err(verdict) => self.drops.bump(DropReason::Parse(verdict)),
+                            Err(verdict) => self.reject(verdict),
                         }
                     }
                     Ok(None) => ended = true,
@@ -1633,5 +1639,85 @@ mod tests {
         assert_eq!(report.accounting.transmitted, 10, "admitted burst drains");
         assert!(report.accounting.conserved());
         assert_eq!(report.merged.len(), 10);
+    }
+
+    /// ROADMAP 7(a), first step: pins what the 32-bit stamps do as the
+    /// cycle counter crosses 2³¹. [`Switch::depart`] stamps the low 32
+    /// bits of the cycle, so `now` and `enq_ts` wrap negative — but an
+    /// egress program's `now - enq_ts` (Domino's wrapping `Sub`) is still
+    /// the true sojourn, and queue depth, drops and departure order never
+    /// see the clock at all. Slot = map across the wrap.
+    #[test]
+    fn cycle_stamps_wrap_but_sojourn_depth_and_order_do_not() {
+        use crate::machine::{AtomRole, CompiledAtom};
+        use domino_ast::BinOp;
+        use domino_ir::{Codelet, Operand, TacRhs, TacStmt};
+
+        const START: i64 = (1 << 31) - 100;
+        let field = |f: &str| Operand::Field(f.into());
+        let sojourn = Codelet::new(vec![TacStmt::Assign {
+            dst: "sojourn".into(),
+            rhs: TacRhs::Binary(BinOp::Sub, field("now"), field("enq_ts")),
+        }]);
+        let egress = AtomPipeline {
+            stages: vec![vec![CompiledAtom {
+                codelet: sojourn,
+                role: AtomRole::Stateless,
+            }]],
+            declared_fields: vec!["sojourn".into()],
+            ..passthrough("sojourn")
+        };
+        let trace: Vec<Packet> = (0..400).map(|i| Packet::new().with("seq", i)).collect();
+        fn from<E: PipelineEngine>(mut sw: Switch<E>, start: i64, trace: &[Packet]) -> Vec<Packet> {
+            sw.now = start;
+            let out = sw.run(trace).collect().unwrap();
+            assert_eq!(out.len() as u64 + sw.drops(), trace.len() as u64);
+            out
+        }
+
+        // Line rate, and a 3:1 oversubscribed 16-deep queue.
+        for drain in [1, 3] {
+            let map =
+                || Switch::new(passthrough("in"), egress.clone(), 16).with_drain_period(drain);
+            let slot = Switch::new_slot(&passthrough("in"), &egress, 16)
+                .unwrap()
+                .with_drain_period(drain);
+            let wrapped = from(map(), START, &trace);
+            assert_eq!(
+                from(slot, START, &trace),
+                wrapped,
+                "drain {drain}: slot = map"
+            );
+            // The same run in the same drain phase, far from the wrap,
+            // where the stamps are the cycles themselves.
+            let near = START % drain as i64;
+            let unwrapped = from(map(), near, &trace);
+            assert_eq!(wrapped.len(), unwrapped.len(), "drain {drain}");
+            assert_eq!(
+                wrapped.len() < trace.len(),
+                drain > 1,
+                "only congestion drops"
+            );
+
+            let get = |p: &Packet, f: &str| p.get(f).unwrap();
+            let mut straddlers = 0;
+            for (w, u) in wrapped.iter().zip(&unwrapped) {
+                let seq = get(u, "seq");
+                assert_eq!(get(w, "seq"), seq, "drain {drain}: departure order");
+                assert_eq!(get(w, "qdepth"), get(u, "qdepth"), "packet {seq}");
+                for stamp in ["now", "enq_ts"] {
+                    let cycle = (get(u, stamp) as i64 - near) + START;
+                    assert_eq!(get(w, stamp), cycle as i32, "packet {seq}: `{stamp}`");
+                }
+                let true_sojourn = get(u, "now") - get(u, "enq_ts");
+                assert_eq!(get(u, "sojourn"), true_sojourn);
+                assert_eq!(get(w, "sojourn"), true_sojourn, "packet {seq}");
+                straddlers += (get(w, "enq_ts") > 0 && get(w, "now") < 0) as usize;
+            }
+            assert!(
+                straddlers > 0,
+                "drain {drain}: no packet sat across the wrap"
+            );
+        }
     }
 }

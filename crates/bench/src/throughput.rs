@@ -27,9 +27,9 @@
 //! verified runs.
 //!
 //! **One gate.** [`check`] compares a fresh run's rows with the committed
-//! document's, driven by [`SECTIONS`]. It compares ratios (slot over map,
-//! N shards over one), never absolute rates, so it holds across runner
-//! hardware; it iterates the *committed* rows, so a row cannot be
+//! document's, driven by [`SECTIONS`]. It compares ratios (slot over
+//! map) and exact counts (shards granted), never absolute rates, so it
+//! holds across runner hardware; it iterates the *committed* rows, so a row cannot be
 //! silently un-gated by renaming or dropping it from the harness.
 
 use crate::wiregen::{self, GenOptions};
@@ -214,9 +214,12 @@ pub struct Section {
 ///   side only. `workloads` ratios run to 30× and swing the most: 0.3.
 ///   `sched` ratios include the shared PIFO on both sides, which
 ///   compresses them toward 1 and steadies them: 0.5.
-/// * `scaling` ratios come from one instrumented run whose lanes are
-///   timed interleaved and min-of-reps, so both terms see the same
-///   host: 0.5.
+/// * `scaling` holds no ratio: under `--smoke` its
+///   `modeled_speedup_vs_1shard` is a quotient of two ≈3 ms lane timings
+///   over 20,000 packets, and a 0.5 floor failed one healthy run in four
+///   on a shared two-core host. What the section gates is exact — the
+///   granted shard count — and `identical`, asserted by the run itself
+///   (ROADMAP 2(iv)).
 pub const SECTIONS: [Section; 5] = [
     Section {
         name: "workloads",
@@ -236,7 +239,7 @@ pub const SECTIONS: [Section; 5] = [
         name: "scaling",
         identity: &["workload", "shards"],
         may_not_fall: Some("effective_shards"),
-        floor: Some(("modeled_speedup_vs_1shard", 0.5)),
+        floor: None,
         columns: &[
             "workload",
             "packets",
@@ -2089,16 +2092,16 @@ mod tests {
     }
 
     #[test]
-    fn scaling_gate_trips_on_fallback_and_slowdown() {
+    fn scaling_gate_trips_on_fallback_and_holds_no_ratio() {
         let replicable = ShardTier::Replicable;
         let baseline = vec![
             scaling_row(1, 1, Cell::Null, replicable),
             scaling_row(4, 4, Cell::Ratio(4.0), replicable),
         ];
-        let floor = floor_of("scaling", 4.0);
+        // Any modeled ratio passes: it is recorded, not gated.
         let fresh_ok = vec![
             scaling_row(1, 1, Cell::Ratio(1.0), replicable),
-            scaling_row(4, 4, Cell::Ratio(floor), replicable),
+            scaling_row(4, 4, Cell::Ratio(0.4), replicable),
         ];
         let gate = check(&fresh_ok, &baseline);
         assert!(gate.failures.is_empty(), "{:?}", gate.failures);
@@ -2117,15 +2120,6 @@ mod tests {
         );
         assert!(failures[0].contains("Fallback"), "{failures:?}");
         assert!(failures[0].contains("not Replicable"), "{failures:?}");
-
-        // A >tolerance modeled slowdown trips too.
-        let fresh_slow = vec![
-            fresh_ok[0].clone(),
-            scaling_row(4, 4, Cell::Ratio(floor - 0.01), replicable),
-        ];
-        let failures = check(&fresh_slow, &baseline).failures;
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("regressed"), "{failures:?}");
 
         // A committed row missing from the fresh sweep trips.
         let failures = check(&fresh_ok[..1], &baseline).failures;

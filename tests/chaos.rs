@@ -748,3 +748,118 @@ fn every_terminal_closes_the_books_when_its_source_fails_at_packet_k() {
         assert_eq!(steered, K, "{name}: every pulled packet was steered");
     }
 }
+
+/// A *reused* switch closes its books over **this run**, on every sharded
+/// terminal: after a scheduling burst over capacity has booked `SchedFull`
+/// drops, a run that then meets a failing source (or, threaded, a
+/// panicking engine) reports only the drops it made itself — in the
+/// accounting and shard by shard — so the books still balance, while the
+/// switch's own lifetime counters keep both runs.
+#[test]
+fn a_reused_switch_reports_only_this_runs_drops_on_every_terminal() {
+    use banzai::wire::{self, FrameSpec, WireConfig};
+    use banzai::{FailAfter, FaultReport, FrameGenSource, GenSource, PipelineEngine, SchedSpec};
+    const SHARDS: usize = 4;
+    const CAP: usize = 32;
+    const BURST: u64 = 100;
+    const K: u64 = 40;
+
+    let (ingress, egress) = counter_pipelines();
+    let pkt = |i: u64| Packet::new().with("flow", (i % 48) as i32).with("c", 0);
+    let cfg = || {
+        ShardConfig::new(SHARDS)
+            .with_capacity(CAP)
+            .with_batch(8)
+            .with_scheduler(SchedSpec::Pifo { rank: "c".into() })
+    };
+    let packets = || FailAfter::new(GenSource::new(|i| Some(pkt(i))), K, "torn");
+
+    /// The first run: a burst `BURST - CAP` packets over capacity.
+    fn overload<E: PipelineEngine + Send + 'static>(sw: &mut ShardedSwitch<E>, burst: &[Packet]) {
+        let out = sw.run(burst).scheduled().collect().unwrap();
+        assert_eq!(out.len(), CAP);
+        assert_eq!(sw.drop_counters().sched_full(), BURST - CAP as u64);
+    }
+    let burst: Vec<Packet> = (0..BURST).map(pkt).collect();
+    let used = || {
+        let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg()).unwrap();
+        overload(&mut sw, &burst);
+        sw
+    };
+    /// The second run's report against the drops it should have made,
+    /// per shard; and the switch's lifetime counters against both runs.
+    fn check<E: PipelineEngine>(
+        name: &str,
+        sw: &ShardedSwitch<E>,
+        report: &FaultReport,
+        run_drops: [u64; SHARDS],
+    ) {
+        let acc = report.accounting;
+        assert!(acc.conserved(), "{name}: {acc}");
+        assert_eq!(acc.dropped, run_drops.iter().sum::<u64>(), "{name}: {acc}");
+        for (s, salvage) in report.salvage.iter().enumerate() {
+            assert_eq!(salvage.drops.total(), run_drops[s], "{name}: shard {s}");
+        }
+        assert_eq!(sw.drops(), BURST - CAP as u64 + acc.dropped, "{name}");
+        assert_eq!(sw.transmitted(), CAP as u64 + acc.transmitted, "{name}");
+    }
+    let lossless = |name: &str, sw: &ShardedSwitch, report: &FaultReport| {
+        assert_eq!(report.accounting.offered, K, "{name}");
+        assert_eq!(report.accounting.lost_in_fault, 0, "{name}");
+        check(name, sw, report, [0; SHARDS]);
+    };
+
+    let mut sw = used();
+    let report = expect_fault(sw.run(packets()).collect(), "collect");
+    lossless("collect", &sw, &report);
+
+    let mut sw = used();
+    let report = expect_fault(sw.run(packets()).partitioned(), "partitioned");
+    lossless("partitioned", &sw, &report);
+
+    // Everything transmitted has reached the sink before the error returns.
+    let mut sw = used();
+    let mut sunk = 0;
+    let report = expect_fault(sw.run(packets()).for_each(|_| sunk += 1), "for_each");
+    lossless("for_each", &sw, &report);
+    assert_eq!(report.accounting.transmitted, sunk);
+
+    // A second burst: the arrivals past capacity are this run's drops,
+    // each booked on the shard it steered to.
+    let mut sw = used();
+    let report = expect_fault(sw.run(packets()).scheduled().collect(), "scheduled");
+    let mut refused = [0; SHARDS];
+    for i in CAP as u64..K {
+        refused[sw.plan().steer(i as usize, &pkt(i))] += 1;
+    }
+    check("scheduled", &sw, &report, refused);
+
+    // Every fifth frame is a runt: dealt by index, booked under its verdict.
+    let wire_cfg = WireConfig::with_meta_fields(["flow", "c"]).unwrap();
+    let frame = |i: u64| {
+        let mut frame = wire::encode(&pkt(i), &wire_cfg, &FrameSpec::default());
+        frame.truncate(if i % 5 == 2 { 9 } else { frame.len() });
+        frame
+    };
+    let frames = FailAfter::new(FrameGenSource::new(|i| Some(frame(i))), K, "torn");
+    let mut sw = used();
+    let report = expect_fault(sw.run_frames(frames, &wire_cfg).partitioned(), "frames");
+    let mut runts = [0; SHARDS];
+    for i in (0..K).filter(|i| i % 5 == 2) {
+        runts[i as usize % SHARDS] += 1;
+    }
+    check("frames partitioned", &sw, &report, runts);
+
+    // A worker panic, three packets into the victim's share of run two.
+    let victim = 1;
+    let share = |upto: u64| (0..upto).filter(|&i| sw.plan().steer(i as usize, &pkt(i)) == victim);
+    let faults = FaultPlan::kill(SHARDS, victim, share(BURST).count() as u64 + 3);
+    let mut sw = armed(&ingress, &egress, cfg(), &faults);
+    overload(&mut sw, &burst);
+    let trace: Vec<Packet> = (0..4 * K).map(pkt).collect();
+    let report = expect_fault(sw.run(&trace).collect(), "panic");
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(report.failures[0].shard, victim);
+    assert!(report.accounting.lost_in_fault > 0, "{}", report.accounting);
+    check("collect, worker panic", &sw, &report, [0; SHARDS]);
+}
