@@ -24,7 +24,7 @@ pub mod reference;
 pub mod sched;
 pub mod workload;
 
-use banzai::AtomKind;
+use banzai::{AtomKind, Target};
 
 /// The published Table 4 row for an algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +68,19 @@ impl Algorithm {
     /// algorithm.
     pub fn trace(&self, n: usize, seed: u64) -> Vec<domino_ir::Packet> {
         workload::trace_for(self.name, n, seed)
+    }
+
+    /// The least expressive paper target the algorithm maps on — its
+    /// `paper.least_atom`, LUT-extended for [`CODEL_LUT`] (the one program
+    /// that needs the X1 look-up-table unit) — or `None` where Table 4
+    /// says "doesn't map".
+    pub fn least_target(&self) -> Option<Target> {
+        let kind = self.paper.least_atom?;
+        Some(if self.name == CODEL_LUT.name {
+            Target::banzai_with_lut(kind)
+        } else {
+            Target::banzai(kind)
+        })
     }
 
     /// Non-comment, non-blank LOC of the Domino source.
@@ -295,6 +308,22 @@ mod tests {
         assert!(by_name("flowlet").is_some());
         assert!(by_name("codel_lut").is_some());
         assert!(by_name("nonexistent").is_none());
+    }
+
+    #[test]
+    fn least_target_follows_table4_and_adds_the_lut_for_codel_lut_only() {
+        for a in &TABLE4 {
+            assert_eq!(
+                a.least_target(),
+                a.paper.least_atom.map(Target::banzai),
+                "{}",
+                a.name
+            );
+        }
+        assert_eq!(
+            CODEL_LUT.least_target(),
+            Some(Target::banzai_with_lut(AtomKind::Nested))
+        );
     }
 
     #[test]

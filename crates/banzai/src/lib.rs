@@ -79,7 +79,7 @@ pub use shard::{
 pub use slot::{SlotMachine, SlotPipeline};
 pub use stream::{
     FailAfter, FrameGenSource, FrameSliceSource, FrameSource, GenSource, IntoFrameSource,
-    IntoPacketSource, PacketSource, Rewind, RunStats, SliceSource, SourceError,
+    IntoPacketSource, PacketSource, RunStats, SliceSource, SourceError,
 };
 pub use switch::{
     DropCounters, DropReason, FrameRun, PipelineEngine, Run, SchedDeparture, SchedRun, Switch,

@@ -296,43 +296,57 @@ impl Machine {
     /// confined to single atoms — this equivalence is the packet-transaction
     /// guarantee, and tests assert it.
     pub fn run_trace_pipelined(&mut self, trace: &[Packet]) -> Vec<Packet> {
-        let depth = self.pipeline.depth();
-        let mut slots: Vec<Option<Packet>> = vec![None; depth];
-        let mut out = Vec::with_capacity(trace.len());
-        let mut input = trace.iter();
-        // Total cycles: one admit per cycle plus pipeline drain.
-        loop {
-            // Advance from the last stage backwards so each packet moves
-            // exactly one stage per cycle.
-            for s in (0..depth).rev() {
-                if let Some(mut pkt) = slots[s].take() {
-                    for atom in &self.pipeline.stages[s] {
-                        atom.execute(&mut self.state, &mut pkt);
-                    }
-                    if s + 1 == depth {
-                        Self::deparse(&self.pipeline.output_map, &mut pkt);
-                        out.push(pkt);
-                    } else {
-                        slots[s + 1] = Some(pkt);
-                    }
+        let pipeline = &self.pipeline;
+        pipelined(
+            pipeline.depth(),
+            trace,
+            &mut self.state,
+            |state, s, pkt| {
+                for atom in &pipeline.stages[s] {
+                    atom.execute(state, pkt);
                 }
-            }
-            match input.next() {
-                Some(p) => {
-                    if depth == 0 {
-                        out.push(p.clone());
-                    } else {
-                        slots[0] = Some(p.clone());
-                    }
-                }
-                None => {
-                    if slots.iter().all(|s| s.is_none()) {
-                        break;
-                    }
+            },
+            |_, pkt| Self::deparse(&pipeline.output_map, pkt),
+        )
+    }
+}
+
+/// The one cycle-accurate clock, shared by [`Machine::run_trace_pipelined`]
+/// and the slot engine's `run_trace_pipelined_flat`: each cycle every
+/// resident packet runs its stage's `step` and moves on one stage (last
+/// stage first, so nothing moves twice), the packet leaving the last stage
+/// is `finish`ed (deparsed) and emitted, and one packet of `trace` is
+/// admitted; the clock stops when the trace is spent and the pipeline
+/// has drained. A zero-stage pipeline passes packets through untouched.
+pub(crate) fn pipelined<P: Clone, S>(
+    depth: usize,
+    trace: &[P],
+    state: &mut S,
+    step: impl Fn(&mut S, usize, &mut P),
+    finish: impl Fn(&mut S, &mut P),
+) -> Vec<P> {
+    if depth == 0 {
+        return trace.to_vec();
+    }
+    let mut slots: Vec<Option<P>> = vec![None; depth];
+    let mut out = Vec::with_capacity(trace.len());
+    let mut input = trace.iter();
+    loop {
+        for s in (0..depth).rev() {
+            if let Some(mut pkt) = slots[s].take() {
+                step(state, s, &mut pkt);
+                if s + 1 == depth {
+                    finish(state, &mut pkt);
+                    out.push(pkt);
+                } else {
+                    slots[s + 1] = Some(pkt);
                 }
             }
         }
-        out
+        slots[0] = input.next().cloned();
+        if slots.iter().all(Option::is_none) {
+            return out;
+        }
     }
 }
 

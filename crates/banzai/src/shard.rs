@@ -1005,7 +1005,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// regardless of thread scheduling.
     pub fn merge(&self, parts: Vec<Vec<Packet>>) -> Vec<Packet> {
         let n = parts.len();
-        if n == 1 {
+        if n <= 1 {
             return parts.into_iter().next().unwrap_or_default();
         }
         let total: usize = parts.iter().map(|p| p.len()).sum();
@@ -1408,10 +1408,9 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
 
     /// Snapshot of the dedicated scheduling-path egress engine's state.
     /// Bit-identical to a serial switch's egress state over the same
-    /// departures, because the post-merge egress pass *is* serial. (The
-    /// engine is built with the switch, so this is always `Some`.)
-    pub fn export_sched_egress_state(&self) -> Option<StateStore> {
-        Some(self.sched_egress.export_state())
+    /// departures, because the post-merge egress pass *is* serial.
+    pub fn export_sched_egress_state(&self) -> StateStore {
+        self.sched_egress.export_state()
     }
 
     /// The bound tier of the wire front-end on this switch's table — the
@@ -2266,6 +2265,18 @@ mod tests {
             let orig: Vec<&Packet> = parts[s as usize].iter().collect();
             assert_eq!(sub, orig, "shard {s} order broken by merge");
         }
+    }
+
+    #[test]
+    fn merge_of_no_parts_is_empty() {
+        let sw = ShardedSwitch::new_slot(
+            &passthrough("in"),
+            &passthrough("out"),
+            ShardConfig::new(3).with_seed(7),
+        )
+        .unwrap();
+        assert_eq!(sw.merge(Vec::new()), Vec::<Packet>::new());
+        assert_eq!(sw.merge(vec![Vec::new()]), Vec::<Packet>::new());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! two paths are bit-identical, packet-for-packet and state-for-state.
 
 use crate::error::SwitchError;
-use crate::machine::AtomPipeline;
+use crate::machine::{pipelined, AtomPipeline};
 use crate::switch::PipelineEngine;
 use domino_ast::{intrinsics, BinOp, UnOp};
 use domino_ir::layout::{
@@ -618,39 +618,17 @@ impl SlotMachine {
     /// cycle, up to `depth` in flight — the slot-path mirror of
     /// [`Machine::run_trace_pipelined`](crate::Machine::run_trace_pipelined).
     pub fn run_trace_pipelined_flat(&mut self, trace: &[FlatPacket]) -> Vec<FlatPacket> {
-        let depth = self.program.depth();
-        let mut slots: Vec<Option<FlatPacket>> = vec![None; depth];
-        let mut out = Vec::with_capacity(trace.len());
-        let mut input = trace.iter();
-        loop {
-            for s in (0..depth).rev() {
-                if let Some(mut pkt) = slots[s].take() {
-                    exec(self.program.stage(s), &mut self.state, pkt.slots_mut());
-                    if s + 1 == depth {
-                        exec(self.program.deparse(), &mut self.state, pkt.slots_mut());
-                        pkt.mark_present(&self.program.written_mask);
-                        out.push(pkt);
-                    } else {
-                        slots[s + 1] = Some(pkt);
-                    }
-                }
-            }
-            match input.next() {
-                Some(p) => {
-                    if depth == 0 {
-                        out.push(p.clone());
-                    } else {
-                        slots[0] = Some(p.clone());
-                    }
-                }
-                None => {
-                    if slots.iter().all(|s| s.is_none()) {
-                        break;
-                    }
-                }
-            }
-        }
-        out
+        let program = &self.program;
+        pipelined(
+            program.depth(),
+            trace,
+            &mut self.state,
+            |state, s, pkt| exec(program.stage(s), state, pkt.slots_mut()),
+            |state, pkt| {
+                exec(program.deparse(), state, pkt.slots_mut());
+                pkt.mark_present(&program.written_mask);
+            },
+        )
     }
 
     /// Runs one map packet through the fast path.

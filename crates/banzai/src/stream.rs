@@ -20,18 +20,14 @@
 //!   the run drains everything already admitted and returns
 //!   [`SwitchError::Fault`](crate::error::SwitchError::Fault) with
 //!   closed [`Accounting`](crate::error::Accounting) books.
-//! * [`Rewind`] — the multi-rep bench hook: rewindable sources
-//!   ([`SliceSource`], [`GenSource`]) restart from the first item so a
-//!   benchmark can replay the identical stream without re-materializing
-//!   it.
 //! * [`IntoPacketSource`] / [`IntoFrameSource`] — conversions so the
 //!   run builders accept `&[Packet]` / `&Vec<Packet>` slices (the
 //!   migration path for every old call site) as well as any source.
 //! * Concrete sources — [`SliceSource`]/[`FrameSliceSource`] (borrowed
-//!   slices, rewindable, exact size hints), [`GenSource`]/
-//!   [`FrameGenSource`] (closure generators: O(1) memory for
-//!   multi-million-packet runs), and [`FailAfter`] (a fault-injection
-//!   wrapper that errors mid-stream, for the chaos suite).
+//!   slices, exact size hints), [`GenSource`]/[`FrameGenSource`]
+//!   (closure generators: O(1) memory for multi-million-packet runs),
+//!   and [`FailAfter`] (a fault-injection wrapper that errors
+//!   mid-stream, for the chaos suite).
 //!
 //! The pcap/pcapng replay reader in `bench::pcap` implements
 //! [`FrameSource`] on top of this layer, so real capture files drive
@@ -128,22 +124,10 @@ pub trait FrameSource {
     }
 }
 
-/// A source that can restart from its first item — the multi-rep bench
-/// hook: criterion-style harnesses replay the identical stream each
-/// repetition without re-materializing it.
-///
-/// Implementations must reproduce the same item sequence after a
-/// rewind; for [`GenSource`] that means the generator closure must be a
-/// pure function of the index it is handed.
-pub trait Rewind {
-    /// Restarts the source from its first item.
-    fn rewind(&mut self);
-}
-
-/// A [`PacketSource`] over a borrowed slice: rewindable, exact size
-/// hint, clones one packet per pull (exactly what the slice-based entry
-/// points always did) — one allocation, the value row; the names stay
-/// shared with the slice's packet.
+/// A [`PacketSource`] over a borrowed slice: exact size hint, clones
+/// one packet per pull (exactly what the slice-based entry points always
+/// did) — one allocation, the value row; the names stay shared with the
+/// slice's packet.
 #[derive(Debug, Clone)]
 pub struct SliceSource<'a> {
     items: &'a [Packet],
@@ -174,20 +158,12 @@ impl PacketSource for SliceSource<'_> {
     }
 }
 
-impl Rewind for SliceSource<'_> {
-    fn rewind(&mut self) {
-        self.pos = 0;
-    }
-}
-
 /// A [`PacketSource`] generating packets from a closure of the arrival
 /// index — O(1) memory however long the run: the 10M-packet streaming
 /// workload (EXPERIMENTS.md E14) is a `GenSource`.
 ///
 /// The closure returns `None` to end the stream (or never, for an
-/// unbounded source the run bounds by other means). [`Rewind`] resets
-/// the index to 0; the replayed stream is identical iff the closure is
-/// a pure function of the index.
+/// unbounded source the run bounds by other means).
 #[derive(Debug, Clone)]
 pub struct GenSource<F> {
     f: F,
@@ -241,12 +217,6 @@ impl<F: FnMut(u64) -> Option<Packet>> PacketSource for GenSource<F> {
     }
 }
 
-impl<F> Rewind for GenSource<F> {
-    fn rewind(&mut self) {
-        self.next = 0;
-    }
-}
-
 /// A [`FrameSource`] over a borrowed slice of frames.
 #[derive(Debug, Clone)]
 pub struct FrameSliceSource<'a, F: AsRef<[u8]>> {
@@ -275,12 +245,6 @@ impl<F: AsRef<[u8]>> FrameSource for FrameSliceSource<'_, F> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let left = self.items.len() - self.pos;
         (left, Some(left))
-    }
-}
-
-impl<F: AsRef<[u8]>> Rewind for FrameSliceSource<'_, F> {
-    fn rewind(&mut self) {
-        self.pos = 0;
     }
 }
 
@@ -314,12 +278,6 @@ impl<F: FnMut(u64) -> Option<Vec<u8>>> FrameSource for FrameGenSource<F> {
             }
             None => Ok(None),
         }
-    }
-}
-
-impl<F> Rewind for FrameGenSource<F> {
-    fn rewind(&mut self) {
-        self.next = 0;
     }
 }
 
@@ -471,12 +429,10 @@ mod tests {
         assert_eq!(src.size_hint(), (0, Some(0)));
         // Fused: keeps returning None.
         assert_eq!(src.next_packet().unwrap(), None);
-        src.rewind();
-        assert_eq!(src.next_packet().unwrap().unwrap().get("seq"), Some(0));
     }
 
     #[test]
-    fn gen_source_bounded_and_rewindable() {
+    fn gen_source_is_bounded() {
         let mut src = GenSource::with_len(3, |i| Some(Packet::new().with("i", i as i32)));
         assert_eq!(src.size_hint(), (3, Some(3)));
         let mut n = 0;
@@ -484,8 +440,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 3);
-        src.rewind();
-        assert_eq!(src.next_packet().unwrap().unwrap().get("i"), Some(0));
     }
 
     #[test]

@@ -11,14 +11,12 @@
 //! * `table5` — programmability vs. performance (E3),
 //! * `table6` — circuit structure and minimum delays (E4),
 //! * `figure3` — the flowlet pipeline (E5),
-//! * `throughput` — the differential harness for E9–E14 (engine
-//!   comparison, shard scaling, wire roundtrip, fault injection,
-//!   programmable scheduling, bounded-memory streaming), every run
-//!   emitting `BENCH_throughput.json`; with `--check <baseline>` it
-//!   doubles as the CI perf-regression gate (see [`throughput`]).
-//!
-//! Criterion benchmarks (`cargo bench -p bench`) cover compilation time
-//! (E8) and simulated pipeline throughput.
+//! * `throughput` — the differential harness for E8–E14 (compilation
+//!   time, engine comparison, shard scaling, wire roundtrip, fault
+//!   injection, programmable scheduling, bounded-memory streaming), every
+//!   run emitting `BENCH_throughput.json`. It measures and asserts; it
+//!   compares nothing with an earlier run — the ledger under `benchmark/`
+//!   is what a PR's speed is held to (see [`throughput`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -30,7 +30,7 @@
 //! live in Enhanced (0x6) and Simple (0x3) Packet Blocks, interfaces in
 //! IDBs (0x1); unknown block types are skipped.
 
-use banzai::{FrameSource, Rewind, SourceError};
+use banzai::{FrameSource, SourceError};
 
 /// Classic pcap magic, microsecond timestamps (native byte order).
 pub const MAGIC_USEC: u32 = 0xa1b2_c3d4;
@@ -170,8 +170,8 @@ pub fn write_pcapng<F: AsRef<[u8]>>(frames: &[F], opts: PcapNgOptions) -> Vec<u8
 /// Which capture format the reader detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
-    /// Classic pcap with the probed endianness and timestamp unit.
-    Classic { big: bool, nanos: bool },
+    /// Classic pcap with the probed timestamp unit.
+    Classic { nanos: bool },
     /// pcapng; endianness is per-section, tracked while iterating.
     Ng,
 }
@@ -213,34 +213,10 @@ impl<B: AsRef<[u8]>> PcapReader<B> {
         };
         let (format, big) = match *magic {
             [0x0a, 0x0d, 0x0d, 0x0a] => (Format::Ng, false),
-            [0xa1, 0xb2, 0xc3, 0xd4] => (
-                Format::Classic {
-                    big: true,
-                    nanos: false,
-                },
-                true,
-            ),
-            [0xd4, 0xc3, 0xb2, 0xa1] => (
-                Format::Classic {
-                    big: false,
-                    nanos: false,
-                },
-                false,
-            ),
-            [0xa1, 0xb2, 0x3c, 0x4d] => (
-                Format::Classic {
-                    big: true,
-                    nanos: true,
-                },
-                true,
-            ),
-            [0x4d, 0x3c, 0xb2, 0xa1] => (
-                Format::Classic {
-                    big: false,
-                    nanos: true,
-                },
-                false,
-            ),
+            [0xa1, 0xb2, 0xc3, 0xd4] => (Format::Classic { nanos: false }, true),
+            [0xd4, 0xc3, 0xb2, 0xa1] => (Format::Classic { nanos: false }, false),
+            [0xa1, 0xb2, 0x3c, 0x4d] => (Format::Classic { nanos: true }, true),
+            [0x4d, 0x3c, 0xb2, 0xa1] => (Format::Classic { nanos: true }, false),
             _ => {
                 return Err(SourceError::new(format!(
                     "unrecognized capture magic {:02x}{:02x}{:02x}{:02x}",
@@ -414,21 +390,6 @@ impl<B: AsRef<[u8]>> FrameSource for PcapReader<B> {
     }
 }
 
-impl<B: AsRef<[u8]>> Rewind for PcapReader<B> {
-    fn rewind(&mut self) {
-        match self.format {
-            Format::Classic { big, .. } => {
-                self.cursor = 24;
-                self.big = big;
-            }
-            Format::Ng => {
-                self.cursor = 0;
-                // The leading SHB re-establishes section endianness.
-            }
-        }
-    }
-}
-
 /// Synthesizes the seeded wire trace of a named Table 4 algorithm
 /// workload and packages it as a classic little-endian pcap — the one
 /// fixture the end-to-end replay tests drive: `(trailer schema, capture
@@ -478,8 +439,6 @@ mod tests {
                 assert_eq!(rd.big_endian(), big_endian);
                 assert_eq!(rd.nanos(), nanos);
                 assert_eq!(drain(&mut rd).unwrap(), frames, "{opts:?}");
-                rd.rewind();
-                assert_eq!(drain(&mut rd).unwrap(), frames, "rewind {opts:?}");
             }
         }
     }
@@ -496,8 +455,6 @@ mod tests {
                 let capture = write_pcapng(&frames, opts);
                 let mut rd = PcapReader::new(&capture[..]).unwrap();
                 assert_eq!(drain(&mut rd).unwrap(), frames, "{opts:?}");
-                rd.rewind();
-                assert_eq!(drain(&mut rd).unwrap(), frames, "rewind {opts:?}");
             }
         }
     }

@@ -89,8 +89,8 @@ pub mod prelude {
         Accounting, AtomKind, Backpressure, DropCounters, DropReason, FailAfter, FaultCause,
         FaultKind, FaultPlan, FaultReport, FaultSpec, FaultyEngine, Fifo, FrameGenSource, FrameRun,
         FrameSliceSource, FrameSource, GenSource, HierPifo, IntoFrameSource, IntoPacketSource,
-        Machine, PacketSource, Pifo, Rewind, Run, RunStats, SchedDeparture, SchedKey, SchedRun,
-        SchedSpec, Scheduler, ShardConfig, ShardError, ShardSalvage, ShardedFrameRun, ShardedRun,
+        Machine, PacketSource, Pifo, Run, RunStats, SchedDeparture, SchedKey, SchedRun, SchedSpec,
+        Scheduler, ShardConfig, ShardError, ShardSalvage, ShardedFrameRun, ShardedRun,
         ShardedSchedRun, ShardedSwitch, SliceSource, SlotMachine, SourceError, SourceFault,
         SteerMode, Switch, SwitchError, Target,
     };

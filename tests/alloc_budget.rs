@@ -106,11 +106,7 @@ fn budget(what: &str, allocs_x100: u64, bytes: u64, mut run: impl FnMut()) {
 
 fn compile(name: &str) -> AtomPipeline {
     let a = algorithms::by_name(name).unwrap();
-    let kind = a.paper.least_atom.expect("algorithm must map");
-    let target = match name {
-        "codel_lut" => Target::banzai_with_lut(kind),
-        _ => Target::banzai(kind),
-    };
+    let target = a.least_target().expect("algorithm must map");
     domino_compiler::compile(a.source, &target).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 

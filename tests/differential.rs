@@ -22,12 +22,7 @@ const SEED: u64 = 0x000D_0771_2016;
 /// Compiles an algorithm on the least-expressive target the paper says it
 /// needs and returns a machine.
 fn machine_for(a: &algorithms::Algorithm) -> Machine {
-    let kind = a.paper.least_atom.expect("algorithm must map");
-    let target = if a.name == "codel_lut" {
-        Target::banzai_with_lut(kind)
-    } else {
-        Target::banzai(kind)
-    };
+    let target = a.least_target().expect("algorithm must map");
     let pipeline =
         domino_compiler::compile(a.source, &target).unwrap_or_else(|e| panic!("{}: {e}", a.name));
     Machine::new(pipeline)

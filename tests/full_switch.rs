@@ -3,17 +3,15 @@
 //! real queue between the pipelines — exactly the placement Table 4
 //! prescribes for the two algorithms.
 
-use banzai::{AtomKind, Switch, Target};
+use banzai::Switch;
 use domino_ir::Packet;
 
 fn build_switch(capacity: usize, drain_period: u64) -> Switch {
-    let flowlet = algorithms::by_name("flowlet").unwrap();
-    let ingress =
-        domino_compiler::compile(flowlet.source, &Target::banzai(AtomKind::Praw)).unwrap();
-    let codel = algorithms::by_name("codel_lut").unwrap();
-    let egress =
-        domino_compiler::compile(codel.source, &Target::banzai_with_lut(AtomKind::Nested)).unwrap();
-    Switch::new(ingress, egress, capacity).with_drain_period(drain_period)
+    let compile = |name| {
+        let a = algorithms::by_name(name).unwrap();
+        domino_compiler::compile(a.source, &a.least_target().unwrap()).unwrap()
+    };
+    Switch::new(compile("flowlet"), compile("codel_lut"), capacity).with_drain_period(drain_period)
 }
 
 fn trace(n: usize) -> Vec<Packet> {

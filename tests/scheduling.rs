@@ -98,7 +98,7 @@ fn serial_and_sharded(
         "{label}: drop counters diverged"
     );
     assert_eq!(
-        sharded.export_sched_egress_state().expect("sched ran"),
+        sharded.export_sched_egress_state(),
         serial.export_egress_state(),
         "{label}: egress state diverged"
     );
@@ -348,7 +348,7 @@ fn warm_started_scheduling_run_is_bit_identical_to_serial() {
         let sharded_out = sharded.run(&trace).scheduled().collect().unwrap();
         assert_eq!(sharded_out, serial_out, "{shards} shards: departures");
         assert_eq!(
-            sharded.export_sched_egress_state().expect("sched ran"),
+            sharded.export_sched_egress_state(),
             continued.export_egress_state(),
             "{shards} shards: egress state"
         );

@@ -32,12 +32,7 @@ const CAPACITY: usize = 512;
 
 /// Compiles an algorithm on its least-expressive paper target.
 fn compile_least(a: &algorithms::Algorithm) -> AtomPipeline {
-    let kind = a.paper.least_atom.expect("algorithm must map");
-    let target = if a.name == "codel_lut" {
-        Target::banzai_with_lut(kind)
-    } else {
-        Target::banzai(kind)
-    };
+    let target = a.least_target().expect("algorithm must map");
     domino_compiler::compile(a.source, &target).unwrap_or_else(|e| panic!("{}: {e}", a.name))
 }
 

@@ -33,15 +33,9 @@ use std::sync::Arc;
 const TRACE_LEN: usize = 600;
 const SEED: u64 = 0x000D_0771_2016;
 
-/// Compiles an algorithm on its least-expressive paper target (mirrors
-/// `tests/differential.rs`).
+/// Compiles an algorithm on its least-expressive paper target.
 fn pipeline_for(a: &algorithms::Algorithm) -> AtomPipeline {
-    let kind = a.paper.least_atom.expect("algorithm must map");
-    let target = if a.name == "codel_lut" {
-        Target::banzai_with_lut(kind)
-    } else {
-        Target::banzai(kind)
-    };
+    let target = a.least_target().expect("algorithm must map");
     domino_compiler::compile(a.source, &target).unwrap_or_else(|e| panic!("{}: {e}", a.name))
 }
 
