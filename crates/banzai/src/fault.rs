@@ -155,36 +155,6 @@ impl FaultPlan {
     }
 }
 
-/// Runs `f` with the global panic hook filtered: panics whose payload
-/// carries [`INJECTED_PANIC_MARKER`] are silenced (chaos harnesses fire
-/// them *by design*, and the default hook's backtrace spam would drown
-/// their reports), while every other panic — a genuine bug, a failed
-/// harness assertion — still reaches the previous hook. The prior hook is
-/// restored afterwards.
-///
-/// The panic hook is process-global: the filter applies to every thread
-/// that panics while `f` runs. Use from single-purpose binaries (the
-/// bench harness), not from parallel test suites.
-pub fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-    let prev = std::sync::Arc::new(std::panic::take_hook());
-    let filter_prev = prev.clone();
-    std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        let injected = payload
-            .downcast_ref::<String>()
-            .map(|s| s.as_str())
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .is_some_and(|s| s.contains(INJECTED_PANIC_MARKER));
-        if !injected {
-            (*filter_prev)(info);
-        }
-    }));
-    let out = f();
-    drop(std::panic::take_hook());
-    std::panic::set_hook(Box::new(move |info| (*prev)(info)));
-    out
-}
-
 /// A [`PipelineEngine`] wrapper that injects scheduled faults, otherwise
 /// delegating every call to the wrapped engine.
 ///

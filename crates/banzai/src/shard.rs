@@ -477,11 +477,9 @@ impl ShardPlan {
     /// [`StateLayout::flow_key`](domino_ir::layout::StateLayout::flow_key));
     /// when both carry keyed state the two keys must agree, and an
     /// egress-derived key must not depend on fields the ingress pipeline
-    /// (or the queue's metadata stamps, under their default names —
-    /// [`QUEUE_METADATA_FIELDS`];
-    /// renamed metadata is outside this model) rewrites — the dispatcher
-    /// evaluates the key on the *input* packet. Any violation produces a
-    /// single-shard plan carrying the diagnostic.
+    /// (or the queue's metadata stamps, [`QUEUE_METADATA_FIELDS`])
+    /// rewrites — the dispatcher evaluates the key on the *input* packet.
+    /// Any violation produces a single-shard plan carrying the diagnostic.
     pub fn plan(
         ingress: &AtomPipeline,
         egress: &AtomPipeline,

@@ -308,11 +308,9 @@ pub struct SchedDeparture {
 }
 
 /// The metadata fields the queue stamps on every packet handed to the
-/// egress pipeline, under their default names: enqueue timestamp, dequeue
-/// time, and queue depth. [`Switch::with_metadata_fields`] can rename the
-/// first and last; sharding's flow-key analysis treats this set as
-/// ingress-written (see `crate::shard`), so renamed metadata is outside
-/// the shard planner's model.
+/// egress pipeline: enqueue timestamp, dequeue time, and queue depth.
+/// Sharding's flow-key analysis treats this set as ingress-written (see
+/// `crate::shard`).
 pub const QUEUE_METADATA_FIELDS: [&str; 3] = ["enq_ts", "now", "qdepth"];
 
 /// A packet in flight between its arrival and its sink: the slab on the
@@ -646,13 +644,6 @@ impl<E: PipelineEngine> Switch<E> {
     /// The scheduling policy the queue runs.
     pub fn scheduler(&self) -> &SchedSpec {
         &self.sched
-    }
-
-    /// Renames the metadata fields exposed to egress programs.
-    pub fn with_metadata_fields(mut self, enqueue_ts: &str, depth: &str) -> Switch<E> {
-        self.meta[0] = self.slot_of(enqueue_ts);
-        self.meta[2] = self.slot_of(depth);
-        self
     }
 
     /// Total packets dropped so far, for any reason (the sum over

@@ -1,4 +1,4 @@
-//! E8–E14 — the differential throughput harness (see
+//! E8–E11, E13, E14 — the differential throughput harness (see
 //! [`bench::throughput`]): every experiment, every run, bit-identical
 //! outputs asserted throughout; results emitted as
 //! `BENCH_throughput.json`. An instrument, not a gate: it compares
@@ -11,11 +11,10 @@
 //! throughput [--smoke] [--out <path>]
 //!
 //!   --smoke          small traces for E9–E13 (CI: exercises both engines,
-//!                    the wire path, the sharded switch, the fault
-//!                    injection suite, the scheduler and the JSON emission
-//!                    in seconds). E14 runs full-size regardless — its
-//!                    assertion is about memory, not speed — and so does
-//!                    E8, which costs milliseconds
+//!                    the wire path, the sharded switch, the scheduler and
+//!                    the JSON emission in seconds). E14 runs full-size
+//!                    regardless — its assertion is about memory, not
+//!                    speed — and so does E8, which costs milliseconds
 //!   --out <path>     where to write the JSON (default BENCH_throughput.json)
 //! ```
 //!
@@ -23,15 +22,13 @@
 //! `run(source).for_each(sink)`; every later section materializes
 //! million-packet traces, so only a fresh process keeps the peak-RSS
 //! growth honest — more than 256 MiB of growth exits nonzero), then
-//! **E9** engine throughput, **E11** wire roundtrip rows and the
-//! 15%-malformed parser stress, **E10** shard scaling at 1/2/4/8 shards,
-//! **E12** fault injection, **E13** programmable scheduling, **E8**
+//! **E9** engine throughput and **E11** wire roundtrip rows, **E10** shard
+//! scaling at 1/2/4/8 shards, **E13** programmable scheduling, **E8**
 //! compilation time.
 
 use bench::throughput::{
-    chaos_suite, compile_workload, machine_workload, render_json, sched_workload, shard_sweep,
-    shards_granted, stream_workload, switch_workload, table, wire_stress, wire_workload, Cell, Row,
-    SCHED_DISCIPLINES,
+    compile_workload, machine_workload, render_json, sched_workload, shard_sweep, shards_granted,
+    stream_workload, switch_workload, table, wire_workload, Cell, Row, SCHED_DISCIPLINES,
 };
 use std::process::ExitCode;
 
@@ -110,12 +107,6 @@ fn run(args: &[String]) -> Result<(), String> {
             wire_workload("codel_lut", medium, SEED),
         ],
     );
-    println!(
-        "E11 parser stress — 15% malformed frames through the wire switch (map and \
-         slot engines byte-identical, counters oracle-checked)\n\n{}",
-        table(&[wire_stress(size(5_000, 100_000), SEED, 0.15)])
-    );
-
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let sweep = ["flowlet", "heavy_hitters", "bloom_filter"];
     let sweep = sweep
@@ -133,34 +124,11 @@ fn run(args: &[String]) -> Result<(), String> {
     );
     granted.map_err(|fell_back| format!("E10: {fell_back}"))?;
 
-    // Chaos workloads must actually fan out (the suite supervises a real
-    // multi-worker run) *and* be exactly partitioned, because the suite's
-    // salvage oracle is per-shard bit-identity: flowlet plus another
-    // per-flow-keyed algorithm. Replicable sketches shard too, but their
-    // salvage story is the statistical merge covered by tests/chaos.rs;
-    // scalar-state programs (rcp, …) collapse to one shard and are
-    // rejected by the suite's precondition. The kill scenario panics a
-    // worker on purpose; silence the default panic-hook backtrace so the
-    // table stays readable (this binary is single-purpose, so the
-    // process-global swap is safe).
-    let chaos = ["flowlet", "sampled_netflow"];
-    let chaos = chaos
-        .iter()
-        .flat_map(|w| chaos_suite(w, size(4_000, 50_000), SEED));
-    record(
-        "E12 — chaos/overload suite, supervised sharded switch (each row asserts \
-         no-hang, typed errors, salvage-equals-serial, and packet conservation \
-         before it is recorded)",
-        banzai::fault::with_quiet_panics(|| chaos.collect()),
-    );
-
     let sched = SCHED_DISCIPLINES.iter();
     let sched = sched.map(|d| sched_workload(d, large, SEED));
     record(
         "E13 — programmable scheduling, rank transactions driving the PIFO (each \
-         row is a verified map-vs-slot differential on the scheduling run, re-run \
-         4-way sharded bit-identically, and held to its discipline's invariant — \
-         fairness bound, priority exactness, or pacing — before it is recorded)",
+         row is a verified map-vs-slot differential on the lossless scheduling run)",
         sched.collect(),
     );
 

@@ -11,12 +11,14 @@
 //! * `table5` — programmability vs. performance (E3),
 //! * `table6` — circuit structure and minimum delays (E4),
 //! * `figure3` — the flowlet pipeline (E5),
-//! * `throughput` — the differential harness for E8–E14 (compilation
-//!   time, engine comparison, shard scaling, wire roundtrip, fault
-//!   injection, programmable scheduling, bounded-memory streaming), every
-//!   run emitting `BENCH_throughput.json`. It measures and asserts; it
-//!   compares nothing with an earlier run — the ledger under `benchmark/`
-//!   is what a PR's speed is held to (see [`throughput`]).
+//! * `throughput` — the differential harness for E8–E11, E13 and E14
+//!   (compilation time, engine comparison, shard scaling, wire roundtrip,
+//!   programmable scheduling, bounded-memory streaming), every run
+//!   emitting `BENCH_throughput.json`. It measures, and asserts what makes
+//!   a measured row meaningful; what only asserts — fault injection (E12)
+//!   among it — is a test suite under `tests/`. It compares nothing with
+//!   an earlier run — the ledger under `benchmark/` is what a PR's speed
+//!   is held to (see [`throughput`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

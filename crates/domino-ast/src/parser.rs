@@ -17,7 +17,8 @@
 //!
 //! Compound assignments and increments are desugared during parsing, so the
 //! AST only ever contains plain assignments. Banned C constructs produce
-//! targeted diagnostics referencing the paper's Table 1.
+//! targeted diagnostics referencing the paper's Table 1, and a program that
+//! nests deeper than [`MAX_NEST`] is rejected where it does.
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, Result, Stage};
@@ -25,17 +26,24 @@ use crate::lexer::lex;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
+/// The deepest nest the parser accepts: `if`s, brackets and operators above
+/// any leaf, counted together. Every later pass recurses over the tree, and
+/// branch removal's time grows as the fourth power of `if` depth, so this
+/// bound is what keeps the compiler's stack and its running time finite on
+/// any source text. The deepest Table 4 program nests 3.
+pub const MAX_NEST: usize = 64;
+
 /// Parses a complete Domino program (defines, packet struct, state
 /// declarations, and exactly one packet transaction).
 pub fn parse(source: &str) -> Result<Program> {
     let tokens = lex(source)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser::new(tokens).program()
 }
 
 /// Parses a standalone expression (used for transaction *guards*, §3.3).
 pub fn parse_expr(source: &str) -> Result<Expr> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let e = p.expr()?;
     p.expect(TokenKind::Eof)?;
     Ok(e)
@@ -44,9 +52,57 @@ pub fn parse_expr(source: &str) -> Result<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// `if`s, brackets and operators open around the cursor.
+    depth: usize,
+}
+
+/// Levels of `e`, a leaf being one. The recursion is bounded: the parser
+/// checks every node it builds before building on it.
+fn height(e: &Expr) -> usize {
+    let below = match e {
+        Expr::Int(..) | Expr::Ident(..) | Expr::Field(..) => 0,
+        Expr::Index(_, e, _) | Expr::Unary(_, e, _) => height(e),
+        Expr::Binary(_, a, b, _) => height(a).max(height(b)),
+        Expr::Ternary(c, t, e, _) => height(c).max(height(t)).max(height(e)),
+        Expr::Call(_, args, _) => args.iter().map(height).max().unwrap_or(0),
+    };
+    below + 1
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        let (pos, depth) = (0, 0);
+        Parser { tokens, pos, depth }
+    }
+
+    /// Refuses a tree of `levels` levels rooted at the cursor's depth.
+    fn fits(&self, levels: usize) -> Result<()> {
+        if self.depth + levels > MAX_NEST + 1 {
+            return Err(self.err_here(format!(
+                "this nests deeper than {MAX_NEST} levels (`if`s, brackets and operators \
+                 counted together): flatten the conditionals, or split the expression \
+                 over packet fields used as temporaries"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Runs `parse` one level down; the level will hold a leaf at least.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T>) -> Result<T> {
+        self.fits(2)?;
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// An operator node built over operands that were parsed at its own
+    /// depth: the one way a tree outgrows the parser's recursion.
+    fn built(&self, e: Expr) -> Result<Expr> {
+        self.fits(height(&e))?;
+        Ok(e)
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -290,7 +346,7 @@ impl Parser {
     /// A statement position: `if`, a nested block, or an assignment.
     fn stmt(&mut self) -> Result<Stmt> {
         match self.peek_kind().clone() {
-            TokenKind::KwIf => self.if_stmt(),
+            TokenKind::KwIf => self.nested(Self::if_stmt),
             TokenKind::KwBanned(kw) => Err(self.banned_diag(kw)),
             TokenKind::KwInt => Err(self.err_here(
                 "local variable declarations are not allowed inside a packet \
@@ -321,7 +377,7 @@ impl Parser {
         let else_branch = if self.eat(&TokenKind::KwElse) {
             if self.at(&TokenKind::KwIf) {
                 // `else if` chains parse as a single-statement else arm.
-                vec![self.if_stmt()?]
+                vec![self.nested(Self::if_stmt)?]
             } else {
                 self.arm()?
             }
@@ -399,7 +455,7 @@ impl Parser {
             let (field, fspan) = self.expect_ident("packet field name")?;
             Ok(LValue::Field(name, field, span.join(fspan)))
         } else if self.eat(&TokenKind::LBracket) {
-            let idx = self.expr()?;
+            let idx = self.nested(Self::expr)?;
             let end = self.expect(TokenKind::RBracket)?.span;
             Ok(LValue::Array(name, Box::new(idx), span.join(end)))
         } else {
@@ -418,11 +474,11 @@ impl Parser {
     fn ternary(&mut self) -> Result<Expr> {
         let cond = self.logical_or()?;
         if self.eat(&TokenKind::Question) {
-            let then = self.expr()?;
+            let then = self.nested(Self::expr)?;
             self.expect(TokenKind::Colon)?;
-            let els = self.ternary()?;
+            let els = self.nested(Self::ternary)?;
             let span = cond.span().join(els.span());
-            Ok(Expr::Ternary(
+            self.built(Expr::Ternary(
                 Box::new(cond),
                 Box::new(then),
                 Box::new(els),
@@ -445,7 +501,7 @@ impl Parser {
                     self.bump();
                     let rhs = next(self)?;
                     let span = lhs.span().join(rhs.span());
-                    lhs = Expr::Binary(*op, Box::new(lhs), Box::new(rhs), span);
+                    lhs = self.built(Expr::Binary(*op, Box::new(lhs), Box::new(rhs), span))?;
                     continue 'outer;
                 }
             }
@@ -522,34 +578,25 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         let span = self.peek().span;
-        match self.peek_kind().clone() {
-            TokenKind::Minus => {
-                self.bump();
-                let e = self.unary()?;
-                let s = span.join(e.span());
-                Ok(Expr::Unary(UnOp::Neg, Box::new(e), s))
+        let op = match self.peek_kind() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Bang => UnOp::Not,
+            TokenKind::Tilde => UnOp::BitNot,
+            TokenKind::Amp => {
+                return Err(self.err_here(
+                    "address-of is not allowed in Domino (Table 1): pointers do \
+                     not exist in the language",
+                ))
             }
-            TokenKind::Bang => {
-                self.bump();
-                let e = self.unary()?;
-                let s = span.join(e.span());
-                Ok(Expr::Unary(UnOp::Not, Box::new(e), s))
-            }
-            TokenKind::Tilde => {
-                self.bump();
-                let e = self.unary()?;
-                let s = span.join(e.span());
-                Ok(Expr::Unary(UnOp::BitNot, Box::new(e), s))
-            }
-            TokenKind::Amp => Err(self.err_here(
-                "address-of is not allowed in Domino (Table 1): pointers do \
-                 not exist in the language",
-            )),
             TokenKind::Star => {
-                Err(self.err_here("pointer dereference is not allowed in Domino (Table 1)"))
+                return Err(self.err_here("pointer dereference is not allowed in Domino (Table 1)"))
             }
-            _ => self.primary(),
-        }
+            _ => return self.primary(),
+        };
+        self.bump();
+        let e = self.nested(Self::unary)?;
+        let s = span.join(e.span());
+        Ok(Expr::Unary(op, Box::new(e), s))
     }
 
     fn primary(&mut self) -> Result<Expr> {
@@ -561,7 +608,7 @@ impl Parser {
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
@@ -571,14 +618,14 @@ impl Parser {
                     let (field, fspan) = self.expect_ident("packet field name")?;
                     Ok(Expr::Field(name, field, span.join(fspan)))
                 } else if self.eat(&TokenKind::LBracket) {
-                    let idx = self.expr()?;
+                    let idx = self.nested(Self::expr)?;
                     let end = self.expect(TokenKind::RBracket)?.span;
                     Ok(Expr::Index(name, Box::new(idx), span.join(end)))
                 } else if self.eat(&TokenKind::LParen) {
                     let mut args = Vec::new();
                     if !self.at(&TokenKind::RParen) {
                         loop {
-                            args.push(self.expr()?);
+                            args.push(self.nested(Self::expr)?);
                             if !self.eat(&TokenKind::Comma) {
                                 break;
                             }

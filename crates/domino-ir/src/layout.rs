@@ -812,18 +812,8 @@ impl FlowKeySpec {
     /// engine's program, and evaluates it on the admitted slab — and the
     /// sharding suites hold the two to the same key on every packet.
     pub fn key_of(&self, pkt: &Packet) -> u32 {
-        let mut scratch = Packet::new();
-        for root in &self.roots {
-            if let Some(v) = pkt.get(root) {
-                scratch.set(root, v);
-            }
-        }
-        // The slice is stateless by construction; the store is never read.
-        let mut no_state = StateStore::new();
-        for stmt in &self.stmts {
-            crate::interp::exec_tac_stmt(stmt, &mut no_state, &mut scratch);
-        }
-        (scratch.get_or_zero(&self.key_field) as i64).rem_euclid(self.modulus as i64) as u32
+        let key = slice_value(&self.stmts, &self.roots, &self.key_field, pkt);
+        (key as i64).rem_euclid(self.modulus as i64) as u32
     }
 
     /// The shard an input packet steers to.
@@ -854,6 +844,24 @@ impl fmt::Display for FlowKeySpec {
         }
         Ok(())
     }
+}
+
+/// What a stateless slice leaves in `field` for an input packet: a fresh
+/// scratch packet is seeded with the `roots` the input carries and the
+/// slice interpreted on it.
+fn slice_value(stmts: &[TacStmt], roots: &[String], field: &str, pkt: &Packet) -> i32 {
+    let mut scratch = Packet::new();
+    for root in roots {
+        if let Some(v) = pkt.get(root) {
+            scratch.set(root, v);
+        }
+    }
+    // The slice is stateless by construction; the store is never read.
+    let mut no_state = StateStore::new();
+    for stmt in stmts {
+        crate::interp::exec_tac_stmt(stmt, &mut no_state, &mut scratch);
+    }
+    scratch.get_or_zero(field)
 }
 
 /// The elementwise fold that reconciles per-shard replicas of one state
@@ -934,24 +942,11 @@ impl ReplicaArray {
         &self.index_roots
     }
 
-    /// Evaluates a stateless slice on a fresh scratch packet seeded with
-    /// the roots, then reads the operand (mirrors [`FlowKeySpec::key_of`]).
+    /// The operand's value on `pkt`: a constant, or a field of the slice.
     fn eval(stmts: &[TacStmt], roots: &[String], op: &Operand, pkt: &Packet) -> i32 {
         match op {
             Operand::Const(c) => *c,
-            Operand::Field(f) => {
-                let mut scratch = Packet::new();
-                for root in roots {
-                    if let Some(v) = pkt.get(root) {
-                        scratch.set(root, v);
-                    }
-                }
-                let mut no_state = StateStore::new();
-                for stmt in stmts {
-                    crate::interp::exec_tac_stmt(stmt, &mut no_state, &mut scratch);
-                }
-                scratch.get_or_zero(f)
-            }
+            Operand::Field(f) => slice_value(stmts, roots, f, pkt),
         }
     }
 

@@ -73,24 +73,39 @@ fn expect_fault<T>(res: Result<T, SwitchError>, ctx: &str) -> banzai::FaultRepor
 /// Kill the worker at every shard × a spread of packet indices: the run
 /// must return a typed error naming the shard, cause, and exact global
 /// packet index; survivors must match serial bit-for-bit; the books must
-/// balance.
+/// balance. On the counter program and on a Table 4 workload (flowlet on
+/// its least target: hashed array indices, two arrays, PRAW atoms).
 #[test]
 fn kill_any_shard_at_any_packet_is_isolated_and_accounted() {
+    let (ingress, egress) = counter_pipelines();
+    kills_are_isolated_and_accounted("counter", &ingress, &egress, &trace(480, 48));
+
+    let flowlet = algorithms::by_name("flowlet").unwrap();
+    let target = flowlet.least_target().unwrap();
+    let ingress = domino_compiler::compile(flowlet.source, &target).unwrap();
+    let trace = flowlet.trace(480, 0x000D_0771_2016);
+    kills_are_isolated_and_accounted("flowlet", &ingress, &egress, &trace);
+}
+
+fn kills_are_isolated_and_accounted(
+    what: &str,
+    ingress: &AtomPipeline,
+    egress: &AtomPipeline,
+    trace: &[Packet],
+) {
     const SHARDS: usize = 4;
     const BATCH: usize = 8;
-    let (ingress, egress) = counter_pipelines();
-    let trace = trace(480, 48);
 
     // Serial reference (the ground truth survivors must match).
-    let mut serial = Switch::new_slot(&ingress, &egress, CAPACITY).unwrap();
+    let mut serial = Switch::new_slot(ingress, egress, CAPACITY).unwrap();
     let serial_out = serial
-        .run(&trace)
+        .run(trace)
         .collect()
         .expect("slice-backed sources cannot fail mid-stream");
 
     // Steering assignment, from an unarmed twin (the plan is pure).
-    let probe = ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(SHARDS)).unwrap();
-    assert_eq!(probe.plan().effective(), SHARDS, "{}", probe.plan());
+    let probe = ShardedSwitch::new_slot(ingress, egress, ShardConfig::new(SHARDS)).unwrap();
+    assert_eq!(probe.plan().effective(), SHARDS, "{what}: {}", probe.plan());
     let assignment: Vec<usize> = trace
         .iter()
         .enumerate()
@@ -105,18 +120,21 @@ fn kill_any_shard_at_any_packet_is_isolated_and_accounted() {
             .collect()
     };
     for s in 0..SHARDS {
-        assert!(positions(s).len() > 20, "shard {s} starved by steering");
+        assert!(
+            positions(s).len() > 20,
+            "{what}: shard {s} starved by steering"
+        );
     }
 
     for victim in 0..SHARDS {
         let victim_positions = positions(victim);
         let last = victim_positions.len() as u64 - 1;
         for local_k in [0, 1, 17, last] {
-            let ctx = format!("victim {victim}, local packet {local_k}");
+            let ctx = format!("{what}: victim {victim}, local packet {local_k}");
             let cfg = ShardConfig::new(SHARDS).with_batch(BATCH);
             let faults = FaultPlan::kill(SHARDS, victim, local_k);
-            let mut sw = armed(&ingress, &egress, cfg, &faults);
-            let report = expect_fault(sw.run(&trace).collect(), &ctx);
+            let mut sw = armed(ingress, egress, cfg, &faults);
+            let report = expect_fault(sw.run(trace).collect(), &ctx);
 
             // Typed error: shard, global packet index, payload marker.
             assert_eq!(report.failures.len(), 1, "{ctx}");
@@ -163,7 +181,7 @@ fn kill_any_shard_at_any_packet_is_isolated_and_accounted() {
                     .filter(|&(_, &sh)| sh == s)
                     .map(|(i, _)| trace[i].clone())
                     .collect();
-                let mut twin = Switch::new_slot(&ingress, &egress, CAPACITY).unwrap();
+                let mut twin = Switch::new_slot(ingress, egress, CAPACITY).unwrap();
                 twin.run(&sub)
                     .for_each(|_| {})
                     .expect("slice-backed sources cannot fail mid-stream");

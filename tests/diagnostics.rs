@@ -106,6 +106,51 @@ fn spans_locate_the_error() {
     assert!(rendered.contains("3:"), "{rendered}");
 }
 
+/// "Compiles or is rejected with a diagnostic" holds for any source text:
+/// each of these three killed the process with a stack overflow — no
+/// `Diagnostic`, in any program embedding the compiler — before the parser
+/// bounded nesting. Built as text, so the test's own 2 MiB stack is the
+/// budget the compiler has to stay within.
+#[test]
+fn runaway_nesting_is_a_parse_error_at_the_offending_token_not_a_stack_overflow() {
+    use domino_ast::parser::MAX_NEST;
+    let program =
+        |body: &str| format!("struct P {{ int a; int r; }};\nvoid f(struct P pkt) {{\n{body}\n}}");
+    let parens = |n: usize| format!("pkt.r = {}pkt.a{};", "(".repeat(n), ")".repeat(n));
+    let ifs = |n: usize| format!("{}pkt.r = 1;", "if (pkt.a) ".repeat(n));
+    let sum = |terms: usize| format!("pkt.r = {};", vec!["pkt.a"; terms].join(" + "));
+
+    // Where each is refused: entering the 65th `(`, at the 65th `if`, on
+    // the 65th `+` once its right operand is in.
+    let first = "pkt.r = ".len() + 1;
+    let (an_if, a_term) = ("if (pkt.a) ".len(), "pkt.a + ".len());
+    for (what, body, col) in [
+        ("parentheses", parens(3_000), first + MAX_NEST + 1),
+        ("ifs", ifs(10_000), an_if * MAX_NEST + 1),
+        ("sum", sum(20_000), first + a_term * (MAX_NEST + 1) + 6),
+    ] {
+        let e = compile_err(&program(&body));
+        assert_eq!(e.stage, Stage::Parse, "{what}: {e}");
+        assert!(e.message.contains("nests deeper than 64"), "{what}: {e}");
+        let at = format!("error[parse] at 3:{col}: ");
+        assert!(e.to_string().starts_with(&at), "{what}: {e}");
+    }
+
+    // The bound is exact, and what it admits goes through every later pass
+    // on this same stack.
+    let write = Target::banzai(AtomKind::Write);
+    for (what, at_bound, over) in [
+        ("parentheses", parens(MAX_NEST), parens(MAX_NEST + 1)),
+        ("ifs", ifs(MAX_NEST), ifs(MAX_NEST + 1)),
+        ("sum", sum(MAX_NEST + 1), sum(MAX_NEST + 2)),
+    ] {
+        let accepted = domino_compiler::compile(&program(&at_bound), &write);
+        let rejected_for_depth = matches!(&accepted, Err(e) if e.stage == Stage::Parse);
+        assert!(!rejected_for_depth, "{what}: {accepted:?}");
+        assert_eq!(compile_err(&program(&over)).stage, Stage::Parse, "{what}");
+    }
+}
+
 /// The slot-compiled fast path must keep [`Packet::expect`]'s diagnostic
 /// contract: reading a slot no earlier stage wrote panics with the *field
 /// name* (recovered through the `FieldTable`'s reverse mapping), never a

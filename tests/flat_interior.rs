@@ -10,6 +10,7 @@
 //! the slot engine *and* on the reference engine behind its flat ↔ map
 //! shim — plus the edge cases a single shared table creates.
 
+use banzai::switch::QUEUE_METADATA_FIELDS;
 use banzai::{
     AtomKind, AtomPipeline, Machine, PipelineEngine, SchedDeparture, SchedQueue, SchedSpec,
     Scheduler, SlotMachine, Switch, Target,
@@ -25,7 +26,6 @@ struct MapModel {
     spec: SchedSpec,
     capacity: usize,
     drain_period: i64,
-    meta: [&'static str; 3],
     now: i64,
     dropped: u64,
     transmitted: u64,
@@ -39,7 +39,6 @@ impl MapModel {
             spec: SchedSpec::Fifo,
             capacity,
             drain_period: 1,
-            meta: banzai::switch::QUEUE_METADATA_FIELDS,
             now: 0,
             dropped: 0,
             transmitted: 0,
@@ -53,9 +52,10 @@ impl MapModel {
     }
 
     fn depart(&mut self, enq_ts: i64, now: i64, depth: usize, mut pkt: Packet) -> Packet {
-        pkt.set(self.meta[0], enq_ts as i32);
-        pkt.set(self.meta[1], now as i32);
-        pkt.set(self.meta[2], depth as i32);
+        let stamps = [enq_ts as i32, now as i32, depth as i32];
+        for (field, stamp) in QUEUE_METADATA_FIELDS.into_iter().zip(stamps) {
+            pkt.set(field, stamp);
+        }
         self.transmitted += 1;
         self.egress.process(pkt)
     }
@@ -292,27 +292,6 @@ fn a_pifo_ranks_by_a_field_no_pipeline_names() {
     let arrivals: Vec<i64> = deps.iter().map(|d| d.arrival).collect();
     assert_eq!(arrivals, [0, 1, 2]);
     assert!(deps.iter().all(|d| !d.pkt.has("ghost")));
-}
-
-#[test]
-fn metadata_renamed_after_build_is_stamped_under_the_new_names() {
-    let (ingress, egress) = (compile("flowlet"), AtomPipeline::passthrough("out"));
-    let (slot, map) = both(&ingress, &egress, 16);
-    let mut slot = slot
-        .with_drain_period(2)
-        .with_metadata_fields("t_in", "occupancy");
-    let mut map = map
-        .with_drain_period(2)
-        .with_metadata_fields("t_in", "occupancy");
-    let mut model = MapModel::new(&ingress, &egress, 16);
-    (model.drain_period, model.meta) = (2, ["t_in", "now", "occupancy"]);
-    let trace = tagged_trace("flowlet", 60);
-    let want = model.run(&trace);
-    assert_eq!(slot.run(&trace).collect().unwrap(), want);
-    assert_eq!(map.run(&trace).collect().unwrap(), want);
-    assert!(want
-        .iter()
-        .all(|p| p.has("t_in") && p.has("occupancy") && !p.has("enq_ts") && !p.has("qdepth")));
 }
 
 #[test]

@@ -792,9 +792,9 @@ fn every_shape_at_every_truncation_gets_the_models_verdict() {
 }
 
 /// A wire switch driven by the map engine and one driven by the slot
-/// engine must agree on transmitted bytes *and* per-reason counters under
-/// heavily malformed traffic — the parser-stress scenario the bench
-/// harness also runs at scale.
+/// engine must agree on transmitted bytes, per-reason counters *and*
+/// final state under heavily malformed traffic — E11's parser-stress
+/// scenario.
 #[test]
 fn stressed_wire_switches_agree_across_engines() {
     let ingress = pipeline_for(&algorithms::by_name("flowlet").unwrap());
@@ -825,6 +825,10 @@ fn stressed_wire_switches_agree_across_engines() {
     assert_eq!(map_out, slot_out, "transmitted bytes diverged");
     assert_eq!(map_sw.drop_counters(), slot_sw.drop_counters());
     assert_eq!(map_sw.transmitted(), slot_sw.transmitted());
+    assert_eq!(
+        map_sw.export_ingress_state(),
+        slot_sw.export_ingress_state()
+    );
 
     // And the counters agree with the frame-level oracle.
     let (accepted, expected) = wiregen::expected_verdicts(&wt.frames, &wt.cfg);
