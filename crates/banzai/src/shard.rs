@@ -68,7 +68,8 @@
 //! binds to. So one format crosses every boundary:
 //!
 //! * the **dispatcher admits once** — a map packet is flattened onto the
-//!   table, a frame is parsed onto it by one [`BoundParser`] — and
+//!   table, a frame is parsed onto it by one [`BoundParser`], either way
+//!   into a record of the run's one pool when it has one — and
 //!   evaluates the steering rule over the slab's **slots**
 //!   (`SlotSteer`: the flow key's slice lowered like an engine's
 //!   program, field lists by slot, whole-packet hashing in name order);
@@ -82,7 +83,16 @@
 //!   slots, and the post-merge serial egress pass is a departure on the
 //!   same slab;
 //! * each packet is **emitted (or deparsed) once**: in the worker's sink
-//!   on a forwarding run, after the egress pass on a scheduling run.
+//!   on a forwarding run — the slab's value row moved into the packet, a
+//!   frame's buffer out of the record — after the egress pass on a
+//!   scheduling run;
+//! * **records come home**: a lane's step hands every record it is done
+//!   with back — inline, straight into the dispatcher's pool; threaded,
+//!   with the batch's emptied buffer over one return channel the
+//!   dispatcher drains without waiting — so a record is made, admitted
+//!   into and freed on the dispatcher's thread, and a run makes about as
+//!   many as it has in flight at once. Only admission may see a record
+//!   whose row left with its packet.
 //!
 //! Each thing exists once. Every shard's [`Switch`] runs its one cycle
 //! loop (stamped arrivals, line rate). Every run, threaded or
@@ -121,8 +131,8 @@ use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::switch::{
-    DropCounters, DropReason, InFlight, PipelineEngine, Rest, SchedDeparture, Stamped, Switch,
-    QUEUE_METADATA_FIELDS,
+    DropCounters, DropReason, InFlight, PipelineEngine, Pool, Rest, SchedDeparture, Stamped,
+    Switch, QUEUE_METADATA_FIELDS,
 };
 use crate::wire::{BoundParser, ParseVerdict, WireConfig};
 use domino_ast::{StateKind, StateVar};
@@ -138,13 +148,19 @@ use std::time::{Duration, Instant};
 /// shard's lane — over its ring, or stepped inline.
 type Batch = Vec<Stamped>;
 
+/// What goes round a threaded run: a batch out over a shard's ring, its
+/// emptied buffer home over the one return channel beside the records
+/// its step spent (a vector that rides out empty).
+type Trip = (Batch, Pool);
+
 /// The feeder's handle to one shard's batch ring (`None` once the shard
 /// has been declared dead or stalled and cut off).
-type BatchSender = Option<mpsc::SyncSender<Batch>>;
+type BatchSender = Option<mpsc::SyncSender<Trip>>;
 
 /// What a dispatcher's `pull` yields: the next arrival, already on the
-/// table (or the verdict that rejected its frame), `None` at the end of
-/// the stream, or the source's error.
+/// table (or the verdict that rejected its frame) and in a record of the
+/// pool it is lent if there is one, `None` at the end of the stream, or
+/// the source's error.
 type Pulled = Result<Option<Result<InFlight, ParseVerdict>>, SourceError>;
 
 /// Configuration for a [`ShardedSwitch`].
@@ -1116,6 +1132,12 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// ([`ShardedSwitch::threaded`], [`ShardedSwitch::inline`]); what the
     /// dispatcher saw comes back as the [`Scatter`].
     ///
+    /// The dispatcher owns **the run's one record pool**, as
+    /// `Switch::cycle`'s caller owns its: `feed` is lent it to put back
+    /// the records the shards are done with, `pull` to admit into them.
+    /// It holds no more than the run had in flight at once, and dies
+    /// with the run.
+    ///
     /// Input memory is O(batch × shards) here: at most one pending batch
     /// per shard, never the whole trace. A source error stops the pull
     /// loop; what was pulled before it is still fed, so every lane runs
@@ -1124,8 +1146,8 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     fn scatter(
         &mut self,
         before: Vec<(DropCounters, u64)>,
-        mut pull: impl FnMut(&mut PacketEdges) -> Pulled,
-        mut feed: impl FnMut(usize, &mut Batch) -> u64,
+        mut pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
+        mut feed: impl FnMut(usize, &mut Batch, &mut Pool) -> u64,
     ) -> Scatter {
         let (n, batch) = (before.len(), self.config.batch);
         let mut run = Scatter {
@@ -1141,14 +1163,15 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             },
         };
         let start = Instant::now();
-        let mut timed_feed = |s: usize, full: &mut Batch, run: &mut Scatter| {
+        let mut pool = Vec::new();
+        let mut timed_feed = |s: usize, full: &mut Batch, run: &mut Scatter, pool: &mut _| {
             let t = Instant::now();
-            run.sheds[s] += feed(s, full);
+            run.sheds[s] += feed(s, full, pool);
             run.timings.shard_ns[s] += t.elapsed().as_nanos();
         };
         let mut pending: Vec<Batch> = (0..n).map(|_| Vec::with_capacity(batch)).collect();
         run.source_error = loop {
-            let arrival = match pull(&mut self.edges) {
+            let arrival = match pull(&mut self.edges, &mut pool) {
                 Ok(Some(arrival)) => arrival,
                 end => break end.err(),
             };
@@ -1163,12 +1186,12 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             run.offered[s] += 1;
             pending[s].push((i as i64, arrival));
             if pending[s].len() == batch {
-                timed_feed(s, &mut pending[s], &mut run);
+                timed_feed(s, &mut pending[s], &mut run, &mut pool);
             }
         };
         for (s, rest) in pending.iter_mut().enumerate() {
             if !rest.is_empty() {
-                timed_feed(s, rest, &mut run);
+                timed_feed(s, rest, &mut run, &mut pool);
             }
         }
         let fed: u128 = run.timings.shard_ns.iter().sum();
@@ -1188,9 +1211,15 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// keeps accumulating `offered` (for the books) but receives nothing
     /// further; after a source error the rings are closed normally, so
     /// every live worker drains what it was fed and reports.
+    ///
+    /// Records come home: after each batch a worker sends its buffer and
+    /// the records it spent into one return channel, which `feed` drains
+    /// into the pool — never waiting on it — before it sends the next
+    /// batch out in a buffer that came home. What is still in the channel
+    /// when the run ends is freed with it, on this thread.
     fn threaded<L: Lane<E> + Send + 'static>(
         &mut self,
-        pull: impl FnMut(&mut PacketEdges) -> Pulled,
+        pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
         lane: impl Fn() -> L,
     ) -> Result<Gathered<L::Out>, SwitchError>
     where
@@ -1204,27 +1233,36 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let watchdog = Duration::from_millis(self.config.watchdog_ms);
         let policy = self.config.backpressure;
 
+        let (home, back) = mpsc::channel::<Trip>();
         let mut txs: Vec<BatchSender> = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for sw in switches {
-            let (tx, rx) = mpsc::sync_channel::<Batch>(self.config.ring);
+            let (tx, rx) = mpsc::sync_channel::<Trip>(self.config.ring);
             let (done_tx, done_rx) = mpsc::channel();
-            let lane = lane();
+            let (lane, home) = (lane(), home.clone());
             let handle = std::thread::spawn(move || {
-                let _ = done_tx.send(worker(sw, rx, lane));
+                let _ = done_tx.send(worker(sw, rx, home, lane));
             });
             txs.push(Some(tx));
             workers.push((done_rx, handle));
         }
 
         let mut stalled = vec![false; n];
-        let run = self.scatter(before, pull, |s, batch| {
+        let mut spares: Vec<Trip> = Vec::new();
+        let run = self.scatter(before, pull, |s, batch, pool| {
+            for (buf, mut spent) in back.try_iter() {
+                pool.append(&mut spent);
+                spares.push((buf, spent));
+            }
             let Some(tx) = txs[s].as_ref() else {
                 batch.clear();
                 return 0;
             };
-            let full = std::mem::replace(batch, Vec::with_capacity(batch.capacity()));
-            let len = full.len() as u64;
+            let cap = batch.capacity();
+            let (buf, spent) = (spares.pop())
+                .unwrap_or_else(|| (Vec::with_capacity(cap), Vec::with_capacity(cap)));
+            let full = (std::mem::replace(batch, buf), spent);
+            let len = full.0.len() as u64;
             match feed_batch(tx, full, policy, watchdog) {
                 FeedResult::Sent => 0,
                 FeedResult::Shed => len,
@@ -1275,8 +1313,9 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// same dispatcher, the same lanes, no ring and no thread — `feed`
     /// steps the shard's lane the moment its batch fills, on the
     /// caller's thread (so the dispatcher's per-shard feed time *is* the
-    /// shard's busy time, free of scheduler interference), then lends the
-    /// lane to `tap`, which may take what it holds. Unsupervised: an
+    /// shard's busy time, free of scheduler interference), the step
+    /// putting its spent records straight back into the pool, then lends
+    /// the lane to `tap`, which may take what it holds. Unsupervised: an
     /// engine panic propagates.
     ///
     /// At line rate consecutive steps of one switch compose (its queue is
@@ -1287,16 +1326,16 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// what the E10 model needs.
     fn inline<L: Lane<E>>(
         &mut self,
-        pull: impl FnMut(&mut PacketEdges) -> Pulled,
+        pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
         lane: impl Fn() -> L,
         mut tap: impl FnMut(usize, &mut L),
     ) -> Result<Gathered<L::Out>, SwitchError> {
         self.check_line_rate()?;
         let (switches, before) = self.take_shards();
         let mut lanes: Vec<(Switch<E>, L)> = switches.into_iter().map(|sw| (sw, lane())).collect();
-        let run = self.scatter(before, pull, |s, batch| {
+        let run = self.scatter(before, pull, |s, batch, pool| {
             let (sw, lane) = &mut lanes[s];
-            lane.step(sw, batch);
+            lane.step(sw, batch, pool);
             tap(s, lane);
             0
         });
@@ -1763,8 +1802,9 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
     /// returning the per-shard output frames (un-merged).
     ///
     /// The dispatcher parses each frame **once**, on the bound tier (a
-    /// [`BoundParser`] on the switch's one table) and into a fresh record
-    /// — it keeps no pool, its records leave for the shards — steers
+    /// [`BoundParser`] on the switch's one table) and into a record of the
+    /// run's pool — one a shard has spent, its buffer moved out with the
+    /// frame it sent, or a new one — steers
     /// the slab by its slots and frame index, and hands it — its
     /// [`WireLayout`](crate::wire::WireLayout) beside it, stamped with the
     /// frame index as its arrival cycle — to the shard, which patches the
@@ -1785,8 +1825,8 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
     /// typed parse-drop counters still close the accounting exactly).
     pub fn partitioned(mut self) -> Result<Vec<Vec<Vec<u8>>>, SwitchError> {
         let parser = self.switch.parser(self.cfg);
-        let pull = |_: &mut PacketEdges| {
-            Ok((self.source.next_frame()?).map(|f| InFlight::parse(f, &parser, || None)))
+        let pull = |_: &mut PacketEdges, pool: &mut Pool| {
+            Ok((self.source.next_frame()?).map(|f| InFlight::parse(f, &parser, || pool.pop())))
         };
         let lane = || Frames(&parser, Vec::new());
         Ok(self.switch.inline(pull, lane, |_, _| {})?.streams)
@@ -1820,8 +1860,9 @@ trait Lane<E: PipelineEngine> {
 
     /// Runs one batch of stamped arrivals — inside the worker's
     /// `catch_unwind`, or inline on the caller's thread — and leaves it
-    /// empty.
-    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch);
+    /// empty, every record it is done with put in `spent` for the
+    /// dispatcher to admit into.
+    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch, spent: &mut Pool);
 
     /// Everything the lane holds, in its order: the complete stream of a
     /// drained ring, or the salvage of a faulted one.
@@ -1830,10 +1871,11 @@ trait Lane<E: PipelineEngine> {
 
 /// The forwarding lane of every packet-born forwarding terminal: each
 /// batch runs through the switch's loop as stamped arrivals and is
-/// emitted as it departs; the lane holds the output of every *completed*
-/// batch.
+/// emitted as it departs — the slab's value row moved into the packet,
+/// the record spent without it; the lane holds the output of every
+/// *completed* batch (a batch's own gathers beside it until it is).
 #[derive(Default)]
-struct Forward(Vec<Packet>);
+struct Forward(Vec<Packet>, Vec<Packet>);
 
 impl<E: PipelineEngine> Lane<E> for Forward {
     type Out = Packet;
@@ -1842,10 +1884,9 @@ impl<E: PipelineEngine> Lane<E> for Forward {
         Some(out)
     }
 
-    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch) {
-        let mut done = Vec::with_capacity(batch.len());
-        sw.run_stamped(batch.drain(..), |edges, p| done.push(p.emit(edges)));
-        self.0.append(&mut done);
+    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch, spent: &mut Pool) {
+        sw.run_stamped(batch.drain(..), spent, |e, p| self.1.push(p.emit_row(e)));
+        self.0.append(&mut self.1);
     }
 
     fn drain(self) -> Vec<Packet> {
@@ -1865,9 +1906,9 @@ impl<E: PipelineEngine> Lane<E> for Frames<'_> {
         None
     }
 
-    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch) {
+    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch, spent: &mut Pool) {
         let Frames(parser, out) = self;
-        sw.run_stamped(batch.drain(..), |_, p| {
+        sw.run_stamped(batch.drain(..), spent, |_, p| {
             out.extend(p.deparse(parser).map(std::mem::take))
         });
     }
@@ -1896,7 +1937,7 @@ impl<E: PipelineEngine> Lane<E> for Schedule {
         Some(p.emit(edges))
     }
 
-    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch) {
+    fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch, spent: &mut Pool) {
         for (t, arrival) in batch.drain(..) {
             let mut p = match arrival {
                 Ok(p) => p,
@@ -1913,6 +1954,7 @@ impl<E: PipelineEngine> Lane<E> for Schedule {
                 let _ = self.pifo.push(key, (t, p));
             } else {
                 sw.refuse();
+                spent.push(p);
             }
         }
     }
@@ -1928,14 +1970,16 @@ impl<E: PipelineEngine> Lane<E> for Schedule {
 
 /// The one shard worker: drain the ring batch by batch through the
 /// lane's step, each batch inside `catch_unwind` so an engine panic is
-/// contained to this shard.
+/// contained to this shard, and send each batch's buffer and spent
+/// records `home` to the dispatcher (once it has hung up, they die here).
 fn worker<E: PipelineEngine, L: Lane<E>>(
     mut sw: Switch<E>,
-    rx: mpsc::Receiver<Batch>,
+    rx: mpsc::Receiver<Trip>,
+    home: mpsc::Sender<Trip>,
     mut lane: L,
 ) -> Outcome<E, L::Out> {
-    while let Ok(mut batch) = rx.recv() {
-        let step = AssertUnwindSafe(|| lane.step(&mut sw, &mut batch));
+    while let Ok((mut batch, mut spent)) = rx.recv() {
+        let step = AssertUnwindSafe(|| lane.step(&mut sw, &mut batch, &mut spent));
         if let Err(payload) = catch_unwind(step) {
             // `payload.as_ref()`, not `&payload`: the latter unsizes the
             // Box itself into `dyn Any` and every downcast misses.
@@ -1943,6 +1987,7 @@ fn worker<E: PipelineEngine, L: Lane<E>>(
             let gone = (Some(sw.now as u64), cause, sw.drop_counters().clone());
             return (Err(gone), lane.drain());
         }
+        let _ = home.send((batch, spent));
     }
     (Ok(sw), lane.drain())
 }
@@ -1958,9 +2003,12 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The packet-born `pull`: each packet admitted onto the table — its one
-/// map → slab crossing — as it comes off the source.
-fn admitting<S: PacketSource>(source: &mut S) -> impl FnMut(&mut PacketEdges) -> Pulled + '_ {
-    |edges| Ok((source.next_packet()?).map(|pkt| Ok(InFlight::admit(&pkt, edges, None))))
+/// map → slab crossing — as it comes off the source, into a record of the
+/// pool if it has one.
+fn admitting<S: PacketSource>(
+    source: &mut S,
+) -> impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled + '_ {
+    |edges, pool| Ok((source.next_packet()?).map(|pkt| Ok(InFlight::admit(&pkt, edges, pool.pop()))))
 }
 
 /// Everything the one dispatcher observed during a run
@@ -2010,8 +2058,8 @@ enum FeedResult {
 /// Pushes a batch with the configured overload policy. Never blocks past
 /// `watchdog`.
 fn feed_batch(
-    tx: &mpsc::SyncSender<Batch>,
-    mut batch: Batch,
+    tx: &mpsc::SyncSender<Trip>,
+    mut batch: Trip,
     policy: Backpressure,
     watchdog: Duration,
 ) -> FeedResult {

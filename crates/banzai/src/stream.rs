@@ -182,7 +182,8 @@ impl<F: FnMut(u64) -> Option<Packet>> GenSource<F> {
     }
 
     /// A generator that ends after `len` packets (whichever of the cap
-    /// and the closure's own `None` comes first), with an exact hint.
+    /// and the closure's own `None` comes first), hinting at most what is
+    /// left of the cap — and at least nothing, as the closure may end first.
     pub fn with_len(len: u64, f: F) -> GenSource<F> {
         GenSource {
             f,
@@ -207,13 +208,7 @@ impl<F: FnMut(u64) -> Option<Packet>> PacketSource for GenSource<F> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self.len {
-            Some(n) => {
-                let left = n.saturating_sub(self.next) as usize;
-                (left, Some(left))
-            }
-            None => (0, None),
-        }
+        (0, self.len.map(|n| n.saturating_sub(self.next) as usize))
     }
 }
 
@@ -305,6 +300,13 @@ impl<S> FailAfter<S> {
             msg: msg.into(),
         }
     }
+
+    /// The inner source's hint, both bounds capped at the pulls left
+    /// before the failure.
+    fn capped(&self, (lo, hi): (usize, Option<usize>)) -> (usize, Option<usize>) {
+        let left = usize::try_from(self.fail_at - self.yielded).unwrap_or(usize::MAX);
+        (lo.min(left), Some(hi.map_or(left, |hi| hi.min(left))))
+    }
 }
 
 impl<S: PacketSource> PacketSource for FailAfter<S> {
@@ -320,7 +322,7 @@ impl<S: PacketSource> PacketSource for FailAfter<S> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        self.capped(self.inner.size_hint())
     }
 }
 
@@ -337,7 +339,7 @@ impl<S: FrameSource> FrameSource for FailAfter<S> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        self.capped(self.inner.size_hint())
     }
 }
 
@@ -434,12 +436,59 @@ mod tests {
     #[test]
     fn gen_source_is_bounded() {
         let mut src = GenSource::with_len(3, |i| Some(Packet::new().with("i", i as i32)));
-        assert_eq!(src.size_hint(), (3, Some(3)));
+        assert_eq!(src.size_hint(), (0, Some(3)));
         let mut n = 0;
         while src.next_packet().unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 3);
+        assert_eq!(src.size_hint(), (0, Some(0)));
+    }
+
+    #[test]
+    fn gen_source_hint_survives_a_closure_that_ends_first() {
+        // The cap promises at most 10; the closure stops at 2, so any
+        // lower bound above 0 would have been a lie.
+        let mut src = GenSource::with_len(10, |i| (i < 2).then(Packet::new));
+        let (lo, hi) = src.size_hint();
+        let mut n = 0;
+        while src.next_packet().unwrap().is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 2);
+        assert!(lo <= n && hi.is_some_and(|hi| n <= hi), "({lo}, {hi:?})");
+    }
+
+    #[test]
+    fn fail_after_caps_its_hint_at_the_pulls_left() {
+        let trace: Vec<Packet> = (0..10).map(|i| Packet::new().with("seq", i)).collect();
+        let mut src = FailAfter::new(SliceSource::new(&trace), 4, "ring died");
+        assert_eq!(src.size_hint(), (4, Some(4)));
+        src.next_packet().unwrap();
+        assert_eq!(src.size_hint(), (3, Some(3)));
+        // Past the inner source's end the inner hint is the tighter one.
+        let mut short = FailAfter::new(SliceSource::new(&trace[..2]), 4, "ring died");
+        assert_eq!(short.size_hint(), (2, Some(2)));
+        short.next_packet().unwrap();
+        assert_eq!(short.size_hint(), (1, Some(1)));
+        // An unbounded inner source gains the failure as its upper bound.
+        let endless = FailAfter::new(GenSource::new(|_| Some(Packet::new())), 5, "flap");
+        assert_eq!(endless.size_hint(), (0, Some(5)));
+        // Frames too.
+        let frames: Vec<Vec<u8>> = vec![vec![0; 4]; 10];
+        let mut frames = FailAfter::new(FrameSliceSource::new(&frames), 3, "torn");
+        assert_eq!(frames.size_hint(), (3, Some(3)));
+        while frames.next_frame().is_ok() {}
+        assert_eq!(frames.size_hint(), (0, Some(0)));
+    }
+
+    #[test]
+    fn a_long_source_failing_early_hints_what_it_will_yield() {
+        // `Run::collect` reserves from this hint: a ten-million-packet
+        // source failing after 5 used to reserve 2^20 packets (32 MiB) to
+        // keep 5.
+        let long = GenSource::with_len(10_000_000, |_| Some(Packet::new()));
+        assert_eq!(FailAfter::new(long, 5, "flap").size_hint(), (0, Some(5)));
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! | [`SchedRun::collect`] | packet source | burst | the whole [`SchedDeparture`] |
 //! | [`FrameRun::for_each`] | frame source + [`BoundParser`] | line rate | nothing: it is lent the record's bytes, patched in place |
 //! | [`FrameRun::collect`] | frame source + [`BoundParser`] | line rate | a copy of each lent frame |
-//! | sharded workers (`crate::shard`) | stamped `(cycle, slab)` pairs, admitted by the dispatcher | line rate | the emitted packet, or the patched buffer moved out of the record |
+//! | sharded workers (`crate::shard`) | stamped `(cycle, slab)` pairs, admitted by the dispatcher | line rate | the emitted packet (its value row moved out of the record), or the patched buffer moved out of the record |
 //!
 //! An arrival is a map packet for the loop to admit, a record already on
 //! the switch's table (a frame the bound parser laid out, its
@@ -68,22 +68,24 @@
 //! does the same with the in-flight record (slab, presence mask, and the
 //! residual or the frame's layout and buffer): once a packet is gone —
 //! its sink has returned, or the full queue refused it — its record goes
-//! into a pool the loop owns, and the next arrival overwrites a pooled
+//! into a pool the loop is lent, and the next arrival overwrites a pooled
 //! record instead of making one: the loop admits a map packet into it, the
 //! frame adapter — lent the pool — parses into it (a frame the parse graph
 //! rejects never takes one). So a run makes about as many records as it
 //! ever has in flight at once, however long the source. What is pooled is
 //! decided by what the loop and its adapter can see, not by a setting:
 //!
-//! * only **while the source is live** — once it has ended nobody can ask
-//!   for a record, so a draining queue frees as it goes (a burst, which
-//!   arrives whole before anything departs, recycles nothing and holds
-//!   nothing back while its output grows);
-//! * only where **this loop's arrivals are made** — a shard worker's come
-//!   stamped, in records the dispatcher made on another thread, which
-//!   never takes one back, so the worker's adapter empties the pool it is
-//!   lent instead of drawing on it (pooling them would only put off their
-//!   free);
+//! * only **while somebody can ask for a record** — a serial terminal's
+//!   loop admits into the pool it lends itself, so once its source has
+//!   ended a draining queue frees as it goes (a burst, which arrives whole
+//!   before anything departs, recycles nothing and holds nothing back
+//!   while its output grows);
+//! * **the pool is its maker's** — a shard worker's arrivals come
+//!   stamped, in records the sharded dispatcher made, so
+//!   `Switch::run_stamped` hands every record it is done with back to
+//!   its caller, drained queue and all, and the dispatcher admits into
+//!   them (a record may come back without its value row, moved into the
+//!   packet it emitted; only admission may see one so);
 //! * the pool **dies with the run** — between runs the table may grow
 //!   (see [`Switch::with_scheduler`]), and a record is sized by its table.
 //!   An engine that unwinds mid-run drops the pool with everything else.
@@ -388,6 +390,17 @@ impl InFlight {
         }
     }
 
+    /// [`InFlight::emit`], **moving** the slab's value row into the packet
+    /// ([`PacketEdges::emit_row`]; a slab with a residual keeps its row):
+    /// the record is left without one, and only admission —
+    /// [`InFlight::admit`], into a pooled record — may see it again.
+    pub(crate) fn emit_row(&mut self, edges: &mut PacketEdges) -> Packet {
+        match &self.rest {
+            Rest::Fields(residual) => edges.emit_row(&mut self.flat, residual),
+            Rest::Frame(_) => edges.emit(&self.flat, &[]),
+        }
+    }
+
     /// The way out of a byte-born slab: its own frame with every slotted
     /// field patched back in place, lent (`None` for a packet-born slab,
     /// which has no frame to leave in). Whoever keeps the frame copies it
@@ -399,6 +412,10 @@ impl InFlight {
         }
     }
 }
+
+/// Spent records, for admission to overwrite instead of making new ones
+/// (the module docs' *Recycling*).
+pub(crate) type Pool = Vec<InFlight>;
 
 /// A stamped arrival — what a sharded switch's dispatcher hands a shard:
 /// the global arrival cycle, and the slab it admitted onto the shared
@@ -835,15 +852,18 @@ impl<E: PipelineEngine> Switch<E> {
     ///    long the source.
     ///
     /// A record whose packet is gone — departed, or refused by the full
-    /// queue — goes to the pool, while the source is live (the module
-    /// docs' *Recycling*).
+    /// queue — goes to `pool`, the caller's, while the source is live, and
+    /// after it too if the arrivals came stamped (the module docs'
+    /// *Recycling*): a map packet is admitted into one of its records, and
+    /// `pull` is lent it (to parse a frame into).
     ///
     /// Engine state and the drop/transmit counters accumulate across
     /// calls; the queue is empty on entry and on return.
     fn cycle(
         &mut self,
         regime: Regime,
-        mut pull: impl FnMut(&mut Vec<InFlight>) -> Result<Option<Arrival>, SourceError>,
+        pool: &mut Pool,
+        mut pull: impl FnMut(&mut Pool) -> Result<Option<Arrival>, SourceError>,
         mut sink: impl FnMut(&mut PacketEdges, i64, SchedKey, i64, &mut InFlight),
     ) -> Ended {
         let burst = regime == Regime::Burst;
@@ -851,16 +871,14 @@ impl<E: PipelineEngine> Switch<E> {
         let drops_before = self.drops.clone();
         let mut stats = RunStats::default();
         let mut now = if burst { 0 } else { self.now };
-        let mut ended = false;
+        let (mut ended, mut stamped) = (false, false);
         let mut error = None;
-        // Spent records: a map packet is admitted into one, `pull` is lent
-        // the rest (to parse a frame into, or — stamped arrivals — to free).
-        let mut pool = Vec::new();
         loop {
             if !ended {
-                match pull(&mut pool) {
+                match pull(pool) {
                     Ok(Some(arrival)) => {
                         stats.offered += 1;
+                        stamped = arrival.stamp.is_some();
                         now = arrival.stamp.unwrap_or(now);
                         match arrival.pkt {
                             Ok(born) => {
@@ -916,7 +934,7 @@ impl<E: PipelineEngine> Switch<E> {
                         self.transmitted += 1;
                         stats.transmitted += 1;
                         sink(&mut self.edges, arrival, key, now, &mut p);
-                        if !ended {
+                        if !ended || stamped {
                             pool.push(p);
                         }
                     }
@@ -942,25 +960,31 @@ impl<E: PipelineEngine> Switch<E> {
         regime: Regime,
         mut sink: impl FnMut(SchedDeparture),
     ) -> Ended {
-        let pull = |_: &mut Vec<InFlight>| {
+        let pull = |_: &mut Pool| {
             Ok(source.next_packet()?.map(|pkt| Arrival {
                 stamp: None,
                 pkt: Ok(Born::Packet(pkt)),
             }))
         };
-        self.cycle(regime, pull, |edges, arrival, key, departure, p| {
-            sink(SchedDeparture {
-                arrival,
-                key,
-                departure,
-                pkt: p.emit(edges),
-            })
-        })
+        self.cycle(
+            regime,
+            &mut Vec::new(),
+            pull,
+            |edges, arrival, key, departure, p| {
+                sink(SchedDeparture {
+                    arrival,
+                    key,
+                    departure,
+                    pkt: p.emit(edges),
+                })
+            },
+        )
     }
 
     /// Runs [`Stamped`] arrivals through the loop at line rate, handing
-    /// `sink` each slab as it departs — the arrival adapter behind the
-    /// sharded workers.
+    /// `sink` each slab as it departs and `spent` every record it is done
+    /// with — the arrival adapter behind the sharded workers, whose
+    /// dispatcher made the records and takes them back.
     ///
     /// Semantically this is [`Switch::run`] with the packet clock
     /// supplied by the caller instead of counted locally: a shard of a
@@ -972,15 +996,13 @@ impl<E: PipelineEngine> Switch<E> {
     pub(crate) fn run_stamped(
         &mut self,
         arrivals: impl IntoIterator<Item = Stamped>,
+        spent: &mut Pool,
         mut sink: impl FnMut(&mut PacketEdges, &mut InFlight),
     ) {
         debug_assert_eq!(self.drain_period, 1, "a shard's link drains every cycle");
         let mut arrivals = arrivals.into_iter();
         let mut last = i64::MIN;
-        let pull = |spent: &mut Vec<InFlight>| {
-            // A dispatcher made these records, on a thread that takes none
-            // back: a pool of them would only put off their free.
-            spent.clear();
+        let pull = |_: &mut Pool| {
             Ok(arrivals.next().map(|(t, pkt)| {
                 debug_assert!(
                     last < t,
@@ -993,7 +1015,8 @@ impl<E: PipelineEngine> Switch<E> {
                 }
             }))
         };
-        self.cycle(Regime::LineRate, pull, |edges, _, _, _, p| sink(edges, p));
+        let depart = |edges: &mut PacketEdges, _, _, _, p: &mut InFlight| sink(edges, p);
+        self.cycle(Regime::LineRate, spent, pull, depart);
     }
 
     /// This switch's entry in a [`FaultReport`] as a surviving shard
@@ -1277,13 +1300,13 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
         // table. The borrowed frame is copied into its record inside the
         // pull, so the source can be pulled again next cycle.
         let parser = BoundParser::bind(self.cfg.clone(), Arc::clone(self.switch.edges.table()));
-        let pull = |pool: &mut Vec<InFlight>| {
+        let pull = |pool: &mut Pool| {
             Ok(self.source.next_frame()?.map(|frame| Arrival {
                 stamp: None,
                 pkt: InFlight::parse(frame, &parser, || pool.pop()).map(Born::Slab),
             }))
         };
-        let end = self.switch.cycle(Regime::LineRate, pull, |_, _, _, _, p| {
+        let end = (self.switch).cycle(Regime::LineRate, &mut Vec::new(), pull, |_, _, _, _, p| {
             if let Some(frame) = p.deparse(&parser) {
                 sink(frame);
             }
@@ -1313,7 +1336,7 @@ mod tests {
         let slabs =
             arrivals.map(|(i, p)| (i as i64, Ok(InFlight::admit(p, &mut dispatcher, None))));
         let mut out = Vec::new();
-        sw.run_stamped(slabs, |edges, p| out.push(p.emit(edges)));
+        sw.run_stamped(slabs, &mut Vec::new(), |edges, p| out.push(p.emit(edges)));
         out
     }
 

@@ -381,12 +381,14 @@ impl Eq for FlatPacket {}
 
 /// One memoised crossing between the two packet forms: map packets of
 /// `shape` ↔ slabs whose presence mask is `present`, the row's `i`-th value
-/// living in slot `slots[i]`.
+/// living in slot `slots[i]`. An emission memo that has moved a row also
+/// keeps that gather as swaps within the row ([`PacketEdges::emit_row`]).
 #[derive(Debug, Clone)]
 struct Crossing {
     shape: Shape,
     slots: Vec<FieldId>,
     present: Box<[u64]>,
+    swaps: Vec<usize>,
 }
 
 /// Both map ↔ slab edges of one field table: **admission** (a map
@@ -451,6 +453,7 @@ impl PacketEdges {
                     shape: Arc::clone(pkt.shape()),
                     slots,
                     present: marked.present,
+                    swaps: Vec::new(),
                 });
             }
         }
@@ -478,9 +481,12 @@ impl PacketEdges {
 
     /// [`PacketEdges::admit`] **into** a spent record of this table:
     /// `flat` and `residual` are overwritten where they lie, whatever they
-    /// held and whichever path runs, and keep their allocations.
+    /// held and whichever path runs, and keep their allocations — but for
+    /// a row [`PacketEdges::emit_row`] moved out, which is made anew.
     pub fn admit_into(&mut self, pkt: &Packet, flat: &mut FlatPacket, residual: &mut Residual) {
-        debug_assert_eq!(flat.vals.len(), self.by_name.len());
+        if flat.vals.len() != self.by_name.len() {
+            flat.vals = vec![0; self.by_name.len()].into_boxed_slice();
+        }
         let Some(memo) = self.admitting(pkt) else {
             return flat.refill(pkt, residual);
         };
@@ -509,11 +515,66 @@ impl PacketEdges {
                     shape: Arc::new(names.cloned().collect()),
                     slots,
                     present: flat.present.clone(),
+                    swaps: Vec::new(),
                 })
             }
         };
         let vals = memo.slots.iter().map(|id| flat.vals[id.index()]);
         Packet::from_shape(Arc::clone(&memo.shape), vals.collect())
+    }
+
+    /// [`PacketEdges::emit`], **moving** the slab's value row into the
+    /// packet instead of copying it: the row is gathered in place into
+    /// name order and handed over, and `flat` is left without one — only
+    /// [`PacketEdges::admit_into`] may take it again, and gives it a new
+    /// row. A slab with a residual takes the by-name path and keeps its row.
+    pub fn emit_row(&mut self, flat: &mut FlatPacket, residual: &[(Arc<str>, i32)]) -> Packet {
+        if !residual.is_empty() {
+            return flat.emit(&self.by_name, residual);
+        }
+        let memo = self.emitting(flat);
+        for (i, &j) in memo.swaps.iter().enumerate() {
+            flat.vals.swap(i, j);
+        }
+        let mut row = std::mem::take(&mut flat.vals).into_vec();
+        row.truncate(memo.slots.len());
+        Packet::from_shape(Arc::clone(&memo.shape), row)
+    }
+
+    /// The remembered crossing for slabs of `flat`'s presence mask, with
+    /// its swaps — re-derived if the last slab had another mask, or if
+    /// [`PacketEdges::emit`] made it. That keeps its own copy of the
+    /// derivation, without the swaps, which only moving a row needs: routed
+    /// through here or a shared constructor, the serial switch read 4–9%
+    /// slower on the cost ledger — a code-layout effect (set-up time, which
+    /// runs none of this, moved with it), but one the serial path would pay.
+    fn emitting(&mut self, flat: &FlatPacket) -> &Crossing {
+        debug_assert_eq!(flat.vals.len(), self.by_name.len());
+        let stale =
+            |memo: &Crossing| memo.present != flat.present || memo.swaps.len() != memo.slots.len();
+        if self.emitted.as_ref().is_some_and(stale) {
+            self.emitted = None;
+        }
+        self.emitted.get_or_insert_with(|| {
+            let present = |id: &FieldId| flat.has(*id);
+            let slots: Vec<FieldId> = self.by_name.iter().copied().filter(present).collect();
+            let names = slots.iter().map(|id| &self.table.names[id.index()]);
+            // Place `i` takes slot `slots[i]` — or, where an earlier swap
+            // moved that value out, wherever the swaps sent it.
+            let chase = |i: usize| {
+                let mut j = slots[i].index();
+                while j < i {
+                    j = slots[j].index();
+                }
+                j
+            };
+            Crossing {
+                shape: Arc::new(names.cloned().collect()),
+                swaps: (0..slots.len()).map(chase).collect(),
+                slots,
+                present: flat.present.clone(),
+            }
+        })
     }
 }
 
@@ -1681,6 +1742,62 @@ mod tests {
         let out = flat.emit(&table.by_name(), &residual);
         assert_eq!(out.to_string(), "{0early: 1, a: 9, b: 3, c: 4, z: 5}");
         assert!(!out.has("unset"));
+    }
+
+    /// The in-place gather is a permutation problem: every slot order of
+    /// five names, every presence subset, against the copying emission —
+    /// and the rowless record it leaves is admitted into like any other.
+    #[test]
+    fn emit_row_gathers_in_place_for_every_slot_order_and_presence() {
+        fn orders(names: Vec<&'static str>) -> Vec<Vec<&'static str>> {
+            if names.len() <= 1 {
+                return vec![names];
+            }
+            let mut all = Vec::new();
+            for i in 0..names.len() {
+                let mut rest = names.clone();
+                let first = rest.remove(i);
+                for mut tail in orders(rest) {
+                    tail.insert(0, first);
+                    all.push(tail);
+                }
+            }
+            all
+        }
+        for order in orders(vec!["a", "b", "c", "d", "e"]) {
+            let mut t = FieldTable::new();
+            for name in &order {
+                t.intern(name);
+            }
+            let table = Arc::new(t);
+            let mut edges = PacketEdges::new(&table);
+            for subset in 0..32u32 {
+                let pkt = (order.iter().enumerate())
+                    .filter(|(i, _)| subset >> i & 1 == 1)
+                    .fold(Packet::new(), |p, (i, name)| p.with(name, 10 + i as i32));
+                let (mut flat, residual) = edges.admit(&pkt);
+                // Either emission may meet a mask first and make its memo.
+                let copied = if subset % 2 == 0 {
+                    edges.emit(&flat, &residual)
+                } else {
+                    edges.emit_row(&mut flat.clone(), &residual)
+                };
+                assert_eq!(copied, pkt, "{order:?} {subset:#b}");
+                assert_eq!(edges.emit_row(&mut flat, &residual), copied);
+                assert!(flat.slots().is_empty(), "the row left with the packet");
+                let fresh = edges.admit(&pkt).0;
+                assert_eq!(edges.emit(&fresh, &residual), copied, "after a move");
+                let mut rest = Residual::new();
+                edges.admit_into(&pkt, &mut flat, &mut rest);
+                assert_eq!((flat, rest), FlatPacket::admit(&pkt, &table));
+            }
+        }
+        // A residual keeps the row where it is: the by-name path copies.
+        let table = table_abc();
+        let mut edges = PacketEdges::new(&table);
+        let (mut flat, residual) = edges.admit(&Packet::new().with("a", 1).with("off", 2));
+        assert_eq!(edges.emit_row(&mut flat, &residual).get("off"), Some(2));
+        assert_eq!(flat.slots().len(), 3);
     }
 
     #[test]

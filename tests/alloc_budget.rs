@@ -6,18 +6,21 @@
 //! heap allocations, and how many bytes, one *offered* packet costs on the
 //! shapes the cost ledger (`benchmark/`) times: a lossless
 //! `run(&trace).for_each`, a congested `run(GenSource).for_each`, a
-//! scheduled `collect()`, and `run_frames(&frames)` under both terminals.
-//! It also reads the bytes live before and after every run: the switch
-//! recycles its in-flight records in a pool that must die with the run.
-//! The counts are exact and repeat from run to run, which a timing on a
-//! shared host never does.
+//! scheduled `collect()`, `run_frames(&frames)` under both terminals, the
+//! sharded switch stepped inline (`for_each`) and on two worker threads
+//! (`collect()`). It also reads the bytes live before and after every run:
+//! both switches recycle their in-flight records in a pool that must die
+//! with the run. The counts are exact and repeat from run to run, which a
+//! timing on a shared host never does — all but the threaded one, whose
+//! count depends on how far the dispatcher runs ahead of the workers, and
+//! is bounded instead.
 //!
 //! One `#[test]`, one process-wide counter: nothing else may run beside it,
 //! so nothing else lives in this binary.
 
 use banzai::stream::GenSource;
 use banzai::wire::{encode, FrameSpec, WireConfig};
-use banzai::{AtomKind, AtomPipeline, SchedSpec, Switch, Target};
+use banzai::{AtomKind, AtomPipeline, SchedSpec, ShardConfig, ShardedSwitch, Switch, Target};
 use domino_ir::Packet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,25 +86,27 @@ fn count(what: &str, run: &mut impl FnMut()) -> (u64, u64) {
     )
 }
 
-/// Runs `run` once to warm up (memos made, queue and buffers at their
-/// high-water marks), then twice counted: the two counts must agree
-/// exactly, and stay within `allocs_x100 / 100` allocations and `bytes`
-/// bytes per offered packet.
-fn budget(what: &str, allocs_x100: u64, bytes: u64, mut run: impl FnMut()) {
+/// Runs `run`, which offers `n` packets, once to warm up (memos made,
+/// queue and buffers at their high-water marks), then counted — twice
+/// where the count is `exact`, and the two counts must agree — within
+/// `allocs_x100 / 100` allocations and `bytes` bytes per offered packet.
+fn budget(what: &str, n: u64, exact: bool, allocs_x100: u64, bytes: u64, mut run: impl FnMut()) {
     run();
     let counted = count(what, &mut run);
-    assert_eq!(counted, count(what, &mut run), "{what}: the count repeats");
+    if exact {
+        assert_eq!(counted, count(what, &mut run), "{what}: the count repeats");
+    }
     let (allocs, total) = counted;
     println!(
         "{what}: {:.2} allocations, {:.0} B per offered packet ({allocs} and {total} in all)",
-        allocs as f64 / N as f64,
-        total as f64 / N as f64
+        allocs as f64 / n as f64,
+        total as f64 / n as f64
     );
     assert!(
-        allocs * 100 <= allocs_x100 * N,
-        "{what}: {allocs} allocations over {N} packets"
+        allocs * 100 <= allocs_x100 * n,
+        "{what}: {allocs} allocations over {n} packets"
     );
-    assert!(total <= bytes * N, "{what}: {total} B over {N} packets");
+    assert!(total <= bytes * n, "{what}: {total} B over {n} packets");
 }
 
 fn compile(name: &str) -> AtomPipeline {
@@ -132,7 +137,7 @@ fn steady_state_allocations_per_offered_packet() {
     // one. With a slab made per packet this read 4.00 allocations and
     // 544 B, on the tree `Packet` before that 11.00 and 3,788 B.
     let mut sw = Switch::new_slot(&flowlet, &codel_lut, 512).unwrap();
-    budget("run(&trace).for_each", 201, 300, || {
+    budget("run(&trace).for_each", N, true, 201, 300, || {
         let sink = |p: Packet| folded += p.get_or_zero("next_hop") as i64;
         let stats = sw.run(&trace).for_each(sink).unwrap();
         assert_eq!((stats.offered, stats.transmitted), (N, N));
@@ -146,15 +151,22 @@ fn steady_state_allocations_per_offered_packet() {
     let mut sw = Switch::new_slot(&flowlet, &codel_lut, 512)
         .unwrap()
         .with_drain_period(3);
-    budget("run(GenSource).for_each, drain 3", 1159, 550, || {
-        let source = GenSource::with_len(N, |i| {
-            let fields = trace[i as usize].iter();
-            Some(fields.fold(Packet::new(), |p, (name, v)| p.with(name, v)))
-        });
-        let sink = |p: Packet| folded += p.get_or_zero("next_hop") as i64;
-        let stats = sw.run(source).for_each(sink).unwrap();
-        assert_eq!(stats.offered, N);
-    });
+    budget(
+        "run(GenSource).for_each, drain 3",
+        N,
+        true,
+        1159,
+        550,
+        || {
+            let source = GenSource::with_len(N, |i| {
+                let fields = trace[i as usize].iter();
+                Some(fields.fold(Packet::new(), |p, (name, v)| p.with(name, v)))
+            });
+            let sink = |p: Packet| folded += p.get_or_zero("next_hop") as i64;
+            let stats = sw.run(source).for_each(sink).unwrap();
+            assert_eq!(stats.offered, N);
+        },
+    );
 
     // `sched_wfq`: the whole burst queued, every departure kept — nothing
     // departs while the source is live, so there is nothing to recycle.
@@ -168,11 +180,18 @@ fn steady_state_allocations_per_offered_packet() {
         .with_scheduler(SchedSpec::Pifo {
             rank: "start".into(),
         });
-    budget("run(&burst).scheduled().collect()", 401, 365, || {
-        let departures = sw.run(&burst).scheduled().collect().unwrap();
-        assert_eq!(departures.len() as u64, N);
-        folded += departures[0].departure;
-    });
+    budget(
+        "run(&burst).scheduled().collect()",
+        N,
+        true,
+        401,
+        365,
+        || {
+            let departures = sw.run(&burst).scheduled().collect().unwrap();
+            assert_eq!(departures.len() as u64, N);
+            folded += departures[0].departure;
+        },
+    );
 
     // `wire_flowlet`: the flowlet load as frames, a quarter tagged, half
     // carrying a 1,200-B payload. A frame is copied into a recycled
@@ -192,17 +211,70 @@ fn steady_state_allocations_per_offered_packet() {
     };
     let frames: Vec<Vec<u8>> = trace.iter().enumerate().map(frame).collect();
     let mut sw = Switch::new_slot(&flowlet, &codel_lut, 512).unwrap();
-    budget("run_frames(&frames).for_each", 1, 1, || {
+    budget("run_frames(&frames).for_each", N, true, 1, 1, || {
         let sink = |f: &[u8]| folded += f.len() as i64;
         let stats = sw.run_frames(&frames, &cfg).for_each(sink).unwrap();
         assert_eq!((stats.offered, stats.transmitted), (N, N));
     });
     // `collect()` is the sink that keeps every frame: one `Vec<u8>` each
     // (the outer `Vec` is sized once, from the source's hint).
-    budget("run_frames(&frames).collect()", 101, 720, || {
+    budget("run_frames(&frames).collect()", N, true, 101, 720, || {
         let out = sw.run_frames(&frames, &cfg).collect().unwrap();
         assert_eq!(out.len() as u64, N);
         folded += out[0].len() as i64;
     });
+
+    // `sharded_flowlet`: two shards behind the one dispatcher, flowlet and
+    // a pass-through egress (the Exact tier), on a longer trace: the
+    // records a run makes before the first come home — about a batch per
+    // shard — are a cost per run, not per packet. The dispatcher admits
+    // each packet into a record a shard has spent; the shard emits by
+    // moving the record's value row into the packet, and admission gives
+    // the record a new one. Left: the clone off the slice and that row.
+    // The inline executor hands spent records straight back, so the count
+    // repeats. With a record made per packet and the row copied out this
+    // read 4.01 allocations and 212 B.
+    let n = 16 * N;
+    let long = algorithms::by_name("flowlet").unwrap().trace(n as usize, 7);
+    let passthrough = AtomPipeline::passthrough("egress");
+    let mut sw = ShardedSwitch::new_slot(&flowlet, &passthrough, ShardConfig::new(2)).unwrap();
+    budget(
+        "sharded run(&trace).for_each, 2 shards",
+        n,
+        true,
+        201,
+        110,
+        || {
+            let sink = |p: Packet| folded += p.get_or_zero("next_hop") as i64;
+            let stats = sw.run(&long).for_each(sink).unwrap();
+            assert_eq!((stats.offered, stats.transmitted), (n, n));
+        },
+    );
+    // Threaded, records and batch buffers come home over the return
+    // channel a batch at a time; how many records the dispatcher makes
+    // before the first come home is the scheduler's business, so this
+    // count is bounded, not exact. It read 4.01 allocations and 391 B, two
+    // of them freed on the other side of a thread from the one that made
+    // them; the output `collect()` keeps is most of the bytes.
+    //
+    // The first time a thread blocks on a channel, the standard library
+    // caches a context for it in that thread's locals for good (48 B).
+    // `collect()` blocks only when its workers are slower than it, so the
+    // warm-up run may not have; block this thread once first, so that the
+    // cache is not read as something the run kept.
+    let (_keep, never) = std::sync::mpsc::channel::<()>();
+    let _ = never.recv_timeout(std::time::Duration::from_millis(1));
+    budget(
+        "sharded run(&trace).collect(), 2 threads",
+        n,
+        false,
+        210,
+        300,
+        || {
+            let out = sw.run(&long).collect().unwrap();
+            assert_eq!(out.len() as u64, n);
+            folded += out[0].get_or_zero("next_hop") as i64;
+        },
+    );
     assert_ne!(folded, 0);
 }

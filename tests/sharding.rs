@@ -632,7 +632,11 @@ fn sharded_frame_run_is_the_serial_frame_run_split_by_the_plan() {
 /// worker emits through its own, so packet *shape* must not show in the
 /// result: a trace alternating between the generator's shape, one that
 /// omits a key root, and one naming a field off the table runs threaded
-/// == `partitioned` == serial.
+/// == `partitioned` == serial — twice on the same switches, the second
+/// run continuing the first's state. A worker moves a departing record's
+/// row into the packet it emits, but an off-table `vlan_tag` packet
+/// leaves through the by-name path and its record keeps its row, so
+/// records with and without a row share the dispatcher's one pool.
 #[test]
 fn alternating_packet_shapes_shard_like_serial() {
     let a = algorithms::by_name("flowlet").unwrap();
@@ -652,9 +656,20 @@ fn alternating_packet_shapes_shard_like_serial() {
         sharded_pair_differential("alternating shapes", &ingress, &egress, &trace, shards);
         let cfg = ShardConfig::new(shards).with_batch(16);
         let mut threaded = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
-        let merged = threaded.run(&trace).collect().unwrap();
         let mut sequential = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
-        let parts = sequential.run(&trace).partitioned().unwrap();
-        assert_eq!(merged, sequential.merge(parts), "{shards} shards");
+        for run in ["first", "second"] {
+            let merged = threaded.run(&trace).collect().unwrap();
+            let parts = sequential.run(&trace).partitioned().unwrap();
+            assert_eq!(
+                merged,
+                sequential.merge(parts),
+                "{shards} shards, {run} run"
+            );
+        }
+        assert_eq!(
+            threaded.export_merged_ingress_state().unwrap(),
+            sequential.export_merged_ingress_state().unwrap(),
+            "{shards} shards"
+        );
     }
 }
