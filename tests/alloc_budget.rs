@@ -8,12 +8,13 @@
 //! `run(&trace).for_each`, a congested `run(GenSource).for_each`, a
 //! scheduled `collect()`, `run_frames(&frames)` under both terminals, the
 //! sharded switch stepped inline (`for_each`) and on two worker threads
-//! (`collect()`). It also reads the bytes live before and after every run:
-//! both switches recycle their in-flight records in a pool that must die
-//! with the run. The counts are exact and repeat from run to run, which a
-//! timing on a shared host never does — all but the threaded one, whose
-//! count depends on how far the dispatcher runs ahead of the workers, and
-//! is bounded instead.
+//! (`collect()`) — and the lossless run once more through a PIFO at line
+//! rate, which the ledger does not time. It also reads the bytes live
+//! before and after every run: both switches recycle their in-flight
+//! records in a pool that must die with the run. The counts are exact and
+//! repeat from run to run, which a timing on a shared host never does —
+//! all but the threaded one, whose count depends on how far the
+//! dispatcher runs ahead of the workers, and is bounded instead.
 //!
 //! One `#[test]`, one process-wide counter: nothing else may run beside it,
 //! so nothing else lives in this binary.
@@ -138,6 +139,19 @@ fn steady_state_allocations_per_offered_packet() {
     // 544 B, on the tree `Packet` before that 11.00 and 3,788 B.
     let mut sw = Switch::new_slot(&flowlet, &codel_lut, 512).unwrap();
     budget("run(&trace).for_each", N, true, 201, 300, || {
+        let sink = |p: Packet| folded += p.get_or_zero("next_hop") as i64;
+        let stats = sw.run(&trace).for_each(sink).unwrap();
+        assert_eq!((stats.offered, stats.transmitted), (N, N));
+    });
+    // The same run through a PIFO: at line rate it holds at most one
+    // packet, too few to sort into a run, so it is a one-entry heap whose
+    // buffer, once grown, is reused. It costs what the FIFO costs.
+    let mut sw = Switch::new_slot(&flowlet, &codel_lut, 512)
+        .unwrap()
+        .with_scheduler(SchedSpec::Pifo {
+            rank: "arrival".into(),
+        });
+    budget("run(&trace).for_each, PIFO", N, true, 201, 300, || {
         let sink = |p: Packet| folded += p.get_or_zero("next_hop") as i64;
         let stats = sw.run(&trace).for_each(sink).unwrap();
         assert_eq!((stats.offered, stats.transmitted), (N, N));
