@@ -1481,4 +1481,20 @@ mod tests {
         let named: BTreeSet<&str> = SECTIONS.iter().map(|s| s.name).collect();
         assert_eq!(emitted, named);
     }
+
+    /// The committed `BENCH_throughput.json` is a whole run of this
+    /// harness: its sections are exactly `SECTIONS`, in document order — a
+    /// section dropped or added since it was recorded means it is stale.
+    #[test]
+    fn the_committed_document_has_exactly_the_sections() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+        let doc = std::fs::read_to_string(path).expect("the committed document");
+        assert_strict_json(&doc);
+        let keys: Vec<&str> = doc
+            .lines()
+            .filter_map(|line| line.strip_prefix("  \"")?.strip_suffix("\": ["))
+            .collect();
+        let named: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
+        assert_eq!(keys, named);
+    }
 }

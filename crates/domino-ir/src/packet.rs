@@ -7,13 +7,64 @@
 //! same fields — plus a **row** of values in shape order. Fields cover
 //! both real headers (`sport`, `dport`) and per-packet metadata/temporaries
 //! introduced by the programmer (`id`) or by the compiler (SSA temps).
+//!
+//! A packet built field by field ([`Packet::with`]) takes **remembered
+//! turns**, as SELF's maps and V8's hidden classes do: each thread keeps a
+//! small table of shape transitions `(from shape, field) → (grown shape,
+//! position)`, so every packet built by the same chain ends on the one
+//! shape the first such packet made, and pays for its value row alone.
+//! The table holds both shapes of every turn, so a tabled shape is always
+//! shared and never grown in place — `Arc::make_mut` copies it — which
+//! makes its address a sound key for as long as the turn is tabled. A set
+//! is chosen by hashing the shape's *length* and the field, never the
+//! address, so which lookups hit does not depend on where the allocator
+//! put a shape. A thread holds at most 64 turns (16 sets of 4 ways), so
+//! what the table alone keeps alive is at most 128 shapes, none wider than
+//! a packet that was built on it.
+//!
+//! [`Packet::set`] does not consult the table: it is the execution hot
+//! path, where the field is nearly always there already, and the packets
+//! it grows are a program's temporaries, not a generator's repeated chain
+//! (routing its inserts through the table read the scheduled-burst cost
+//! ledger row 14% slower, most of it in page faults).
 
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// The byte-wise sorted, duplicate-free names of a packet's fields, shared
 /// between packets.
 pub(crate) type Shape = Arc<Vec<Arc<str>>>;
+
+/// A remembered turn: `from` grown by the name at `to[at]`.
+struct Turn {
+    from: Shape,
+    to: Shape,
+    at: usize,
+}
+
+/// The turn table's geometry: `SETS` sets of `WAYS` turns, the newest first.
+const SETS: usize = 16;
+const WAYS: usize = 4;
+
+/// The capacity a row built by [`Packet::with`] reserves on its first
+/// insert: a header vector this wide grows no further.
+const ROW: usize = 8;
+
+thread_local! {
+    static TURNS: RefCell<[[Option<Turn>; WAYS]; SETS]> =
+        const { RefCell::new([const { [const { None }; WAYS] }; SETS]) };
+}
+
+/// The set a turn from a shape of `depth` names by `field` lives in
+/// (FxHash over the two, its top bits).
+fn set_of(depth: usize, field: &str) -> usize {
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let h = field
+        .bytes()
+        .fold(mix(0, depth as u64), |h, b| mix(h, b.into()));
+    (h >> (64 - SETS.trailing_zeros())) as usize
+}
 
 /// A parsed packet: named 32-bit fields.
 ///
@@ -27,7 +78,7 @@ pub(crate) type Shape = Arc<Vec<Arc<str>>>;
 /// one off a switch's layout (`PacketEdges::emit`), is one reference-count
 /// bump plus one copy of the value row. Setting a field the packet does
 /// not carry yet copies a shared shape first and grows an unshared one in
-/// place.
+/// place; [`Packet::with`] takes the grown shape from a table instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     names: Shape,
@@ -84,7 +135,15 @@ impl Packet {
         found.ok_or_else(|| self.names.partition_point(|name| **name < *field))
     }
 
-    /// Builder-style field setter.
+    /// Builder-style field setter: [`Packet::set`], by a remembered turn.
+    ///
+    /// A new name first looks the packet's shape up in this thread's turn
+    /// table (the module docs). On a hit the packet takes the grown shape an
+    /// earlier packet made the same way — no scan, no name or shape
+    /// allocated — and only its row grows, reserved once on the first
+    /// insert; so rebuilding a chain of up to eight fields allocates once.
+    /// A miss falls back to `set`'s overwrite or insert, and remembers an
+    /// insert as a turn, evicting the oldest of its set.
     ///
     /// ```
     /// use domino_ir::Packet;
@@ -92,7 +151,42 @@ impl Packet {
     /// assert_eq!(p.get("sport"), Some(80));
     /// ```
     pub fn with(mut self, field: &str, value: i32) -> Self {
-        self.set(field, value);
+        let set = set_of(self.names.len(), field);
+        let turn = TURNS.try_with(|turns| {
+            let ways = &turns.borrow()[set];
+            let mut taken = ways.iter().flatten();
+            let hit = taken.find(|t| Arc::ptr_eq(&t.from, &self.names) && *t.to[t.at] == *field);
+            hit.map(|t| (Arc::clone(&t.to), t.at))
+        });
+        let at = match turn.ok().flatten() {
+            Some((to, at)) => {
+                self.names = to;
+                at
+            }
+            None => match self.find(field) {
+                Ok(at) => {
+                    self.vals[at] = value;
+                    return self;
+                }
+                Err(at) => {
+                    // The kept `from` makes `make_mut` copy even a shape
+                    // no other packet shares: a tabled shape is never grown.
+                    let from = Arc::clone(&self.names);
+                    Arc::make_mut(&mut self.names).insert(at, Arc::from(field));
+                    let to = Arc::clone(&self.names);
+                    let _ = TURNS.try_with(|turns| {
+                        let ways = &mut turns.borrow_mut()[set];
+                        ways.rotate_right(1);
+                        ways[0] = Some(Turn { from, to, at });
+                    });
+                    at
+                }
+            },
+        };
+        if self.vals.capacity() == 0 {
+            self.vals.reserve(ROW);
+        }
+        self.vals.insert(at, value);
         self
     }
 

@@ -99,20 +99,41 @@ proptest! {
 
     #[test]
     fn any_operation_sequence_matches_the_map_model(
-        ops in proptest::collection::vec((0u8..6, 0usize..NAMES.len(), -4i32..5), 0..48),
+        ops in proptest::collection::vec((0u8..7, 0usize..NAMES.len(), -4i32..5), 0..48),
     ) {
         let mut pkt = Packet::new();
         let mut model: BTreeMap<String, i32> = BTreeMap::new();
+        // Every write so far, in order: what a twin replays with `.with`.
+        let mut writes: Vec<(&str, i32)> = Vec::new();
         for (op, at, v) in ops {
             let name = NAMES[at];
             match op {
                 0 | 1 => {
                     pkt.set(name, v);
                     model.insert(name.to_string(), v);
+                    writes.push((name, v));
                 }
                 2 => {
                     pkt = pkt.with(name, v);
                     model.insert(name.to_string(), v);
+                    writes.push((name, v));
+                }
+                // Two packets built by the same `.with` chain, the second
+                // by the turns the first left; one of them then grows by
+                // `set` — a copy of the tabled shape, which the other
+                // keeps.
+                6 => {
+                    let twin = || writes.iter().fold(Packet::new(), |p, &(k, v)| p.with(k, v));
+                    let (first, mut second) = (twin(), twin());
+                    assert_same(&first, &model)?;
+                    assert_same(&second, &model)?;
+                    let fresh = NAMES.iter().find(|n| !model.contains_key(**n)).unwrap_or(&name);
+                    second.set(fresh, v.wrapping_mul(5));
+                    let mut grown = model.clone();
+                    grown.insert(fresh.to_string(), v.wrapping_mul(5));
+                    assert_same(&second, &grown)?;
+                    assert_same(&first, &model)?;
+                    assert_same(&twin(), &model)?;
                 }
                 // A clone that then diverges leaves the original alone —
                 // whether the name is new (the shared shape is copied) or
@@ -189,6 +210,83 @@ fn an_empty_packet_allocates_nothing_after_the_first() {
     assert!(a.is_empty() && a.iter().next().is_none() && a.to_string() == "{}");
     // Cloning one allocates nothing either.
     assert_eq!(allocations(|| a.clone()).0, 0);
+}
+
+/// The ledger generator's chain: six fields, none in sorted order.
+fn six_field_chain(i: i32) -> Packet {
+    Packet::new()
+        .with("sport", i)
+        .with("dport", 80)
+        .with("arrival", 3 * i)
+        .with("new_hop", 0)
+        .with("next_hop", 0)
+        .with("id", 0)
+}
+
+#[test]
+fn a_rebuilt_chain_allocates_only_its_row() {
+    let first = six_field_chain(1);
+    let (n, again) = allocations(|| six_field_chain(2));
+    assert_eq!(n, 1, "the turns are remembered: only the row is new");
+    let model: BTreeMap<String, i32> = [
+        ("arrival", 6),
+        ("dport", 80),
+        ("id", 0),
+        ("new_hop", 0),
+        ("next_hop", 0),
+        ("sport", 2),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect();
+    assert_same(&again, &model).unwrap();
+    assert!(first.field_names().eq(again.field_names()));
+    // Overwriting by `.with` is no turn, and allocates nothing.
+    let (n, again) = allocations(|| again.with("dport", 443));
+    assert_eq!((n, again.get("dport")), (0, Some(443)));
+}
+
+#[test]
+fn more_turns_than_the_table_holds_still_match_the_model_after_eviction() {
+    // 96 chains of 4 fresh names each: 384 distinct turns, six times what
+    // a thread's table holds, so every chain's turns are evicted before it
+    // is built again.
+    let chain = |c: usize| (0..4).map(move |d| (format!("c{c}.f{}", 3 - d), (c * 4 + d) as i32));
+    let build = |c: usize| chain(c).fold(Packet::new(), |p, (k, v)| p.with(&k, v));
+    let model = |c: usize| chain(c).collect::<BTreeMap<String, i32>>();
+    let kept: Vec<Packet> = (0..96).map(build).collect();
+    for (c, kept) in kept.iter().enumerate() {
+        let mut again = build(c);
+        assert_same(&again, &model(c)).unwrap();
+        assert_same(kept, &model(c)).unwrap();
+        // Grown in place or copied, the kept packet does not see it.
+        again.set("zz", -1);
+        assert_same(kept, &model(c)).unwrap();
+        assert_eq!(again.get("zz"), Some(-1));
+    }
+}
+
+#[test]
+fn a_packet_built_on_one_thread_extends_on_another() {
+    let here = six_field_chain(7);
+    let sent = here.clone();
+    let there = std::thread::spawn(move || {
+        // The other thread's table has never seen this shape: a miss, then
+        // remembered there, then a hit.
+        let a = sent.clone().with("queue", 1).with("hop", 2);
+        let b = sent.with("queue", 1).with("hop", 2);
+        (a, b)
+    })
+    .join()
+    .unwrap();
+    let mut model: BTreeMap<String, i32> = here.iter().map(|(k, v)| (k.to_string(), v)).collect();
+    assert_same(&here, &model).unwrap();
+    model.insert("queue".into(), 1);
+    model.insert("hop".into(), 2);
+    assert_same(&there.0, &model).unwrap();
+    assert_same(&there.1, &model).unwrap();
+    // And back on this thread, the same chain by this thread's turns.
+    assert_same(&here.with("queue", 1).with("hop", 2), &model).unwrap();
 }
 
 #[test]
