@@ -18,7 +18,7 @@
 use crate::error::SwitchError;
 use crate::machine::AtomPipeline;
 use crate::switch::PipelineEngine;
-use domino_ir::layout::mix64;
+use domino_ir::partition::mix64;
 use domino_ir::{FieldId, FieldTable, FlatPacket, StateStore};
 use std::sync::Arc;
 use std::time::Duration;

@@ -27,9 +27,9 @@
 //!   egress pipeline), generic over either execution engine,
 //! * [`pifo`] — programmable scheduling: push-in-first-out queue blocks
 //!   popped in rank order (the rank itself computed by a Domino program's
-//!   output field), hierarchical PIFO-of-PIFOs composition, and the
-//!   [`pifo::SchedSpec`] policy that selects the switch queue's
-//!   discipline — WFQ, strict priority, and token-bucket shaping,
+//!   output field), and the [`pifo::SchedSpec`] policy that selects the
+//!   switch queue's discipline — WFQ, strict priority, and token-bucket
+//!   shaping,
 //! * [`shard`] — the multi-core scale-out: [`shard::ShardedSwitch`] steers
 //!   flows to N independent per-shard switches (RSS-style, keyed by the
 //!   program's own state indexing) and merges packets and state back
@@ -71,7 +71,7 @@ pub use error::{
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultyEngine};
 pub use kind::{AtomKind, StatefulCaps};
 pub use machine::{AtomPipeline, AtomRole, CompiledAtom, Machine};
-pub use pifo::{Fifo, HierPifo, Pifo, SchedKey, SchedQueue, SchedSpec, Scheduler};
+pub use pifo::{Fifo, Pifo, SchedKey, SchedQueue, SchedSpec, Scheduler};
 pub use shard::{
     Backpressure, ShardConfig, ShardPlan, ShardRun, ShardTier, ShardTimings, ShardedFrameRun,
     ShardedRun, ShardedSchedRun, ShardedSwitch, SteerMode,

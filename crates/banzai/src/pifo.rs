@@ -20,12 +20,10 @@
 //!   into one run (a *settle*) — so a burst is sorted once and then
 //!   drained at O(1) a departure instead of sifting through a heap deeper
 //!   than the cache,
-//! * [`HierPifo`] — hierarchical composition (PIFO-of-PIFOs): a root PIFO
-//!   of class tokens ranked by class picks *which* leaf transmits next,
-//!   and that class's leaf PIFO picks *what* — strict priority across
-//!   classes over rank order (e.g. per-class WFQ) within each,
 //! * [`SchedSpec`] — the switch-facing policy: which packet fields feed
-//!   the key, which queue shape to build, and which
+//!   the key (strict priority over per-class ranks is the one PIFO keyed
+//!   by `(class, rank)`, as in *Programmable Packet Scheduling*), which
+//!   queue to build, and which
 //!   [`DropReason`](crate::switch::DropReason) a rejected packet counts
 //!   under ([`DropReason::SchedFull`](crate::switch::DropReason) for every
 //!   rank scheduler; the FIFO keeps its historical
@@ -39,7 +37,7 @@
 
 use domino_ir::{FieldId, FlatPacket, Packet};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// The scheduling key of one packet: `(class, rank)`, compared
 /// lexicographically — class is the outer (strict-priority) level, rank
@@ -181,8 +179,8 @@ const SETTLE_MIN: usize = 32;
 ///   O(log h) from a heap of `h`. No sequence of operations is
 ///   asymptotically worse than a binary heap, and a burst pushed whole
 ///   and then drained is sorted once, not sifted once a departure. A
-///   queue that never holds 32 — line rate, a small class of a
-///   [`HierPifo`] — is the heap alone and never sorts.
+///   queue that never holds 32 — line rate, say — is the heap alone and
+///   never sorts.
 /// * Memory: the run's buffer grows as one heap's would, to the queue at
 ///   its deepest. A push into an empty queue swaps the buffers if the
 ///   run's is the larger, so a burst fills it, and burst-then-drain
@@ -286,101 +284,6 @@ impl<T> Scheduler<T> for Pifo<T> {
     }
 }
 
-/// Hierarchical PIFO-of-PIFOs: a root PIFO of **class tokens** (one per
-/// enqueued item, ranked by class) decides which class transmits next;
-/// that class's **leaf PIFO** (ranked by the item's rank) decides which
-/// item. The net order is strict priority across classes, rank order —
-/// e.g. per-class WFQ — within each, exactly what a flat PIFO over the
-/// composite `(class, rank)` key yields; the two are differentially
-/// tested against each other, and the hierarchy is the shape hardware
-/// composes (the root picks a leaf *without* inspecting leaf occupants).
-///
-/// ```
-/// use banzai::pifo::{HierPifo, Pifo, SchedKey, Scheduler};
-///
-/// let mut q: HierPifo<u32> = HierPifo::bounded(16);
-/// q.push(SchedKey { class: 1, rank: 5 }, 15).unwrap();
-/// q.push(SchedKey { class: 0, rank: 9 }, 9).unwrap();
-/// q.push(SchedKey { class: 0, rank: 7 }, 7).unwrap();
-/// // Class 0 drains first (in rank order), then class 1.
-/// let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
-/// assert_eq!(order, [7, 9, 15]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HierPifo<T> {
-    /// One token per enqueued item, keyed `(class, class)` so the root's
-    /// order is pure strict priority.
-    root: Pifo<()>,
-    /// Per-class leaf PIFOs, keyed `(0, rank)`.
-    leaves: BTreeMap<i64, Pifo<T>>,
-    /// Total-occupancy bound across every leaf.
-    capacity: usize,
-    len: usize,
-}
-
-impl<T> HierPifo<T> {
-    /// An empty hierarchy bounded at `capacity` total items.
-    pub fn bounded(capacity: usize) -> HierPifo<T> {
-        HierPifo {
-            root: Pifo::unbounded(),
-            leaves: BTreeMap::new(),
-            capacity,
-            len: 0,
-        }
-    }
-}
-
-impl<T> Scheduler<T> for HierPifo<T> {
-    fn push(&mut self, key: SchedKey, item: T) -> Result<(), T> {
-        if self.len >= self.capacity {
-            return Err(item);
-        }
-        let leaf = self.leaves.entry(key.class).or_insert_with(Pifo::unbounded);
-        // Leaf PIFOs are unbounded: this never hands the item back.
-        leaf.push(SchedKey::rank(key.rank), item)?;
-        let token = SchedKey {
-            class: key.class,
-            rank: key.class,
-        };
-        // Nor does the unbounded root refuse the item's token.
-        let _ = self.root.push(token, ());
-        self.len += 1;
-        Ok(())
-    }
-
-    fn pop(&mut self) -> Option<(SchedKey, T)> {
-        let (token, ()) = self.root.pop()?;
-        // One root token per queued item: its class has a leaf, and the
-        // leaf an item.
-        let (leaf_key, item) = self.leaves.get_mut(&token.class)?.pop()?;
-        self.len -= 1;
-        Some((
-            SchedKey {
-                class: token.class,
-                rank: leaf_key.rank,
-            },
-            item,
-        ))
-    }
-
-    fn peek_key(&self) -> Option<SchedKey> {
-        let token = self.root.peek_key()?;
-        let leaf = self.leaves.get(&token.class)?;
-        Some(SchedKey {
-            class: token.class,
-            rank: leaf.peek_key()?.rank,
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
 /// The switch's queue, dispatching over the discipline the
 /// [`SchedSpec`] selected. (An enum, not a `Box<dyn Scheduler>`: the
 /// switch derives `Clone`, and the FIFO arm keeps the historical
@@ -389,10 +292,8 @@ impl<T> Scheduler<T> for HierPifo<T> {
 pub enum SchedQueue<T> {
     /// Drop-tail FIFO (the default — bit-identical to the pre-PIFO switch).
     Fifo(Fifo<T>),
-    /// Flat PIFO.
+    /// PIFO: every rank discipline.
     Pifo(Pifo<T>),
-    /// Hierarchical PIFO-of-PIFOs.
-    Hier(HierPifo<T>),
 }
 
 impl<T> Scheduler<T> for SchedQueue<T> {
@@ -400,7 +301,6 @@ impl<T> Scheduler<T> for SchedQueue<T> {
         match self {
             SchedQueue::Fifo(q) => q.push(key, item),
             SchedQueue::Pifo(q) => q.push(key, item),
-            SchedQueue::Hier(q) => q.push(key, item),
         }
     }
 
@@ -408,7 +308,6 @@ impl<T> Scheduler<T> for SchedQueue<T> {
         match self {
             SchedQueue::Fifo(q) => q.pop(),
             SchedQueue::Pifo(q) => q.pop(),
-            SchedQueue::Hier(q) => q.pop(),
         }
     }
 
@@ -416,7 +315,6 @@ impl<T> Scheduler<T> for SchedQueue<T> {
         match self {
             SchedQueue::Fifo(q) => q.peek_key(),
             SchedQueue::Pifo(q) => q.peek_key(),
-            SchedQueue::Hier(q) => q.peek_key(),
         }
     }
 
@@ -424,7 +322,6 @@ impl<T> Scheduler<T> for SchedQueue<T> {
         match self {
             SchedQueue::Fifo(q) => q.len(),
             SchedQueue::Pifo(q) => q.len(),
-            SchedQueue::Hier(q) => q.len(),
         }
     }
 
@@ -432,7 +329,6 @@ impl<T> Scheduler<T> for SchedQueue<T> {
         match self {
             SchedQueue::Fifo(q) => q.capacity(),
             SchedQueue::Pifo(q) => q.capacity(),
-            SchedQueue::Hier(q) => q.capacity(),
         }
     }
 }
@@ -447,21 +343,21 @@ pub enum SchedSpec {
     /// Drop-tail FIFO (the historical switch; keys ignored).
     #[default]
     Fifo,
-    /// Flat PIFO ranked by the named field — WFQ when the field is an
+    /// PIFO ranked by the named field — WFQ when the field is an
     /// STFQ virtual start time.
     Pifo {
         /// Packet field supplying the rank.
         rank: String,
     },
-    /// Flat PIFO ranked by the named field, with pops **gated**: a packet
+    /// PIFO ranked by the named field, with pops **gated**: a packet
     /// does not depart before the cycle its rank names (rank =
     /// earliest-departure cycle). Token-bucket / pacing shapers.
     Shaping {
         /// Packet field supplying the earliest-departure cycle.
         rank: String,
     },
-    /// Hierarchical: strict priority by the class field, rank order (per
-    /// the rank field) within each class.
+    /// Strict priority by the class field, rank order (per the rank field)
+    /// within each class: one PIFO keyed by `(class, rank)`.
     Priority {
         /// Packet field supplying the strict-priority class.
         class: String,
@@ -504,10 +400,7 @@ impl SchedSpec {
     pub fn build_queue<T>(&self, capacity: usize) -> SchedQueue<T> {
         match self {
             SchedSpec::Fifo => SchedQueue::Fifo(Fifo::bounded(capacity)),
-            SchedSpec::Pifo { .. } | SchedSpec::Shaping { .. } => {
-                SchedQueue::Pifo(Pifo::bounded(capacity))
-            }
-            SchedSpec::Priority { .. } => SchedQueue::Hier(HierPifo::bounded(capacity)),
+            _ => SchedQueue::Pifo(Pifo::bounded(capacity)),
         }
     }
 
@@ -615,39 +508,6 @@ mod tests {
         assert_eq!(q.push(SchedKey::rank(1), "urgent"), Err("urgent"));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop().unwrap().1, "a");
-    }
-
-    #[test]
-    fn hierarchy_matches_flat_composite_key_pifo() {
-        let keys = [(2i64, 7i64), (0, 9), (1, 1), (0, 2), (2, 7), (1, 1), (0, 9)];
-        let mut hier: HierPifo<usize> = HierPifo::bounded(64);
-        let mut flat: Pifo<usize> = Pifo::bounded(64);
-        for (i, &(class, rank)) in keys.iter().enumerate() {
-            hier.push(SchedKey { class, rank }, i).unwrap();
-            flat.push(SchedKey { class, rank }, i).unwrap();
-        }
-        assert_eq!(drain(&mut hier), drain(&mut flat));
-    }
-
-    #[test]
-    fn hierarchy_interleaved_push_pop_still_pops_global_min() {
-        let mut q: HierPifo<&str> = HierPifo::bounded(16);
-        q.push(SchedKey { class: 1, rank: 0 }, "low-a").unwrap();
-        q.push(SchedKey { class: 0, rank: 5 }, "hi-a").unwrap();
-        assert_eq!(q.pop().unwrap().1, "hi-a");
-        // A high-class packet arriving *after* pops began still preempts.
-        q.push(SchedKey { class: 0, rank: 9 }, "hi-b").unwrap();
-        assert_eq!(q.pop().unwrap().1, "hi-b");
-        assert_eq!(q.pop().unwrap().1, "low-a");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn hierarchy_capacity_is_total_across_leaves() {
-        let mut q: HierPifo<u32> = HierPifo::bounded(2);
-        q.push(SchedKey { class: 0, rank: 0 }, 0).unwrap();
-        q.push(SchedKey { class: 5, rank: 0 }, 1).unwrap();
-        assert_eq!(q.push(SchedKey { class: 9, rank: 0 }, 2), Err(2));
     }
 
     #[test]

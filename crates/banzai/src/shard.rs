@@ -136,7 +136,8 @@ use crate::switch::{
 };
 use crate::wire::{BoundParser, ParseVerdict, WireConfig};
 use domino_ast::{StateKind, StateVar};
-use domino_ir::layout::{mix64, FlowKeySpec, Partitionability, ReplicaSpec, StateLayout};
+use domino_ir::layout::StateLayout;
+use domino_ir::partition::{mix64, FlowKeySpec, Partitionability, ReplicaSpec};
 use domino_ir::{FieldId, FieldTable, Packet, PacketEdges, StateStore, TacStmt};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;

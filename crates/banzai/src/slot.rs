@@ -39,9 +39,8 @@ use crate::error::SwitchError;
 use crate::machine::{pipelined, AtomPipeline};
 use crate::switch::PipelineEngine;
 use domino_ast::{intrinsics, BinOp, UnOp};
-use domino_ir::layout::{
-    FieldId, FieldTable, FlatPacket, FlatState, FlowKeySpec, StateLayout, StateSlot,
-};
+use domino_ir::layout::{FieldId, FieldTable, FlatPacket, FlatState, StateLayout, StateSlot};
+use domino_ir::partition::FlowKeySpec;
 use domino_ir::{Operand, Packet, StateRef, StateStore, TacRhs, TacStmt};
 use std::fmt;
 use std::sync::Arc;
@@ -712,7 +711,7 @@ mod tests {
     use super::*;
     use crate::machine::{AtomRole, CompiledAtom, Machine};
     use domino_ast::{StateKind, StateVar};
-    use domino_ir::layout::mix64;
+    use domino_ir::partition::mix64;
     use domino_ir::Codelet;
 
     // banzai cannot depend on domino-compiler (it is upstream), so unit

@@ -8,6 +8,9 @@
 //! * [`layout`] — the compile-time field-layout pass: interned fields
 //!   ([`layout::FieldTable`]), flat packets ([`layout::FlatPacket`]), and
 //!   flat state ([`layout::FlatState`]) for the slot-compiled fast path,
+//! * [`partition`] — how a program's state splits across shards: the
+//!   flow key ([`partition::FlowKeySpec`]) or the replica merge
+//!   ([`partition::ReplicaSpec`]),
 //! * [`tac`] — three-address code, the normalized form of a transaction,
 //! * [`codelet`] — codelets and the PVSM pipeline IR (§4.2),
 //! * [`interp`] — the sequential reference interpreters that define the
@@ -23,16 +26,15 @@ pub mod codelet;
 pub mod interp;
 pub mod layout;
 pub mod packet;
+pub mod partition;
 pub mod state;
 pub mod tac;
 pub mod wire;
 
 pub use codelet::{Codelet, PvsmPipeline};
 pub use interp::{run_ast, run_tac, step_ast, step_tac};
-pub use layout::{
-    FieldId, FieldTable, FlatPacket, FlatState, FlowKeySpec, MergeOp, PacketEdges,
-    Partitionability, ReplicaArray, ReplicaSpec, Residual, StateLayout,
-};
+pub use layout::{FieldId, FieldTable, FlatPacket, FlatState, PacketEdges, Residual, StateLayout};
 pub use packet::Packet;
+pub use partition::{FlowKeySpec, MergeOp, Partitionability, ReplicaArray, ReplicaSpec};
 pub use state::{StateStore, StateValue};
 pub use tac::{Operand, StateRef, TacProgram, TacRhs, TacStmt};

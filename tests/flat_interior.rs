@@ -15,7 +15,7 @@ use banzai::{
     AtomKind, AtomPipeline, Machine, PipelineEngine, SchedDeparture, SchedQueue, SchedSpec,
     Scheduler, SlotMachine, Switch, Target,
 };
-use domino_ir::{FieldTable, FlatPacket, Packet, PacketEdges, StateStore};
+use domino_ir::{FieldTable, FlatPacket, Packet, PacketEdges, Residual, StateStore};
 use std::sync::Arc;
 
 /// The pre-flat switch loop: pull → `Machine::process` → queue → by-name
@@ -491,29 +491,47 @@ fn memoised_edges_equal_the_by_name_merges_through_every_shape_change() {
     let table = Arc::new(table);
     let stamped = ["enq_ts", "next_hop", "now"].map(|f| table.lookup(f).unwrap());
     let mut edges = PacketEdges::new(&table);
-    // One record recycled through the whole trace, as the switch does:
-    // every admission into it overwrites the last packet's slots, stamps
-    // and residual, and must equal the admission that makes a new record.
-    let mut spent = (FlatPacket::new(Arc::clone(&table)), Vec::new());
+    let new_record = || (FlatPacket::new(Arc::clone(&table)), Residual::new());
+    // Every packet is admitted into three records, as the switch does: a
+    // new one (an empty pool), one recycled with its row — which still
+    // holds the last packet's slots, stamps and residual — and one left
+    // rowless by a moving emission. Each must equal the by-name admission.
+    let (mut recycled, mut rowless) = (new_record(), new_record());
     for (i, pkt) in shapeshifting_trace(200).iter().enumerate() {
-        let (mut flat, residual) = edges.admit(pkt);
         let reference = FlatPacket::admit(pkt, &table);
-        assert_eq!((&flat, &residual), (&reference.0, &reference.1), "{i}");
-        edges.admit_into(pkt, &mut spent.0, &mut spent.1);
-        assert_eq!(spent, reference, "packet {i}: into a spent record");
-        assert_eq!(residual.is_empty(), !pkt.has("mystery"), "packet {i}");
+        let mut fresh = new_record();
+        for (record, what) in [
+            (&mut fresh, "a new record"),
+            (&mut recycled, "a recycled record"),
+            (&mut rowless, "a rowless record"),
+        ] {
+            edges.admit_into(pkt, &mut record.0, &mut record.1);
+            assert_eq!(*record, reference, "packet {i}: into {what}");
+        }
+        assert_eq!(reference.1.is_empty(), !pkt.has("mystery"), "packet {i}");
         // What a switch does in between: stamps and engine writes.
         for id in stamped {
-            flat.set(id, i as i32);
+            fresh.0.set(id, i as i32);
+            rowless.0.set(id, i as i32);
         }
-        let out = edges.emit(&flat, &residual);
-        let want = flat.emit(&table.by_name(), &residual);
-        assert_eq!(out, want, "packet {i}: emission");
-        assert!(out.iter().eq(want.iter()), "packet {i}: iteration order");
-        assert!(!out.has("unset"));
+        let want = fresh.0.emit(&table.by_name(), &fresh.1);
+        // One memo serves both emissions: which of them meets a new mask
+        // first alternates from one shape of the trace to the next.
+        let (copied, moved) = if (i + i / 4) % 2 == 0 {
+            let copied = edges.emit(&fresh.0, &fresh.1);
+            (copied, edges.emit_row(&mut rowless.0, &rowless.1))
+        } else {
+            let moved = edges.emit_row(&mut rowless.0, &rowless.1);
+            (edges.emit(&fresh.0, &fresh.1), moved)
+        };
+        for (out, what) in [(copied, "copied"), (moved, "moved")] {
+            assert_eq!(out, want, "packet {i}: {what}");
+            assert!(out.iter().eq(want.iter()), "packet {i}: {what} in order");
+            assert!(!out.has("unset"));
+        }
         // Leave the stamps behind for the next admission to clear.
         for id in stamped {
-            spent.0.set(id, -1);
+            recycled.0.set(id, -1);
         }
     }
 }

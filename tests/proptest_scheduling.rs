@@ -6,7 +6,7 @@
 //!   stable sort of the admitted pushes by `(class, rank)` — arrival
 //!   order breaking ties — for any rank distribution, tie density, and
 //!   capacity, including under interleaved push/pop and under phased
-//!   bursts and drains against a naive model (the hierarchy too);
+//!   bursts and drains against a naive model;
 //! * the sharded scheduling run ([`ShardedSwitch::run_sched_trace`]) is
 //!   **bit-identical to serial** — departures, drop counters, and the
 //!   state of a departure-order-sensitive egress — across disciplines,
@@ -17,8 +17,8 @@
 //!   `offered == transmitted + dropped` in every configuration.
 
 use banzai::{
-    AtomKind, AtomPipeline, DropReason, HierPifo, Pifo, SchedKey, SchedSpec, Scheduler,
-    ShardConfig, ShardedSwitch, Switch, Target,
+    AtomKind, AtomPipeline, DropReason, Pifo, SchedKey, SchedSpec, Scheduler, ShardConfig,
+    ShardedSwitch, Switch, Target,
 };
 use domino_ir::Packet;
 use proptest::prelude::*;
@@ -145,9 +145,8 @@ proptest! {
     /// from a small key domain, then pops up to as many, so the queue runs
     /// deep and a `Pifo` sorts with both its sorted run and its heap of
     /// late arrivals full — which a 50/50 interleaving never reaches. At
-    /// every step `peek_key` names the next pop, `len` and each refusal
-    /// match the model, and a `HierPifo` does what the flat PIFO does on
-    /// the composite key.
+    /// every step `peek_key` names the next pop, and `len` and each
+    /// refusal match the model.
     #[test]
     fn pifo_phased_bursts_match_the_naive_model(
         phases in proptest::collection::vec(
@@ -155,8 +154,7 @@ proptest! {
             0..8),
         capacity in 0..=160usize,
     ) {
-        let mut flat: Pifo<u64> = Pifo::bounded(capacity);
-        let mut hier: HierPifo<u64> = HierPifo::bounded(capacity);
+        let mut pifo: Pifo<u64> = Pifo::bounded(capacity);
         let mut model: Vec<(SchedKey, u64)> = Vec::new();
         let mut seq = 0u64;
         for (burst, drain) in phases {
@@ -164,14 +162,12 @@ proptest! {
                 let key = SchedKey { class, rank };
                 let admitted = model.len() < capacity;
                 let expected = if admitted { Ok(()) } else { Err(seq) };
-                prop_assert_eq!(flat.push(key, seq), expected);
-                prop_assert_eq!(hier.push(key, seq), expected);
+                prop_assert_eq!(pifo.push(key, seq), expected);
                 if admitted {
                     model.push((key, seq));
                 }
                 seq += 1;
-                prop_assert_eq!(flat.len(), model.len());
-                prop_assert_eq!(hier.len(), model.len());
+                prop_assert_eq!(pifo.len(), model.len());
             }
             for _ in 0..drain {
                 let next = model
@@ -181,12 +177,9 @@ proptest! {
                     .map(|(i, _)| i)
                     .map(|i| model.remove(i));
                 let next_key = next.map(|(key, _)| key);
-                prop_assert_eq!(flat.peek_key(), next_key);
-                prop_assert_eq!(hier.peek_key(), next_key);
-                prop_assert_eq!(flat.pop(), next);
-                prop_assert_eq!(hier.pop(), next);
-                prop_assert_eq!(flat.len(), model.len());
-                prop_assert_eq!(hier.len(), model.len());
+                prop_assert_eq!(pifo.peek_key(), next_key);
+                prop_assert_eq!(pifo.pop(), next);
+                prop_assert_eq!(pifo.len(), model.len());
             }
         }
     }

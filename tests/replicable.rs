@@ -1,7 +1,7 @@
 //! Property suite for the **Replicable** partitioning tier: full sketch
 //! replica per shard, elementwise merge at collect time.
 //!
-//! The contract under test (see `domino_ir::layout::ReplicaSpec` and
+//! The contract under test (see `domino_ir::partition::ReplicaSpec` and
 //! `banzai::shard`):
 //!
 //! * **merge algebra**: the elementwise merge is commutative and

@@ -16,9 +16,10 @@
 //! * **shaping departure times** — the token-bucket pacer's
 //!   earliest-departure ranks are enforced as actual departure *cycles*,
 //!   pinned exactly;
-//! * **hierarchical composition** — the priority-over-WFQ PIFO tree
-//!   equals the flat `(class, rank, arrival)` stable-sort oracle, with
-//!   overflow counted under the pinned `sched_full` reason.
+//! * **strict priority over WFQ** — `Priority{class, rank}` departs in
+//!   the order of a `(class, rank, arrival)` stable sort computed apart
+//!   from the switch, with overflow counted under the pinned `sched_full`
+//!   reason.
 //!
 //! Like `tests/drop_reasons.rs`, pinned vectors are append-only: a
 //! failure here means the scheduler's exported behaviour moved.
@@ -253,7 +254,7 @@ fn hierarchical_pifo_matches_flat_composite_sort_with_sched_full_overflow() {
     };
 
     let deps = serial_and_sharded(
-        "hier-overflow",
+        "priority-overflow",
         &stfq_pipeline(),
         &sojourn_egress(),
         spec.clone(),
@@ -262,7 +263,7 @@ fn hierarchical_pifo_matches_flat_composite_sort_with_sched_full_overflow() {
     );
 
     // Burst admission is by occupancy: exactly the first CAPACITY
-    // arrivals enter the PIFO tree; the rest drop under sched_full.
+    // arrivals enter the PIFO; the rest drop under sched_full.
     assert_eq!(deps.len(), CAPACITY);
     let admitted: Vec<i64> = {
         let mut v: Vec<i64> = deps.iter().map(|d| d.arrival).collect();
@@ -271,8 +272,8 @@ fn hierarchical_pifo_matches_flat_composite_sort_with_sched_full_overflow() {
     };
     assert_eq!(admitted, (0..CAPACITY as i64).collect::<Vec<_>>());
 
-    // Oracle: the hierarchical PIFO (root over classes, WFQ leaves)
-    // must equal a flat stable sort of the admitted prefix by
+    // Oracle: strict priority over per-class WFQ must equal a stable
+    // sort of the admitted prefix by
     // (class, rank, arrival). Ranks are what the transaction computes,
     // so replay the ingress program over the admitted prefix (state
     // evolution depends only on the arrival-order prefix).
@@ -290,7 +291,7 @@ fn hierarchical_pifo_matches_flat_composite_sort_with_sched_full_overflow() {
         .iter()
         .map(|d| (d.key.class, d.key.rank, d.arrival))
         .collect();
-    assert_eq!(got, oracle, "PIFO-of-PIFOs != flat composite-key sort");
+    assert_eq!(got, oracle, "strict priority != composite-key sort");
 
     // The overflow is typed: sched_full, not queue_full.
     let mut serial = Switch::new_slot(&stfq_pipeline(), &sojourn_egress(), CAPACITY)
