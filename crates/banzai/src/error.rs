@@ -206,7 +206,7 @@ pub struct FaultReport {
     /// Per-shard salvage, in shard order — one entry per shard,
     /// surviving shards included.
     pub salvage: Vec<ShardSalvage>,
-    /// The deterministic seeded round-robin merge of the **surviving**
+    /// The deterministic round-robin merge of the **surviving**
     /// shards' complete output streams (failed shards' partial prefixes
     /// stay in [`FaultReport::salvage`], where their incompleteness is
     /// explicit).
@@ -280,9 +280,6 @@ pub enum SwitchError {
     /// The requested operation is not supported in this configuration
     /// (e.g. stamped execution on an oversubscribed link).
     Unsupported(String),
-    /// The steering mode defines no state partition, so a merged state
-    /// snapshot cannot be reconstructed.
-    StatePartition(String),
     /// One or more shard workers faulted during a run; the report holds
     /// everything salvaged. Boxed: the report carries packet vectors.
     Fault(Box<FaultReport>),
@@ -308,7 +305,6 @@ impl fmt::Display for SwitchError {
         match self {
             SwitchError::Build(msg) => write!(f, "cannot build switch: {msg}"),
             SwitchError::Unsupported(msg) => write!(f, "unsupported configuration: {msg}"),
-            SwitchError::StatePartition(msg) => write!(f, "no state partition: {msg}"),
             SwitchError::Fault(report) => {
                 if !report.failures.is_empty() {
                     let failures: Vec<String> =

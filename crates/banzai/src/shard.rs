@@ -13,28 +13,29 @@
 //!
 //! The moving parts:
 //!
-//! * [`ShardPlan`] — resolves how to steer: the flow key extracted from
-//!   the pipelines' state indexing
-//!   ([`StateLayout::flow_key`](domino_ir::layout::StateLayout::flow_key)),
-//!   **replica mode** for commutative sketch state
+//! * [`ShardPlan`] — the program's own decision, stated once: each
+//!   pipeline's [`Partitionability`] as the state-indexing analysis
+//!   ([`StateLayout::flow_key`](domino_ir::layout::StateLayout::flow_key))
+//!   found it, from which the steering rule follows — the extracted flow
+//!   key, **replica mode** for commutative sketch state
 //!   (`heavy_hitters.domino`'s three differently-hashed count-min rows:
 //!   every shard runs a full copy over packets dealt round-robin —
 //!   balanced even under heavy-tailed flow skew — and exported copies
-//!   fold back elementwise at collect time), an explicit field list,
-//!   whole-packet hashing for
+//!   fold back elementwise at collect time), whole-packet hashing for
 //!   stateless pipelines, or a **single-shard fallback with a two-tier
 //!   diagnostic** when the state survives neither analysis (`rcp.domino`'s
-//!   global registers) — see [`ShardTier`];
+//!   global registers) — see [`ShardTier`]. No caller-supplied key can
+//!   override it, so every configuration is serial-equivalent by
+//!   construction;
 //! * [`ShardedSwitch`] — spawns one worker thread per shard
 //!   ([`ShardedRun::collect`]), feeds each through a bounded ring of
 //!   slab batches, runs a [`Switch`] of its own per shard (stamped with
 //!   global arrival cycles, so queue metadata is bit-identical to the
-//!   serial switch), and merges transmitted packets by **seeded
-//!   round-robin** — per-flow order is preserved exactly (a flow, as
-//!   defined by the steering key, lives on one shard; under stateless
-//!   whole-packet steering that means identical packets — steer with
-//!   [`SteerMode::Fields`] for a field-subset flow definition), and the
-//!   cross-flow interleaving is a deterministic function of the seed, so
+//!   serial switch), and merges transmitted packets by **round-robin
+//!   from a fixed start** — per-flow order is preserved exactly (a flow,
+//!   as defined by the steering key, lives on one shard; under stateless
+//!   whole-packet steering that means identical packets), and the
+//!   cross-flow interleaving is a pure function of the shard count, so
 //!   differential tests stay bit-reproducible run to run;
 //! * merged state export — under keyed steering each array slot belongs
 //!   to exactly one key class, hence to exactly one shard; reading every
@@ -62,8 +63,8 @@
 //! while [`ShardedSwitch::new_with`] builds it: every shard's two
 //! engines, the scheduling path's egress engine and the steering rule
 //! are lowered onto it, and the queue metadata, the [`SchedSpec`]'s
-//! rank/class fields, [`SteerMode::Fields`]' names and any
-//! fault-injected fields are interned, before it is closed behind an
+//! rank/class fields and any fault-injected fields are interned, before
+//! it is closed behind an
 //! `Arc` that every shard — and every shard rebuilt after a fault —
 //! binds to. So one format crosses every boundary:
 //!
@@ -72,7 +73,7 @@
 //!   into a record of the run's one pool when it has one — and
 //!   evaluates the steering rule over the slab's **slots**
 //!   (`SlotSteer`: the flow key's slice lowered like an engine's
-//!   program, field lists by slot, whole-packet hashing in name order);
+//!   program, whole-packet hashing in name order, or the arrival index);
 //!   [`ShardPlan::steer`] is the same rule by name, the reference the
 //!   suites hold the dispatcher to;
 //! * **slabs ride the rings**, or are handed straight to the lane,
@@ -173,12 +174,8 @@ pub struct ShardConfig {
     pub batch: usize,
     /// Ring depth in batches (bounded channel capacity — backpressure).
     pub ring: usize,
-    /// Seed for the deterministic round-robin output merge.
-    pub seed: u64,
     /// Per-shard queue capacity (see [`Switch::capacity`]).
     pub capacity: usize,
-    /// How to steer packets to shards.
-    pub steer: SteerMode,
     /// What the dispatcher does when a shard's ring stays full.
     pub backpressure: Backpressure,
     /// Watchdog window in milliseconds: how long the dispatcher blocks on
@@ -193,16 +190,14 @@ pub struct ShardConfig {
 
 impl ShardConfig {
     /// A config with `shards` workers and the defaults: 256-packet
-    /// batches, an 8-batch ring, capacity 512, automatic steering,
-    /// blocking backpressure with a 5-second watchdog.
+    /// batches, an 8-batch ring, capacity 512, blocking backpressure with
+    /// a 5-second watchdog.
     pub fn new(shards: usize) -> ShardConfig {
         ShardConfig {
             shards: shards.max(1),
             batch: 256,
             ring: 8,
-            seed: 0x5EED_0001,
             capacity: 512,
-            steer: SteerMode::Auto,
             backpressure: Backpressure::Block,
             watchdog_ms: 5_000,
             sched: SchedSpec::Fifo,
@@ -215,12 +210,6 @@ impl ShardConfig {
         self
     }
 
-    /// Overrides the merge seed.
-    pub fn with_seed(mut self, seed: u64) -> ShardConfig {
-        self.seed = seed;
-        self
-    }
-
     /// Overrides the per-shard queue capacity.
     pub fn with_capacity(mut self, capacity: usize) -> ShardConfig {
         self.capacity = capacity;
@@ -230,12 +219,6 @@ impl ShardConfig {
     /// Overrides the ring depth (batches per shard channel, floored at 1).
     pub fn with_ring(mut self, ring: usize) -> ShardConfig {
         self.ring = ring.max(1);
-        self
-    }
-
-    /// Overrides the steering mode.
-    pub fn with_steer(mut self, steer: SteerMode) -> ShardConfig {
-        self.steer = steer;
         self
     }
 
@@ -281,70 +264,23 @@ impl Default for ShardConfig {
     }
 }
 
-/// How the dispatcher picks a shard for each packet.
+/// How the dispatcher picks a shard for each packet: always from the
+/// pipelines' own state indexing ([`ShardPlan`]), so that a sharded run
+/// is serial-equivalent by construction. The one mode is a type of its
+/// own so that [`ShardPlan::plan`]'s callers never change.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SteerMode {
-    /// Derive the flow key from the pipelines' own state indexing (the
-    /// default); falls back to a single shard — with a diagnostic — when
-    /// the indexing is not partitionable.
+    /// Derive the flow key from the pipelines' own state indexing; falls
+    /// back to a single shard — with a diagnostic — when the indexing is
+    /// not partitionable.
     Auto,
-    /// Hash the named packet fields, RSS-style. The caller asserts that
-    /// this key refines the pipelines' state partitioning; merged-state
-    /// export is unavailable in this mode (per-shard states still are).
-    Fields(Vec<String>),
-}
-
-/// The resolved steering rule (see [`ShardPlan`]).
-#[derive(Debug, Clone, PartialEq)]
-enum ResolvedSteer {
-    /// Everything to shard 0 (the fallback).
-    Single,
-    /// Steer by the extracted flow key — bit-exact serial equivalence.
-    Keyed(FlowKeySpec),
-    /// Steer by a user-supplied field list.
-    Fields(Vec<String>),
-    /// Both pipelines are stateless: hash the whole packet. Only
-    /// bit-identical packets are guaranteed to share a shard — a flow
-    /// defined by a *subset* of fields may spread across shards (the
-    /// pure pipelines make that state-safe, but callers who need
-    /// per-flow ordering must steer with [`SteerMode::Fields`]).
-    WholePacket,
-    /// Replica mode: every shard runs a full copy of the sketch state,
-    /// so *any* deterministic steering is state-safe. Packets are dealt
-    /// round-robin by trace index — sketches exist for heavy-tailed
-    /// traffic, where flow-hash steering would pile the elephant flows
-    /// onto one shard and cap the speedup at the skew; dealing keeps
-    /// the lanes balanced by construction. The named index-root fields
-    /// (the union over both pipelines' replica specs) are carried for
-    /// diagnostics and for deployments that want flow affinity anyway.
-    Replica(Vec<String>),
-}
-
-/// How one side's (ingress or egress) serial state is reconstructed from
-/// per-shard snapshots at collect time (see
-/// [`ShardedSwitch::export_merged_ingress_state`]).
-#[derive(Debug, Clone, PartialEq)]
-enum MergePlan {
-    /// The pipeline writes no state (or a single shard ran the whole
-    /// trace): every snapshot already equals the serial state.
-    Trivial,
-    /// Exact partition: each array slot belongs to one key class, hence
-    /// to one shard; read every slot from its owner.
-    Owned(FlowKeySpec),
-    /// Full replica per shard: fold snapshots elementwise per the spec
-    /// ([`ReplicaSpec::merge_states`]) — sum of displacements for
-    /// counter rows, max for membership bits. Bit-identical to serial.
-    Replicated(ReplicaSpec),
-    /// Explicit-field steering asserts nothing about state: no defined
-    /// partition, merged export unavailable.
-    Undefined,
 }
 
 /// The partitioning tier a [`ShardPlan`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardTier {
-    /// Keyed, whole-packet, or explicit-field steering: sharded per-shard
-    /// outputs and merged state are bit-identical to serial execution.
+    /// Keyed or whole-packet steering: sharded per-shard outputs and
+    /// merged state are bit-identical to serial execution.
     Exact,
     /// At least one pipeline runs full sketch replicas merged at collect
     /// time. Merged *state* is still bit-identical to serial; per-packet
@@ -406,8 +342,6 @@ enum SlotSteer {
     Index,
     /// The flow key's slice, lowered like an engine's program.
     Keyed(KeySlice),
-    /// The listed fields' slots, hashed with their names.
-    Fields(Vec<FieldId>),
     /// Every field the packet carries.
     WholePacket,
 }
@@ -423,18 +357,16 @@ impl SlotSteer {
         match self {
             SlotSteer::Index => idx % n,
             SlotSteer::Keyed(slice) => FlowKeySpec::shard_of_class(slice.key_of(&p.flat), n),
-            SlotSteer::Fields(slots) => {
-                let h = slots.iter().fold(HASH_SEED, |h, &id| {
-                    hash_field(h, p.flat.table().name(id), p.flat.get_or_zero(id))
-                });
-                (h % n as u64) as usize
-            }
             SlotSteer::WholePacket => (hash_every_field(p, by_name) % n as u64) as usize,
         }
     }
 }
 
-/// The resolved sharding decision for an ingress/egress pipeline pair.
+/// The sharding decision for an ingress/egress pipeline pair, stated
+/// once: each side's [`Partitionability`] exactly as the state-indexing
+/// analysis found it, and the diagnostic of a single-shard fallback. The
+/// flow key, the tier, the steering rule and how each side's state merges
+/// back all follow from the two sides.
 ///
 /// Produced by [`ShardPlan::plan`]; inspect [`ShardPlan::effective`] and
 /// [`ShardPlan::fallback`] to see whether the requested parallelism was
@@ -442,11 +374,19 @@ impl SlotSteer {
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     requested: usize,
-    effective: usize,
-    steer: ResolvedSteer,
-    merge_ingress: MergePlan,
-    merge_egress: MergePlan,
+    /// Both [`Partitionability::Stateless`] on a fallback: its one
+    /// shard's state *is* the serial state.
+    ingress: Partitionability,
+    egress: Partitionability,
     fallback: Option<String>,
+}
+
+/// A side's replica spec, when it runs in replica mode.
+fn replica(side: &Partitionability) -> Option<&ReplicaSpec> {
+    match side {
+        Partitionability::Replicable(spec) => Some(spec),
+        _ => None,
+    }
 }
 
 /// All TAC statements of a compiled pipeline, in execution order.
@@ -486,11 +426,9 @@ fn written_fields(pipeline: &AtomPipeline) -> BTreeSet<String> {
 }
 
 impl ShardPlan {
-    /// Resolves the steering rule for a pipeline pair and a requested
-    /// shard count.
+    /// Decides how a pipeline pair shards at a requested shard count.
     ///
-    /// In [`SteerMode::Auto`], both pipelines' state indexing must be
-    /// partitionable (see
+    /// Both pipelines' state indexing must be partitionable (see
     /// [`StateLayout::flow_key`](domino_ir::layout::StateLayout::flow_key));
     /// when both carry keyed state the two keys must agree, and an
     /// egress-derived key must not depend on fields the ingress pipeline
@@ -501,62 +439,41 @@ impl ShardPlan {
         ingress: &AtomPipeline,
         egress: &AtomPipeline,
         shards: usize,
-        mode: &SteerMode,
+        _mode: &SteerMode,
     ) -> ShardPlan {
         let requested = shards.max(1);
-        if let SteerMode::Fields(fields) = mode {
-            return ShardPlan {
+        match ShardPlan::validate(ingress, egress) {
+            Ok((ingress, egress)) => ShardPlan {
                 requested,
-                effective: requested,
-                steer: ResolvedSteer::Fields(fields.clone()),
-                merge_ingress: MergePlan::Undefined,
-                merge_egress: MergePlan::Undefined,
+                ingress,
+                egress,
                 fallback: None,
-            };
+            },
+            Err(diagnostic) => ShardPlan {
+                requested,
+                ingress: Partitionability::Stateless,
+                egress: Partitionability::Stateless,
+                fallback: Some(diagnostic),
+            },
         }
+    }
 
-        let part_in = StateLayout::from_decls(&ingress.state_decls).flow_key(&stmts_of(ingress));
-        let part_eg = StateLayout::from_decls(&egress.state_decls).flow_key(&stmts_of(egress));
-
-        let egress_key_ok = |spec: &FlowKeySpec| -> Result<(), String> {
-            let written = written_fields(ingress);
-            for root in spec.roots() {
-                if written.contains(root) {
-                    return Err(format!(
-                        "egress `{}` keys its state on `{root}`, which ingress \
-                         `{}` (or the queue metadata) rewrites; the dispatcher \
-                         cannot evaluate the key on the input packet",
-                        egress.name, ingress.name
-                    ));
-                }
-            }
-            Ok(())
+    /// Each side's partitionability, checked as a pair. A keyed side
+    /// dictates the steering, so two keyed sides must agree, and an
+    /// egress key has to be computable on the input packet; a replicable
+    /// side is state-safe under any deterministic steering.
+    fn validate(
+        ingress: &AtomPipeline,
+        egress: &AtomPipeline,
+    ) -> Result<(Partitionability, Partitionability), String> {
+        let side = |which: &str, p: &AtomPipeline| {
+            (StateLayout::from_decls(&p.state_decls).flow_key(&stmts_of(p)))
+                .map_err(|e| format!("{which} `{}`: {e}", p.name))
         };
-        // Each side's state merges back by its own tier, and the steering
-        // is what the most demanding side needs. An exactly-keyed side
-        // dictates it (its partition demands it; two keyed sides must
-        // agree, and an egress key has to be computable on the input
-        // packet). A replicable side is state-safe under any deterministic
-        // steering, so it adapts: to the other side's key, or dealt by
-        // index. Stateless pipelines hash the whole packet.
-        use Partitionability::{Keyed, Replicable, Stateless};
-        // A side's flow key, its replicas' index roots, its merge plan.
-        let side = |part| match part {
-            Stateless => (None, None, MergePlan::Trivial),
-            Keyed(k) => (Some(FlowKeySpec::clone(&k)), None, MergePlan::Owned(k)),
-            Replicable(r) => (
-                None,
-                Some(r.steer_roots().to_vec()),
-                MergePlan::Replicated(r),
-            ),
-        };
-        let resolve = || -> Result<(ResolvedSteer, MergePlan, MergePlan), String> {
-            let (key_in, roots_in, merge_in) =
-                side(part_in.map_err(|e| format!("ingress `{}`: {e}", ingress.name))?);
-            let (key_eg, roots_eg, merge_eg) =
-                side(part_eg.map_err(|e| format!("egress `{}`: {e}", egress.name))?);
-            let steer = match (key_in, key_eg) {
-                (Some(a), Some(b)) if a != b => {
+        let (part_in, part_eg) = (side("ingress", ingress)?, side("egress", egress)?);
+        if let Partitionability::Keyed(b) = &part_eg {
+            if let Partitionability::Keyed(a) = &part_in {
+                if a != b {
                     return Err(format!(
                         "ingress `{}` and egress `{}` partition their state by \
                          different flow keys (`{}` mod {} vs `{}` mod {})",
@@ -568,44 +485,18 @@ impl ShardPlan {
                         b.modulus()
                     ));
                 }
-                (_, Some(k)) => {
-                    egress_key_ok(&k)?;
-                    ResolvedSteer::Keyed(k)
-                }
-                (Some(k), None) => ResolvedSteer::Keyed(k),
-                (None, None) if roots_in.is_none() && roots_eg.is_none() => {
-                    ResolvedSteer::WholePacket
-                }
-                // The union of both sides' index roots, carried for
-                // diagnostics: steering never affects replica merge
-                // correctness (updates commute).
-                (None, None) => {
-                    let union: BTreeSet<String> =
-                        roots_in.into_iter().chain(roots_eg).flatten().collect();
-                    ResolvedSteer::Replica(union.into_iter().collect())
-                }
-            };
-            Ok((steer, merge_in, merge_eg))
-        };
-
-        match resolve() {
-            Ok((steer, merge_ingress, merge_egress)) => ShardPlan {
-                requested,
-                effective: requested,
-                steer,
-                merge_ingress,
-                merge_egress,
-                fallback: None,
-            },
-            Err(diagnostic) => ShardPlan {
-                requested,
-                effective: 1,
-                steer: ResolvedSteer::Single,
-                merge_ingress: MergePlan::Trivial,
-                merge_egress: MergePlan::Trivial,
-                fallback: Some(diagnostic),
-            },
+            }
+            let written = written_fields(ingress);
+            if let Some(root) = b.roots().iter().find(|r| written.contains(*r)) {
+                return Err(format!(
+                    "egress `{}` keys its state on `{root}`, which ingress \
+                     `{}` (or the queue metadata) rewrites; the dispatcher \
+                     cannot evaluate the key on the input packet",
+                    egress.name, ingress.name
+                ));
+            }
         }
+        Ok((part_in, part_eg))
     }
 
     /// The shard count the caller asked for.
@@ -615,7 +506,11 @@ impl ShardPlan {
 
     /// The shard count actually granted (1 on fallback).
     pub fn effective(&self) -> usize {
-        self.effective
+        if self.fallback.is_some() {
+            1
+        } else {
+            self.requested
+        }
     }
 
     /// The diagnostic explaining a single-shard fallback, if any.
@@ -623,21 +518,22 @@ impl ShardPlan {
         self.fallback.as_deref()
     }
 
-    /// The extracted flow key, when steering is key-derived.
+    /// The extracted flow key, when steering is key-derived: the keyed
+    /// side's (two keyed sides agree).
     pub fn flow_key(&self) -> Option<&FlowKeySpec> {
-        match &self.steer {
-            ResolvedSteer::Keyed(spec) => Some(spec),
-            _ => None,
-        }
+        [&self.ingress, &self.egress]
+            .into_iter()
+            .find_map(|side| match side {
+                Partitionability::Keyed(spec) => Some(spec),
+                _ => None,
+            })
     }
 
     /// The partitioning tier this plan resolved to.
     pub fn tier(&self) -> ShardTier {
         if self.fallback.is_some() {
             ShardTier::Fallback
-        } else if matches!(self.merge_ingress, MergePlan::Replicated(_))
-            || matches!(self.merge_egress, MergePlan::Replicated(_))
-        {
+        } else if self.ingress_replica().or(self.egress_replica()).is_some() {
             ShardTier::Replicable
         } else {
             ShardTier::Exact
@@ -646,18 +542,12 @@ impl ShardPlan {
 
     /// The ingress pipeline's replica spec, when it runs in replica mode.
     pub fn ingress_replica(&self) -> Option<&ReplicaSpec> {
-        match &self.merge_ingress {
-            MergePlan::Replicated(spec) => Some(spec),
-            _ => None,
-        }
+        replica(&self.ingress)
     }
 
     /// The egress pipeline's replica spec, when it runs in replica mode.
     pub fn egress_replica(&self) -> Option<&ReplicaSpec> {
-        match &self.merge_egress {
-            MergePlan::Replicated(spec) => Some(spec),
-            _ => None,
-        }
+        replica(&self.egress)
     }
 
     /// The shard the `idx`-th input packet steers to — the by-name
@@ -665,75 +555,66 @@ impl ShardPlan {
     /// of the slab it admitted, and the two agree on every packet
     /// (`tests/sharding.rs` holds them together).
     ///
-    /// Keyed, field, and whole-packet modes are pure functions of the
-    /// packet content (`idx` is ignored); replica mode deals packets
-    /// round-robin by trace index, which any replica merge tolerates
-    /// (updates commute) and which stays load-balanced even on the
-    /// heavy-tailed traces sketch programs are written for.
+    /// The steering rule follows from the sides: a keyed side steers by
+    /// its flow key; otherwise a replicable side deals packets round-robin
+    /// by trace index, which any replica merge tolerates (updates commute)
+    /// and which stays load-balanced even on the heavy-tailed traces
+    /// sketch programs are written for; stateless pipelines hash the whole
+    /// packet. Keyed and whole-packet steering are pure functions of the
+    /// packet content (`idx` is ignored).
     pub fn steer(&self, idx: usize, pkt: &Packet) -> usize {
-        let n = self.effective;
+        let n = self.effective();
         if n <= 1 {
             return 0;
         }
-        match &self.steer {
-            ResolvedSteer::Single => 0,
-            ResolvedSteer::Keyed(spec) => spec.shard_of(pkt, n),
-            ResolvedSteer::Replica(_) => idx % n,
-            ResolvedSteer::Fields(fields) if !fields.is_empty() => {
-                let h =
-                    (fields.iter()).fold(HASH_SEED, |h, f| hash_field(h, f, pkt.get_or_zero(f)));
-                (h % n as u64) as usize
-            }
-            ResolvedSteer::Fields(_) | ResolvedSteer::WholePacket => {
+        match (self.flow_key(), self.tier()) {
+            (Some(spec), _) => spec.shard_of(pkt, n),
+            (None, ShardTier::Exact) => {
                 let h = (pkt.iter()).fold(HASH_SEED, |h, (name, v)| hash_field(h, name, v));
                 (h % n as u64) as usize
             }
+            (None, _) => idx % n,
         }
     }
 
     /// Resolves the steering rule onto `table`, interning every field it
     /// reads, so the dispatcher steers slabs ([`SlotSteer::shard_of`]).
     fn lower(&self, table: &mut FieldTable) -> Result<SlotSteer, SwitchError> {
-        Ok(match &self.steer {
-            ResolvedSteer::Single | ResolvedSteer::Replica(_) => SlotSteer::Index,
-            ResolvedSteer::Keyed(spec) => {
+        Ok(match (self.flow_key(), self.tier()) {
+            (Some(spec), _) => {
                 SlotSteer::Keyed(KeySlice::lower(spec, table).map_err(SwitchError::build)?)
             }
-            ResolvedSteer::Fields(fields) if !fields.is_empty() => {
-                SlotSteer::Fields(fields.iter().map(|f| table.intern(f)).collect())
-            }
-            ResolvedSteer::Fields(_) | ResolvedSteer::WholePacket => SlotSteer::WholePacket,
+            (None, ShardTier::Exact) => SlotSteer::WholePacket,
+            (None, _) => SlotSteer::Index,
         })
     }
 }
 
 impl fmt::Display for ShardPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{} shards", self.effective, self.requested)?;
-        match &self.steer {
-            ResolvedSteer::Single => {
-                let why = self.fallback.as_deref().unwrap_or("single shard requested");
-                write!(f, ", single-shard fallback: {why}")
+        write!(f, "{}/{} shards", self.effective(), self.requested)?;
+        if let Some(why) = &self.fallback {
+            return write!(f, ", single-shard fallback: {why}");
+        }
+        match (self.flow_key(), self.tier()) {
+            (Some(spec), _) => {
+                let (key, modulus) = (spec.key_field(), spec.modulus());
+                write!(f, ", keyed on pkt.{key} mod {modulus}")
             }
-            ResolvedSteer::Keyed(spec) => {
-                write!(
-                    f,
-                    ", keyed on pkt.{} mod {}",
-                    spec.key_field(),
-                    spec.modulus()
-                )
-            }
-            ResolvedSteer::Fields(fields) => write!(f, ", hashing [{}]", fields.join(", ")),
-            ResolvedSteer::WholePacket => write!(f, ", stateless whole-packet hashing"),
-            ResolvedSteer::Replica(roots) if roots.is_empty() => {
-                write!(f, ", replicated sketches, dealt round-robin")
-            }
-            ResolvedSteer::Replica(roots) => {
-                write!(
-                    f,
-                    ", replicated sketches, dealt round-robin (index roots [{}])",
-                    roots.join(", ")
-                )
+            (None, ShardTier::Exact) => write!(f, ", stateless whole-packet hashing"),
+            (None, _) => {
+                write!(f, ", replicated sketches, dealt round-robin")?;
+                // The union of both sides' index roots, for diagnostics:
+                // steering never affects a replica merge (updates commute).
+                let roots: BTreeSet<&str> = (self.ingress_replica().into_iter())
+                    .chain(self.egress_replica())
+                    .flat_map(|r| r.steer_roots().iter().map(String::as_str))
+                    .collect();
+                if roots.is_empty() {
+                    return Ok(());
+                }
+                let roots: Vec<&str> = roots.into_iter().collect();
+                write!(f, " (index roots [{}])", roots.join(", "))
             }
         }
     }
@@ -785,7 +666,7 @@ impl ShardTimings {
 /// millions of packets.)
 #[derive(Debug, Clone)]
 pub struct ShardRun {
-    /// The seeded round-robin merge of every shard's transmitted packets.
+    /// The round-robin merge of every shard's transmitted packets.
     pub merged: Vec<Packet>,
     /// Where the time went.
     pub timings: ShardTimings,
@@ -913,7 +794,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     {
         (config.batch, config.ring) = (config.batch.max(1), config.ring.max(1));
         config.watchdog_ms = config.watchdog_ms.max(1);
-        let plan = ShardPlan::plan(ingress, egress, config.shards, &config.steer);
+        let plan = ShardPlan::plan(ingress, egress, config.shards, &SteerMode::Auto);
         // The table is open here and nowhere else: engines first (slot
         // order is the serial switch's), then every name the queue, the
         // scheduler and the dispatcher resolve.
@@ -1008,33 +889,22 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         self.shards.iter().map(|s| s.transmitted()).sum::<u64>() + self.extra_transmitted
     }
 
-    /// Merges per-shard output streams by seeded round-robin: starting at
-    /// a seed-derived shard, take one packet from each non-exhausted
-    /// shard in cyclic order. Per-flow order is preserved for flows as
-    /// the steering key defines them (such a flow lives on one shard and
+    /// Merges per-shard output streams by round-robin from a fixed start
+    /// (the one cursor every sharded run merges by): take one packet from
+    /// each non-exhausted shard in cyclic order. Per-flow order is preserved for flows as the
+    /// steering key defines them (such a flow lives on one shard and
     /// shard order is kept — under whole-packet steering that means
-    /// identical packets; use [`SteerMode::Fields`] for coarser flows;
-    /// replica mode deals by trace index, so its "flows" are the index
-    /// residue classes); the cross-flow interleave is a pure function of
-    /// the seed and shard count, so repeated runs are bit-identical
-    /// regardless of thread scheduling.
+    /// identical packets; replica mode deals by trace index, so its
+    /// "flows" are the index residue classes); the cross-flow interleave
+    /// is a pure function of the shard count, so repeated runs are
+    /// bit-identical regardless of thread scheduling.
     pub fn merge(&self, parts: Vec<Vec<Packet>>) -> Vec<Packet> {
-        let n = parts.len();
-        if n <= 1 {
+        if parts.len() <= 1 {
             return parts.into_iter().next().unwrap_or_default();
         }
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        let start = (mix64(self.config.seed) % n as u64) as usize;
-        let mut iters: Vec<std::vec::IntoIter<Packet>> =
-            parts.into_iter().map(|p| p.into_iter()).collect();
-        let mut out = Vec::with_capacity(total);
-        while out.len() < total {
-            for off in 0..n {
-                if let Some(p) = iters[(start + off) % n].next() {
-                    out.push(p);
-                }
-            }
-        }
+        let mut merge = RoundRobin::new(parts.into_iter());
+        let mut out = Vec::with_capacity(merge.held);
+        merge.drain(true, |p| out.push(p));
         out
     }
 
@@ -1466,49 +1336,38 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     }
 
     /// Reconstructs the serial switch's ingress state from the shards:
-    /// every array slot is read from the shard that owns its key class.
-    ///
-    /// Available when steering is key-derived (or trivially with one
-    /// shard / stateless pipelines); explicit-field steering defines no
-    /// state partition and returns
-    /// [`SwitchError::StatePartition`].
-    pub fn export_merged_ingress_state(&self) -> Result<StateStore, SwitchError> {
+    /// every array slot is read from the shard that owns its key class,
+    /// sketch replicas fold back by their merge, and a stateless side (or
+    /// a single shard) reads any shard's snapshot.
+    pub fn export_merged_ingress_state(&self) -> StateStore {
         self.merged_state(
-            &self.plan.merge_ingress,
+            &self.plan.ingress,
             &self.ingress_pipeline.state_decls,
             |s| s.export_ingress_state(),
         )
     }
 
     /// Reconstructs the serial switch's egress state from the shards.
-    pub fn export_merged_egress_state(&self) -> Result<StateStore, SwitchError> {
-        self.merged_state(
-            &self.plan.merge_egress,
-            &self.egress_pipeline.state_decls,
-            |s| s.export_egress_state(),
-        )
+    pub fn export_merged_egress_state(&self) -> StateStore {
+        self.merged_state(&self.plan.egress, &self.egress_pipeline.state_decls, |s| {
+            s.export_egress_state()
+        })
     }
 
     fn merged_state(
         &self,
-        plan: &MergePlan,
+        side: &Partitionability,
         decls: &[StateVar],
         export: impl Fn(&Switch<E>) -> StateStore,
-    ) -> Result<StateStore, SwitchError> {
-        if self.shards.len() == 1 {
-            return Ok(export(&self.shards[0]));
-        }
-        match plan {
-            // A trivial side writes no state: all shards still hold the
+    ) -> StateStore {
+        let snaps = || -> Vec<StateStore> { self.shards.iter().map(&export).collect() };
+        match side {
+            // A stateless side writes no state: all shards still hold the
             // declared initializers, as does the serial switch.
-            MergePlan::Trivial => Ok(export(&self.shards[0])),
-            MergePlan::Undefined => Err(SwitchError::StatePartition(
-                "steering by explicit fields does not define a state partition; \
-                 read per-shard snapshots via export_shard_states"
-                    .to_string(),
-            )),
-            MergePlan::Owned(spec) => {
-                let snaps: Vec<StateStore> = self.shards.iter().map(&export).collect();
+            Partitionability::Stateless => export(&self.shards[0]),
+            _ if self.shards.len() == 1 => export(&self.shards[0]),
+            Partitionability::Keyed(spec) => {
+                let snaps = snaps();
                 let mut merged = StateStore::from_decls(decls);
                 for d in decls {
                     match d.kind {
@@ -1529,12 +1388,11 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                         }
                     }
                 }
-                Ok(merged)
+                merged
             }
-            MergePlan::Replicated(spec) => {
-                let snaps: Vec<StateStore> = self.shards.iter().map(&export).collect();
-                Ok(spec.merge_states(&snaps))
-            }
+            // Full replica per shard: sum of displacements for counter
+            // rows, max for membership bits — bit-identical to serial.
+            Partitionability::Replicable(spec) => spec.merge_states(&snaps()),
         }
     }
 
@@ -1632,42 +1490,34 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     /// memory bounded by the steering balance rather than the trace
     /// length. Returns the run's [`RunStats`].
     ///
-    /// Each shard's output is buffered and emitted in the seeded
-    /// round-robin order [`ShardedSwitch::merge`] produces — one packet
-    /// per cursor visit, waiting on a shard whose next output has not
-    /// materialized yet and skipping it only once the stream has ended
-    /// (when an empty buffer is provably final). The buffers hold only
-    /// packets the cursor has not reached, so balanced steering keeps
-    /// them small; a pathologically imbalanced trace (every packet on one
-    /// shard) degrades to buffering that shard's output.
+    /// Each shard's output is buffered and emitted by the one cursor
+    /// [`ShardedSwitch::merge`] runs — one packet per cursor visit,
+    /// waiting on a shard whose next output has not materialized yet and
+    /// skipping it only once the stream has ended (when an empty buffer
+    /// is provably final). The buffers hold only packets the cursor has
+    /// not reached, so balanced steering keeps them small; a
+    /// pathologically imbalanced trace (every packet on one shard)
+    /// degrades to buffering that shard's output.
     pub fn for_each<F: FnMut(Packet)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
         let sw = self.switch;
-        let n = sw.shards.len();
-        let mut buffers = vec![VecDeque::new(); n];
-        let mut cursor = (mix64(sw.config.seed) % n as u64) as usize;
+        let mut merge = RoundRobin::new(sw.shards.iter().map(|_| Vec::new()));
         let mut emitted: u64 = 0;
+        let mut emit = |pkt| {
+            emitted += 1;
+            sink(pkt);
+        };
         // The tap empties the lane after every step, so a fault's salvage
         // carries the books and state snapshots but no packet payloads.
         let end = sw.inline(
             admitting(&mut self.source),
             Forward::default,
             |s, lane: &mut Forward| {
-                buffers[s].extend(lane.0.drain(..));
-                while let Some(pkt) = buffers[cursor].pop_front() {
-                    emitted += 1;
-                    sink(pkt);
-                    cursor = (cursor + 1) % n;
-                }
+                merge.push(s, lane.0.drain(..));
+                merge.drain(false, &mut emit);
             },
         );
         // Faulted or not, everything transmitted reaches the sink first.
-        while buffers.iter().any(|b| !b.is_empty()) {
-            if let Some(pkt) = buffers[cursor].pop_front() {
-                emitted += 1;
-                sink(pkt);
-            }
-            cursor = (cursor + 1) % n;
-        }
+        merge.drain(true, &mut emit);
         Ok(RunStats {
             offered: end?.pulled,
             transmitted: emitted,
@@ -1831,6 +1681,53 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
         };
         let lane = || Frames(&parser, Vec::new());
         Ok(self.switch.inline(pull, lane, |_, _| {})?.streams)
+    }
+}
+
+/// Where the merge starts: the shard `mix64(MERGE_SEED) % n`.
+const MERGE_SEED: u64 = 0x5EED_0001;
+
+/// **The one merge order** of every sharded run
+/// ([`ShardedSwitch::merge`], [`ShardedRun::for_each`], a fault report's
+/// `merged`): a cursor that visits the shards' output buffers in cyclic
+/// order from a fixed start, taking one packet per visit.
+struct RoundRobin {
+    buffers: Vec<VecDeque<Packet>>,
+    /// Packets in `buffers`, so the cursor knows when every one is empty.
+    held: usize,
+    at: usize,
+}
+
+impl RoundRobin {
+    /// A cursor over `parts`, one per shard (at least one).
+    fn new(parts: impl ExactSizeIterator<Item = Vec<Packet>>) -> RoundRobin {
+        let at = (mix64(MERGE_SEED) % parts.len() as u64) as usize;
+        let buffers: Vec<VecDeque<Packet>> = parts.map(VecDeque::from).collect();
+        let held = buffers.iter().map(VecDeque::len).sum();
+        RoundRobin { buffers, held, at }
+    }
+
+    /// Appends to shard `s`'s buffer.
+    fn push(&mut self, s: usize, packets: impl ExactSizeIterator<Item = Packet>) {
+        self.held += packets.len();
+        self.buffers[s].extend(packets);
+    }
+
+    /// Hands `sink` every packet whose turn has come. Until the streams
+    /// have `ended` an empty buffer may still fill, so the cursor waits
+    /// on it; once they have, an empty buffer is final and it moves on.
+    fn drain(&mut self, ended: bool, mut sink: impl FnMut(Packet)) {
+        loop {
+            match self.buffers[self.at].pop_front() {
+                Some(pkt) => {
+                    self.held -= 1;
+                    sink(pkt);
+                }
+                None if !ended || self.held == 0 => return,
+                None => {}
+            }
+            self.at = (self.at + 1) % self.buffers.len();
+        }
     }
 }
 
@@ -2255,7 +2152,7 @@ mod tests {
                 assert_eq!(part, &expected, "shard {s} of {shards}");
             }
             assert_eq!(
-                sharded.export_merged_ingress_state().unwrap(),
+                sharded.export_merged_ingress_state(),
                 serial.export_ingress_state(),
                 "{shards} shards: merged state"
             );
@@ -2278,8 +2175,8 @@ mod tests {
         let run = b.run(&trace).instrumented().unwrap();
         assert_eq!(threaded, run.merged);
         assert_eq!(
-            a.export_merged_ingress_state().unwrap(),
-            b.export_merged_ingress_state().unwrap()
+            a.export_merged_ingress_state(),
+            b.export_merged_ingress_state()
         );
 
         // And a second threaded run from fresh state is bit-identical.
@@ -2289,22 +2186,22 @@ mod tests {
 
     #[test]
     fn merge_preserves_per_shard_order_and_multiset() {
-        let sw = ShardedSwitch::new_slot(
-            &passthrough("in"),
-            &passthrough("out"),
-            ShardConfig::new(3).with_seed(7),
-        )
-        .unwrap();
-        let parts: Vec<Vec<Packet>> = (0..3)
-            .map(|s| {
-                (0..4)
+        let sw =
+            ShardedSwitch::new_slot(&passthrough("in"), &passthrough("out"), ShardConfig::new(4))
+                .unwrap();
+        // Uneven parts: shard 1 empty, shard 2 ten times longer than the
+        // others.
+        let parts: Vec<Vec<Packet>> = (0..4)
+            .zip([4, 0, 40, 4])
+            .map(|(s, len)| {
+                (0..len)
                     .map(|i| Packet::new().with("shard", s).with("i", i))
                     .collect()
             })
             .collect();
         let merged = sw.merge(parts.clone());
-        assert_eq!(merged.len(), 12);
-        for s in 0..3 {
+        assert_eq!(merged.len(), 48);
+        for s in 0..4 {
             let sub: Vec<&Packet> = merged
                 .iter()
                 .filter(|p| p.get("shard") == Some(s))
@@ -2312,16 +2209,22 @@ mod tests {
             let orig: Vec<&Packet> = parts[s as usize].iter().collect();
             assert_eq!(sub, orig, "shard {s} order broken by merge");
         }
+        // The exact interleave: from shard 3 (`mix64(MERGE_SEED) % 4`),
+        // one packet from each non-empty shard per round, the empty shard
+        // passed over, then the long shard's tail.
+        let mut want: Vec<(i32, i32)> = (0..4).flat_map(|i| [(3, i), (0, i), (2, i)]).collect();
+        want.extend((4..40).map(|i| (2, i)));
+        let got: Vec<(i32, i32)> = (merged.iter())
+            .map(|p| (p.expect("shard"), p.expect("i")))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]
     fn merge_of_no_parts_is_empty() {
-        let sw = ShardedSwitch::new_slot(
-            &passthrough("in"),
-            &passthrough("out"),
-            ShardConfig::new(3).with_seed(7),
-        )
-        .unwrap();
+        let sw =
+            ShardedSwitch::new_slot(&passthrough("in"), &passthrough("out"), ShardConfig::new(3))
+                .unwrap();
         assert_eq!(sw.merge(Vec::new()), Vec::<Packet>::new());
         assert_eq!(sw.merge(vec![Vec::new()]), Vec::<Packet>::new());
     }
@@ -2337,7 +2240,7 @@ mod tests {
         assert_eq!(sharded.shard_count(), 1);
         assert_eq!(sharded.run(&trace).collect().unwrap(), serial_out);
         assert_eq!(
-            sharded.export_merged_ingress_state().unwrap(),
+            sharded.export_merged_ingress_state(),
             serial.export_ingress_state()
         );
     }
@@ -2354,7 +2257,7 @@ mod tests {
 
         let mut sharded = ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(4)).unwrap();
         sharded.import_state(&warm_in, &warm_eg);
-        assert_eq!(sharded.export_merged_ingress_state().unwrap(), warm_in);
+        assert_eq!(sharded.export_merged_ingress_state(), warm_in);
 
         // Continuing from the warm state matches serial continuation.
         let more = flow_trace(100);
@@ -2383,7 +2286,7 @@ mod tests {
             );
         }
         assert_eq!(
-            sharded.export_merged_ingress_state().unwrap(),
+            sharded.export_merged_ingress_state(),
             serial.export_ingress_state()
         );
     }
@@ -2392,22 +2295,31 @@ mod tests {
     fn sharded_for_each_streams_bit_identical_to_collect() {
         let ingress = array_counter("count", "counts", 64);
         let egress = passthrough("out");
-        let trace = flow_trace(500);
         let cfg = ShardConfig::new(4).with_batch(32);
+        // Balanced, and every packet on one shard: the cursor then waits
+        // on an empty buffer until the stream ends.
+        let one_flow: Vec<Packet> = (0..500)
+            .map(|i| Packet::new().with("flow", 5).with("seq", i))
+            .collect();
+        for (trace, spread) in [(flow_trace(500), 4), (one_flow, 1)] {
+            let mut a = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
+            let steered: BTreeSet<usize> = (trace.iter().enumerate())
+                .map(|(i, p)| a.plan().steer(i, p))
+                .collect();
+            assert_eq!(steered.len(), spread);
+            let collected = a.run(&trace).collect().unwrap();
 
-        let mut a = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
-        let collected = a.run(&trace).collect().unwrap();
-
-        let mut b = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
-        let mut streamed = Vec::new();
-        let stats = b.run(&trace).for_each(|p| streamed.push(p)).unwrap();
-        assert_eq!(streamed, collected);
-        assert_eq!(stats.offered, 500);
-        assert_eq!(stats.transmitted, collected.len() as u64);
-        assert_eq!(
-            a.export_merged_ingress_state().unwrap(),
-            b.export_merged_ingress_state().unwrap()
-        );
+            let mut b = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
+            let mut streamed = Vec::new();
+            let stats = b.run(&trace).for_each(|p| streamed.push(p)).unwrap();
+            assert_eq!(streamed, collected);
+            assert_eq!(stats.offered, 500);
+            assert_eq!(stats.transmitted, collected.len() as u64);
+            assert_eq!(
+                a.export_merged_ingress_state(),
+                b.export_merged_ingress_state()
+            );
+        }
     }
 
     #[test]
@@ -2468,23 +2380,6 @@ mod tests {
         assert_eq!(report.salvage.iter().map(|s| s.offered).sum::<u64>(), 40);
         assert_eq!(report.accounting.offered, 40);
         assert!(report.accounting.conserved(), "{}", report.accounting);
-    }
-
-    #[test]
-    fn explicit_field_steering_declines_merged_state() {
-        let ingress = array_counter("count", "counts", 64);
-        let mut sharded = ShardedSwitch::new_slot(
-            &ingress,
-            &passthrough("out"),
-            ShardConfig::new(2).with_steer(SteerMode::Fields(vec!["flow".into()])),
-        )
-        .unwrap();
-        sharded.run(&flow_trace(50)).collect().unwrap();
-        assert!(matches!(
-            sharded.export_merged_ingress_state(),
-            Err(SwitchError::StatePartition(_))
-        ));
-        assert_eq!(sharded.export_shard_states().len(), 2);
     }
 
     #[test]
@@ -2592,8 +2487,8 @@ mod tests {
         assert_eq!(b.drop_counters(), a.drop_counters());
         assert_eq!(b.drop_counters().sched_full(), 100);
         assert_eq!(
-            b.export_merged_ingress_state().unwrap(),
-            a.export_merged_ingress_state().unwrap()
+            b.export_merged_ingress_state(),
+            a.export_merged_ingress_state()
         );
     }
 

@@ -668,17 +668,10 @@ impl<E: PipelineEngine> Switch<E> {
     /// assert_eq!(order, [10, 20, 30]);
     /// ```
     pub fn with_scheduler(mut self, spec: SchedSpec) -> Switch<E> {
-        self.set_scheduler(spec);
-        self
-    }
-
-    /// The in-place form of [`Switch::with_scheduler`] (the [`Run::sched`]
-    /// builder step uses it): replaces the queue's discipline, discarding
-    /// any queued packets.
-    pub fn set_scheduler(&mut self, spec: SchedSpec) {
         self.queue = spec.build_queue(self.capacity);
         self.key = spec.resolve(|field| self.slot_of(field));
         self.sched = spec;
+        self
     }
 
     /// The scheduling policy the queue runs.
@@ -1145,8 +1138,8 @@ impl<E: PipelineEngine> Switch<E> {
 /// builder [`Switch::run`] returns. Terminal methods consume it:
 /// [`Run::collect`] materializes the transmitted packets,
 /// [`Run::for_each`] streams them to a sink (O(queue) memory), and
-/// [`Run::sched`]/[`Run::scheduled`] switch to the burst-then-drain
-/// scheduling regime first.
+/// [`Run::scheduled`] switches to the burst-then-drain scheduling regime
+/// under the discipline [`Switch::with_scheduler`] installed.
 ///
 /// The **line-rate regime**: one input packet arrives per cycle on a
 /// clock that continues from the switch's previous run; each is processed
@@ -1163,15 +1156,6 @@ pub struct Run<'s, E: PipelineEngine, S: PacketSource> {
 }
 
 impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
-    /// Installs `spec` as the queue's discipline (discarding anything
-    /// queued, like [`Switch::with_scheduler`]) and switches this session
-    /// to the scheduling regime — burst arrival, then a rank-ordered
-    /// drain that makes the discipline observable.
-    pub fn sched(self, spec: SchedSpec) -> SchedRun<'s, E, S> {
-        self.switch.set_scheduler(spec);
-        self.scheduled()
-    }
-
     /// Switches this session to the scheduling regime under the queue's
     /// **already-configured** discipline (see [`Switch::with_scheduler`]).
     pub fn scheduled(self) -> SchedRun<'s, E, S> {
@@ -1216,7 +1200,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     }
 }
 
-/// A run session in the **scheduling regime** — built by [`Run::sched`] or
+/// A run session in the **scheduling regime** — built by
 /// [`Run::scheduled`]. The whole source arrives as a back-to-back burst
 /// (one packet per cycle, cycles `0..n` of a run-local clock), then the
 /// queue drains at one packet per cycle from cycle `n` in whatever order
@@ -1660,17 +1644,14 @@ mod tests {
         use crate::pifo::SchedSpec;
         use crate::stream::{FailAfter, GenSource};
 
-        let mut sw = Switch::new(passthrough("in"), passthrough("out"), 64);
+        let mut sw = Switch::new(passthrough("in"), passthrough("out"), 64)
+            .with_scheduler(SchedSpec::Pifo { rank: "r".into() });
         let source = FailAfter::new(
             GenSource::new(|i| Some(Packet::new().with("r", 100 - i as i32))),
             10,
             "burst cut short",
         );
-        let err = sw
-            .run(source)
-            .sched(SchedSpec::Pifo { rank: "r".into() })
-            .collect()
-            .unwrap_err();
+        let err = sw.run(source).scheduled().collect().unwrap_err();
         let report = err.fault().unwrap();
         assert_eq!(report.accounting.offered, 10);
         assert_eq!(report.accounting.transmitted, 10, "admitted burst drains");

@@ -720,7 +720,7 @@ pub fn shard_sweep(name: &str, n: usize, seed: u64, shard_counts: &[usize]) -> V
                     .ingress_replica()
                     .expect("replicable tier has an ingress replica spec")
                     .clone();
-                let merged = verify_sw.export_merged_ingress_state().unwrap();
+                let merged = verify_sw.export_merged_ingress_state();
                 let serial_label = format!("{name} serial");
                 crate::sketch::verify_sketch(&spec, &trace, &serial_state, &serial_label);
                 let merged_label = format!("{name}@{count} merged");
@@ -728,7 +728,7 @@ pub fn shard_sweep(name: &str, n: usize, seed: u64, shard_counts: &[usize]) -> V
             }
         }
         assert_eq!(
-            verify_sw.export_merged_ingress_state().unwrap(),
+            verify_sw.export_merged_ingress_state(),
             serial_state,
             "{name}@{count}: merged state diverged"
         );

@@ -250,7 +250,7 @@ proptest! {
 
         // Mass conservation and the rest of the sketch contract on the
         // merged export (panics on violation).
-        let merged = sw.export_merged_ingress_state().unwrap();
+        let merged = sw.export_merged_ingress_state();
         bench::sketch::verify_sketch(&spec, &trace, &merged, "replica conservation");
     }
 }

@@ -405,7 +405,7 @@ proptest! {
             prop_assert_eq!(part.len(), cursor, "shard {} length:\n{}", s, src);
         }
         prop_assert_eq!(
-            sharded.export_merged_ingress_state().unwrap(),
+            sharded.export_merged_ingress_state(),
             slot.export_state(),
             "merged state diverged ({} shards, fallback: {:?}):\n{}",
             shards, sharded.plan().fallback(), src

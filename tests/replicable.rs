@@ -165,7 +165,7 @@ proptest! {
         prop_assert!(spec.delta().unwrap() < 1.0);
         verify_sketch(&spec, &trace, &serial_state, "count-min serial");
         sw.run(&trace).collect().expect("no faults armed");
-        let merged = sw.export_merged_ingress_state().unwrap();
+        let merged = sw.export_merged_ingress_state();
         verify_sketch(&spec, &trace, &merged, &format!("count-min@{shards} merged"));
     }
 }
@@ -208,7 +208,7 @@ fn replicable_programs_honor_their_bound_on_both_paths() {
 
             // Packet-born path.
             sw.run(&trace).collect().expect("no faults armed");
-            let merged = sw.export_merged_ingress_state().unwrap();
+            let merged = sw.export_merged_ingress_state();
             assert_eq!(merged, serial_state, "{name}@{shards}: merged != serial");
             verify_sketch(&spec, &trace, &serial_state, &format!("{name} serial"));
             verify_sketch(&spec, &trace, &merged, &format!("{name}@{shards} merged"));
@@ -218,7 +218,7 @@ fn replicable_programs_honor_their_bound_on_both_paths() {
             wsw.run_frames(&wt.frames, &wt.cfg)
                 .partitioned()
                 .expect("no faults armed");
-            let wire_merged = wsw.export_merged_ingress_state().unwrap();
+            let wire_merged = wsw.export_merged_ingress_state();
             assert_eq!(
                 wire_merged, serial_wire_state,
                 "{name}@{shards}: wire merged != wire serial"

@@ -23,7 +23,7 @@
 //!   to a single shard with a two-tier diagnostic — and still match
 //!   serial exactly.
 
-use banzai::{AtomPipeline, ShardConfig, ShardTier, ShardedSwitch, SteerMode, Switch, Target};
+use banzai::{AtomPipeline, ShardConfig, ShardTier, ShardedSwitch, Switch, Target};
 use domino_ir::Packet;
 
 const TRACE_LEN: usize = 600;
@@ -105,18 +105,18 @@ fn sharded_pair_differential(
             bench::sketch::verify_sketch(
                 &spec,
                 trace,
-                &sharded.export_merged_ingress_state().unwrap(),
+                &sharded.export_merged_ingress_state(),
                 &format!("{label} @ {shards} merged"),
             );
         }
     }
     assert_eq!(
-        sharded.export_merged_ingress_state().unwrap(),
+        sharded.export_merged_ingress_state(),
         serial.export_ingress_state(),
         "{label} @ {shards} shards: merged ingress state diverged"
     );
     assert_eq!(
-        sharded.export_merged_egress_state().unwrap(),
+        sharded.export_merged_egress_state(),
         serial.export_egress_state(),
         "{label} @ {shards} shards: merged egress state diverged"
     );
@@ -272,62 +272,6 @@ fn threaded_run_is_deterministic_for_flowlet() {
     }
 }
 
-/// The merge seed permutes only the cross-flow interleave: per-shard
-/// subsequences (hence per-flow sequences) are seed-independent.
-#[test]
-fn merge_seed_only_permutes_across_flows() {
-    let a = algorithms::by_name("flowlet").unwrap();
-    let ingress = compile_least(&a);
-    let egress = AtomPipeline::passthrough("egress");
-    let trace = a.trace(1_000, SEED);
-
-    let mut outs = Vec::new();
-    for seed in [1u64, 0xDEAD_BEEF] {
-        let cfg = ShardConfig::new(4).with_seed(seed);
-        let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
-        let merged = sw.run(&trace).collect().unwrap();
-        // Reconstruct per-shard subsequences from the merged stream by
-        // steering each *output* packet (flowlet passes its key roots
-        // through untouched).
-        let mut per_shard: Vec<Vec<Packet>> = vec![Vec::new(); 4];
-        for p in &merged {
-            // Keyed steering is content-pure: the trace index argument
-            // is ignored, so re-steering an *output* packet is sound.
-            per_shard[sw.plan().steer(0, p)].push(p.clone());
-        }
-        outs.push(per_shard);
-    }
-    assert_eq!(
-        outs[0], outs[1],
-        "per-shard streams must be seed-independent"
-    );
-}
-
-/// Explicit-field steering (the configurable key) shards stateless
-/// pipelines by the caller's flow definition.
-#[test]
-fn explicit_field_steering_preserves_per_flow_order() {
-    let ingress = AtomPipeline::passthrough("in");
-    let egress = AtomPipeline::passthrough("out");
-    let trace: Vec<Packet> = (0..300)
-        .map(|i| Packet::new().with("flow", i % 13).with("seq", i))
-        .collect();
-    let cfg = ShardConfig::new(4).with_steer(SteerMode::Fields(vec!["flow".into()]));
-    let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
-    let merged = sw.run(&trace).collect().unwrap();
-    assert_eq!(merged.len(), 300);
-    for flow in 0..13 {
-        let seqs: Vec<i32> = merged
-            .iter()
-            .filter(|p| p.get("flow") == Some(flow))
-            .map(|p| p.get("seq").unwrap())
-            .collect();
-        let mut sorted = seqs.clone();
-        sorted.sort_unstable();
-        assert_eq!(seqs, sorted, "flow {flow} reordered");
-    }
-}
-
 /// The facade helper wires the whole stack together.
 #[test]
 fn facade_sharded_switch_runs_flowlet_end_to_end() {
@@ -457,51 +401,29 @@ fn line_rate_sharding_rejects_shaping_and_equals_serial_otherwise() {
 /// slab's **slots**; [`banzai::ShardPlan::steer`] evaluates the same
 /// rule **by name** on the map packet — the reference. The two must pick
 /// the same shard for every packet: under every rule the planner
-/// resolves for a Table 4 program (keyed, replica, single-shard), under
-/// whole-packet hashing, and under explicit field lists naming a field
-/// the packets carry, one they omit, and one no pipeline mentions — over
-/// traces whose packets carry fields off the table (a residual either
-/// side of the table's names) and omit declared ones, at 1–8 shards.
+/// resolves for a Table 4 program (keyed, replica, single-shard) and
+/// under whole-packet hashing — over traces whose packets carry fields
+/// off the table (a residual either side of the table's names) and omit
+/// declared ones, at 1–8 shards.
 ///
 /// A packet's shard is read off the run itself: the residual `zz_tag`
 /// rides every packet through its shard untouched.
 #[test]
 fn slot_steering_equals_map_steering_for_every_rule() {
-    let passthrough = AtomPipeline::passthrough("in");
-    let fields = |names: &[&str]| SteerMode::Fields(names.iter().map(|f| f.to_string()).collect());
     let flowlet = algorithms::by_name("flowlet").unwrap();
-    let mut cases: Vec<(String, AtomPipeline, SteerMode, Vec<Packet>)> = algorithms::TABLE4
+    let mut cases: Vec<(String, AtomPipeline, Vec<Packet>)> = algorithms::TABLE4
         .iter()
         .filter(|a| a.paper.least_atom.is_some())
-        .map(|a| {
-            let trace = a.trace(160, SEED);
-            (a.name.to_string(), compile_least(a), SteerMode::Auto, trace)
-        })
+        .map(|a| (a.name.to_string(), compile_least(a), a.trace(160, SEED)))
         .collect();
-    for (what, ingress, mode) in [
-        ("whole packet", passthrough.clone(), SteerMode::Auto),
-        ("fields: none listed", passthrough.clone(), fields(&[])),
-        (
-            "fields: present",
-            compile_least(&flowlet),
-            fields(&["sport"]),
-        ),
-        (
-            "fields: absent",
-            compile_least(&flowlet),
-            fields(&["dport", "new_hop"]),
-        ),
-        (
-            "fields: off the table",
-            passthrough,
-            fields(&["aa_extra", "zz_tag"]),
-        ),
-    ] {
-        cases.push((what.to_string(), ingress, mode, flowlet.trace(160, SEED)));
-    }
+    cases.push((
+        "whole packet".to_string(),
+        AtomPipeline::passthrough("in"),
+        flowlet.trace(160, SEED),
+    ));
 
     let mut rules = std::collections::BTreeSet::new();
-    for (what, ingress, mode, trace) in cases {
+    for (what, ingress, trace) in cases {
         // Residual fields sorting before and after every table name, a
         // unique tag, and every fifth packet short of its first field.
         let trace: Vec<Packet> = (trace.iter().enumerate())
@@ -515,8 +437,8 @@ fn slot_steering_equals_map_steering_for_every_rule() {
             .collect();
         let egress = AtomPipeline::passthrough("egress");
         for shards in 1..=8 {
-            let cfg = ShardConfig::new(shards).with_steer(mode.clone());
-            let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+            let mut sw =
+                ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(shards)).unwrap();
             rules.insert(
                 sw.plan()
                     .to_string()
@@ -536,18 +458,9 @@ fn slot_steering_equals_map_steering_for_every_rule() {
         }
     }
     // Every steering rule was exercised: keyed, replicated (dealt),
-    // single-shard fallback, whole-packet and explicit-field hashing.
+    // single-shard fallback and whole-packet hashing.
     let rules: Vec<String> = rules.into_iter().flatten().collect();
-    assert_eq!(
-        rules,
-        [
-            "hashing",
-            "keyed",
-            "replicated",
-            "single-shard",
-            "stateless"
-        ]
-    );
+    assert_eq!(rules, ["keyed", "replicated", "single-shard", "stateless"]);
 }
 
 /// The sharded byte path's contract: `run_frames(..).partitioned()` is
@@ -667,8 +580,8 @@ fn alternating_packet_shapes_shard_like_serial() {
             );
         }
         assert_eq!(
-            threaded.export_merged_ingress_state().unwrap(),
-            sequential.export_merged_ingress_state().unwrap(),
+            threaded.export_merged_ingress_state(),
+            sequential.export_merged_ingress_state(),
             "{shards} shards"
         );
     }

@@ -105,8 +105,8 @@ proptest! {
             "drop counters diverged"
         );
         prop_assert_eq!(
-            streamed.export_merged_ingress_state().unwrap(),
-            materialized.export_merged_ingress_state().unwrap(),
+            streamed.export_merged_ingress_state(),
+            materialized.export_merged_ingress_state(),
             "merged ingress state diverged"
         );
     }
@@ -357,8 +357,8 @@ fn streamed_equals_materialized_for_every_table4_algorithm() {
             .expect("generator source cannot fail");
         assert_eq!(sh_got, sh_expect, "{}: sharded streamed diverged", a.name);
         assert_eq!(
-            sh_str.export_merged_ingress_state().unwrap(),
-            sh_mat.export_merged_ingress_state().unwrap(),
+            sh_str.export_merged_ingress_state(),
+            sh_mat.export_merged_ingress_state(),
             "{}: sharded merged state diverged",
             a.name
         );
