@@ -421,11 +421,6 @@ impl SchedSpec {
     pub fn is_shaping(&self) -> bool {
         matches!(self, SchedSpec::Shaping { .. })
     }
-
-    /// Whether this is the default FIFO policy.
-    pub fn is_fifo(&self) -> bool {
-        matches!(self, SchedSpec::Fifo)
-    }
 }
 
 /// A [`SchedSpec`]'s key fields as slots of one switch's field table

@@ -17,26 +17,26 @@
 //!   pipeline's [`Partitionability`] as the state-indexing analysis
 //!   ([`StateLayout::flow_key`](domino_ir::layout::StateLayout::flow_key))
 //!   found it, from which the steering rule follows — the extracted flow
-//!   key, **replica mode** for commutative sketch state
-//!   (`heavy_hitters.domino`'s three differently-hashed count-min rows:
-//!   every shard runs a full copy over packets dealt round-robin —
-//!   balanced even under heavy-tailed flow skew — and exported copies
-//!   fold back elementwise at collect time), whole-packet hashing for
-//!   stateless pipelines, or a **single-shard fallback with a two-tier
-//!   diagnostic** when the state survives neither analysis (`rcp.domino`'s
-//!   global registers) — see [`ShardTier`]. No caller-supplied key can
-//!   override it, so every configuration is serial-equivalent by
-//!   construction;
+//!   key, or — for a plan with no key — packets **dealt round-robin by
+//!   arrival index**: stateless pipelines, and **replica mode** for
+//!   commutative sketch state (`heavy_hitters.domino`'s three
+//!   differently-hashed count-min rows: every shard runs a full copy,
+//!   balanced even under heavy-tailed flow skew, and exported copies fold
+//!   back elementwise at collect time); or a **single-shard fallback with
+//!   a two-tier diagnostic** when the state survives neither analysis
+//!   (`rcp.domino`'s global registers) — see [`ShardTier`]. No
+//!   caller-supplied key can override it, so every configuration is
+//!   serial-equivalent by construction;
 //! * [`ShardedSwitch`] — spawns one worker thread per shard
 //!   ([`ShardedRun::collect`]), feeds each through a bounded ring of
 //!   slab batches, runs a [`Switch`] of its own per shard (stamped with
 //!   global arrival cycles, so queue metadata is bit-identical to the
 //!   serial switch), and merges transmitted packets by **round-robin
-//!   from a fixed start** — per-flow order is preserved exactly (a flow,
-//!   as defined by the steering key, lives on one shard; under stateless
-//!   whole-packet steering that means identical packets), and the
-//!   cross-flow interleaving is a pure function of the shard count, so
-//!   differential tests stay bit-reproducible run to run;
+//!   from shard 0** — per-flow order is preserved exactly (a flow, as
+//!   defined by the steering key, lives on one shard), the cross-flow
+//!   interleaving is a pure function of the shard count, so differential
+//!   tests stay bit-reproducible run to run, and a run dealt by index
+//!   (shard `k` holds arrivals `k, k + n, …`) comes back in serial order;
 //! * merged state export — under keyed steering each array slot belongs
 //!   to exactly one key class, hence to exactly one shard; reading every
 //!   slot from its owner reconstructs the serial state bit-for-bit.
@@ -73,15 +73,16 @@
 //!   into a record of the run's one pool when it has one — and
 //!   evaluates the steering rule over the slab's **slots**
 //!   (`SlotSteer`: the flow key's slice lowered like an engine's
-//!   program, whole-packet hashing in name order, or the arrival index);
+//!   program, or the arrival index);
 //!   [`ShardPlan::steer`] is the same rule by name, the reference the
 //!   suites hold the dispatcher to;
 //! * **slabs ride the rings**, or are handed straight to the lane,
 //!   stamped with their arrival cycle (a rejected frame rides as its
 //!   verdict, dealt by index); the shard's switch runs its one loop on
 //!   them;
-//! * a scheduling run's shard-local PIFOs hold slabs, keyed off their
-//!   slots, and the post-merge serial egress pass is a departure on the
+//! * a scheduling run's lanes hold slabs under keys read off their
+//!   slots, one sort of their union puts them in the serial PIFO's pop
+//!   order, and the post-merge serial egress pass is a departure on the
 //!   same slab;
 //! * each packet is **emitted (or deparsed) once**: in the worker's sink
 //!   on a forwarding run — the slab's value row moved into the packet, a
@@ -99,9 +100,9 @@
 //! loop (stamped arrivals, line rate). Every run, threaded or
 //! sequential, is **one dispatcher** (`scatter`: the only pull → admit →
 //! steer → batch loop) feeding each shard's *lane* (the per-batch step:
-//! forward and emit, forward and deparse, or ingress + shard-local PIFO
-//! push) and **one close-out** (`gather`: shards put back, streams handed
-//! over — or salvage, rebuild and the one `FaultReport` constructor in
+//! forward and emit, forward and deparse, or ingress and hold) and
+//! **one close-out** (`gather`: shards put back, streams handed over —
+//! or salvage, rebuild and the one `FaultReport` constructor in
 //! [`crate::error`], the books closed over this run's counters). What
 //! differs between the two ways of running is only *where a lane is
 //! stepped*: by the one worker behind its ring under `catch_unwind`
@@ -126,19 +127,19 @@
 
 use crate::error::{FaultCause, FaultReport, ShardError, ShardSalvage, SwitchError};
 use crate::machine::AtomPipeline;
-use crate::pifo::{SchedKey, SchedQueue, SchedSpec, Scheduler};
+use crate::pifo::{SchedKey, SchedSpec};
 use crate::slot::{KeySlice, SlotMachine};
 use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::switch::{
-    DropCounters, DropReason, InFlight, PipelineEngine, Pool, Rest, SchedDeparture, Stamped,
-    Switch, QUEUE_METADATA_FIELDS,
+    DropCounters, DropReason, InFlight, PipelineEngine, Pool, SchedDeparture, Stamped, Switch,
+    QUEUE_METADATA_FIELDS,
 };
 use crate::wire::{BoundParser, ParseVerdict, WireConfig};
 use domino_ast::{StateKind, StateVar};
 use domino_ir::layout::StateLayout;
-use domino_ir::partition::{mix64, FlowKeySpec, Partitionability, ReplicaSpec};
+use domino_ir::partition::{FlowKeySpec, Partitionability, ReplicaSpec};
 use domino_ir::{FieldId, FieldTable, Packet, PacketEdges, StateStore, TacStmt};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -279,8 +280,9 @@ pub enum SteerMode {
 /// The partitioning tier a [`ShardPlan`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardTier {
-    /// Keyed or whole-packet steering: sharded per-shard outputs and
-    /// merged state are bit-identical to serial execution.
+    /// Keyed steering, or stateless pipelines dealt by index: sharded
+    /// per-shard outputs and merged state are bit-identical to serial
+    /// execution (and a dealt run's merged output is the serial output).
     Exact,
     /// At least one pipeline runs full sketch replicas merged at collect
     /// time. Merged *state* is still bit-identical to serial; per-packet
@@ -302,62 +304,25 @@ impl fmt::Display for ShardTier {
     }
 }
 
-/// Where every field-hashing steering rule starts (the FNV-1a offset
-/// basis).
-const HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds one `(name, value)` field into a steering hash: FNV-1a over the
-/// name, then the value mixed in (steering must be deterministic across
-/// runs and platforms, so no `RandomState`).
-fn hash_field(h: u64, name: &str, value: i32) -> u64 {
-    let h = (name.bytes()).fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
-    mix64(h ^ value as u32 as u64)
-}
-
-/// [`hash_field`] over every field of a slab the pipelines have not run
-/// on yet, in name order — the order its map twin iterates in.
-fn hash_every_field(p: &InFlight, by_name: &[FieldId]) -> u64 {
-    let mut h = HASH_SEED;
-    match &p.rest {
-        Rest::Fields(residual) => {
-            (p.flat).for_each_field(by_name, residual, |name, v| h = hash_field(h, name, v));
-        }
-        // Slotted or not, every field of a frame is still in its bytes.
-        Rest::Frame(layout) => {
-            let mut fields: Vec<(&str, i32)> = Vec::new();
-            layout.for_each_field(|name, v| fields.push((name, v)));
-            fields.sort_unstable_by_key(|&(name, _)| name);
-            h = (fields.into_iter()).fold(h, |h, (name, v)| hash_field(h, name, v));
-        }
-    }
-    h
-}
-
 /// A plan's steering rule resolved onto the sharded switch's table
-/// ([`ShardPlan::lower`]): what the dispatcher evaluates, per admitted
-/// slab, in place of the by-name reference [`ShardPlan::steer`].
+/// ([`ShardPlan::lower`]): the flow key's slice, lowered like an engine's
+/// program, or — for a plan without a key — nothing, every arrival dealt
+/// by its index. What the dispatcher evaluates in place of the by-name
+/// reference [`ShardPlan::steer`].
 #[derive(Debug)]
-enum SlotSteer {
-    /// By arrival index alone: replica mode's deal, and the single shard.
-    Index,
-    /// The flow key's slice, lowered like an engine's program.
-    Keyed(KeySlice),
-    /// Every field the packet carries.
-    WholePacket,
-}
+struct SlotSteer(Option<KeySlice>);
 
 impl SlotSteer {
     /// The shard of `n` the `idx`-th arrival steers to: exactly
     /// `plan.steer(idx, &pkt)` for the map packet `p` was admitted from
     /// (or, byte-born, for [`wire::parse`](crate::wire::parse)'s packet).
-    fn shard_of(&mut self, idx: usize, p: &InFlight, by_name: &[FieldId], n: usize) -> usize {
-        if n <= 1 {
-            return 0;
-        }
-        match self {
-            SlotSteer::Index => idx % n,
-            SlotSteer::Keyed(slice) => FlowKeySpec::shard_of_class(slice.key_of(&p.flat), n),
-            SlotSteer::WholePacket => (hash_every_field(p, by_name) % n as u64) as usize,
+    /// A rejected frame (`None`) carries no key, so it is dealt by index.
+    fn shard_of(&mut self, idx: usize, p: Option<&InFlight>, n: usize) -> usize {
+        match (&mut self.0, p) {
+            (Some(slice), Some(p)) if n > 1 => {
+                FlowKeySpec::shard_of_class(slice.key_of(&p.flat), n)
+            }
+            _ => idx % n,
         }
     }
 }
@@ -555,38 +520,26 @@ impl ShardPlan {
     /// of the slab it admitted, and the two agree on every packet
     /// (`tests/sharding.rs` holds them together).
     ///
-    /// The steering rule follows from the sides: a keyed side steers by
-    /// its flow key; otherwise a replicable side deals packets round-robin
-    /// by trace index, which any replica merge tolerates (updates commute)
-    /// and which stays load-balanced even on the heavy-tailed traces
-    /// sketch programs are written for; stateless pipelines hash the whole
-    /// packet. Keyed and whole-packet steering are pure functions of the
-    /// packet content (`idx` is ignored).
+    /// A keyed side steers by its flow key, a pure function of the packet
+    /// (`idx` is ignored). A plan without a key has no per-flow state for
+    /// steering to protect, so it deals packets round-robin by trace
+    /// index: replica merges tolerate any steering (updates commute), the
+    /// deal stays load-balanced on the heavy-tailed traces sketch programs
+    /// are written for, and shard `k` holds arrivals `k, k + n, …`, which
+    /// the merge's round-robin from shard 0 puts back in serial order.
     pub fn steer(&self, idx: usize, pkt: &Packet) -> usize {
         let n = self.effective();
-        if n <= 1 {
-            return 0;
-        }
-        match (self.flow_key(), self.tier()) {
-            (Some(spec), _) => spec.shard_of(pkt, n),
-            (None, ShardTier::Exact) => {
-                let h = (pkt.iter()).fold(HASH_SEED, |h, (name, v)| hash_field(h, name, v));
-                (h % n as u64) as usize
-            }
-            (None, _) => idx % n,
+        match self.flow_key() {
+            Some(spec) if n > 1 => spec.shard_of(pkt, n),
+            _ => idx % n,
         }
     }
 
     /// Resolves the steering rule onto `table`, interning every field it
     /// reads, so the dispatcher steers slabs ([`SlotSteer::shard_of`]).
     fn lower(&self, table: &mut FieldTable) -> Result<SlotSteer, SwitchError> {
-        Ok(match (self.flow_key(), self.tier()) {
-            (Some(spec), _) => {
-                SlotSteer::Keyed(KeySlice::lower(spec, table).map_err(SwitchError::build)?)
-            }
-            (None, ShardTier::Exact) => SlotSteer::WholePacket,
-            (None, _) => SlotSteer::Index,
-        })
+        let key = self.flow_key().map(|spec| KeySlice::lower(spec, table));
+        Ok(SlotSteer(key.transpose().map_err(SwitchError::build)?))
     }
 }
 
@@ -601,7 +554,7 @@ impl fmt::Display for ShardPlan {
                 let (key, modulus) = (spec.key_field(), spec.modulus());
                 write!(f, ", keyed on pkt.{key} mod {modulus}")
             }
-            (None, ShardTier::Exact) => write!(f, ", stateless whole-packet hashing"),
+            (None, ShardTier::Exact) => write!(f, ", stateless, dealt round-robin"),
             (None, _) => {
                 write!(f, ", replicated sketches, dealt round-robin")?;
                 // The union of both sides' index roots, for diagnostics:
@@ -688,7 +641,8 @@ pub struct ShardRun {
 /// use banzai::{AtomPipeline, ShardConfig, ShardedSwitch};
 /// use domino_ir::Packet;
 ///
-/// // Stateless pipelines shard by whole-packet hashing; 4 workers.
+/// // Stateless pipelines deal packets round-robin; 4 workers, and the
+/// // merge puts them back in serial order.
 /// let mut sw = ShardedSwitch::new_slot(
 ///     &AtomPipeline::passthrough("in"),
 ///     &AtomPipeline::passthrough("out"),
@@ -741,6 +695,9 @@ pub struct ShardedSwitch<E: PipelineEngine = SlotMachine> {
     /// across faults.
     extra_transmitted: u64,
     extra_drops: DropCounters,
+    /// Where the line-rate clock resumes: the cycle after the last
+    /// arrival of the previous run, as on the serial switch.
+    now: i64,
 }
 
 impl ShardedSwitch<SlotMachine> {
@@ -831,6 +788,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             config,
             extra_transmitted: 0,
             extra_drops: DropCounters::new(),
+            now: 0,
         })
     }
 
@@ -889,15 +847,15 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         self.shards.iter().map(|s| s.transmitted()).sum::<u64>() + self.extra_transmitted
     }
 
-    /// Merges per-shard output streams by round-robin from a fixed start
-    /// (the one cursor every sharded run merges by): take one packet from
-    /// each non-exhausted shard in cyclic order. Per-flow order is preserved for flows as the
-    /// steering key defines them (such a flow lives on one shard and
-    /// shard order is kept — under whole-packet steering that means
-    /// identical packets; replica mode deals by trace index, so its
-    /// "flows" are the index residue classes); the cross-flow interleave
-    /// is a pure function of the shard count, so repeated runs are
-    /// bit-identical regardless of thread scheduling.
+    /// Merges per-shard output streams by round-robin from shard 0 (the
+    /// one cursor every sharded run merges by): take one packet from each
+    /// non-exhausted shard in cyclic order. Per-flow order is preserved
+    /// for flows as the flow key defines them (such a flow lives on one
+    /// shard and shard order is kept); the cross-flow interleave is a
+    /// pure function of the shard count, so repeated runs are
+    /// bit-identical regardless of thread scheduling. A plan without a
+    /// key deals arrival `i` to shard `i % n`, so its streams merge back
+    /// into the serial order.
     pub fn merge(&self, parts: Vec<Vec<Packet>>) -> Vec<Packet> {
         if parts.len() <= 1 {
             return parts.into_iter().next().unwrap_or_default();
@@ -994,11 +952,11 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// **The one dispatcher** of every sharded run, threaded or inline:
     /// `pull` the next arrival already on the table (a map packet
     /// admitted — its one map → slab crossing — or a frame parsed, or
-    /// the verdict that rejected it), stamp it with its arrival index,
-    /// steer it, and `feed` each shard its arrivals a batch at a time —
-    /// `feed` is lent the full batch, leaves it empty (taken for a ring,
-    /// or drained where it lies, its buffer kept for the next) and
-    /// answers with how many of it were shed. What happens to a fed batch
+    /// the verdict that rejected it), stamp it with its arrival cycle
+    /// (`from` plus its index), steer it, and `feed` each shard its
+    /// arrivals a batch at a time — `feed` is lent the full batch, leaves
+    /// it empty (taken for a ring, or drained where it lies, its buffer
+    /// kept for the next) and answers with how many of it were shed. What happens to a fed batch
     /// is the executor's business
     /// ([`ShardedSwitch::threaded`], [`ShardedSwitch::inline`]); what the
     /// dispatcher saw comes back as the [`Scatter`].
@@ -1013,10 +971,12 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// per shard, never the whole trace. A source error stops the pull
     /// loop; what was pulled before it is still fed, so every lane runs
     /// its share to completion, and the error rides back in
-    /// [`Scatter::source_error`].
+    /// [`Scatter::source_error`]. Faulted or not, the switch's clock
+    /// stands after the last arrival pulled.
     fn scatter(
         &mut self,
         before: Vec<(DropCounters, u64)>,
+        from: i64,
         mut pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
         mut feed: impl FnMut(usize, &mut Batch, &mut Pool) -> u64,
     ) -> Scatter {
@@ -1047,15 +1007,10 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                 end => break end.err(),
             };
             let i = run.pulled as usize;
-            // A rejected frame carries no fields to steer by: dealt by
-            // index, so one shard books its verdict.
-            let s = match &arrival {
-                Ok(p) => self.steer.shard_of(i, p, self.edges.by_name(), n),
-                Err(_) => i % n,
-            };
+            let s = self.steer.shard_of(i, arrival.as_ref().ok(), n);
             run.pulled += 1;
             run.offered[s] += 1;
-            pending[s].push((i as i64, arrival));
+            pending[s].push((from + i as i64, arrival));
             if pending[s].len() == batch {
                 timed_feed(s, &mut pending[s], &mut run, &mut pool);
             }
@@ -1067,6 +1022,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         }
         let fed: u128 = run.timings.shard_ns.iter().sum();
         run.timings.steer_ns = start.elapsed().as_nanos() - fed;
+        self.now = from + run.pulled as i64;
         run
     }
 
@@ -1090,6 +1046,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// when the run ends is freed with it, on this thread.
     fn threaded<L: Lane<E> + Send + 'static>(
         &mut self,
+        from: i64,
         pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
         lane: impl Fn() -> L,
     ) -> Result<Gathered<L::Out>, SwitchError>
@@ -1120,7 +1077,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
 
         let mut stalled = vec![false; n];
         let mut spares: Vec<Trip> = Vec::new();
-        let run = self.scatter(before, pull, |s, batch, pool| {
+        let run = self.scatter(before, from, pull, |s, batch, pool| {
             for (buf, mut spent) in back.try_iter() {
                 pool.append(&mut spent);
                 spares.push((buf, spent));
@@ -1204,7 +1161,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         self.check_line_rate()?;
         let (switches, before) = self.take_shards();
         let mut lanes: Vec<(Switch<E>, L)> = switches.into_iter().map(|sw| (sw, lane())).collect();
-        let run = self.scatter(before, pull, |s, batch, pool| {
+        let run = self.scatter(before, self.now, pull, |s, batch, pool| {
             let (sw, lane) = &mut lanes[s];
             lane.step(sw, batch, pool);
             tap(s, lane);
@@ -1480,7 +1437,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     {
         let sw = self.switch;
         sw.check_line_rate()?;
-        let run = sw.threaded(admitting(&mut self.source), Forward::default)?;
+        let run = sw.threaded(sw.now, admitting(&mut self.source), Forward::default)?;
         Ok(sw.merge(run.streams))
     }
 
@@ -1565,14 +1522,14 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     /// `run(..).scheduled().collect()`, bit-identical to it on
     /// [`ShardTier::Exact`] plans.
     ///
-    /// Each worker runs ingress on its steered slabs and pushes them into
-    /// a **shard-local PIFO** under the configured [`SchedSpec`]; at
-    /// collect time the per-shard streams (each already in pop order)
-    /// merge by `(class, rank, global arrival cycle)` — exactly the
-    /// serial PIFO's pop order, because the serial tie-break *is* arrival
-    /// order — and a dedicated serial egress engine runs each slab's
-    /// departure, assigning cycles with the same recurrence as the serial
-    /// switch, before the packet is emitted — once, here. Admission is
+    /// Each worker runs ingress on its steered slabs and holds each under
+    /// the key the configured [`SchedSpec`] reads off it; at collect time
+    /// the union of the shards' streams is sorted by `(class, rank,
+    /// global arrival cycle)` — exactly the serial PIFO's pop order,
+    /// because the serial tie-break *is* arrival order — and a dedicated
+    /// serial egress engine runs each slab's departure, assigning cycles
+    /// with the same recurrence as the serial switch, before the packet
+    /// is emitted — once, here. Admission is
     /// the serial burst rule applied per worker: during the arrival phase
     /// the queue only grows, so the serial switch admits exactly the
     /// first `capacity` arrivals — a globally computable rule, which is
@@ -1583,31 +1540,28 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     ///
     /// Supervision is identical to [`ShardedRun::collect`] (same feeder,
     /// rings, watchdog, and collector). A faulted run returns
-    /// [`SwitchError::Fault`]; the failed shard's salvage is its PIFO
-    /// contents **popped in rank order** (the queue lives outside the
+    /// [`SwitchError::Fault`]; the failed shard's salvage is what its
+    /// lane held, **in rank order** (the lane lives outside the
     /// per-batch `catch_unwind`, so a mid-batch panic cannot corrupt or
     /// lose it), and [`Accounting`](crate::error::Accounting) closes the
     /// books exactly. A source error lands like a worker fault: the
-    /// feeder stops, every shard-local PIFO drains in rank order into
-    /// salvage, and the report carries a
-    /// [`SourceFault`](crate::error::SourceFault) with closed books.
+    /// feeder stops, every lane drains in rank order into salvage, and
+    /// the report carries a [`SourceFault`](crate::error::SourceFault)
+    /// with closed books.
     pub fn collect(mut self) -> Result<Vec<SchedDeparture>, SwitchError>
     where
         E: Send + 'static,
     {
         let sw = self.switch;
-        let (spec, capacity) = (sw.config.sched.clone(), sw.config.capacity);
-        let run = sw.threaded(admitting(&mut self.source), || Schedule {
-            // Unbounded: the serial admission rule bounds total occupancy
-            // across *all* shards at `capacity`, so no per-shard bound
-            // applies.
-            pifo: spec.build_queue(usize::MAX),
+        let capacity = sw.config.capacity;
+        // A burst's clock is run-local, as on the serial switch.
+        let run = sw.threaded(0, admitting(&mut self.source), || Schedule {
+            held: Vec::new(),
             capacity,
         })?;
-        // Each per-shard stream is sorted by (key, shard-local arrival);
-        // the global arrival cycle is unique, so sorting the union by
-        // (key, arrival) *is* the deterministic k-way merge — and equals
-        // the serial pop order.
+        // The global arrival cycle is unique, so sorting the union by
+        // (key, arrival) is the one ordering step — and equals the serial
+        // PIFO's pop order, whose tie-break is arrival.
         let mut entries: Vec<_> = run.streams.into_iter().flatten().collect();
         entries.sort_by_key(|&(key, arrival, _)| (key, arrival));
 
@@ -1635,6 +1589,7 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
             next_free = departure + 1;
         }
         sw.extra_transmitted += total as u64;
+        sw.now = next_free;
         Ok(out)
     }
 }
@@ -1684,13 +1639,10 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
     }
 }
 
-/// Where the merge starts: the shard `mix64(MERGE_SEED) % n`.
-const MERGE_SEED: u64 = 0x5EED_0001;
-
 /// **The one merge order** of every sharded run
 /// ([`ShardedSwitch::merge`], [`ShardedRun::for_each`], a fault report's
 /// `merged`): a cursor that visits the shards' output buffers in cyclic
-/// order from a fixed start, taking one packet per visit.
+/// order from shard 0, taking one packet per visit.
 struct RoundRobin {
     buffers: Vec<VecDeque<Packet>>,
     /// Packets in `buffers`, so the cursor knows when every one is empty.
@@ -1700,11 +1652,14 @@ struct RoundRobin {
 
 impl RoundRobin {
     /// A cursor over `parts`, one per shard (at least one).
-    fn new(parts: impl ExactSizeIterator<Item = Vec<Packet>>) -> RoundRobin {
-        let at = (mix64(MERGE_SEED) % parts.len() as u64) as usize;
+    fn new(parts: impl Iterator<Item = Vec<Packet>>) -> RoundRobin {
         let buffers: Vec<VecDeque<Packet>> = parts.map(VecDeque::from).collect();
         let held = buffers.iter().map(VecDeque::len).sum();
-        RoundRobin { buffers, held, at }
+        RoundRobin {
+            buffers,
+            held,
+            at: 0,
+        }
     }
 
     /// Appends to shard `s`'s buffer.
@@ -1817,12 +1772,13 @@ impl<E: PipelineEngine> Lane<E> for Frames<'_> {
 }
 
 /// The scheduling lane ([`ShardedSchedRun::collect`]): run ingress on
-/// each steered slab and admit it into the shard-local PIFO (or count the
-/// configured full-drop reason). The lane holds the PIFO, so a faulted
-/// shard's salvage is its contents **popped in rank order** — finer than
-/// batch granularity.
+/// each steered slab and hold it under its key (or count the configured
+/// full-drop reason). The lane holds what it admitted outside the unwind
+/// scope, and drains it sorted by `(key, arrival)` — the PIFO's pop order,
+/// whose tie-break is arrival — so a faulted shard's salvage comes out in
+/// rank order, finer than batch granularity.
 struct Schedule {
-    pifo: SchedQueue<(i64, InFlight)>,
+    held: Vec<(SchedKey, i64, InFlight)>,
     capacity: usize,
 }
 
@@ -1849,7 +1805,7 @@ impl<E: PipelineEngine> Lane<E> for Schedule {
             // queue only grows, so the serial switch admits exactly the
             // arrivals with global cycle < capacity.
             if (t as usize) < self.capacity {
-                let _ = self.pifo.push(key, (t, p));
+                self.held.push((key, t, p));
             } else {
                 sw.refuse();
                 spent.push(p);
@@ -1858,11 +1814,8 @@ impl<E: PipelineEngine> Lane<E> for Schedule {
     }
 
     fn drain(mut self) -> Vec<Self::Out> {
-        let mut stream = Vec::with_capacity(self.pifo.len());
-        while let Some((key, (t, p))) = self.pifo.pop() {
-            stream.push((key, t, p));
-        }
-        stream
+        self.held.sort_by_key(|&(key, t, _)| (key, t));
+        self.held
     }
 }
 
@@ -2209,10 +2162,10 @@ mod tests {
             let orig: Vec<&Packet> = parts[s as usize].iter().collect();
             assert_eq!(sub, orig, "shard {s} order broken by merge");
         }
-        // The exact interleave: from shard 3 (`mix64(MERGE_SEED) % 4`),
-        // one packet from each non-empty shard per round, the empty shard
-        // passed over, then the long shard's tail.
-        let mut want: Vec<(i32, i32)> = (0..4).flat_map(|i| [(3, i), (0, i), (2, i)]).collect();
+        // The exact interleave: from shard 0, one packet from each
+        // non-empty shard per round, the empty shard passed over, then the
+        // long shard's tail.
+        let mut want: Vec<(i32, i32)> = (0..4).flat_map(|i| [(0, i), (2, i), (3, i)]).collect();
         want.extend((4..40).map(|i| (2, i)));
         let got: Vec<(i32, i32)> = (merged.iter())
             .map(|p| (p.expect("shard"), p.expect("i")))
@@ -2460,7 +2413,7 @@ mod tests {
             .with_scheduler(spec.clone());
         let trace = flow_trace(300);
         let lane = || Schedule {
-            pifo: spec.build_queue(usize::MAX),
+            held: Vec::new(),
             capacity: 200,
         };
         let keys = |run: Gathered<(SchedKey, i64, InFlight)>| -> Vec<Vec<(SchedKey, i64)>> {
@@ -2473,7 +2426,7 @@ mod tests {
         let mut a = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
         assert_eq!(a.plan().tier(), ShardTier::Exact);
         let mut source = trace.as_slice().into_packet_source();
-        let threaded = keys(a.threaded(admitting(&mut source), lane).unwrap());
+        let threaded = keys(a.threaded(0, admitting(&mut source), lane).unwrap());
 
         let mut b = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
         let mut source = trace.as_slice().into_packet_source();

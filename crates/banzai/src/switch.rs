@@ -545,16 +545,6 @@ impl Switch<Machine> {
         let meta = QUEUE_METADATA_FIELDS.map(|f| table.intern(f));
         Switch::assemble(ingress, egress, &Arc::new(table), meta, capacity)
     }
-
-    /// The ingress machine's state (for inspection).
-    pub fn ingress_state(&self) -> &domino_ir::StateStore {
-        self.ingress.state()
-    }
-
-    /// The egress machine's state (for inspection).
-    pub fn egress_state(&self) -> &domino_ir::StateStore {
-        self.egress.state()
-    }
 }
 
 impl Switch<SlotMachine> {

@@ -467,14 +467,6 @@ impl WireLayout {
         })
     }
 
-    /// Visits every decoded field as `(name, wire value)`, in wire-index
-    /// order — the map tier's view of the frame, without the map.
-    pub(crate) fn for_each_field<'a>(&'a self, mut visit: impl FnMut(&'a str, i32)) {
-        self.walk.for_each_region(|field, offset, width| {
-            visit(self.name(field), read_be(&self.bytes, offset, width));
-        });
-    }
-
     /// The field name behind a dense wire index the region walk yielded.
     fn name(&self, field: usize) -> &str {
         match HEADER_FIELDS.get(field) {
@@ -544,7 +536,9 @@ pub fn parse(frame: &[u8], cfg: &WireConfig) -> Result<WirePacket, ParseVerdict>
     let mut layout = WireLayout::new(Walk::of(frame, cfg)?, cfg);
     layout.bytes.extend_from_slice(frame);
     let mut pkt = Packet::new();
-    layout.for_each_field(|name, value| pkt.set(name, value));
+    (layout.walk).for_each_region(|field, offset, width| {
+        pkt.set(layout.name(field), read_be(&layout.bytes, offset, width));
+    });
     Ok(WirePacket { pkt, layout })
 }
 

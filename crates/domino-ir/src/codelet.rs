@@ -61,14 +61,6 @@ impl Codelet {
         }
         out
     }
-
-    /// Packet fields written by the codelet.
-    pub fn fields_written(&self) -> BTreeSet<&str> {
-        self.stmts
-            .iter()
-            .filter_map(|s| s.field_written())
-            .collect()
-    }
 }
 
 impl fmt::Display for Codelet {

@@ -221,44 +221,29 @@ impl FlatPacket {
         self.present.fill(0);
     }
 
-    /// Visits every field — each present slot and `residual` — in **name
-    /// order**, the order a map [`Packet`] iterates in.
+    /// Materialises the map packet: every present slot plus `residual`,
+    /// merged into one run in **name order** (the order a map [`Packet`]
+    /// iterates in), a fresh shape around the table's interned names — the
+    /// by-name reference of [`PacketEdges::emit`], and the way out of a
+    /// slab with a residual.
     ///
     /// `by_name` must be this table's [`FieldTable::by_name`] and
-    /// `residual` name-sorted (as [`FlatPacket::admit`] returns it); the
-    /// two are merged into one sorted run.
-    pub fn for_each_field(
-        &self,
-        by_name: &[FieldId],
-        residual: &[(Arc<str>, i32)],
-        mut visit: impl FnMut(&Arc<str>, i32),
-    ) {
+    /// `residual` name-sorted (as [`FlatPacket::admit`] returns it).
+    pub fn emit(&self, by_name: &[FieldId], residual: &[(Arc<str>, i32)]) -> Packet {
         debug_assert_eq!(by_name.len(), self.vals.len());
-        let mut rest = residual.iter().peekable();
+        let mut fields = Vec::with_capacity(by_name.len() + residual.len());
+        let mut rest = residual.iter().cloned().peekable();
         for &id in by_name {
             if !self.has(id) {
                 continue;
             }
             let name = &self.table.names[id.index()];
-            while let Some((r, v)) = rest.next_if(|(r, _)| r < name) {
-                visit(r, *v);
+            while let Some(r) = rest.next_if(|(r, _)| r < name) {
+                fields.push(r);
             }
-            visit(name, self.vals[id.index()]);
+            fields.push((Arc::clone(name), self.vals[id.index()]));
         }
-        for (r, v) in rest {
-            visit(r, *v);
-        }
-    }
-
-    /// Materialises the map packet: every present slot plus `residual`
-    /// ([`FlatPacket::for_each_field`]'s run), a fresh shape around the
-    /// table's interned names — the by-name reference of
-    /// [`PacketEdges::emit`], and the way out of a slab with a residual.
-    pub fn emit(&self, by_name: &[FieldId], residual: &[(Arc<str>, i32)]) -> Packet {
-        let mut fields = Vec::with_capacity(by_name.len() + residual.len());
-        self.for_each_field(by_name, residual, |name, v| {
-            fields.push((Arc::clone(name), v));
-        });
+        fields.extend(rest);
         fields.into_iter().collect()
     }
 
@@ -429,11 +414,6 @@ impl PacketEdges {
     /// The table whose edges these are.
     pub fn table(&self) -> &Arc<FieldTable> {
         &self.table
-    }
-
-    /// [`FieldTable::by_name`], computed once.
-    pub fn by_name(&self) -> &[FieldId] {
-        &self.by_name
     }
 
     /// The remembered crossing for packets of `pkt`'s shape, re-derived if

@@ -405,8 +405,8 @@ fn switch_is_rebuilt_and_usable_after_a_fault() {
 
 /// Scheduling-path fault coverage: a shard killed mid-trace during a
 /// PIFO run ([`ShardedSwitch::run_sched_trace`]) salvages its queue
-/// contents **in rank order** — the shard-local PIFO lives outside the
-/// per-batch unwind boundary, so the panic loses only the packets from
+/// contents **in rank order** — what the shard's lane holds lives outside
+/// the per-batch unwind boundary, so the panic loses only the packets from
 /// the failing one onward, never the queue — and the report's
 /// [`Accounting`](banzai::Accounting) closes the books exactly.
 #[test]
@@ -454,7 +454,7 @@ fn killed_shard_mid_sched_trace_salvages_pifo_in_rank_order() {
 
         // The victim's salvage: every packet ingress-processed before
         // the failing one — finer than batch granularity, because the
-        // PIFO survives the unwind — popped in rank order.
+        // lane survives the unwind — in rank order.
         let victim_salvage = report.shard(victim).unwrap();
         assert!(victim_salvage.failed, "{ctx}");
         assert_eq!(victim_salvage.output.len(), LOCAL_K as usize, "{ctx}");

@@ -74,10 +74,10 @@ fn ingress_flowlet_state_and_egress_codel_state_both_live() {
         .for_each(|_| {})
         .expect("slice-backed sources cannot fail mid-stream");
     // Ingress owns the flowlet tables...
-    assert!(sw.ingress_state().get("saved_hop").is_some());
-    assert!(sw.ingress_state().get("last_time").is_some());
+    assert!(sw.export_ingress_state().get("saved_hop").is_some());
+    assert!(sw.export_ingress_state().get("last_time").is_some());
     // ...egress owns the CoDel control state; they are disjoint machines.
-    assert!(sw.egress_state().get("first_above_time").is_some());
-    assert!(sw.ingress_state().get("first_above_time").is_none());
-    assert!(sw.egress_state().get("saved_hop").is_none());
+    assert!(sw.export_egress_state().get("first_above_time").is_some());
+    assert!(sw.export_ingress_state().get("first_above_time").is_none());
+    assert!(sw.export_egress_state().get("saved_hop").is_none());
 }

@@ -388,7 +388,7 @@ fn line_rate_sharding_rejects_shaping_and_equals_serial_otherwise() {
             }
             let merged = sw.merge(parts);
             assert_eq!(
-                sw.run(&trace).collect().unwrap(),
+                sharded(&spec, shards).run(&trace).collect().unwrap(),
                 merged,
                 "{spec:?}@{shards}"
             );
@@ -402,7 +402,7 @@ fn line_rate_sharding_rejects_shaping_and_equals_serial_otherwise() {
 /// rule **by name** on the map packet — the reference. The two must pick
 /// the same shard for every packet: under every rule the planner
 /// resolves for a Table 4 program (keyed, replica, single-shard) and
-/// under whole-packet hashing — over traces whose packets carry fields
+/// for a stateless pair (dealt by index) — over traces whose packets carry fields
 /// off the table (a residual either side of the table's names) and omit
 /// declared ones, at 1–8 shards.
 ///
@@ -458,7 +458,7 @@ fn slot_steering_equals_map_steering_for_every_rule() {
         }
     }
     // Every steering rule was exercised: keyed, replicated (dealt),
-    // single-shard fallback and whole-packet hashing.
+    // single-shard fallback and stateless (dealt).
     let rules: Vec<String> = rules.into_iter().flatten().collect();
     assert_eq!(rules, ["keyed", "replicated", "single-shard", "stateless"]);
 }
@@ -468,7 +468,7 @@ fn slot_steering_equals_map_steering_for_every_rule() {
 /// each frame's reference-tier parse — the dispatcher parses once on the
 /// bound tier and steers by slots, and must land every frame where its
 /// packet-born twin would go — with every malformed frame booked under
-/// its parse verdict; for a keyed, a whole-packet and a replica plan,
+/// its parse verdict; for a keyed, a stateless and a replica plan,
 /// over frames with VLAN tags, IPv4 options and payloads.
 #[test]
 fn sharded_frame_run_is_the_serial_frame_run_split_by_the_plan() {
@@ -583,6 +583,141 @@ fn alternating_packet_shapes_shard_like_serial() {
             threaded.export_merged_ingress_state(),
             sequential.export_merged_ingress_state(),
             "{shards} shards"
+        );
+    }
+}
+
+/// Round-robin from shard 0 over per-shard streams: the merge order.
+fn interleave<T>(parts: Vec<Vec<T>>) -> Vec<T> {
+    let mut streams: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+    let mut out = Vec::new();
+    while !streams.is_empty() {
+        for s in &mut streams {
+            out.extend(s.next());
+        }
+        streams.retain(|s| !s.as_slice().is_empty());
+    }
+    out
+}
+
+/// A plan without a flow key deals arrival `i` to shard `i % n`, and the
+/// merge starts at shard 0, so a keyless sharded run transmits in the
+/// serial order. Stateless pipelines: `collect()` and `for_each` equal
+/// the serial run bit for bit (queue metadata included; the second run
+/// continues the first's clock on both switches), and so do well-formed
+/// frames' `partitioned()` streams interleaved from shard 0. Replica
+/// plans, whose in-stream sketch reads are shard-local: the same arrival
+/// order and the same stamps. At 1–8 shards and batch sizes 1, 7, 256.
+#[test]
+fn keyless_plans_transmit_in_serial_order() {
+    use bench::wiregen::{self, GenOptions};
+
+    let flowlet = algorithms::by_name("flowlet").unwrap();
+    let sketch = algorithms::by_name("heavy_hitters").unwrap();
+    let tagged = |trace: Vec<Packet>| -> Vec<Packet> {
+        (trace.into_iter().enumerate())
+            .map(|(i, p)| p.with("zz_tag", i as i32))
+            .collect()
+    };
+    let egress = AtomPipeline::passthrough("egress");
+    let wt = wiregen::wire_trace_for("flowlet", 240, SEED, &GenOptions::default());
+    for (ingress, trace, tier) in [
+        (
+            AtomPipeline::passthrough("in"),
+            tagged(flowlet.trace(300, SEED)),
+            ShardTier::Exact,
+        ),
+        (
+            compile_least(&sketch),
+            tagged(sketch.trace(300, SEED)),
+            ShardTier::Replicable,
+        ),
+    ] {
+        let mut serial = Switch::new_slot(&ingress, &egress, CAPACITY).unwrap();
+        let first = serial.run(&trace).collect().unwrap();
+        let mut second = Vec::new();
+        serial.run(&trace).for_each(|p| second.push(p)).unwrap();
+        let frames = serial.run_frames(&wt.frames, &wt.cfg).collect().unwrap();
+        // What a replica plan must still reproduce: arrival order and
+        // the queue's stamps.
+        let order = |out: &[Packet]| -> Vec<[Option<i32>; 3]> {
+            (out.iter())
+                .map(|p| ["zz_tag", "enq_ts", "now"].map(|f| p.get(f)))
+                .collect()
+        };
+        for shards in 1..=8 {
+            for batch in [1, 7, 256] {
+                let cfg = ShardConfig::new(shards).with_batch(batch);
+                let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+                let what = format!("{tier} @ {shards} shards, batch {batch}");
+                assert_eq!(sw.plan().tier(), tier, "{what}");
+                assert!(sw.plan().flow_key().is_none(), "{what}");
+                let collected = sw.run(&trace).collect().unwrap();
+                let mut streamed = Vec::new();
+                sw.run(&trace).for_each(|p| streamed.push(p)).unwrap();
+                if tier == ShardTier::Exact {
+                    assert_eq!(collected, first, "{what}: collect");
+                    assert_eq!(streamed, second, "{what}: for_each");
+                    let parts = sw.run_frames(&wt.frames, &wt.cfg).partitioned().unwrap();
+                    assert_eq!(interleave(parts), frames, "{what}: frames");
+                } else {
+                    assert_eq!(order(&collected), order(&first), "{what}: collect");
+                    assert_eq!(order(&streamed), order(&second), "{what}: for_each");
+                }
+            }
+        }
+    }
+}
+
+/// The sharded switch's line-rate clock continues across runs as the
+/// serial switch's does — a second run's first packet arrives where the
+/// first run's clock stopped, not at cycle 0 (an egress program that
+/// keeps `now` in state would see time run backwards) — and a
+/// `.scheduled()` burst, whose clock is run-local, leaves it where the
+/// serial burst leaves it. Four runs on one switch each side, under a
+/// PIFO, at 1–3 shards.
+#[test]
+fn a_sharded_switch_clock_continues_across_runs_like_serial() {
+    use banzai::pifo::SchedSpec;
+
+    let (ingress, egress) = (
+        AtomPipeline::passthrough("in"),
+        AtomPipeline::passthrough("out"),
+    );
+    let trace: Vec<Packet> = (0..100)
+        .map(|i| Packet::new().with("seq", i).with("rank", i * 37 % 11))
+        .collect();
+    let spec = SchedSpec::Pifo {
+        rank: "rank".into(),
+    };
+    let mut serial = Switch::new_slot(&ingress, &egress, CAPACITY)
+        .unwrap()
+        .with_scheduler(spec.clone());
+    let first = serial.run(&trace).collect().unwrap();
+    let mut second = Vec::new();
+    serial.run(&trace).for_each(|p| second.push(p)).unwrap();
+    let burst = serial.run(&trace).scheduled().collect().unwrap();
+    let fourth = serial.run(&trace).collect().unwrap();
+    assert_eq!(second[0].get("enq_ts"), Some(100));
+    assert_eq!(second[0].get("now"), Some(101));
+
+    for shards in 1..=3 {
+        let cfg = ShardConfig::new(shards).with_scheduler(spec.clone());
+        let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+        assert_eq!(
+            sw.run(&trace).collect().unwrap(),
+            first,
+            "{shards}: collect"
+        );
+        let mut streamed = Vec::new();
+        sw.run(&trace).for_each(|p| streamed.push(p)).unwrap();
+        assert_eq!(streamed, second, "{shards}: for_each");
+        let deps = sw.run(&trace).scheduled().collect().unwrap();
+        assert_eq!(deps, burst, "{shards}: scheduled");
+        assert_eq!(
+            sw.run(&trace).collect().unwrap(),
+            fourth,
+            "{shards}: after the burst"
         );
     }
 }
