@@ -539,7 +539,9 @@ impl KeySlice {
 }
 
 /// A machine instance running the slot-compiled fast path: a lowered
-/// pipeline plus a live flat register file.
+/// pipeline plus a flat register file, made when the machine first runs a
+/// packet, imports state or starts a pipelined replay — a machine built
+/// and never run holds only its layout, and exports its initialisers.
 ///
 /// Mirrors [`Machine`](crate::Machine)'s API (`process`, `run_trace`,
 /// `run_trace_pipelined`) with bit-identical observable behaviour, plus
@@ -552,7 +554,7 @@ pub struct SlotMachine {
 }
 
 impl SlotMachine {
-    /// Lowers `pipeline` and instantiates fresh state.
+    /// Lowers `pipeline`; the register file is made on first use.
     pub fn compile(pipeline: &AtomPipeline) -> Result<SlotMachine, String> {
         Ok(SlotMachine::from_program(SlotPipeline::lower(pipeline)?))
     }
@@ -582,8 +584,9 @@ impl SlotMachine {
             .collect()
     }
 
-    /// Exports the live register file as a map [`StateStore`] (for
-    /// inspection and for comparison against the reference path).
+    /// Exports the register file as a map [`StateStore`] (for inspection
+    /// and for comparison against the reference path) — the initialisers,
+    /// if the machine has not run.
     pub fn export_state(&self) -> StateStore {
         self.state.export()
     }
@@ -597,6 +600,7 @@ impl SlotMachine {
     /// Runs one flat packet through every stage in place (transactional
     /// view) — the allocation-free hot path.
     pub fn process_flat(&mut self, pkt: &mut FlatPacket) {
+        self.state.make();
         exec(&self.program.insts, &mut self.state, pkt.slots_mut());
         pkt.mark_present(&self.program.written_mask);
     }
@@ -617,6 +621,7 @@ impl SlotMachine {
     /// cycle, up to `depth` in flight — the slot-path mirror of
     /// [`Machine::run_trace_pipelined`](crate::Machine::run_trace_pipelined).
     pub fn run_trace_pipelined_flat(&mut self, trace: &[FlatPacket]) -> Vec<FlatPacket> {
+        self.state.make();
         let program = &self.program;
         pipelined(
             program.depth(),

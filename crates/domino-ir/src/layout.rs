@@ -608,23 +608,50 @@ impl fmt::Display for StateLayout {
 /// Array indexing wraps modulo the array size with the same `rem_euclid`
 /// rule as [`StateStore`] — the two representations are observably
 /// identical, which [`FlatState::export`] lets tests assert.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A file is *made* — its slots allocated and its non-zero initialisers
+/// written — by [`FlatState::make`], which its machine calls when it first
+/// runs; until then it holds only its layout, and it exports, compares
+/// and prints as its initialisers.
+#[derive(Debug, Clone)]
 pub struct FlatState {
     layout: StateLayout,
+    /// Empty until the file is made.
     slots: Box<[i32]>,
 }
 
 impl FlatState {
-    /// Initializes the register file from a layout (every slot of a
-    /// variable starts at the variable's initializer).
+    /// A register file over `layout`, not yet made: every slot of a
+    /// variable reads as the variable's initializer.
     pub fn new(layout: StateLayout) -> Self {
-        let mut slots = vec![0; layout.total_slots()].into_boxed_slice();
-        for e in layout.entries() {
-            for s in &mut slots[e.base as usize..(e.base + e.len) as usize] {
-                *s = e.init;
-            }
+        FlatState {
+            layout,
+            slots: Box::default(),
         }
-        FlatState { layout, slots }
+    }
+
+    /// Makes the file if it is not made yet. Reads and writes of a file
+    /// that is not made panic.
+    #[inline]
+    pub fn make(&mut self) {
+        if !self.is_made() {
+            self.fill();
+        }
+    }
+
+    /// Allocates the slots zeroed and writes only the non-zero initialisers.
+    #[cold]
+    fn fill(&mut self) {
+        let mut slots = vec![0; self.layout.total_slots()].into_boxed_slice();
+        for e in self.layout.entries().iter().filter(|e| e.init != 0) {
+            slots[e.base as usize..(e.base + e.len) as usize].fill(e.init);
+        }
+        self.slots = slots;
+    }
+
+    #[inline]
+    fn is_made(&self) -> bool {
+        self.slots.len() == self.layout.total_slots()
     }
 
     /// The layout this register file was built from.
@@ -680,6 +707,7 @@ impl FlatState {
     /// Panics if a snapshot variable is unknown to the layout or has the
     /// wrong kind/size.
     pub fn import(&mut self, snapshot: &StateStore) {
+        self.make();
         for (name, value) in snapshot.iter() {
             let (base, len, is_array) = {
                 let e = self
@@ -699,10 +727,19 @@ impl FlatState {
     }
 
     /// Exports the register file as a map-based [`StateStore`] for
-    /// comparison against the reference path.
+    /// comparison against the reference path — the initialisers, if the
+    /// file is not made.
     pub fn export(&self) -> StateStore {
         let mut store = StateStore::new();
+        let made = self.is_made();
         for e in self.layout.entries() {
+            if !made {
+                match e.is_array {
+                    true => store.insert_array(&e.name, e.len as usize, e.init),
+                    false => store.insert_scalar(&e.name, e.init),
+                }
+                continue;
+            }
             let window = &self.slots[e.base as usize..(e.base + e.len) as usize];
             if e.is_array {
                 store.insert_array(&e.name, e.len as usize, 0);
@@ -718,6 +755,20 @@ impl FlatState {
         store
     }
 }
+
+impl PartialEq for FlatState {
+    /// Equal layouts and equal exports: a file not made equals a made one
+    /// that still holds its initialisers.
+    fn eq(&self, other: &FlatState) -> bool {
+        self.layout == other.layout
+            && match self.is_made() == other.is_made() {
+                true => self.slots == other.slots,
+                false => self.export() == other.export(),
+            }
+    }
+}
+
+impl Eq for FlatState {}
 
 impl fmt::Display for FlatState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -921,6 +972,7 @@ mod tests {
         ];
         let mut flat = FlatState::new(StateLayout::from_decls(&decls));
         let mut store = StateStore::from_decls(&decls);
+        flat.make();
 
         let arr = flat.layout().slot("arr").unwrap().clone();
         let c = flat.layout().slot("c").unwrap().clone();
@@ -995,11 +1047,51 @@ mod tests {
             },
         ];
         let mut a = FlatState::new(StateLayout::from_decls(&decls));
+        a.make();
         a.write(0, 42);
         a.write_array(1, 4, 3, 9);
         let mut b = FlatState::new(StateLayout::from_decls(&decls));
         b.import(&a.export());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_file_not_made_exports_compares_and_prints_as_its_initialisers() {
+        let decls = vec![
+            StateVar {
+                name: "c".into(),
+                kind: StateKind::Scalar,
+                init: 7,
+            },
+            StateVar {
+                name: "arr".into(),
+                kind: StateKind::Array { size: 4 },
+                init: -1,
+            },
+            StateVar {
+                name: "z".into(),
+                kind: StateKind::Array { size: 3 },
+                init: 0,
+            },
+        ];
+        let unmade = FlatState::new(StateLayout::from_decls(&decls));
+        assert_eq!(unmade.export(), StateStore::from_decls(&decls));
+        let mut made = unmade.clone();
+        made.make();
+        assert_eq!(made.read(0), 7);
+        assert_eq!(made.read_array(1, 4, 3), -1);
+        assert_eq!(made.read_array(5, 3, 2), 0);
+        assert_eq!(made.export(), unmade.export());
+        assert_eq!(made, unmade);
+        assert_eq!(unmade, made);
+        assert_eq!(made.to_string(), unmade.to_string());
+        made.write_array(5, 3, 1, 4);
+        assert_ne!(made, unmade);
+        assert_ne!(unmade, made);
+        assert_ne!(made.to_string(), unmade.to_string());
+        // Another layout is another file, made or not.
+        let other = FlatState::new(StateLayout::from_decls(&decls[..2]));
+        assert_ne!(other, unmade);
     }
 
     #[test]
