@@ -61,11 +61,6 @@ impl Target {
         t
     }
 
-    /// All seven standard targets, least to most expressive.
-    pub fn all_standard() -> Vec<Target> {
-        AtomKind::ALL.iter().map(|k| Target::banzai(*k)).collect()
-    }
-
     /// True if the named intrinsic has an accelerator (hash unit or LUT) on
     /// this target.
     pub fn has_intrinsic(&self, name: &str) -> bool {
@@ -136,7 +131,7 @@ mod tests {
 
     #[test]
     fn standard_targets_cover_all_kinds() {
-        let ts = Target::all_standard();
+        let ts: Vec<Target> = AtomKind::ALL.iter().map(|k| Target::banzai(*k)).collect();
         assert_eq!(ts.len(), 7);
         assert_eq!(ts[0].stateful_kind, AtomKind::Write);
         assert_eq!(ts[6].stateful_kind, AtomKind::Pairs);

@@ -390,21 +390,6 @@ impl<B: AsRef<[u8]>> FrameSource for PcapReader<B> {
     }
 }
 
-/// Synthesizes the seeded wire trace of a named Table 4 algorithm
-/// workload and packages it as a classic little-endian pcap — the one
-/// fixture the end-to-end replay tests drive: `(trailer schema, capture
-/// bytes)`.
-pub fn pcap_fixture_for(
-    name: &str,
-    n: usize,
-    seed: u64,
-    gen_opts: &crate::wiregen::GenOptions,
-) -> (banzai::wire::WireConfig, Vec<u8>) {
-    let wt = crate::wiregen::wire_trace_for(name, n, seed, gen_opts);
-    let capture = write_pcap(&wt.frames, PcapOptions::default());
-    (wt.cfg, capture)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -63,34 +63,25 @@ pub struct WireTrace {
 /// The trailer schema for a map-packet trace: the sorted union of every
 /// non-header field any packet carries.
 pub fn schema_for(trace: &[Packet]) -> WireConfig {
-    let mut meta: BTreeSet<&str> = BTreeSet::new();
-    for pkt in trace {
-        for (name, _) in pkt.iter() {
-            if !domino_ir::wire::is_header_field(name) {
-                meta.insert(name);
-            }
-        }
-    }
+    schema(trace, &[])
+}
+
+/// [`schema_for`]'s union widened by the non-header names of `extra`.
+fn schema(trace: &[Packet], extra: &[String]) -> WireConfig {
+    let fields = trace
+        .iter()
+        .flat_map(|pkt| pkt.iter().map(|(name, _)| name));
+    let meta: BTreeSet<&str> = fields
+        .chain(extra.iter().map(String::as_str))
+        .filter(|name| !domino_ir::wire::is_header_field(name))
+        .collect();
     WireConfig::with_meta_fields(meta).expect("non-header fields cannot shadow headers")
 }
 
 /// Encodes a map-packet trace as wire frames (see the module docs for the
 /// header-vs-trailer contract). Deterministic given `seed`.
 pub fn wire_trace(trace: &[Packet], seed: u64, opts: &GenOptions) -> WireTrace {
-    let mut meta: BTreeSet<&str> = BTreeSet::new();
-    for pkt in trace {
-        for (name, _) in pkt.iter() {
-            if !domino_ir::wire::is_header_field(name) {
-                meta.insert(name);
-            }
-        }
-    }
-    for f in &opts.extra_meta {
-        if !domino_ir::wire::is_header_field(f) {
-            meta.insert(f);
-        }
-    }
-    let cfg = WireConfig::with_meta_fields(meta).expect("non-header fields cannot shadow headers");
+    let cfg = schema(trace, &opts.extra_meta);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_F8A3);
     let flows = opts.flows.max(1);
     let frames = trace
@@ -198,6 +189,25 @@ mod tests {
         ];
         let cfg = schema_for(&trace);
         assert_eq!(cfg.meta_fields(), ["arrival", "next_hop"]);
+    }
+
+    #[test]
+    fn wire_trace_encodes_with_the_schema_plus_extra_meta() {
+        let trace = algorithms::by_name("flowlet").unwrap().trace(50, 5);
+        let plain = wire_trace(&trace, 5, &GenOptions::default());
+        assert_eq!(plain.cfg, schema_for(&trace));
+        // `dport` is a header field: it stays out of the trailer.
+        let opts = GenOptions {
+            extra_meta: vec!["zz_out".into(), "dport".into(), "aa_out".into()],
+            ..GenOptions::default()
+        };
+        let widened = wire_trace(&trace, 5, &opts);
+        let mut want: BTreeSet<&str> = plain.cfg.meta_fields().iter().map(String::as_str).collect();
+        want.extend(["aa_out", "zz_out"]);
+        assert_eq!(
+            widened.cfg.meta_fields(),
+            want.into_iter().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -383,6 +383,16 @@ pub struct Program {
     pub transaction: Transaction,
 }
 
+impl fmt::Display for LValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LValue::Field(b, n, _) => write!(f, "{b}.{n}"),
+            LValue::Scalar(n, _) => write!(f, "{n}"),
+            LValue::Array(n, i, _) => write!(f, "{n}[{i}]"),
+        }
+    }
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -14,7 +14,6 @@
 //! * [`sema`] — semantic analysis producing a [`sema::CheckedProgram`],
 //! * [`intrinsics`] — the hardware-accelerator intrinsic table (`hash2`,
 //!   `hash3`, `isqrt`) and their reference implementations,
-//! * [`pretty`] — printing programs/statements back to Domino-like source,
 //! * [`loc`] — comment-stripping line counting for the paper's Table 4.
 //!
 //! ## Example
@@ -42,7 +41,6 @@ pub mod intrinsics;
 pub mod lexer;
 pub mod loc;
 pub mod parser;
-pub mod pretty;
 pub mod sema;
 pub mod span;
 pub mod token;

@@ -58,18 +58,6 @@ pub struct CheckedProgram {
     pub body: Vec<Stmt>,
 }
 
-impl CheckedProgram {
-    /// Looks up a state variable by name.
-    pub fn state_var(&self, name: &str) -> Option<&StateVar> {
-        self.state.iter().find(|s| s.name == name)
-    }
-
-    /// True if `name` is a declared packet field.
-    pub fn is_packet_field(&self, name: &str) -> bool {
-        self.packet_fields.iter().any(|f| f == name)
-    }
-}
-
 /// Runs semantic analysis on a parsed program.
 pub fn check(program: &Program) -> Result<CheckedProgram> {
     Checker::new(program)?.run()

@@ -117,13 +117,7 @@ mod tests {
         let mut fresh = FreshNames::new(p.packet_fields.iter().cloned());
         remove_branches(&p.body, &mut fresh)
             .into_iter()
-            .map(|a| {
-                format!(
-                    "{} = {};",
-                    domino_ast::pretty::lvalue_to_string(&a.lhs),
-                    a.rhs
-                )
-            })
+            .map(|a| format!("{} = {};", a.lhs, a.rhs))
             .collect()
     }
 

@@ -25,11 +25,6 @@ impl FreshNames {
         self.used.insert(name.to_string());
     }
 
-    /// True if the name is already taken.
-    pub fn is_used(&self, name: &str) -> bool {
-        self.used.contains(name)
-    }
-
     /// Returns `base` itself if free, else `base`, `base_1`, `base_2`, ...
     /// The returned name is recorded as used.
     pub fn fresh(&mut self, base: &str) -> String {
@@ -84,9 +79,8 @@ mod tests {
     #[test]
     fn reserve_and_query() {
         let mut f = FreshNames::default();
-        assert!(!f.is_used("x"));
         f.reserve("x");
-        assert!(f.is_used("x"));
         assert_eq!(f.fresh("x"), "x_1");
+        assert_eq!(f.fresh("y"), "y");
     }
 }

@@ -82,11 +82,7 @@ impl Compilation {
     pub fn render_assigns(stmts: &[Assign]) -> String {
         let mut out = String::new();
         for a in stmts {
-            out.push_str(&format!(
-                "{} = {};\n",
-                domino_ast::pretty::lvalue_to_string(&a.lhs),
-                a.rhs
-            ));
+            out.push_str(&format!("{} = {};\n", a.lhs, a.rhs));
         }
         out
     }

@@ -90,13 +90,7 @@ mod tests {
         let lines = ssa
             .stmts
             .iter()
-            .map(|a| {
-                format!(
-                    "{} = {};",
-                    domino_ast::pretty::lvalue_to_string(&a.lhs),
-                    a.rhs
-                )
-            })
+            .map(|a| format!("{} = {};", a.lhs, a.rhs))
             .collect();
         (lines, ssa.final_version)
     }

@@ -234,13 +234,7 @@ mod tests {
         let (flanked, infos) = rewrite_state_ops(&straight, &p, &mut fresh).unwrap();
         let lines = flanked
             .iter()
-            .map(|a| {
-                format!(
-                    "{} = {};",
-                    domino_ast::pretty::lvalue_to_string(&a.lhs),
-                    a.rhs
-                )
-            })
+            .map(|a| format!("{} = {};", a.lhs, a.rhs))
             .collect();
         (lines, infos)
     }

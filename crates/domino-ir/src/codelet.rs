@@ -43,24 +43,6 @@ impl Codelet {
         }
         out
     }
-
-    /// Packet fields read by the codelet from *outside* (i.e. not produced
-    /// by an earlier statement of the same codelet).
-    pub fn external_reads(&self) -> BTreeSet<&str> {
-        let mut produced: BTreeSet<&str> = BTreeSet::new();
-        let mut out = BTreeSet::new();
-        for s in &self.stmts {
-            for r in s.fields_read() {
-                if !produced.contains(r) {
-                    out.insert(r);
-                }
-            }
-            if let Some(w) = s.field_written() {
-                produced.insert(w);
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Codelet {
@@ -102,11 +84,6 @@ impl PvsmPipeline {
             .map(|s| s.iter().filter(|c| !c.is_stateless()).count())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Total number of codelets.
-    pub fn codelet_count(&self) -> usize {
-        self.stages.iter().map(|s| s.len()).sum()
     }
 
     /// Iterates all codelets with their stage index.
@@ -174,18 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn external_reads_exclude_internal_products() {
-        let c = Codelet::new(vec![read("t", "c"), add("t2", "t", 1), write("c", "t2")]);
-        // `t` and `t2` are produced internally; no external packet reads.
-        assert!(c.external_reads().is_empty());
-        let c2 = Codelet::new(vec![add("x", "incoming", 3)]);
-        assert_eq!(
-            c2.external_reads().into_iter().collect::<Vec<_>>(),
-            vec!["incoming"]
-        );
-    }
-
-    #[test]
     fn pipeline_stats() {
         let p = PvsmPipeline {
             stages: vec![
@@ -199,7 +164,6 @@ mod tests {
         assert_eq!(p.depth(), 2);
         assert_eq!(p.max_width(), 2);
         assert_eq!(p.max_stateful_width(), 1);
-        assert_eq!(p.codelet_count(), 3);
     }
 
     #[test]

@@ -299,11 +299,11 @@ impl ReplicaSpec {
         self.arrays.iter().find(|a| a.name == name)
     }
 
-    /// Input fields replica steering hashes: the union of every index
-    /// slice's roots. Steering never affects merge correctness (updates
-    /// commute); hashing these keeps packets of one flow on one shard so
-    /// per-flow output order survives. Empty for constant-indexed
-    /// sketches — any deterministic steering then works.
+    /// The input fields the sketch indexes by: the union of every index
+    /// slice's roots. A diagnostic only — replica shards are dealt
+    /// packets round-robin by arrival index, and the merge is correct
+    /// however they are dealt (updates commute). Empty for
+    /// constant-indexed sketches.
     pub fn steer_roots(&self) -> &[String] {
         &self.steer_roots
     }

@@ -227,32 +227,6 @@ pub struct TacProgram {
     pub stmts: Vec<TacStmt>,
 }
 
-impl TacProgram {
-    /// All packet fields mentioned anywhere (declared + temporaries), in
-    /// first-mention order.
-    pub fn all_fields(&self) -> Vec<String> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        let push = |name: &str, seen: &mut BTreeSet<String>, out: &mut Vec<String>| {
-            if seen.insert(name.to_string()) {
-                out.push(name.to_string());
-            }
-        };
-        for f in &self.declared_fields {
-            push(f, &mut seen, &mut out);
-        }
-        for s in &self.stmts {
-            for f in s.fields_read() {
-                push(f, &mut seen, &mut out);
-            }
-            if let Some(f) = s.field_written() {
-                push(f, &mut seen, &mut out);
-            }
-        }
-        out
-    }
-}
-
 impl fmt::Display for TacProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for s in &self.stmts {
@@ -345,25 +319,5 @@ mod tests {
         };
         assert_eq!(w.state_written(), Some("counter"));
         assert_eq!(w.state_read(), None);
-    }
-
-    #[test]
-    fn all_fields_dedups_in_order() {
-        let p = TacProgram {
-            name: "t".into(),
-            declared_fields: vec!["a".into(), "b".into()],
-            state: vec![],
-            stmts: vec![
-                TacStmt::Assign {
-                    dst: "tmp".into(),
-                    rhs: TacRhs::Copy(fld("a")),
-                },
-                TacStmt::Assign {
-                    dst: "tmp2".into(),
-                    rhs: TacRhs::Binary(BinOp::Add, fld("tmp"), fld("b")),
-                },
-            ],
-        };
-        assert_eq!(p.all_fields(), vec!["a", "b", "tmp", "tmp2"]);
     }
 }

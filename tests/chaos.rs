@@ -404,11 +404,13 @@ fn switch_is_rebuilt_and_usable_after_a_fault() {
 }
 
 /// Scheduling-path fault coverage: a shard killed mid-trace during a
-/// PIFO run ([`ShardedSwitch::run_sched_trace`]) salvages its queue
-/// contents **in rank order** — what the shard's lane holds lives outside
-/// the per-batch unwind boundary, so the panic loses only the packets from
-/// the failing one onward, never the queue — and the report's
-/// [`Accounting`](banzai::Accounting) closes the books exactly.
+/// PIFO run ([`ShardedRun::scheduled`](banzai::ShardedRun::scheduled),
+/// [`ShardedSchedRun::collect`](banzai::ShardedSchedRun::collect))
+/// salvages its queue contents **in rank order** — what the shard's lane
+/// holds lives outside the per-batch unwind boundary, so the panic loses
+/// only the packets from the failing one onward, never the queue — and
+/// the report's [`Accounting`](banzai::Accounting) closes the books
+/// exactly.
 #[test]
 fn killed_shard_mid_sched_trace_salvages_pifo_in_rank_order() {
     const SHARDS: usize = 4;

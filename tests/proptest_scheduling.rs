@@ -7,7 +7,9 @@
 //!   order breaking ties — for any rank distribution, tie density, and
 //!   capacity, including under interleaved push/pop and under phased
 //!   bursts and drains against a naive model;
-//! * the sharded scheduling run ([`ShardedSwitch::run_sched_trace`]) is
+//! * the sharded scheduling run
+//!   ([`ShardedRun::scheduled`](banzai::ShardedRun::scheduled) then
+//!   [`ShardedSchedRun::collect`](banzai::ShardedSchedRun::collect)) is
 //!   **bit-identical to serial** — departures, drop counters, and the
 //!   state of a departure-order-sensitive egress — across disciplines,
 //!   shard counts, capacities, and batch/ring geometries;
