@@ -1854,12 +1854,13 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The packet-born `pull`: each packet admitted onto the table — its one
-/// map → slab crossing — as it comes off the source, into a record of the
-/// pool if it has one.
+/// map → slab crossing — from the source's loan ([`PacketSource::lend`]:
+/// a slice's packet is read where it lies), into a record of the pool if
+/// it has one.
 fn admitting<S: PacketSource>(
     source: &mut S,
 ) -> impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled + '_ {
-    |edges, pool| Ok((source.next_packet()?).map(|pkt| Ok(InFlight::admit(&pkt, edges, pool.pop()))))
+    |edges, pool| Ok((source.lend()?).map(|pkt| Ok(InFlight::admit(&pkt, edges, pool.pop()))))
 }
 
 /// Everything the one dispatcher observed during a run

@@ -12,8 +12,10 @@
 //!
 //! The layering:
 //!
-//! * [`PacketSource`] / [`FrameSource`] — the pull traits (a packet is
-//!   handed over, a frame is lent: see [`FrameSource`]). `next_*`
+//! * [`PacketSource`] / [`FrameSource`] — the pull traits. A packet is
+//!   lent where the source holds it ([`PacketSource::lend`]: a slice's
+//!   own element, a generator's fresh packet) and admitted from that
+//!   borrow; a frame is lent the same way (see [`FrameSource`]). `next_*`
 //!   returns `Ok(Some(..))` per item, `Ok(None)` at end of stream, and
 //!   `Err(SourceError)` when ingestion itself fails (a torn capture
 //!   file, a dead NIC ring). A source failure is a first-class fault:
@@ -37,6 +39,7 @@
 //! [`ShardedSwitch::run`]: crate::shard::ShardedSwitch::run
 
 use domino_ir::Packet;
+use std::borrow::Cow;
 use std::fmt;
 
 /// An ingestion failure: the source could not produce its next item.
@@ -94,6 +97,15 @@ pub trait PacketSource {
     /// Pulls the next packet, `Ok(None)` at end of stream.
     fn next_packet(&mut self) -> Result<Option<Packet>, SourceError>;
 
+    /// Pulls the next packet as the source holds it: borrowed where it
+    /// already lies (a slice's element), owned where it is made for the
+    /// pull. The run machinery pulls this way — admission only reads the
+    /// packet — so a source that holds its packets lends them instead of
+    /// cloning each one. By default, [`PacketSource::next_packet`], owned.
+    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
+        Ok(self.next_packet()?.map(Cow::Owned))
+    }
+
     /// `(lower, upper)` bounds on the packets remaining, iterator-style.
     /// Used only for pre-allocation; `(0, None)` is always correct.
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -124,10 +136,11 @@ pub trait FrameSource {
     }
 }
 
-/// A [`PacketSource`] over a borrowed slice: exact size hint, clones
-/// one packet per pull (exactly what the slice-based entry points always
-/// did) — one allocation, the value row; the names stay shared with the
-/// slice's packet.
+/// A [`PacketSource`] over a borrowed slice, with an exact size hint. It
+/// **lends** each packet: [`PacketSource::lend`] borrows the slice's own
+/// element, so a run admits it with no copy. [`PacketSource::next_packet`]
+/// still clones, for a caller that keeps the packet — one allocation, the
+/// value row; the names stay shared with the slice's packet.
 #[derive(Debug, Clone)]
 pub struct SliceSource<'a> {
     items: &'a [Packet],
@@ -143,13 +156,13 @@ impl<'a> SliceSource<'a> {
 
 impl PacketSource for SliceSource<'_> {
     fn next_packet(&mut self) -> Result<Option<Packet>, SourceError> {
-        match self.items.get(self.pos) {
-            Some(p) => {
-                self.pos += 1;
-                Ok(Some(p.clone()))
-            }
-            None => Ok(None),
-        }
+        Ok(self.lend()?.map(Cow::into_owned))
+    }
+
+    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
+        let item = self.items.get(self.pos);
+        self.pos += usize::from(item.is_some());
+        Ok(item.map(Cow::Borrowed))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -311,10 +324,14 @@ impl<S> FailAfter<S> {
 
 impl<S: PacketSource> PacketSource for FailAfter<S> {
     fn next_packet(&mut self) -> Result<Option<Packet>, SourceError> {
+        Ok(self.lend()?.map(Cow::into_owned))
+    }
+
+    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
         if self.yielded >= self.fail_at {
             return Err(SourceError::new(self.msg.clone()));
         }
-        let item = self.inner.next_packet()?;
+        let item = self.inner.lend()?;
         if item.is_some() {
             self.yielded += 1;
         }
@@ -501,6 +518,56 @@ mod tests {
         let err = src.next_packet().unwrap_err();
         assert_eq!(err.message(), "ring died");
         assert!(err.to_string().contains("ring died"));
+    }
+
+    #[test]
+    fn a_slice_lends_its_own_packets() {
+        let trace: Vec<Packet> = (0..3).map(|i| Packet::new().with("seq", i)).collect();
+        let mut src = SliceSource::new(&trace);
+        for (i, want) in trace.iter().enumerate() {
+            match src.lend().unwrap() {
+                Some(Cow::Borrowed(p)) => assert!(std::ptr::eq(p, want)),
+                other => panic!("packet {i}: {other:?}"),
+            }
+            assert_eq!(src.size_hint(), (2 - i, Some(2 - i)));
+        }
+        assert!(src.lend().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_generator_lends_what_it_makes() {
+        let mut src = GenSource::with_len(2, |i| Some(Packet::new().with("i", i as i32)));
+        for i in 0..2 {
+            match src.lend().unwrap() {
+                Some(Cow::Owned(p)) => assert_eq!(p.get("i"), Some(i)),
+                other => panic!("packet {i}: {other:?}"),
+            }
+        }
+        assert!(src.lend().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_failing_slice_lends_then_fails_at_exactly_k() {
+        let trace: Vec<Packet> = (0..10).map(|i| Packet::new().with("seq", i)).collect();
+        let mut src = FailAfter::new(SliceSource::new(&trace), 4, "ring died");
+        for want in &trace[..4] {
+            let lent = src.lend().unwrap();
+            assert!(matches!(lent, Some(Cow::Borrowed(p)) if std::ptr::eq(p, want)));
+        }
+        assert_eq!(src.lend().unwrap_err().message(), "ring died");
+    }
+
+    #[test]
+    fn a_dyn_source_lends() {
+        let trace: Vec<Packet> = (0..2).map(|i| Packet::new().with("seq", i)).collect();
+        let mut slice = SliceSource::new(&trace);
+        let mut gen = GenSource::with_len(1, |_| Some(Packet::new()));
+        let sources: [&mut dyn PacketSource; 2] = [&mut slice, &mut gen];
+        let lent: Vec<bool> = sources
+            .into_iter()
+            .map(|src| matches!(src.lend().unwrap(), Some(Cow::Borrowed(_))))
+            .collect();
+        assert_eq!(lent, [true, false]);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! shard, see `crate::shard`):
 //! both pipelines are lowered onto it, and the queue metadata names and
 //! the [`SchedSpec`]'s fields are resolved to [`FieldId`]s when the switch
-//! is built or reconfigured. A map packet is flattened when the source
-//! hands it over (**admission**); ingress, the [`SchedKey`] read, the
-//! queue, the metadata stamps and egress all work on that slab; the sink
+//! is built or reconfigured. A map packet is flattened where the source
+//! lends it (**admission**: a slice's packet is read in place, never
+//! cloned); ingress, the [`SchedKey`] read, the queue, the metadata
+//! stamps and egress all work on that slab; the sink
 //! materialises one map [`Packet`] from it (**emission**). Input fields
 //! the table does not name ride beside the slab as a (normally empty)
 //! residual. A **byte-born** packet crosses bytes ↔ slab instead and is
@@ -51,12 +52,12 @@
 //! | [`FrameRun::collect`] | frame source + [`BoundParser`] | line rate | a copy of each lent frame |
 //! | sharded workers (`crate::shard`) | stamped `(cycle, slab)` pairs, admitted by the dispatcher | line rate | the emitted packet (its value row moved out of the record), or the patched buffer moved out of the record |
 //!
-//! An arrival is a map packet for the loop to admit, a record already on
-//! the switch's table (a frame the bound parser laid out, its
-//! [`WireLayout`] beside it, or a packet a sharded switch's dispatcher
-//! admitted), or the [`ParseVerdict`] that rejected the frame; stamped
-//! arrivals also set the clock. The regime says when the link serves the
-//! queue — see [`Run`] and [`SchedRun`]. The sink is lent each departing
+//! An arrival reaches the loop as a record already on the switch's table
+//! (a packet admitted from its source's loan, a frame the bound parser
+//! laid out with its [`WireLayout`] beside it, or a packet a sharded
+//! switch's dispatcher admitted), or as the [`ParseVerdict`] that
+//! rejected the frame; stamped arrivals also set the clock. The regime
+//! says when the link serves the queue — see [`Run`] and [`SchedRun`]. The sink is lent each departing
 //! record and turns it into its terminal's currency. Whatever the
 //! combination, the queue is the switch's own [`SchedQueue`] under the
 //! configured [`SchedSpec`].
@@ -69,8 +70,8 @@
 //! residual or the frame's layout and buffer): once a packet is gone —
 //! its sink has returned, or the full queue refused it — its record goes
 //! into a pool the loop is lent, and the next arrival overwrites a pooled
-//! record instead of making one: the loop admits a map packet into it, the
-//! frame adapter — lent the pool — parses into it (a frame the parse graph
+//! record instead of making one: the arrival adapter — lent the pool —
+//! admits a packet or parses a frame into it (a frame the parse graph
 //! rejects never takes one). Admission has one form: an empty pool hands
 //! it a new, empty record, written into like a pooled one. So a run makes
 //! about as many records as it ever has in flight at once, however long
@@ -460,23 +461,12 @@ enum Regime {
     Burst,
 }
 
-/// What one arrival slot yields: a packet, or the verdict that rejected
-/// its frame — the slot is consumed either way.
+/// What one arrival slot yields: a record on the switch's table, or the
+/// verdict that rejected its frame — the slot is consumed either way.
 struct Arrival {
     /// The cycle this arrival sets the clock to (stamped arrivals only).
     stamp: Option<i64>,
-    pkt: Result<Born, ParseVerdict>,
-}
-
-/// An arriving packet, in the form its source produces.
-enum Born {
-    /// A map packet, for the loop to admit — into a spent record of its
-    /// pool, if it has one.
-    Packet(Packet),
-    /// A record already on the switch's table: a frame the bound parser
-    /// laid out (in a spent record, if the pool had one), or a packet a
-    /// sharded switch's dispatcher admitted.
-    Slab(InFlight),
+    pkt: Result<InFlight, ParseVerdict>,
 }
 
 /// How a run through the one loop ended: its totals, the drops it added,
@@ -839,14 +829,15 @@ impl<E: PipelineEngine> Switch<E> {
     /// of (see the module docs for the table). One iteration is one
     /// cycle:
     ///
-    /// 1. **arrival slot** — `pull` yields the next [`Arrival`]: a map
-    ///    packet is admitted onto the switch table, into a spent record of
-    ///    the pool if there is one (a frame arrives on the table already:
-    ///    `pull` is lent the pool and parsed it into one), ingress runs on
-    ///    the slab, the [`SchedKey`] is read off slots, and the record joins
-    ///    the queue as having arrived at this cycle — or the drop is booked
-    ///    under the discipline's reason, or under the verdict that rejected
-    ///    its frame. A failed or ended source is never pulled again;
+    /// 1. **arrival slot** — `pull` is lent the switch's edges and the
+    ///    pool and yields the next [`Arrival`] already on the switch table,
+    ///    in a spent record of the pool if there is one (a packet the
+    ///    source lent, admitted from that borrow; a frame, parsed), ingress
+    ///    runs on the slab, the [`SchedKey`] is read off slots, and the
+    ///    record joins the queue as having arrived at this cycle — or the
+    ///    drop is booked under the discipline's reason, or under the
+    ///    verdict that rejected its frame. A failed or ended source is
+    ///    never pulled again;
     /// 2. the run is over once the source has ended and the queue is
     ///    empty — so everything admitted departs and the books close
     ///    (`lost_in_fault == 0`) even when the source failed mid-stream;
@@ -860,8 +851,8 @@ impl<E: PipelineEngine> Switch<E> {
     /// A record whose packet is gone — departed, or refused by the full
     /// queue — goes to `pool`, the caller's, while the source is live, and
     /// after it too if the arrivals came stamped (the module docs'
-    /// *Recycling*): a map packet is admitted into one of its records, and
-    /// `pull` is lent it (to parse a frame into).
+    /// *Recycling*): `pull` is lent it, to admit a packet or parse a frame
+    /// into one of its records.
     ///
     /// Engine state and the drop/transmit counters accumulate across
     /// calls; the queue is empty on entry and on return.
@@ -869,7 +860,7 @@ impl<E: PipelineEngine> Switch<E> {
         &mut self,
         regime: Regime,
         pool: &mut Pool,
-        mut pull: impl FnMut(&mut Pool) -> Result<Option<Arrival>, SourceError>,
+        mut pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Result<Option<Arrival>, SourceError>,
         mut sink: impl FnMut(&mut PacketEdges, i64, SchedKey, i64, &mut InFlight),
     ) -> Ended {
         let burst = regime == Regime::Burst;
@@ -881,19 +872,13 @@ impl<E: PipelineEngine> Switch<E> {
         let mut error = None;
         loop {
             if !ended {
-                match pull(pool) {
+                match pull(&mut self.edges, pool) {
                     Ok(Some(arrival)) => {
                         stats.offered += 1;
                         stamped = arrival.stamp.is_some();
                         now = arrival.stamp.unwrap_or(now);
                         match arrival.pkt {
-                            Ok(born) => {
-                                let mut p = match born {
-                                    Born::Packet(pkt) => {
-                                        InFlight::admit(&pkt, &mut self.edges, pool.pop())
-                                    }
-                                    Born::Slab(p) => p,
-                                };
+                            Ok(mut p) => {
                                 let key = self.arrive(now, &mut p);
                                 if let Err((_, p)) = self.queue.push(key, (now, p)) {
                                     self.refuse();
@@ -959,17 +944,19 @@ impl<E: PipelineEngine> Switch<E> {
     }
 
     /// The loop over a [`PacketSource`], emitting every departure — the
-    /// arrival adapter and sink of [`Run`] and [`SchedRun`].
+    /// arrival adapter and sink of [`Run`] and [`SchedRun`]. Each packet
+    /// is admitted from the source's loan, into a record of the pool if it
+    /// has one.
     fn run_packets<S: PacketSource>(
         &mut self,
         source: &mut S,
         regime: Regime,
         mut sink: impl FnMut(SchedDeparture),
     ) -> Ended {
-        let pull = |_: &mut Pool| {
-            Ok(source.next_packet()?.map(|pkt| Arrival {
+        let pull = |edges: &mut PacketEdges, pool: &mut Pool| {
+            Ok(source.lend()?.map(|pkt| Arrival {
                 stamp: None,
-                pkt: Ok(Born::Packet(pkt)),
+                pkt: Ok(InFlight::admit(&pkt, edges, pool.pop())),
             }))
         };
         self.cycle(
@@ -1008,7 +995,7 @@ impl<E: PipelineEngine> Switch<E> {
         debug_assert_eq!(self.drain_period, 1, "a shard's link drains every cycle");
         let mut arrivals = arrivals.into_iter();
         let mut last = i64::MIN;
-        let pull = |_: &mut Pool| {
+        let pull = |_: &mut PacketEdges, _: &mut Pool| {
             Ok(arrivals.next().map(|(t, pkt)| {
                 debug_assert!(
                     last < t,
@@ -1017,7 +1004,7 @@ impl<E: PipelineEngine> Switch<E> {
                 last = t;
                 Arrival {
                     stamp: Some(t),
-                    pkt: pkt.map(Born::Slab),
+                    pkt,
                 }
             }))
         };
@@ -1297,10 +1284,10 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
         // table. The borrowed frame is copied into its record inside the
         // pull, so the source can be pulled again next cycle.
         let parser = BoundParser::bind(self.cfg.clone(), Arc::clone(self.switch.edges.table()));
-        let pull = |pool: &mut Pool| {
+        let pull = |_: &mut PacketEdges, pool: &mut Pool| {
             Ok(self.source.next_frame()?.map(|frame| Arrival {
                 stamp: None,
-                pkt: InFlight::parse(frame, &parser, || pool.pop()).map(Born::Slab),
+                pkt: InFlight::parse(frame, &parser, || pool.pop()),
             }))
         };
         let end = (self.switch).cycle(Regime::LineRate, &mut Vec::new(), pull, |_, _, _, _, p| {

@@ -449,11 +449,12 @@ impl PacketEdges {
     pub fn admit_into(&mut self, pkt: &Packet, flat: &mut FlatPacket, residual: &mut Residual) {
         if flat.vals.len() != self.by_name.len() {
             flat.vals = vec![0; self.by_name.len()].into_boxed_slice();
+        } else {
+            flat.vals.fill(0);
         }
         let Some(memo) = self.admitting(pkt) else {
             return flat.refill(pkt, residual);
         };
-        flat.vals.fill(0);
         for (id, value) in memo.slots.iter().zip(pkt.vals()) {
             flat.vals[id.index()] = *value;
         }

@@ -664,17 +664,21 @@ fn serial_source_error_is_typed_and_conserved() {
 /// is blamed, everything pulled before the failure was drained and
 /// accounted (`lost_in_fault == 0`), and there is one salvage entry per
 /// shard — a serial switch being shard 0 of itself — each a survivor
-/// carrying its state snapshot.
+/// carrying its state snapshot. Every packet-born terminal runs twice:
+/// on a generator, whose packets are owned, and on a slice, which lends
+/// them.
 #[test]
 fn every_terminal_closes_the_books_when_its_source_fails_at_packet_k() {
     use banzai::wire::{self, FrameSpec, WireConfig};
-    use banzai::{FailAfter, FrameGenSource, GenSource};
+    use banzai::{FailAfter, FrameGenSource, GenSource, SliceSource};
     const SHARDS: usize = 4;
     const K: u64 = 150;
 
     let (ingress, egress) = counter_pipelines();
     let pkt = |i: u64| Packet::new().with("flow", (i % 48) as i32).with("c", 0);
     let packets = || FailAfter::new(GenSource::new(|i| Some(pkt(i))), K, "torn");
+    let trace: Vec<Packet> = (0..2 * K).map(pkt).collect();
+    let lent = || FailAfter::new(SliceSource::new(&trace), K, "torn");
     let wire_cfg = WireConfig::with_meta_fields(["flow", "c"]).unwrap();
     let frames = || {
         let frame = |i| wire::encode(&pkt(i), &wire_cfg, &FrameSpec::default());
@@ -691,19 +695,57 @@ fn every_terminal_closes_the_books_when_its_source_fails_at_packet_k() {
         (name, shards, expect_fault(res, name))
     }
     type Row = (&'static str, usize, banzai::FaultReport);
+    /// Every packet-born terminal, over the sources `$source` makes.
+    macro_rules! packet_rows {
+        ($source:ident, $arm:literal) => {
+            vec![
+                fault(
+                    concat!("serial collect", $arm),
+                    1,
+                    serial().run($source()).collect(),
+                ),
+                fault(
+                    concat!("serial for_each", $arm),
+                    1,
+                    serial().run($source()).for_each(|_| {}),
+                ),
+                fault(
+                    concat!("serial scheduled", $arm),
+                    1,
+                    serial().run($source()).scheduled().collect(),
+                ),
+                fault(
+                    concat!("sharded collect", $arm),
+                    SHARDS,
+                    sharded().run($source()).collect(),
+                ),
+                fault(
+                    concat!("sharded for_each", $arm),
+                    SHARDS,
+                    sharded().run($source()).for_each(|_| {}),
+                ),
+                fault(
+                    concat!("sharded partitioned", $arm),
+                    SHARDS,
+                    sharded().run($source()).partitioned(),
+                ),
+                fault(
+                    concat!("sharded instrumented", $arm),
+                    SHARDS,
+                    sharded().run($source()).instrumented(),
+                ),
+                fault(
+                    concat!("sharded scheduled", $arm),
+                    SHARDS,
+                    sharded().run($source()).scheduled().collect(),
+                ),
+            ]
+        };
+    }
 
-    let table: Vec<Row> = vec![
-        fault("serial collect", 1, serial().run(packets()).collect()),
-        fault(
-            "serial for_each",
-            1,
-            serial().run(packets()).for_each(|_| {}),
-        ),
-        fault(
-            "serial scheduled",
-            1,
-            serial().run(packets()).scheduled().collect(),
-        ),
+    let mut table: Vec<Row> = packet_rows!(packets, "");
+    table.extend(packet_rows!(lent, ", lent"));
+    table.extend([
         fault(
             "serial frames collect",
             1,
@@ -715,36 +757,11 @@ fn every_terminal_closes_the_books_when_its_source_fails_at_packet_k() {
             serial().run_frames(frames(), &wire_cfg).for_each(|_| {}),
         ),
         fault(
-            "sharded collect",
-            SHARDS,
-            sharded().run(packets()).collect(),
-        ),
-        fault(
-            "sharded for_each",
-            SHARDS,
-            sharded().run(packets()).for_each(|_| {}),
-        ),
-        fault(
-            "sharded partitioned",
-            SHARDS,
-            sharded().run(packets()).partitioned(),
-        ),
-        fault(
-            "sharded instrumented",
-            SHARDS,
-            sharded().run(packets()).instrumented(),
-        ),
-        fault(
-            "sharded scheduled",
-            SHARDS,
-            sharded().run(packets()).scheduled().collect(),
-        ),
-        fault(
             "sharded frames partitioned",
             SHARDS,
             sharded().run_frames(frames(), &wire_cfg).partitioned(),
         ),
-    ];
+    ]);
 
     for (name, shards, report) in table {
         let src = report.source.as_ref().expect(name);

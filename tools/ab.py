@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""A/B two builds of the cost ledger, in alternating pairs.
+
+Each pair runs the parent and the change once each on one workload, the
+side that goes first alternating from pair to pair. Every run's last JSON
+line is read, and so is the growth of `getrusage(RUSAGE_CHILDREN).ru_minflt`
+across it (minor page faults: a row that moves together with its faults is
+an allocator-placement suspect, not a CPU one).
+
+For every workload x metric it prints the parent's median (q1-q3), the
+change's median (q1-q3), the ratio of the medians and the pairs the change
+won. A metric is *resolved* when the change wins at least 9 in 10 pairs
+and the medians lie further apart than the parent's interquartile range.
+It exits non-zero if any run reads `correct: false` or fails.
+
+    python3 tools/ab.py --parent A/ledger --change B/ledger \\
+        --workloads sharded_flowlet serial_flowlet --pairs 10 --seed 3 --seconds 10
+
+Standard library only.
+"""
+
+import argparse
+import json
+import resource
+import statistics
+import subprocess
+import sys
+
+# The end-to-end metrics BENCHMARK.json bounds, with their better side,
+# and the minor faults read around each run.
+METRICS = [
+    ("norm_pkts_per_s", "higher"),
+    ("setup_s", "lower"),
+    ("peak_rss_mb", "lower"),
+    ("minflt", "lower"),
+]
+
+
+def run_once(binary, workload, seed, seconds):
+    """One ledger run: its metrics, with `minflt` added, and `correct`."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(
+        [binary, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+        capture_output=True,
+        text=True,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(f"{binary} {workload}: exit {proc.returncode}\n{proc.stderr}")
+        return None, False
+    doc = json.loads(lines[-1])
+    # Each metric is `{"value": v, "unit": u}`.
+    metrics = {name: m["value"] for name, m in doc.get("metrics", {}).items()}
+    metrics["minflt"] = after - before
+    return metrics, bool(doc.get("correct"))
+
+
+def quartiles(xs):
+    """(q1, median, q3) of a sample; a sample of one is its own quartiles."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def fmt(x):
+    if abs(x) >= 1e5:
+        return f"{x / 1e6:.3f}M"
+    if abs(x) >= 100:
+        return f"{x:.0f}"
+    return f"{x:.4g}"
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="the parent's ledger binary")
+    ap.add_argument("--change", required=True, help="the change's ledger binary")
+    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=int, default=10)
+    args = ap.parse_args()
+
+    ok = True
+    for workload in args.workloads:
+        runs = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+            for side in order:
+                binary = args.parent if side == "parent" else args.change
+                metrics, correct = run_once(binary, workload, args.seed, args.seconds)
+                if metrics is None or not correct:
+                    sys.stderr.write(f"{workload}: {side} pair {pair}: correct: false\n")
+                    ok = False
+                runs[side].append(metrics or {})
+                # Every run's raw values, so that none is lost to a summary.
+                raw = {name: (metrics or {}).get(name) for name, _ in METRICS}
+                print(f"# {workload} pair {pair + 1} {side} {json.dumps(raw)}", file=sys.stderr, flush=True)
+
+        print(f"{workload} (seed {args.seed}, {args.pairs} pairs, {args.seconds} s)")
+        for name, better in METRICS:
+            pairs = [
+                (p[name], c[name])
+                for p, c in zip(runs["parent"], runs["change"])
+                if p.get(name) is not None and c.get(name) is not None
+            ]
+            if not pairs:
+                continue
+            ps, cs = [p for p, _ in pairs], [c for _, c in pairs]
+            (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(ps), quartiles(cs)
+            if better == "higher":
+                wins = sum(c > p for p, c in pairs)
+            else:
+                wins = sum(c < p for p, c in pairs)
+            ratio = cmed / pmed if pmed else float("nan")
+            resolved = wins * 10 >= 9 * len(pairs) and abs(cmed - pmed) > (pq3 - pq1)
+            print(
+                f"  {name:16} parent {fmt(pmed)} ({fmt(pq1)}-{fmt(pq3)})"
+                f"  change {fmt(cmed)} ({fmt(cq1)}-{fmt(cq3)})"
+                f"  ratio {ratio:.3f}  wins {wins}/{len(pairs)}"
+                f"{'  resolved' if resolved else ''}",
+                flush=True,
+            )
+    sys.exit(0 if ok else 1)
+
+
+if __name__ == "__main__":
+    main()
