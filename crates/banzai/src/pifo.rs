@@ -12,14 +12,10 @@
 //! * [`Scheduler`] — the queue discipline contract the switch drives; the
 //!   drop-tail FIFO the switch always had is the [`Fifo`] implementation,
 //! * [`Pifo`] — the PIFO block: pop in ascending [`SchedKey`] order with
-//!   a **stable FIFO tie-break on arrival order**, bounded capacity. Like
-//!   the hardware block of *Programmable Packet Scheduling*, which keeps
-//!   a sorted array and pops its head, it holds a **sorted run** and pops
-//!   its end; what arrives while a run drains waits in a binary heap
-//!   until the heap holds as many as the run, and then both are sorted
-//!   into one run (a *settle*) — so a burst is sorted once and then
-//!   drained at O(1) a departure instead of sifting through a heap deeper
-//!   than the cache,
+//!   a **stable FIFO tie-break on arrival order**, bounded capacity — a
+//!   binary heap of `(key, arrival)`, so its pops are a stable sort of its
+//!   pushes (a scheduled burst never enters it: the switch sorts a burst
+//!   once, `Switch::drain_burst`),
 //! * [`SchedSpec`] — the switch-facing policy: which packet fields feed
 //!   the key (strict priority over per-class ranks is the one PIFO keyed
 //!   by `(class, rank)`, as in *Programmable Packet Scheduling*), which
@@ -158,37 +154,9 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// The fewest late arrivals a [`Pifo`] sorts into its run, so that a
-/// shallow queue — line rate, a small class — stays a plain binary heap.
-const SETTLE_MIN: usize = 32;
-
 /// A push-in-first-out queue: admits at any [`SchedKey`], pops in
-/// ascending key order, ties broken by arrival order (stable).
-///
-/// It is two halves ordered by the same `(key, arrival)`: a **run**,
-/// sorted so that the next departure is last — the PIFO paper's sorted
-/// array, popped from the end — and a binary **heap** of everything
-/// pushed since the run was last sorted. A push goes onto the heap. A pop
-/// first *settles* once the heap holds 32 entries and at least as many
-/// as the run: both are sorted into the larger of their two buffers,
-/// which becomes the run, and the other, emptied, becomes the heap. Then
-/// it takes the lesser of the two heads.
-///
-/// * A settle over `m` entries follows at least `m / 2` pushes, so it
-///   costs amortised O(log m) a push; a pop is O(1) from the run or
-///   O(log h) from a heap of `h`. No sequence of operations is
-///   asymptotically worse than a binary heap, and a burst pushed whole
-///   and then drained is sorted once, not sifted once a departure. A
-///   queue that never holds 32 — line rate, say — is the heap alone and
-///   never sorts.
-/// * Memory: the run's buffer grows as one heap's would, to the queue at
-///   its deepest. A push into an empty queue swaps the buffers if the
-///   run's is the larger, so a burst fills it, and burst-then-drain
-///   traffic holds what one heap does. Under sustained load — a push for
-///   every pop, the queue full — the heap's buffer stops at half the
-///   queue, so the two hold up to 1.5× what one heap would (a full
-///   65,536-deep switch queue: 3 MiB more). Once both have grown, nothing
-///   allocates.
+/// ascending key order, ties broken by arrival order (stable) — one binary
+/// heap ordered by `(key, arrival)`, O(log n) a push or a pop.
 ///
 /// ```
 /// use banzai::pifo::{Pifo, SchedKey, Scheduler};
@@ -203,9 +171,6 @@ const SETTLE_MIN: usize = 32;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pifo<T> {
-    /// Sorted ascending as `Reverse`, so the next departure is last.
-    run: Vec<Reverse<Entry<T>>>,
-    /// Everything pushed since the last settle.
     heap: BinaryHeap<Reverse<Entry<T>>>,
     capacity: usize,
     next_seq: u64,
@@ -215,7 +180,6 @@ impl<T> Pifo<T> {
     /// An empty PIFO bounded at `capacity` items.
     pub fn bounded(capacity: usize) -> Pifo<T> {
         Pifo {
-            run: Vec::new(),
             heap: BinaryHeap::new(),
             capacity,
             next_seq: 0,
@@ -226,30 +190,12 @@ impl<T> Pifo<T> {
     pub fn unbounded() -> Pifo<T> {
         Pifo::bounded(usize::MAX)
     }
-
-    /// Sorts the heap and what is left of the run into one run, in the
-    /// larger of the two buffers; the other, emptied, becomes the heap.
-    fn settle(&mut self) {
-        let mut merged = std::mem::take(&mut self.heap).into_vec();
-        if merged.capacity() < self.run.capacity() {
-            std::mem::swap(&mut merged, &mut self.run);
-        }
-        merged.append(&mut self.run);
-        // `seq` makes every entry distinct, so an unstable sort is stable.
-        merged.sort_unstable();
-        self.heap = std::mem::replace(&mut self.run, merged).into();
-    }
 }
 
 impl<T> Scheduler<T> for Pifo<T> {
     fn push(&mut self, key: SchedKey, item: T) -> Result<(), T> {
         if self.len() >= self.capacity {
             return Err(item);
-        }
-        // An empty queue's next burst fills the larger buffer.
-        if self.is_empty() && self.run.capacity() > self.heap.capacity() {
-            let heap = std::mem::take(&mut self.heap).into_vec();
-            self.heap = std::mem::replace(&mut self.run, heap).into();
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -258,25 +204,16 @@ impl<T> Scheduler<T> for Pifo<T> {
     }
 
     fn pop(&mut self) -> Option<(SchedKey, T)> {
-        if self.heap.len() >= self.run.len().max(SETTLE_MIN) {
-            self.settle();
-        }
-        // `Reverse`: the greater head departs first (`None` is least).
-        let Reverse(e) = if self.run.last() > self.heap.peek() {
-            self.run.pop()
-        } else {
-            self.heap.pop()
-        }?;
+        let Reverse(e) = self.heap.pop()?;
         Some((e.key, e.item))
     }
 
     fn peek_key(&self) -> Option<SchedKey> {
-        let Reverse(e) = self.run.last().max(self.heap.peek())?;
-        Some(e.key)
+        self.heap.peek().map(|Reverse(e)| e.key)
     }
 
     fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        self.heap.len()
     }
 
     fn capacity(&self) -> usize {

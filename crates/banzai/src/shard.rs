@@ -80,10 +80,10 @@
 //!   stamped with their arrival cycle (a rejected frame rides as its
 //!   verdict, dealt by index); the shard's switch runs its one loop on
 //!   them;
-//! * a scheduling run's lanes hold slabs under keys read off their
-//!   slots, one sort of their union puts them in the serial PIFO's pop
-//!   order, and the post-merge serial egress pass is a departure on the
-//!   same slab;
+//! * a scheduling run is the serial burst split at its seam: each lane
+//!   admits its slabs as the serial switch does (`Switch::hold`), and
+//!   the union of what they hold drains as the serial burst drains
+//!   (`Switch::drain_burst`: one sort, then a departure on each slab);
 //! * each packet is **emitted (or deparsed) once**: in the worker's sink
 //!   on a forwarding run — the slab's value row moved into the packet, a
 //!   frame's buffer out of the record — after the egress pass on a
@@ -127,14 +127,14 @@
 
 use crate::error::{FaultCause, FaultReport, ShardError, ShardSalvage, SwitchError};
 use crate::machine::AtomPipeline;
-use crate::pifo::{SchedKey, SchedSpec};
+use crate::pifo::SchedSpec;
 use crate::slot::{KeySlice, SlotMachine};
 use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::switch::{
-    DropCounters, DropReason, InFlight, PipelineEngine, Pool, SchedDeparture, Stamped, Switch,
-    QUEUE_METADATA_FIELDS,
+    DropCounters, DropReason, Held, InFlight, PipelineEngine, Pool, SchedDeparture, Stamped,
+    Switch, QUEUE_METADATA_FIELDS,
 };
 use crate::wire::{BoundParser, ParseVerdict, WireConfig};
 use domino_ast::{StateKind, StateVar};
@@ -684,8 +684,8 @@ pub struct ShardedSwitch<E: PipelineEngine = SlotMachine> {
     config: ShardConfig,
     /// The dedicated serial egress engine of the scheduling path: after a
     /// PIFO the output link is a single serialized stream, so the
-    /// post-merge egress pass runs here ([`Switch::depart`] on the merged
-    /// slabs) — its state evolves over exactly the serial departure
+    /// post-merge egress pass runs here ([`Switch::drain_burst`] on the
+    /// merged slabs) — its state evolves over exactly the serial departure
     /// sequence, bit-identical to a serial switch's egress engine.
     sched_egress: E,
     /// Counters salvaged from shards that have since been rebuilt, plus
@@ -1522,19 +1522,16 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     /// `run(..).scheduled().collect()`, bit-identical to it on
     /// [`ShardTier::Exact`] plans.
     ///
-    /// Each worker runs ingress on its steered slabs and holds each under
-    /// the key the configured [`SchedSpec`] reads off it; at collect time
-    /// the union of the shards' streams is sorted by `(class, rank,
-    /// global arrival cycle)` — exactly the serial PIFO's pop order,
-    /// because the serial tie-break *is* arrival order — and a dedicated
-    /// serial egress engine runs each slab's departure, assigning cycles
-    /// with the same recurrence as the serial switch, before the packet
-    /// is emitted — once, here. Admission is
-    /// the serial burst rule applied per worker: during the arrival phase
-    /// the queue only grows, so the serial switch admits exactly the
-    /// first `capacity` arrivals — a globally computable rule, which is
-    /// what keeps sharded `SchedFull` drops bit-identical to serial even
-    /// under overload.
+    /// Each worker runs the serial burst's admission (`Switch::hold`) on
+    /// its steered slabs: ingress, then held under the key the configured
+    /// [`SchedSpec`] reads off it. During the arrival phase the queue only
+    /// grows, so the serial switch admits exactly the first `capacity`
+    /// arrivals — a globally computable rule, which is what keeps sharded
+    /// `SchedFull` drops bit-identical to serial even under overload. At
+    /// collect time the union of the shards' streams drains as the serial
+    /// burst does (`Switch::drain_burst`): sorted by `(key, global
+    /// arrival cycle)`, departed on the dedicated serial egress engine
+    /// with the serial departure cycles, and emitted — once, here.
     ///
     /// # Failure model
     ///
@@ -1553,43 +1550,16 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
         E: Send + 'static,
     {
         let sw = self.switch;
-        let capacity = sw.config.capacity;
         // A burst's clock is run-local, as on the serial switch.
-        let run = sw.threaded(0, admitting(&mut self.source), || Schedule {
-            held: Vec::new(),
-            capacity,
-        })?;
-        // The global arrival cycle is unique, so sorting the union by
-        // (key, arrival) is the one ordering step — and equals the serial
-        // PIFO's pop order, whose tie-break is arrival.
-        let mut entries: Vec<_> = run.streams.into_iter().flatten().collect();
-        entries.sort_by_key(|&(key, arrival, _)| (key, arrival));
-
-        // Serial egress pass over the merged departure sequence, on the
-        // dedicated engine (see the field docs), with the serial burst
-        // drain's departure recurrence.
-        let total = entries.len();
+        let run = sw.threaded(0, admitting(&mut self.source), || Schedule(Vec::new()))?;
+        // The serial burst's drain over the union of what the shards
+        // held, on the dedicated egress engine (see the field docs).
+        let mut held: Vec<_> = run.streams.into_iter().flatten().collect();
         let shaping = sw.config.sched.is_shaping();
-        let (egress, meta) = (&mut sw.sched_egress, sw.meta);
-        let mut next_free = run.pulled as i64;
-        let mut out = Vec::with_capacity(total);
-        for (k, (key, arrival, mut p)) in entries.into_iter().enumerate() {
-            let departure = if shaping {
-                next_free.max(key.rank)
-            } else {
-                next_free
-            };
-            Switch::depart(egress, meta, arrival, departure, total - k - 1, &mut p);
-            out.push(SchedDeparture {
-                arrival,
-                key,
-                departure,
-                pkt: p.emit(&mut sw.edges),
-            });
-            next_free = departure + 1;
-        }
-        sw.extra_transmitted += total as u64;
-        sw.now = next_free;
+        let (egress, edges) = (&mut sw.sched_egress, &mut sw.edges);
+        sw.now = run.pulled as i64;
+        let out = Switch::drain_burst(egress, sw.meta, edges, shaping, &mut held, &mut sw.now);
+        sw.extra_transmitted += out.len() as u64;
         Ok(out)
     }
 }
@@ -1771,20 +1741,17 @@ impl<E: PipelineEngine> Lane<E> for Frames<'_> {
     }
 }
 
-/// The scheduling lane ([`ShardedSchedRun::collect`]): run ingress on
-/// each steered slab and hold it under its key (or count the configured
-/// full-drop reason). The lane holds what it admitted outside the unwind
-/// scope, and drains it sorted by `(key, arrival)` — the PIFO's pop order,
-/// whose tie-break is arrival — so a faulted shard's salvage comes out in
-/// rank order, finer than batch granularity.
-struct Schedule {
-    held: Vec<(SchedKey, i64, InFlight)>,
-    capacity: usize,
-}
+/// The scheduling lane ([`ShardedSchedRun::collect`]): the serial burst's
+/// admission ([`Switch::hold`]) on each steered slab. The lane holds what
+/// it admitted outside the unwind scope, and drains it sorted by
+/// `(key, arrival)` — the PIFO's pop order, whose tie-break is arrival —
+/// so a faulted shard's salvage comes out in rank order, finer than batch
+/// granularity.
+struct Schedule(Vec<Held>);
 
 impl<E: PipelineEngine> Lane<E> for Schedule {
     /// `(key, global arrival cycle, ingress-processed slab)`.
-    type Out = (SchedKey, i64, InFlight);
+    type Out = Held;
 
     /// A faulted scheduling run never reaches egress.
     fn packet((_, _, p): Self::Out, edges: &mut PacketEdges) -> Option<Packet> {
@@ -1792,30 +1759,14 @@ impl<E: PipelineEngine> Lane<E> for Schedule {
     }
 
     fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch, spent: &mut Pool) {
-        for (t, arrival) in batch.drain(..) {
-            let mut p = match arrival {
-                Ok(p) => p,
-                Err(verdict) => {
-                    sw.reject(verdict);
-                    continue;
-                }
-            };
-            let key = sw.arrive(t, &mut p);
-            // The serial burst admission: during the arrival phase the
-            // queue only grows, so the serial switch admits exactly the
-            // arrivals with global cycle < capacity.
-            if (t as usize) < self.capacity {
-                self.held.push((key, t, p));
-            } else {
-                sw.refuse();
-                spent.push(p);
-            }
+        for arrival in batch.drain(..) {
+            sw.hold(arrival, &mut self.0, spent);
         }
     }
 
     fn drain(mut self) -> Vec<Self::Out> {
-        self.held.sort_by_key(|&(key, t, _)| (key, t));
-        self.held
+        self.0.sort_by_key(|&(key, t, _)| (key, t));
+        self.0
     }
 }
 
@@ -2413,11 +2364,8 @@ mod tests {
             .with_capacity(200)
             .with_scheduler(spec.clone());
         let trace = flow_trace(300);
-        let lane = || Schedule {
-            held: Vec::new(),
-            capacity: 200,
-        };
-        let keys = |run: Gathered<(SchedKey, i64, InFlight)>| -> Vec<Vec<(SchedKey, i64)>> {
+        let lane = || Schedule(Vec::new());
+        let keys = |run: Gathered<Held>| -> Vec<Vec<(crate::pifo::SchedKey, i64)>> {
             assert_eq!(run.pulled, 300);
             (run.streams.into_iter())
                 .map(|stream| stream.into_iter().map(|(key, t, _)| (key, t)).collect())

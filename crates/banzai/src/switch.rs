@@ -37,30 +37,35 @@
 //! still in its bytes), and the sink patches the slots back into those
 //! bytes and lends them out.
 //!
-//! # One run loop
+//! # One run loop, and one burst
 //!
 //! The machine has one shape, so the switch has one cycle loop
 //! (`Switch::cycle`): pull an arrival, admit it through ingress into the
 //! queue, tick the clock, and let the link drain the queue's head through
-//! egress. Every public terminal is that loop fed three pieces of data:
+//! egress. Every line-rate terminal is that loop fed two pieces of data:
 //!
-//! | terminal | arrivals | regime | sink keeps |
-//! |---|---|---|---|
-//! | [`Run::collect`] / [`Run::for_each`] | packet source | line rate | the emitted packet, which it owns |
-//! | [`SchedRun::collect`] | packet source | burst | the whole [`SchedDeparture`] |
-//! | [`FrameRun::for_each`] | frame source + [`BoundParser`] | line rate | nothing: it is lent the record's bytes, patched in place |
-//! | [`FrameRun::collect`] | frame source + [`BoundParser`] | line rate | a copy of each lent frame |
-//! | sharded workers (`crate::shard`) | stamped `(cycle, slab)` pairs, admitted by the dispatcher | line rate | the emitted packet (its value row moved out of the record), or the patched buffer moved out of the record |
+//! | terminal | arrivals | sink keeps |
+//! |---|---|---|
+//! | [`Run::collect`] / [`Run::for_each`] | packet source | the emitted packet, which it owns |
+//! | [`FrameRun::for_each`] | frame source + [`BoundParser`] | nothing: it is lent the record's bytes, patched in place |
+//! | [`FrameRun::collect`] | frame source + [`BoundParser`] | a copy of each lent frame |
+//! | sharded workers (`crate::shard`) | stamped `(cycle, slab)` pairs, admitted by the dispatcher | the emitted packet (its value row moved out of the record), or the patched buffer moved out of the record |
 //!
 //! An arrival reaches the loop as a record already on the switch's table
 //! (a packet admitted from its source's loan, a frame the bound parser
 //! laid out with its [`WireLayout`] beside it, or a packet a sharded
 //! switch's dispatcher admitted), or as the [`ParseVerdict`] that
-//! rejected the frame; stamped arrivals also set the clock. The regime
-//! says when the link serves the queue — see [`Run`] and [`SchedRun`]. The sink is lent each departing
-//! record and turns it into its terminal's currency. Whatever the
-//! combination, the queue is the switch's own [`SchedQueue`] under the
-//! configured [`SchedSpec`].
+//! rejected the frame; stamped arrivals also set the clock. The sink is
+//! lent each departing record and turns it into its terminal's currency.
+//! Whatever the combination, the queue is the switch's own
+//! [`SchedQueue`] under the configured [`SchedSpec`].
+//!
+//! A scheduled burst ([`SchedRun`], and its sharded twin) is not that
+//! loop: nothing departs until the source has ended, so the queue's pop
+//! order is a stable sort of what it holds. `Switch::hold` runs ingress
+//! on each arrival and holds the first `capacity`; `Switch::drain_burst`
+//! sorts them once by `(key, arrival)` and departs them one per cycle.
+//! Both scheduling terminals, serial and sharded, are these two.
 //!
 //! # Recycling
 //!
@@ -81,8 +86,8 @@
 //! * only **while somebody can ask for a record** — a serial terminal's
 //!   loop admits into the pool it lends itself, so once its source has
 //!   ended a draining queue frees as it goes (a burst, which arrives whole
-//!   before anything departs, recycles nothing and holds nothing back
-//!   while its output grows);
+//!   before anything departs, recycles only the records of refused
+//!   arrivals, and its drain moves each row into the departing packet);
 //! * **the pool is its maker's** — a shard worker's arrivals come
 //!   stamped, in records the sharded dispatcher made, so
 //!   `Switch::run_stamped` hands every record it is done with back to
@@ -405,14 +410,17 @@ impl InFlight {
     /// [`InFlight::admit`], into a pooled record — may see it again.
     ///
     /// Which of the two a terminal calls follows from where its records go
-    /// home. A serial terminal's record stays on its thread, and copying
-    /// leaves the row in it for the next admission: serial terminals copy.
-    /// A sharded `Forward` lane's record crosses back to the dispatcher
+    /// home. A serial line-rate terminal's record stays on its thread, and
+    /// copying leaves the row in it for the next admission: those copy. A
+    /// sharded `Forward` lane's record crosses back to the dispatcher
     /// thread, which allocated its row; moving that row into the packet
     /// keeps the output in the dispatcher's allocator arena: that lane
-    /// moves. Each loses where the other is used — the cost ledger's
-    /// `norm_pkts_per_s`, one emission everywhere against this choice
-    /// (medians of six alternating pairs):
+    /// moves. A burst's drain (`Switch::drain_burst`) recycles no record —
+    /// each is dropped once it departs — so there is no next admission to
+    /// leave a row for: it moves. Each of the first two loses where the
+    /// other is used — the cost ledger's `norm_pkts_per_s`, one emission
+    /// everywhere against this choice, measured before the burst drain
+    /// moved (medians of six alternating pairs):
     ///
     /// | everywhere | `serial_flowlet` | `stream_congested` | `sched_wfq` | `sharded_flowlet` |
     /// |---|---|---|---|---|
@@ -446,20 +454,9 @@ pub(crate) type Pool = Vec<InFlight>;
 /// table (or the verdict that rejected the frame).
 pub(crate) type Stamped = (i64, Result<InFlight, ParseVerdict>);
 
-/// When the link serves the queue — the one thing that differs between
-/// a line-rate run and a scheduling run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Regime {
-    /// The clock continues from the previous run; the drain slot opens
-    /// every `drain_period` cycles, *before* the cycle's arrival, so a
-    /// packet admitted at cycle `t` leaves at `t + 1` at the earliest.
-    LineRate,
-    /// The clock is run-local (from 0); the link is held until the source
-    /// has ended, then serves one packet per cycle starting on the very
-    /// cycle the burst ended, jumping to a gated head's rank rather than
-    /// idling up to it.
-    Burst,
-}
+/// A burst's held arrival: its key, its arrival cycle and its
+/// ingress-processed record ([`Switch::hold`], [`Switch::drain_burst`]).
+pub(crate) type Held = (SchedKey, i64, InFlight);
 
 /// What one arrival slot yields: a record on the switch's table, or the
 /// verdict that rejected its frame — the slot is consumed either way.
@@ -523,6 +520,9 @@ pub struct Switch<E: PipelineEngine = Machine> {
     /// Slots of the metadata stamped for egress programs, in
     /// [`QUEUE_METADATA_FIELDS`] order (enqueue timestamp, now, depth).
     meta: [FieldId; 3],
+    /// What a scheduled burst holds ([`SchedRun`]): empty between runs,
+    /// its buffer kept for the next.
+    burst: Vec<Held>,
 }
 
 impl Switch<Machine> {
@@ -594,6 +594,7 @@ impl<E: PipelineEngine> Switch<E> {
             drops: DropCounters::new(),
             transmitted: 0,
             meta,
+            burst: Vec::new(),
         }
     }
 
@@ -787,7 +788,7 @@ impl<E: PipelineEngine> Switch<E> {
     /// The arrival half of a cycle: notes the arrival's cycle, runs
     /// ingress on the slab in place and reads the key the configured
     /// discipline orders it by off its slots.
-    pub(crate) fn arrive(&mut self, now: i64, p: &mut InFlight) -> SchedKey {
+    fn arrive(&mut self, now: i64, p: &mut InFlight) -> SchedKey {
         self.now = now;
         self.ingress.process(&mut p.flat);
         self.key.key_of(&p.flat)
@@ -795,21 +796,21 @@ impl<E: PipelineEngine> Switch<E> {
 
     /// Books an arrival the queue had no room for, under the configured
     /// discipline's drop reason.
-    pub(crate) fn refuse(&mut self) {
+    fn refuse(&mut self) {
         self.drops.bump(self.sched.full_drop_reason());
     }
 
     /// Books an arrival slot whose frame the parser rejected, under its
     /// verdict.
-    pub(crate) fn reject(&mut self, verdict: ParseVerdict) {
+    fn reject(&mut self, verdict: ParseVerdict) {
         self.drops.bump(DropReason::Parse(verdict));
     }
 
     /// A departure: stamps the queue metadata (`meta`, in
     /// [`QUEUE_METADATA_FIELDS`] order) by slot and runs `egress` on the
-    /// slab in place. Free of the switch, so a sharded scheduling run's
-    /// serial egress pass is this same step on its own engine.
-    pub(crate) fn depart(
+    /// slab in place. Free of the switch, so the burst drain runs it on a
+    /// sharded switch's serial egress engine too.
+    fn depart(
         egress: &mut E,
         meta: [FieldId; 3],
         enq_ts: i64,
@@ -824,10 +825,67 @@ impl<E: PipelineEngine> Switch<E> {
         egress.process(&mut p.flat);
     }
 
-    /// **The one run loop** every terminal of this switch — and, through
-    /// [`Switch::run_stamped`], every shard worker — is an instance
-    /// of (see the module docs for the table). One iteration is one
-    /// cycle:
+    /// **The burst admission** of a scheduling run, serial or sharded: a
+    /// stamped arrival runs ingress and is held under its key — or, once
+    /// its cycle reaches `capacity`, booked under the discipline's drop
+    /// reason and its record put in `spent`. Nothing departs while a burst
+    /// arrives, so the queue only grows and admits exactly the first
+    /// `capacity` arrival cycles, a rule any shard can apply alone. A
+    /// rejected frame is booked under its verdict.
+    pub(crate) fn hold(&mut self, (now, arrival): Stamped, held: &mut Vec<Held>, spent: &mut Pool) {
+        match arrival {
+            Ok(mut p) => {
+                let key = self.arrive(now, &mut p);
+                if (now as usize) < self.capacity {
+                    held.push((key, now, p));
+                } else {
+                    self.refuse();
+                    spent.push(p);
+                }
+            }
+            Err(verdict) => self.reject(verdict),
+        }
+    }
+
+    /// **The burst drain** of a scheduling run, serial or sharded: sorts
+    /// `held` by `(key, arrival)` — a PIFO's pop order, whose tie-break is
+    /// arrival — and departs one record per cycle from `now`, the cycle the
+    /// burst ended, leaving `now` at the cycle after the last departure;
+    /// under a shaper no record departs before its rank. Each departure is
+    /// stamped, run through `egress` (the switch's own, or a sharded
+    /// switch's serial one) and emitted with its row moved out
+    /// ([`InFlight::emit_row`]). `held` is left empty, its buffer kept.
+    pub(crate) fn drain_burst(
+        egress: &mut E,
+        meta: [FieldId; 3],
+        edges: &mut PacketEdges,
+        shaping: bool,
+        held: &mut Vec<Held>,
+        now: &mut i64,
+    ) -> Vec<SchedDeparture> {
+        // Arrival cycles are distinct, so an unstable sort is stable.
+        held.sort_unstable_by_key(|&(key, arrival, _)| (key, arrival));
+        let total = held.len();
+        let mut out = Vec::with_capacity(total);
+        for (key, arrival, mut p) in held.drain(..) {
+            let departure = if shaping { key.rank.max(*now) } else { *now };
+            let depth = total - out.len() - 1;
+            Switch::depart(egress, meta, arrival, departure, depth, &mut p);
+            out.push(SchedDeparture {
+                arrival,
+                key,
+                departure,
+                pkt: p.emit_row(edges),
+            });
+            *now = departure + 1;
+        }
+        out
+    }
+
+    /// **The one run loop** every line-rate terminal of this switch —
+    /// and, through [`Switch::run_stamped`], every shard worker — is an
+    /// instance of (see the module docs for the table). One iteration is
+    /// one cycle:
     ///
     /// 1. **arrival slot** — `pull` is lent the switch's edges and the
     ///    pool and yields the next [`Arrival`] already on the switch table,
@@ -841,12 +899,13 @@ impl<E: PipelineEngine> Switch<E> {
     /// 2. the run is over once the source has ended and the queue is
     ///    empty — so everything admitted departs and the books close
     ///    (`lost_in_fault == 0`) even when the source failed mid-stream;
-    /// 3. **drain slot** — if the [`Regime`]'s gate is open and, under a
-    ///    shaping discipline, the head's rank is due, the head departs:
-    ///    `enq_ts`/`now`/`qdepth` (or the configured names) are stamped,
-    ///    egress runs, and `sink` is lent the record the cycle it leaves,
-    ///    to emit or deparse — memory stays O(queue capacity) however
-    ///    long the source.
+    /// 3. **drain slot** — the clock ticks; every `drain_period` cycles,
+    ///    *after* the cycle's arrival (a packet admitted at cycle `t`
+    ///    leaves at `t + 1` at the earliest), the head departs unless a
+    ///    shaper's rank says it is not yet due: `enq_ts`/`now`/`qdepth`
+    ///    (or the configured names) are stamped, egress runs, and `sink`
+    ///    is lent the record the cycle it leaves, to emit or deparse —
+    ///    memory stays O(queue capacity) however long the source.
     ///
     /// A record whose packet is gone — departed, or refused by the full
     /// queue — goes to `pool`, the caller's, while the source is live, and
@@ -854,20 +913,19 @@ impl<E: PipelineEngine> Switch<E> {
     /// *Recycling*): `pull` is lent it, to admit a packet or parse a frame
     /// into one of its records.
     ///
-    /// Engine state and the drop/transmit counters accumulate across
-    /// calls; the queue is empty on entry and on return.
+    /// The clock continues from the previous run. Engine state and the
+    /// drop/transmit counters accumulate across calls; the queue is empty
+    /// on entry and on return.
     fn cycle(
         &mut self,
-        regime: Regime,
         pool: &mut Pool,
         mut pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Result<Option<Arrival>, SourceError>,
-        mut sink: impl FnMut(&mut PacketEdges, i64, SchedKey, i64, &mut InFlight),
+        mut sink: impl FnMut(&mut PacketEdges, &mut InFlight),
     ) -> Ended {
-        let burst = regime == Regime::Burst;
         let shaping = self.sched.is_shaping();
         let drops_before = self.drops.clone();
         let mut stats = RunStats::default();
-        let mut now = if burst { 0 } else { self.now };
+        let mut now = self.now;
         let (mut ended, mut stamped) = (false, false);
         let mut error = None;
         loop {
@@ -898,41 +956,25 @@ impl<E: PipelineEngine> Switch<E> {
             if ended && self.queue.is_empty() {
                 break;
             }
-            // The regimes differ in when the drain slot is open, and in
-            // which side of it the clock ticks on.
-            let open = match regime {
-                Regime::Burst => ended,
-                Regime::LineRate => {
-                    now += 1;
-                    (now as u64).is_multiple_of(self.drain_period)
-                }
-            };
-            if open {
-                // A shaper's head is not due before the cycle its rank
-                // names: a burst idles the link until then (the clock
-                // jumps), a line-rate run leaves the slot unused.
-                let due = match self.queue.peek_key() {
-                    Some(head) if shaping => head.rank,
-                    _ => now,
+            now += 1;
+            // A shaper's head is not due before the cycle its rank names:
+            // until then its slots go unused.
+            let open = (now as u64).is_multiple_of(self.drain_period)
+                && match self.queue.peek_key() {
+                    Some(head) if shaping => head.rank <= now,
+                    _ => true,
                 };
-                if burst {
-                    now = now.max(due);
-                }
-                if due <= now {
-                    if let Some((key, (arrival, mut p))) = self.queue.pop() {
-                        let depth = self.queue.len();
-                        Switch::depart(&mut self.egress, self.meta, arrival, now, depth, &mut p);
-                        self.transmitted += 1;
-                        stats.transmitted += 1;
-                        sink(&mut self.edges, arrival, key, now, &mut p);
-                        if !ended || stamped {
-                            pool.push(p);
-                        }
+            if open {
+                if let Some((_, (arrival, mut p))) = self.queue.pop() {
+                    let depth = self.queue.len();
+                    Switch::depart(&mut self.egress, self.meta, arrival, now, depth, &mut p);
+                    self.transmitted += 1;
+                    stats.transmitted += 1;
+                    sink(&mut self.edges, &mut p);
+                    if !ended || stamped {
+                        pool.push(p);
                     }
                 }
-            }
-            if burst {
-                now += 1;
             }
         }
         self.now = now;
@@ -944,14 +986,12 @@ impl<E: PipelineEngine> Switch<E> {
     }
 
     /// The loop over a [`PacketSource`], emitting every departure — the
-    /// arrival adapter and sink of [`Run`] and [`SchedRun`]. Each packet
-    /// is admitted from the source's loan, into a record of the pool if it
-    /// has one.
+    /// arrival adapter and sink of [`Run`]. Each packet is admitted from
+    /// the source's loan, into a record of the pool if it has one.
     fn run_packets<S: PacketSource>(
         &mut self,
         source: &mut S,
-        regime: Regime,
-        mut sink: impl FnMut(SchedDeparture),
+        mut sink: impl FnMut(Packet),
     ) -> Ended {
         let pull = |edges: &mut PacketEdges, pool: &mut Pool| {
             Ok(source.lend()?.map(|pkt| Arrival {
@@ -959,19 +999,7 @@ impl<E: PipelineEngine> Switch<E> {
                 pkt: Ok(InFlight::admit(&pkt, edges, pool.pop())),
             }))
         };
-        self.cycle(
-            regime,
-            &mut Vec::new(),
-            pull,
-            |edges, arrival, key, departure, p| {
-                sink(SchedDeparture {
-                    arrival,
-                    key,
-                    departure,
-                    pkt: p.emit(edges),
-                })
-            },
-        )
+        self.cycle(&mut Vec::new(), pull, |edges, p| sink(p.emit(edges)))
     }
 
     /// Runs [`Stamped`] arrivals through the loop at line rate, handing
@@ -990,7 +1018,7 @@ impl<E: PipelineEngine> Switch<E> {
         &mut self,
         arrivals: impl IntoIterator<Item = Stamped>,
         spent: &mut Pool,
-        mut sink: impl FnMut(&mut PacketEdges, &mut InFlight),
+        sink: impl FnMut(&mut PacketEdges, &mut InFlight),
     ) {
         debug_assert_eq!(self.drain_period, 1, "a shard's link drains every cycle");
         let mut arrivals = arrivals.into_iter();
@@ -1008,8 +1036,7 @@ impl<E: PipelineEngine> Switch<E> {
                 }
             }))
         };
-        let depart = |edges: &mut PacketEdges, _, _, _, p: &mut InFlight| sink(edges, p);
-        self.cycle(Regime::LineRate, spent, pull, depart);
+        self.cycle(spent, pull, sink);
     }
 
     /// This switch's entry in a [`FaultReport`] as a surviving shard
@@ -1115,8 +1142,8 @@ impl<E: PipelineEngine> Switch<E> {
 /// builder [`Switch::run`] returns. Terminal methods consume it:
 /// [`Run::collect`] materializes the transmitted packets,
 /// [`Run::for_each`] streams them to a sink (O(queue) memory), and
-/// [`Run::scheduled`] switches to the burst-then-drain scheduling regime
-/// under the discipline [`Switch::with_scheduler`] installed.
+/// [`Run::scheduled`] makes the session a scheduled burst under the
+/// discipline [`Switch::with_scheduler`] installed.
 ///
 /// The **line-rate regime**: one input packet arrives per cycle on a
 /// clock that continues from the switch's previous run; each is processed
@@ -1153,9 +1180,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     pub fn collect(mut self) -> Result<Vec<Packet>, SwitchError> {
         let (lo, hi) = self.source.size_hint();
         let mut out = Vec::with_capacity(hi.unwrap_or(lo).min(1 << 20));
-        let end = self
-            .switch
-            .run_packets(&mut self.source, Regime::LineRate, |d| out.push(d.pkt));
+        let end = self.switch.run_packets(&mut self.source, |p| out.push(p));
         self.switch.close(end, || out.clone())?;
         Ok(out)
     }
@@ -1169,10 +1194,8 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     /// [`SwitchError::Fault`] if the source fails mid-stream (packets
     /// already handed to `sink` are not replayed in the report's salvage;
     /// the sink saw them the moment they departed).
-    pub fn for_each<F: FnMut(Packet)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
-        let end = self
-            .switch
-            .run_packets(&mut self.source, Regime::LineRate, |d| sink(d.pkt));
+    pub fn for_each<F: FnMut(Packet)>(mut self, sink: F) -> Result<RunStats, SwitchError> {
+        let end = self.switch.run_packets(&mut self.source, sink);
         self.switch.close(end, Vec::new)
     }
 }
@@ -1181,22 +1204,25 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
 /// [`Run::scheduled`]. The whole source arrives as a back-to-back burst
 /// (one packet per cycle, cycles `0..n` of a run-local clock), then the
 /// queue drains at one packet per cycle from cycle `n` in whatever order
-/// the configured [`SchedSpec`] dictates. It is the same loop as a
-/// line-rate run with the link held until the source has ended.
+/// the configured [`SchedSpec`] dictates. Nothing departs until the source
+/// has ended, so that order is a stable sort of what the queue holds: the
+/// switch holds the first `capacity` arrivals and sorts them once, by
+/// `(key, arrival)` — the admission and drain the sharded twin
+/// ([`ShardedSchedRun`](crate::shard::ShardedSchedRun)) shares.
 ///
 /// This is the regime where a scheduler is observable at all: under
 /// [`Switch::run`]'s line-rate admission the queue never holds more than
 /// one packet, so every discipline degenerates to FIFO. The burst builds
 /// a standing queue of up to `capacity` packets (no pops happen while it
-/// arrives, so admission is by occupancy; arrivals beyond capacity drop
-/// under the policy's reason — [`DropReason::SchedFull`] for rank
-/// schedulers), and the drain exposes the discipline's order.
+/// arrives, so the first `capacity` arrivals are admitted; arrivals beyond
+/// capacity drop under the policy's reason — [`DropReason::SchedFull`]
+/// for rank schedulers), and the drain exposes the discipline's order.
 /// `drain_period` is ignored: the drain *is* the one-packet-per-cycle
 /// output link.
 ///
 /// Under a [`SchedSpec::Shaping`] policy a packet's rank is its
-/// earliest-departure cycle: the link idles until the head's rank, so
-/// departure times (not just order) are programmed.
+/// earliest-departure cycle: the link idles until the next packet's rank,
+/// so departure times (not just order) are programmed.
 ///
 /// Egress metadata is stamped per departure (`enq_ts` = arrival cycle,
 /// `now` = departure cycle, `qdepth` = packets still queued), so
@@ -1217,13 +1243,33 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
     /// [`SwitchError::Fault`] if the source fails mid-burst; everything
     /// admitted still drains and is reported, with closed books.
     pub fn collect(mut self) -> Result<Vec<SchedDeparture>, SwitchError> {
-        let (lo, hi) = self.source.size_hint();
-        let mut out = Vec::with_capacity(hi.unwrap_or(lo).min(self.switch.capacity));
-        let end = self
-            .switch
-            .run_packets(&mut self.source, Regime::Burst, |d| out.push(d));
-        self.switch
-            .close(end, || out.iter().map(|d| d.pkt.clone()).collect())?;
+        let sw = &mut *self.switch;
+        let drops_before = sw.drops.clone();
+        let (mut held, mut spent) = (std::mem::take(&mut sw.burst), Vec::new());
+        let mut stats = RunStats::default();
+        let error = loop {
+            match self.source.lend() {
+                Ok(Some(pkt)) => {
+                    let p = InFlight::admit(&pkt, &mut sw.edges, spent.pop());
+                    sw.hold((stats.offered as i64, Ok(p)), &mut held, &mut spent);
+                    stats.offered += 1;
+                }
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        let (egress, edges, shaping) = (&mut sw.egress, &mut sw.edges, sw.sched.is_shaping());
+        sw.now = stats.offered as i64;
+        let out = Switch::drain_burst(egress, sw.meta, edges, shaping, &mut held, &mut sw.now);
+        sw.burst = held;
+        stats.transmitted = out.len() as u64;
+        sw.transmitted += stats.transmitted;
+        let end = Ended {
+            stats,
+            drops: sw.drops.since(&drops_before),
+            error,
+        };
+        sw.close(end, || out.iter().map(|d| d.pkt.clone()).collect())?;
         Ok(out)
     }
 }
@@ -1290,7 +1336,7 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
                 pkt: InFlight::parse(frame, &parser, || pool.pop()),
             }))
         };
-        let end = (self.switch).cycle(Regime::LineRate, &mut Vec::new(), pull, |_, _, _, _, p| {
+        let end = (self.switch).cycle(&mut Vec::new(), pull, |_, p| {
             if let Some(frame) = p.deparse(&parser) {
                 sink(frame);
             }

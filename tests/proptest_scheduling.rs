@@ -1,12 +1,17 @@
 //! Property suite for the programmable scheduler (`banzai::pifo`).
 //!
-//! Three invariants, each over randomized geometry:
+//! Four invariants, each over randomized geometry:
 //!
 //! * a PIFO is a **stable priority queue**: its pop sequence equals a
 //!   stable sort of the admitted pushes by `(class, rank)` — arrival
 //!   order breaking ties — for any rank distribution, tie density, and
 //!   capacity, including under interleaved push/pop and under phased
 //!   bursts and drains against a naive model;
+//! * a scheduled **burst drains as a stable sort**: every departure's
+//!   arrival, key, departure cycle and `qdepth` stamp equal an oracle
+//!   computed here from the flows alone — the first `capacity` arrivals
+//!   sorted stably by key, departing one per cycle from the cycle the
+//!   burst ended (under a shaper, never before the key's rank);
 //! * the sharded scheduling run
 //!   ([`ShardedRun::scheduled`](banzai::ShardedRun::scheduled) then
 //!   [`ShardedSchedRun::collect`](banzai::ShardedSchedRun::collect)) is
@@ -145,10 +150,9 @@ proptest! {
 
     /// Phased bursts against the naive model: each phase pushes a burst
     /// from a small key domain, then pops up to as many, so the queue runs
-    /// deep and a `Pifo` sorts with both its sorted run and its heap of
-    /// late arrivals full — which a 50/50 interleaving never reaches. At
-    /// every step `peek_key` names the next pop, and `len` and each
-    /// refusal match the model.
+    /// deep — which a 50/50 interleaving never reaches. At every step
+    /// `peek_key` names the next pop, and `len` and each refusal match
+    /// the model.
     #[test]
     fn pifo_phased_bursts_match_the_naive_model(
         phases in proptest::collection::vec(
@@ -184,6 +188,54 @@ proptest! {
                 prop_assert_eq!(pifo.len(), model.len());
             }
         }
+    }
+
+    /// A serial scheduled burst against an oracle that knows only the
+    /// flows: COUNTER's `c` is each flow's running count from 1, the key
+    /// is `(cls, c)` under strict priority and `c` alone otherwise, the
+    /// first `capacity` arrivals depart in a stable sort by key, one per
+    /// cycle from cycle `n` (under a shaper at `max(previous + 1, rank)`),
+    /// each stamped with the number still held behind it.
+    #[test]
+    fn burst_departures_are_the_stable_sort_of_the_held_arrivals(
+        flows in proptest::collection::vec(0..64i32, 0..300),
+        spec_sel in 0..3usize,
+        cap in 0..=3usize,
+    ) {
+        let spec = spec_of(spec_sel);
+        let capacity = capacity_of(cap);
+        let mut sw = Switch::new_slot(&counter_pipeline(), &sojourn_pipeline(), capacity)
+            .unwrap()
+            .with_scheduler(spec.clone());
+        let out = sw.run(&to_trace(&flows)).scheduled().collect()
+            .expect("slice-backed sources cannot fail mid-stream");
+
+        let mut counts = [0i64; 64];
+        let keys: Vec<SchedKey> = flows
+            .iter()
+            .map(|&f| {
+                counts[f as usize] += 1;
+                let class = if spec_sel == 1 { i64::from(f % 3) } else { 0 };
+                SchedKey { class, rank: counts[f as usize] }
+            })
+            .collect();
+        let mut held: Vec<usize> = (0..flows.len().min(capacity)).collect();
+        held.sort_by_key(|&i| keys[i]); // sort_by_key is stable: arrival breaks ties
+        let mut now = flows.len() as i64;
+        let oracle: Vec<(i64, SchedKey, i64, i32)> = held
+            .iter()
+            .enumerate()
+            .map(|(k, &i)| {
+                let departure = if spec.is_shaping() { now.max(keys[i].rank) } else { now };
+                now = departure + 1;
+                (i as i64, keys[i], departure, (held.len() - k - 1) as i32)
+            })
+            .collect();
+        let got: Vec<(i64, SchedKey, i64, i32)> = out
+            .iter()
+            .map(|d| (d.arrival, d.key, d.departure, d.pkt.get_or_zero("qdepth")))
+            .collect();
+        prop_assert_eq!(got, oracle);
     }
 
     /// The sharded scheduling run reproduces the serial one bit-for-bit:
