@@ -81,9 +81,10 @@
 //!   verdict, dealt by index); the shard's switch runs its one loop on
 //!   them;
 //! * a scheduling run is the serial burst split at its seam: each lane
-//!   admits its slabs as the serial switch does (`Switch::hold`), and
-//!   the union of what they hold drains as the serial burst drains
-//!   (`Switch::drain_burst`: one sort, then a departure on each slab);
+//!   admits its slabs as the serial switch does (`Switch::hold`) and
+//!   holds them in arrival order, and the union of what they hold drains
+//!   as the serial burst drains (`Switch::drain_burst`: one sort — the
+//!   run's only ordering step — then a departure on each slab);
 //! * each packet is **emitted (or deparsed) once**: in the worker's sink
 //!   on a forwarding run — the slab's value row moved into the packet, a
 //!   frame's buffer out of the record — after the egress pass on a
@@ -133,8 +134,8 @@ use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::switch::{
-    DropCounters, DropReason, Held, InFlight, PipelineEngine, Pool, SchedDeparture, Stamped,
-    Switch, QUEUE_METADATA_FIELDS,
+    sort_burst, DropCounters, DropReason, Held, InFlight, PipelineEngine, Pool, SchedDeparture,
+    Stamped, Switch, QUEUE_METADATA_FIELDS,
 };
 use crate::wire::{BoundParser, ParseVerdict, WireConfig};
 use domino_ast::{StateKind, StateVar};
@@ -1215,9 +1216,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let mut shards = Vec::with_capacity(collected.len());
         let mut streamed = 0;
         for (s, (shard, out)) in collected.into_iter().enumerate() {
-            let output: Vec<Packet> = (out.into_iter())
-                .filter_map(|o| L::packet(o, &mut self.edges))
-                .collect();
+            let output = L::salvage(out, &mut self.edges);
             let kept = output.len() as u64;
             let (drops_before, sent_before) = &run.before[s];
             let mut drops = DropCounters::new();
@@ -1530,21 +1529,24 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     /// `SchedFull` drops bit-identical to serial even under overload. At
     /// collect time the union of the shards' streams drains as the serial
     /// burst does (`Switch::drain_burst`): sorted by `(key, global
-    /// arrival cycle)`, departed on the dedicated serial egress engine
+    /// arrival cycle)` — the run's one sort; a lane holds its slabs in
+    /// arrival order — departed on the dedicated serial egress engine
     /// with the serial departure cycles, and emitted — once, here.
     ///
     /// # Failure model
     ///
     /// Supervision is identical to [`ShardedRun::collect`] (same feeder,
     /// rings, watchdog, and collector). A faulted run returns
-    /// [`SwitchError::Fault`]; the failed shard's salvage is what its
-    /// lane held, **in rank order** (the lane lives outside the
-    /// per-batch `catch_unwind`, so a mid-batch panic cannot corrupt or
-    /// lose it), and [`Accounting`](crate::error::Accounting) closes the
-    /// books exactly. A source error lands like a worker fault: the
-    /// feeder stops, every lane drains in rank order into salvage, and
-    /// the report carries a [`SourceFault`](crate::error::SourceFault)
-    /// with closed books.
+    /// [`SwitchError::Fault`]; every shard's salvage is what its lane
+    /// held, sorted **in rank order** by the sort the burst drain runs
+    /// (the lane lives outside the per-batch `catch_unwind`, so a
+    /// mid-batch panic cannot corrupt or lose it), and
+    /// [`Accounting`](crate::error::Accounting) closes the books exactly.
+    /// A source error lands like a worker fault: the feeder stops, every
+    /// lane drains into salvage, sorted the same way, and the report
+    /// carries a [`SourceFault`](crate::error::SourceFault) with closed
+    /// books. The report's `merged` deals the survivors' salvage
+    /// round-robin, as a forwarding run's does: not one burst order.
     pub fn collect(mut self) -> Result<Vec<SchedDeparture>, SwitchError>
     where
         E: Send + 'static,
@@ -1557,7 +1559,6 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
         let mut held: Vec<_> = run.streams.into_iter().flatten().collect();
         let shaping = sw.config.sched.is_shaping();
         let (egress, edges) = (&mut sw.sched_egress, &mut sw.edges);
-        sw.now = run.pulled as i64;
         let out = Switch::drain_burst(egress, sw.meta, edges, shaping, &mut held, &mut sw.now);
         sw.extra_transmitted += out.len() as u64;
         Ok(out)
@@ -1672,14 +1673,16 @@ type Outcome<E, D> = (
 /// A shard's per-batch step — the one both executors call — and what it
 /// accumulates **outside** a worker's unwind scope: a panicking engine
 /// loses at most the batch in flight, never what the lane already holds —
-/// which is what makes salvage possible.
+/// which is what makes salvage possible. A fault's close-out turns each
+/// shard's stream into its salvage once, by the lane's own rule.
 trait Lane<E: PipelineEngine> {
     /// What the lane hands back per packet it holds.
     type Out;
 
-    /// The packet one output item contributes to a fault report (`None`
-    /// where it is no packet: a frame is reported by count alone).
-    fn packet(out: Self::Out, edges: &mut PacketEdges) -> Option<Packet>;
+    /// The packets one shard's stream contributes to a fault report, in
+    /// the order the report carries them (none where they are no packets:
+    /// frames are reported by count alone).
+    fn salvage(stream: Vec<Self::Out>, edges: &mut PacketEdges) -> Vec<Packet>;
 
     /// Runs one batch of stamped arrivals — inside the worker's
     /// `catch_unwind`, or inline on the caller's thread — and leaves it
@@ -1687,8 +1690,8 @@ trait Lane<E: PipelineEngine> {
     /// dispatcher to admit into.
     fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch, spent: &mut Pool);
 
-    /// Everything the lane holds, in its order: the complete stream of a
-    /// drained ring, or the salvage of a faulted one.
+    /// Everything the lane holds, in the order it came to hold it: the
+    /// complete stream of a drained ring, or what a faulted one had.
     fn drain(self) -> Vec<Self::Out>;
 }
 
@@ -1703,8 +1706,8 @@ struct Forward(Vec<Packet>, Vec<Packet>);
 impl<E: PipelineEngine> Lane<E> for Forward {
     type Out = Packet;
 
-    fn packet(out: Packet, _: &mut PacketEdges) -> Option<Packet> {
-        Some(out)
+    fn salvage(stream: Vec<Packet>, _: &mut PacketEdges) -> Vec<Packet> {
+        stream
     }
 
     fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch, spent: &mut Pool) {
@@ -1725,8 +1728,8 @@ struct Frames<'p>(&'p BoundParser, Vec<Vec<u8>>);
 impl<E: PipelineEngine> Lane<E> for Frames<'_> {
     type Out = Vec<u8>;
 
-    fn packet(_: Vec<u8>, _: &mut PacketEdges) -> Option<Packet> {
-        None
+    fn salvage(_: Vec<Vec<u8>>, _: &mut PacketEdges) -> Vec<Packet> {
+        Vec::new()
     }
 
     fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch, spent: &mut Pool) {
@@ -1743,19 +1746,22 @@ impl<E: PipelineEngine> Lane<E> for Frames<'_> {
 
 /// The scheduling lane ([`ShardedSchedRun::collect`]): the serial burst's
 /// admission ([`Switch::hold`]) on each steered slab. The lane holds what
-/// it admitted outside the unwind scope, and drains it sorted by
-/// `(key, arrival)` — the PIFO's pop order, whose tie-break is arrival —
-/// so a faulted shard's salvage comes out in rank order, finer than batch
-/// granularity.
+/// it admitted outside the unwind scope and drains it in arrival order,
+/// unsorted: a clean run's one sort is the burst drain's, over the union
+/// of the lanes. A fault's salvage sorts each lane's holdings with the
+/// same function ([`sort_burst`]), so it comes out in rank order, finer
+/// than batch granularity.
 struct Schedule(Vec<Held>);
 
 impl<E: PipelineEngine> Lane<E> for Schedule {
     /// `(key, global arrival cycle, ingress-processed slab)`.
     type Out = Held;
 
-    /// A faulted scheduling run never reaches egress.
-    fn packet((_, _, p): Self::Out, edges: &mut PacketEdges) -> Option<Packet> {
-        Some(p.emit(edges))
+    /// A faulted scheduling run never reaches egress: its salvage is what
+    /// the lane held, in the burst's order.
+    fn salvage(mut stream: Vec<Held>, edges: &mut PacketEdges) -> Vec<Packet> {
+        sort_burst(&mut stream);
+        stream.into_iter().map(|(_, _, p)| p.emit(edges)).collect()
     }
 
     fn step(&mut self, sw: &mut Switch<E>, batch: &mut Batch, spent: &mut Pool) {
@@ -1764,8 +1770,7 @@ impl<E: PipelineEngine> Lane<E> for Schedule {
         }
     }
 
-    fn drain(mut self) -> Vec<Self::Out> {
-        self.0.sort_by_key(|&(key, t, _)| (key, t));
+    fn drain(self) -> Vec<Held> {
         self.0
     }
 }
@@ -2384,7 +2389,11 @@ mod tests {
         assert_eq!(inline, threaded);
         assert_eq!(inline.iter().map(Vec::len).sum::<usize>(), 200);
         for stream in &inline {
-            assert!(stream.is_sorted(), "a lane drains in pop order");
+            let mut arrivals = stream.windows(2);
+            assert!(
+                arrivals.all(|w| w[0].1 < w[1].1),
+                "a lane drains in strictly increasing arrival cycle"
+            );
         }
         assert_eq!(b.drop_counters(), a.drop_counters());
         assert_eq!(b.drop_counters().sched_full(), 100);

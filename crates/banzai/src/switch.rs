@@ -5,7 +5,8 @@
 //! Table 4 assigns each algorithm to one of the two pipelines (flowlet
 //! routing decisions happen at ingress; RCP/HULL/CoDel queue measurements
 //! at egress, where sojourn times are known). Both pipelines are ordinary
-//! Banzai machines; the queue between them is modeled as a bounded FIFO
+//! Banzai machines; the queue between them is modeled as a bounded queue
+//! (a FIFO, or whatever discipline the switch's [`SchedSpec`] selects)
 //! whose occupancy and sojourn timestamps are exposed to egress programs
 //! as packet metadata — exactly the metadata real switch schedulers
 //! provide.
@@ -458,6 +459,15 @@ pub(crate) type Stamped = (i64, Result<InFlight, ParseVerdict>);
 /// ingress-processed record ([`Switch::hold`], [`Switch::drain_burst`]).
 pub(crate) type Held = (SchedKey, i64, InFlight);
 
+/// **The burst order** — a PIFO's pop order over what a burst holds:
+/// `(key, arrival)`, whose tie-break is arrival. The one sort of held
+/// slabs, run by the burst drain ([`Switch::drain_burst`]) and by a
+/// faulted sharded scheduling lane's salvage. Arrival cycles are
+/// distinct, so an unstable sort is stable.
+pub(crate) fn sort_burst(held: &mut [Held]) {
+    held.sort_unstable_by_key(|&(key, arrival, _)| (key, arrival));
+}
+
 /// What one arrival slot yields: a record on the switch's table, or the
 /// verdict that rejected its frame — the slot is consumed either way.
 struct Arrival {
@@ -474,7 +484,9 @@ struct Ended {
     error: Option<SourceError>,
 }
 
-/// A switch: ingress pipeline, a bounded FIFO queue, egress pipeline.
+/// A switch: ingress pipeline, a bounded queue under the discipline its
+/// [`SchedSpec`] selects (drop-tail FIFO unless
+/// [`Switch::with_scheduler`] sets another), egress pipeline.
 ///
 /// # Panic freedom
 ///
@@ -848,8 +860,8 @@ impl<E: PipelineEngine> Switch<E> {
     }
 
     /// **The burst drain** of a scheduling run, serial or sharded: sorts
-    /// `held` by `(key, arrival)` — a PIFO's pop order, whose tie-break is
-    /// arrival — and departs one record per cycle from `now`, the cycle the
+    /// `held` in the burst order ([`sort_burst`]) — the run's one ordering
+    /// step — and departs one record per cycle from `now`, the cycle the
     /// burst ended, leaving `now` at the cycle after the last departure;
     /// under a shaper no record departs before its rank. Each departure is
     /// stamped, run through `egress` (the switch's own, or a sharded
@@ -863,8 +875,7 @@ impl<E: PipelineEngine> Switch<E> {
         held: &mut Vec<Held>,
         now: &mut i64,
     ) -> Vec<SchedDeparture> {
-        // Arrival cycles are distinct, so an unstable sort is stable.
-        held.sort_unstable_by_key(|&(key, arrival, _)| (key, arrival));
+        sort_burst(held);
         let total = held.len();
         let mut out = Vec::with_capacity(total);
         for (key, arrival, mut p) in held.drain(..) {

@@ -103,37 +103,6 @@ pub fn compile(source: &str, target: &Target) -> Result<AtomPipeline, Diagnostic
     domino_compiler::compile(source, target)
 }
 
-/// Compiles and immediately instantiates a machine with fresh state.
-pub fn machine(source: &str, target: &Target) -> Result<banzai::Machine, Diagnostic> {
-    Ok(banzai::Machine::new(compile(source, target)?))
-}
-
-/// Compiles onto the slot-compiled fast path: fields interned, state
-/// resolved to a flat register file, no per-packet string hashing.
-/// Bit-identical to [`machine`] — `compile` validates the layout, so the
-/// lowering cannot fail on a compiled pipeline.
-///
-/// ```
-/// use domino::prelude::*;
-///
-/// let src = "struct P { int a; int r; };\nint sum = 0;\n\
-///            void acc(struct P pkt) { sum = sum + pkt.a; pkt.r = sum; }";
-/// let target = Target::banzai(AtomKind::Raw);
-/// let mut fast = domino::slot_machine(src, &target).unwrap();
-/// let mut reference = domino::machine(src, &target).unwrap();
-/// let pkt = Packet::new().with("a", 5).with("r", 0);
-/// assert_eq!(fast.process(pkt.clone()), reference.process(pkt));
-/// ```
-pub fn slot_machine(source: &str, target: &Target) -> Result<banzai::SlotMachine, Diagnostic> {
-    let pipeline = compile(source, target)?;
-    banzai::SlotMachine::compile(&pipeline).map_err(|e| {
-        Diagnostic::global(
-            domino_ast::Stage::CodeGen,
-            format!("internal error: compiled pipeline has no slot layout: {e}"),
-        )
-    })
-}
-
 /// Compiles an ingress and an egress program and assembles a multi-core
 /// [`ShardedSwitch`](banzai::ShardedSwitch): N worker shards, each a
 /// slot-compiled switch, fed by RSS-style flow steering derived from the
@@ -191,60 +160,6 @@ pub fn sharded_switch(
     })
 }
 
-/// Compiles ingress/egress programs and assembles a slot-compiled
-/// [`Switch`](banzai::Switch) whose queue runs a **programmed scheduler**
-/// ([`banzai::pifo`]): the ingress program computes the rank field, the
-/// configured [`SchedSpec`](banzai::SchedSpec) turns it into departure
-/// order. Drive it with the unified run builder:
-/// `sw.run(trace).scheduled().collect()`.
-///
-/// ```
-/// use domino::prelude::*;
-///
-/// // The rank is computed by a packet transaction: two priority bands
-/// // by the `urgent` field, FIFO within each (rank = arrival index).
-/// let ingress = "struct P { int urgent; int at; int rank; };\n\
-///                void classify(struct P pkt) {\n\
-///                  pkt.rank = ((1 - pkt.urgent) << 14) + pkt.at;\n\
-///                }";
-/// let egress = "struct P { int rank; };\nvoid pass(struct P pkt) {}";
-/// let mut sw = domino::scheduled_switch(
-///     ingress,
-///     egress,
-///     &Target::banzai(AtomKind::Raw),
-///     64,
-///     SchedSpec::Pifo { rank: "rank".into() },
-/// )
-/// .unwrap();
-///
-/// // A burst where every urgent packet arrives *last*...
-/// let trace: Vec<Packet> = (0..8)
-///     .map(|i| Packet::new().with("urgent", (i >= 4) as i32).with("at", i))
-///     .collect();
-/// let deps = sw.run(&trace).scheduled().collect().unwrap();
-/// // ...yet departs first, in arrival order within its band.
-/// let order: Vec<i32> = deps.iter().map(|d| d.pkt.expect("at")).collect();
-/// assert_eq!(order, [4, 5, 6, 7, 0, 1, 2, 3]);
-/// ```
-pub fn scheduled_switch(
-    ingress: &str,
-    egress: &str,
-    target: &Target,
-    capacity: usize,
-    sched: banzai::SchedSpec,
-) -> Result<banzai::Switch<banzai::SlotMachine>, Diagnostic> {
-    let ingress = compile(ingress, target)?;
-    let egress = compile(egress, target)?;
-    banzai::Switch::new_slot(&ingress, &egress, capacity)
-        .map(|sw| sw.with_scheduler(sched))
-        .map_err(|e| {
-            Diagnostic::global(
-                domino_ast::Stage::CodeGen,
-                format!("internal error: switch construction failed: {e}"),
-            )
-        })
-}
-
 /// Compiles a program and emits the equivalent P4 (the code a programmer
 /// would otherwise write by hand, §5.1).
 pub fn compile_to_p4(source: &str, target: &Target) -> Result<String, Diagnostic> {
@@ -264,7 +179,7 @@ mod tests {
 
     #[test]
     fn facade_compile_and_run() {
-        let mut m = machine(SRC, &Target::banzai(AtomKind::Raw)).unwrap();
+        let mut m = banzai::Machine::new(compile(SRC, &Target::banzai(AtomKind::Raw)).unwrap());
         let out = m.process(Packet::new().with("a", 5).with("total", 0));
         assert_eq!(out.get("total"), Some(5));
         let out = m.process(Packet::new().with("a", 7).with("total", 0));

@@ -9,12 +9,13 @@
 //! scheduled `collect()`, `run_frames(&frames)` under both terminals, the
 //! sharded switch stepped inline (`for_each`) and on two worker threads
 //! (`collect()`) — and the lossless run once more through a PIFO at line
-//! rate, which the ledger does not time. It also reads the bytes live
+//! rate and the burst once more on two sharded worker threads, which the
+//! ledger does not time. It also reads the bytes live
 //! before and after every run: both switches recycle their in-flight
 //! records in a pool that must die with the run. The counts are exact and
 //! repeat from run to run, which a timing on a shared host never does —
-//! all but the threaded one, whose count depends on how far the
-//! dispatcher runs ahead of the workers, and is bounded instead.
+//! all but the threaded ones, whose counts depend on how far the
+//! dispatcher runs ahead of the workers, and are bounded instead.
 //!
 //! One `#[test]`, one process-wide counter: nothing else may run beside it,
 //! so nothing else lives in this binary.
@@ -300,6 +301,32 @@ fn steady_state_allocations_per_offered_packet() {
             let out = sw.run(&long).collect().unwrap();
             assert_eq!(out.len() as u64, n);
             folded += out[0].get_or_zero("next_hop") as i64;
+        },
+    );
+    // The `sched_wfq` burst on two worker threads (a pass-through egress,
+    // so the plan keeps both shards): each lane holds its slabs in arrival
+    // order, and the union is sorted once, in the drain, in place. Bounded
+    // like the threaded run above: 2.01–2.02 allocations and 613–665 B.
+    // With each lane stable-sorting what it held before the drain sorted
+    // the union again — a scratch buffer of one held record per slab — it
+    // read 2.01–2.02 and 678–753 B.
+    let cfg = ShardConfig::new(2)
+        .with_capacity(N as usize)
+        .with_scheduler(SchedSpec::Pifo {
+            rank: "start".into(),
+        });
+    let mut sw = ShardedSwitch::new_slot(&compile("stfq"), &passthrough, cfg).unwrap();
+    assert_eq!(sw.plan().effective(), 2);
+    budget(
+        "sharded run(&burst).scheduled().collect(), 2 threads",
+        N,
+        false,
+        210,
+        720,
+        || {
+            let departures = sw.run(&burst).scheduled().collect().unwrap();
+            assert_eq!(departures.len() as u64, N);
+            folded += departures[0].departure;
         },
     );
     assert_ne!(folded, 0);

@@ -503,6 +503,116 @@ fn killed_shard_mid_sched_trace_salvages_pifo_in_rank_order() {
     }
 }
 
+/// A source that fails part-way through a sharded PIFO burst salvages
+/// like a killed worker: no shard is blamed, and every shard's salvage —
+/// what its lane held when the feeder stopped — comes out in the burst's
+/// `(key, arrival)` order, the order the drain's sort gives a clean run.
+/// Flows are hashed, so the ranks (each flow's running count) are not in
+/// arrival order on any shard and a salvage left unsorted shows; a
+/// worker killed on the same burst is held to the same order.
+#[test]
+fn a_faulted_sched_burst_salvages_every_shard_in_rank_order() {
+    use banzai::{FailAfter, SliceSource};
+    const SHARDS: usize = 4;
+    const DIES_AT: u64 = 300;
+    const LOCAL_K: usize = 17;
+    let (ingress, egress) = counter_pipelines();
+    let spec = banzai::SchedSpec::Pifo { rank: "c".into() };
+    let flow = |i: u64| ((i.wrapping_mul(0x9E37_79B9) >> 8) % 48) as i32;
+    let trace: Vec<Packet> = (0..480)
+        .map(|i| Packet::new().with("flow", flow(i)).with("c", 0))
+        .collect();
+
+    // Each shard's arrivals as `(arrival, flow, c)`, `c` the flow's
+    // running count — what its lane holds, in the order it holds it.
+    let probe = ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(SHARDS)).unwrap();
+    let mut arrivals: Vec<Vec<(u64, i32, i32)>> = vec![Vec::new(); SHARDS];
+    let mut counts = [0; 48];
+    for (i, p) in trace.iter().enumerate() {
+        let f = p.expect("flow");
+        counts[f as usize] += 1;
+        arrivals[probe.plan().steer(i, p)].push((i as u64, f, counts[f as usize]));
+    }
+    // Every shard's first `LOCAL_K` arrivals (all before `DIES_AT`) are
+    // already out of rank order, so both faults below hold unsorted lanes.
+    for (s, held) in arrivals.iter().enumerate() {
+        assert!(held[LOCAL_K - 1].0 < DIES_AT, "shard {s}: starved");
+        assert!(
+            held[..LOCAL_K].windows(2).any(|w| w[0].2 > w[1].2),
+            "shard {s}: ranks already in arrival order"
+        );
+    }
+    // A shard's salvage: what it held, as the serial burst orders it.
+    let burst_order = |mut held: Vec<(u64, i32, i32)>| {
+        held.sort_by_key(|&(i, _, c)| (c, i));
+        held.iter().map(|&(_, f, c)| (f, c)).collect::<Vec<_>>()
+    };
+    let check = |report: &banzai::FaultReport, want: &[Vec<(i32, i32)>], ctx: &str| {
+        assert_eq!(report.salvage.len(), SHARDS, "{ctx}");
+        for salvage in &report.salvage {
+            let s = salvage.shard;
+            let keys: Vec<_> = salvage.output.iter().map(|p| spec.key_of(p)).collect();
+            assert!(
+                keys.windows(2).all(|w| w[0] <= w[1]),
+                "{ctx}: shard {s} salvage not in rank order: {keys:?}"
+            );
+            let got: Vec<(i32, i32)> = (salvage.output.iter())
+                .map(|p| (p.expect("flow"), p.expect("c")))
+                .collect();
+            assert_eq!(
+                got, want[s],
+                "{ctx}: shard {s}'s salvage is its burst order"
+            );
+        }
+        assert_eq!(report.accounting.dropped, 0, "{ctx}");
+        assert!(
+            report.accounting.conserved(),
+            "{ctx}: {}",
+            report.accounting
+        );
+    };
+    let cfg = ShardConfig::new(SHARDS)
+        .with_batch(8)
+        .with_scheduler(spec.clone());
+
+    // The source fails: every shard holds its arrivals before the failure
+    // (capacity 512 > 300, so nothing is dropped), none is lost.
+    let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
+    let source = FailAfter::new(SliceSource::new(&trace), DIES_AT, "link reset");
+    let report = expect_fault(sw.run(source).scheduled().collect(), "source error");
+    let want: Vec<_> = (arrivals.iter())
+        .map(|held| burst_order(held.iter().copied().filter(|a| a.0 < DIES_AT).collect()))
+        .collect();
+    check(&report, &want, "source error");
+    assert_eq!(report.source.as_ref().expect("a SourceFault").at, DIES_AT);
+    assert!(
+        report.failures.is_empty(),
+        "no worker failed — the source did"
+    );
+    assert!(report.salvage.iter().all(|s| !s.failed && s.lost() == 0));
+    assert_eq!(report.accounting.offered, DIES_AT);
+    assert_eq!(report.accounting.lost_in_fault, 0);
+    // No engine died: the same switch schedules the next burst cleanly.
+    let deps = sw.run(&trace).scheduled().collect().unwrap();
+    assert_eq!(deps.len(), trace.len());
+
+    // Worker 1 dies at its local packet `LOCAL_K`: it holds the ones
+    // before, every other shard all of its own.
+    let mut sw = armed(
+        &ingress,
+        &egress,
+        cfg,
+        &FaultPlan::kill(SHARDS, 1, LOCAL_K as u64),
+    );
+    let report = expect_fault(sw.run(&trace).scheduled().collect(), "worker kill");
+    let want: Vec<_> = (arrivals.iter().enumerate())
+        .map(|(s, held)| burst_order(held[..if s == 1 { LOCAL_K } else { held.len() }].to_vec()))
+        .collect();
+    check(&report, &want, "worker kill");
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(report.failures[0].shard, 1);
+}
+
 /// Replica-tier fault coverage: killing a shard of a replicated sketch
 /// (heavy_hitters' count-min) loses only that shard's replica. Merging
 /// the survivors' `ShardSalvage` snapshots through the replica spec
