@@ -118,15 +118,14 @@ pub fn map_to_kind(codelet: &Codelet, kind: AtomKind) -> Result<Synthesis, Synth
     let synth = synthesize(codelet)?;
     if synth.minimal_kind > kind {
         let spec = sym::collapse(codelet).map_err(|e| SynthError::new(e.message))?;
+        // `enumerate` returns only configurations it has verified.
         if let Some(config) = search::enumerate(&spec, kind) {
-            if verify::verify(&spec, &config).is_ok() {
-                if let Some(minimal_kind) = config.minimal_kind() {
-                    if minimal_kind <= kind {
-                        return Ok(Synthesis {
-                            config,
-                            minimal_kind,
-                        });
-                    }
+            if let Some(minimal_kind) = config.minimal_kind() {
+                if minimal_kind <= kind {
+                    return Ok(Synthesis {
+                        config,
+                        minimal_kind,
+                    });
                 }
             }
         }

@@ -34,16 +34,15 @@ const MAX_CANDIDATES: usize = 2_000_000;
 ///
 /// Only single-variable, depth ≤ 1 templates (Write .. Sub) are searched —
 /// the spaces for Nested/Pairs are combinatorial and served by the
-/// normalizer. Returns `None` if no configuration in the space matches.
+/// normalizer. Returns `None` if no configuration in the space matches;
+/// a configuration it returns has passed [`verify::verify`].
 pub fn enumerate(spec: &CodeletSpec, kind: AtomKind) -> Option<StatefulConfig> {
     if spec.num_vars() != 1 {
         return None;
     }
+    // Nested/Pairs search the IfElseRAW-shaped space, which is contained
+    // in them (hierarchy).
     let caps = kind.caps();
-    if caps.max_tree_depth > 1 {
-        // Nested/Pairs: fall back to the IfElseRAW-shaped space, which is
-        // contained in them (hierarchy).
-    }
 
     let universe = operand_universe(spec);
     let guards = guard_candidates(spec, &universe);

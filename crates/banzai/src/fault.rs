@@ -97,7 +97,9 @@ impl FaultSpec {
 }
 
 /// A per-shard fault schedule, the unit the chaos harness hands to
-/// [`ShardedSwitch::new_with`](crate::shard::ShardedSwitch::new_with).
+/// [`ShardedSwitch::new_with`](crate::shard::ShardedSwitch::new_with),
+/// whose factory arms each shard's ingress engine (egress engines are
+/// built plain).
 ///
 /// Plans are plain data: build one manually ([`FaultPlan::kill`],
 /// [`FaultPlan::push`]) or derive one from a seed
@@ -173,8 +175,10 @@ pub struct FaultyEngine<E: PipelineEngine> {
 impl<E: PipelineEngine> FaultyEngine<E> {
     /// Builds the inner engine for `pipeline` on `table` and attaches a
     /// fault schedule to it — the `make` a fault-injecting factory hands
-    /// [`Switch::build_with`](crate::Switch::build_with) or
-    /// [`ShardedSwitch::new_with`](crate::shard::ShardedSwitch::new_with).
+    /// [`Switch::build_with`](crate::Switch::build_with) (either engine) or
+    /// [`ShardedSwitch::new_with`](crate::shard::ShardedSwitch::new_with)
+    /// (each shard's ingress engine: a sharded switch builds egress plain,
+    /// since a scheduled burst runs it on the caller's thread).
     /// Every field a [`FaultKind::BitFlip`] names is interned into the
     /// table here and flipped by that slot (tables are append-only, so
     /// the id is final), even when the pipeline never mentions the field.

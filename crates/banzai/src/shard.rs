@@ -61,10 +61,9 @@
 //! that every pipeline of a multi-pipeline target works on; so does this
 //! switch. A `ShardedSwitch` owns **one** [`FieldTable`], open only
 //! while [`ShardedSwitch::new_with`] builds it: every shard's two
-//! engines, the scheduling path's egress engine and the steering rule
-//! are lowered onto it, and the queue metadata, the [`SchedSpec`]'s
-//! rank/class fields and any fault-injected fields are interned, before
-//! it is closed behind an
+//! engines and the steering rule are lowered onto it, and the queue
+//! metadata, the [`SchedSpec`]'s rank/class fields and any
+//! fault-injected fields are interned, before it is closed behind an
 //! `Arc` that every shard — and every shard rebuilt after a fault —
 //! binds to. So one format crosses every boundary:
 //!
@@ -84,7 +83,9 @@
 //!   admits its slabs as the serial switch does (`Switch::hold`) and
 //!   holds them in arrival order, and the union of what they hold drains
 //!   as the serial burst drains (`Switch::drain_burst`: one sort — the
-//!   run's only ordering step — then a departure on each slab);
+//!   run's only ordering step — then a departure on each slab, through
+//!   the egress engine of the shard that owns it: so egress state lives
+//!   in the shards alone, whichever run moved it);
 //! * each packet is **emitted (or deparsed) once**: in the worker's sink
 //!   on a forwarding run — the slab's value row moved into the packet, a
 //!   frame's buffer out of the record — after the egress pass on a
@@ -141,7 +142,7 @@ use crate::wire::{BoundParser, ParseVerdict, WireConfig};
 use domino_ast::{StateKind, StateVar};
 use domino_ir::layout::StateLayout;
 use domino_ir::partition::{FlowKeySpec, Partitionability, ReplicaSpec};
-use domino_ir::{FieldId, FieldTable, Packet, PacketEdges, StateStore, TacStmt};
+use domino_ir::{FieldId, FieldTable, FlatPacket, Packet, PacketEdges, StateStore, TacStmt};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -315,14 +316,15 @@ struct SlotSteer(Option<KeySlice>);
 
 impl SlotSteer {
     /// The shard of `n` the `idx`-th arrival steers to: exactly
-    /// `plan.steer(idx, &pkt)` for the map packet `p` was admitted from
-    /// (or, byte-born, for [`wire::parse`](crate::wire::parse)'s packet).
-    /// A rejected frame (`None`) carries no key, so it is dealt by index.
-    fn shard_of(&mut self, idx: usize, p: Option<&InFlight>, n: usize) -> usize {
+    /// `plan.steer(idx, &pkt)` for the map packet the slab `p` was
+    /// admitted from (or, byte-born, for
+    /// [`wire::parse`](crate::wire::parse)'s packet). A rejected frame
+    /// (`None`) carries no key, so it is dealt by index. The pipelines
+    /// never rewrite a key root ([`ShardPlan::validate`]), so a departing
+    /// slab steers where its arrival did.
+    fn shard_of(&mut self, idx: usize, p: Option<&FlatPacket>, n: usize) -> usize {
         match (&mut self.0, p) {
-            (Some(slice), Some(p)) if n > 1 => {
-                FlowKeySpec::shard_of_class(slice.key_of(&p.flat), n)
-            }
+            (Some(slice), Some(p)) if n > 1 => FlowKeySpec::shard_of_class(slice.key_of(p), n),
             _ => idx % n,
         }
     }
@@ -661,14 +663,13 @@ pub struct ShardedSwitch<E: PipelineEngine = SlotMachine> {
     plan: ShardPlan,
     shards: Vec<Switch<E>>,
     /// **The one field table** (see the module docs): every shard's two
-    /// engines, `sched_egress` and `steer` are lowered onto it, and every
-    /// name the queue or the scheduler stamps or reads is on it, before
+    /// engines and `steer` are lowered onto it, and every name the queue
+    /// or the scheduler stamps or reads is on it, before
     /// [`ShardedSwitch::new_with`] closes it — so a slab the dispatcher
-    /// admits is the slab every shard, and the scheduling path's egress
-    /// pass, runs on. It is held as its map edges, the ones the
-    /// dispatcher thread uses (admission, salvage, the scheduling egress
-    /// pass; each shard emits through its own); `meta` are its
-    /// [`QUEUE_METADATA_FIELDS`] slots.
+    /// admits is the slab every shard runs on. It is held as its map
+    /// edges, the ones the dispatcher thread uses (admission, salvage, a
+    /// scheduled burst's emission; each shard emits through its own);
+    /// `meta` are its [`QUEUE_METADATA_FIELDS`] slots.
     edges: PacketEdges,
     meta: [FieldId; 3],
     /// The plan's steering rule over the table's slots.
@@ -683,17 +684,11 @@ pub struct ShardedSwitch<E: PipelineEngine = SlotMachine> {
     /// floored at 1); `sched` is the policy every shard runs and the
     /// scheduling merge obeys.
     config: ShardConfig,
-    /// The dedicated serial egress engine of the scheduling path: after a
-    /// PIFO the output link is a single serialized stream, so the
-    /// post-merge egress pass runs here ([`Switch::drain_burst`] on the
-    /// merged slabs) — its state evolves over exactly the serial departure
-    /// sequence, bit-identical to a serial switch's egress engine.
-    sched_egress: E,
     /// Counters salvaged from shards that have since been rebuilt, plus
-    /// feeder-side backpressure sheds and post-merge scheduling
-    /// departures — folded into [`Self::transmitted`] /
-    /// [`Self::drop_counters`] so the totals stay conservation-exact
-    /// across faults.
+    /// feeder-side backpressure sheds and scheduled bursts' departures
+    /// (which leave by the drain, not a shard's loop) — folded into
+    /// [`Self::transmitted`] / [`Self::drop_counters`] so the totals stay
+    /// conservation-exact across faults.
     extra_transmitted: u64,
     extra_drops: DropCounters,
     /// Where the line-rate clock resumes: the cycle after the last
@@ -734,13 +729,14 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// individual shards with [`crate::fault::FaultyEngine`] schedules.
     ///
     /// `make` has [`Switch::build_with`]'s shape plus the shard index: it
-    /// is called with `(shard, pipeline, table)` for each shard's ingress
-    /// engine and then its egress engine, all against the switch's one
-    /// field table ([`PipelineEngine::build`] is the plain `make`). The
-    /// scheduling path's egress engine and shards **rebuilt after a
-    /// fault** do *not* go through it; they use the plain build hook, so
-    /// a replacement engine never inherits its predecessor's fault
-    /// schedule.
+    /// is called once per shard, with `(shard, ingress, table)`, for the
+    /// shard's ingress engine, against the switch's one field table
+    /// ([`PipelineEngine::build`] is the plain `make`). Egress engines,
+    /// and shards **rebuilt after a fault**, do *not* go through it; they
+    /// use the plain build hook, so a replacement engine never inherits
+    /// its predecessor's fault schedule, and a scheduled burst's drain,
+    /// which runs egress on the caller's thread outside any worker's
+    /// supervision, never meets an injected fault.
     pub fn new_with<F>(
         ingress: &AtomPipeline,
         egress: &AtomPipeline,
@@ -760,14 +756,12 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let mut engines = Vec::with_capacity(plan.effective());
         for s in 0..plan.effective() {
             let ingress = make(s, ingress, &mut table)?;
-            engines.push((ingress, make(s, egress, &mut table)?));
+            engines.push((ingress, E::build(egress, &mut table)?));
         }
-        let mut sched_egress = E::build(egress, &mut table)?;
         let meta = QUEUE_METADATA_FIELDS.map(|f| table.intern(f));
         config.sched.resolve(|f| table.intern(f));
         let steer = plan.lower(&mut table)?;
         let table = Arc::new(table);
-        sched_egress.bind(&table);
         // The configured scheduling policy is applied uniformly on top of
         // whatever `make` built (so injected-fault factories compose with
         // programmed schedulers); its fields already have their slots.
@@ -783,7 +777,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             edges: PacketEdges::new(&table),
             meta,
             steer,
-            sched_egress,
             ingress_pipeline: ingress.clone(),
             egress_pipeline: egress.clone(),
             config,
@@ -1008,7 +1001,8 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                 end => break end.err(),
             };
             let i = run.pulled as usize;
-            let s = self.steer.shard_of(i, arrival.as_ref().ok(), n);
+            let slab = arrival.as_ref().ok().map(|p| &p.flat);
+            let s = self.steer.shard_of(i, slab, n);
             run.pulled += 1;
             run.offered[s] += 1;
             pending[s].push((from + i as i64, arrival));
@@ -1270,13 +1264,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         &self.config.sched
     }
 
-    /// Snapshot of the dedicated scheduling-path egress engine's state.
-    /// Bit-identical to a serial switch's egress state over the same
-    /// departures, because the post-merge egress pass *is* serial.
-    pub fn export_sched_egress_state(&self) -> StateStore {
-        self.sched_egress.export_state()
-    }
-
     /// The bound tier of the wire front-end on this switch's table — the
     /// one parser of a byte-frame run ([`ShardedFrameRun::partitioned`]).
     fn parser(&self, cfg: &WireConfig) -> BoundParser {
@@ -1352,19 +1339,28 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         }
     }
 
-    /// Broadcasts serial state snapshots to every shard — the import half
-    /// of the per-partition state hooks. Each shard only ever touches its
-    /// own key classes, so handing every shard the full snapshot
-    /// reproduces exactly the partition a merged export would select.
-    /// The scheduling path's serial egress engine takes the egress
-    /// snapshot too, so a warm-started `.scheduled()` run continues the
-    /// serial switch's.
+    /// Loads serial state snapshots into the shards — the import half of
+    /// the per-partition state hooks, the inverse of the merged exports.
+    /// A keyed shard only ever touches its own key classes, so every
+    /// shard takes the full snapshot, which reproduces exactly the
+    /// partition a merged export would select (as it does, trivially, on
+    /// a stateless side or a single shard). A replicated side's merge adds
+    /// up each replica's change from the declared initial state, so the
+    /// snapshot goes to shard 0 alone and every other replica restarts
+    /// from that initial state: the merge then reads the snapshot back,
+    /// and a warm-started run continues the serial switch's state.
     pub fn import_state(&mut self, ingress: &StateStore, egress: &StateStore) {
-        for sw in &mut self.shards {
-            sw.import_ingress_state(ingress);
-            sw.import_egress_state(egress);
+        let rest =
+            |side: &Partitionability, pipeline: &AtomPipeline, snapshot: &StateStore| match side {
+                Partitionability::Replicable(_) => StateStore::from_decls(&pipeline.state_decls),
+                _ => snapshot.clone(),
+            };
+        let rest_in = rest(&self.plan.ingress, &self.ingress_pipeline, ingress);
+        let rest_eg = rest(&self.plan.egress, &self.egress_pipeline, egress);
+        for (s, sw) in self.shards.iter_mut().enumerate() {
+            sw.import_ingress_state(if s == 0 { ingress } else { &rest_in });
+            sw.import_egress_state(if s == 0 { egress } else { &rest_eg });
         }
-        self.sched_egress.import_state(egress);
     }
 }
 
@@ -1530,8 +1526,12 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     /// collect time the union of the shards' streams drains as the serial
     /// burst does (`Switch::drain_burst`): sorted by `(key, global
     /// arrival cycle)` — the run's one sort; a lane holds its slabs in
-    /// arrival order — departed on the dedicated serial egress engine
-    /// with the serial departure cycles, and emitted — once, here.
+    /// arrival order — departed with the serial departure cycles, and
+    /// emitted — once, here. Each departure runs on the egress engine of
+    /// the shard that owns it: under a keyed egress the shard its flow
+    /// key steers to (the shard that held it), under any other egress
+    /// shard 0 — so egress state has one home whatever kind of run moved
+    /// it, and the merged export reads it.
     ///
     /// # Failure model
     ///
@@ -1546,7 +1546,9 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     /// lane drains into salvage, sorted the same way, and the report
     /// carries a [`SourceFault`](crate::error::SourceFault) with closed
     /// books. The report's `merged` deals the survivors' salvage
-    /// round-robin, as a forwarding run's does: not one burst order.
+    /// round-robin, as a forwarding run's does: not one burst order. A
+    /// failed shard is rebuilt from the initialisers, egress state
+    /// included, as after a forwarding fault.
     pub fn collect(mut self) -> Result<Vec<SchedDeparture>, SwitchError>
     where
         E: Send + 'static,
@@ -1555,11 +1557,26 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
         // A burst's clock is run-local, as on the serial switch.
         let run = sw.threaded(0, admitting(&mut self.source), || Schedule(Vec::new()))?;
         // The serial burst's drain over the union of what the shards
-        // held, on the dedicated egress engine (see the field docs).
-        let mut held: Vec<_> = run.streams.into_iter().flatten().collect();
-        let shaping = sw.config.sched.is_shaping();
-        let (egress, edges) = (&mut sw.sched_egress, &mut sw.edges);
-        let out = Switch::drain_burst(egress, sw.meta, edges, shaping, &mut held, &mut sw.now);
+        // held, appended onto the first lane's buffer. A keyed egress
+        // departs each slab on the shard its key steers to — the one that
+        // held it; any other egress departs on shard 0, so a replicated
+        // egress sees the serial departure sequence whole.
+        let mut streams = run.streams.into_iter();
+        let mut held = streams.next().unwrap_or_default();
+        held.reserve_exact(streams.as_slice().iter().map(Vec::len).sum());
+        streams.for_each(|mut lane| held.append(&mut lane));
+        let n = sw.shards.len();
+        let mut steer =
+            matches!(sw.plan.egress, Partitionability::Keyed(_)).then_some(&mut sw.steer);
+        let shards = &mut sw.shards;
+        let egress = |i: i64, p: &mut FlatPacket| {
+            let s = steer
+                .as_mut()
+                .map_or(0, |steer| steer.shard_of(i as usize, Some(p), n));
+            shards[s].egress.process(p)
+        };
+        let (edges, shaping) = (&mut sw.edges, sw.config.sched.is_shaping());
+        let out = Switch::<E>::drain_burst(sw.meta, edges, shaping, &mut held, &mut sw.now, egress);
         sw.extra_transmitted += out.len() as u64;
         Ok(out)
     }
@@ -2308,7 +2325,6 @@ mod tests {
         for shard in &sw.shards {
             assert!(Arc::ptr_eq(shard.edges.table(), sw.edges.table()));
         }
-        assert!(Arc::ptr_eq(sw.sched_egress.field_table(), sw.edges.table()));
         assert!(Arc::ptr_eq(
             sw.parser(&WireConfig::new()).table(),
             sw.edges.table()

@@ -501,7 +501,9 @@ struct Ended {
 #[derive(Debug, Clone)]
 pub struct Switch<E: PipelineEngine = Machine> {
     ingress: E,
-    egress: E,
+    /// The egress engine: a sharded burst's drain also runs it on the
+    /// departures its shard owns (`crate::shard`).
+    pub(crate) egress: E,
     /// The one layout both engines run on and every queued slab is keyed
     /// by (see the module docs), as its two map edges hold it: where a
     /// run's packets are admitted and emitted, with what the edges have
@@ -819,22 +821,13 @@ impl<E: PipelineEngine> Switch<E> {
     }
 
     /// A departure: stamps the queue metadata (`meta`, in
-    /// [`QUEUE_METADATA_FIELDS`] order) by slot and runs `egress` on the
-    /// slab in place. Free of the switch, so the burst drain runs it on a
-    /// sharded switch's serial egress engine too.
-    fn depart(
-        egress: &mut E,
-        meta: [FieldId; 3],
-        enq_ts: i64,
-        now: i64,
-        depth: usize,
-        p: &mut InFlight,
-    ) {
+    /// [`QUEUE_METADATA_FIELDS`] order) by slot, for the egress pass that
+    /// follows.
+    fn depart(meta: [FieldId; 3], enq_ts: i64, now: i64, depth: usize, p: &mut InFlight) {
         let [enq_ts_slot, now_slot, depth_slot] = meta;
         p.flat.set(enq_ts_slot, enq_ts as i32);
         p.flat.set(now_slot, now as i32);
         p.flat.set(depth_slot, depth as i32);
-        egress.process(&mut p.flat);
     }
 
     /// **The burst admission** of a scheduling run, serial or sharded: a
@@ -864,16 +857,17 @@ impl<E: PipelineEngine> Switch<E> {
     /// step — and departs one record per cycle from `now`, the cycle the
     /// burst ended, leaving `now` at the cycle after the last departure;
     /// under a shaper no record departs before its rank. Each departure is
-    /// stamped, run through `egress` (the switch's own, or a sharded
-    /// switch's serial one) and emitted with its row moved out
-    /// ([`InFlight::emit_row`]). `held` is left empty, its buffer kept.
+    /// stamped, lent to `egress` with its arrival cycle (the serial
+    /// switch's engine, or the engine of the shard that owns it) and
+    /// emitted with its row moved out ([`InFlight::emit_row`]). `held` is
+    /// left empty, its buffer kept.
     pub(crate) fn drain_burst(
-        egress: &mut E,
         meta: [FieldId; 3],
         edges: &mut PacketEdges,
         shaping: bool,
         held: &mut Vec<Held>,
         now: &mut i64,
+        mut egress: impl FnMut(i64, &mut FlatPacket),
     ) -> Vec<SchedDeparture> {
         sort_burst(held);
         let total = held.len();
@@ -881,7 +875,8 @@ impl<E: PipelineEngine> Switch<E> {
         for (key, arrival, mut p) in held.drain(..) {
             let departure = if shaping { key.rank.max(*now) } else { *now };
             let depth = total - out.len() - 1;
-            Switch::depart(egress, meta, arrival, departure, depth, &mut p);
+            Self::depart(meta, arrival, departure, depth, &mut p);
+            egress(arrival, &mut p.flat);
             out.push(SchedDeparture {
                 arrival,
                 key,
@@ -978,7 +973,8 @@ impl<E: PipelineEngine> Switch<E> {
             if open {
                 if let Some((_, (arrival, mut p))) = self.queue.pop() {
                     let depth = self.queue.len();
-                    Switch::depart(&mut self.egress, self.meta, arrival, now, depth, &mut p);
+                    Self::depart(self.meta, arrival, now, depth, &mut p);
+                    self.egress.process(&mut p.flat);
                     self.transmitted += 1;
                     stats.transmitted += 1;
                     sink(&mut self.edges, &mut p);
@@ -1271,7 +1267,8 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
         };
         let (egress, edges, shaping) = (&mut sw.egress, &mut sw.edges, sw.sched.is_shaping());
         sw.now = stats.offered as i64;
-        let out = Switch::drain_burst(egress, sw.meta, edges, shaping, &mut held, &mut sw.now);
+        let egress = |_, p: &mut FlatPacket| egress.process(p);
+        let out = Switch::<E>::drain_burst(sw.meta, edges, shaping, &mut held, &mut sw.now, egress);
         sw.burst = held;
         stats.transmitted = out.len() as u64;
         sw.transmitted += stats.transmitted;

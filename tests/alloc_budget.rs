@@ -305,11 +305,13 @@ fn steady_state_allocations_per_offered_packet() {
     );
     // The `sched_wfq` burst on two worker threads (a pass-through egress,
     // so the plan keeps both shards): each lane holds its slabs in arrival
-    // order, and the union is sorted once, in the drain, in place. Bounded
-    // like the threaded run above: 2.01–2.02 allocations and 613–665 B.
-    // With each lane stable-sorting what it held before the drain sorted
-    // the union again — a scratch buffer of one held record per slab — it
-    // read 2.01–2.02 and 678–753 B.
+    // order, the other lanes are appended onto the first lane's buffer,
+    // grown once to the union's size, and the union is sorted once, in the
+    // drain, in place. Bounded like the threaded run above: 2.01–2.02
+    // allocations and 545–625 B. Collecting the union into a fresh vector
+    // instead read 2.01–2.02 and 585–665 B; with each lane also
+    // stable-sorting what it held — a scratch buffer of one held record
+    // per slab — 678–753 B.
     let cfg = ShardConfig::new(2)
         .with_capacity(N as usize)
         .with_scheduler(SchedSpec::Pifo {

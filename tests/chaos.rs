@@ -50,8 +50,8 @@ fn armed(
     cfg: ShardConfig,
     faults: &FaultPlan,
 ) -> ShardedSwitch<FaultyEngine<SlotMachine>> {
-    // `new_with` makes a shard's ingress engine first: it takes the
-    // shard's schedule, the egress engine runs clean.
+    // `new_with` hands the factory each shard's ingress engine alone: it
+    // takes the shard's schedule; egress engines are built plain.
     let mut schedules: Vec<_> = (0..cfg.shards)
         .map(|s| faults.faults_for(s).to_vec())
         .collect();
@@ -416,7 +416,13 @@ fn killed_shard_mid_sched_trace_salvages_pifo_in_rank_order() {
     const SHARDS: usize = 4;
     const LOCAL_K: u64 = 17;
     let (ingress, egress) = counter_pipelines();
-    let trace = trace(480, 48);
+    // Hashed flows: with flow `i % 48` every flow's running count — the
+    // rank — grows with arrival on every shard, and an unsorted salvage
+    // would pass for a sorted one.
+    let flow = |i: u64| ((i.wrapping_mul(0x9E37_79B9) >> 8) % 48) as i32;
+    let trace: Vec<Packet> = (0..480)
+        .map(|i| Packet::new().with("flow", flow(i)).with("c", 0))
+        .collect();
     // Rank = the flow's running count: dense cross-flow ties, so the
     // rank order the salvage must exhibit is not the arrival order.
     let spec = banzai::SchedSpec::Pifo { rank: "c".into() };
@@ -427,6 +433,20 @@ fn killed_shard_mid_sched_trace_salvages_pifo_in_rank_order() {
         .enumerate()
         .map(|(i, p)| probe.plan().steer(i, p))
         .collect();
+    // Each shard's ranks in arrival order; the first `LOCAL_K` (what a
+    // victim holds when it dies) are already out of order on every one.
+    let mut counts = [0; 48];
+    let mut ranks = vec![Vec::new(); SHARDS];
+    for (p, &s) in trace.iter().zip(&assignment) {
+        counts[p.expect("flow") as usize] += 1;
+        ranks[s].push(counts[p.expect("flow") as usize]);
+    }
+    for (s, ranks) in ranks.iter().enumerate() {
+        assert!(
+            ranks[..LOCAL_K as usize].windows(2).any(|w| w[0] > w[1]),
+            "shard {s}: ranks already in arrival order"
+        );
+    }
 
     for victim in 0..SHARDS {
         let ctx = format!("sched victim {victim}");

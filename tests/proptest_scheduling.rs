@@ -1,6 +1,6 @@
 //! Property suite for the programmable scheduler (`banzai::pifo`).
 //!
-//! Four invariants, each over randomized geometry:
+//! Five invariants, each over randomized geometry:
 //!
 //! * a PIFO is a **stable priority queue**: its pop sequence equals a
 //!   stable sort of the admitted pushes by `(class, rank)` — arrival
@@ -16,8 +16,12 @@
 //!   ([`ShardedRun::scheduled`](banzai::ShardedRun::scheduled) then
 //!   [`ShardedSchedRun::collect`](banzai::ShardedSchedRun::collect)) is
 //!   **bit-identical to serial** — departures, drop counters, and the
-//!   state of a departure-order-sensitive egress — across disciplines,
-//!   shard counts, capacities, and batch/ring geometries;
+//!   state of a departure-order-sensitive egress, scalar or keyed —
+//!   across disciplines, shard counts, capacities, and batch/ring
+//!   geometries;
+//! * **egress state lives in the shards**: bursts and forwarding runs on
+//!   one sharded switch with a keyed egress each continue the state the
+//!   other left, exactly as on the serial switch;
 //! * **conservation under `SchedFull` pressure**: a rank scheduler at
 //!   capacity `c` admits exactly `min(n, c)` of an `n`-packet burst and
 //!   books the rest under the pinned `sched_full` reason, with
@@ -50,12 +54,32 @@ const SOJOURN_EGRESS: &str = "struct P { int enq_ts; int now; int qdepth; int so
                                 pkt.sum = total_sojourn;\n\
                               }";
 
+/// Keyed stateful egress on the counter's own flow key (`pkt.flow` mod
+/// 64): a per-flow departure count and per-flow prefix sums of sojourn.
+/// It keeps every shard of the plan, and each departure reads the state
+/// every earlier departure of its flow left — in whichever run.
+const KEYED_EGRESS: &str =
+    "struct P { int flow; int enq_ts; int now; int n; int soj; int sum; };\n\
+                            int seen[64] = {0};\n\
+                            int sums[64] = {0};\n\
+                            void keyed_egress(struct P pkt) {\n\
+                              seen[pkt.flow] = seen[pkt.flow] + 1;\n\
+                              pkt.n = seen[pkt.flow];\n\
+                              pkt.soj = pkt.now - pkt.enq_ts;\n\
+                              sums[pkt.flow] = sums[pkt.flow] + pkt.soj;\n\
+                              pkt.sum = sums[pkt.flow];\n\
+                            }";
+
 fn counter_pipeline() -> AtomPipeline {
     domino_compiler::compile(COUNTER, &Target::banzai(AtomKind::Raw)).unwrap()
 }
 
 fn sojourn_pipeline() -> AtomPipeline {
     domino_compiler::compile(SOJOURN_EGRESS, &Target::banzai(AtomKind::Raw)).unwrap()
+}
+
+fn keyed_egress_pipeline() -> AtomPipeline {
+    domino_compiler::compile(KEYED_EGRESS, &Target::banzai(AtomKind::Raw)).unwrap()
 }
 
 fn to_trace(flows: &[i32]) -> Vec<Packet> {
@@ -241,7 +265,9 @@ proptest! {
     /// The sharded scheduling run reproduces the serial one bit-for-bit:
     /// same departures (packets, keys, arrival and departure cycles),
     /// same typed drop counters, same egress register state — for every
-    /// discipline, shard count, capacity, and feeder geometry.
+    /// discipline, shard count, capacity, and feeder geometry. Two
+    /// egress arms: the scalar sojourn register (a single-shard
+    /// fallback) and a keyed egress, which keeps every shard.
     #[test]
     fn sharded_sched_run_is_bit_identical_to_serial(
         flows in proptest::collection::vec(0..64i32, 0..300),
@@ -252,32 +278,94 @@ proptest! {
         ring in 1..=8usize,
     ) {
         let ingress = counter_pipeline();
-        let egress = sojourn_pipeline();
         let spec = spec_of(spec_sel);
         let capacity = capacity_of(cap);
         let trace = to_trace(&flows);
 
-        let mut serial = Switch::new_slot(&ingress, &egress, capacity)
+        for (egress, effective) in [(sojourn_pipeline(), 1), (keyed_egress_pipeline(), shards)] {
+            let mut serial = Switch::new_slot(&ingress, &egress, capacity)
+                .unwrap()
+                .with_scheduler(spec.clone());
+            let serial_out = serial.run(&trace).scheduled().collect()
+            .expect("slice-backed sources cannot fail mid-stream");
+
+            let cfg = ShardConfig::new(shards)
+                .with_capacity(capacity)
+                .with_batch(batch)
+                .with_ring(ring)
+                .with_scheduler(spec.clone());
+            let mut sharded = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+            prop_assert_eq!(sharded.plan().effective(), effective, "{}", sharded.plan());
+            let sharded_out = sharded.run(&trace).scheduled().collect().expect("no faults armed");
+
+            prop_assert_eq!(sharded_out, serial_out);
+            prop_assert_eq!(sharded.transmitted(), serial.transmitted());
+            prop_assert_eq!(sharded.drop_counters(), serial.drop_counters().clone());
+            prop_assert_eq!(
+                sharded.export_merged_egress_state(),
+                serial.export_egress_state()
+            );
+        }
+    }
+
+    /// Egress state lives in the shards alone. One sharded switch with a
+    /// keyed stateful egress runs a scheduled burst, a forwarding run and
+    /// another burst; after every run it has returned what the serial
+    /// switch returns — a burst's departures bit-identical, a forwarding
+    /// run's shard streams the serial output split by the plan — and
+    /// both merged exports equal the serial switch's. (A scheduling path
+    /// with an egress engine of its own missed the forwarding run's
+    /// departures: the second burst's counts restarted from the first's.)
+    #[test]
+    fn a_keyed_egress_keeps_its_state_in_the_shards_across_bursts_and_forwarding(
+        runs in proptest::collection::vec(proptest::collection::vec(0..64i32, 0..120), 3),
+        shards in 1..=8usize,
+        pifo in any::<bool>(),
+        batch in 1..=32usize,
+    ) {
+        let (ingress, egress) = (counter_pipeline(), keyed_egress_pipeline());
+        let spec = if pifo { spec_of(0) } else { SchedSpec::Fifo };
+        let mut serial = Switch::new_slot(&ingress, &egress, 512)
             .unwrap()
             .with_scheduler(spec.clone());
-        let serial_out = serial.run(&trace).scheduled().collect()
-        .expect("slice-backed sources cannot fail mid-stream");
-
-        let cfg = ShardConfig::new(shards)
-            .with_capacity(capacity)
-            .with_batch(batch)
-            .with_ring(ring)
-            .with_scheduler(spec);
+        let cfg = ShardConfig::new(shards).with_batch(batch).with_scheduler(spec);
         let mut sharded = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
-        let sharded_out = sharded.run(&trace).scheduled().collect().expect("no faults armed");
+        prop_assert_eq!(sharded.plan().effective(), shards, "{}", sharded.plan());
 
-        prop_assert_eq!(sharded_out, serial_out);
-        prop_assert_eq!(sharded.transmitted(), serial.transmitted());
-        prop_assert_eq!(sharded.drop_counters(), serial.drop_counters().clone());
-        prop_assert_eq!(
-            sharded.export_sched_egress_state(),
-            serial.export_egress_state()
-        );
+        for (r, flows) in runs.iter().enumerate() {
+            let trace = to_trace(flows);
+            if r == 1 {
+                let serial_out = serial.run(&trace).collect()
+                    .expect("slice-backed sources cannot fail mid-stream");
+                let parts = sharded.run(&trace).partitioned().expect("no faults armed");
+                // Line rate with room to spare: nothing drops, so the
+                // serial output lines up with the trace.
+                prop_assert_eq!(serial_out.len(), trace.len());
+                for (s, part) in parts.iter().enumerate() {
+                    let expected: Vec<&Packet> = (trace.iter().enumerate())
+                        .filter(|&(i, p)| sharded.plan().steer(i, p) == s)
+                        .map(|(i, _)| &serial_out[i])
+                        .collect();
+                    prop_assert_eq!(part.iter().collect::<Vec<_>>(), expected, "run {} shard {}", r, s);
+                }
+            } else {
+                let serial_out = serial.run(&trace).scheduled().collect()
+                    .expect("slice-backed sources cannot fail mid-stream");
+                let sharded_out = sharded.run(&trace).scheduled().collect().expect("no faults armed");
+                prop_assert_eq!(sharded_out, serial_out, "run {}", r);
+            }
+            prop_assert_eq!(sharded.transmitted(), serial.transmitted(), "run {}", r);
+            prop_assert_eq!(
+                sharded.export_merged_ingress_state(),
+                serial.export_ingress_state(),
+                "run {}", r
+            );
+            prop_assert_eq!(
+                sharded.export_merged_egress_state(),
+                serial.export_egress_state(),
+                "run {}", r
+            );
+        }
     }
 
     /// Conservation under overflow pressure: a burst longer than the

@@ -53,7 +53,6 @@ fn machines_and_switches_that_never_ran_export_their_initialisers() {
     let sharded = ShardedSwitch::new_slot(&conga, &conga, ShardConfig::new(2)).unwrap();
     assert_eq!(sharded.export_merged_ingress_state(), inits);
     assert_eq!(sharded.export_merged_egress_state(), inits);
-    assert_eq!(sharded.export_sched_egress_state(), inits);
     for (ingress, egress) in sharded.export_shard_states() {
         assert_eq!(ingress, inits);
         assert_eq!(egress, inits);

@@ -25,7 +25,10 @@
 //! failure here means the scheduler's exported behaviour moved.
 
 use algorithms::sched;
-use banzai::{AtomPipeline, SchedDeparture, SchedSpec, ShardConfig, ShardedSwitch, Switch, Target};
+use banzai::{
+    AtomPipeline, SchedDeparture, SchedSpec, ShardConfig, ShardPlan, ShardedSwitch, SteerMode,
+    Switch, Target,
+};
 use domino_ir::Packet;
 
 const SEED: u64 = 0x0913_F012_2016;
@@ -62,9 +65,29 @@ fn sojourn_egress() -> AtomPipeline {
     compile(SOJOURN_EGRESS, banzai::AtomKind::Raw)
 }
 
+/// A keyed stateful egress: per-flow prefix sums of sojourn, indexed as
+/// `flows`-flow ingress programs index theirs (`pkt.flow & (flows - 1)`),
+/// so its key agrees with the ingress's and the plan keeps every shard.
+fn keyed_sojourn_egress(flows: u32) -> AtomPipeline {
+    let source = format!(
+        "#define NUM_FLOWS {flows}\n\
+         struct P {{ int flow; int idx; int enq_ts; int now; int soj; int sum; }};\n\
+         int sums[NUM_FLOWS] = {{0}};\n\
+         void keyed_sojourn(struct P pkt) {{\n\
+           pkt.idx = pkt.flow & (NUM_FLOWS - 1);\n\
+           pkt.soj = pkt.now - pkt.enq_ts;\n\
+           sums[pkt.idx] = sums[pkt.idx] + pkt.soj;\n\
+           pkt.sum = sums[pkt.idx];\n\
+         }}"
+    );
+    compile(&source, banzai::AtomKind::Raw)
+}
+
 /// Runs the same sched trace serial and 4-way sharded, asserts the
 /// sharded run is bit-identical (departures, counters, egress state),
-/// and returns the serial departures.
+/// and returns the serial departures. Two arms: `egress` (the scalar
+/// sojourn register, which falls the plan back to one shard) and a
+/// keyed egress on the ingress's own flow key, which runs on all four.
 fn serial_and_sharded(
     label: &str,
     ingress: &AtomPipeline,
@@ -73,37 +96,51 @@ fn serial_and_sharded(
     capacity: usize,
     trace: &[Packet],
 ) -> Vec<SchedDeparture> {
-    let mut serial = Switch::new_slot(ingress, egress, capacity)
-        .unwrap()
-        .with_scheduler(spec.clone());
-    let serial_out = serial
-        .run(trace)
-        .scheduled()
-        .collect()
-        .expect("slice-backed sources cannot fail mid-stream");
+    let passthrough = AtomPipeline::passthrough("out");
+    let key = ShardPlan::plan(ingress, &passthrough, 4, &SteerMode::Auto);
+    let keyed = keyed_sojourn_egress(key.flow_key().expect("a keyed ingress").modulus());
+    let mut departures = Vec::new();
+    for (egress, shards) in [(egress, 1), (&keyed, 4)] {
+        let label = format!("{label}, egress `{}`", egress.name);
+        let mut serial = Switch::new_slot(ingress, egress, capacity)
+            .unwrap()
+            .with_scheduler(spec.clone());
+        let serial_out = serial
+            .run(trace)
+            .scheduled()
+            .collect()
+            .expect("slice-backed sources cannot fail mid-stream");
 
-    let cfg = ShardConfig::new(4)
-        .with_capacity(capacity)
-        .with_scheduler(spec);
-    let mut sharded = ShardedSwitch::new_slot(ingress, egress, cfg).unwrap();
-    let sharded_out = sharded.run(trace).scheduled().collect().unwrap();
+        let cfg = ShardConfig::new(4)
+            .with_capacity(capacity)
+            .with_scheduler(spec.clone());
+        let mut sharded = ShardedSwitch::new_slot(ingress, egress, cfg).unwrap();
+        assert_eq!(
+            sharded.plan().effective(),
+            shards,
+            "{label}: {}",
+            sharded.plan()
+        );
+        let sharded_out = sharded.run(trace).scheduled().collect().unwrap();
 
-    assert_eq!(
-        sharded_out, serial_out,
-        "{label}: sharded departures diverged from serial"
-    );
-    assert_eq!(sharded.transmitted(), serial.transmitted(), "{label}");
-    assert_eq!(
-        sharded.drop_counters(),
-        serial.drop_counters().clone(),
-        "{label}: drop counters diverged"
-    );
-    assert_eq!(
-        sharded.export_sched_egress_state(),
-        serial.export_egress_state(),
-        "{label}: egress state diverged"
-    );
-    serial_out
+        assert_eq!(
+            sharded_out, serial_out,
+            "{label}: sharded departures diverged from serial"
+        );
+        assert_eq!(sharded.transmitted(), serial.transmitted(), "{label}");
+        assert_eq!(
+            sharded.drop_counters(),
+            serial.drop_counters().clone(),
+            "{label}: drop counters diverged"
+        );
+        assert_eq!(
+            sharded.export_merged_egress_state(),
+            serial.export_egress_state(),
+            "{label}: egress state diverged"
+        );
+        departures.push(serial_out);
+    }
+    departures.swap_remove(0)
 }
 
 #[test]
@@ -308,10 +345,11 @@ fn hierarchical_pifo_matches_flat_composite_sort_with_sched_full_overflow() {
 }
 
 /// A warm-started scheduling run continues the serial switch's: the
-/// snapshot `import_state` broadcasts reaches the scheduling path's own
-/// serial egress engine as well as every shard (it once reached only the
-/// shards, so the post-merge egress pass restarted from the declared
-/// initializers and `sum` diverged from the first departure on).
+/// snapshot `import_state` loads reaches the egress engines the burst
+/// departs on (when the scheduling path kept an egress engine of its own,
+/// the snapshot once reached only the shards, so the burst's egress pass
+/// restarted from the declared initializers and `sum` diverged from the
+/// first departure on).
 #[test]
 fn warm_started_scheduling_run_is_bit_identical_to_serial() {
     let (ingress, egress) = (stfq_pipeline(), sojourn_egress());
@@ -349,7 +387,7 @@ fn warm_started_scheduling_run_is_bit_identical_to_serial() {
         let sharded_out = sharded.run(&trace).scheduled().collect().unwrap();
         assert_eq!(sharded_out, serial_out, "{shards} shards: departures");
         assert_eq!(
-            sharded.export_sched_egress_state(),
+            sharded.export_merged_egress_state(),
             continued.export_egress_state(),
             "{shards} shards: egress state"
         );

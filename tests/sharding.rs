@@ -25,6 +25,7 @@
 
 use banzai::{AtomPipeline, ShardConfig, ShardTier, ShardedSwitch, Switch, Target};
 use domino_ir::Packet;
+use proptest::prelude::*;
 
 const TRACE_LEN: usize = 600;
 const SEED: u64 = 0x000D_0771_2016;
@@ -718,6 +719,65 @@ fn a_sharded_switch_clock_continues_across_runs_like_serial() {
             sw.run(&trace).collect().unwrap(),
             fourth,
             "{shards}: after the burst"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// `import_state` is the inverse of the merged exports on every tier:
+    /// a serial snapshot imported into a sharded switch exports as itself,
+    /// and a run from there leaves the merged state the serial switch's
+    /// continued state. The program runs on both sides, so both sides'
+    /// imports are held to it: flowlet (Exact, keyed), a stateless pair,
+    /// heavy_hitters (Replicable, summed rows — a snapshot copied into
+    /// every replica would export as `n` times its change), bloom_filter
+    /// (Replicable, max rows) and rcp (single-shard fallback).
+    #[test]
+    fn import_state_is_the_inverse_of_the_merged_export_on_every_tier(
+        alg in 0..5usize,
+        shards in 1..=8usize,
+        warm in 1..300usize,
+        more in 0..300usize,
+        seed in 0..1_000i64,
+    ) {
+        let (name, tier) = [
+            ("flowlet", ShardTier::Exact),
+            ("flowlet", ShardTier::Exact),
+            ("heavy_hitters", ShardTier::Replicable),
+            ("bloom_filter", ShardTier::Replicable),
+            ("rcp", ShardTier::Fallback),
+        ][alg];
+        let a = algorithms::by_name(name).unwrap();
+        let program = if alg == 1 {
+            AtomPipeline::passthrough("stateless")
+        } else {
+            compile_least(&a)
+        };
+        let mut serial = Switch::new_slot(&program, &program, CAPACITY).unwrap();
+        serial.run(&a.trace(warm, seed as u64)).for_each(|_| {}).unwrap();
+        let (warm_in, warm_eg) = (serial.export_ingress_state(), serial.export_egress_state());
+
+        let cfg = ShardConfig::new(shards);
+        let mut sharded = ShardedSwitch::new_slot(&program, &program, cfg).unwrap();
+        prop_assert_eq!(sharded.plan().tier(), tier, "{}", sharded.plan());
+        sharded.import_state(&warm_in, &warm_eg);
+        prop_assert_eq!(&sharded.export_merged_ingress_state(), &warm_in, "{} @ {}", name, shards);
+        prop_assert_eq!(&sharded.export_merged_egress_state(), &warm_eg, "{} @ {}", name, shards);
+
+        let trace = a.trace(more, seed as u64 ^ 1);
+        serial.run(&trace).for_each(|_| {}).unwrap();
+        sharded.run(&trace).for_each(|_| {}).unwrap();
+        prop_assert_eq!(
+            sharded.export_merged_ingress_state(),
+            serial.export_ingress_state(),
+            "{} @ {}: continued ingress", name, shards
+        );
+        prop_assert_eq!(
+            sharded.export_merged_egress_state(),
+            serial.export_egress_state(),
+            "{} @ {}: continued egress", name, shards
         );
     }
 }
