@@ -135,8 +135,9 @@ impl ShardSalvage {
 pub struct Accounting {
     /// Packets offered to the switch (the input trace length).
     pub offered: u64,
-    /// Packets whose outputs were delivered back to the caller (merged
-    /// survivor streams plus failed shards' salvaged prefixes).
+    /// Packets whose outputs were delivered back to the caller: every
+    /// salvaged output (survivors' complete streams, failed shards'
+    /// prefixes) plus whatever was streamed to a sink.
     pub transmitted: u64,
     /// Packets dropped under a counted [`DropReason`]
     /// (queue-full, parse, backpressure shed).
@@ -204,13 +205,11 @@ pub struct FaultReport {
     /// a worker) was what faulted.
     pub source: Option<SourceFault>,
     /// Per-shard salvage, in shard order — one entry per shard,
-    /// surviving shards included.
+    /// surviving shards included. A survivor's output is its complete
+    /// stream; [`ShardedSwitch::merge`](crate::shard::ShardedSwitch::merge)
+    /// over the survivors' outputs deals them into the merge order a
+    /// clean run returns.
     pub salvage: Vec<ShardSalvage>,
-    /// The deterministic round-robin merge of the **surviving**
-    /// shards' complete output streams (failed shards' partial prefixes
-    /// stay in [`FaultReport::salvage`], where their incompleteness is
-    /// explicit).
-    pub merged: Vec<Packet>,
     /// The books: every offered packet is transmitted, dropped, or
     /// attributed to the fault.
     pub accounting: Accounting,
@@ -232,7 +231,6 @@ impl FaultReport {
         source: Option<SourceError>,
         failures: Vec<ShardError>,
         salvage: Vec<ShardSalvage>,
-        merged: Vec<Packet>,
     ) -> SwitchError {
         let kept: u64 = salvage.iter().map(|s| s.output.len() as u64).sum();
         let transmitted = streamed + kept;
@@ -241,7 +239,6 @@ impl FaultReport {
             failures,
             source: source.map(|error| SourceFault { at: offered, error }),
             salvage,
-            merged,
             accounting: Accounting {
                 offered,
                 transmitted,
@@ -415,7 +412,6 @@ mod tests {
                     state: None,
                 },
             ],
-            merged: vec![Packet::new(); 5],
             accounting: Accounting {
                 offered: 10,
                 transmitted: 5,

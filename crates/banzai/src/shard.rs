@@ -81,11 +81,13 @@
 //!   them;
 //! * a scheduling run is the serial burst split at its seam: each lane
 //!   admits its slabs as the serial switch does (`Switch::hold`) and
-//!   holds them in arrival order, and the union of what they hold drains
-//!   as the serial burst drains (`Switch::drain_burst`: one sort — the
-//!   run's only ordering step — then a departure on each slab, through
-//!   the egress engine of the shard that owns it: so egress state lives
-//!   in the shards alone, whichever run moved it);
+//!   holds them in arrival order, in its shard's own burst buffer — kept
+//!   between runs, as the serial switch keeps its own — and the union of
+//!   what they hold drains as the serial burst drains
+//!   (`Switch::drain_burst`: one sort — the run's only ordering step —
+//!   then a departure on each slab, through the egress engine of the
+//!   shard that owns it: so egress state lives in the shards alone,
+//!   whichever run moved it);
 //! * each packet is **emitted (or deparsed) once**: in the worker's sink
 //!   on a forwarding run — the slab's value row moved into the packet, a
 //!   frame's buffer out of the record — after the egress pass on a
@@ -1039,11 +1041,15 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// into the pool — never waiting on it — before it sends the next
     /// batch out in a buffer that came home. What is still in the channel
     /// when the run ends is freed with it, on this thread.
+    ///
+    /// Each lane is made by `lane` from the shard it will run on, before
+    /// the shard leaves for its thread, so a lane can hold in a buffer the
+    /// shard keeps between runs.
     fn threaded<L: Lane<E> + Send + 'static>(
         &mut self,
         from: i64,
         pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
-        lane: impl Fn() -> L,
+        lane: impl Fn(&mut Switch<E>) -> L,
     ) -> Result<Gathered<L::Out>, SwitchError>
     where
         E: Send + 'static,
@@ -1059,10 +1065,10 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let (home, back) = mpsc::channel::<Trip>();
         let mut txs: Vec<BatchSender> = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
-        for sw in switches {
+        for mut sw in switches {
             let (tx, rx) = mpsc::sync_channel::<Trip>(self.config.ring);
             let (done_tx, done_rx) = mpsc::channel();
-            let (lane, home) = (lane(), home.clone());
+            let (lane, home) = (lane(&mut sw), home.clone());
             let handle = std::thread::spawn(move || {
                 let _ = done_tx.send(worker(sw, rx, home, lane));
             });
@@ -1206,7 +1212,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
 
         let mut failures: Vec<ShardError> = Vec::new();
         let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(collected.len());
-        let mut parts: Vec<Vec<Packet>> = Vec::with_capacity(collected.len());
         let mut shards = Vec::with_capacity(collected.len());
         let mut streamed = 0;
         for (s, (shard, out)) in collected.into_iter().enumerate() {
@@ -1221,8 +1226,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                     streamed += sent.saturating_sub(kept);
                     self.extra_transmitted += kept.saturating_sub(sent);
                     drops.merge(&sw.drop_counters().since(drops_before));
-                    salvage.push(sw.salvage(s, run.offered[s], output.clone(), drops));
-                    parts.push(output);
+                    salvage.push(sw.salvage(s, run.offered[s], output, drops));
                     shards.push(sw);
                 }
                 Err((packet, cause, booked)) => {
@@ -1242,20 +1246,17 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
                         drops,
                         state: None,
                     });
-                    parts.push(Vec::new());
                     shards.push(self.fresh_shard()?);
                 }
             }
         }
         self.shards = shards;
-        let merged = self.merge(parts);
         Err(FaultReport::assemble(
             run.pulled,
             streamed,
             run.source_error,
             failures,
             salvage,
-            merged,
         ))
     }
 
@@ -1432,7 +1433,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     {
         let sw = self.switch;
         sw.check_line_rate()?;
-        let run = sw.threaded(sw.now, admitting(&mut self.source), Forward::default)?;
+        let run = sw.threaded(sw.now, admitting(&mut self.source), |_| Forward::default())?;
         Ok(sw.merge(run.streams))
     }
 
@@ -1531,7 +1532,11 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     /// the shard that owns it: under a keyed egress the shard its flow
     /// key steers to (the shard that held it), under any other egress
     /// shard 0 — so egress state has one home whatever kind of run moved
-    /// it, and the merged export reads it.
+    /// it, and the merged export reads it. Held slabs have one home too:
+    /// each lane holds in its shard's own burst buffer, the drain runs
+    /// over shard 0's with the others appended, and every buffer goes back
+    /// to its shard emptied, so a burst regrows nothing an earlier one
+    /// grew.
     ///
     /// # Failure model
     ///
@@ -1545,26 +1550,26 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
     /// A source error lands like a worker fault: the feeder stops, every
     /// lane drains into salvage, sorted the same way, and the report
     /// carries a [`SourceFault`](crate::error::SourceFault) with closed
-    /// books. The report's `merged` deals the survivors' salvage
-    /// round-robin, as a forwarding run's does: not one burst order. A
-    /// failed shard is rebuilt from the initialisers, egress state
-    /// included, as after a forwarding fault.
+    /// books. A failed shard is rebuilt from the initialisers, egress
+    /// state included, as after a forwarding fault. A surviving shard
+    /// keeps its state but gives its burst buffer to the salvage, so its
+    /// next burst holds in a new one, as a rebuilt shard's does.
     pub fn collect(mut self) -> Result<Vec<SchedDeparture>, SwitchError>
     where
         E: Send + 'static,
     {
         let sw = self.switch;
-        // A burst's clock is run-local, as on the serial switch.
-        let run = sw.threaded(0, admitting(&mut self.source), || Schedule(Vec::new()))?;
+        // A burst's clock is run-local, as on the serial switch; each
+        // lane holds in its shard's own buffer.
+        let lane = |shard: &mut Switch<E>| Schedule(std::mem::take(&mut shard.burst));
+        let mut lanes = sw.threaded(0, admitting(&mut self.source), lane)?.streams;
         // The serial burst's drain over the union of what the shards
         // held, appended onto the first lane's buffer. A keyed egress
         // departs each slab on the shard its key steers to — the one that
         // held it; any other egress departs on shard 0, so a replicated
         // egress sees the serial departure sequence whole.
-        let mut streams = run.streams.into_iter();
-        let mut held = streams.next().unwrap_or_default();
-        held.reserve_exact(streams.as_slice().iter().map(Vec::len).sum());
-        streams.for_each(|mut lane| held.append(&mut lane));
+        let mut held = std::mem::take(&mut lanes[0]);
+        lanes[1..].iter_mut().for_each(|lane| held.append(lane));
         let n = sw.shards.len();
         let mut steer =
             matches!(sw.plan.egress, Partitionability::Keyed(_)).then_some(&mut sw.steer);
@@ -1577,6 +1582,11 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
         };
         let (edges, shaping) = (&mut sw.edges, sw.config.sched.is_shaping());
         let out = Switch::<E>::drain_burst(sw.meta, edges, shaping, &mut held, &mut sw.now, egress);
+        // Every buffer, emptied, goes home to its shard for the next burst.
+        lanes[0] = held;
+        for (shard, buffer) in sw.shards.iter_mut().zip(lanes) {
+            shard.burst = buffer;
+        }
         sw.extra_transmitted += out.len() as u64;
         Ok(out)
     }
@@ -1628,9 +1638,9 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
 }
 
 /// **The one merge order** of every sharded run
-/// ([`ShardedSwitch::merge`], [`ShardedRun::for_each`], a fault report's
-/// `merged`): a cursor that visits the shards' output buffers in cyclic
-/// order from shard 0, taking one packet per visit.
+/// ([`ShardedSwitch::merge`], [`ShardedRun::for_each`]): a cursor that
+/// visits the shards' output buffers in cyclic order from shard 0, taking
+/// one packet per visit.
 struct RoundRobin {
     buffers: Vec<VecDeque<Packet>>,
     /// Packets in `buffers`, so the cursor knows when every one is empty.
@@ -1763,11 +1773,12 @@ impl<E: PipelineEngine> Lane<E> for Frames<'_> {
 
 /// The scheduling lane ([`ShardedSchedRun::collect`]): the serial burst's
 /// admission ([`Switch::hold`]) on each steered slab. The lane holds what
-/// it admitted outside the unwind scope and drains it in arrival order,
-/// unsorted: a clean run's one sort is the burst drain's, over the union
-/// of the lanes. A fault's salvage sorts each lane's holdings with the
-/// same function ([`sort_burst`]), so it comes out in rank order, finer
-/// than batch granularity.
+/// it admitted outside the unwind scope, in the buffer its shard keeps
+/// for bursts (`Switch::burst`, lent for the run and handed back emptied),
+/// and drains it in arrival order, unsorted: a clean run's one sort is
+/// the burst drain's, over the union of the lanes. A fault's salvage
+/// sorts each lane's holdings with the same function ([`sort_burst`]), so
+/// it comes out in rank order, finer than batch granularity.
 struct Schedule(Vec<Held>);
 
 impl<E: PipelineEngine> Lane<E> for Schedule {
@@ -2272,7 +2283,8 @@ mod tests {
         assert!(report.accounting.conserved(), "{}", report.accounting);
         assert_eq!(report.accounting.offered, 100);
         assert_eq!(report.accounting.lost_in_fault, 0);
-        assert_eq!(report.merged.len(), report.accounting.transmitted as usize);
+        let kept: usize = report.salvage.iter().map(|s| s.output.len()).sum();
+        assert_eq!(kept, report.accounting.transmitted as usize);
         assert!(report
             .salvage
             .iter()
@@ -2396,7 +2408,7 @@ mod tests {
         let mut a = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
         assert_eq!(a.plan().tier(), ShardTier::Exact);
         let mut source = trace.as_slice().into_packet_source();
-        let threaded = keys(a.threaded(0, admitting(&mut source), lane).unwrap());
+        let threaded = keys(a.threaded(0, admitting(&mut source), |_| lane()).unwrap());
 
         let mut b = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
         let mut source = trace.as_slice().into_packet_source();

@@ -519,7 +519,6 @@ pub struct Switch<E: PipelineEngine = Machine> {
     /// [`Switch::with_scheduler`]), and its key fields as slots.
     sched: SchedSpec,
     key: KeySlots,
-    capacity: usize,
     /// Cycles taken to transmit one packet from the queue (≥1): values
     /// above 1 create standing queues under load, which is what egress
     /// AQM algorithms exist to observe.
@@ -534,9 +533,10 @@ pub struct Switch<E: PipelineEngine = Machine> {
     /// Slots of the metadata stamped for egress programs, in
     /// [`QUEUE_METADATA_FIELDS`] order (enqueue timestamp, now, depth).
     meta: [FieldId; 3],
-    /// What a scheduled burst holds ([`SchedRun`]): empty between runs,
-    /// its buffer kept for the next.
-    burst: Vec<Held>,
+    /// What a scheduled burst holds: the serial burst ([`SchedRun`]), or
+    /// a shard's part of a sharded one, lent to its scheduling lane
+    /// (`crate::shard`). Empty between runs, its buffer kept for the next.
+    pub(crate) burst: Vec<Held>,
 }
 
 impl Switch<Machine> {
@@ -602,7 +602,6 @@ impl<E: PipelineEngine> Switch<E> {
             queue: SchedSpec::Fifo.build_queue(capacity),
             sched: SchedSpec::Fifo,
             key: KeySlots::Fifo,
-            capacity,
             drain_period: 1,
             now: 0,
             drops: DropCounters::new(),
@@ -663,7 +662,7 @@ impl<E: PipelineEngine> Switch<E> {
     /// assert_eq!(order, [10, 20, 30]);
     /// ```
     pub fn with_scheduler(mut self, spec: SchedSpec) -> Switch<E> {
-        self.queue = spec.build_queue(self.capacity);
+        self.queue = spec.build_queue(self.queue.capacity());
         self.key = spec.resolve(|field| self.slot_of(field));
         self.sched = spec;
         self
@@ -774,7 +773,7 @@ impl<E: PipelineEngine> Switch<E> {
 
     /// The queue's capacity (packets beyond this are dropped at enqueue).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.queue.capacity()
     }
 
     /// Snapshot of the ingress engine's persistent state.
@@ -841,7 +840,7 @@ impl<E: PipelineEngine> Switch<E> {
         match arrival {
             Ok(mut p) => {
                 let key = self.arrive(now, &mut p);
-                if (now as usize) < self.capacity {
+                if (now as usize) < self.queue.capacity() {
                     held.push((key, now, p));
                 } else {
                     self.refuse();
@@ -1080,14 +1079,13 @@ impl<E: PipelineEngine> Switch<E> {
         };
         let kept = kept();
         let streamed = end.stats.transmitted.saturating_sub(kept.len() as u64);
-        let salvage = self.salvage(0, end.stats.offered, kept.clone(), end.drops);
+        let salvage = self.salvage(0, end.stats.offered, kept, end.drops);
         Err(FaultReport::assemble(
             end.stats.offered,
             streamed,
             Some(error),
             Vec::new(),
             vec![salvage],
-            kept,
         ))
     }
 
@@ -1664,7 +1662,7 @@ mod tests {
         assert!(acc.conserved(), "{acc}");
         assert_eq!(acc.offered, 25);
         assert_eq!(acc.lost_in_fault, 0);
-        assert_eq!(report.merged.len() as u64, acc.transmitted);
+        assert_eq!(report.salvage[0].output.len() as u64, acc.transmitted);
         assert_eq!(acc.transmitted + acc.dropped, 25);
         assert!(acc.dropped > 0, "capacity 4 at drain 3 must tail-drop");
         assert!(err.to_string().contains("source failed after 25"), "{err}");
@@ -1687,7 +1685,10 @@ mod tests {
         assert_eq!(report.accounting.offered, 10);
         assert_eq!(report.accounting.transmitted, 10, "admitted burst drains");
         assert!(report.accounting.conserved());
-        assert_eq!(report.merged.len(), 10);
+        assert_eq!(
+            report.salvage[0].output.len() as u64,
+            report.accounting.transmitted
+        );
     }
 
     /// ROADMAP 7(a), first step: pins what the 32-bit stamps do as the

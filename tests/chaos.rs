@@ -236,9 +236,10 @@ fn single_shard_fault_is_supervised_too() {
 
     assert_eq!(report.failures[0].shard, 0);
     assert_eq!(report.failures[0].packet, Some(21));
+    // No survivor: the failed shard's prefix is all the salvage holds.
     assert!(report.survivors().is_empty());
-    assert!(report.merged.is_empty(), "no survivors, nothing merged");
     assert_eq!(report.shard(0).unwrap().output.len(), 16);
+    assert_eq!(report.accounting.transmitted, 16);
     assert!(report.accounting.conserved(), "{}", report.accounting);
 }
 
@@ -752,10 +753,10 @@ fn source_error_mid_stream_lands_in_the_fault_report_with_closed_books() {
     assert_eq!(report.accounting.lost_in_fault, 0);
     let offered_per_shard: u64 = report.salvage.iter().map(|s| s.offered).sum();
     assert_eq!(offered_per_shard, DIES_AT);
+    let kept: usize = report.salvage.iter().map(|s| s.output.len()).sum();
     assert_eq!(
-        report.merged.len() as u64,
-        report.accounting.transmitted,
-        "merged output is the transmitted stream"
+        kept as u64, report.accounting.transmitted,
+        "the salvaged outputs are the transmitted stream"
     );
 
     // No engine died, so the same switch instance keeps working.
