@@ -1068,7 +1068,8 @@ impl<E: PipelineEngine> Switch<E> {
     /// Turns how a run [`Ended`] into the terminal's result: its totals,
     /// or — if the source failed mid-stream — the typed fault whose report
     /// carries the output the terminal `kept` (nothing, when it streamed
-    /// to a sink) and closed books.
+    /// to a sink) and closed books. A terminal moves its output into
+    /// `kept`, so that each transmitted packet exists once.
     fn close(
         &self,
         end: Ended,
@@ -1186,7 +1187,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
         let (lo, hi) = self.source.size_hint();
         let mut out = Vec::with_capacity(hi.unwrap_or(lo).min(1 << 20));
         let end = self.switch.run_packets(&mut self.source, |p| out.push(p));
-        self.switch.close(end, || out.clone())?;
+        self.switch.close(end, || std::mem::take(&mut out))?;
         Ok(out)
     }
 
@@ -1266,7 +1267,8 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
         let (egress, edges, shaping) = (&mut sw.egress, &mut sw.edges, sw.sched.is_shaping());
         sw.now = stats.offered as i64;
         let egress = |_, p: &mut FlatPacket| egress.process(p);
-        let out = Switch::<E>::drain_burst(sw.meta, edges, shaping, &mut held, &mut sw.now, egress);
+        let mut out =
+            Switch::<E>::drain_burst(sw.meta, edges, shaping, &mut held, &mut sw.now, egress);
         sw.burst = held;
         stats.transmitted = out.len() as u64;
         sw.transmitted += stats.transmitted;
@@ -1275,7 +1277,7 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
             drops: sw.drops.since(&drops_before),
             error,
         };
-        sw.close(end, || out.iter().map(|d| d.pkt.clone()).collect())?;
+        sw.close(end, || out.drain(..).map(|d| d.pkt).collect())?;
         Ok(out)
     }
 }

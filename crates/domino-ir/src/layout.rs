@@ -24,7 +24,7 @@
 //! Which shard owns which state is decided on these layouts too, in
 //! [`crate::partition`].
 
-use crate::packet::{Packet, Shape};
+use crate::packet::{self, Packet, Shape};
 use crate::state::{StateStore, StateValue};
 use domino_ast::{StateKind, StateVar};
 use std::collections::HashMap;
@@ -384,13 +384,13 @@ struct Crossing {
 /// by-name merges ([`FlatPacket::admit`], [`FlatPacket::emit`]) re-derive
 /// the same slot list from the names of every packet; the edges derive it
 /// once. Admission keeps `shape → (slots, presence)` and scatters the
-/// value row of any packet whose names match (the same allocation, or
-/// equal content) with no [`FieldTable::lookup`] per field; emission
-/// keeps `presence → (shape, slots)` and gathers a row behind the shared
-/// shape. What a memo cannot describe takes the by-name path, which is
-/// also the reference the memo is tested against: a packet naming a field
-/// off the table, a slab with a residual. Which path runs is decided by
-/// the packet in hand alone.
+/// value row of any packet whose names match (one interned shape: one
+/// pointer comparison) with no [`FieldTable::lookup`] per field; emission
+/// keeps `presence → (shape, slots)` and gathers a row behind the
+/// interned shape, a pointer copied. What a memo cannot describe takes
+/// the by-name path, which is also the reference the memo is tested
+/// against: a packet naming a field off the table, a slab with a
+/// residual. Which path runs is decided by the packet in hand alone.
 #[derive(Debug, Clone)]
 pub struct PacketEdges {
     table: Arc<FieldTable>,
@@ -421,7 +421,7 @@ impl PacketEdges {
     /// table, which no memo describes.
     fn admitting(&mut self, pkt: &Packet) -> Option<&Crossing> {
         match &mut self.admitted {
-            Some(memo) if memo.shape == *pkt.shape() => {}
+            Some(memo) if std::ptr::eq(memo.shape, pkt.shape()) => {}
             miss => {
                 let table = &self.table;
                 let slots = pkt.field_names().map(|name| table.lookup(name));
@@ -429,7 +429,7 @@ impl PacketEdges {
                 let mut marked = FlatPacket::new(Arc::clone(table));
                 slots.iter().for_each(|id| marked.set(*id, 0));
                 *miss = Some(Crossing {
-                    shape: Arc::clone(pkt.shape()),
+                    shape: pkt.shape(),
                     slots,
                     present: marked.present,
                     swaps: Vec::new(),
@@ -470,7 +470,7 @@ impl PacketEdges {
         }
         let memo = self.emitting(flat);
         let vals = memo.slots.iter().map(|id| flat.vals[id.index()]);
-        Packet::from_shape(Arc::clone(&memo.shape), vals.collect())
+        Packet::from_shape(memo.shape, vals.collect())
     }
 
     /// [`PacketEdges::emit`], **moving** the slab's value row into the
@@ -488,7 +488,7 @@ impl PacketEdges {
         }
         let mut row = std::mem::take(&mut flat.vals).into_vec();
         row.truncate(memo.slots.len());
-        Packet::from_shape(Arc::clone(&memo.shape), row)
+        Packet::from_shape(memo.shape, row)
     }
 
     /// The remembered crossing for slabs of `flat`'s presence mask,
@@ -514,7 +514,7 @@ impl PacketEdges {
                 j
             };
             Crossing {
-                shape: Arc::new(names.cloned().collect()),
+                shape: packet::intern(names.cloned().collect()),
                 swaps: (0..slots.len()).map(chase).collect(),
                 slots,
                 present: flat.present.clone(),

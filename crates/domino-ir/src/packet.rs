@@ -3,40 +3,101 @@
 //! Banzai does not model parsing (§2.2) — packets arrive already parsed,
 //! as a header vector whose layout the *program* fixed. So the field names
 //! belong to the program, not to the packet: a packet here is a **shape**
-//! — its names, sorted, behind an `Arc` shared by every packet with the
-//! same fields — plus a **row** of values in shape order. Fields cover
-//! both real headers (`sport`, `dport`) and per-packet metadata/temporaries
-//! introduced by the programmer (`id`) or by the compiler (SSA temps).
+//! — its names, sorted — plus a **row** of values in shape order. Fields
+//! cover both real headers (`sport`, `dport`) and per-packet
+//! metadata/temporaries introduced by the programmer (`id`) or by the
+//! compiler (SSA temps).
 //!
-//! A packet built field by field ([`Packet::with`]) takes **remembered
-//! turns**, as SELF's maps and V8's hidden classes do: each thread keeps a
-//! small table of shape transitions `(from shape, field) → (grown shape,
-//! position)`, so every packet built by the same chain ends on the one
-//! shape the first such packet made, and pays for its value row alone.
-//! The table holds both shapes of every turn, so a tabled shape is always
-//! shared and never grown in place — `Arc::make_mut` copies it — which
-//! makes its address a sound key for as long as the turn is tabled. A set
-//! is chosen by hashing the shape's *length* and the field, never the
-//! address, so which lookups hit does not depend on where the allocator
-//! put a shape. A thread holds at most 64 turns (16 sets of 4 ways), so
-//! what the table alone keeps alive is at most 128 shapes, none wider than
-//! a packet that was built on it.
+//! A shape is **interned**: the process keeps one name list per distinct
+//! name set, for as long as it runs, so two packets carry the same names
+//! exactly when they share a shape pointer, and a packet holds its shape
+//! as a plain `&'static` reference — copying, comparing or dropping it is
+//! no atomic operation. The interner is one per process, not one per
+//! thread, because the sharded switch's workers are new threads on every
+//! run: interners of their own would each learn the program's shapes anew
+//! and keep them all, growing without bound.
 //!
-//! [`Packet::set`] does not consult the table: it is the execution hot
-//! path, where the field is nearly always there already, and the packets
-//! it grows are a program's temporaries, not a generator's repeated chain
-//! (routing its inserts through the table read the scheduled-burst cost
-//! ledger row 14% slower, most of it in page faults).
+//! A packet grows field by field by **turns**, as SELF's maps and V8's
+//! hidden classes do: the interner keeps every `(shape, field) → grown
+//! shape` transition it has made, keyed by the shape's address, and each
+//! thread keeps a small table of the turns it took last, with the field's
+//! position in the grown shape, so every packet built by the same chain
+//! ends on the one shape the first such packet made and pays for its
+//! value row alone. Only a turn the thread's table misses takes the
+//! interner's lock, as does a packet collected from `(name, value)`
+//! pairs, whose names are looked up whole. A set of that table is chosen
+//! by hashing the shape's *length* and the field, never the address, so
+//! which lookups hit does not depend on where the allocator put a shape;
+//! it holds 64 turns (16 sets of 4 ways).
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
-/// The byte-wise sorted, duplicate-free names of a packet's fields, shared
-/// between packets.
-pub(crate) type Shape = Arc<Vec<Arc<str>>>;
+/// The byte-wise sorted, duplicate-free names of a packet's fields,
+/// interned: one list per distinct name set, shared by every packet that
+/// carries it and never freed.
+pub(crate) type Shape = &'static Vec<Arc<str>>;
 
-/// A remembered turn: `from` grown by the name at `to[at]`.
+/// The shape of every empty packet, which needs no lock to find.
+static EMPTY: Vec<Arc<str>> = Vec::new();
+
+/// The process's shapes, but for the empty one, and the turns between
+/// them.
+#[derive(Default)]
+struct Interner {
+    /// Every shape, by its names.
+    shapes: HashMap<&'static [Arc<str>], Shape>,
+    /// Every turn taken: the grown shape, by the address of the shape it
+    /// grew from and the name it grew by.
+    turns: HashMap<(usize, &'static str), Shape>,
+}
+
+static INTERNER: LazyLock<Mutex<Interner>> = LazyLock::new(Default::default);
+
+impl Interner {
+    /// The process's lock on its shapes. Nothing panics while the lock is
+    /// held with the maps half updated, so a poisoned lock is taken as is.
+    fn lock() -> std::sync::MutexGuard<'static, Interner> {
+        INTERNER.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The shape of `names` (sorted, duplicate-free), made if it is new —
+    /// no wider than its names, as it is kept for good.
+    fn intern(&mut self, mut names: Vec<Arc<str>>) -> Shape {
+        if let Some(&shape) = self.shapes.get(names.as_slice()) {
+            return shape;
+        }
+        names.shrink_to_fit();
+        let shape: Shape = Box::leak(Box::new(names));
+        self.shapes.insert(shape.as_slice(), shape);
+        shape
+    }
+
+    /// `from` grown by `field`, which it lacks and would take at `at`.
+    fn turn(&mut self, from: Shape, field: &str, at: usize) -> Shape {
+        let from_at = std::ptr::from_ref(from) as usize;
+        if let Some(&to) = self.turns.get(&(from_at, field)) {
+            return to;
+        }
+        let to = self.intern([&from[..at], &[Arc::from(field)], &from[at..]].concat());
+        self.turns.insert((from_at, &to[at]), to);
+        to
+    }
+}
+
+/// The shape of `names` (sorted, duplicate-free): the one every packet of
+/// that name set carries.
+pub(crate) fn intern(names: Vec<Arc<str>>) -> Shape {
+    if names.is_empty() {
+        return &EMPTY;
+    }
+    Interner::lock().intern(names)
+}
+
+/// A turn this thread remembers: `from` grown by the name at `to[at]`.
+#[derive(Clone, Copy)]
 struct Turn {
     from: Shape,
     to: Shape,
@@ -53,7 +114,7 @@ const ROW: usize = 8;
 
 thread_local! {
     static TURNS: RefCell<[[Option<Turn>; WAYS]; SETS]> =
-        const { RefCell::new([const { [const { None }; WAYS] }; SETS]) };
+        const { RefCell::new([[None; WAYS]; SETS]) };
 }
 
 /// The set a turn from a shape of `depth` names by `field` lives in
@@ -66,20 +127,49 @@ fn set_of(depth: usize, field: &str) -> usize {
     (h >> (64 - SETS.trailing_zeros())) as usize
 }
 
+/// The turn from `from` by `field` this thread remembers: the grown shape
+/// and the field's position in it.
+fn tabled(from: Shape, field: &str) -> Option<(Shape, usize)> {
+    let set = set_of(from.len(), field);
+    let turn = TURNS.try_with(|turns| {
+        let ways = &turns.borrow()[set];
+        let mut taken = ways.iter().flatten();
+        let hit = taken.find(|t| std::ptr::eq(t.from, from) && *t.to[t.at] == *field);
+        hit.map(|t| (t.to, t.at))
+    });
+    turn.ok().flatten()
+}
+
+/// `from` grown by `field`, which it lacks and would take at `at`: by this
+/// thread's turn, or else by the process's — taken under the interner's
+/// lock — and remembered in this thread's table, evicting the oldest turn
+/// of its set.
+fn grown(from: Shape, field: &str, at: usize) -> Shape {
+    if let Some((to, _)) = tabled(from, field) {
+        return to;
+    }
+    let to = Interner::lock().turn(from, field, at);
+    let _ = TURNS.try_with(|turns| {
+        let ways = &mut turns.borrow_mut()[set_of(from.len(), field)];
+        ways.rotate_right(1);
+        ways[0] = Some(Turn { from, to, at });
+    });
+    to
+}
+
 /// A parsed packet: named 32-bit fields.
 ///
 /// Observably an ordered map from name to value. Iteration is in
 /// byte-wise name order — the shape is kept sorted — which keeps
 /// simulation output and golden tests reproducible, and two packets are
-/// equal iff they carry the same names and values, whichever allocation a
-/// name or a shape lives in (shapes compare by pointer first, then by
-/// content). What the representation buys is that names are stored once
+/// equal iff they carry the same names and values, however each was
+/// built (one name set is one interned shape, so shapes compare by
+/// pointer). What the representation buys is that names are stored once
 /// per *shape*, not once per packet: cloning a packet, or materialising
-/// one off a switch's layout (`PacketEdges::emit`), is one reference-count
-/// bump plus one copy of the value row. Setting a field the packet does
-/// not carry yet copies a shared shape first and grows an unshared one in
-/// place; [`Packet::with`] takes the grown shape from a table instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// one off a switch's layout (`PacketEdges::emit`), copies a pointer and
+/// the value row. Setting a field the packet does not carry yet takes the
+/// grown shape by a turn (the module docs).
+#[derive(Debug, Clone)]
 pub struct Packet {
     names: Shape,
     /// One value per name, in shape order.
@@ -87,16 +177,24 @@ pub struct Packet {
 }
 
 impl Default for Packet {
-    /// An empty packet. Every one shares the process's one empty shape, so
-    /// none after the first allocates.
+    /// An empty packet, on the process's one empty shape: it allocates
+    /// nothing.
     fn default() -> Self {
-        static EMPTY: OnceLock<Shape> = OnceLock::new();
         Packet {
-            names: Arc::clone(EMPTY.get_or_init(Shape::default)),
+            names: &EMPTY,
             vals: Vec::new(),
         }
     }
 }
+
+impl PartialEq for Packet {
+    /// The same names are the same shape, so the names compare by pointer.
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.names, other.names) && self.vals == other.vals
+    }
+}
+
+impl Eq for Packet {}
 
 impl Packet {
     /// An empty packet.
@@ -113,8 +211,8 @@ impl Packet {
     }
 
     /// The shape, for the layout module's admission edge to recognise.
-    pub(crate) fn shape(&self) -> &Shape {
-        &self.names
+    pub(crate) fn shape(&self) -> Shape {
+        self.names
     }
 
     /// The value row, in shape order.
@@ -139,11 +237,10 @@ impl Packet {
     ///
     /// A new name first looks the packet's shape up in this thread's turn
     /// table (the module docs). On a hit the packet takes the grown shape an
-    /// earlier packet made the same way — no scan, no name or shape
-    /// allocated — and only its row grows, reserved once on the first
+    /// earlier packet made the same way — no scan, no lock, no name or
+    /// shape allocated — and only its row grows, reserved once on the first
     /// insert; so rebuilding a chain of up to eight fields allocates once.
-    /// A miss falls back to `set`'s overwrite or insert, and remembers an
-    /// insert as a turn, evicting the oldest of its set.
+    /// A miss falls back to `set`'s overwrite or insert.
     ///
     /// ```
     /// use domino_ir::Packet;
@@ -151,14 +248,7 @@ impl Packet {
     /// assert_eq!(p.get("sport"), Some(80));
     /// ```
     pub fn with(mut self, field: &str, value: i32) -> Self {
-        let set = set_of(self.names.len(), field);
-        let turn = TURNS.try_with(|turns| {
-            let ways = &turns.borrow()[set];
-            let mut taken = ways.iter().flatten();
-            let hit = taken.find(|t| Arc::ptr_eq(&t.from, &self.names) && *t.to[t.at] == *field);
-            hit.map(|t| (Arc::clone(&t.to), t.at))
-        });
-        let at = match turn.ok().flatten() {
+        let at = match tabled(self.names, field) {
             Some((to, at)) => {
                 self.names = to;
                 at
@@ -169,16 +259,7 @@ impl Packet {
                     return self;
                 }
                 Err(at) => {
-                    // The kept `from` makes `make_mut` copy even a shape
-                    // no other packet shares: a tabled shape is never grown.
-                    let from = Arc::clone(&self.names);
-                    Arc::make_mut(&mut self.names).insert(at, Arc::from(field));
-                    let to = Arc::clone(&self.names);
-                    let _ = TURNS.try_with(|turns| {
-                        let ways = &mut turns.borrow_mut()[set];
-                        ways.rotate_right(1);
-                        ways[0] = Some(Turn { from, to, at });
-                    });
+                    self.names = grown(self.names, field, at);
                     at
                 }
             },
@@ -193,11 +274,12 @@ impl Packet {
     /// Sets a field (creating it if absent).
     pub fn set(&mut self, field: &str, value: i32) {
         // Overwrites are the common case in the execution hot path; they
-        // touch neither the shape nor the allocator.
+        // touch neither the shape nor the allocator. An insert takes the
+        // grown shape by a turn, as `with` does, after the scan.
         match self.find(field) {
             Ok(at) => self.vals[at] = value,
             Err(at) => {
-                Arc::make_mut(&mut self.names).insert(at, Arc::from(field));
+                self.names = grown(self.names, field, at);
                 self.vals.insert(at, value);
             }
         }
@@ -316,7 +398,7 @@ impl FromIterator<(Arc<str>, i32)> for Packet {
         }
         let (names, vals) = fields.into_iter().unzip();
         Packet {
-            names: Arc::new(names),
+            names: intern(names),
             vals,
         }
     }
@@ -371,6 +453,66 @@ mod tests {
         assert_eq!(p, Packet::new().with("a", 1));
         assert_eq!(p, q);
         assert_ne!(p, Packet::new().with("a", 2));
+    }
+
+    #[test]
+    fn one_name_set_is_one_shape_however_the_packet_was_built() {
+        use crate::layout::{FieldTable, FlatPacket, PacketEdges};
+        let forward = Packet::new().with("a", 1).with("b", 2).with("c", 3);
+        let backward = Packet::new().with("c", 3).with("b", 2).with("a", 1);
+        let mut set = Packet::new();
+        ["b", "c", "a"].into_iter().for_each(|f| set.set(f, 0));
+        let pairs = [("c".to_string(), 3), ("a".into(), 1), ("b".into(), 2)];
+        let collected: Packet = pairs.into_iter().collect();
+        let mut table = FieldTable::new();
+        ["c", "a", "b", "off"]
+            .into_iter()
+            .for_each(|f| _ = table.intern(f));
+        let table = Arc::new(table);
+        let mut flat = FlatPacket::from_packet(&forward, &table);
+        let mut edges = PacketEdges::new(&table);
+        let emitted = edges.emit(&flat, &[]);
+        let moved = edges.emit_row(&mut flat, &[]);
+        for p in [&backward, &set, &collected, &emitted, &moved] {
+            assert!(std::ptr::eq(p.shape(), forward.shape()), "{p}");
+        }
+        assert_eq!((forward, emitted), (backward, moved));
+    }
+
+    #[test]
+    fn shapes_grow_with_the_distinct_name_sets_not_with_the_packets() {
+        // `codel_lut` on the map engine: a packet's header fields, then 61
+        // temporaries set one by one, in program order (not name order).
+        let temps: Vec<String> = (0..61).map(|i| format!("lut.t{}", (i * 37) % 61)).collect();
+        // This test's shapes, counted in the process's interner (the other
+        // tests, on other threads, intern names of their own).
+        let interned = || {
+            let interner = Interner::lock();
+            let ours = |names: &&&[Arc<str>]| names.iter().any(|n| n.starts_with("lut."));
+            interner.shapes.keys().filter(ours).count()
+        };
+        let pass = |shapes: &mut Vec<Shape>| {
+            let mut p = Packet::new().with("sport", 1).with("dport", 2);
+            for t in &temps {
+                p.set(t, 7);
+                shapes.push(p.shape());
+            }
+            p
+        };
+        let mut first = Vec::new();
+        let p = pass(&mut first);
+        assert_eq!(interned(), 61);
+        let mut again = Vec::new();
+        for _ in 0..10 {
+            assert_eq!(pass(&mut again), p);
+        }
+        // Ten more packets took the first pass's 61 turns: every shape they
+        // ended on is one the first made, so none was interned anew.
+        assert_eq!(again.len(), 10 * first.len());
+        for (i, shape) in again.iter().enumerate() {
+            assert!(std::ptr::eq(*shape, first[i % first.len()]), "turn {i}");
+        }
+        assert_eq!(interned(), 61);
     }
 
     #[test]

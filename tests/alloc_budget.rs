@@ -10,7 +10,8 @@
 //! sharded switch stepped inline (`for_each`) and on two worker threads
 //! (`collect()`) — and the lossless run once more through a PIFO at line
 //! rate and the burst once more on two sharded worker threads, which the
-//! ledger does not time. It also reads the bytes live
+//! ledger does not time, and a `collect()` whose source fails at its
+//! midpoint against a clean one. It also reads the bytes live
 //! before and after every run: both switches recycle their in-flight
 //! records in a pool that must die with the run. The counts are exact and
 //! repeat from run to run, which a timing on a shared host never does —
@@ -20,9 +21,11 @@
 //! One `#[test]`, one process-wide counter: nothing else may run beside it,
 //! so nothing else lives in this binary.
 
-use banzai::stream::GenSource;
+use banzai::stream::{FailAfter, GenSource, SliceSource};
 use banzai::wire::{encode, FrameSpec, WireConfig};
-use banzai::{AtomKind, AtomPipeline, SchedSpec, ShardConfig, ShardedSwitch, Switch, Target};
+use banzai::{
+    AtomKind, AtomPipeline, SchedSpec, ShardConfig, ShardedSwitch, Switch, SwitchError, Target,
+};
 use domino_ir::Packet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,6 +149,47 @@ fn steady_state_allocations_per_offered_packet() {
         let stats = sw.run(&trace).for_each(sink).unwrap();
         assert_eq!((stats.offered, stats.transmitted), (N, N));
     });
+    // `collect()` against a source that dies at its midpoint: the fault
+    // report carries what the run kept, moved there, so each transmitted
+    // packet exists once. Both runs transmit `N / 2` packets — the clean
+    // one offers no more — and each is read above the same run
+    // transmitting none, which is what a report costs whatever it carries
+    // (the state export): the faulted run must read no more bytes per
+    // transmitted packet than the clean one. With the output copied into
+    // the report it read 552 B against 276 B.
+    let mut sw = Switch::new_slot(&flowlet, &codel_lut, 512).unwrap();
+    let mut collect = |offered: usize, fail_at: u64| {
+        let mut sent = 0;
+        let mut run = || {
+            let source = FailAfter::new(SliceSource::new(&trace[..offered]), fail_at, "link reset");
+            sent = match sw.run(source).collect() {
+                Ok(out) => out.len(),
+                Err(SwitchError::Fault(report)) => report.salvage[0].output.len(),
+                Err(e) => panic!("{e}"),
+            } as u64;
+        };
+        run();
+        let (_, bytes) = count("run(&trace).collect()", &mut run);
+        (sent, bytes)
+    };
+    let half = N / 2;
+    let clean = (collect(half as usize, u64::MAX), collect(0, u64::MAX));
+    let faulted = (collect(N as usize, half), collect(N as usize, 0));
+    assert_eq!(
+        (clean.0 .0, clean.1 .0, faulted.0 .0, faulted.1 .0),
+        (half, 0, half, 0)
+    );
+    let (clean, faulted) = (clean.0 .1 - clean.1 .1, faulted.0 .1 - faulted.1 .1);
+    println!(
+        "run(&trace).collect(), clean | faulted: {:.0} | {:.0} B per transmitted packet",
+        clean as f64 / half as f64,
+        faulted as f64 / half as f64
+    );
+    assert!(
+        faulted <= clean,
+        "a faulted collect() kept {faulted} B, a clean one {clean} B"
+    );
+
     // The same run through a PIFO: at line rate it holds at most one
     // packet, a one-entry heap whose buffer, once grown, is reused. It
     // costs what the FIFO costs.
@@ -162,7 +206,7 @@ fn steady_state_allocations_per_offered_packet() {
 
     // `stream_congested`: the generator builds each packet field by field,
     // by the shape turns the warm-up left in this thread's table — one
-    // shared shape, so the names cost nothing and the packet is its row
+    // interned shape, so the names cost nothing and the packet is its row
     // alone; two thirds are refused at the full queue and hand their
     // record to the next arrival. Recorded as measured; with a shape and
     // names made per packet this read 11.58 allocations and 549 B, a slab

@@ -136,7 +136,7 @@ proptest! {
                     assert_same(&twin(), &model)?;
                 }
                 // A clone that then diverges leaves the original alone —
-                // whether the name is new (the shared shape is copied) or
+                // whether the name is new (the clone takes the grown shape) or
                 // not (only the clone's row changes).
                 3 => {
                     let mut other = pkt.clone();
@@ -287,6 +287,34 @@ fn a_packet_built_on_one_thread_extends_on_another() {
     assert_same(&there.1, &model).unwrap();
     // And back on this thread, the same chain by this thread's turns.
     assert_same(&here.with("queue", 1).with("hop", 2), &model).unwrap();
+}
+
+#[test]
+fn four_threads_building_one_chain_at_once_share_one_shape() {
+    // Names no other test uses, so the four threads race to intern every
+    // shape of the chain; a fresh chain per round makes that race again.
+    for round in 0..16 {
+        let chain = move || {
+            let name = |f: &str| format!("race{round}.{f}");
+            ["sport", "dport", "arrival", "new_hop", "next_hop", "id"]
+                .into_iter()
+                .fold(Packet::new(), |p, f| p.with(&name(f), 1))
+        };
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    chain()
+                })
+            })
+            .collect();
+        let built: Vec<Packet> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        // Equal packets share a shape pointer: one shape, whoever won.
+        assert!(built.iter().all(|p| *p == built[0]), "round {round}");
+        assert_eq!(built[0], chain());
+    }
 }
 
 #[test]

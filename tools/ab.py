@@ -11,16 +11,23 @@ For every workload x metric it prints the parent's median (q1-q3), the
 change's median (q1-q3), the ratio of the medians and the pairs the change
 won. A metric is *resolved* when the change wins at least 9 in 10 pairs
 and the medians lie further apart than the parent's interquartile range.
-It exits non-zero if any run reads `correct: false` or fails.
+It exits non-zero if any run reads `correct: false` or fails, or if any
+measured workload's end-to-end metric (those the repository's
+`BENCHMARK.json` lists under `end_to_end`) has a change median worse
+than the parent's by more than that metric's `bound`. With `--claim WORKLOAD:METRIC` it also exits
+non-zero unless that metric resolves: the gate a claimed gain is held to,
+checked before the change is proposed.
 
     python3 tools/ab.py --parent A/ledger --change B/ledger \\
-        --workloads sharded_flowlet serial_flowlet --pairs 10 --seed 3 --seconds 10
+        --workloads sharded_flowlet serial_flowlet --pairs 10 --seed 3 --seconds 10 \\
+        --claim serial_flowlet:norm_pkts_per_s
 
 Standard library only.
 """
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -72,6 +79,13 @@ def fmt(x):
     return f"{x:.4g}"
 
 
+def bounds(path):
+    """`{metric: (better, bound)}` for the end-to-end metrics of `path`."""
+    with open(path) as f:
+        doc = json.load(f)
+    return {m["name"]: (m["better"], m["bound"]) for m in doc["end_to_end"]}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="the parent's ledger binary")
@@ -80,9 +94,19 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=10)
+    ap.add_argument(
+        "--claim",
+        metavar="WORKLOAD:METRIC",
+        help="exit non-zero unless this metric resolves on this workload",
+    )
     args = ap.parse_args()
+    gates = bounds(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json"))
+    claim = tuple(args.claim.split(":", 1)) if args.claim else None
+    if claim and (len(claim) != 2 or claim[0] not in args.workloads):
+        ap.error(f"--claim {args.claim}: expected WORKLOAD:METRIC, WORKLOAD one of --workloads")
 
     ok = True
+    claimed = False
     for workload in args.workloads:
         runs = {"parent": [], "change": []}
         for pair in range(args.pairs):
@@ -115,14 +139,26 @@ def main():
                 wins = sum(c < p for p, c in pairs)
             ratio = cmed / pmed if pmed else float("nan")
             resolved = wins * 10 >= 9 * len(pairs) and abs(cmed - pmed) > (pq3 - pq1)
+            # Past its bound on the wrong side: what the gate refuses.
+            worse = False
+            if name in gates:
+                side, bound = gates[name]
+                limit = pmed * (1 - bound if side == "higher" else 1 + bound)
+                worse = cmed < limit if side == "higher" else cmed > limit
             print(
                 f"  {name:16} parent {fmt(pmed)} ({fmt(pq1)}-{fmt(pq3)})"
                 f"  change {fmt(cmed)} ({fmt(cq1)}-{fmt(cq3)})"
                 f"  ratio {ratio:.3f}  wins {wins}/{len(pairs)}"
-                f"{'  resolved' if resolved else ''}",
+                f"{'  resolved' if resolved else ''}{'  PAST ITS BOUND' if worse else ''}",
                 flush=True,
             )
-    sys.exit(0 if ok else 1)
+            if worse:
+                ok = False
+            if (workload, name) == claim:
+                claimed = resolved
+    if claim and not claimed:
+        print(f"claim {args.claim}: not resolved", flush=True)
+    sys.exit(0 if ok and (claimed or not claim) else 1)
 
 
 if __name__ == "__main__":
