@@ -67,18 +67,23 @@
 //! `Arc` that every shard — and every shard rebuilt after a fault —
 //! binds to. So one format crosses every boundary:
 //!
-//! * the **dispatcher admits once** — a map packet is flattened onto the
-//!   table, a frame is parsed onto it by one [`BoundParser`], either way
-//!   into a record of the run's one pool when it has one — and
-//!   evaluates the steering rule over the slab's **slots**
-//!   (`SlotSteer`: the flow key's slice lowered like an engine's
-//!   program, or the arrival index);
+//! * the **dispatcher admits once**, through the serial switch's own two
+//!   arrival adapters (`switch::admitting`, `switch::parsing`) — a map
+//!   packet is flattened onto the table, a frame is parsed onto it by
+//!   one [`BoundParser`], either way into a record of the run's one pool
+//!   when it has one, and stamped with its arrival cycle by the adapter,
+//!   not by the dispatcher — and evaluates the steering rule over the
+//!   slab's **slots** (`SlotSteer`: the flow key's slice lowered like an
+//!   engine's program, or the arrival's index in the run);
 //!   [`ShardPlan::steer`] is the same rule by name, the reference the
 //!   suites hold the dispatcher to;
-//! * **slabs ride the rings**, or are handed straight to the lane,
-//!   stamped with their arrival cycle (a rejected frame rides as its
-//!   verdict, dealt by index); the shard's switch runs its one loop on
-//!   them;
+//! * **slabs ride the rings**, or are handed straight to the lane, as
+//!   the adapter stamped them (a rejected frame rides as its verdict,
+//!   dealt by index); the shard's switch runs its one loop on them. The
+//!   dispatcher keeps no clock of either kind: it only notes where the
+//!   switch's clock stands after the last arrival it pulled, and times
+//!   nothing — the inline executor times each lane's step, for
+//!   [`ShardedRun::instrumented`] alone;
 //! * a scheduling run is the serial burst split at its seam: each lane
 //!   admits its slabs as the serial switch does (`Switch::hold`) and
 //!   holds them in arrival order, in its shard's own burst buffer — kept
@@ -102,8 +107,8 @@
 //!
 //! Each thing exists once. Every shard's [`Switch`] runs its one cycle
 //! loop (stamped arrivals, line rate). Every run, threaded or
-//! sequential, is **one dispatcher** (`scatter`: the only pull → admit →
-//! steer → batch loop) feeding each shard's *lane* (the per-batch step:
+//! sequential, is **one dispatcher** (`scatter`: the only pull → steer →
+//! batch loop) feeding each shard's *lane* (the per-batch step:
 //! forward and emit, forward and deparse, or ingress and hold) and
 //! **one close-out** (`gather`: shards put back, streams handed over —
 //! or salvage, rebuild and the one `FaultReport` constructor in
@@ -137,10 +142,10 @@ use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::switch::{
-    sort_burst, DropCounters, DropReason, Held, InFlight, PipelineEngine, Pool, SchedDeparture,
-    Stamped, Switch, QUEUE_METADATA_FIELDS,
+    admitting, parsing, sort_burst, DropCounters, DropReason, Held, PipelineEngine, Pool, Pulled,
+    SchedDeparture, Stamped, Switch, QUEUE_METADATA_FIELDS,
 };
-use crate::wire::{BoundParser, ParseVerdict, WireConfig};
+use crate::wire::{BoundParser, WireConfig};
 use domino_ast::{StateKind, StateVar};
 use domino_ir::layout::StateLayout;
 use domino_ir::partition::{FlowKeySpec, Partitionability, ReplicaSpec};
@@ -163,12 +168,6 @@ type Trip = (Batch, Pool);
 /// The feeder's handle to one shard's batch ring (`None` once the shard
 /// has been declared dead or stalled and cut off).
 type BatchSender = Option<mpsc::SyncSender<Trip>>;
-
-/// What a dispatcher's `pull` yields: the next arrival, already on the
-/// table (or the verdict that rejected its frame) and in a record of the
-/// pool it is lent if there is one, `None` at the end of the stream, or
-/// the source's error.
-type Pulled = Result<Option<Result<InFlight, ParseVerdict>>, SourceError>;
 
 /// Configuration for a [`ShardedSwitch`].
 #[derive(Debug, Clone)]
@@ -946,15 +945,15 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     }
 
     /// **The one dispatcher** of every sharded run, threaded or inline:
-    /// `pull` the next arrival already on the table (a map packet
-    /// admitted — its one map → slab crossing — or a frame parsed, or
-    /// the verdict that rejected it), stamp it with its arrival cycle
-    /// (`from` plus its index), steer it, and `feed` each shard its
-    /// arrivals a batch at a time — `feed` is lent the full batch, leaves
-    /// it empty (taken for a ring, or drained where it lies, its buffer
-    /// kept for the next) and answers with how many of it were shed. What happens to a fed batch
-    /// is the executor's business
-    /// ([`ShardedSwitch::threaded`], [`ShardedSwitch::inline`]); what the
+    /// `pull` the next arrival — one of the switch's two adapters
+    /// (`switch::admitting`, `switch::parsing`), which put it on the table
+    /// and stamp its arrival cycle — steer it by its index in the run, and
+    /// `feed` each shard its arrivals a batch at a time, as stamped —
+    /// `feed` is lent the full batch, leaves it empty (taken for a ring,
+    /// or drained where it lies, its buffer kept for the next) and answers
+    /// with how many of it were shed. What happens to a fed batch is the
+    /// executor's business ([`ShardedSwitch::threaded`],
+    /// [`ShardedSwitch::inline`]), and so is timing it; what the
     /// dispatcher saw comes back as the [`Scatter`].
     ///
     /// The dispatcher owns **the run's one record pool**, as
@@ -972,7 +971,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     fn scatter(
         &mut self,
         before: Vec<(DropCounters, u64)>,
-        from: i64,
         mut pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
         mut feed: impl FnMut(usize, &mut Batch, &mut Pool) -> u64,
     ) -> Scatter {
@@ -983,43 +981,29 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             sheds: vec![0; n],
             pulled: 0,
             source_error: None,
-            timings: ShardTimings {
-                steer_ns: 0,
-                shard_ns: vec![0; n],
-                merge_ns: 0,
-            },
         };
-        let start = Instant::now();
         let mut pool = Vec::new();
-        let mut timed_feed = |s: usize, full: &mut Batch, run: &mut Scatter, pool: &mut _| {
-            let t = Instant::now();
-            run.sheds[s] += feed(s, full, pool);
-            run.timings.shard_ns[s] += t.elapsed().as_nanos();
-        };
         let mut pending: Vec<Batch> = (0..n).map(|_| Vec::with_capacity(batch)).collect();
         run.source_error = loop {
-            let arrival = match pull(&mut self.edges, &mut pool) {
-                Ok(Some(arrival)) => arrival,
+            let (t, arrival) = match pull(&mut self.edges, &mut pool) {
+                Ok(Some(stamped)) => stamped,
                 end => break end.err(),
             };
-            let i = run.pulled as usize;
             let slab = arrival.as_ref().ok().map(|p| &p.flat);
-            let s = self.steer.shard_of(i, slab, n);
+            let s = self.steer.shard_of(run.pulled as usize, slab, n);
             run.pulled += 1;
             run.offered[s] += 1;
-            pending[s].push((from + i as i64, arrival));
+            self.now = t + 1;
+            pending[s].push((t, arrival));
             if pending[s].len() == batch {
-                timed_feed(s, &mut pending[s], &mut run, &mut pool);
+                run.sheds[s] += feed(s, &mut pending[s], &mut pool);
             }
         };
         for (s, rest) in pending.iter_mut().enumerate() {
             if !rest.is_empty() {
-                timed_feed(s, rest, &mut run, &mut pool);
+                run.sheds[s] += feed(s, rest, &mut pool);
             }
         }
-        let fed: u128 = run.timings.shard_ns.iter().sum();
-        run.timings.steer_ns = start.elapsed().as_nanos() - fed;
-        self.now = from + run.pulled as i64;
         run
     }
 
@@ -1047,7 +1031,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// shard keeps between runs.
     fn threaded<L: Lane<E> + Send + 'static>(
         &mut self,
-        from: i64,
         pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
         lane: impl Fn(&mut Switch<E>) -> L,
     ) -> Result<Gathered<L::Out>, SwitchError>
@@ -1078,7 +1061,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
 
         let mut stalled = vec![false; n];
         let mut spares: Vec<Trip> = Vec::new();
-        let run = self.scatter(before, from, pull, |s, batch, pool| {
+        let run = self.scatter(before, pull, |s, batch, pool| {
             for (buf, mut spent) in back.try_iter() {
                 pool.append(&mut spent);
                 spares.push((buf, spent));
@@ -1141,11 +1124,11 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// [`ShardedRun::for_each`], [`ShardedFrameRun::partitioned`]): the
     /// same dispatcher, the same lanes, no ring and no thread — `feed`
     /// steps the shard's lane the moment its batch fills, on the
-    /// caller's thread (so the dispatcher's per-shard feed time *is* the
-    /// shard's busy time, free of scheduler interference), the step
-    /// putting its spent records straight back into the pool, then lends
-    /// the lane to `tap`, which may take what it holds. Unsupervised: an
-    /// engine panic propagates.
+    /// caller's thread, the step putting its spent records straight back
+    /// into the pool, then lends the lane to `tap`, which may take what it
+    /// holds, with the step's wall-clock time in nanoseconds — the shard's
+    /// busy time, free of scheduler interference. Unsupervised: an engine
+    /// panic propagates.
     ///
     /// At line rate consecutive steps of one switch compose (its queue is
     /// empty between them), so the batch size never shows in the output;
@@ -1157,15 +1140,16 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         &mut self,
         pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
         lane: impl Fn() -> L,
-        mut tap: impl FnMut(usize, &mut L),
+        mut tap: impl FnMut(usize, &mut L, u128),
     ) -> Result<Gathered<L::Out>, SwitchError> {
         self.check_line_rate()?;
         let (switches, before) = self.take_shards();
         let mut lanes: Vec<(Switch<E>, L)> = switches.into_iter().map(|sw| (sw, lane())).collect();
-        let run = self.scatter(before, self.now, pull, |s, batch, pool| {
+        let run = self.scatter(before, pull, |s, batch, pool| {
             let (sw, lane) = &mut lanes[s];
+            let t = Instant::now();
             lane.step(sw, batch, pool);
-            tap(s, lane);
+            tap(s, lane, t.elapsed().as_nanos());
             0
         });
         let collected = (lanes.into_iter())
@@ -1205,7 +1189,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             }
             return Ok(Gathered {
                 pulled: run.pulled,
-                timings: run.timings,
                 streams,
             });
         }
@@ -1433,7 +1416,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     {
         let sw = self.switch;
         sw.check_line_rate()?;
-        let run = sw.threaded(sw.now, admitting(&mut self.source), |_| Forward::default())?;
+        let run = sw.threaded(admitting(&mut self.source, sw.now), |_| Forward::default())?;
         Ok(sw.merge(run.streams))
     }
 
@@ -1462,9 +1445,9 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
         // The tap empties the lane after every step, so a fault's salvage
         // carries the books and state snapshots but no packet payloads.
         let end = sw.inline(
-            admitting(&mut self.source),
+            admitting(&mut self.source, sw.now),
             Forward::default,
-            |s, lane: &mut Forward| {
+            |s, lane: &mut Forward, _| {
                 merge.push(s, lane.0.drain(..));
                 merge.drain(false, &mut emit);
             },
@@ -1482,24 +1465,31 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     /// suites compare against serial execution. Unsupervised: engine
     /// errors propagate as `Result`s, engine panics as panics.
     pub fn partitioned(mut self) -> Result<Vec<Vec<Packet>>, SwitchError> {
-        let pull = admitting(&mut self.source);
+        let pull = admitting(&mut self.source, self.switch.now);
         Ok(self
             .switch
-            .inline(pull, Forward::default, |_, _| {})?
+            .inline(pull, Forward::default, |_, _, _| {})?
             .streams)
     }
 
     /// Like [`ShardedRun::partitioned`], but timed (steer, per-shard busy
     /// runs, merge) and merged — see [`ShardTimings`].
     pub fn instrumented(mut self) -> Result<ShardRun, SwitchError> {
-        let pull = admitting(&mut self.source);
-        let run = self.switch.inline(pull, Forward::default, |_, _| {})?;
+        let sw = self.switch;
+        let mut shard_ns = vec![0; sw.shard_count()];
+        // Steering is the dispatcher's time outside every lane's steps.
+        let start = Instant::now();
+        let pull = admitting(&mut self.source, sw.now);
+        let run = sw.inline(pull, Forward::default, |s, _, ns| shard_ns[s] += ns)?;
+        let steer_ns = start.elapsed().as_nanos() - shard_ns.iter().sum::<u128>();
         // Time the merge the production path performs: a move, no clones.
         let t = Instant::now();
-        let merged = self.switch.merge(run.streams);
+        let merged = sw.merge(run.streams);
+        let merge_ns = t.elapsed().as_nanos();
         let timings = ShardTimings {
-            merge_ns: t.elapsed().as_nanos(),
-            ..run.timings
+            steer_ns,
+            shard_ns,
+            merge_ns,
         };
         Ok(ShardRun { merged, timings })
     }
@@ -1562,7 +1552,8 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
         // A burst's clock is run-local, as on the serial switch; each
         // lane holds in its shard's own buffer.
         let lane = |shard: &mut Switch<E>| Schedule(std::mem::take(&mut shard.burst));
-        let mut lanes = sw.threaded(0, admitting(&mut self.source), lane)?.streams;
+        let run = sw.threaded(admitting(&mut self.source, 0), lane)?;
+        let mut lanes = run.streams;
         // The serial burst's drain over the union of what the shards
         // held, appended onto the first lane's buffer. A keyed egress
         // departs each slab on the shard its key steers to — the one that
@@ -1581,6 +1572,7 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
             shards[s].egress.process(p)
         };
         let (edges, shaping) = (&mut sw.edges, sw.config.sched.is_shaping());
+        sw.now = run.pulled as i64;
         let out = Switch::<E>::drain_burst(sw.meta, edges, shaping, &mut held, &mut sw.now, egress);
         // Every buffer, emptied, goes home to its shard for the next burst.
         lanes[0] = held;
@@ -1611,7 +1603,8 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
     /// frame it sent, or a new one — steers
     /// the slab by its slots and frame index, and hands it — its
     /// [`WireLayout`](crate::wire::WireLayout) beside it, stamped with the
-    /// frame index as its arrival cycle — to the shard, which patches the
+    /// switch's clock plus its frame index as its arrival cycle — to the
+    /// shard, which patches the
     /// record's bytes in place as it departs; the buffer is moved out of
     /// the record, not copied. A frame lands on exactly the shard its
     /// packet-born twin would: per-shard output equals the serial
@@ -1629,11 +1622,9 @@ impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
     /// typed parse-drop counters still close the accounting exactly).
     pub fn partitioned(mut self) -> Result<Vec<Vec<Vec<u8>>>, SwitchError> {
         let parser = self.switch.parser(self.cfg);
-        let pull = |_: &mut PacketEdges, pool: &mut Pool| {
-            Ok((self.source.next_frame()?).map(|f| InFlight::parse(f, &parser, || pool.pop())))
-        };
+        let pull = parsing(&mut self.source, &parser, self.switch.now);
         let lane = || Frames(&parser, Vec::new());
-        Ok(self.switch.inline(pull, lane, |_, _| {})?.streams)
+        Ok(self.switch.inline(pull, lane, |_, _, _| {})?.streams)
     }
 }
 
@@ -1837,19 +1828,10 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-/// The packet-born `pull`: each packet admitted onto the table — its one
-/// map → slab crossing — from the source's loan ([`PacketSource::lend`]:
-/// a slice's packet is read where it lies), into a record of the pool if
-/// it has one.
-fn admitting<S: PacketSource>(
-    source: &mut S,
-) -> impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled + '_ {
-    |edges, pool| Ok((source.lend()?).map(|pkt| Ok(InFlight::admit(&pkt, edges, pool.pop()))))
-}
-
 /// Everything the one dispatcher observed during a run
 /// ([`ShardedSwitch::scatter`]) — what the one close-out
-/// ([`ShardedSwitch::gather`]) closes the books over.
+/// ([`ShardedSwitch::gather`]) closes the books over. It holds counts
+/// only: the dispatcher stamps no arrival and reads no clock.
 struct Scatter {
     /// Each shard's drop counters and transmit count as it was taken for
     /// the run (reports carry the run's delta).
@@ -1862,11 +1844,6 @@ struct Scatter {
     pulled: u64,
     /// The source's mid-stream error, if it failed rather than ended.
     source_error: Option<SourceError>,
-    /// The dispatcher's own clock: its time inside `feed`, per shard
-    /// (inline, the shard's busy time) and everything else — pulling,
-    /// admitting, steering (the RX lane). The merge is the terminal's to
-    /// time.
-    timings: ShardTimings,
 }
 
 /// A run that ended clean, as [`ShardedSwitch::gather`] hands it to its
@@ -1874,8 +1851,6 @@ struct Scatter {
 struct Gathered<O> {
     /// Total arrivals pulled from the source.
     pulled: u64,
-    /// The dispatcher's lane timings (see [`Scatter::timings`]).
-    timings: ShardTimings,
     /// Each lane's complete stream, in shard order.
     streams: Vec<Vec<O>>,
 }
@@ -2408,11 +2383,14 @@ mod tests {
         let mut a = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
         assert_eq!(a.plan().tier(), ShardTier::Exact);
         let mut source = trace.as_slice().into_packet_source();
-        let threaded = keys(a.threaded(0, admitting(&mut source), |_| lane()).unwrap());
+        let threaded = keys(a.threaded(admitting(&mut source, 0), |_| lane()).unwrap());
 
         let mut b = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
         let mut source = trace.as_slice().into_packet_source();
-        let inline = keys(b.inline(admitting(&mut source), lane, |_, _| {}).unwrap());
+        let inline = keys(
+            b.inline(admitting(&mut source, 0), lane, |_, _, _| {})
+                .unwrap(),
+        );
 
         assert_eq!(inline, threaded);
         assert_eq!(inline.iter().map(Vec::len).sum::<usize>(), 200);

@@ -87,23 +87,24 @@ pub struct RunStats {
 /// A pull-based source of packets — the streaming replacement for
 /// `&[Packet]` traces.
 ///
-/// The contract mirrors a fused iterator, with errors: `next_packet`
-/// yields `Ok(Some(..))` per packet in arrival order, `Ok(None)` once at
+/// The contract mirrors a fused iterator, with errors: `lend` (and
+/// `next_packet`, built on it) yields `Ok(Some(..))` per packet in arrival order, `Ok(None)` once at
 /// end of stream (the run machinery never calls it again afterwards),
 /// and `Err` if ingestion fails mid-stream. Sources are pulled one
 /// packet per simulated arrival cycle, so a source *is* the arrival
 /// process.
 pub trait PacketSource {
-    /// Pulls the next packet, `Ok(None)` at end of stream.
-    fn next_packet(&mut self) -> Result<Option<Packet>, SourceError>;
-
     /// Pulls the next packet as the source holds it: borrowed where it
     /// already lies (a slice's element), owned where it is made for the
     /// pull. The run machinery pulls this way — admission only reads the
     /// packet — so a source that holds its packets lends them instead of
-    /// cloning each one. By default, [`PacketSource::next_packet`], owned.
-    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
-        Ok(self.next_packet()?.map(Cow::Owned))
+    /// cloning each one.
+    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError>;
+
+    /// Pulls the next packet, owned (a lent one cloned), `Ok(None)` at
+    /// end of stream.
+    fn next_packet(&mut self) -> Result<Option<Packet>, SourceError> {
+        Ok(self.lend()?.map(Cow::into_owned))
     }
 
     /// `(lower, upper)` bounds on the packets remaining, iterator-style.
@@ -155,10 +156,6 @@ impl<'a> SliceSource<'a> {
 }
 
 impl PacketSource for SliceSource<'_> {
-    fn next_packet(&mut self) -> Result<Option<Packet>, SourceError> {
-        Ok(self.lend()?.map(Cow::into_owned))
-    }
-
     fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
         let item = self.items.get(self.pos);
         self.pos += usize::from(item.is_some());
@@ -207,14 +204,14 @@ impl<F: FnMut(u64) -> Option<Packet>> GenSource<F> {
 }
 
 impl<F: FnMut(u64) -> Option<Packet>> PacketSource for GenSource<F> {
-    fn next_packet(&mut self) -> Result<Option<Packet>, SourceError> {
+    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
         if self.len.is_some_and(|n| self.next >= n) {
             return Ok(None);
         }
         match (self.f)(self.next) {
             Some(p) => {
                 self.next += 1;
-                Ok(Some(p))
+                Ok(Some(Cow::Owned(p)))
             }
             None => Ok(None),
         }
@@ -323,10 +320,6 @@ impl<S> FailAfter<S> {
 }
 
 impl<S: PacketSource> PacketSource for FailAfter<S> {
-    fn next_packet(&mut self) -> Result<Option<Packet>, SourceError> {
-        Ok(self.lend()?.map(Cow::into_owned))
-    }
-
     fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
         if self.yielded >= self.fail_at {
             return Err(SourceError::new(self.msg.clone()));

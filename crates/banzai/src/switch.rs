@@ -50,16 +50,20 @@
 //! | [`Run::collect`] / [`Run::for_each`] | packet source | the emitted packet, which it owns |
 //! | [`FrameRun::for_each`] | frame source + [`BoundParser`] | nothing: it is lent the record's bytes, patched in place |
 //! | [`FrameRun::collect`] | frame source + [`BoundParser`] | a copy of each lent frame |
-//! | sharded workers (`crate::shard`) | stamped `(cycle, slab)` pairs, admitted by the dispatcher | the emitted packet (its value row moved out of the record), or the patched buffer moved out of the record |
+//! | sharded workers (`crate::shard`) | batches of the arrivals the dispatcher pulled, stamped | the emitted packet (its value row moved out of the record), or the patched buffer moved out of the record |
 //!
-//! An arrival reaches the loop as a record already on the switch's table
-//! (a packet admitted from its source's loan, a frame the bound parser
-//! laid out with its [`WireLayout`] beside it, or a packet a sharded
-//! switch's dispatcher admitted), or as the [`ParseVerdict`] that
-//! rejected the frame; stamped arrivals also set the clock. The sink is
-//! lent each departing record and turns it into its terminal's currency.
-//! Whatever the combination, the queue is the switch's own
-//! [`SchedQueue`] under the configured [`SchedSpec`].
+//! Every run takes one kind of arrival, a `Stamped` pair: the cycle it
+//! arrives at, and its record already on the switch's table — a packet
+//! admitted from its source's loan, or a frame the bound parser laid out
+//! with its [`WireLayout`] beside it — or the [`ParseVerdict`] that
+//! rejected the frame. Exactly two adapters make them, `admitting` and
+//! `parsing`, and each stamps its `k`-th arrival `from + k`: a
+//! line-rate run from the switch's clock, so it continues across runs; a
+//! burst from 0; a sharded run from the sharded switch's clock, on the
+//! dispatcher's thread, whose batches a shard's loop takes unchanged.
+//! The sink is lent each departing record and turns it into its
+//! terminal's currency. Whatever the combination, the queue is the
+//! switch's own [`SchedQueue`] under the configured [`SchedSpec`].
 //!
 //! A scheduled burst ([`SchedRun`], and its sharded twin) is not that
 //! loop: nothing departs until the source has ended, so the queue's pop
@@ -81,21 +85,23 @@
 //! rejects never takes one). Admission has one form: an empty pool hands
 //! it a new, empty record, written into like a pooled one. So a run makes
 //! about as many records as it ever has in flight at once, however long
-//! the source. What is pooled is decided by what the loop and its adapter
-//! can see, not by a setting:
+//! the source. What is pooled is decided by whose pool the loop is lent,
+//! not by a setting:
 //!
-//! * only **while somebody can ask for a record** — a serial terminal's
-//!   loop admits into the pool it lends itself, so once its source has
-//!   ended a draining queue frees as it goes (a burst, which arrives whole
-//!   before anything departs, recycles only the records of refused
-//!   arrivals, and its drain moves each row into the departing packet);
-//! * **the pool is its maker's** — a shard worker's arrivals come
-//!   stamped, in records the sharded dispatcher made, so
-//!   `Switch::run_stamped` hands every record it is done with back to
-//!   its caller, drained queue and all, and the dispatcher admits into
-//!   them (a record may come back without its value row, moved into the
-//!   packet it emitted — `InFlight::emit_row` says why that lane moves and
-//!   the serial terminals copy; only admission may see one so);
+//! * a pool of **the run's own** pools only **while somebody can ask for
+//!   a record** — a serial terminal lends its loop no pool, so once its
+//!   source has ended a draining queue frees as it goes (a burst, which
+//!   arrives whole before anything departs, recycles only the records of
+//!   refused arrivals, and its drain moves each row into the departing
+//!   packet);
+//! * **the caller's pool** gets every record back — a shard worker's
+//!   arrivals come in records the sharded dispatcher made, so
+//!   `Switch::run_stamped` lends the loop its caller's pool and hands
+//!   back every record it is done with, drained queue and all, and the
+//!   dispatcher admits into them (a record may come back without its
+//!   value row, moved into the packet it emitted — `InFlight::emit_row`
+//!   says why that lane moves and the serial terminals copy; only
+//!   admission may see one so);
 //! * the pool **dies with the run** — between runs the table may grow
 //!   (see [`Switch::with_scheduler`]), and a record is sized by its table.
 //!   An engine that unwinds mid-run drops the pool with everything else.
@@ -450,10 +456,52 @@ impl InFlight {
 /// (the module docs' *Recycling*).
 pub(crate) type Pool = Vec<InFlight>;
 
-/// A stamped arrival — what a sharded switch's dispatcher hands a shard:
-/// the global arrival cycle, and the slab it admitted onto the shared
-/// table (or the verdict that rejected the frame).
+/// **The arrival** of every run: its arrival cycle, and the record on the
+/// switch's table (or the verdict that rejected its frame). Only the two
+/// adapters, [`admitting`] and [`parsing`], stamp one.
 pub(crate) type Stamped = (i64, Result<InFlight, ParseVerdict>);
+
+/// What pulling an adapter yields: the next arrival, `None` at the end of
+/// the stream, or the source's error.
+pub(crate) type Pulled = Result<Option<Stamped>, SourceError>;
+
+/// The packet-born adapter: lends each packet of `source` and admits it
+/// from that loan — its one map → slab crossing — into a record of the
+/// pool it is lent if there is one ([`InFlight::admit`]), stamping the
+/// `k`-th arrival `from + k`.
+pub(crate) fn admitting<S: PacketSource>(
+    source: &mut S,
+    from: i64,
+) -> impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled + '_ {
+    let mut at = from;
+    move |edges, pool| {
+        let Some(pkt) = source.lend()? else {
+            return Ok(None);
+        };
+        let p = InFlight::admit(&pkt, edges, pool.pop());
+        at += 1;
+        Ok(Some((at - 1, Ok(p))))
+    }
+}
+
+/// The byte-born adapter: `parser` lays each frame of `source` onto a
+/// record of the pool it is lent if there is one ([`InFlight::parse`]),
+/// or rejects it, stamping the `k`-th arrival `from + k`.
+pub(crate) fn parsing<'a, S: FrameSource>(
+    source: &'a mut S,
+    parser: &'a BoundParser,
+    from: i64,
+) -> impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled + 'a {
+    let mut at = from;
+    move |_, pool| {
+        let Some(frame) = source.next_frame()? else {
+            return Ok(None);
+        };
+        let p = InFlight::parse(frame, parser, || pool.pop());
+        at += 1;
+        Ok(Some((at - 1, p)))
+    }
+}
 
 /// A burst's held arrival: its key, its arrival cycle and its
 /// ingress-processed record ([`Switch::hold`], [`Switch::drain_burst`]).
@@ -466,14 +514,6 @@ pub(crate) type Held = (SchedKey, i64, InFlight);
 /// distinct, so an unstable sort is stable.
 pub(crate) fn sort_burst(held: &mut [Held]) {
     held.sort_unstable_by_key(|&(key, arrival, _)| (key, arrival));
-}
-
-/// What one arrival slot yields: a record on the switch's table, or the
-/// verdict that rejected its frame — the slot is consumed either way.
-struct Arrival {
-    /// The cycle this arrival sets the clock to (stamped arrivals only).
-    stamp: Option<i64>,
-    pkt: Result<InFlight, ParseVerdict>,
 }
 
 /// How a run through the one loop ended: its totals, the drops it added,
@@ -893,14 +933,13 @@ impl<E: PipelineEngine> Switch<E> {
     /// one cycle:
     ///
     /// 1. **arrival slot** — `pull` is lent the switch's edges and the
-    ///    pool and yields the next [`Arrival`] already on the switch table,
-    ///    in a spent record of the pool if there is one (a packet the
-    ///    source lent, admitted from that borrow; a frame, parsed), ingress
-    ///    runs on the slab, the [`SchedKey`] is read off slots, and the
-    ///    record joins the queue as having arrived at this cycle — or the
-    ///    drop is booked under the discipline's reason, or under the
-    ///    verdict that rejected its frame. A failed or ended source is
-    ///    never pulled again;
+    ///    pool and yields the next [`Stamped`] arrival, whose cycle sets
+    ///    the clock (stamps increase), already on the switch table, in a
+    ///    spent record of the pool if there is one; ingress runs on the
+    ///    slab, the [`SchedKey`] is read off slots, and the record joins
+    ///    the queue as having arrived at this cycle — or the drop is booked
+    ///    under the discipline's reason, or under the verdict that rejected
+    ///    its frame. A failed or ended source is never pulled again;
     /// 2. the run is over once the source has ended and the queue is
     ///    empty — so everything admitted departs and the books close
     ///    (`lost_in_fault == 0`) even when the source failed mid-stream;
@@ -913,34 +952,36 @@ impl<E: PipelineEngine> Switch<E> {
     ///    memory stays O(queue capacity) however long the source.
     ///
     /// A record whose packet is gone — departed, or refused by the full
-    /// queue — goes to `pool`, the caller's, while the source is live, and
-    /// after it too if the arrivals came stamped (the module docs'
-    /// *Recycling*): `pull` is lent it, to admit a packet or parse a frame
-    /// into one of its records.
+    /// queue — goes to a pool `pull` is lent, to admit a packet or parse a
+    /// frame into (the module docs' *Recycling*): the caller's `pool`,
+    /// which gets every record back, drained queue and all; or, given
+    /// none, a pool of the run's own, which frees what departs once the
+    /// source has ended.
     ///
-    /// The clock continues from the previous run. Engine state and the
-    /// drop/transmit counters accumulate across calls; the queue is empty
-    /// on entry and on return.
+    /// Engine state and the drop/transmit counters accumulate across
+    /// calls; the queue is empty on entry and on return.
     fn cycle(
         &mut self,
-        pool: &mut Pool,
-        mut pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Result<Option<Arrival>, SourceError>,
+        pool: Option<&mut Pool>,
+        mut pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
         mut sink: impl FnMut(&mut PacketEdges, &mut InFlight),
     ) -> Ended {
         let shaping = self.sched.is_shaping();
         let drops_before = self.drops.clone();
         let mut stats = RunStats::default();
+        let (keep, mut own) = (pool.is_some(), Vec::new());
+        let pool = pool.unwrap_or(&mut own);
         let mut now = self.now;
-        let (mut ended, mut stamped) = (false, false);
+        let mut ended = false;
         let mut error = None;
         loop {
             if !ended {
                 match pull(&mut self.edges, pool) {
-                    Ok(Some(arrival)) => {
+                    Ok(Some((t, arrival))) => {
+                        debug_assert!(stats.offered == 0 || now <= t, "arrival stamps increase");
                         stats.offered += 1;
-                        stamped = arrival.stamp.is_some();
-                        now = arrival.stamp.unwrap_or(now);
-                        match arrival.pkt {
+                        now = t;
+                        match arrival {
                             Ok(mut p) => {
                                 let key = self.arrive(now, &mut p);
                                 if let Err((_, p)) = self.queue.push(key, (now, p)) {
@@ -977,7 +1018,7 @@ impl<E: PipelineEngine> Switch<E> {
                     self.transmitted += 1;
                     stats.transmitted += 1;
                     sink(&mut self.edges, &mut p);
-                    if !ended || stamped {
+                    if !ended || keep {
                         pool.push(p);
                     }
                 }
@@ -991,35 +1032,16 @@ impl<E: PipelineEngine> Switch<E> {
         }
     }
 
-    /// The loop over a [`PacketSource`], emitting every departure — the
-    /// arrival adapter and sink of [`Run`]. Each packet is admitted from
-    /// the source's loan, into a record of the pool if it has one.
-    fn run_packets<S: PacketSource>(
-        &mut self,
-        source: &mut S,
-        mut sink: impl FnMut(Packet),
-    ) -> Ended {
-        let pull = |edges: &mut PacketEdges, pool: &mut Pool| {
-            Ok(source.lend()?.map(|pkt| Arrival {
-                stamp: None,
-                pkt: Ok(InFlight::admit(&pkt, edges, pool.pop())),
-            }))
-        };
-        self.cycle(&mut Vec::new(), pull, |edges, p| sink(p.emit(edges)))
-    }
-
-    /// Runs [`Stamped`] arrivals through the loop at line rate, handing
-    /// `sink` each slab as it departs and `spent` every record it is done
-    /// with — the arrival adapter behind the sharded workers, whose
+    /// Runs a batch of arrivals stamped elsewhere through the loop at
+    /// line rate, handing `sink` each slab as it departs and `spent` every
+    /// record it is done with — the sharded workers' way in, whose
     /// dispatcher made the records and takes them back.
     ///
-    /// Semantically this is [`Switch::run`] with the packet clock
-    /// supplied by the caller instead of counted locally: a shard of a
-    /// partitioned switch sees only *its* packets, but must stamp the
-    /// `enq_ts`/`now` metadata with the **global** arrival cycle so its
-    /// outputs are bit-identical to the serial switch's. Arrival cycles
-    /// must be strictly increasing, the slabs on this switch's table, and
-    /// the configured discipline ungated (the sharded switch checks).
+    /// A shard of a partitioned switch sees only *its* packets, stamped
+    /// with their **global** arrival cycles, so its `enq_ts`/`now`
+    /// metadata is bit-identical to the serial switch's. The slabs must be
+    /// on this switch's table, and the configured discipline ungated (the
+    /// sharded switch checks).
     pub(crate) fn run_stamped(
         &mut self,
         arrivals: impl IntoIterator<Item = Stamped>,
@@ -1028,21 +1050,7 @@ impl<E: PipelineEngine> Switch<E> {
     ) {
         debug_assert_eq!(self.drain_period, 1, "a shard's link drains every cycle");
         let mut arrivals = arrivals.into_iter();
-        let mut last = i64::MIN;
-        let pull = |_: &mut PacketEdges, _: &mut Pool| {
-            Ok(arrivals.next().map(|(t, pkt)| {
-                debug_assert!(
-                    last < t,
-                    "stamped arrival cycles must be strictly increasing"
-                );
-                last = t;
-                Arrival {
-                    stamp: Some(t),
-                    pkt,
-                }
-            }))
-        };
-        self.cycle(spent, pull, sink);
+        self.cycle(Some(spent), |_, _| Ok(arrivals.next()), sink);
     }
 
     /// This switch's entry in a [`FaultReport`] as a surviving shard
@@ -1186,7 +1194,8 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     pub fn collect(mut self) -> Result<Vec<Packet>, SwitchError> {
         let (lo, hi) = self.source.size_hint();
         let mut out = Vec::with_capacity(hi.unwrap_or(lo).min(1 << 20));
-        let end = self.switch.run_packets(&mut self.source, |p| out.push(p));
+        let pull = admitting(&mut self.source, self.switch.now);
+        let end = (self.switch).cycle(None, pull, |edges, p| out.push(p.emit(edges)));
         self.switch.close(end, || std::mem::take(&mut out))?;
         Ok(out)
     }
@@ -1200,8 +1209,9 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
     /// [`SwitchError::Fault`] if the source fails mid-stream (packets
     /// already handed to `sink` are not replayed in the report's salvage;
     /// the sink saw them the moment they departed).
-    pub fn for_each<F: FnMut(Packet)>(mut self, sink: F) -> Result<RunStats, SwitchError> {
-        let end = self.switch.run_packets(&mut self.source, sink);
+    pub fn for_each<F: FnMut(Packet)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
+        let pull = admitting(&mut self.source, self.switch.now);
+        let end = (self.switch).cycle(None, pull, |edges, p| sink(p.emit(edges)));
         self.switch.close(end, Vec::new)
     }
 }
@@ -1253,16 +1263,14 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
         let drops_before = sw.drops.clone();
         let (mut held, mut spent) = (std::mem::take(&mut sw.burst), Vec::new());
         let mut stats = RunStats::default();
+        // A burst's clock is run-local.
+        let mut pull = admitting(&mut self.source, 0);
         let error = loop {
-            match self.source.lend() {
-                Ok(Some(pkt)) => {
-                    let p = InFlight::admit(&pkt, &mut sw.edges, spent.pop());
-                    sw.hold((stats.offered as i64, Ok(p)), &mut held, &mut spent);
-                    stats.offered += 1;
-                }
-                Ok(None) => break None,
-                Err(e) => break Some(e),
+            match pull(&mut sw.edges, &mut spent) {
+                Ok(Some(arrival)) => sw.hold(arrival, &mut held, &mut spent),
+                end => break end.err(),
             }
+            stats.offered += 1;
         };
         let (egress, edges, shaping) = (&mut sw.egress, &mut sw.edges, sw.sched.is_shaping());
         sw.now = stats.offered as i64;
@@ -1338,13 +1346,8 @@ impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
         // table. The borrowed frame is copied into its record inside the
         // pull, so the source can be pulled again next cycle.
         let parser = BoundParser::bind(self.cfg.clone(), Arc::clone(self.switch.edges.table()));
-        let pull = |_: &mut PacketEdges, pool: &mut Pool| {
-            Ok(self.source.next_frame()?.map(|frame| Arrival {
-                stamp: None,
-                pkt: InFlight::parse(frame, &parser, || pool.pop()),
-            }))
-        };
-        let end = (self.switch).cycle(&mut Vec::new(), pull, |_, p| {
+        let pull = parsing(&mut self.source, &parser, self.switch.now);
+        let end = (self.switch).cycle(None, pull, |_, p| {
             if let Some(frame) = p.deparse(&parser) {
                 sink(frame);
             }

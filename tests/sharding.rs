@@ -675,11 +675,17 @@ fn keyless_plans_transmit_in_serial_order() {
 /// first run's clock stopped, not at cycle 0 (an egress program that
 /// keeps `now` in state would see time run backwards) — and a
 /// `.scheduled()` burst, whose clock is run-local, leaves it where the
-/// serial burst leaves it. Four runs on one switch each side, under a
-/// PIFO, at 1–3 shards.
+/// serial burst leaves it. So do the edges: an empty run leaves it where
+/// it stood, an empty burst resets it to 0, a source that fails
+/// mid-stream leaves it after the last packet pulled, and a frame run
+/// moves it as a packet run does. One switch each side runs the whole
+/// sequence, under a PIFO, at 1–3 shards; every edge is followed by a
+/// forwarding run that must equal the serial one.
 #[test]
 fn a_sharded_switch_clock_continues_across_runs_like_serial() {
     use banzai::pifo::SchedSpec;
+    use banzai::stream::{FailAfter, SliceSource};
+    use banzai::wire::{encode, FrameSpec, WireConfig};
 
     let (ingress, egress) = (
         AtomPipeline::passthrough("in"),
@@ -687,6 +693,18 @@ fn a_sharded_switch_clock_continues_across_runs_like_serial() {
     );
     let trace: Vec<Packet> = (0..100)
         .map(|i| Packet::new().with("seq", i).with("rank", i * 37 % 11))
+        .collect();
+    let empty: Vec<Packet> = Vec::new();
+    let cut = || FailAfter::new(SliceSource::new(&trace), 40, "capture torn");
+    let wire = WireConfig::new();
+    let frames: Vec<Vec<u8>> = (0..50)
+        .map(|i| {
+            let spec = FrameSpec {
+                sport: 1000 + i,
+                ..FrameSpec::default()
+            };
+            encode(&Packet::new(), &wire, &spec)
+        })
         .collect();
     let spec = SchedSpec::Pifo {
         rank: "rank".into(),
@@ -697,29 +715,47 @@ fn a_sharded_switch_clock_continues_across_runs_like_serial() {
     let first = serial.run(&trace).collect().unwrap();
     let mut second = Vec::new();
     serial.run(&trace).for_each(|p| second.push(p)).unwrap();
+    assert!(serial.run(&empty).collect().unwrap().is_empty());
+    let after_empty = serial.run(&trace).collect().unwrap();
     let burst = serial.run(&trace).scheduled().collect().unwrap();
     let fourth = serial.run(&trace).collect().unwrap();
+    assert!(serial.run(&empty).scheduled().collect().unwrap().is_empty());
+    let after_empty_burst = serial.run(&trace).collect().unwrap();
+    assert!(serial.run(cut()).collect().is_err());
+    let after_fault = serial.run(&trace).collect().unwrap();
+    let sent = serial.run_frames(&frames, &wire).collect().unwrap();
+    let after_frames = serial.run(&trace).collect().unwrap();
     assert_eq!(second[0].get("enq_ts"), Some(100));
     assert_eq!(second[0].get("now"), Some(101));
+    assert_eq!(after_empty[0].get("enq_ts"), Some(200));
+    assert_eq!(after_empty_burst[0].get("enq_ts"), Some(0));
+    assert_eq!(after_fault[0].get("enq_ts"), Some(140));
+    assert_eq!(after_frames[0].get("enq_ts"), Some(290));
+    assert_eq!(sent.len(), frames.len());
 
     for shards in 1..=3 {
         let cfg = ShardConfig::new(shards).with_scheduler(spec.clone());
         let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
-        assert_eq!(
-            sw.run(&trace).collect().unwrap(),
-            first,
-            "{shards}: collect"
-        );
+        let collect = |sw: &mut ShardedSwitch, expected: &[Packet], what: &str| {
+            let out = sw.run(&trace).collect().unwrap();
+            assert_eq!(out, expected, "{shards}: {what}");
+        };
+        collect(&mut sw, &first, "collect");
         let mut streamed = Vec::new();
         sw.run(&trace).for_each(|p| streamed.push(p)).unwrap();
         assert_eq!(streamed, second, "{shards}: for_each");
+        assert!(sw.run(&empty).collect().unwrap().is_empty());
+        collect(&mut sw, &after_empty, "after an empty run");
         let deps = sw.run(&trace).scheduled().collect().unwrap();
         assert_eq!(deps, burst, "{shards}: scheduled");
-        assert_eq!(
-            sw.run(&trace).collect().unwrap(),
-            fourth,
-            "{shards}: after the burst"
-        );
+        collect(&mut sw, &fourth, "after the burst");
+        assert!(sw.run(&empty).scheduled().collect().unwrap().is_empty());
+        collect(&mut sw, &after_empty_burst, "after an empty burst");
+        assert!(sw.run(cut()).collect().is_err(), "{shards}: a torn source");
+        collect(&mut sw, &after_fault, "after a torn source");
+        let parts = sw.run_frames(&frames, &wire).partitioned().unwrap();
+        assert_eq!(interleave(parts), sent, "{shards}: frames");
+        collect(&mut sw, &after_frames, "after a frame run");
     }
 }
 

@@ -3,9 +3,12 @@
 
 Each pair runs the parent and the change once each on one workload, the
 side that goes first alternating from pair to pair. Every run's last JSON
-line is read, and so is the growth of `getrusage(RUSAGE_CHILDREN).ru_minflt`
-across it (minor page faults: a row that moves together with its faults is
-an allocator-placement suspect, not a CPU one).
+line is read, and so is the growth of three `getrusage(RUSAGE_CHILDREN)`
+counters across it: `ru_minflt` (minor page faults: a row that moves
+together with its faults is an allocator-placement suspect, not a CPU one),
+`ru_nvcsw` and `ru_nivcsw` (voluntary and involuntary context switches: a
+threaded row that moves together with them is a hand-off suspect). The
+three are printed, lower is better, and gated by nothing.
 
 For every workload x metric it prints the parent's median (q1-q3), the
 change's median (q1-q3), the ratio of the medians and the pairs the change
@@ -33,25 +36,33 @@ import statistics
 import subprocess
 import sys
 
+# The rusage counters read around each run, by the name they print as.
+RUSAGE = {"minflt": "ru_minflt", "nvcsw": "ru_nvcsw", "nivcsw": "ru_nivcsw"}
+
 # The end-to-end metrics BENCHMARK.json bounds, with their better side,
-# and the minor faults read around each run.
+# and the rusage counters.
 METRICS = [
     ("norm_pkts_per_s", "higher"),
     ("setup_s", "lower"),
     ("peak_rss_mb", "lower"),
-    ("minflt", "lower"),
-]
+] + [(name, "lower") for name in RUSAGE]
+
+
+def rusage():
+    """The children's rusage counters, by the name they print as."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {name: getattr(usage, field) for name, field in RUSAGE.items()}
 
 
 def run_once(binary, workload, seed, seconds):
-    """One ledger run: its metrics, with `minflt` added, and `correct`."""
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    """One ledger run: its metrics, with the rusage counters added, and `correct`."""
+    before = rusage()
     proc = subprocess.run(
         [binary, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
         capture_output=True,
         text=True,
     )
-    after = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    after = rusage()
     lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
     if proc.returncode != 0 or not lines:
         sys.stderr.write(f"{binary} {workload}: exit {proc.returncode}\n{proc.stderr}")
@@ -59,7 +70,7 @@ def run_once(binary, workload, seed, seconds):
     doc = json.loads(lines[-1])
     # Each metric is `{"value": v, "unit": u}`.
     metrics = {name: m["value"] for name, m in doc.get("metrics", {}).items()}
-    metrics["minflt"] = after - before
+    metrics.update({name: after[name] - before[name] for name in RUSAGE})
     return metrics, bool(doc.get("correct"))
 
 
