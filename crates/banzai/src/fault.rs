@@ -200,16 +200,6 @@ impl<E: PipelineEngine> FaultyEngine<E> {
             processed: 0,
         })
     }
-
-    /// Packets this instance has processed (the clock faults fire on).
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// The attached schedule.
-    pub fn faults(&self) -> &[FaultSpec] {
-        &self.faults
-    }
 }
 
 impl<E: PipelineEngine> PipelineEngine for FaultyEngine<E> {
@@ -288,11 +278,19 @@ mod tests {
         flat.emit(&table.by_name(), &residual)
     }
 
+    /// Judged by what the engine does: well past every packet index the
+    /// suites arm a fault at, nothing panics, stalls or flips a bit.
     #[test]
     fn build_hook_is_fault_free() {
-        let eng: FaultyEngine<Machine> =
-            FaultyEngine::build(&passthrough(), &mut FieldTable::new()).unwrap();
-        assert!(eng.faults().is_empty());
+        let mut table = FieldTable::new();
+        let mut eng: FaultyEngine<Machine> =
+            FaultyEngine::build(&passthrough(), &mut table).unwrap();
+        let table = Arc::new(table);
+        eng.bind(&table);
+        for i in 0..2_000 {
+            let out = process(&mut eng, &table, Packet::new().with("x", i));
+            assert_eq!(out.get("x"), Some(i), "packet {i}");
+        }
     }
 
     #[test]
@@ -330,7 +328,6 @@ mod tests {
         let (mut eng, table) = armed(vec![FaultSpec::stall_at(0, 1)]);
         let out = process(&mut eng, &table, Packet::new().with("x", 7));
         assert_eq!(out.get("x"), Some(7));
-        assert_eq!(eng.processed(), 1);
     }
 
     #[test]

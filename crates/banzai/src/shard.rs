@@ -83,7 +83,8 @@
 //!   dispatcher keeps no clock of either kind: it only notes where the
 //!   switch's clock stands after the last arrival it pulled, and times
 //!   nothing — the inline executor times each lane's step, for
-//!   [`ShardedRun::instrumented`] alone;
+//!   [`ShardedRun::instrumented`] alone, and the threaded one reads a
+//!   clock only once a ring is full, for the watchdog's deadline;
 //! * a scheduling run is the serial burst split at its seam: each lane
 //!   admits its slabs as the serial switch does (`Switch::hold`) and
 //!   holds them in arrival order, in its shard's own burst buffer — kept
@@ -99,11 +100,12 @@
 //!   scheduling run;
 //! * **records come home**: a lane's step hands every record it is done
 //!   with back — inline, straight into the dispatcher's pool; threaded,
-//!   with the batch's emptied buffer over one return channel the
-//!   dispatcher drains without waiting — so a record is made, admitted
-//!   into and freed on the dispatcher's thread, and a run makes about as
-//!   many as it has in flight at once. Only admission may see a record
-//!   whose row left with its packet.
+//!   with the batch's emptied buffer over the one return channel that
+//!   also brings each worker's outcome home, which the dispatcher drains
+//!   without waiting before every batch it sends — so a record is made,
+//!   admitted into and freed on the dispatcher's thread, and a run makes
+//!   about as many as it has in flight at once. Only admission may see a
+//!   record whose row left with its packet.
 //!
 //! Each thing exists once. Every shard's [`Switch`] runs its one cycle
 //! loop (stamped arrivals, line rate). Every run, threaded or
@@ -119,15 +121,18 @@
 //!
 //! # Supervision
 //!
-//! The threaded path ([`ShardedRun::collect`]) is **supervised**: a
-//! worker that panics, stalls past the [`ShardConfig::watchdog_ms`]
-//! watchdog, or dies silently never takes the run down with it. Each
-//! worker wraps every batch in `catch_unwind`; the feeder detects dead
-//! rings and applies the configured [`Backpressure`] policy to full ones
-//! (block with a watchdog, or shed under the
-//! [`DropReason::Backpressure`]
-//! counter); the collector abandons — never joins — a hung worker. A
-//! faulted run returns
+//! The threaded path ([`ShardedRun::collect`],
+//! [`ShardedSchedRun::collect`]) is **supervised**: a worker that
+//! panics, stalls past the [`ShardConfig::watchdog_ms`] watchdog, or dies
+//! silently never takes the run down with it. Each worker wraps every
+//! batch in `catch_unwind` and sends its shard's outcome home over the
+//! one return channel as it exits; the feeder applies the configured
+//! [`Backpressure`] policy to a full ring (wait on that channel up to one
+//! watchdog window, or shed under the [`DropReason::Backpressure`]
+//! counter); every wait, the feeder's and the collector's, is a receive
+//! on that channel under the watchdog, and the collector abandons — never
+//! joins — a hung worker. The sequential twins are not supervised: an
+//! engine panic there propagates to the caller. A faulted run returns
 //! [`SwitchError::Fault`] carrying a
 //! full [`FaultReport`]: per-shard errors,
 //! salvaged outputs and state snapshots, and exact packet-conservation
@@ -165,9 +170,36 @@ type Batch = Vec<Stamped>;
 /// its step spent (a vector that rides out empty).
 type Trip = (Batch, Pool);
 
-/// The feeder's handle to one shard's batch ring (`None` once the shard
-/// has been declared dead or stalled and cut off).
-type BatchSender = Option<mpsc::SyncSender<Trip>>;
+/// What comes home over a threaded run's one return channel: a trip
+/// after every batch, and the shard's [`Outcome`] as its worker exits —
+/// boxed, so a slot of the channel holds a pointer, not a switch.
+enum Home<E: PipelineEngine, D> {
+    Trip(Trip),
+    Done(usize, Box<Outcome<E, D>>),
+}
+
+impl<E: PipelineEngine, D> Home<E, D> {
+    /// Puts away what came home: a trip's records into `pool` and its
+    /// buffers with the `spares`, an outcome in its shard's place — unless
+    /// the feeder has put a stall there: a worker it gave up on may wake
+    /// and report, but the batches it was never sent are lost with it.
+    fn put_away(
+        self,
+        pool: &mut Pool,
+        spares: &mut Vec<Trip>,
+        outcomes: &mut [Option<Outcome<E, D>>],
+    ) {
+        match self {
+            Home::Trip((buf, mut spent)) => {
+                pool.append(&mut spent);
+                spares.push((buf, spent));
+            }
+            Home::Done(s, outcome) => {
+                outcomes[s].get_or_insert(*outcome);
+            }
+        }
+    }
+}
 
 /// Configuration for a [`ShardedSwitch`].
 #[derive(Debug, Clone)]
@@ -182,10 +214,11 @@ pub struct ShardConfig {
     pub capacity: usize,
     /// What the dispatcher does when a shard's ring stays full.
     pub backpressure: Backpressure,
-    /// Watchdog window in milliseconds: how long the dispatcher blocks on
-    /// a full ring under [`Backpressure::Block`], and how long the
-    /// collector waits for a worker's outcome, before declaring the
-    /// worker stalled and abandoning it.
+    /// Watchdog window in milliseconds: how long the dispatcher waits for
+    /// a full ring to take a batch under [`Backpressure::Block`], and how
+    /// long the collector waits with nothing coming home from any worker,
+    /// before declaring a worker that has not reported stalled and
+    /// abandoning it.
     pub watchdog_ms: u64,
     /// The scheduling policy every shard's queue runs (default: drop-tail
     /// FIFO — see [`SchedSpec`] and [`ShardedRun::scheduled`]).
@@ -636,10 +669,16 @@ pub struct ShardRun {
 ///
 /// # Panic freedom
 ///
-/// No public entry point panics. The threaded run supervises its workers
-/// (even a deliberately panicking [`PipelineEngine`] surfaces as a typed
-/// [`SwitchError::Fault`], never an abort — see the module docs), and the
-/// sequential twins propagate engine errors as `Result`s.
+/// No public entry point panics on its own account: errors are typed
+/// [`SwitchError`]s. An engine's panic is another matter. The threaded
+/// terminals — [`ShardedRun::collect`] and [`ShardedSchedRun::collect`] —
+/// supervise their workers, so even a deliberately panicking
+/// [`PipelineEngine`] surfaces as a typed [`SwitchError::Fault`], never an
+/// abort (see the module docs). The sequential terminals —
+/// [`ShardedRun::partitioned`], [`ShardedRun::for_each`],
+/// [`ShardedRun::instrumented`] and [`ShardedFrameRun::partitioned`] —
+/// step the lanes on the caller's thread, unsupervised, and an engine
+/// panic propagates out of them.
 ///
 /// ```
 /// use banzai::{AtomPipeline, ShardConfig, ShardedSwitch};
@@ -970,13 +1009,12 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// stands after the last arrival pulled.
     fn scatter(
         &mut self,
-        before: Vec<(DropCounters, u64)>,
+        n: usize,
         mut pull: impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled,
         mut feed: impl FnMut(usize, &mut Batch, &mut Pool) -> u64,
     ) -> Scatter {
-        let (n, batch) = (before.len(), self.config.batch);
+        let batch = self.config.batch;
         let mut run = Scatter {
-            before,
             offered: vec![0; n],
             sheds: vec![0; n],
             pulled: 0,
@@ -1009,22 +1047,33 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
 
     /// The **supervised** executor: each shard moves into one [`worker`]
     /// thread behind a bounded ring, `feed` pushes a batch into the ring
-    /// under the configured [`Backpressure`] policy, and each worker's
-    /// outcome is collected bounded by the watchdog. Generic over the
+    /// under the configured [`Backpressure`] policy, and what the workers
+    /// send back comes home over **one return channel**: after every
+    /// batch its emptied buffer beside the records its step spent, and as
+    /// each worker exits its shard's outcome ([`Home`]). Generic over the
     /// worker's [`Lane`], so forwarding runs and scheduling runs get the
     /// identical failure model.
     ///
-    /// The rings add `ring` batches per shard to the dispatcher's input
-    /// memory. A shard cut off as dead or stalled (its sender is gone)
-    /// keeps accumulating `offered` (for the books) but receives nothing
-    /// further; after a source error the rings are closed normally, so
-    /// every live worker drains what it was fed and reports.
+    /// Every wait is a receive on that channel under the watchdog. `feed`
+    /// puts away whatever has come home without waiting, then sends the
+    /// next batch out in a buffer that came home. Under
+    /// [`Backpressure::Block`] a full ring makes it receive until the ring
+    /// takes the batch — a worker that finishes a batch has freed a slot —
+    /// or until a deadline one watchdog window after the first `Full`,
+    /// when the shard is cut off as stalled; only then is a clock read.
+    /// Once a shard's outcome is home it is cut off too, and nothing
+    /// overwrites it. The collector receives until every shard not cut
+    /// off has reported, or nothing has come home for one window: a
+    /// worker that never reported is abandoned — never joined, so a
+    /// wedged engine cannot hang the caller — as `Disconnected` if its
+    /// thread has finished, as stalled if not.
     ///
-    /// Records come home: after each batch a worker sends its buffer and
-    /// the records it spent into one return channel, which `feed` drains
-    /// into the pool — never waiting on it — before it sends the next
-    /// batch out in a buffer that came home. What is still in the channel
-    /// when the run ends is freed with it, on this thread.
+    /// The rings add `ring` batches per shard to the dispatcher's input
+    /// memory. A cut-off shard keeps accumulating `offered` (for the
+    /// books) but receives nothing further; after a source error the rings
+    /// are closed normally, so every live worker drains what it was fed
+    /// and reports. What comes home after the feed is kept with the spares
+    /// until the run ends, and freed with it, on this thread.
     ///
     /// Each lane is made by `lane` from the shard it will run on, before
     /// the shard leaves for its thread, so a lane can hold in a buffer the
@@ -1038,85 +1087,92 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         E: Send + 'static,
         L::Out: Send + 'static,
     {
-        // Survivors come back through the outcome channels; failed
-        // shards are rebuilt by `gather`.
+        // Survivors come home in their outcomes; failed shards are
+        // rebuilt by `gather`.
         let (switches, before) = self.take_shards();
         let n = switches.len();
-        let watchdog = Duration::from_millis(self.config.watchdog_ms);
-        let policy = self.config.backpressure;
+        let (policy, watchdog_ms) = (self.config.backpressure, self.config.watchdog_ms);
+        let watchdog = Duration::from_millis(watchdog_ms);
+        // A worker that never reports booked nothing since the run began.
+        let silent = |s: usize, cause| (Err((None, cause, before[s].0.clone())), Vec::new());
 
-        let (home, back) = mpsc::channel::<Trip>();
-        let mut txs: Vec<BatchSender> = Vec::with_capacity(n);
+        let (home, back) = mpsc::channel::<Home<E, L::Out>>();
+        let mut rings = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
-        for mut sw in switches {
+        for (s, mut sw) in switches.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel::<Trip>(self.config.ring);
-            let (done_tx, done_rx) = mpsc::channel();
             let (lane, home) = (lane(&mut sw), home.clone());
-            let handle = std::thread::spawn(move || {
-                let _ = done_tx.send(worker(sw, rx, home, lane));
-            });
-            txs.push(Some(tx));
-            workers.push((done_rx, handle));
+            workers.push(std::thread::spawn(move || worker(s, sw, rx, home, lane)));
+            rings.push(tx);
         }
+        drop(home); // once every worker has hung up, the channel says so
 
-        let mut stalled = vec![false; n];
+        let mut outcomes: Vec<Option<Outcome<E, L::Out>>> = (0..n).map(|_| None).collect();
         let mut spares: Vec<Trip> = Vec::new();
-        let run = self.scatter(before, pull, |s, batch, pool| {
-            for (buf, mut spent) in back.try_iter() {
-                pool.append(&mut spent);
-                spares.push((buf, spent));
+        let run = self.scatter(n, pull, |s, batch, pool| {
+            for came in back.try_iter() {
+                came.put_away(pool, &mut spares, &mut outcomes);
             }
-            let Some(tx) = txs[s].as_ref() else {
+            if outcomes[s].is_some() {
                 batch.clear();
                 return 0;
-            };
+            }
             let cap = batch.capacity();
             let (buf, spent) = (spares.pop())
                 .unwrap_or_else(|| (Vec::with_capacity(cap), Vec::with_capacity(cap)));
-            let full = (std::mem::replace(batch, buf), spent);
-            let len = full.0.len() as u64;
-            match feed_batch(tx, full, policy, watchdog) {
-                FeedResult::Sent => 0,
-                FeedResult::Shed => len,
-                cut => {
-                    stalled[s] = matches!(cut, FeedResult::Stalled);
-                    txs[s] = None;
-                    0
+            let mut trip = (std::mem::replace(batch, buf), spent);
+            let mut deadline = None;
+            loop {
+                trip = match rings[s].try_send(trip) {
+                    Err(mpsc::TrySendError::Full(trip)) => trip,
+                    // Sent, or the worker is gone and its outcome on its
+                    // way home.
+                    _ => return 0,
+                };
+                if policy == Backpressure::Shed {
+                    return trip.0.len() as u64;
+                }
+                let deadline = *deadline.get_or_insert_with(|| Instant::now() + watchdog);
+                match back.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                    Ok(came) => came.put_away(pool, &mut spares, &mut outcomes),
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        outcomes[s] = Some(silent(s, FaultCause::Stall { watchdog_ms }));
+                        return 0;
+                    }
+                    // Every worker has hung up: the collector names them.
+                    Err(mpsc::RecvTimeoutError::Disconnected) => return 0,
+                }
+                // Its own outcome came home: whatever the ring says, the
+                // worker reads no more of it.
+                if outcomes[s].is_some() {
+                    return 0;
                 }
             }
         });
-        drop(txs); // close every ring: drained workers exit their loops
+        drop(rings); // close every ring: drained workers exit their loops
 
-        // Collect, bounded by the watchdog per shard. A worker that never
-        // reports is abandoned (its thread handle is dropped, detaching
-        // it) — never joined, so a wedged engine cannot hang the caller —
-        // and taken to have booked nothing since the run began.
-        let silent = |s: usize, cause| (Err((None, cause, run.before[s].0.clone())), Vec::new());
-        let watchdog_ms = self.config.watchdog_ms;
-        let mut collected = Vec::with_capacity(n);
-        for (s, (done_rx, handle)) in workers.into_iter().enumerate() {
-            let reported = if stalled[s] {
-                Err(mpsc::RecvTimeoutError::Timeout)
-            } else {
-                done_rx.recv_timeout(watchdog)
+        let mut pool = Vec::new();
+        while outcomes.iter().any(Option::is_none) {
+            let Ok(came) = back.recv_timeout(watchdog) else {
+                break;
             };
-            collected.push(match reported {
-                Ok(outcome) => {
-                    let _ = handle.join();
-                    outcome
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    drop(handle);
-                    silent(s, FaultCause::Stall { watchdog_ms })
-                }
-                // The thread died outside the supervised path.
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    let _ = handle.join();
-                    silent(s, FaultCause::Disconnected)
-                }
-            });
+            came.put_away(&mut pool, &mut spares, &mut outcomes);
         }
-        self.gather::<L>(run, collected)
+        let collected = (outcomes.into_iter().zip(workers).enumerate())
+            .map(|(s, (outcome, handle))| {
+                let outcome = outcome.unwrap_or_else(|| match handle.is_finished() {
+                    true => silent(s, FaultCause::Disconnected),
+                    false => silent(s, FaultCause::Stall { watchdog_ms }),
+                });
+                // Join every worker but a stalled one, which is abandoned
+                // (its handle dropped, detaching it).
+                if !matches!(outcome.0, Err((_, FaultCause::Stall { .. }, _))) {
+                    let _ = handle.join();
+                }
+                outcome
+            })
+            .collect();
+        self.gather::<L>(&before, run, collected)
     }
 
     /// The **inline** executor behind the sequential twins
@@ -1145,7 +1201,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         self.check_line_rate()?;
         let (switches, before) = self.take_shards();
         let mut lanes: Vec<(Switch<E>, L)> = switches.into_iter().map(|sw| (sw, lane())).collect();
-        let run = self.scatter(before, pull, |s, batch, pool| {
+        let run = self.scatter(before.len(), pull, |s, batch, pool| {
             let (sw, lane) = &mut lanes[s];
             let t = Instant::now();
             lane.step(sw, batch, pool);
@@ -1155,7 +1211,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         let collected = (lanes.into_iter())
             .map(|(sw, lane)| (Ok(sw), lane.drain()))
             .collect();
-        self.gather::<L>(run, collected)
+        self.gather::<L>(&before, run, collected)
     }
 
     /// **The one close-out** of every sharded run: puts the shards back
@@ -1174,6 +1230,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// lifetime books move to the switch's own and its salvage always is.
     fn gather<L: Lane<E>>(
         &mut self,
+        before: &[(DropCounters, u64)],
         run: Scatter,
         collected: Vec<Outcome<E, L::Out>>,
     ) -> Result<Gathered<L::Out>, SwitchError> {
@@ -1200,7 +1257,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         for (s, (shard, out)) in collected.into_iter().enumerate() {
             let output = L::salvage(out, &mut self.edges);
             let kept = output.len() as u64;
-            let (drops_before, sent_before) = &run.before[s];
+            let (drops_before, sent_before) = &before[s];
             let mut drops = DropCounters::new();
             drops.bump_by(DropReason::Backpressure, run.sheds[s]);
             match shard {
@@ -1796,26 +1853,31 @@ impl<E: PipelineEngine> Lane<E> for Schedule {
 
 /// The one shard worker: drain the ring batch by batch through the
 /// lane's step, each batch inside `catch_unwind` so an engine panic is
-/// contained to this shard, and send each batch's buffer and spent
-/// records `home` to the dispatcher (once it has hung up, they die here).
+/// contained to this shard, send each batch's buffer and spent records
+/// `home` to the dispatcher, and last the shard's outcome (once the
+/// dispatcher has hung up, they die here).
 fn worker<E: PipelineEngine, L: Lane<E>>(
+    s: usize,
     mut sw: Switch<E>,
     rx: mpsc::Receiver<Trip>,
-    home: mpsc::Sender<Trip>,
+    home: mpsc::Sender<Home<E, L::Out>>,
     mut lane: L,
-) -> Outcome<E, L::Out> {
-    while let Ok((mut batch, mut spent)) = rx.recv() {
+) {
+    let outcome = loop {
+        let Ok((mut batch, mut spent)) = rx.recv() else {
+            break (Ok(sw), lane.drain());
+        };
         let step = AssertUnwindSafe(|| lane.step(&mut sw, &mut batch, &mut spent));
         if let Err(payload) = catch_unwind(step) {
             // `payload.as_ref()`, not `&payload`: the latter unsizes the
             // Box itself into `dyn Any` and every downcast misses.
             let cause = FaultCause::Panic(panic_payload_string(payload.as_ref()));
             let gone = (Some(sw.now as u64), cause, sw.drop_counters().clone());
-            return (Err(gone), lane.drain());
+            break (Err(gone), lane.drain());
         }
-        let _ = home.send((batch, spent));
-    }
-    (Ok(sw), lane.drain())
+        let _ = home.send(Home::Trip((batch, spent)));
+    };
+    let _ = home.send(Home::Done(s, Box::new(outcome)));
 }
 
 /// Renders a caught panic payload (`String` and `&str` payloads verbatim,
@@ -1830,12 +1892,13 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Everything the one dispatcher observed during a run
 /// ([`ShardedSwitch::scatter`]) — what the one close-out
-/// ([`ShardedSwitch::gather`]) closes the books over. It holds counts
-/// only: the dispatcher stamps no arrival and reads no clock.
+/// ([`ShardedSwitch::gather`]) closes the books over, with each shard's
+/// counters as [`ShardedSwitch::take_shards`] noted them, which the
+/// executor keeps (the threaded one books a silent worker by them while
+/// the dispatcher runs). It holds counts only: the
+/// dispatcher stamps no arrival and reads no clock (the threaded
+/// executor's `feed` reads one only once a ring is full).
 struct Scatter {
-    /// Each shard's drop counters and transmit count as it was taken for
-    /// the run (reports carry the run's delta).
-    before: Vec<(DropCounters, u64)>,
     /// Arrivals steered to each shard (fed or not — the books).
     offered: Vec<u64>,
     /// Packets shed per shard under [`Backpressure::Shed`].
@@ -1853,47 +1916,6 @@ struct Gathered<O> {
     pulled: u64,
     /// Each lane's complete stream, in shard order.
     streams: Vec<Vec<O>>,
-}
-
-/// Outcome of pushing one batch into a shard's ring.
-enum FeedResult {
-    Sent,
-    /// Ring full under [`Backpressure::Shed`]: the batch was dropped.
-    Shed,
-    /// Ring full past the watchdog under [`Backpressure::Block`].
-    Stalled,
-    /// The worker's receiver is gone (the worker exited — it faulted).
-    Dead,
-}
-
-/// Pushes a batch with the configured overload policy. Never blocks past
-/// `watchdog`.
-fn feed_batch(
-    tx: &mpsc::SyncSender<Trip>,
-    mut batch: Trip,
-    policy: Backpressure,
-    watchdog: Duration,
-) -> FeedResult {
-    let start = Instant::now();
-    loop {
-        match tx.try_send(batch) {
-            Ok(()) => return FeedResult::Sent,
-            Err(mpsc::TrySendError::Disconnected(_)) => return FeedResult::Dead,
-            Err(mpsc::TrySendError::Full(b)) => match policy {
-                Backpressure::Shed => return FeedResult::Shed,
-                Backpressure::Block => {
-                    if start.elapsed() >= watchdog {
-                        return FeedResult::Stalled;
-                    }
-                    batch = b;
-                    // SyncSender has no send_timeout; a short sleep keeps
-                    // the spin polite while staying far under any
-                    // realistic watchdog granularity.
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            },
-        }
-    }
 }
 
 #[cfg(test)]

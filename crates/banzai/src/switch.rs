@@ -536,8 +536,10 @@ struct Ended {
 /// [`DropReason::QueueFull`] counters, and unsupported configurations are
 /// rejected up front as typed [`SwitchError`]s. A
 /// panic can only originate inside a custom [`PipelineEngine`] (e.g. a
-/// deliberately faulty one — see [`crate::fault`]); the sharded switch
-/// supervises even those (see [`crate::shard`]).
+/// deliberately faulty one — see [`crate::fault`]), and propagates out of
+/// this switch's terminals; the sharded switch's threaded terminals
+/// supervise even those, its sequential ones do not (see
+/// [`crate::shard`]).
 #[derive(Debug, Clone)]
 pub struct Switch<E: PipelineEngine = Machine> {
     ingress: E,

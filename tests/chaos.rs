@@ -11,7 +11,9 @@
 //!   switch** restricted to that shard's flows (outputs and state);
 //! * packet conservation holds exactly on every faulted run:
 //!   `offered == transmitted + dropped + lost_in_fault`;
-//! * a stalled worker trips the watchdog instead of hanging the caller;
+//! * a stalled worker trips the watchdog instead of hanging the caller,
+//!   whether the feeder waits on its full ring or the collector waits on
+//!   its outcome, and a slow one is waited for, not cut off;
 //! * `Backpressure::Shed` sheds under overload, counted, and conserves;
 //! * the switch is rebuilt after a fault and remains usable.
 
@@ -284,6 +286,198 @@ fn stalled_worker_trips_watchdog_without_hanging() {
         report.shard(victim).unwrap().lost(),
         report.shard(victim).unwrap().offered
     );
+}
+
+/// The collector's watchdog: behind a ring deep enough that the wedged
+/// victim's never fills, the feeder never waits on it — the collector
+/// does, and gives the victim up after one window in which nothing came
+/// home.
+#[test]
+fn a_stalled_worker_behind_a_deep_ring_trips_the_collectors_watchdog() {
+    let (ingress, egress) = counter_pipelines();
+    let trace = trace(200, 16);
+    let probe = ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(4)).unwrap();
+    let victim = probe.plan().steer(0, &trace[0]);
+
+    let mut faults = FaultPlan::none(4);
+    faults.push(victim, FaultSpec::stall_at(0, 2_000));
+    let cfg = ShardConfig::new(4)
+        .with_batch(8)
+        .with_ring(16)
+        .with_watchdog_ms(100)
+        .with_backpressure(Backpressure::Block);
+    let mut sw = armed(&ingress, &egress, cfg, &faults);
+
+    let started = std::time::Instant::now();
+    let report = expect_fault(sw.run(&trace).collect(), "collector stall");
+    assert!(
+        started.elapsed() < std::time::Duration::from_millis(1_500),
+        "caller waited on a wedged worker: {:?}",
+        started.elapsed()
+    );
+    let salvage = report.shard(victim).unwrap();
+    assert!(
+        salvage.offered <= 8 * 16,
+        "the victim's ring filled: {} packets offered",
+        salvage.offered
+    );
+    let failure = (report.failures.iter())
+        .find(|f| f.shard == victim)
+        .expect("victim must be reported");
+    assert!(
+        matches!(failure.cause, FaultCause::Stall { watchdog_ms: 100 }),
+        "{:?}",
+        failure.cause
+    );
+    assert_eq!(failure.packet, None, "a stalled worker never says where");
+    assert_eq!(report.failures.len(), 1, "only the victim stalled");
+    assert!(report.accounting.conserved(), "{}", report.accounting);
+    assert_eq!(salvage.lost(), salvage.offered);
+}
+
+/// A worker the feeder gave up on may wake, drain what its ring held and
+/// report before the run ends: its stall stands. The batches it was never
+/// sent are lost with it, so its switch does not carry this run's books —
+/// a run that believed the late report would return `Ok`, packets short.
+#[test]
+fn a_stalled_worker_that_wakes_before_the_run_ends_stays_stalled() {
+    let (ingress, egress) = counter_pipelines();
+    let trace = trace(400, 16);
+    let probe = ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(4)).unwrap();
+    let shard_of: Vec<usize> = (trace.iter().enumerate())
+        .map(|(i, p)| probe.plan().steer(i, p))
+        .collect();
+    let share = |s: usize| shard_of.iter().filter(|&&t| t == s).count() as u64;
+    let victim = shard_of[0];
+    let slow = (0..4)
+        .filter(|&s| s != victim)
+        .max_by_key(|&s| share(s))
+        .unwrap();
+
+    // The victim sleeps three windows behind a one-batch ring and is
+    // given up on after one. The slow shard naps on every batch, each nap
+    // inside a window, so the feed outlasts the victim's sleep — and on
+    // its last packet too, so the victim's report comes home before the
+    // slow shard's.
+    let mut faults = FaultPlan::none(4);
+    faults.push(victim, FaultSpec::stall_at(0, 300));
+    for at in (0..share(slow)).step_by(4).chain([share(slow) - 1]) {
+        faults.push(slow, FaultSpec::stall_at(at, 30));
+    }
+    assert!(
+        share(slow) / 4 * 30 > 2 * 300,
+        "the slow shard's naps are too few"
+    );
+    let cfg = ShardConfig::new(4)
+        .with_batch(4)
+        .with_ring(1)
+        .with_watchdog_ms(100)
+        .with_backpressure(Backpressure::Block);
+    let mut sw = armed(&ingress, &egress, cfg, &faults);
+
+    let report = expect_fault(sw.run(&trace).collect(), "late report");
+    assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+    assert_eq!(report.failures[0].shard, victim);
+    assert!(
+        matches!(
+            report.failures[0].cause,
+            FaultCause::Stall { watchdog_ms: 100 }
+        ),
+        "{:?}",
+        report.failures[0].cause
+    );
+    assert!(report.accounting.conserved(), "{}", report.accounting);
+    assert_eq!(report.accounting.offered, trace.len() as u64);
+}
+
+/// A worker that panics while the feeder waits on its full ring, under
+/// `Block`: the outcome that comes home is the shard's last word. The
+/// report names the panic and its packet, promptly — the feeder never
+/// waits the long watchdog out on a ring nobody drains, nor lets a stall
+/// overwrite what the worker reported. The window between the outcome
+/// coming home and the worker hanging up its ring is narrow, so the
+/// scenario runs many times.
+#[test]
+fn a_worker_that_panics_behind_its_full_ring_is_reported_by_its_panic() {
+    const ROUNDS: usize = 40;
+    const LOCAL_K: u64 = 3;
+    let (ingress, egress) = counter_pipelines();
+    let trace = trace(400, 16);
+    let probe = ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(4)).unwrap();
+    let victim = probe.plan().steer(0, &trace[0]);
+    let at = (0..trace.len())
+        .filter(|&i| probe.plan().steer(i, &trace[i]) == victim)
+        .nth(LOCAL_K as usize)
+        .unwrap() as u64;
+
+    for round in 0..ROUNDS {
+        let ctx = format!("round {round}");
+        // A slow first packet lets the feeder fill the one-batch ring and
+        // wait on it; the panic comes while it waits.
+        let mut faults = FaultPlan::none(4);
+        faults.push(victim, FaultSpec::stall_at(0, 2));
+        faults.push(victim, FaultSpec::panic_at(LOCAL_K));
+        let cfg = ShardConfig::new(4)
+            .with_batch(4)
+            .with_ring(1)
+            .with_watchdog_ms(10_000)
+            .with_backpressure(Backpressure::Block);
+        let mut sw = armed(&ingress, &egress, cfg, &faults);
+
+        let started = std::time::Instant::now();
+        let report = expect_fault(sw.run(&trace).collect(), &ctx);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "{ctx}: the feeder waited on a dead ring: {:?}",
+            started.elapsed()
+        );
+        assert_eq!(report.failures.len(), 1, "{ctx}: {:?}", report.failures);
+        let failure = &report.failures[0];
+        assert_eq!(failure.shard, victim, "{ctx}");
+        assert!(
+            matches!(&failure.cause, FaultCause::Panic(p) if p.contains(INJECTED_PANIC_MARKER)),
+            "{ctx}: {:?}",
+            failure.cause
+        );
+        assert_eq!(failure.packet, Some(at), "{ctx}");
+        assert!(
+            report.accounting.conserved(),
+            "{ctx}: {}",
+            report.accounting
+        );
+    }
+}
+
+/// A slow but live worker under `Block` costs time, never packets: each
+/// of its stalls fills its one-batch ring, and the feeder waits — waking
+/// on whatever comes home from the other shards, and trying again — until
+/// the victim frees a slot, far inside the watchdog. The run is the
+/// unarmed run, bit for bit.
+#[test]
+fn a_slow_worker_behind_a_full_ring_is_waited_for_not_cut_off() {
+    let (ingress, egress) = counter_pipelines();
+    let trace = trace(400, 16);
+    let cfg = ShardConfig::new(4)
+        .with_batch(4)
+        .with_ring(1)
+        .with_watchdog_ms(2_000)
+        .with_backpressure(Backpressure::Block);
+    let mut clean = armed(&ingress, &egress, cfg.clone(), &FaultPlan::none(4));
+    let expected = clean.run(&trace).collect().unwrap();
+
+    let victim = clean.plan().steer(0, &trace[0]);
+    let mut faults = FaultPlan::none(4);
+    for at in [0, 8, 16, 24] {
+        faults.push(victim, FaultSpec::stall_at(at, 20));
+    }
+    let mut sw = armed(&ingress, &egress, cfg, &faults);
+    let out = sw
+        .run(&trace)
+        .collect()
+        .expect("a slow worker is not a fault");
+    assert_eq!(out, expected, "a slow worker changed the output");
+    assert_eq!(sw.drop_counters().backpressure(), 0);
+    assert_eq!(sw.transmitted(), trace.len() as u64);
 }
 
 /// Under `Backpressure::Shed`, a slow (but not dead) worker costs

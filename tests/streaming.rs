@@ -5,12 +5,14 @@
 //! geometry the sharded runtime supports. The bounded-memory path is not
 //! allowed to buy its memory profile with even one bit of divergence.
 //!
-//! * `GenSource` (pull-based generator) vs `&[Packet]` (slice) on the
-//!   threaded [`ShardedSwitch`], across shard counts 1..=8, queue
-//!   capacities (including 0), and batch/ring geometries under
-//!   `Backpressure::Block` (under `Shed`, *which* packets drop is
+//! * `GenSource` (pull-based generator) through the inline `for_each` vs
+//!   `&[Packet]` (slice) through the threaded `collect()` of
+//!   [`ShardedSwitch`], across shard counts 1..=8, queue capacities
+//!   (including 0), and batch/ring geometries under
+//!   `Backpressure::Block`. Under `Shed`, *which* packets drop is
 //!   pacing-dependent by design, so that policy holds conservation
-//!   instead of bit-identity);
+//!   instead of bit-identity, on both terminals fed by the generator —
+//!   only the threaded one meets full rings, so only it can shed;
 //! * the same equivalence through the scheduler for all three
 //!   disciplines (PIFO, strict priority, shaping), departures compared
 //!   as full `SchedDeparture` records;
@@ -114,7 +116,9 @@ proptest! {
     /// Under `Backpressure::Shed` the streamed run still keeps perfect
     /// books — offered == transmitted + drops, outputs match the
     /// transmitted counter — even though *which* packets shed is pacing-
-    /// dependent and may differ from a slice-fed run.
+    /// dependent and may differ from a slice-fed run. Both terminals: the
+    /// inline `for_each` steps every batch where it fills and never sheds;
+    /// the threaded `collect()` sheds when a ring is full.
     #[test]
     fn sharded_streamed_conserves_under_shed(
         flows in proptest::collection::vec(0..64i32, 0..400),
@@ -132,23 +136,32 @@ proptest! {
             .with_backpressure(Backpressure::Shed);
         let trace = to_trace(&flows);
 
-        let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+        let mut sw = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
         let mut got = Vec::new();
         let stats = sw
             .run(gen_of(&trace))
             .for_each(|p| got.push(p))
             .expect("generator source cannot fail");
-
         prop_assert_eq!(stats.offered, trace.len() as u64);
-        prop_assert_eq!(got.len() as u64, sw.transmitted());
-        prop_assert_eq!(
-            sw.transmitted() + sw.drops(),
-            trace.len() as u64,
-            "offered {} != transmitted {} + dropped {}",
-            trace.len(), sw.transmitted(), sw.drops()
-        );
-        if capacity_of(cap) == 0 {
-            prop_assert_eq!(sw.transmitted(), 0);
+        prop_assert_eq!(sw.drop_counters().backpressure(), 0, "an inline step never sheds");
+
+        let mut threaded = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
+        let collected = threaded
+            .run(gen_of(&trace))
+            .collect()
+            .expect("shedding is not a fault");
+
+        for (sw, out) in [(&sw, got.len()), (&threaded, collected.len())] {
+            prop_assert_eq!(out as u64, sw.transmitted());
+            prop_assert_eq!(
+                sw.transmitted() + sw.drops(),
+                trace.len() as u64,
+                "offered {} != transmitted {} + dropped {}",
+                trace.len(), sw.transmitted(), sw.drops()
+            );
+            if capacity_of(cap) == 0 {
+                prop_assert_eq!(sw.transmitted(), 0);
+            }
         }
     }
 }
