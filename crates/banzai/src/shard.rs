@@ -112,9 +112,12 @@
 //! sequential, is **one dispatcher** (`scatter`: the only pull → steer →
 //! batch loop) feeding each shard's *lane* (the per-batch step:
 //! forward and emit, forward and deparse, or ingress and hold) and
-//! **one close-out** (`gather`: shards put back, streams handed over —
-//! or salvage, rebuild and the one `FaultReport` constructor in
-//! [`crate::error`], the books closed over this run's counters). What
+//! **one close-out** (`gather`: every shard put back — a dead one
+//! rebuilt, taking its books — and the streams handed over, or each
+//! shard's run closed by the serial switch's own `Switch::salvage` into
+//! the one `FaultReport` constructor in [`crate::error`]). Every count
+//! lives on the shard that handled its packet, so a sharded switch's
+//! books are the sum of its shards'. What
 //! differs between the two ways of running is only *where a lane is
 //! stepped*: by the one worker behind its ring under `catch_unwind`
 //! (`threaded`), or on the spot on the caller's thread (`inline`).
@@ -139,7 +142,7 @@
 //! accounting. Failed shards are rebuilt with fresh engines, so the
 //! switch stays usable after a fault.
 
-use crate::error::{FaultCause, FaultReport, ShardError, ShardSalvage, SwitchError};
+use crate::error::{FaultCause, FaultReport, ShardError, SwitchError};
 use crate::machine::AtomPipeline;
 use crate::pifo::SchedSpec;
 use crate::slot::{KeySlice, SlotMachine};
@@ -147,8 +150,8 @@ use crate::stream::{
     FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
 };
 use crate::switch::{
-    admitting, parsing, sort_burst, DropCounters, DropReason, Held, PipelineEngine, Pool, Pulled,
-    SchedDeparture, Stamped, Switch, QUEUE_METADATA_FIELDS,
+    admitting, parsing, sort_burst, Books, DropCounters, DropReason, Held, PipelineEngine, Pool,
+    Pulled, SchedDeparture, Stamped, Switch, QUEUE_METADATA_FIELDS,
 };
 use crate::wire::{BoundParser, WireConfig};
 use domino_ast::{StateKind, StateVar};
@@ -724,13 +727,6 @@ pub struct ShardedSwitch<E: PipelineEngine = SlotMachine> {
     /// floored at 1); `sched` is the policy every shard runs and the
     /// scheduling merge obeys.
     config: ShardConfig,
-    /// Counters salvaged from shards that have since been rebuilt, plus
-    /// feeder-side backpressure sheds and scheduled bursts' departures
-    /// (which leave by the drain, not a shard's loop) — folded into
-    /// [`Self::transmitted`] / [`Self::drop_counters`] so the totals stay
-    /// conservation-exact across faults.
-    extra_transmitted: u64,
-    extra_drops: DropCounters,
     /// Where the line-rate clock resumes: the cycle after the last
     /// arrival of the previous run, as on the serial switch.
     now: i64,
@@ -820,8 +816,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
             ingress_pipeline: ingress.clone(),
             egress_pipeline: egress.clone(),
             config,
-            extra_transmitted: 0,
-            extra_drops: DropCounters::new(),
             now: 0,
         })
     }
@@ -857,28 +851,30 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         self.config.backpressure
     }
 
-    /// Packets dropped across all shards for any reason, dispatcher
-    /// backpressure sheds and counters salvaged from rebuilt shards
-    /// included.
+    /// Packets dropped across all shards for any reason (the sum over
+    /// [`ShardedSwitch::drop_counters`]).
     pub fn drops(&self) -> u64 {
         self.drop_counters().total()
     }
 
-    /// Per-reason drop counters merged across all shards (see
-    /// [`crate::switch::DropCounters`]), dispatcher sheds and salvaged
-    /// counters included.
+    /// Per-reason drop counters summed over the shards (see
+    /// [`crate::switch::DropCounters`]). Every drop is booked on the shard
+    /// its packet was steered to — a dispatcher's backpressure shed too —
+    /// and a shard rebuilt after a fault carries on its predecessor's
+    /// books.
     pub fn drop_counters(&self) -> DropCounters {
-        let mut merged = self.extra_drops.clone();
+        let mut merged = DropCounters::new();
         for s in &self.shards {
-            merged.merge(s.drop_counters());
+            merged.merge(&s.drops);
         }
         merged
     }
 
-    /// Packets transmitted across all shards (outputs salvaged from
-    /// since-rebuilt shards included).
+    /// Packets transmitted, summed over the shards: each departure is
+    /// booked on the shard whose egress engine ran it, and a rebuilt
+    /// shard carries on its predecessor's count.
     pub fn transmitted(&self) -> u64 {
-        self.shards.iter().map(|s| s.transmitted()).sum::<u64>() + self.extra_transmitted
+        self.shards.iter().map(|s| s.transmitted).sum()
     }
 
     /// Merges per-shard output streams by round-robin from shard 0 (the
@@ -973,13 +969,12 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
 
     /// Takes the shards for a run, noting each one's books — drop
     /// counters and transmit count — as it goes: [`ShardedSwitch::gather`]
-    /// puts the shards back and closes the run's books over the
-    /// difference, so a report never carries an earlier run's drops.
-    fn take_shards(&mut self) -> (Vec<Switch<E>>, Vec<(DropCounters, u64)>) {
+    /// puts the shards back (a dead one's replacement taking its books)
+    /// and closes the run's books over what each moved by since
+    /// (`Switch::salvage`), so a report never carries an earlier run's.
+    fn take_shards(&mut self) -> (Vec<Switch<E>>, Vec<Books>) {
         let shards = std::mem::take(&mut self.shards);
-        let before = (shards.iter())
-            .map(|s| (s.drop_counters().clone(), s.transmitted()))
-            .collect();
+        let before = shards.iter().map(Switch::books).collect();
         (shards, before)
     }
 
@@ -1214,83 +1209,64 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         self.gather::<L>(&before, run, collected)
     }
 
-    /// **The one close-out** of every sharded run: puts the shards back
-    /// and hands over each lane's stream — or, if any worker or the
-    /// source faulted, salvages everything reachable, rebuilds the dead
-    /// shards with fresh engines (through the plain build hook: no
-    /// inherited faults) so the switch stays usable, and returns the
-    /// report with its books closed over **this run**: a survivor's drops
-    /// are its counters' growth since [`ShardedSwitch::take_shards`], and
-    /// what it transmitted beyond what its lane still holds left through
-    /// a sink (or as bytes) and is counted, not carried.
+    /// **The one close-out** of every sharded run: puts every shard back —
+    /// a dead one rebuilt with fresh engines (through the plain build
+    /// hook: no inherited faults), so the switch stays usable — and hands
+    /// over each lane's stream, or, if any worker or the source faulted,
+    /// returns the report. Each shard's books are closed by the one
+    /// routine that closes a serial run's (`Switch::salvage`), over what
+    /// they moved by since [`ShardedSwitch::take_shards`], so the report
+    /// holds **this run** alone.
     ///
-    /// A survivor's salvaged output is booked here only where its own
-    /// transmit counter never saw it (a scheduling run stops short of
-    /// egress); a failed shard's counters are gone with it, so its
-    /// lifetime books move to the switch's own and its salvage always is.
+    /// Every count stays on a shard: the dispatcher's sheds are booked on
+    /// the shard they were steered to, once its switch is home. A dead
+    /// shard's replacement takes its books — the drop counters its worker
+    /// reported (a silent worker's, as the run began) and its transmit
+    /// count as the run began — so the replacement's entry reports the
+    /// dead shard's drops in this run, and books the output its lane kept
+    /// as transmitted, as it books any kept output its switch never sent.
     fn gather<L: Lane<E>>(
         &mut self,
-        before: &[(DropCounters, u64)],
+        before: &[Books],
         run: Scatter,
         collected: Vec<Outcome<E, L::Out>>,
     ) -> Result<Gathered<L::Out>, SwitchError> {
-        // Account for dispatcher sheds whether or not anything faulted.
-        self.extra_drops
-            .bump_by(DropReason::Backpressure, run.sheds.iter().sum());
-
-        if run.source_error.is_none() && collected.iter().all(|(shard, _)| shard.is_ok()) {
-            let mut streams = Vec::with_capacity(collected.len());
-            for (shard, out) in collected {
-                self.shards.extend(shard.ok());
-                streams.push(out);
-            }
-            return Ok(Gathered {
-                pulled: run.pulled,
-                streams,
-            });
-        }
-
-        let mut failures: Vec<ShardError> = Vec::new();
-        let mut salvage: Vec<ShardSalvage> = Vec::with_capacity(collected.len());
-        let mut shards = Vec::with_capacity(collected.len());
+        let faulted = run.source_error.is_some() || collected.iter().any(|(sw, _)| sw.is_err());
+        let mut streams = Vec::with_capacity(collected.len());
+        let (mut failures, mut salvage) = (Vec::new(), Vec::new());
         let mut streamed = 0;
         for (s, (shard, out)) in collected.into_iter().enumerate() {
-            let output = L::salvage(out, &mut self.edges);
-            let kept = output.len() as u64;
-            let (drops_before, sent_before) = &before[s];
-            let mut drops = DropCounters::new();
-            drops.bump_by(DropReason::Backpressure, run.sheds[s]);
-            match shard {
-                Ok(sw) => {
-                    let sent = sw.transmitted() - sent_before;
-                    streamed += sent.saturating_sub(kept);
-                    self.extra_transmitted += kept.saturating_sub(sent);
-                    drops.merge(&sw.drop_counters().since(drops_before));
-                    salvage.push(sw.salvage(s, run.offered[s], output, drops));
-                    shards.push(sw);
-                }
-                Err((packet, cause, booked)) => {
-                    self.extra_transmitted += sent_before + kept;
-                    self.extra_drops.merge(&booked);
-                    drops.merge(&booked.since(drops_before));
+            let failed = shard.is_err();
+            let mut sw = match shard {
+                Ok(sw) => sw,
+                Err((packet, cause, drops)) => {
                     failures.push(ShardError {
                         shard: s,
                         packet,
                         cause,
                     });
-                    salvage.push(ShardSalvage {
-                        shard: s,
-                        failed: true,
-                        offered: run.offered[s],
-                        output,
-                        drops,
-                        state: None,
-                    });
-                    shards.push(self.fresh_shard()?);
+                    let mut sw = self.fresh_shard()?;
+                    (sw.drops, sw.transmitted) = (drops, before[s].1);
+                    sw
                 }
+            };
+            sw.drops.bump_by(DropReason::Backpressure, run.sheds[s]);
+            if faulted {
+                let output = L::salvage(out, &mut self.edges);
+                let (entry, sent) = sw.salvage(s, failed, &before[s], run.offered[s], output);
+                salvage.push(entry);
+                streamed += sent;
+            } else {
+                streams.push(out);
             }
+            self.shards.push(sw);
         }
-        self.shards = shards;
+        if !faulted {
+            return Ok(Gathered {
+                pulled: run.pulled,
+                streams,
+            });
+        }
         Err(FaultReport::assemble(
             run.pulled,
             streamed,
@@ -1494,11 +1470,7 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
     pub fn for_each<F: FnMut(Packet)>(mut self, mut sink: F) -> Result<RunStats, SwitchError> {
         let sw = self.switch;
         let mut merge = RoundRobin::new(sw.shards.iter().map(|_| Vec::new()));
-        let mut emitted: u64 = 0;
-        let mut emit = |pkt| {
-            emitted += 1;
-            sink(pkt);
-        };
+        let before = sw.transmitted();
         // The tap empties the lane after every step, so a fault's salvage
         // carries the books and state snapshots but no packet payloads.
         let end = sw.inline(
@@ -1506,14 +1478,14 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
             Forward::default,
             |s, lane: &mut Forward, _| {
                 merge.push(s, lane.0.drain(..));
-                merge.drain(false, &mut emit);
+                merge.drain(false, &mut sink);
             },
         );
         // Faulted or not, everything transmitted reaches the sink first.
-        merge.drain(true, &mut emit);
+        merge.drain(true, &mut sink);
         Ok(RunStats {
             offered: end?.pulled,
-            transmitted: emitted,
+            transmitted: sw.transmitted() - before,
         })
     }
 
@@ -1626,7 +1598,8 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
             let s = steer
                 .as_mut()
                 .map_or(0, |steer| steer.shard_of(i as usize, Some(p), n));
-            shards[s].egress.process(p)
+            shards[s].egress.process(p);
+            shards[s].transmitted += 1;
         };
         let (edges, shaping) = (&mut sw.edges, sw.config.sched.is_shaping());
         sw.now = run.pulled as i64;
@@ -1636,7 +1609,6 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
         for (shard, buffer) in sw.shards.iter_mut().zip(lanes) {
             shard.burst = buffer;
         }
-        sw.extra_transmitted += out.len() as u64;
         Ok(out)
     }
 }

@@ -516,13 +516,18 @@ pub(crate) fn sort_burst(held: &mut [Held]) {
     held.sort_unstable_by_key(|&(key, arrival, _)| (key, arrival));
 }
 
-/// How a run through the one loop ended: its totals, the drops it added,
-/// and the source's error if it failed rather than ended.
+/// How a run through the one loop ended: its totals, the switch's books
+/// as the run began ([`Switch::books`]), and the source's error if it
+/// failed rather than ended.
 struct Ended {
     stats: RunStats,
-    drops: DropCounters,
+    before: Books,
     error: Option<SourceError>,
 }
+
+/// A switch's books at one instant: its drop counters and its transmit
+/// count. A run's share is what they moved by since ([`Switch::salvage`]).
+pub(crate) type Books = (DropCounters, u64);
 
 /// A switch: ingress pipeline, a bounded queue under the discipline its
 /// [`SchedSpec`] selects (drop-tail FIFO unless
@@ -570,8 +575,11 @@ pub struct Switch<E: PipelineEngine = Machine> {
     /// engines before the next arrives, so when an engine unwinds
     /// mid-run, this names the packet it was processing.
     pub(crate) now: i64,
-    drops: DropCounters,
-    transmitted: u64,
+    /// The books: every drop and every departure of a packet this switch
+    /// handled — as a shard, a sharded dispatcher's sheds of packets
+    /// steered to it and a sharded burst's departures on its egress too.
+    pub(crate) drops: DropCounters,
+    pub(crate) transmitted: u64,
     /// Slots of the metadata stamped for egress programs, in
     /// [`QUEUE_METADATA_FIELDS`] order (enqueue timestamp, now, depth).
     meta: [FieldId; 3],
@@ -969,7 +977,7 @@ impl<E: PipelineEngine> Switch<E> {
         mut sink: impl FnMut(&mut PacketEdges, &mut InFlight),
     ) -> Ended {
         let shaping = self.sched.is_shaping();
-        let drops_before = self.drops.clone();
+        let before = self.books();
         let mut stats = RunStats::default();
         let (keep, mut own) = (pool.is_some(), Vec::new());
         let pool = pool.unwrap_or(&mut own);
@@ -1018,7 +1026,6 @@ impl<E: PipelineEngine> Switch<E> {
                     Self::depart(self.meta, arrival, now, depth, &mut p);
                     self.egress.process(&mut p.flat);
                     self.transmitted += 1;
-                    stats.transmitted += 1;
                     sink(&mut self.edges, &mut p);
                     if !ended || keep {
                         pool.push(p);
@@ -1027,9 +1034,10 @@ impl<E: PipelineEngine> Switch<E> {
             }
         }
         self.now = now;
+        stats.transmitted = self.transmitted - before.1;
         Ended {
             stats,
-            drops: self.drops.since(&drops_before),
+            before,
             error,
         }
     }
@@ -1055,24 +1063,41 @@ impl<E: PipelineEngine> Switch<E> {
         self.cycle(Some(spent), |_, _| Ok(arrivals.next()), sink);
     }
 
-    /// This switch's entry in a [`FaultReport`] as a surviving shard
-    /// (a serial switch is "shard 0" of itself): what it was offered,
-    /// the output kept for the report, the run's drops, and its state.
+    /// The switch's books as they stand: what a run's share is counted
+    /// from.
+    pub(crate) fn books(&self) -> Books {
+        (self.drops.clone(), self.transmitted)
+    }
+
+    /// **The one close of a run's books**, serial or sharded: this
+    /// switch's entry in a [`FaultReport`] as shard `shard` (a serial
+    /// switch is shard 0 of itself; a `failed` shard's entry is made by
+    /// its replacement, which took the dead shard's books). The run's
+    /// drops are what the counters moved by since `before`; of what it
+    /// transmitted, `output` is kept for the report and the rest — the
+    /// count returned beside the entry — left through a sink. Kept output
+    /// that never departed (what a scheduling lane held) is booked as
+    /// transmitted here. The state is exported unless `failed`.
     pub(crate) fn salvage(
-        &self,
+        &mut self,
         shard: usize,
+        failed: bool,
+        before: &Books,
         offered: u64,
         output: Vec<Packet>,
-        drops: DropCounters,
-    ) -> ShardSalvage {
-        ShardSalvage {
+    ) -> (ShardSalvage, u64) {
+        let (kept, sent) = (output.len() as u64, self.transmitted - before.1);
+        self.transmitted += kept.saturating_sub(sent);
+        let state = (!failed).then(|| (self.ingress.export_state(), self.egress.export_state()));
+        let salvage = ShardSalvage {
             shard,
-            failed: false,
+            failed,
             offered,
             output,
-            drops,
-            state: Some((self.ingress.export_state(), self.egress.export_state())),
-        }
+            drops: self.drops.since(&before.0),
+            state,
+        };
+        (salvage, sent.saturating_sub(kept))
     }
 
     /// Turns how a run [`Ended`] into the terminal's result: its totals,
@@ -1081,18 +1106,17 @@ impl<E: PipelineEngine> Switch<E> {
     /// to a sink) and closed books. A terminal moves its output into
     /// `kept`, so that each transmitted packet exists once.
     fn close(
-        &self,
+        &mut self,
         end: Ended,
         kept: impl FnOnce() -> Vec<Packet>,
     ) -> Result<RunStats, SwitchError> {
         let Some(error) = end.error else {
             return Ok(end.stats);
         };
-        let kept = kept();
-        let streamed = end.stats.transmitted.saturating_sub(kept.len() as u64);
-        let salvage = self.salvage(0, end.stats.offered, kept, end.drops);
+        let offered = end.stats.offered;
+        let (salvage, streamed) = self.salvage(0, false, &end.before, offered, kept());
         Err(FaultReport::assemble(
-            end.stats.offered,
+            offered,
             streamed,
             Some(error),
             Vec::new(),
@@ -1262,7 +1286,7 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
     /// admitted still drains and is reported, with closed books.
     pub fn collect(mut self) -> Result<Vec<SchedDeparture>, SwitchError> {
         let sw = &mut *self.switch;
-        let drops_before = sw.drops.clone();
+        let before = sw.books();
         let (mut held, mut spent) = (std::mem::take(&mut sw.burst), Vec::new());
         let mut stats = RunStats::default();
         // A burst's clock is run-local.
@@ -1284,7 +1308,7 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
         sw.transmitted += stats.transmitted;
         let end = Ended {
             stats,
-            drops: sw.drops.since(&drops_before),
+            before,
             error,
         };
         sw.close(end, || out.drain(..).map(|d| d.pkt).collect())?;

@@ -9,9 +9,10 @@
 //! diagrams — suitable for pushing through a real synthesis flow to check
 //! the cost model's predictions.
 //!
-//! Configuration constants become parameters; packet-field operands become
-//! input ports; the pre-update state value is exposed on an output port
-//! (the read flank).
+//! Configuration constants become parameters — each register's declared
+//! initial value among them (`INIT{i}`, what `rst` loads); packet-field
+//! operands become input ports; the pre-update state value is exposed on
+//! an output port (the read flank).
 
 use banzai::atom::{GuardOperand, StatefulConfig, Tree, Update};
 use banzai::RelOp;
@@ -19,8 +20,20 @@ use domino_ir::Operand;
 use std::collections::BTreeSet;
 use std::fmt::Write;
 
-/// Emits a Verilog module implementing `config` under `module_name`.
-pub fn emit_verilog(module_name: &str, config: &StatefulConfig) -> String {
+/// Emits a Verilog module implementing `config` under `module_name`,
+/// whose registers reset to `init`: one declared initial value per
+/// `config.state_refs` entry, in that order (a pipeline's `state_decls`
+/// hold them).
+///
+/// # Panics
+///
+/// If `init` does not hold one value per state variable.
+pub fn emit_verilog(module_name: &str, config: &StatefulConfig, init: &[i32]) -> String {
+    assert_eq!(
+        init.len(),
+        config.state_refs.len(),
+        "one initial value per register"
+    );
     let fields = collect_fields(config);
     let mut out = String::new();
     let w = &mut out;
@@ -42,7 +55,10 @@ pub fn emit_verilog(module_name: &str, config: &StatefulConfig) -> String {
     let _ = writeln!(w, "    output wire [31:0] state0_q");
     let _ = writeln!(w, ");");
 
-    // State registers.
+    // State registers, each with its declared initial value.
+    for (i, &v) in init.iter().enumerate() {
+        let _ = writeln!(w, "    parameter [31:0] INIT{i} = {};", verilog_const(v));
+    }
     for i in 0..config.state_refs.len() {
         let _ = writeln!(w, "    reg [31:0] state{i};");
         let _ = writeln!(w, "    assign old_state{i} = state{i};");
@@ -61,7 +77,7 @@ pub fn emit_verilog(module_name: &str, config: &StatefulConfig) -> String {
     let _ = writeln!(w, "    always @(posedge clk) begin");
     let _ = writeln!(w, "        if (rst) begin");
     for i in 0..config.state_refs.len() {
-        let _ = writeln!(w, "            state{i} <= 32'd0;");
+        let _ = writeln!(w, "            state{i} <= INIT{i};");
     }
     let _ = writeln!(w, "        end else if (valid) begin");
     for i in 0..config.state_refs.len() {
@@ -172,7 +188,7 @@ mod tests {
 
     #[test]
     fn emits_wraparound_counter_module() {
-        let v = emit_verilog("wrap_counter", &counter_config());
+        let v = emit_verilog("wrap_counter", &counter_config(), &[0]);
         assert!(v.contains("module wrap_counter ("), "{v}");
         assert!(v.contains("input  wire        clk,"), "{v}");
         assert!(
@@ -180,6 +196,8 @@ mod tests {
             "{v}"
         );
         assert!(v.contains("always @(posedge clk)"), "{v}");
+        assert!(v.contains("parameter [31:0] INIT0 = 32'h00000000;"), "{v}");
+        assert!(v.contains("state0 <= INIT0;"), "{v}");
         assert!(v.contains("state0 <= next_state0;"), "{v}");
         assert!(v.ends_with("endmodule\n"), "{v}");
     }
@@ -199,7 +217,7 @@ mod tests {
             }],
             outputs: vec![],
         };
-        let v = emit_verilog("hull_vq", &config);
+        let v = emit_verilog("hull_vq", &config, &[0]);
         for port in ["pkt_drained", "pkt_size", "pkt_deficit"] {
             assert!(v.contains(&format!("input  wire [31:0] {port}")), "{v}");
         }
@@ -214,9 +232,13 @@ mod tests {
             trees: vec![keep.clone(), keep],
             outputs: vec![],
         };
-        let v = emit_verilog("pair", &config);
+        let v = emit_verilog("pair", &config, &[7, -1]);
         assert!(v.contains("reg [31:0] state0;"), "{v}");
         assert!(v.contains("reg [31:0] state1;"), "{v}");
+        // Each register resets to its own declared value.
+        assert!(v.contains("parameter [31:0] INIT0 = 32'h00000007;"), "{v}");
+        assert!(v.contains("parameter [31:0] INIT1 = 32'hffffffff;"), "{v}");
+        assert!(v.contains("state1 <= INIT1;"), "{v}");
         assert!(v.contains("output wire [31:0] old_state1"), "{v}");
     }
 
@@ -233,7 +255,7 @@ mod tests {
         // (Compilation lives upstream; here we rebuild the flowlet config
         // through the public API of atom-synth via a crafted codelet is
         // out of scope — covered by the integration suite.)
-        let v = emit_verilog("atom", &counter_config());
+        let v = emit_verilog("atom", &counter_config(), &[0]);
         assert_eq!(v.matches("module ").count(), 1);
         assert_eq!(v.matches("endmodule").count(), 1);
         assert_eq!(v.matches("always @(posedge clk)").count(), 1);

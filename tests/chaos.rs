@@ -598,6 +598,37 @@ fn switch_is_rebuilt_and_usable_after_a_fault() {
     assert_eq!(sw.transmitted(), salvaged_tx + trace.len() as u64);
 }
 
+/// A shard that dies on its *second* run takes its first run's books
+/// with it unless its replacement inherits them: the rebuilt shard must
+/// carry on the dead one's transmit count from before the run (nothing
+/// else remembers it), and the report must still book only this run.
+#[test]
+fn a_shard_that_dies_on_its_second_run_keeps_its_first_runs_books() {
+    let (ingress, egress) = counter_pipelines();
+    let trace = trace(160, 16);
+    let cfg = ShardConfig::new(4).with_batch(8);
+    let probe = ShardedSwitch::new_slot(&ingress, &egress, ShardConfig::new(4)).unwrap();
+    let victim = probe.plan().steer(0, &trace[0]);
+    let share = (trace.iter().enumerate())
+        .filter(|&(i, p)| probe.plan().steer(i, p) == victim)
+        .count() as u64;
+
+    // Armed past its first run's share: it survives run 1, dies on run 2.
+    let faults = FaultPlan::kill(4, victim, share + 3);
+    let mut sw = armed(&ingress, &egress, cfg, &faults);
+    let first = sw.run(&trace).collect().expect("the victim survives run 1");
+    let report = expect_fault(sw.run(&trace).collect(), "second run");
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(report.failures[0].shard, victim);
+
+    // `collect()` streams nothing: all this run transmitted is salvaged.
+    let kept: u64 = report.salvage.iter().map(|s| s.output.len() as u64).sum();
+    assert_eq!(report.accounting.transmitted, kept, "{}", report.accounting);
+    assert!(report.accounting.conserved(), "{}", report.accounting);
+    assert_eq!(sw.transmitted(), first.len() as u64 + kept);
+    assert_eq!(sw.drops(), report.accounting.dropped);
+}
+
 /// Scheduling-path fault coverage: a shard killed mid-trace during a
 /// PIFO run ([`ShardedRun::scheduled`](banzai::ShardedRun::scheduled),
 /// [`ShardedSchedRun::collect`](banzai::ShardedSchedRun::collect))
