@@ -165,9 +165,8 @@ impl fmt::Display for Accounting {
     }
 }
 
-/// An ingestion failure that ended a run early: the
-/// [`PacketSource`](crate::stream::PacketSource) (or
-/// [`FrameSource`](crate::stream::FrameSource)) errored mid-stream.
+/// An ingestion failure that ended a run early: the packet or frame
+/// [`Source`](crate::stream::Source) errored mid-stream.
 ///
 /// Everything pulled before the failure was processed and accounted
 /// normally — the switch drains its queues and closes the books

@@ -78,8 +78,7 @@ pub use shard::{
 };
 pub use slot::{SlotMachine, SlotPipeline};
 pub use stream::{
-    FailAfter, FrameGenSource, FrameSliceSource, FrameSource, GenSource, IntoFrameSource,
-    IntoPacketSource, PacketSource, RunStats, SliceSource, SourceError,
+    FailAfter, GenSource, IntoSource, PacketSource, RunStats, SliceSource, Source, SourceError,
 };
 pub use switch::{
     DropCounters, DropReason, FrameRun, PipelineEngine, Run, SchedDeparture, SchedRun, Switch,

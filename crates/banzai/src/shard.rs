@@ -146,9 +146,7 @@ use crate::error::{FaultCause, FaultReport, ShardError, SwitchError};
 use crate::machine::AtomPipeline;
 use crate::pifo::SchedSpec;
 use crate::slot::{KeySlice, SlotMachine};
-use crate::stream::{
-    FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
-};
+use crate::stream::{IntoSource, RunStats, Source, SourceError};
 use crate::switch::{
     admitting, parsing, sort_burst, Books, DropCounters, DropReason, Held, PipelineEngine, Pool,
     Pulled, SchedDeparture, Stamped, Switch, QUEUE_METADATA_FIELDS,
@@ -296,12 +294,6 @@ pub enum Backpressure {
     /// — bounded latency at the cost of loss, the overload behaviour of a
     /// real line-rate dispatcher.
     Shed,
-}
-
-impl Default for ShardConfig {
-    fn default() -> ShardConfig {
-        ShardConfig::new(1)
-    }
 }
 
 /// How the dispatcher picks a shard for each packet: always from the
@@ -897,7 +889,7 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     }
 
     /// Opens a streaming run session: anything convertible to a
-    /// [`PacketSource`] drives the sharded switch through the returned
+    /// packet [`Source`] drives the sharded switch through the returned
     /// [`ShardedRun`] builder — the single entry point of every sharded
     /// packet run.
     ///
@@ -920,25 +912,25 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
     /// let merged = sw.run(&trace).collect().unwrap();
     /// assert_eq!(merged.len(), 50);
     /// ```
-    pub fn run<S: IntoPacketSource>(&mut self, source: S) -> ShardedRun<'_, E, S::Source> {
+    pub fn run<S: IntoSource<Packet>>(&mut self, source: S) -> ShardedRun<'_, E, S::Source> {
         ShardedRun {
             switch: self,
-            source: source.into_packet_source(),
+            source: source.into_source(),
         }
     }
 
     /// Opens a streaming byte-frame run session over anything convertible
-    /// to a [`FrameSource`] — the sharded twin of
+    /// to a frame [`Source`] — the sharded twin of
     /// [`Switch::run_frames`], terminated by
     /// [`ShardedFrameRun::partitioned`].
-    pub fn run_frames<'c, S: IntoFrameSource>(
+    pub fn run_frames<'c, S: IntoSource<[u8]>>(
         &mut self,
         source: S,
         cfg: &'c WireConfig,
     ) -> ShardedFrameRun<'_, 'c, E, S::Source> {
         ShardedFrameRun {
             switch: self,
-            source: source.into_frame_source(),
+            source: source.into_source(),
             cfg,
         }
     }
@@ -1276,11 +1268,6 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
         ))
     }
 
-    /// The scheduling policy every shard runs.
-    pub fn scheduler(&self) -> &SchedSpec {
-        &self.config.sched
-    }
-
     /// The bound tier of the wire front-end on this switch's table — the
     /// one parser of a byte-frame run ([`ShardedFrameRun::partitioned`]).
     fn parser(&self, cfg: &WireConfig) -> BoundParser {
@@ -1394,12 +1381,12 @@ impl<E: PipelineEngine> ShardedSwitch<E> {
 /// * [`ShardedRun::instrumented`] — the partitioned run with lane timings;
 /// * [`ShardedRun::scheduled`] — switch to the PIFO scheduling experiment.
 #[must_use = "a run session does nothing until a terminal method consumes it"]
-pub struct ShardedRun<'s, E: PipelineEngine, S: PacketSource> {
+pub struct ShardedRun<'s, E: PipelineEngine, S: Source<Packet>> {
     switch: &'s mut ShardedSwitch<E>,
     source: S,
 }
 
-impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
+impl<'s, E: PipelineEngine, S: Source<Packet>> ShardedRun<'s, E, S> {
     /// Switches this run to the scheduling experiment under the
     /// [`SchedSpec`] the switch was configured with (see
     /// [`ShardConfig::with_scheduler`]).
@@ -1526,12 +1513,12 @@ impl<'s, E: PipelineEngine, S: PacketSource> ShardedRun<'s, E, S> {
 
 /// A pending sharded **scheduling** run (see [`ShardedRun::scheduled`]).
 #[must_use = "a run session does nothing until a terminal method consumes it"]
-pub struct ShardedSchedRun<'s, E: PipelineEngine, S: PacketSource> {
+pub struct ShardedSchedRun<'s, E: PipelineEngine, S: Source<Packet>> {
     switch: &'s mut ShardedSwitch<E>,
     source: S,
 }
 
-impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
+impl<E: PipelineEngine, S: Source<Packet>> ShardedSchedRun<'_, E, S> {
     /// Runs the scheduling experiment across all shards on supervised
     /// worker threads — the sharded twin of the serial
     /// `run(..).scheduled().collect()`, bit-identical to it on
@@ -1616,13 +1603,13 @@ impl<E: PipelineEngine, S: PacketSource> ShardedSchedRun<'_, E, S> {
 /// A pending sharded **byte-level** run, opened by
 /// [`ShardedSwitch::run_frames`].
 #[must_use = "a run session does nothing until a terminal method consumes it"]
-pub struct ShardedFrameRun<'s, 'c, E: PipelineEngine, S: FrameSource> {
+pub struct ShardedFrameRun<'s, 'c, E: PipelineEngine, S: Source<[u8]>> {
     switch: &'s mut ShardedSwitch<E>,
     source: S,
     cfg: &'c WireConfig,
 }
 
-impl<E: PipelineEngine, S: FrameSource> ShardedFrameRun<'_, '_, E, S> {
+impl<E: PipelineEngine, S: Source<[u8]>> ShardedFrameRun<'_, '_, E, S> {
     /// Parses, steers and runs the frame stream on the calling thread,
     /// returning the per-shard output frames (un-merged).
     ///
@@ -2376,11 +2363,11 @@ mod tests {
 
         let mut a = ShardedSwitch::new_slot(&ingress, &egress, cfg.clone()).unwrap();
         assert_eq!(a.plan().tier(), ShardTier::Exact);
-        let mut source = trace.as_slice().into_packet_source();
+        let mut source = IntoSource::<Packet>::into_source(trace.as_slice());
         let threaded = keys(a.threaded(admitting(&mut source, 0), |_| lane()).unwrap());
 
         let mut b = ShardedSwitch::new_slot(&ingress, &egress, cfg).unwrap();
-        let mut source = trace.as_slice().into_packet_source();
+        let mut source = IntoSource::<Packet>::into_source(trace.as_slice());
         let inline = keys(
             b.inline(admitting(&mut source, 0), lane, |_, _, _| {})
                 .unwrap(),

@@ -1,39 +1,43 @@
-//! Streaming ingestion: pull-based packet and frame sources.
+//! Streaming ingestion: pull-based sources of packets and frames.
 //!
 //! Every run entry point used to take a fully materialized `&[Packet]`
 //! slice, capping runs at whatever trace fits in memory. This module is
-//! the bounded-memory replacement: a [`PacketSource`] is a fallible,
-//! pull-based iterator of packets (with a byte-level [`FrameSource`]
-//! twin), and the switch entry points ([`Switch::run`],
-//! [`ShardedSwitch::run`]) pull from a source through the existing
-//! bounded batch machinery instead of indexing a slice — memory stays
-//! O(batch × shards) for arbitrarily long runs, with outputs optionally
-//! streamed to a sink rather than collected.
+//! the bounded-memory replacement: a [`Source`] is a fallible,
+//! pull-based iterator of arrivals — parsed packets (`Source<Packet>`)
+//! or raw byte frames (`Source<[u8]>`) — and the switch entry points
+//! ([`Switch::run`], [`ShardedSwitch::run`] and their `run_frames`
+//! twins) pull from a source through the existing bounded batch
+//! machinery instead of indexing a slice — memory stays O(batch ×
+//! shards) for arbitrarily long runs, with outputs optionally streamed
+//! to a sink rather than collected.
 //!
-//! The layering:
+//! A run has one arrival process whatever shape it arrives in; only the
+//! adapter that admits a packet or parses a frame differs. So the
+//! layering is one of each:
 //!
-//! * [`PacketSource`] / [`FrameSource`] — the pull traits. A packet is
-//!   lent where the source holds it ([`PacketSource::lend`]: a slice's
-//!   own element, a generator's fresh packet) and admitted from that
-//!   borrow; a frame is lent the same way (see [`FrameSource`]). `next_*`
-//!   returns `Ok(Some(..))` per item, `Ok(None)` at end of stream, and
-//!   `Err(SourceError)` when ingestion itself fails (a torn capture
-//!   file, a dead NIC ring). A source failure is a first-class fault:
-//!   the run drains everything already admitted and returns
-//!   [`SwitchError::Fault`](crate::error::SwitchError::Fault) with
-//!   closed [`Accounting`](crate::error::Accounting) books.
-//! * [`IntoPacketSource`] / [`IntoFrameSource`] — conversions so the
-//!   run builders accept `&[Packet]` / `&Vec<Packet>` slices (the
-//!   migration path for every old call site) as well as any source.
-//! * Concrete sources — [`SliceSource`]/[`FrameSliceSource`] (borrowed
-//!   slices, exact size hints), [`GenSource`]/[`FrameGenSource`]
-//!   (closure generators: O(1) memory for multi-million-packet runs),
+//! * [`Source`] — the one pull trait. An arrival is lent where the
+//!   source holds it ([`Source::lend`]: a slice's own element, a capture
+//!   reader's buffer, a generator's fresh item) and admitted or parsed
+//!   from that borrow. `lend` returns `Ok(Some(..))` per item, `Ok(None)`
+//!   at end of stream, and `Err(SourceError)` when ingestion itself fails
+//!   (a torn capture file, a dead NIC ring). A source failure is a
+//!   first-class fault: the run drains everything already admitted and
+//!   returns [`SwitchError::Fault`](crate::error::SwitchError::Fault)
+//!   with closed [`Accounting`](crate::error::Accounting) books.
+//!   [`PacketSource`] is the name of `Source<Packet>`, with an owning
+//!   [`PacketSource::next_packet`] beside the loan.
+//! * One concrete source per shape, each serving packets and frames:
+//!   [`SliceSource`] (a borrowed slice, exact size hint), [`GenSource`]
+//!   (a closure generator: O(1) memory for multi-million-packet runs)
 //!   and [`FailAfter`] (a fault-injection wrapper that errors
 //!   mid-stream, for the chaos suite).
+//! * [`IntoSource`] — the one conversion, so the run builders accept
+//!   `&[Packet]` / `&Vec<Packet>` and slices of frames as well as any
+//!   source.
 //!
 //! The pcap/pcapng replay reader in `bench::pcap` implements
-//! [`FrameSource`] on top of this layer, so real capture files drive
-//! the wire path end-to-end.
+//! `Source<[u8]>` on top of this layer, so real capture files drive the
+//! wire path end-to-end.
 //!
 //! [`Switch::run`]: crate::switch::Switch::run
 //! [`ShardedSwitch::run`]: crate::shard::ShardedSwitch::run
@@ -84,93 +88,105 @@ pub struct RunStats {
     pub transmitted: u64,
 }
 
-/// A pull-based source of packets — the streaming replacement for
-/// `&[Packet]` traces.
+/// A pull-based source of arrivals, each a `T`: a parsed [`Packet`] or
+/// a raw byte frame (`[u8]`) — the streaming replacement for
+/// materialized traces.
 ///
-/// The contract mirrors a fused iterator, with errors: `lend` (and
-/// `next_packet`, built on it) yields `Ok(Some(..))` per packet in arrival order, `Ok(None)` once at
-/// end of stream (the run machinery never calls it again afterwards),
-/// and `Err` if ingestion fails mid-stream. Sources are pulled one
-/// packet per simulated arrival cycle, so a source *is* the arrival
-/// process.
-pub trait PacketSource {
-    /// Pulls the next packet as the source holds it: borrowed where it
-    /// already lies (a slice's element), owned where it is made for the
-    /// pull. The run machinery pulls this way — admission only reads the
-    /// packet — so a source that holds its packets lends them instead of
-    /// cloning each one.
-    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError>;
+/// The contract mirrors a fused iterator, with errors: `lend` yields
+/// `Ok(Some(..))` per item in arrival order, `Ok(None)` once at end of
+/// stream (the run machinery never calls it again afterwards), and `Err`
+/// if ingestion fails mid-stream. Sources are pulled one item per
+/// simulated arrival cycle, so a source *is* the arrival process.
+///
+/// Items are **lent in**: borrowed where the source already holds them
+/// (a slice's element, a capture reader's one buffer), owned where they
+/// are made for the pull (a generator's). Admission and parsing only
+/// read the item, so a source that holds its items is never copied
+/// before the switch copies the item once, into the record it queues.
+/// A frame run lends its frames **out** the same way:
+/// [`FrameRun::for_each`](crate::switch::FrameRun::for_each) hands its
+/// sink a borrow of that record's buffer, valid until the sink returns —
+/// a sink that keeps a frame copies it, as
+/// [`FrameRun::collect`](crate::switch::FrameRun::collect) does.
+pub trait Source<T: ToOwned + ?Sized> {
+    /// Pulls the next item as the source holds it, `Ok(None)` at end of
+    /// stream. A borrowed item is valid until the next call.
+    fn lend(&mut self) -> Result<Option<Cow<'_, T>>, SourceError>;
 
-    /// Pulls the next packet, owned (a lent one cloned), `Ok(None)` at
-    /// end of stream.
-    fn next_packet(&mut self) -> Result<Option<Packet>, SourceError> {
-        Ok(self.lend()?.map(Cow::into_owned))
-    }
-
-    /// `(lower, upper)` bounds on the packets remaining, iterator-style.
+    /// `(lower, upper)` bounds on the items remaining, iterator-style.
     /// Used only for pre-allocation; `(0, None)` is always correct.
     fn size_hint(&self) -> (usize, Option<usize>) {
         (0, None)
     }
 }
 
-/// A pull-based source of raw byte frames — the wire-path twin of
-/// [`PacketSource`], feeding `parse → pipeline → deparse` runs.
-///
-/// Frames are **lent in**: `next_frame` returns a borrow of the source's
-/// internal buffer, so a file reader (the pcap replay in `bench::pcap`)
-/// re-uses one buffer for the whole run instead of allocating per frame;
-/// the switch copies the frame once, into the record it queues. They are
-/// **lent out** the same way:
-/// [`FrameRun::for_each`](crate::switch::FrameRun::for_each) hands its
-/// sink a borrow of that record's buffer, valid until the sink returns —
-/// a sink that keeps a frame copies it, as
-/// [`FrameRun::collect`](crate::switch::FrameRun::collect) does.
-pub trait FrameSource {
-    /// Pulls the next frame, `Ok(None)` at end of stream. The returned
-    /// slice is valid until the next call.
-    fn next_frame(&mut self) -> Result<Option<&[u8]>, SourceError>;
-
-    /// `(lower, upper)` bounds on the frames remaining.
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, None)
+/// A source of parsed packets: every [`Source<Packet>`] is one. The name
+/// carries [`next_packet`](PacketSource::next_packet), for a caller that
+/// keeps what it pulls, and a `dyn PacketSource` pulls either way.
+pub trait PacketSource: Source<Packet> {
+    /// Pulls the next packet, owned (a lent one cloned), `Ok(None)` at
+    /// end of stream.
+    fn next_packet(&mut self) -> Result<Option<Packet>, SourceError> {
+        Ok(self.lend()?.map(Cow::into_owned))
     }
 }
 
-/// A [`PacketSource`] over a borrowed slice, with an exact size hint. It
-/// **lends** each packet: [`PacketSource::lend`] borrows the slice's own
-/// element, so a run admits it with no copy. [`PacketSource::next_packet`]
-/// still clones, for a caller that keeps the packet — one allocation, the
+impl<S: Source<Packet>> PacketSource for S {}
+
+/// A [`Source`] over a borrowed slice — of packets, or of frames (any
+/// `AsRef<[u8]>`) — with an exact size hint. It **lends** each item: a
+/// packet is the slice's own element, a frame its bytes, so a run admits
+/// or parses it with no copy. [`PacketSource::next_packet`] still
+/// clones, for a caller that keeps the packet — one allocation, the
 /// value row; the names stay shared with the slice's packet.
 #[derive(Debug, Clone)]
-pub struct SliceSource<'a> {
-    items: &'a [Packet],
+pub struct SliceSource<'a, I> {
+    items: &'a [I],
     pos: usize,
 }
 
-impl<'a> SliceSource<'a> {
+impl<'a, I> SliceSource<'a, I> {
     /// Wraps a slice.
-    pub fn new(items: &'a [Packet]) -> SliceSource<'a> {
+    pub fn new(items: &'a [I]) -> SliceSource<'a, I> {
         SliceSource { items, pos: 0 }
     }
-}
 
-impl PacketSource for SliceSource<'_> {
-    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
+    fn pull(&mut self) -> Option<&'a I> {
         let item = self.items.get(self.pos);
         self.pos += usize::from(item.is_some());
-        Ok(item.map(Cow::Borrowed))
+        item
     }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
+    fn left(&self) -> (usize, Option<usize>) {
         let left = self.items.len() - self.pos;
         (left, Some(left))
     }
 }
 
-/// A [`PacketSource`] generating packets from a closure of the arrival
-/// index — O(1) memory however long the run: the 10M-packet streaming
-/// workload (EXPERIMENTS.md E14) is a `GenSource`.
+impl Source<Packet> for SliceSource<'_, Packet> {
+    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
+        Ok(self.pull().map(Cow::Borrowed))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.left()
+    }
+}
+
+impl<F: AsRef<[u8]>> Source<[u8]> for SliceSource<'_, F> {
+    fn lend(&mut self) -> Result<Option<Cow<'_, [u8]>>, SourceError> {
+        Ok(self.pull().map(|f| Cow::Borrowed(f.as_ref())))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.left()
+    }
+}
+
+/// A [`Source`] generating items — packets, or frames as `Vec<u8>` —
+/// from a closure of the arrival index, lending each one owned: O(1)
+/// memory however long the run. The 10M-packet streaming workload
+/// (EXPERIMENTS.md E14) is a `GenSource`.
 ///
 /// The closure returns `None` to end the stream (or never, for an
 /// unbounded source the run bounds by other means).
@@ -181,9 +197,12 @@ pub struct GenSource<F> {
     len: Option<u64>,
 }
 
-impl<F: FnMut(u64) -> Option<Packet>> GenSource<F> {
+impl<F> GenSource<F> {
     /// A generator with no length hint (ends when `f` returns `None`).
-    pub fn new(f: F) -> GenSource<F> {
+    pub fn new<O>(f: F) -> GenSource<F>
+    where
+        F: FnMut(u64) -> Option<O>,
+    {
         GenSource {
             f,
             next: 0,
@@ -191,98 +210,54 @@ impl<F: FnMut(u64) -> Option<Packet>> GenSource<F> {
         }
     }
 
-    /// A generator that ends after `len` packets (whichever of the cap
-    /// and the closure's own `None` comes first), hinting at most what is
+    /// A generator that ends after `len` items (whichever of the cap and
+    /// the closure's own `None` comes first), hinting at most what is
     /// left of the cap — and at least nothing, as the closure may end first.
-    pub fn with_len(len: u64, f: F) -> GenSource<F> {
+    pub fn with_len<O>(len: u64, f: F) -> GenSource<F>
+    where
+        F: FnMut(u64) -> Option<O>,
+    {
         GenSource {
             f,
             next: 0,
             len: Some(len),
         }
     }
-}
 
-impl<F: FnMut(u64) -> Option<Packet>> PacketSource for GenSource<F> {
-    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
+    fn pull<O>(&mut self) -> Option<O>
+    where
+        F: FnMut(u64) -> Option<O>,
+    {
         if self.len.is_some_and(|n| self.next >= n) {
-            return Ok(None);
+            return None;
         }
-        match (self.f)(self.next) {
-            Some(p) => {
-                self.next += 1;
-                Ok(Some(Cow::Owned(p)))
-            }
-            None => Ok(None),
-        }
+        let item = (self.f)(self.next)?;
+        self.next += 1;
+        Some(item)
     }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
+    fn left(&self) -> (usize, Option<usize>) {
         (0, self.len.map(|n| n.saturating_sub(self.next) as usize))
     }
 }
 
-/// A [`FrameSource`] over a borrowed slice of frames.
-#[derive(Debug, Clone)]
-pub struct FrameSliceSource<'a, F: AsRef<[u8]>> {
-    items: &'a [F],
-    pos: usize,
-}
-
-impl<'a, F: AsRef<[u8]>> FrameSliceSource<'a, F> {
-    /// Wraps a slice of frames.
-    pub fn new(items: &'a [F]) -> FrameSliceSource<'a, F> {
-        FrameSliceSource { items, pos: 0 }
-    }
-}
-
-impl<F: AsRef<[u8]>> FrameSource for FrameSliceSource<'_, F> {
-    fn next_frame(&mut self) -> Result<Option<&[u8]>, SourceError> {
-        match self.items.get(self.pos) {
-            Some(f) => {
-                self.pos += 1;
-                Ok(Some(f.as_ref()))
-            }
-            None => Ok(None),
-        }
+impl<F: FnMut(u64) -> Option<Packet>> Source<Packet> for GenSource<F> {
+    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
+        Ok(self.pull().map(Cow::Owned))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.items.len() - self.pos;
-        (left, Some(left))
+        self.left()
     }
 }
 
-/// A [`FrameSource`] generating frames from a closure of the arrival
-/// index, buffer-reusing like a capture reader.
-#[derive(Debug, Clone)]
-pub struct FrameGenSource<F> {
-    f: F,
-    next: u64,
-    buf: Vec<u8>,
-}
-
-impl<F: FnMut(u64) -> Option<Vec<u8>>> FrameGenSource<F> {
-    /// A frame generator (ends when `f` returns `None`).
-    pub fn new(f: F) -> FrameGenSource<F> {
-        FrameGenSource {
-            f,
-            next: 0,
-            buf: Vec::new(),
-        }
+impl<F: FnMut(u64) -> Option<Vec<u8>>> Source<[u8]> for GenSource<F> {
+    fn lend(&mut self) -> Result<Option<Cow<'_, [u8]>>, SourceError> {
+        Ok(self.pull().map(Cow::Owned))
     }
-}
 
-impl<F: FnMut(u64) -> Option<Vec<u8>>> FrameSource for FrameGenSource<F> {
-    fn next_frame(&mut self) -> Result<Option<&[u8]>, SourceError> {
-        match (self.f)(self.next) {
-            Some(frame) => {
-                self.next += 1;
-                self.buf = frame;
-                Ok(Some(&self.buf))
-            }
-            None => Ok(None),
-        }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.left()
     }
 }
 
@@ -310,117 +285,79 @@ impl<S> FailAfter<S> {
             msg: msg.into(),
         }
     }
+}
+
+impl<T: ToOwned + ?Sized, S: Source<T>> Source<T> for FailAfter<S> {
+    fn lend(&mut self) -> Result<Option<Cow<'_, T>>, SourceError> {
+        if self.yielded >= self.fail_at {
+            return Err(SourceError::new(self.msg.clone()));
+        }
+        let item = self.inner.lend()?;
+        self.yielded += u64::from(item.is_some());
+        Ok(item)
+    }
 
     /// The inner source's hint, both bounds capped at the pulls left
     /// before the failure.
-    fn capped(&self, (lo, hi): (usize, Option<usize>)) -> (usize, Option<usize>) {
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let (lo, hi) = self.inner.size_hint();
         let left = usize::try_from(self.fail_at - self.yielded).unwrap_or(usize::MAX);
         (lo.min(left), Some(hi.map_or(left, |hi| hi.min(left))))
     }
 }
 
-impl<S: PacketSource> PacketSource for FailAfter<S> {
-    fn lend(&mut self) -> Result<Option<Cow<'_, Packet>>, SourceError> {
-        if self.yielded >= self.fail_at {
-            return Err(SourceError::new(self.msg.clone()));
-        }
-        let item = self.inner.lend()?;
-        if item.is_some() {
-            self.yielded += 1;
-        }
-        Ok(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.capped(self.inner.size_hint())
-    }
-}
-
-impl<S: FrameSource> FrameSource for FailAfter<S> {
-    fn next_frame(&mut self) -> Result<Option<&[u8]>, SourceError> {
-        if self.yielded >= self.fail_at {
-            return Err(SourceError::new(self.msg.clone()));
-        }
-        let item = self.inner.next_frame()?;
-        if item.is_some() {
-            self.yielded += 1;
-        }
-        Ok(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.capped(self.inner.size_hint())
-    }
-}
-
-/// Conversion into a [`PacketSource`] — what the run builders accept.
+/// Conversion into a [`Source`] — what the run builders accept.
 ///
-/// Implemented by every source (identity) and by `&[Packet]` /
-/// `&Vec<Packet>` (wrapped in a [`SliceSource`]), so
-/// `switch.run(&trace)` keeps working on materialized traces.
-pub trait IntoPacketSource {
+/// Implemented by every source (identity), by `&[Packet]` /
+/// `&Vec<Packet>` and by slices of frames (each wrapped in a
+/// [`SliceSource`]), so `switch.run(&trace)` and
+/// `switch.run_frames(&frames, &cfg)` keep working on materialized
+/// traces.
+pub trait IntoSource<T: ToOwned + ?Sized> {
     /// The source this converts into.
-    type Source: PacketSource;
+    type Source: Source<T>;
 
     /// Performs the conversion.
-    fn into_packet_source(self) -> Self::Source;
+    fn into_source(self) -> Self::Source;
 }
 
-impl<S: PacketSource> IntoPacketSource for S {
+impl<T: ToOwned + ?Sized, S: Source<T>> IntoSource<T> for S {
     type Source = S;
 
-    fn into_packet_source(self) -> S {
+    fn into_source(self) -> S {
         self
     }
 }
 
-impl<'a> IntoPacketSource for &'a [Packet] {
-    type Source = SliceSource<'a>;
+impl<'a> IntoSource<Packet> for &'a [Packet] {
+    type Source = SliceSource<'a, Packet>;
 
-    fn into_packet_source(self) -> SliceSource<'a> {
+    fn into_source(self) -> Self::Source {
         SliceSource::new(self)
     }
 }
 
-impl<'a> IntoPacketSource for &'a Vec<Packet> {
-    type Source = SliceSource<'a>;
+impl<'a> IntoSource<Packet> for &'a Vec<Packet> {
+    type Source = SliceSource<'a, Packet>;
 
-    fn into_packet_source(self) -> SliceSource<'a> {
+    fn into_source(self) -> Self::Source {
         SliceSource::new(self)
     }
 }
 
-/// Conversion into a [`FrameSource`] — the byte-level twin of
-/// [`IntoPacketSource`].
-pub trait IntoFrameSource {
-    /// The source this converts into.
-    type Source: FrameSource;
+impl<'a, F: AsRef<[u8]>> IntoSource<[u8]> for &'a [F] {
+    type Source = SliceSource<'a, F>;
 
-    /// Performs the conversion.
-    fn into_frame_source(self) -> Self::Source;
-}
-
-impl<S: FrameSource> IntoFrameSource for S {
-    type Source = S;
-
-    fn into_frame_source(self) -> S {
-        self
+    fn into_source(self) -> Self::Source {
+        SliceSource::new(self)
     }
 }
 
-impl<'a, F: AsRef<[u8]>> IntoFrameSource for &'a [F] {
-    type Source = FrameSliceSource<'a, F>;
+impl<'a, F: AsRef<[u8]>> IntoSource<[u8]> for &'a Vec<F> {
+    type Source = SliceSource<'a, F>;
 
-    fn into_frame_source(self) -> FrameSliceSource<'a, F> {
-        FrameSliceSource::new(self)
-    }
-}
-
-impl<'a, F: AsRef<[u8]>> IntoFrameSource for &'a Vec<F> {
-    type Source = FrameSliceSource<'a, F>;
-
-    fn into_frame_source(self) -> FrameSliceSource<'a, F> {
-        FrameSliceSource::new(self)
+    fn into_source(self) -> Self::Source {
+        SliceSource::new(self)
     }
 }
 
@@ -486,10 +423,10 @@ mod tests {
         assert_eq!(endless.size_hint(), (0, Some(5)));
         // Frames too.
         let frames: Vec<Vec<u8>> = vec![vec![0; 4]; 10];
-        let mut frames = FailAfter::new(FrameSliceSource::new(&frames), 3, "torn");
-        assert_eq!(frames.size_hint(), (3, Some(3)));
-        while frames.next_frame().is_ok() {}
-        assert_eq!(frames.size_hint(), (0, Some(0)));
+        let mut frames = FailAfter::new(SliceSource::new(&frames), 3, "torn");
+        assert_eq!(Source::<[u8]>::size_hint(&frames), (3, Some(3)));
+        while Source::<[u8]>::lend(&mut frames).is_ok() {}
+        assert_eq!(Source::<[u8]>::size_hint(&frames), (0, Some(0)));
     }
 
     #[test]
@@ -566,14 +503,57 @@ mod tests {
     #[test]
     fn frame_sources_yield_borrowed_frames() {
         let frames: Vec<Vec<u8>> = vec![vec![1, 2], vec![3]];
-        let mut src = FrameSliceSource::new(&frames);
-        assert_eq!(src.next_frame().unwrap(), Some(&[1u8, 2][..]));
-        assert_eq!(src.next_frame().unwrap(), Some(&[3u8][..]));
-        assert_eq!(src.next_frame().unwrap(), None);
+        let mut slice = SliceSource::new(&frames);
+        let src: &mut dyn Source<[u8]> = &mut slice;
+        assert_eq!(src.lend().unwrap().as_deref(), Some(&[1u8, 2][..]));
+        assert_eq!(src.lend().unwrap().as_deref(), Some(&[3u8][..]));
+        assert_eq!(src.lend().unwrap(), None);
 
-        let mut gen = FrameGenSource::new(|i| if i < 2 { Some(vec![i as u8; 3]) } else { None });
-        assert_eq!(gen.next_frame().unwrap(), Some(&[0u8, 0, 0][..]));
-        assert_eq!(gen.next_frame().unwrap(), Some(&[1u8, 1, 1][..]));
-        assert_eq!(gen.next_frame().unwrap(), None);
+        let mut gen = GenSource::new(|i| if i < 2 { Some(vec![i as u8; 3]) } else { None });
+        let gen: &mut dyn Source<[u8]> = &mut gen;
+        assert_eq!(gen.lend().unwrap().as_deref(), Some(&[0u8, 0, 0][..]));
+        assert_eq!(gen.lend().unwrap().as_deref(), Some(&[1u8, 1, 1][..]));
+        assert_eq!(gen.lend().unwrap(), None);
+    }
+
+    #[test]
+    fn a_frame_generator_is_capped_hinted_and_lends_owned_frames() {
+        let mut gen = GenSource::with_len(3, |i| Some(vec![i as u8; 2]));
+        let src: &mut dyn Source<[u8]> = &mut gen;
+        assert_eq!(src.size_hint(), (0, Some(3)));
+        for i in 0..3u8 {
+            match src.lend().unwrap() {
+                Some(Cow::Owned(f)) => assert_eq!(f, [i, i]),
+                other => panic!("frame {i}: {other:?}"),
+            }
+        }
+        assert!(src.lend().unwrap().is_none());
+
+        // Capped by a failure: the hint is the pulls left, and the
+        // failure comes at exactly `k`.
+        let gen = GenSource::with_len(10, |i| Some(vec![i as u8; 2]));
+        let mut src = FailAfter::new(gen, 2, "torn");
+        let src: &mut dyn Source<[u8]> = &mut src;
+        assert_eq!(src.size_hint(), (0, Some(2)));
+        for _ in 0..2 {
+            assert!(matches!(src.lend().unwrap(), Some(Cow::Owned(_))));
+        }
+        assert_eq!(src.size_hint(), (0, Some(0)));
+        assert_eq!(src.lend().unwrap_err().message(), "torn");
+
+        // The frame twin of `a_dyn_source_lends`.
+        let frames: Vec<Vec<u8>> = vec![vec![7; 4]];
+        let mut slice = SliceSource::new(&frames);
+        let mut gen = GenSource::with_len(1, |_| Some(vec![7; 4]));
+        let sources: [&mut dyn Source<[u8]>; 2] = [&mut slice, &mut gen];
+        let lent: Vec<&str> = sources
+            .into_iter()
+            .map(|src| match src.lend().unwrap() {
+                Some(Cow::Borrowed(_)) => "borrowed",
+                Some(Cow::Owned(_)) => "owned",
+                None => "none",
+            })
+            .collect();
+        assert_eq!(lent, ["borrowed", "owned"]);
     }
 }

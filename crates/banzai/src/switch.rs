@@ -110,9 +110,7 @@ use crate::error::{FaultReport, ShardSalvage, SwitchError};
 use crate::machine::{AtomPipeline, Machine};
 use crate::pifo::{KeySlots, SchedKey, SchedQueue, SchedSpec, Scheduler};
 use crate::slot::SlotMachine;
-use crate::stream::{
-    FrameSource, IntoFrameSource, IntoPacketSource, PacketSource, RunStats, SourceError,
-};
+use crate::stream::{IntoSource, RunStats, Source, SourceError};
 use crate::wire::{BoundParser, ParseVerdict, WireConfig, WireLayout};
 use domino_ir::{FieldId, FieldTable, FlatPacket, Packet, PacketEdges, Residual, StateStore};
 use std::fmt;
@@ -469,7 +467,7 @@ pub(crate) type Pulled = Result<Option<Stamped>, SourceError>;
 /// from that loan — its one map → slab crossing — into a record of the
 /// pool it is lent if there is one ([`InFlight::admit`]), stamping the
 /// `k`-th arrival `from + k`.
-pub(crate) fn admitting<S: PacketSource>(
+pub(crate) fn admitting<S: Source<Packet>>(
     source: &mut S,
     from: i64,
 ) -> impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled + '_ {
@@ -487,17 +485,17 @@ pub(crate) fn admitting<S: PacketSource>(
 /// The byte-born adapter: `parser` lays each frame of `source` onto a
 /// record of the pool it is lent if there is one ([`InFlight::parse`]),
 /// or rejects it, stamping the `k`-th arrival `from + k`.
-pub(crate) fn parsing<'a, S: FrameSource>(
+pub(crate) fn parsing<'a, S: Source<[u8]>>(
     source: &'a mut S,
     parser: &'a BoundParser,
     from: i64,
 ) -> impl FnMut(&mut PacketEdges, &mut Pool) -> Pulled + 'a {
     let mut at = from;
     move |_, pool| {
-        let Some(frame) = source.next_frame()? else {
+        let Some(frame) = source.lend()? else {
             return Ok(None);
         };
-        let p = InFlight::parse(frame, parser, || pool.pop());
+        let p = InFlight::parse(&frame, parser, || pool.pop());
         at += 1;
         Ok(Some((at - 1, p)))
     }
@@ -716,11 +714,6 @@ impl<E: PipelineEngine> Switch<E> {
         self.key = spec.resolve(|field| self.slot_of(field));
         self.sched = spec;
         self
-    }
-
-    /// The scheduling policy the queue runs.
-    pub fn scheduler(&self) -> &SchedSpec {
-        &self.sched
     }
 
     /// Total packets dropped so far, for any reason (the sum over
@@ -1125,7 +1118,7 @@ impl<E: PipelineEngine> Switch<E> {
     }
 
     /// Opens a streaming run session: anything convertible to a
-    /// [`PacketSource`] (a `&[Packet]` slice, a `&Vec<Packet>`, a
+    /// packet [`Source`] (a `&[Packet]` slice, a `&Vec<Packet>`, a
     /// generator, a pcap-backed source) drives the switch through the
     /// returned [`Run`] builder — the single entry point of every packet
     /// run.
@@ -1154,25 +1147,25 @@ impl<E: PipelineEngine> Switch<E> {
     /// assert_eq!(stats.offered, 1000);
     /// assert_eq!(stats.transmitted, 1000);
     /// ```
-    pub fn run<S: IntoPacketSource>(&mut self, source: S) -> Run<'_, E, S::Source> {
+    pub fn run<S: IntoSource<Packet>>(&mut self, source: S) -> Run<'_, E, S::Source> {
         Run {
             switch: self,
-            source: source.into_packet_source(),
+            source: source.into_source(),
         }
     }
 
     /// Opens a streaming **byte-frame** run session: anything convertible
-    /// to a [`FrameSource`] (a slice of frames, a pcap reader) drives the
+    /// to a frame [`Source`] (a slice of frames, a pcap reader) drives the
     /// parse → pipeline → deparse path through the returned [`FrameRun`]
     /// builder.
-    pub fn run_frames<'c, S: IntoFrameSource>(
+    pub fn run_frames<'c, S: IntoSource<[u8]>>(
         &mut self,
         source: S,
         cfg: &'c WireConfig,
     ) -> FrameRun<'_, 'c, E, S::Source> {
         FrameRun {
             switch: self,
-            source: source.into_frame_source(),
+            source: source.into_source(),
             cfg,
         }
     }
@@ -1194,12 +1187,12 @@ impl<E: PipelineEngine> Switch<E> {
 /// cycle its rank names) — with `enq_ts`/`qdepth` (or the configured
 /// names) and `now` stamped so egress programs can compute sojourn times.
 #[must_use = "a run session does nothing until a terminal method (`collect`, `for_each`) runs it"]
-pub struct Run<'s, E: PipelineEngine, S: PacketSource> {
+pub struct Run<'s, E: PipelineEngine, S: Source<Packet>> {
     switch: &'s mut Switch<E>,
     source: S,
 }
 
-impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
+impl<'s, E: PipelineEngine, S: Source<Packet>> Run<'s, E, S> {
     /// Switches this session to the scheduling regime under the queue's
     /// **already-configured** discipline (see [`Switch::with_scheduler`]).
     pub fn scheduled(self) -> SchedRun<'s, E, S> {
@@ -1271,12 +1264,12 @@ impl<'s, E: PipelineEngine, S: PacketSource> Run<'s, E, S> {
 /// sojourn-aware egress programs (CoDel) observe the scheduler's actual
 /// queueing delays.
 #[must_use = "a run session does nothing until `collect` runs it"]
-pub struct SchedRun<'s, E: PipelineEngine, S: PacketSource> {
+pub struct SchedRun<'s, E: PipelineEngine, S: Source<Packet>> {
     switch: &'s mut Switch<E>,
     source: S,
 }
 
-impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
+impl<E: PipelineEngine, S: Source<Packet>> SchedRun<'_, E, S> {
     /// Runs the burst + drain and returns one [`SchedDeparture`] per
     /// transmitted packet, in departure order.
     ///
@@ -1331,18 +1324,18 @@ impl<E: PipelineEngine, S: PacketSource> SchedRun<'_, E, S> {
 /// packet-born traffic — and on departure every pipeline-modified field is
 /// patched from its slot back into its wire position in that buffer, so
 /// all unparsed bytes (options, payloads) survive verbatim. Frames are
-/// lent in by the [`FrameSource`] and lent out to the sink; the record
+/// lent in by the frame [`Source`] and lent out to the sink; the record
 /// between them is a recycled one (module docs, *Recycling*). The output
 /// is byte-identical to parsing, [`Switch::run`]ning and deparsing on the
 /// map tier of [`crate::wire`], the reference.
 #[must_use = "a run session does nothing until a terminal method (`collect`, `for_each`) runs it"]
-pub struct FrameRun<'s, 'c, E: PipelineEngine, S: FrameSource> {
+pub struct FrameRun<'s, 'c, E: PipelineEngine, S: Source<[u8]>> {
     switch: &'s mut Switch<E>,
     source: S,
     cfg: &'c WireConfig,
 }
 
-impl<E: PipelineEngine, S: FrameSource> FrameRun<'_, '_, E, S> {
+impl<E: PipelineEngine, S: Source<[u8]>> FrameRun<'_, '_, E, S> {
     /// Runs the session and collects every transmitted frame, in order.
     ///
     /// # Errors

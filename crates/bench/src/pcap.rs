@@ -2,7 +2,7 @@
 //!
 //! The reader ([`PcapReader`]) understands both on-disk capture formats
 //! in both byte orders and exposes the frames as a streaming
-//! [`FrameSource`], so a capture file can drive `Switch::run_frames` /
+//! frame [`Source`], so a capture file can drive `Switch::run_frames` /
 //! `ShardedSwitch::run_frames` directly — the replay path of the E14
 //! streaming-ingestion experiment. The writers emit deterministic
 //! fixtures (synthetic timestamps derived from the frame index) for the
@@ -30,7 +30,8 @@
 //! live in Enhanced (0x6) and Simple (0x3) Packet Blocks, interfaces in
 //! IDBs (0x1); unknown block types are skipped.
 
-use banzai::{FrameSource, SourceError};
+use banzai::{Source, SourceError};
+use std::borrow::Cow;
 
 /// Classic pcap magic, microsecond timestamps (native byte order).
 pub const MAGIC_USEC: u32 = 0xa1b2_c3d4;
@@ -177,19 +178,19 @@ enum Format {
 }
 
 /// A streaming reader over an in-memory pcap or pcapng capture,
-/// implementing [`FrameSource`] so it plugs straight into
+/// implementing `Source<[u8]>` so it plugs straight into
 /// `run_frames(..)` on either switch.
 ///
 /// ```
-/// use banzai::FrameSource;
+/// use banzai::Source;
 /// use bench::pcap::{write_pcap, PcapOptions, PcapReader};
 ///
 /// let frames: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![4, 5]];
 /// let capture = write_pcap(&frames, PcapOptions::default());
 /// let mut rd = PcapReader::new(capture).unwrap();
-/// assert_eq!(rd.next_frame().unwrap(), Some(&[1u8, 2, 3][..]));
-/// assert_eq!(rd.next_frame().unwrap(), Some(&[4u8, 5][..]));
-/// assert_eq!(rd.next_frame().unwrap(), None);
+/// assert_eq!(rd.lend().unwrap().as_deref(), Some(&[1u8, 2, 3][..]));
+/// assert_eq!(rd.lend().unwrap().as_deref(), Some(&[4u8, 5][..]));
+/// assert_eq!(rd.lend().unwrap(), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PcapReader<B: AsRef<[u8]>> {
@@ -381,12 +382,14 @@ impl<B: AsRef<[u8]>> PcapReader<B> {
     }
 }
 
-impl<B: AsRef<[u8]>> FrameSource for PcapReader<B> {
-    fn next_frame(&mut self) -> Result<Option<&[u8]>, SourceError> {
-        match self.format {
-            Format::Classic { .. } => self.next_classic(),
-            Format::Ng => self.next_ng(),
-        }
+/// Lends each frame as a view into the reader's one buffer.
+impl<B: AsRef<[u8]>> Source<[u8]> for PcapReader<B> {
+    fn lend(&mut self) -> Result<Option<Cow<'_, [u8]>>, SourceError> {
+        let frame = match self.format {
+            Format::Classic { .. } => self.next_classic()?,
+            Format::Ng => self.next_ng()?,
+        };
+        Ok(frame.map(Cow::Borrowed))
     }
 }
 
@@ -407,8 +410,8 @@ mod tests {
 
     fn drain<B: AsRef<[u8]>>(rd: &mut PcapReader<B>) -> Result<Vec<Vec<u8>>, SourceError> {
         let mut out = Vec::new();
-        while let Some(f) = rd.next_frame()? {
-            out.push(f.to_vec());
+        while let Some(f) = rd.lend()? {
+            out.push(f.into_owned());
         }
         Ok(out)
     }
@@ -527,7 +530,7 @@ mod tests {
         let incl_off = 24 + 8;
         capture[incl_off..incl_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut rd = PcapReader::new(&capture[..]).unwrap();
-        let err = rd.next_frame().unwrap_err();
+        let err = rd.lend().unwrap_err();
         assert!(err.message().contains("remain"), "{err}");
 
         // pcapng block with a mismatched trailing length.

@@ -87,11 +87,10 @@ pub mod prelude {
     };
     pub use banzai::{
         Accounting, AtomKind, Backpressure, DropCounters, DropReason, FailAfter, FaultCause,
-        FaultKind, FaultPlan, FaultReport, FaultSpec, FaultyEngine, Fifo, FrameGenSource, FrameRun,
-        FrameSliceSource, FrameSource, GenSource, IntoFrameSource, IntoPacketSource, Machine,
-        PacketSource, Pifo, Run, RunStats, SchedDeparture, SchedKey, SchedRun, SchedSpec,
-        Scheduler, ShardConfig, ShardError, ShardSalvage, ShardedFrameRun, ShardedRun,
-        ShardedSchedRun, ShardedSwitch, SliceSource, SlotMachine, SourceError, SourceFault,
+        FaultKind, FaultPlan, FaultReport, FaultSpec, FaultyEngine, Fifo, FrameRun, GenSource,
+        IntoSource, Machine, PacketSource, Pifo, Run, RunStats, SchedDeparture, SchedKey, SchedRun,
+        SchedSpec, Scheduler, ShardConfig, ShardError, ShardSalvage, ShardedFrameRun, ShardedRun,
+        ShardedSchedRun, ShardedSwitch, SliceSource, SlotMachine, Source, SourceError, SourceFault,
         SteerMode, Switch, SwitchError, Target,
     };
     pub use domino_ir::{Packet, StateStore};

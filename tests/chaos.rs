@@ -1026,7 +1026,7 @@ fn serial_source_error_is_typed_and_conserved() {
 #[test]
 fn every_terminal_closes_the_books_when_its_source_fails_at_packet_k() {
     use banzai::wire::{self, FrameSpec, WireConfig};
-    use banzai::{FailAfter, FrameGenSource, GenSource, SliceSource};
+    use banzai::{FailAfter, GenSource, SliceSource};
     const SHARDS: usize = 4;
     const K: u64 = 150;
 
@@ -1038,7 +1038,7 @@ fn every_terminal_closes_the_books_when_its_source_fails_at_packet_k() {
     let wire_cfg = WireConfig::with_meta_fields(["flow", "c"]).unwrap();
     let frames = || {
         let frame = |i| wire::encode(&pkt(i), &wire_cfg, &FrameSpec::default());
-        FailAfter::new(FrameGenSource::new(move |i| Some(frame(i))), K, "torn")
+        FailAfter::new(GenSource::new(move |i| Some(frame(i))), K, "torn")
     };
     let serial = || Switch::new_slot(&ingress, &egress, CAPACITY).unwrap();
     let sharded = || {
@@ -1151,7 +1151,7 @@ fn every_terminal_closes_the_books_when_its_source_fails_at_packet_k() {
 #[test]
 fn a_reused_switch_reports_only_this_runs_drops_on_every_terminal() {
     use banzai::wire::{self, FrameSpec, WireConfig};
-    use banzai::{FailAfter, FaultReport, FrameGenSource, GenSource, PipelineEngine, SchedSpec};
+    use banzai::{FailAfter, FaultReport, GenSource, PipelineEngine, SchedSpec};
     const SHARDS: usize = 4;
     const CAP: usize = 32;
     const BURST: u64 = 100;
@@ -1234,7 +1234,7 @@ fn a_reused_switch_reports_only_this_runs_drops_on_every_terminal() {
         frame.truncate(if i % 5 == 2 { 9 } else { frame.len() });
         frame
     };
-    let frames = FailAfter::new(FrameGenSource::new(|i| Some(frame(i))), K, "torn");
+    let frames = FailAfter::new(GenSource::new(|i| Some(frame(i))), K, "torn");
     let mut sw = used();
     let report = expect_fault(sw.run_frames(frames, &wire_cfg).partitioned(), "frames");
     let mut runts = [0; SHARDS];

@@ -1,5 +1,5 @@
 //! Property suite for the streaming run API: a switch fed one packet at
-//! a time from a [`PacketSource`] / [`FrameSource`] must be
+//! a time from a packet or frame [`Source`](banzai::Source) must be
 //! **bit-identical** to the same switch fed a materialized slice — same
 //! outputs, same drop counters, same exported state — across every
 //! geometry the sharded runtime supports. The bounded-memory path is not
@@ -16,7 +16,7 @@
 //! * the same equivalence through the scheduler for all three
 //!   disciplines (PIFO, strict priority, shaping), departures compared
 //!   as full `SchedDeparture` records;
-//! * the wire path: a `FrameGenSource` yielding valid, truncated, and
+//! * the wire path: a frame `GenSource` yielding valid, truncated, and
 //!   garbage frames vs the equivalent frame slice;
 //! * `for_each` vs `collect`: the sink-based terminal sees the same
 //!   stream and reports [`RunStats`] that balance with the counters;
@@ -249,7 +249,7 @@ fn any_frame() -> impl Strategy<Value = Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Wire-path equivalence: a `FrameGenSource` lending frames one at a
+    /// Wire-path equivalence: a frame `GenSource` lending frames one at a
     /// time produces the same egress bytes and the same per-verdict parse
     /// counters as the frame slice.
     #[test]
@@ -276,7 +276,7 @@ proptest! {
             capacity,
         );
         let owned = frames.clone();
-        let src = banzai::FrameGenSource::new(move |i| owned.get(i as usize).cloned());
+        let src = banzai::GenSource::new(move |i| owned.get(i as usize).cloned());
         let mut got = Vec::new();
         let stats = streamed
             .run_frames(src, &cfg)

@@ -21,6 +21,13 @@ than the parent's by more than that metric's `bound`. With `--claim WORKLOAD:MET
 non-zero unless that metric resolves: the gate a claimed gain is held to,
 checked before the change is proposed.
 
+Before the pairs run it prints the byte size of each hot function in the
+two binaries (`nm -S --demangle`), side by side: a function inlined,
+outlined or grown on one side only can move a row with no change to the
+code that row runs. An absent symbol prints as `inlined`, sizes that
+differ are marked `DIFFERS`, and a missing `nm` is said and skipped. The
+sizes gate nothing.
+
     python3 tools/ab.py --parent A/ledger --change B/ledger \\
         --workloads sharded_flowlet serial_flowlet --pairs 10 --seed 3 --seconds 10 \\
         --claim serial_flowlet:norm_pkts_per_s
@@ -31,6 +38,7 @@ Standard library only.
 import argparse
 import json
 import os
+import re
 import resource
 import statistics
 import subprocess
@@ -46,6 +54,50 @@ METRICS = [
     ("setup_s", "lower"),
     ("peak_rss_mb", "lower"),
 ] + [(name, "lower") for name in RUSAGE]
+
+
+# The hot functions whose sizes are printed on both sides, by label, each
+# with the pattern its demangled symbol names match in full. A generic
+# method matches every monomorph, each listed with its own size.
+HOT = [
+    ("banzai::slot::exec", r"banzai::slot::exec"),
+    ("banzai::wire::BoundParser::parse_into", r"banzai::wire::BoundParser::parse_into"),
+    ("banzai::switch::admitting::{{closure}}", r"banzai::switch::admitting::\{\{closure\}\}"),
+    ("banzai::switch::parsing::{{closure}}", r"banzai::switch::parsing::\{\{closure\}\}"),
+    ("banzai::switch::Switch<..>::cycle", r"<?banzai::switch::Switch<.*>>?::cycle"),
+    ("banzai::switch::Switch<..>::drain_burst", r"<?banzai::switch::Switch<.*>>?::drain_burst"),
+]
+
+
+def hot_sizes(binary):
+    """`{label: sorted byte sizes}` of the hot functions in `binary`."""
+    out = subprocess.run(
+        ["nm", "-S", "--demangle", binary], capture_output=True, text=True, check=True
+    ).stdout
+    sizes = {label: [] for label, _ in HOT}
+    for line in out.splitlines():
+        # `address size type name`; undefined symbols carry no size.
+        m = re.match(r"[0-9a-f]+ ([0-9a-f]+) \w (.*)$", line)
+        for label, pattern in HOT if m else []:
+            if re.fullmatch(pattern, m.group(2)):
+                sizes[label].append(int(m.group(1), 16))
+    return {label: sorted(found) for label, found in sizes.items()}
+
+
+def print_hot_sizes(parent, change):
+    """Prints the hot functions' sizes in the two binaries, side by side."""
+    try:
+        sides = [hot_sizes(parent), hot_sizes(change)]
+    except FileNotFoundError:
+        print("hot-function sizes: nm is missing; carrying on without them", flush=True)
+        return
+    except subprocess.CalledProcessError as e:
+        print(f"hot-function sizes: nm failed on {e.cmd[-1]}; carrying on", flush=True)
+        return
+    print(f"hot-function sizes (bytes, nm -S --demangle) {'parent':>17} | change")
+    for label, _ in HOT:
+        p, c = (", ".join(map(str, side[label])) or "inlined" for side in sides)
+        print(f"  {label:46} {p:>14} | {c}{'  DIFFERS' if p != c else ''}", flush=True)
 
 
 def rusage():
@@ -116,6 +168,7 @@ def main():
     if claim and (len(claim) != 2 or claim[0] not in args.workloads):
         ap.error(f"--claim {args.claim}: expected WORKLOAD:METRIC, WORKLOAD one of --workloads")
 
+    print_hot_sizes(args.parent, args.change)
     ok = True
     claimed = False
     for workload in args.workloads:
